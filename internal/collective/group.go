@@ -58,30 +58,41 @@ func NewGroup(top *topology.Topology, dims []int, base int) (Group, error) {
 // NewSpanGroup builds a group from explicit spans, validating that every
 // member lands inside the topology without wrapping.
 func NewSpanGroup(top *topology.Topology, spans []Span, base int) (Group, error) {
+	if err := CheckSpans(top, spans, base); err != nil {
+		return Group{}, err
+	}
+	return Group{Spans: append([]Span(nil), spans...), Base: base}, nil
+}
+
+// CheckSpans reports whether spans form a valid group rooted at base: every
+// span names an existing physical dimension, has K >= 2 members and a
+// positive stride, and the members reached from base stay inside the
+// dimension without wrapping. It allocates nothing, so callers can check a
+// span layout against every rank that uses it.
+func CheckSpans(top *topology.Topology, spans []Span, base int) error {
 	if len(spans) == 0 {
-		return Group{}, fmt.Errorf("collective: group must have at least one span")
+		return fmt.Errorf("collective: group must have at least one span")
 	}
 	if base < 0 || base >= top.NumNPUs() {
-		return Group{}, fmt.Errorf("collective: base rank %d out of range", base)
+		return fmt.Errorf("collective: base rank %d out of range", base)
 	}
-	baseCoord := top.Coord(base)
 	for i, s := range spans {
 		if s.Phys < 0 || s.Phys >= top.NumDims() {
-			return Group{}, fmt.Errorf("collective: span %d physical dim %d out of range", i, s.Phys)
+			return fmt.Errorf("collective: span %d physical dim %d out of range", i, s.Phys)
 		}
 		if s.K < 2 {
-			return Group{}, fmt.Errorf("collective: span %d needs K >= 2, got %d", i, s.K)
+			return fmt.Errorf("collective: span %d needs K >= 2, got %d", i, s.K)
 		}
 		if s.Stride < 1 {
-			return Group{}, fmt.Errorf("collective: span %d needs stride >= 1, got %d", i, s.Stride)
+			return fmt.Errorf("collective: span %d needs stride >= 1, got %d", i, s.Stride)
 		}
-		reach := baseCoord[s.Phys]%s.Stride + (s.K-1)*s.Stride
+		reach := top.DimPos(base, s.Phys)%s.Stride + (s.K-1)*s.Stride
 		if reach >= top.Dims[s.Phys].Size {
-			return Group{}, fmt.Errorf("collective: span %d (K=%d, stride=%d) exceeds dim %d size %d",
+			return fmt.Errorf("collective: span %d (K=%d, stride=%d) exceeds dim %d size %d",
 				i, s.K, s.Stride, s.Phys, top.Dims[s.Phys].Size)
 		}
 	}
-	return Group{Spans: append([]Span(nil), spans...), Base: base}, nil
+	return nil
 }
 
 // FullMachine returns the group spanning every physical dimension in full.
@@ -102,17 +113,26 @@ func (g Group) Size() int {
 	return n
 }
 
-// Members enumerates the member ranks in ascending order. The group's
-// logical origin along each span is the base rank's coordinate modulo the
-// span's stride footprint (so any member can serve as Base).
-func (g Group) Members(top *topology.Topology) []int {
-	coord := top.Coord(g.Base)
+// Origin returns the group instance's lowest member rank, computed
+// arithmetically without allocating: along each span, the base rank's
+// coordinate is reset by however many whole strides it sits past the
+// instance's first member. Any member serving as Base yields the same
+// origin, and distinct instances of one span layout yield distinct origins,
+// so (origin, layout) identifies a communicator instance.
+func (g Group) Origin(top *topology.Topology) int {
+	origin := g.Base
 	for _, s := range g.Spans {
-		// Reset the span's coordinate to the group's origin: the base
-		// member's position minus however many whole strides it sits in.
-		coord[s.Phys] -= (coord[s.Phys] / s.Stride % s.K) * s.Stride
+		step := top.DimStride(s.Phys)
+		pos := origin / step % top.Dims[s.Phys].Size
+		origin -= (pos / s.Stride % s.K) * s.Stride * step
 	}
-	members := []int{top.Rank(coord)}
+	return origin
+}
+
+// Members enumerates the member ranks in ascending order, starting from the
+// group's Origin (so any member can serve as Base).
+func (g Group) Members(top *topology.Topology) []int {
+	members := []int{g.Origin(top)}
 	for _, s := range g.Spans {
 		step := top.DimStride(s.Phys) * s.Stride
 		grown := make([]int, 0, len(members)*s.K)
@@ -127,17 +147,4 @@ func (g Group) Members(top *topology.Topology) []int {
 		sort.Ints(members)
 	}
 	return members
-}
-
-// Signature returns a canonical identity for the communicator instance:
-// two NPUs issuing "the same" collective produce equal signatures exactly
-// when they belong to the same group instance. It is the lowest member
-// rank — the group origin, computed arithmetically — plus the span layout,
-// so signing costs O(dims) rather than materializing the member list.
-func (g Group) Signature(top *topology.Topology) string {
-	coord := top.Coord(g.Base)
-	for _, s := range g.Spans {
-		coord[s.Phys] -= (coord[s.Phys] / s.Stride % s.K) * s.Stride
-	}
-	return fmt.Sprintf("%d/%v", top.Rank(coord), g.Spans)
 }

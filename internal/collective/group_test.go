@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -48,27 +49,65 @@ func TestSpanGroupStrided(t *testing.T) {
 	}
 }
 
+// Every member of an instance, used as Base, yields the instance's lowest
+// member as its Origin, and distinct instances of one layout yield distinct
+// origins — across strided spans, several spans on one physical dimension,
+// and spans over the upper dimensions of a multi-dimensional machine.
 func TestSpanGroupBaseNormalization(t *testing.T) {
+	multi := topology.MustNew(
+		topology.Dim{Kind: topology.Ring, Size: 4, Bandwidth: units.GBps(100)},
+		topology.Dim{Kind: topology.Ring, Size: 6, Bandwidth: units.GBps(100)},
+		topology.Dim{Kind: topology.Ring, Size: 8, Bandwidth: units.GBps(100)},
+	)
+	cases := []struct {
+		name  string
+		top   *topology.Topology
+		spans []Span
+	}{
+		{"contiguous", wafer512(), []Span{{Phys: 0, K: 16, Stride: 1}}},
+		{"strided", wafer512(), []Span{{Phys: 0, K: 32, Stride: 16}}},
+		{"two spans one dim", wafer512(), []Span{{Phys: 0, K: 4, Stride: 1}, {Phys: 0, K: 8, Stride: 4}}},
+		{"upper dims", multi, []Span{{Phys: 1, K: 3, Stride: 2}, {Phys: 2, K: 4, Stride: 1}}},
+		{"full machine", multi, FullMachine(multi).Spans},
+	}
+	for _, c := range cases {
+		origins := make(map[int]int) // origin -> any member naming it
+		for rank := 0; rank < c.top.NumNPUs(); rank++ {
+			if CheckSpans(c.top, c.spans, rank) != nil {
+				continue
+			}
+			g := Group{Spans: c.spans, Base: rank}
+			members := g.Members(c.top)
+			origin := g.Origin(c.top)
+			if origin != members[0] {
+				t.Fatalf("%s: base %d origin %d, lowest member %d", c.name, rank, origin, members[0])
+			}
+			for _, m := range members {
+				if o := (Group{Spans: c.spans, Base: m}).Origin(c.top); o != origin {
+					t.Fatalf("%s: member %d of base %d's instance has origin %d, want %d", c.name, m, rank, o, origin)
+				}
+			}
+			if prev, ok := origins[origin]; ok {
+				if pm := (Group{Spans: c.spans, Base: prev}).Members(c.top); !slices.Equal(pm, members) {
+					t.Fatalf("%s: instances %v and %v share origin %d", c.name, pm, members, origin)
+				}
+			}
+			origins[origin] = rank
+		}
+		if len(origins) < 2 && c.name != "full machine" {
+			t.Errorf("%s: only %d instances", c.name, len(origins))
+		}
+	}
+}
+
+func TestOriginDoesNotAllocate(t *testing.T) {
 	top := wafer512()
-	// Any member should produce the same group instance.
-	a, err := NewSpanGroup(top, []Span{{Phys: 0, K: 16, Stride: 1}}, 32)
-	if err != nil {
-		t.Fatal(err)
+	g := Group{Spans: []Span{{Phys: 0, K: 32, Stride: 16}}, Base: 301}
+	if n := testing.AllocsPerRun(100, func() { _ = g.Origin(top) }); n != 0 {
+		t.Errorf("Origin allocates %v times", n)
 	}
-	b, err := NewSpanGroup(top, []Span{{Phys: 0, K: 16, Stride: 1}}, 45)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Signature(top) != b.Signature(top) {
-		t.Errorf("signatures differ: %q vs %q", a.Signature(top), b.Signature(top))
-	}
-	// Different instances must differ.
-	c, err := NewSpanGroup(top, []Span{{Phys: 0, K: 16, Stride: 1}}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Signature(top) == c.Signature(top) {
-		t.Error("distinct instances share a signature")
+	if n := testing.AllocsPerRun(100, func() { _ = CheckSpans(top, g.Spans, 301) }); n != 0 {
+		t.Errorf("CheckSpans allocates %v times", n)
 	}
 }
 

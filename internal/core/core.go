@@ -11,6 +11,13 @@
 // collective issued on a communicator instance by each member NPU is the
 // same logical collective, and it launches once every member has reached
 // it — synchronous-training semantics.
+//
+// Execution runs on integer indices. Start compiles each distinct node list
+// once into an immutable graphPlan (nodes, children and in-degrees by list
+// position) shared by every rank using the list, and interns each
+// communicator span layout once. A communicator instance is an (origin rank,
+// layout) pair resolved per rank at Start, so issuing a node touches only
+// slices: no map, no string key and no allocation per NPU issue.
 package core
 
 import (
@@ -200,13 +207,15 @@ type Simulator struct {
 	net  *network.Backend
 	coll *collective.Engine
 
-	npus []*npuState
+	npus []npuState
 
-	rendezvous map[rendezvousKey]*pendingCollective
-	collSeq    map[collSeqKey]int
+	// freeOps recycles timed-node completion events.
+	freeOps []*timedOp
 
 	collLog   []collective.Result
 	remaining int
+	// err is the first collective launch failure; Finalize reports it.
+	err error
 
 	// straggle holds per-NPU compute-time multipliers set by scenario
 	// events; the zero value means no stragglers.
@@ -218,13 +227,75 @@ type Simulator struct {
 	finished units.Time
 }
 
+// graphPlan is one distinct node list compiled for execution. It is
+// immutable and shared by every rank whose graph uses the list; nodes are
+// addressed by their position in the list.
+type graphPlan struct {
+	nodes []*et.Node
+	// children lists each node's dependents, one entry per dependency edge
+	// (a duplicated dep appears twice, matching the in-degree count).
+	children [][]int32
+	// indeg is each node's initial in-degree: len(Deps).
+	indeg []int32
+	// roots are the initially ready positions in ascending-ID order.
+	roots []int32
+	// slot maps a communicator node's position to the plan-local index of
+	// its layout (-1 for every other kind); layouts maps that index to the
+	// interned layout id, and layoutNode to the first node using it.
+	slot       []int32
+	layouts    []int32
+	layoutNode []int32
+}
+
+// instanceKey names a communicator instance: its lowest member rank and its
+// layout id. A layout is an interned communicator shape: the resolved span
+// list plus whether the collective is fused in-switch (an in-switch
+// collective never pairs with a fabric one over the same spans).
+type instanceKey struct {
+	origin int
+	layout int32
+}
+
+// groupInstance is one communicator instance. Its members issue the
+// instance's collectives in the same per-member sequence, so they launch in
+// sequence order: open holds the collectives some member has reached but
+// not every member, oldest (sequence number base) first.
+type groupInstance struct {
+	group   collective.Group
+	members []int
+	open    []*pendingCollective
+	base    int32
+}
+
+// pendingCollective is one logical collective awaiting its members; nodes
+// holds each member's node position, indexed by member position.
+type pendingCollective struct {
+	inst    *groupInstance
+	arrived int
+	nodes   []int32
+}
+
+// rankSlot is one rank's view of a layout its plan uses: the instance the
+// rank belongs to and how many collectives it has issued on it.
+type rankSlot struct {
+	inst *groupInstance
+	seq  int32
+}
+
+// In-degree sentinels: a node that has been dispatched to its layer, and a
+// node that has completed.
+const (
+	issuedMark int32 = -1
+	doneMark   int32 = -2
+)
+
 type npuState struct {
-	rank      int
-	indeg     map[int]int
-	children  map[int][]*et.Node
-	nodes     map[int]*et.Node
-	completed map[int]bool
-	pending   int
+	rank int
+	plan *graphPlan
+	// indeg is the remaining dependency count per plan position, or a mark.
+	indeg []int32
+	// slots is indexed by the plan-local layout index.
+	slots []rankSlot
 
 	// Activity counters for exposed-time attribution.
 	nCompute, nComm, nRemote, nLocal int
@@ -235,23 +306,6 @@ type npuState struct {
 	// contiguous same-activity intervals are merged as they are appended.
 	timeline  []Interval
 	recording bool
-}
-
-type rendezvousKey struct {
-	sig string
-	seq int
-}
-
-type collSeqKey struct {
-	rank int
-	sig  string
-}
-
-type pendingCollective struct {
-	group   collective.Group
-	members []int
-	arrived int
-	nodes   map[int]*et.Node // rank -> node to complete
 }
 
 // NewSimulator builds a simulator for the given machine configuration,
@@ -307,14 +361,7 @@ func NewSimulatorOn(eng timeline.Scheduler, cfg Config) (*Simulator, error) {
 		collective.WithPolicy(cfg.Policy),
 		collective.WithChunks(cfg.Chunks),
 		collective.WithMemo(cfg.Memo))
-	return &Simulator{
-		cfg:        cfg,
-		eng:        eng,
-		net:        net,
-		coll:       coll,
-		rendezvous: make(map[rendezvousKey]*pendingCollective),
-		collSeq:    make(map[collSeqKey]int),
-	}, nil
+	return &Simulator{cfg: cfg, eng: eng, net: net, coll: coll}, nil
 }
 
 // Run executes the trace to completion on the simulator's engine and
@@ -349,34 +396,10 @@ func (s *Simulator) Start(trace *et.Trace, at units.Time) error {
 	if at < s.eng.Now() {
 		return fmt.Errorf("core: start time %v is in the engine's past (now %v)", at, s.eng.Now())
 	}
+	if err := s.compile(trace, at); err != nil {
+		return err
+	}
 	s.startAt = at
-
-	s.npus = make([]*npuState, trace.NumNPUs)
-	graphs := make([]*et.Graph, trace.NumNPUs)
-	for _, g := range trace.Graphs {
-		graphs[g.NPU] = g
-	}
-	for rank, g := range graphs {
-		st := &npuState{
-			rank:      rank,
-			indeg:     make(map[int]int, len(g.Nodes)),
-			children:  make(map[int][]*et.Node, len(g.Nodes)),
-			nodes:     make(map[int]*et.Node, len(g.Nodes)),
-			completed: make(map[int]bool, len(g.Nodes)),
-			pending:   len(g.Nodes),
-			lastTouch: at,
-			recording: s.cfg.RecordTimeline,
-		}
-		for _, n := range g.Nodes {
-			st.nodes[n.ID] = n
-			st.indeg[n.ID] = len(n.Deps)
-			for _, d := range n.Deps {
-				st.children[d] = append(st.children[d], n)
-			}
-		}
-		s.npus[rank] = st
-		s.remaining += st.pending
-	}
 
 	// Schedule scenario events before the release so perturbations due at
 	// the release instant apply before the first nodes issue — a t=0
@@ -393,11 +416,145 @@ func (s *Simulator) Start(trace *et.Trace, at units.Time) error {
 	}
 
 	if at == s.eng.Now() {
-		s.release(graphs)
+		s.release()
 	} else {
-		s.eng.ScheduleAt(at, func() { s.release(graphs) })
+		s.eng.ScheduleAt(at, s.release)
 	}
 	return nil
+}
+
+// compile builds the per-rank execution state: one plan per distinct node
+// list, one interned layout per distinct communicator shape, and every
+// rank's communicator instances, checking each layout against every rank
+// that uses it. It sets the simulator's state only when the whole trace
+// checks out.
+func (s *Simulator) compile(trace *et.Trace, at units.Time) error {
+	top := s.cfg.Topology
+	full := collective.FullMachine(top).Spans
+	var layouts [][]collective.Span
+	layoutIDs := make(map[string]int32)
+	// internLayout runs once per communicator node of each distinct list,
+	// never per rank.
+	internLayout := func(n *et.Node) int32 {
+		spans := full
+		if n.Group != nil && len(n.Group.Spans) > 0 {
+			spans = make([]collective.Span, len(n.Group.Spans))
+			for i, sp := range n.Group.Spans {
+				spans[i] = collective.Span{Phys: sp.Phys, K: sp.K, Stride: sp.Stride}
+			}
+		}
+		key := fmt.Sprint(n.InSwitch, spans)
+		id, ok := layoutIDs[key]
+		if !ok {
+			id = int32(len(layouts))
+			layoutIDs[key] = id
+			layouts = append(layouts, spans)
+		}
+		return id
+	}
+
+	npus := make([]npuState, trace.NumNPUs)
+	plans := make(map[et.ListKey]*graphPlan)
+	var nodeTotal, slotTotal int
+	for _, g := range trace.Graphs {
+		key := g.ListKey()
+		p := plans[key]
+		if p == nil {
+			p = compilePlan(g.Nodes, internLayout)
+			plans[key] = p
+		}
+		npus[g.NPU].plan = p
+		nodeTotal += len(p.nodes)
+		slotTotal += len(p.layouts)
+	}
+
+	// Every rank's in-degrees and layout slots are windows of two shared
+	// arrays, so set-up allocates per plan, not per rank.
+	indeg := make([]int32, nodeTotal)
+	slots := make([]rankSlot, slotTotal)
+	instances := make(map[instanceKey]*groupInstance)
+	for rank := range npus {
+		st := &npus[rank]
+		p := st.plan
+		st.rank = rank
+		st.lastTouch = at
+		st.recording = s.cfg.RecordTimeline
+		st.indeg, indeg = indeg[:len(p.nodes):len(p.nodes)], indeg[len(p.nodes):]
+		copy(st.indeg, p.indeg)
+		st.slots, slots = slots[:len(p.layouts):len(p.layouts)], slots[len(p.layouts):]
+		for i, id := range p.layouts {
+			spans := layouts[id]
+			if err := collective.CheckSpans(top, spans, rank); err != nil {
+				return fmt.Errorf("core: npu %d node %d: %w", rank, p.nodes[p.layoutNode[i]].ID, err)
+			}
+			g := collective.Group{Spans: spans, Base: rank}
+			key := instanceKey{origin: g.Origin(top), layout: id}
+			inst := instances[key]
+			if inst == nil {
+				g.Base = key.origin
+				inst = &groupInstance{group: g, members: g.Members(top)}
+				instances[key] = inst
+			}
+			st.slots[i].inst = inst
+		}
+	}
+	s.npus = npus
+	s.remaining = nodeTotal
+	return nil
+}
+
+// compilePlan compiles one node list. Node IDs need not be dense or
+// ascending; they are resolved to list positions once, here.
+func compilePlan(nodes []*et.Node, internLayout func(*et.Node) int32) *graphPlan {
+	n := len(nodes)
+	p := &graphPlan{
+		nodes:    nodes,
+		children: make([][]int32, n),
+		indeg:    make([]int32, n),
+		slot:     make([]int32, n),
+	}
+	pos := make(map[int]int32, n)
+	for i, nd := range nodes {
+		pos[nd.ID] = int32(i)
+	}
+	// Size every children list first so they all share one array.
+	fanout := make([]int32, n)
+	edges := 0
+	for i, nd := range nodes {
+		p.indeg[i] = int32(len(nd.Deps))
+		edges += len(nd.Deps)
+		for _, d := range nd.Deps {
+			fanout[pos[d]]++
+		}
+	}
+	flat := make([]int32, edges)
+	for i, f := range fanout {
+		p.children[i], flat = flat[:0:f], flat[f:]
+	}
+	local := make(map[int32]int32) // layout id -> plan-local index
+	for i, nd := range nodes {
+		for _, d := range nd.Deps {
+			c := pos[d]
+			p.children[c] = append(p.children[c], int32(i))
+		}
+		p.slot[i] = -1
+		if nd.Kind == et.KindComm {
+			id := internLayout(nd)
+			li, ok := local[id]
+			if !ok {
+				li = int32(len(p.layouts))
+				local[id] = li
+				p.layouts = append(p.layouts, id)
+				p.layoutNode = append(p.layoutNode, int32(i))
+			}
+			p.slot[i] = li
+		}
+		if len(nd.Deps) == 0 {
+			p.roots = append(p.roots, int32(i))
+		}
+	}
+	sort.Slice(p.roots, func(a, b int) bool { return nodes[p.roots[a]].ID < nodes[p.roots[b]].ID })
+	return p
 }
 
 // applyScenarioEvent dispatches one perturbation to the layer it targets.
@@ -422,39 +579,16 @@ func (s *Simulator) applyScenarioEvent(ev scenario.Event) {
 	}
 }
 
-// release issues every initially ready node in ascending-ID order. The
-// trace builders assign IDs in insertion order, so for every generated
-// (and round-tripped) trace the node list already IS that order and no
-// sort runs; externally authored traces with a shuffled node list fall
-// back to sorting so their issue order — and therefore their simulated
-// output — is independent of list order.
-func (s *Simulator) release(graphs []*et.Graph) {
-	for rank, g := range graphs {
-		st := s.npus[rank]
-		ascending := true
-		for i := 1; i < len(g.Nodes); i++ {
-			if g.Nodes[i].ID < g.Nodes[i-1].ID {
-				ascending = false
-				break
+// release issues every rank's initially ready nodes in ascending-ID order,
+// which keeps a trace's simulated output independent of the order its node
+// list is declared in.
+func (s *Simulator) release() {
+	for rank := range s.npus {
+		st := &s.npus[rank]
+		for _, pos := range st.plan.roots {
+			if st.indeg[pos] == 0 {
+				s.issue(st, pos)
 			}
-		}
-		if ascending {
-			for _, n := range g.Nodes {
-				if st.indeg[n.ID] == 0 {
-					s.issue(st, n)
-				}
-			}
-			continue
-		}
-		ids := make([]int, 0, len(g.Nodes))
-		for _, n := range g.Nodes {
-			if st.indeg[n.ID] == 0 {
-				ids = append(ids, n.ID)
-			}
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			s.issue(st, st.nodes[id])
 		}
 	}
 }
@@ -477,6 +611,9 @@ func (s *Simulator) Finalize() (*RunStats, error) {
 	if s.npus == nil {
 		return nil, fmt.Errorf("core: Finalize before Start")
 	}
+	if s.err != nil {
+		return nil, s.err
+	}
 	if s.remaining > 0 {
 		return nil, fmt.Errorf("core: simulation deadlocked with %d nodes pending (unmatched P2P or incomplete collective rendezvous); first stuck: %s",
 			s.remaining, s.describeStuck())
@@ -489,7 +626,8 @@ func (s *Simulator) Finalize() (*RunStats, error) {
 		Collectives: s.collLog,
 		Events:      s.eng.Fired(),
 	}
-	for i, st := range s.npus {
+	for i := range s.npus {
+		st := &s.npus[i]
 		st.touch(s.finished)
 		st.breakdown.Idle += s.finished - st.lastTouch
 		st.lastTouch = s.finished
@@ -514,28 +652,28 @@ func (s *Simulator) Finalize() (*RunStats, error) {
 func (s *Simulator) describeStuck() string {
 	// Prefer an issued-but-unfinished node (e.g. a receive whose sender
 	// never arrived, or a collective missing members) over a node that was
-	// never ready.
-	for _, st := range s.npus {
-		for id, deg := range st.indeg {
-			if deg == issuedMark && !st.completed[id] {
-				n := st.nodes[id]
-				return fmt.Sprintf("npu %d node %d (%s %s, in flight)", st.rank, id, n.Kind, n.Name)
+	// never ready. Ranks and list positions are scanned in order, so the
+	// report is the same on every run.
+	for rank := range s.npus {
+		st := &s.npus[rank]
+		for pos, deg := range st.indeg {
+			if deg == issuedMark {
+				n := st.plan.nodes[pos]
+				return fmt.Sprintf("npu %d node %d (%s %s, in flight)", st.rank, n.ID, n.Kind, n.Name)
 			}
 		}
 	}
-	for _, st := range s.npus {
-		for id, deg := range st.indeg {
+	for rank := range s.npus {
+		st := &s.npus[rank]
+		for pos, deg := range st.indeg {
 			if deg > 0 {
-				n := st.nodes[id]
-				return fmt.Sprintf("npu %d node %d (%s %s, %d deps unmet)", st.rank, id, n.Kind, n.Name, deg)
+				n := st.plan.nodes[pos]
+				return fmt.Sprintf("npu %d node %d (%s %s, %d deps unmet)", st.rank, n.ID, n.Kind, n.Name, deg)
 			}
 		}
 	}
 	return "unknown"
 }
-
-// issuedMark flags a node that has been dispatched to its layer.
-const issuedMark = -1
 
 // touch accumulates the attribution interval since the last state change.
 // Precedence: compute > comm > remote memory > local memory > idle.
@@ -576,15 +714,16 @@ func (st *npuState) touch(now units.Time) {
 }
 
 // issue dispatches a ready node to its layer.
-func (s *Simulator) issue(st *npuState, n *et.Node) {
-	st.indeg[n.ID] = issuedMark
+func (s *Simulator) issue(st *npuState, pos int32) {
+	st.indeg[pos] = issuedMark
+	n := st.plan.nodes[pos]
 	switch n.Kind {
 	case et.KindCompute:
 		dur := s.cfg.Compute.OpTime(n.FLOPs, units.ByteSize(n.MemBytes))
 		if s.straggle.Active() {
 			dur = s.straggle.Scale(st.rank, dur)
 		}
-		s.runTimed(st, n, dur, &st.nCompute)
+		s.runTimed(st, pos, dur, &st.nCompute, false)
 	case et.KindMemory:
 		loc := memory.Local
 		counter := &st.nLocal
@@ -597,18 +736,23 @@ func (s *Simulator) issue(st *npuState, n *et.Node) {
 			kind = memory.StoreAccess
 		}
 		dur := s.cfg.Memory.AccessTime(loc, kind, units.ByteSize(n.TensorBytes))
-		if loc == memory.Remote && s.cfg.RemoteArbiter != nil {
-			s.runRemote(st, n, dur, counter)
-			return
+		remote := loc == memory.Remote && s.cfg.RemoteArbiter != nil
+		if remote {
+			// The access duration is stretched by the cross-job pool
+			// contention at issue time; the arbiter is released on
+			// completion.
+			if f := s.cfg.RemoteArbiter.RemoteStarted(); f > 1 {
+				dur = units.Time(float64(dur) * f)
+			}
 		}
-		s.runTimed(st, n, dur, counter)
+		s.runTimed(st, pos, dur, counter, remote)
 	case et.KindComm:
-		s.issueCollective(st, n)
+		s.issueCollective(st, pos)
 	case et.KindSend:
 		s.markBusy(st, &st.nComm)
 		s.net.SimSend(st.rank, n.Peer, n.Tag, units.ByteSize(n.CommBytes), func() {
 			s.markFree(st, &st.nComm)
-			s.complete(st, n)
+			s.complete(st, pos)
 		})
 	case et.KindRecv:
 		// A receive is pure synchronization: the message's wire time is
@@ -617,35 +761,48 @@ func (s *Simulator) issue(st *npuState, n *et.Node) {
 		// visible in the breakdown).
 		s.net.SimRecv(n.Peer, st.rank, n.Tag, units.ByteSize(n.CommBytes), func(network.Message) {
 			st.touch(s.eng.Now())
-			s.complete(st, n)
+			s.complete(st, pos)
 		})
 	default:
 		panic(fmt.Sprintf("core: unknown node kind %q", n.Kind))
 	}
 }
 
-// runTimed executes a node with a fixed duration under an activity counter.
-func (s *Simulator) runTimed(st *npuState, n *et.Node, dur units.Time, counter *int) {
-	s.markBusy(st, counter)
-	s.eng.Schedule(dur, func() {
-		s.markFree(st, counter)
-		s.complete(st, n)
-	})
+// timedOp is the completion event of a fixed-duration node. Ops are
+// recycled through the simulator's free list, so issuing a compute or
+// memory node does not allocate.
+type timedOp struct {
+	s       *Simulator
+	st      *npuState
+	pos     int32
+	counter *int
+	// remote releases the cross-job pool arbiter on completion.
+	remote bool
 }
 
-// runRemote executes a remote-memory node under the cross-job pool
-// arbiter: the access duration is stretched by the contention factor at
-// issue time and the arbiter is released on completion.
-func (s *Simulator) runRemote(st *npuState, n *et.Node, dur units.Time, counter *int) {
-	if f := s.cfg.RemoteArbiter.RemoteStarted(); f > 1 {
-		dur = units.Time(float64(dur) * f)
-	}
-	s.markBusy(st, counter)
-	s.eng.Schedule(dur, func() {
+func (op *timedOp) Act() {
+	s, st, pos, counter := op.s, op.st, op.pos, op.counter
+	if op.remote {
 		s.cfg.RemoteArbiter.RemoteFinished()
-		s.markFree(st, counter)
-		s.complete(st, n)
-	})
+	}
+	*op = timedOp{}
+	s.freeOps = append(s.freeOps, op)
+	s.markFree(st, counter)
+	s.complete(st, pos)
+}
+
+// runTimed executes a node with a fixed duration under an activity counter.
+func (s *Simulator) runTimed(st *npuState, pos int32, dur units.Time, counter *int, remote bool) {
+	s.markBusy(st, counter)
+	var op *timedOp
+	if n := len(s.freeOps); n > 0 {
+		op = s.freeOps[n-1]
+		s.freeOps = s.freeOps[:n-1]
+	} else {
+		op = new(timedOp)
+	}
+	*op = timedOp{s: s, st: st, pos: pos, counter: counter, remote: remote}
+	s.eng.ScheduleActor(dur, op)
 }
 
 func (s *Simulator) markBusy(st *npuState, counter *int) {
@@ -658,50 +815,45 @@ func (s *Simulator) markFree(st *npuState, counter *int) {
 	*counter--
 }
 
-// issueCollective implements the rendezvous protocol and launches the
-// collective when the last member arrives.
-func (s *Simulator) issueCollective(st *npuState, n *et.Node) {
-	group, err := s.resolveGroup(n, st.rank)
-	if err != nil {
-		panic(fmt.Sprintf("core: npu %d node %d: %v", st.rank, n.ID, err))
+// issueCollective implements the rendezvous protocol: the rank's k-th
+// collective on a communicator instance joins the instance's k-th logical
+// collective, which launches when its last member arrives.
+func (s *Simulator) issueCollective(st *npuState, pos int32) {
+	slot := &st.slots[st.plan.slot[pos]]
+	inst := slot.inst
+	i := int(slot.seq - inst.base)
+	slot.seq++
+	if i == len(inst.open) {
+		inst.open = append(inst.open, &pendingCollective{
+			inst:  inst,
+			nodes: make([]int32, len(inst.members)),
+		})
 	}
-	sig := group.Signature(s.cfg.Topology)
-	if n.InSwitch {
-		sig = "insw/" + sig
-	}
-	seqKey := collSeqKey{rank: st.rank, sig: sig}
-	seq := s.collSeq[seqKey]
-	s.collSeq[seqKey] = seq + 1
-
-	key := rendezvousKey{sig: sig, seq: seq}
-	p := s.rendezvous[key]
-	if p == nil {
-		p = &pendingCollective{
-			group:   group,
-			members: group.Members(s.cfg.Topology),
-			nodes:   make(map[int]*et.Node),
-		}
-		s.rendezvous[key] = p
-	}
-	p.nodes[st.rank] = n
+	p := inst.open[i]
+	p.nodes[sort.SearchInts(inst.members, st.rank)] = pos
 	p.arrived++
 	s.markBusy(st, &st.nComm) // waiting for peers counts as communication
-	if p.arrived < len(p.members) {
+	if p.arrived < len(inst.members) {
 		return
 	}
-	delete(s.rendezvous, key)
-	s.launchCollective(p, n)
+	// Collectives of one instance complete their rendezvous in sequence
+	// order, so the full one is the oldest open one.
+	copy(inst.open, inst.open[1:])
+	inst.open[len(inst.open)-1] = nil
+	inst.open = inst.open[:len(inst.open)-1]
+	inst.base++
+	s.launchCollective(p, st.plan.nodes[pos])
 }
 
 func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
-	finish := func(res collective.Result, ok bool) {
-		for _, rank := range p.members {
-			member := s.npus[rank]
-			node := p.nodes[rank]
+	members := p.inst.members
+	finish := func(res collective.Result) {
+		for i, rank := range members {
+			member := &s.npus[rank]
 			s.markFree(member, &member.nComm)
-			s.complete(member, node)
+			s.complete(member, p.nodes[i])
 		}
-		if ok && len(s.collLog) < s.cfg.CollectiveLogLimit {
+		if len(s.collLog) < s.cfg.CollectiveLogLimit {
 			s.collLog = append(s.collLog, res)
 		}
 	}
@@ -713,7 +865,7 @@ func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
 		// All-Gather whose members each end with CommBytes contributes
 		// CommBytes/|group| per GPU (and symmetrically for the
 		// reduce-on-store direction).
-		shard := units.ByteSize(n.CommBytes) / units.ByteSize(len(p.members))
+		shard := units.ByteSize(n.CommBytes) / units.ByteSize(len(members))
 		if shard < 1 {
 			shard = 1
 		}
@@ -736,17 +888,16 @@ func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
 				Size:  units.ByteSize(n.CommBytes),
 				Start: start,
 				End:   s.eng.Now(),
-			}, true)
+			})
 		})
 		return
 	}
 
 	op := mapCollective(n.Collective)
-	err := s.coll.Start(op, units.ByteSize(n.CommBytes), p.group, func(res collective.Result) {
-		finish(res, true)
-	})
-	if err != nil {
-		panic(fmt.Sprintf("core: collective launch failed: %v", err))
+	err := s.coll.Start(op, units.ByteSize(n.CommBytes), p.inst.group, finish)
+	if err != nil && s.err == nil {
+		// The members never complete; Finalize reports the failure.
+		s.err = fmt.Errorf("core: %s %s: %w", n.Kind, n.Name, err)
 	}
 }
 
@@ -765,33 +916,17 @@ func mapCollective(c et.CollectiveType) collective.Op {
 	}
 }
 
-// resolveGroup turns a trace GroupRef into a concrete communicator group
-// rooted at the issuing NPU.
-func (s *Simulator) resolveGroup(n *et.Node, rank int) (collective.Group, error) {
-	if n.Group == nil || len(n.Group.Spans) == 0 {
-		g := collective.FullMachine(s.cfg.Topology)
-		g.Base = rank
-		return g, nil
-	}
-	spans := make([]collective.Span, len(n.Group.Spans))
-	for i, sp := range n.Group.Spans {
-		spans[i] = collective.Span{Phys: sp.Phys, K: sp.K, Stride: sp.Stride}
-	}
-	return collective.NewSpanGroup(s.cfg.Topology, spans, rank)
-}
-
 // complete finishes a node and unlocks its children.
-func (s *Simulator) complete(st *npuState, n *et.Node) {
-	st.completed[n.ID] = true
-	st.pending--
+func (s *Simulator) complete(st *npuState, pos int32) {
+	st.indeg[pos] = doneMark
 	s.remaining--
 	if s.remaining == 0 {
 		s.finished = s.eng.Now()
 	}
-	for _, child := range st.children[n.ID] {
-		st.indeg[child.ID]--
-		if st.indeg[child.ID] == 0 {
-			s.issue(st, child)
+	for _, c := range st.plan.children[pos] {
+		st.indeg[c]--
+		if st.indeg[c] == 0 {
+			s.issue(st, c)
 		}
 	}
 }

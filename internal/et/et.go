@@ -123,30 +123,35 @@ type Trace struct {
 // dependencies referencing existing earlier-declared nodes, kind-specific
 // metadata present, and acyclicity.
 func (g *Graph) Validate() error {
-	ids := make(map[int]bool, len(g.Nodes))
-	for _, n := range g.Nodes {
+	pos := make(map[int]int32, len(g.Nodes))
+	for i, n := range g.Nodes {
 		if n == nil {
 			return fmt.Errorf("et: npu %d has a nil node", g.NPU)
 		}
-		if ids[n.ID] {
+		if _, dup := pos[n.ID]; dup {
 			return fmt.Errorf("et: npu %d has duplicate node id %d", g.NPU, n.ID)
 		}
-		ids[n.ID] = true
+		pos[n.ID] = int32(i)
 	}
+	// depPos holds every node's dependencies as list positions, node after
+	// node, for the cycle check.
+	var depPos []int32
 	for _, n := range g.Nodes {
 		for _, d := range n.Deps {
-			if !ids[d] {
+			p, ok := pos[d]
+			if !ok {
 				return fmt.Errorf("et: npu %d node %d depends on unknown node %d", g.NPU, n.ID, d)
 			}
 			if d == n.ID {
 				return fmt.Errorf("et: npu %d node %d depends on itself", g.NPU, n.ID)
 			}
+			depPos = append(depPos, p)
 		}
 		if err := n.validateMeta(); err != nil {
 			return fmt.Errorf("et: npu %d node %d: %w", g.NPU, n.ID, err)
 		}
 	}
-	if g.hasCycle() {
+	if g.hasCycle(depPos) {
 		return fmt.Errorf("et: npu %d graph has a dependency cycle", g.NPU)
 	}
 	return nil
@@ -190,42 +195,74 @@ func (n *Node) validateMeta() error {
 	return nil
 }
 
-// hasCycle runs Kahn's algorithm over the dependency edges.
-func (g *Graph) hasCycle() bool {
-	indeg := make(map[int]int, len(g.Nodes))
-	children := make(map[int][]int, len(g.Nodes))
-	for _, n := range g.Nodes {
-		indeg[n.ID] += 0
-		for _, d := range n.Deps {
-			children[d] = append(children[d], n.ID)
-			indeg[n.ID]++
+// hasCycle runs Kahn's algorithm over list positions; depPos is every
+// node's dependency positions in list order.
+func (g *Graph) hasCycle(depPos []int32) bool {
+	n := len(g.Nodes)
+	indeg := make([]int32, n)
+	// The children of position p are kids[off[p]:off[p+1]].
+	off := make([]int32, n+1)
+	for _, p := range depPos {
+		off[p+1]++
+	}
+	for p := 0; p < n; p++ {
+		off[p+1] += off[p]
+	}
+	kids := make([]int32, len(depPos))
+	fill := append([]int32(nil), off[:n]...)
+	k := 0
+	for i, nd := range g.Nodes {
+		indeg[i] = int32(len(nd.Deps))
+		for range nd.Deps {
+			p := depPos[k]
+			k++
+			kids[fill[p]] = int32(i)
+			fill[p]++
 		}
 	}
-	queue := make([]int, 0, len(g.Nodes))
-	for id, deg := range indeg {
-		if deg == 0 {
-			queue = append(queue, id)
+	queue := make([]int32, 0, n)
+	for p, d := range indeg {
+		if d == 0 {
+			queue = append(queue, int32(p))
 		}
 	}
-	visited := 0
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		visited++
-		for _, c := range children[id] {
+	for h := 0; h < len(queue); h++ {
+		p := queue[h]
+		for _, c := range kids[off[p]:off[p+1]] {
 			indeg[c]--
 			if indeg[c] == 0 {
 				queue = append(queue, c)
 			}
 		}
 	}
-	return visited != len(g.Nodes)
+	return len(queue) != n
+}
+
+// ListKey identifies a graph's node list by its backing array and length.
+// Graphs that share one list — etgen's symmetric traces hand every rank the
+// same slice — have equal keys, and equal keys mean the same list, so
+// per-list work (validation, the execution engine's plan compilation) runs
+// once per distinct list rather than once per rank. Lists that merely start
+// with the same node are distinct: the key is the address of the list's
+// first slot, not the node stored there.
+type ListKey struct {
+	first **Node
+	n     int
+}
+
+// ListKey returns the identity of the graph's node list.
+func (g *Graph) ListKey() ListKey {
+	if len(g.Nodes) == 0 {
+		return ListKey{}
+	}
+	return ListKey{first: &g.Nodes[0], n: len(g.Nodes)}
 }
 
 // Validate checks the whole trace: per-graph invariants, one graph per NPU
 // rank, and point-to-point send/recv matching across graphs (every send
 // must have a matching recv at the peer with the same tag and size, and
-// vice versa) — mismatched P2P nodes would deadlock the simulation.
+// vice versa) — mismatched P2P nodes would deadlock the simulation. The
+// per-graph checks run once per distinct node list (see ListKey).
 func (t *Trace) Validate() error {
 	if t.NumNPUs <= 0 {
 		return fmt.Errorf("et: trace needs a positive NPU count")
@@ -233,8 +270,12 @@ func (t *Trace) Validate() error {
 	if len(t.Graphs) != t.NumNPUs {
 		return fmt.Errorf("et: trace has %d graphs for %d NPUs", len(t.Graphs), t.NumNPUs)
 	}
-	seen := make(map[int]bool, len(t.Graphs))
+	seen := make([]bool, t.NumNPUs)
+	hasP2P := make(map[ListKey]bool) // validated lists -> holds send/recv nodes
 	for _, g := range t.Graphs {
+		if g == nil {
+			return fmt.Errorf("et: trace has a nil graph")
+		}
 		if g.NPU < 0 || g.NPU >= t.NumNPUs {
 			return fmt.Errorf("et: graph for out-of-range npu %d", g.NPU)
 		}
@@ -242,21 +283,40 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("et: duplicate graph for npu %d", g.NPU)
 		}
 		seen[g.NPU] = true
+		key := g.ListKey()
+		if _, ok := hasP2P[key]; ok {
+			continue
+		}
 		if err := g.Validate(); err != nil {
 			return err
 		}
+		hasP2P[key] = g.hasP2P()
 	}
-	return t.validateP2P()
+	return t.validateP2P(hasP2P)
+}
+
+func (g *Graph) hasP2P() bool {
+	for _, n := range g.Nodes {
+		if n.Kind == KindSend || n.Kind == KindRecv {
+			return true
+		}
+	}
+	return false
 }
 
 type p2pKey struct {
 	src, dst, tag int
 }
 
-func (t *Trace) validateP2P() error {
+// validateP2P matches sends against recvs, skipping the graphs whose list
+// holds no point-to-point nodes.
+func (t *Trace) validateP2P(hasP2P map[ListKey]bool) error {
 	sends := make(map[p2pKey][]int64)
 	recvs := make(map[p2pKey][]int64)
 	for _, g := range t.Graphs {
+		if !hasP2P[g.ListKey()] {
+			continue
+		}
 		for _, n := range g.Nodes {
 			switch n.Kind {
 			case KindSend:

@@ -180,6 +180,9 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 	if _, err := Decode(bytes.NewBufferString(`{"num_npus":1,"graphs":[]}`)); err == nil {
 		t.Error("invalid trace accepted")
 	}
+	if _, err := Decode(bytes.NewBufferString(`{"num_npus":1,"graphs":[null]}`)); err == nil {
+		t.Error("null graph accepted")
+	}
 }
 
 // Property: random DAGs built by only referencing earlier IDs always
@@ -210,5 +213,48 @@ func TestRandomDAGValidates(t *testing.T) {
 func TestNodeCount(t *testing.T) {
 	if got := validTrace().NodeCount(); got != 6 {
 		t.Errorf("NodeCount = %d, want 6", got)
+	}
+}
+
+// Validation runs once per distinct node list, so a defect in a list that
+// every rank shares must still be reported, and so must a defect in a list
+// that only starts like a shared one.
+func TestSharedListDefectsStillRejected(t *testing.T) {
+	shared := func(nodes []*Node) *Trace {
+		tr := &Trace{NumNPUs: 4}
+		for r := 0; r < 4; r++ {
+			tr.Graphs = append(tr.Graphs, &Graph{NPU: r, Nodes: nodes})
+		}
+		return tr
+	}
+	cycle := shared([]*Node{
+		{ID: 1, Kind: KindCompute, FLOPs: 1},
+		{ID: 2, Kind: KindCompute, FLOPs: 1, Deps: []int{3}},
+		{ID: 3, Kind: KindCompute, FLOPs: 1, Deps: []int{2}},
+	})
+	if err := cycle.Validate(); err == nil {
+		t.Error("shared list with a cycle accepted")
+	}
+	unknown := shared([]*Node{
+		{ID: 1, Kind: KindCompute, FLOPs: 1},
+		{ID: 2, Kind: KindCompute, FLOPs: 1, Deps: []int{9}},
+	})
+	if err := unknown.Validate(); err == nil {
+		t.Error("shared list with an unknown dependency accepted")
+	}
+
+	// Rank 3's list holds the same first node and has the same length as
+	// the list ranks 0-2 share, but a different second node.
+	first := &Node{ID: 1, Kind: KindCompute, FLOPs: 1}
+	good := []*Node{first, {ID: 2, Kind: KindCompute, FLOPs: 1, Deps: []int{1}}}
+	bad := []*Node{first, {ID: 2, Kind: KindCompute, FLOPs: 1, Deps: []int{7}}}
+	tr := shared(good)
+	tr.Graphs[3].Nodes = bad
+	if err := tr.Validate(); err == nil {
+		t.Error("list sharing only its first node with a valid list accepted")
+	}
+	tr.Graphs[3].Nodes = good
+	if err := tr.Validate(); err != nil {
+		t.Errorf("valid shared list rejected: %v", err)
 	}
 }
