@@ -11,7 +11,32 @@ import (
 // fired event schedules a successor at a pseudorandom future offset. This
 // exercises heap sift-up and sift-down on every event, the engine's
 // fundamental per-event cost.
+//
+// The burst series is the lockstep shape of a whole-machine phase on a
+// large machine: a standing population of 4096 events split over 16
+// instants, each event rescheduling itself one period later, so every
+// instant carries 256 events.
 func BenchmarkEventQueue(b *testing.B) {
+	b.Run("burst", func(b *testing.B) {
+		const pop, instants, period = 4096, 16, 1000
+		e := New()
+		fired := 0
+		var tick Callback
+		tick = func() {
+			fired++
+			if fired <= b.N {
+				e.Schedule(period, tick)
+			}
+		}
+		for i := 0; i < pop; i++ {
+			e.Schedule(units.Time(1+i%instants), tick)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		if _, err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
 	for _, pop := range []int{64, 1024} {
 		b.Run(benchSize("pending", pop), func(b *testing.B) {
 			e := New()

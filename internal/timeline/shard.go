@@ -1,7 +1,6 @@
 package timeline
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -145,8 +144,9 @@ func (g *ShardGroup) Fired() uint64 { return uint64(int64(g.fired) + g.credited)
 func (g *ShardGroup) CreditFired(n int64) { g.credited += n }
 
 // SetEventBudget caps the number of events a single Run or RunUntil may
-// execute, summed across every shard — the budget is global, so k shards
-// never buy a workload k times the livelock headroom. Zero = unlimited.
+// execute, summed across every shard: a run that would need more errors
+// after exactly n. The budget is global, so k shards never buy a workload
+// k times the livelock headroom. Zero = unlimited.
 func (g *ShardGroup) SetEventBudget(n uint64) { g.budget = n }
 
 // SetScheduleWatch arms a one-shot watch over the window (now, limit]; see
@@ -232,7 +232,7 @@ func (g *ShardGroup) RunUntil(deadline units.Time) (units.Time, error) {
 // then either fires the next harvested instant (when the due stream is
 // provably next in global order) or syncs the shards to extend it.
 func (g *ShardGroup) run(deadline units.Time, bounded bool) (units.Time, error) {
-	start := g.fired
+	end := budgetEnd(g.fired, g.budget)
 	for {
 		// Same-instant FIFO: entries are due exactly at the current clock
 		// and fire in schedule order, after every harvested event at this
@@ -243,6 +243,9 @@ func (g *ShardGroup) run(deadline units.Time, bounded bool) (units.Time, error) 
 			if bounded && g.now > deadline {
 				break
 			}
+			if g.fired == end {
+				return g.now, budgetError(g.budget, g.now)
+			}
 			ev := g.zq[g.zqHead]
 			g.zq[g.zqHead].fn, g.zq[g.zqHead].actor = nil, nil
 			g.zqHead++
@@ -251,9 +254,6 @@ func (g *ShardGroup) run(deadline units.Time, bounded bool) (units.Time, error) 
 				g.zqHead = 0
 			}
 			g.fire(ev)
-			if g.budget > 0 && g.fired-start > g.budget {
-				return g.now, fmt.Errorf("timeline: event budget %d exceeded at t=%v (likely a scheduling livelock)", g.budget, g.now)
-			}
 			continue
 		}
 
@@ -305,13 +305,13 @@ func (g *ShardGroup) run(deadline units.Time, bounded bool) (units.Time, error) 
 		// ones, so the instant's due set is fixed once it begins.
 		g.now = dueAt
 		for g.dueHead < len(g.due) && g.due[g.dueHead].at == g.now {
+			if g.fired == end {
+				return g.now, budgetError(g.budget, g.now)
+			}
 			ev := g.due[g.dueHead]
 			g.due[g.dueHead].fn, g.due[g.dueHead].actor = nil, nil
 			g.dueHead++
 			g.fire(ev)
-			if g.budget > 0 && g.fired-start > g.budget {
-				return g.now, fmt.Errorf("timeline: event budget %d exceeded at t=%v (likely a scheduling livelock)", g.budget, g.now)
-			}
 		}
 		if g.dueHead == len(g.due) {
 			g.due = g.due[:0]

@@ -1,6 +1,6 @@
 // Package timeline implements the discrete-event simulation core shared by
 // every layer of the simulator: a simulation clock and a deterministic
-// min-heap event queue.
+// event queue.
 //
 // Events scheduled for the same instant fire in schedule (FIFO) order, which
 // makes simulations byte-for-byte reproducible regardless of map iteration
@@ -8,16 +8,23 @@
 // discrete-event simulators gain nothing from parallelism at this scale and
 // lose determinism).
 //
-// The queue is built for throughput: events live by value in a slot arena
-// recycled through a free list, the priority queue is a 4-ary heap of slot
-// indices (no interface{} boxing, no per-event allocation in steady state),
-// and zero-delay events bypass the heap entirely through a same-instant
-// FIFO. Model layers that schedule millions of events can avoid closure
-// allocations too by implementing Actor and using ScheduleActor.
+// The queue is built for throughput on the bursts large machines produce,
+// where thousands of NPUs advance in lockstep and hundreds of events fall
+// due at each instant. Events live by value in a slot arena recycled
+// through a free list. Events due at one instant are chained into a run,
+// and the priority queue is a 4-ary min-heap of runs keyed inline by
+// (time, schedule order), so a burst costs one heap push and one pop, not
+// one per event. A small direct-mapped table from instant to the latest run
+// created for it finds the run to append to without a map. Zero-delay
+// events bypass the heap entirely through a same-instant FIFO. Nothing is
+// boxed and steady-state scheduling never allocates; model layers that
+// schedule millions of events can avoid closure allocations too by
+// implementing Actor and using ScheduleActor.
 package timeline
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/units"
 )
@@ -33,12 +40,39 @@ type Actor interface {
 	Act()
 }
 
-// event is a value-typed queue entry. Exactly one of fn/actor is set.
+// event is a value-typed arena slot. Exactly one of fn/actor is set.
 type event struct {
-	at    units.Time
-	seq   uint64 // schedule order, breaks ties deterministically
 	fn    Callback
 	actor Actor
+	next  int32 // next event of the same run; -1 ends it (and every zq entry)
+}
+
+// run is a heap entry: the events due at one instant, chained through
+// event.next in schedule order. seq is the schedule order of the run's
+// first event, which orders runs of one instant.
+type run struct {
+	at   units.Time
+	seq  uint64
+	head int32
+}
+
+// runTail is a tails entry: the last event of the latest run created for
+// instant at.
+type runTail struct {
+	at   units.Time
+	tail int32
+}
+
+// tailBits sizes the direct-mapped run table. A GPT-3 iteration on 4096
+// NPUs keeps at most 32 instants pending at once: 1024 entries coalesce it
+// into exactly one run per distinct instant, while 256 let two hot
+// instants collide and cost 40 times the runs. Each engine carries the
+// table (16 KB), and sweeps build hundreds of engines, so it is no larger.
+const tailBits = 10
+
+// tailIndex hashes an instant to its run-table entry (Fibonacci hashing).
+func tailIndex(at units.Time) uint64 {
+	return uint64(at) * 0x9e3779b97f4a7c15 >> (64 - tailBits)
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
@@ -47,22 +81,27 @@ type Engine struct {
 	now units.Time
 
 	// slots is the event arena; free holds recycled slot indices. Events
-	// are addressed by index so the heap and FIFO move 4-byte handles, not
+	// are addressed by index so runs and the FIFO chain 4-byte handles, not
 	// event values, and steady-state scheduling never allocates.
 	slots []event
 	free  []int32
 
-	// heap is a 4-ary min-heap of slot indices ordered by (at, seq).
-	heap []int32
+	// heap is a 4-ary min-heap of runs ordered by (at, seq). cur is the
+	// next event of the run being drained (-1 when none): a popped run's
+	// events are due now and were scheduled before the clock got here, so
+	// they precede every later heap run and every zq entry.
+	heap []run
+	cur  int32
 
 	// zq is the zero-delay fast path: a FIFO of slots due exactly at the
 	// current instant. Every entry was scheduled while the clock already
-	// stood at its timestamp, so entries are in seq order and all heap
+	// stood at its timestamp, so entries are in schedule order and all heap
 	// events due now precede all of them (they were scheduled earlier).
 	zq     []int32
 	zqHead int
 
-	seq      uint64
+	pending  int    // events queued in runs and zq
+	seq      uint64 // runs created so far; breaks same-instant ties
 	fired    uint64
 	credited int64
 	budget   uint64 // max events per Run/RunUntil; 0 = unlimited
@@ -72,18 +111,26 @@ type Engine struct {
 	// watchFn BEFORE the triggering event is enqueued.
 	watchLimit units.Time
 	watchFn    func()
+
+	// tails maps hash(at) to the latest run created for instant at. An
+	// entry with at > now always names a run still in the heap (popping a
+	// run moves the clock to its instant), so appending to it is safe;
+	// appending only to the latest run keeps one instant's runs in seq
+	// order; and a collision merely opens a new run. It is the last field
+	// because it holds no pointers: the collector never scans it.
+	tails [1 << tailBits]runTail
 }
 
 // New returns an empty engine at simulated time zero.
 func New() *Engine {
-	return &Engine{}
+	return &Engine{cur: -1}
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() units.Time { return e.now }
 
 // Pending reports how many events are waiting in the queue.
-func (e *Engine) Pending() int { return len(e.heap) + len(e.zq) - e.zqHead }
+func (e *Engine) Pending() int { return e.pending }
 
 // Fired reports how many events have executed since construction,
 // including events credited by CreditFired.
@@ -99,14 +146,14 @@ func (e *Engine) Fired() uint64 { return uint64(int64(e.fired) + e.credited) }
 func (e *Engine) CreditFired(n int64) { e.credited += n }
 
 // SetEventBudget caps the number of events a single Run or RunUntil may
-// execute; the run returns an error when the cap is hit. Zero means
-// unlimited. This is a guard against accidental livelock in model code.
+// execute: a run that would need more returns an error after exactly n
+// events. Zero means unlimited. This is a guard against accidental
+// livelock in model code.
 func (e *Engine) SetEventBudget(n uint64) { e.budget = n }
 
 // allocSlot takes a slot from the free list (or grows the arena) and fills
 // it. It returns the slot index; the caller enqueues it.
-func (e *Engine) allocSlot(at units.Time, fn Callback, actor Actor) int32 {
-	e.seq++
+func (e *Engine) allocSlot(fn Callback, actor Actor) int32 {
 	var idx int32
 	if n := len(e.free); n > 0 {
 		idx = e.free[n-1]
@@ -115,8 +162,7 @@ func (e *Engine) allocSlot(at units.Time, fn Callback, actor Actor) int32 {
 		e.slots = append(e.slots, event{})
 		idx = int32(len(e.slots) - 1)
 	}
-	s := &e.slots[idx]
-	s.at, s.seq, s.fn, s.actor = at, e.seq, fn, actor
+	e.slots[idx] = event{fn: fn, actor: actor, next: -1}
 	return idx
 }
 
@@ -138,19 +184,29 @@ func (e *Engine) enqueue(delay units.Time, fn Callback, actor Actor) {
 	if delay < 0 {
 		delay = 0
 	}
-	if e.watchFn != nil && e.now+delay <= e.watchLimit {
+	at := e.now + delay
+	if e.watchFn != nil && at <= e.watchLimit {
 		wf := e.watchFn
 		e.watchFn = nil // disarm before invoking: wf may schedule into the window
 		wf()
 	}
-	idx := e.allocSlot(e.now+delay, fn, actor)
+	idx := e.allocSlot(fn, actor)
+	e.pending++
 	if delay == 0 {
 		// Same-instant events never sift: they fire after everything
 		// already due now, in schedule order, which is exactly a FIFO.
 		e.zq = append(e.zq, idx)
 		return
 	}
-	e.heapPush(idx)
+	t := &e.tails[tailIndex(at)]
+	if t.at == at {
+		e.slots[t.tail].next = idx
+		t.tail = idx
+		return
+	}
+	e.seq++
+	e.heapPush(run{at: at, seq: e.seq, head: idx})
+	t.at, t.tail = at, idx
 }
 
 // Schedule enqueues fn to run after delay. A negative delay is an error in
@@ -195,21 +251,28 @@ func (e *Engine) ScheduleActorAt(at units.Time, a Actor) {
 
 // peekAt returns the earliest pending timestamp. Valid only when Pending>0.
 func (e *Engine) peekAt() units.Time {
-	if e.zqHead < len(e.zq) {
-		return e.now // zq entries are always due at the current instant
+	if e.cur >= 0 || e.zqHead < len(e.zq) {
+		return e.now // the current run and zq are always due now
 	}
-	return e.slots[e.heap[0]].at
+	return e.heap[0].at
 }
 
 // Step executes the single earliest event and returns true, or returns
 // false if the queue is empty.
 func (e *Engine) Step() bool {
-	var idx int32
+	idx := e.cur
 	switch {
-	case len(e.heap) > 0 && (e.zqHead >= len(e.zq) || e.slots[e.heap[0]].at == e.now):
+	case idx >= 0:
+	case len(e.heap) > 0 && (e.zqHead >= len(e.zq) || e.heap[0].at == e.now):
 		// Heap events due at the current instant were scheduled before the
 		// clock reached it, so they precede every same-instant FIFO entry.
-		idx = e.heapPop()
+		r := e.heapPop()
+		if r.at < e.now {
+			// Cannot happen: enqueue clamps to now and the heap orders by time.
+			panic(fmt.Sprintf("timeline: time ran backwards: %v -> %v", e.now, r.at))
+		}
+		e.now = r.at
+		idx = r.head
 	case e.zqHead < len(e.zq):
 		idx = e.zq[e.zqHead]
 		e.zqHead++
@@ -222,16 +285,14 @@ func (e *Engine) Step() bool {
 	}
 	// Copy the body out and recycle the slot before firing: the callback
 	// may schedule (growing the arena and invalidating slot pointers), and
-	// freeing first lets it reuse this very slot.
+	// freeing first lets it reuse this very slot. A zq entry's next is -1,
+	// so advancing cur is right on every path.
 	s := &e.slots[idx]
-	at, fn, actor := s.at, s.fn, s.actor
+	fn, actor := s.fn, s.actor
+	e.cur = s.next
 	s.fn, s.actor = nil, nil // release references for the GC
 	e.free = append(e.free, idx)
-	if at < e.now {
-		// Cannot happen: enqueue clamps to now and the heap orders by time.
-		panic(fmt.Sprintf("timeline: time ran backwards: %v -> %v", e.now, at))
-	}
-	e.now = at
+	e.pending--
 	e.fired++
 	if fn != nil {
 		fn()
@@ -241,14 +302,29 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// budgetEnd returns the fired count at which a Run or RunUntil starting at
+// fired must stop: budget events later, or never when budget is 0.
+func budgetEnd(fired, budget uint64) uint64 {
+	if budget == 0 {
+		return math.MaxUint64
+	}
+	return fired + budget
+}
+
+func budgetError(budget uint64, now units.Time) error {
+	return fmt.Errorf("timeline: event budget %d spent at t=%v with events still due (likely a scheduling livelock)", budget, now)
+}
+
 // Run executes events until the queue drains. It returns the final
-// simulated time, or an error if the configured event budget was exceeded.
+// simulated time, or an error if events were still due once the configured
+// event budget was spent.
 func (e *Engine) Run() (units.Time, error) {
-	start := e.fired
-	for e.Step() {
-		if e.budget > 0 && e.fired-start > e.budget {
-			return e.now, fmt.Errorf("timeline: event budget %d exceeded at t=%v (likely a scheduling livelock)", e.budget, e.now)
+	end := budgetEnd(e.fired, e.budget)
+	for e.pending > 0 {
+		if e.fired == end {
+			return e.now, budgetError(e.budget, e.now)
 		}
+		e.Step()
 	}
 	return e.now, nil
 }
@@ -256,51 +332,52 @@ func (e *Engine) Run() (units.Time, error) {
 // RunUntil executes events with timestamps <= deadline; events beyond the
 // deadline remain queued. The clock advances to the deadline if it was
 // reached without draining. Like Run, it enforces the configured event
-// budget and returns an error when the cap is hit.
+// budget and returns an error when an event due by the deadline would
+// exceed it.
 func (e *Engine) RunUntil(deadline units.Time) (units.Time, error) {
-	start := e.fired
-	for e.Pending() > 0 && e.peekAt() <= deadline {
-		e.Step()
-		if e.budget > 0 && e.fired-start > e.budget {
-			return e.now, fmt.Errorf("timeline: event budget %d exceeded at t=%v (likely a scheduling livelock)", e.budget, e.now)
+	end := budgetEnd(e.fired, e.budget)
+	for e.pending > 0 && e.peekAt() <= deadline {
+		if e.fired == end {
+			return e.now, budgetError(e.budget, e.now)
 		}
+		e.Step()
 	}
-	if e.now < deadline && e.Pending() > 0 {
+	if e.now < deadline && e.pending > 0 {
 		e.now = deadline
 	}
 	return e.now, nil
 }
 
-// --- 4-ary index heap ordered by (at, seq) ---
+// --- 4-ary run heap ordered by (at, seq) ---
 //
 // A 4-ary layout halves the tree depth of a binary heap: sift-downs touch
 // fewer cache lines, which matters because pop dominates a drained queue's
-// cost. Children of i are 4i+1..4i+4.
+// cost. Children of i are 4i+1..4i+4. The key is stored inline, so a
+// comparison reads only the heap array.
 
-func (e *Engine) less(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
+func runLess(a, b *run) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return sa.seq < sb.seq
+	return a.seq < b.seq
 }
 
-func (e *Engine) heapPush(idx int32) {
-	e.heap = append(e.heap, idx)
+func (e *Engine) heapPush(r run) {
+	e.heap = append(e.heap, r)
 	h := e.heap
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !e.less(idx, h[p]) {
+		if !runLess(&r, &h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = idx
+	h[i] = r
 }
 
-func (e *Engine) heapPop() int32 {
+func (e *Engine) heapPop() run {
 	h := e.heap
 	root := h[0]
 	n := len(h) - 1
@@ -320,11 +397,11 @@ func (e *Engine) heapPop() int32 {
 				end = n
 			}
 			for j := c + 1; j < end; j++ {
-				if e.less(h[j], h[best]) {
+				if runLess(&h[j], &h[best]) {
 					best = j
 				}
 			}
-			if !e.less(h[best], x) {
+			if !runLess(&h[best], &x) {
 				break
 			}
 			h[i] = h[best]

@@ -121,6 +121,55 @@ func TestEventBudget(t *testing.T) {
 	}
 }
 
+// A budget of n is inclusive on both engines: a program of exactly n
+// events completes, and a livelock errors with exactly n fired — through
+// the heap and through the zero-delay FIFO, under Run and RunUntil.
+func TestEventBudgetIsInclusive(t *testing.T) {
+	const n = 10
+	for _, k := range []int{1, 2} {
+		for _, until := range []bool{false, true} {
+			run := func(s Scheduler) error {
+				var err error
+				if until {
+					_, err = s.RunUntil(units.Second)
+				} else {
+					_, err = s.Run()
+				}
+				return err
+			}
+			s := ForShards(k)
+			s.SetEventBudget(n)
+			for i := 0; i < n; i++ {
+				s.Schedule(units.Time(i%3), func() {})
+			}
+			if err := run(s); err != nil || s.Fired() != n {
+				t.Errorf("shards=%d until=%v: %d events under budget %d: fired %d, err %v", k, until, n, n, s.Fired(), err)
+			}
+			for _, d := range []units.Time{0, 1} {
+				s := ForShards(k)
+				s.SetEventBudget(n)
+				var loop func()
+				loop = func() { s.Schedule(d, loop) }
+				s.Schedule(d, loop)
+				if err := run(s); err == nil || s.Fired() != n {
+					t.Errorf("shards=%d until=%v delay=%d: livelock under budget %d: fired %d, err %v", k, until, d, n, s.Fired(), err)
+				}
+			}
+		}
+	}
+
+	// Spending the budget exactly is no error when what is left lies past
+	// the deadline.
+	e := New()
+	e.SetEventBudget(2)
+	for _, d := range []units.Time{1, 2, 10} {
+		e.Schedule(d, func() {})
+	}
+	if _, err := e.RunUntil(5); err != nil || e.Fired() != 2 {
+		t.Errorf("RunUntil(5) with budget 2 and 2 events due: fired %d, err %v", e.Fired(), err)
+	}
+}
+
 func TestRunUntil(t *testing.T) {
 	e := New()
 	var fired []units.Time
