@@ -99,7 +99,7 @@ func BenchmarkEngineHotPath(b *testing.B) {
 					core.ApplyLookahead(eng, top)
 					net := network.NewBackend(eng, top)
 					ce := collective.NewEngine(net, collective.WithChunks(chunks))
-					if err := ce.Start(collective.AllReduce, size, collective.FullMachine(top), nil); err != nil {
+					if err := ce.Start(collective.AllReduce, size, collective.FullMachine(top), nil, nil); err != nil {
 						b.Fatal(err)
 					}
 					if _, err := eng.Run(); err != nil {

@@ -49,7 +49,7 @@ func BenchmarkSpeedupAnalytical(b *testing.B) {
 		eng := timeline.New()
 		net := network.NewBackend(eng, top)
 		ce := collective.NewEngine(net, collective.WithChunks(1))
-		if err := ce.Start(collective.AllReduce, units.MB, collective.FullMachine(top), nil); err != nil {
+		if err := ce.Start(collective.AllReduce, units.MB, collective.FullMachine(top), nil, nil); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := eng.Run(); err != nil {
@@ -255,7 +255,7 @@ func BenchmarkAblationChunks(b *testing.B) {
 				net := network.NewBackend(eng, top)
 				ce := collective.NewEngine(net, collective.WithChunks(chunks))
 				var res collective.Result
-				if err := ce.Start(collective.AllGather, 1024*units.MB, collective.FullMachine(top), func(r collective.Result) { res = r }); err != nil {
+				if err := ce.Start(collective.AllGather, 1024*units.MB, collective.FullMachine(top), nil, func(r collective.Result) { res = r }); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := eng.Run(); err != nil {
@@ -285,7 +285,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 				net := network.NewBackend(eng, top)
 				ce := collective.NewEngine(net, collective.WithChunks(64), collective.WithPolicy(policy))
 				var res collective.Result
-				if err := ce.Start(collective.AllReduce, 1024*units.MB, collective.FullMachine(top), func(r collective.Result) { res = r }); err != nil {
+				if err := ce.Start(collective.AllReduce, 1024*units.MB, collective.FullMachine(top), nil, func(r collective.Result) { res = r }); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := eng.Run(); err != nil {
@@ -397,7 +397,7 @@ func BenchmarkCollectiveByBlock(b *testing.B) {
 				eng := timeline.New()
 				net := network.NewBackend(eng, top)
 				ce := collective.NewEngine(net, collective.WithChunks(64))
-				if err := ce.Start(collective.AllReduce, size, collective.FullMachine(top), nil); err != nil {
+				if err := ce.Start(collective.AllReduce, size, collective.FullMachine(top), nil, nil); err != nil {
 					b.Fatal(err)
 				}
 				end, err := eng.Run()

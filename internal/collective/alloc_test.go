@@ -29,7 +29,7 @@ func TestChunkPathAllocsPerEvent(t *testing.T) {
 	group := FullMachine(top)
 
 	run := func() {
-		if err := ce.Start(AllReduce, 16*units.MB, group, nil); err != nil {
+		if err := ce.Start(AllReduce, 16*units.MB, group, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Run(); err != nil {
@@ -70,7 +70,7 @@ func TestThemisChunkPathAllocsPerEvent(t *testing.T) {
 	group := FullMachine(top)
 
 	run := func() {
-		if err := ce.Start(AllReduce, 16*units.MB, group, nil); err != nil {
+		if err := ce.Start(AllReduce, 16*units.MB, group, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Run(); err != nil {

@@ -14,7 +14,9 @@
 // therefore pipeline: while chunk 0 runs its second phase, chunk 1 occupies
 // the first span's links. With enough chunks the collective's runtime
 // converges to the bottleneck dimension's total serialization time, which
-// is exactly the behaviour the paper's Table IV exhibits.
+// is exactly the behaviour the paper's Table IV exhibits. A whole-machine
+// phase reserves whole dimensions; a subset group's phase reserves its
+// instance's registered network.LinkSet, so either costs O(1) per phase.
 package collective
 
 import (
@@ -185,11 +187,12 @@ type collectiveRun struct {
 	op    Op
 	size  units.ByteSize
 	group Group
-	// members lists the member ranks — nil for a fixed-scheduler
-	// whole-machine run, which never needs them (its phases reserve whole
-	// dimensions and full is set instead).
+	// links is the subset group's link set, which its phases reserve; nil
+	// for a whole-machine run, whose phases reserve whole dimensions.
+	links *network.LinkSet
+	// members lists the member ranks for the Themis ledger; nil under the
+	// fixed scheduler, which never needs them.
 	members []int
-	full    bool // group spans the entire machine
 	spans   []Span
 	start   units.Time
 	pending int
@@ -212,7 +215,13 @@ type collectiveRun struct {
 //   - ReduceScatter(S):  every member starts with S; ends with S/|group|.
 //   - AllGather(S):      every member starts with S/|group|; ends with S.
 //   - AllToAll(S):       every member exchanges a total of S bytes.
-func (e *Engine) Start(op Op, size units.ByteSize, g Group, done func(Result)) error {
+//
+// links is the group instance's link set on the engine's backend (see
+// network.Backend.NewLinkSet), registered once per instance and reused by
+// every collective on it. A whole-machine group ignores it. A subset group
+// started with nil links gets a fresh set, which suits one-off collectives
+// but registers a new set per call.
+func (e *Engine) Start(op Op, size units.ByteSize, g Group, links *network.LinkSet, done func(Result)) error {
 	if e.active != nil {
 		// A second collective is starting while a replay is in flight: its
 		// phases would observe the fast-forwarded ledger. Fall back to live.
@@ -229,18 +238,31 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, done func(Result)) e
 		return fmt.Errorf("collective: group has no spans")
 	}
 	n := g.Size()
-	full := n == e.top.NumNPUs()
-	// A fixed-scheduler whole-machine collective — the dominant case for
-	// training workloads — never consults individual member ranks: its
-	// phases reserve whole dimensions through the backend's O(1) aggregate
-	// path. Only subset groups and the Themis ledger materialize members.
-	var members []int
-	if !full || e.policy == Themis {
-		members = g.Members(e.top)
-		n = len(members)
-	}
 	if n < 2 {
 		return fmt.Errorf("collective: group of size %d; need at least 2 members", n)
+	}
+	startSize := InitialShard(op, size, n)
+	if startSize <= 0 {
+		return fmt.Errorf("collective: %v of %v over %d members leaves an empty shard", op, size, n)
+	}
+	// A whole-machine collective — the dominant case for training
+	// workloads — never consults individual member ranks: its phases
+	// reserve whole dimensions through the backend's O(1) aggregate path.
+	// A subset group reserves its link set; only the Themis ledger needs
+	// member ranks.
+	full := n == e.top.NumNPUs()
+	if full {
+		links = nil
+	} else if links == nil {
+		links = e.net.NewLinkSet(g.Members(e.top))
+	}
+	var members []int
+	if e.policy == Themis {
+		if full {
+			members = g.Members(e.top)
+		} else {
+			members = links.Members()
+		}
 	}
 	// Memoization: a whole-machine fixed-scheduler collective starting on a
 	// quiet engine is a pure function of its key. Replay a cached result,
@@ -261,18 +283,14 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, done func(Result)) e
 		op:      op,
 		size:    size,
 		group:   g,
+		links:   links,
 		members: members,
-		full:    full,
 		spans:   g.Spans,
 		start:   e.net.Now(),
 		traffic: make([]units.ByteSize, e.top.NumDims()),
 		loads:   make([]float64, len(g.Spans)),
 		done:    done,
 		chunks:  e.chunks,
-	}
-	startSize := InitialShard(op, size, n)
-	if startSize <= 0 {
-		return fmt.Errorf("collective: %v of %v over %d members leaves an empty shard", op, size, n)
 	}
 	if e.policy == Themis {
 		// Seed the planner with each dimension's congestion: the larger
@@ -283,7 +301,13 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, done func(Result)) e
 		// DP dimension).
 		now := e.net.Now()
 		for si, sp := range run.spans {
-			backlog := (e.net.PhaseAvailability(members, sp.Phys) - now).Seconds()
+			var avail units.Time
+			if links == nil {
+				avail = e.net.PhaseAvailabilityAll(sp.Phys)
+			} else {
+				avail = e.net.PhaseAvailability(links, sp.Phys)
+			}
+			backlog := (avail - now).Seconds()
 			proj := 0.0
 			for _, m := range members {
 				if p := e.projected[m][sp.Phys]; p > proj {
@@ -536,10 +560,10 @@ func (e *Engine) advance(run *collectiveRun, cs *chunkState) {
 	dim := e.top.Dims[sp.Phys]
 	traffic := dim.PhaseTraffic(phaseKind(ph.op), cs.size, sp.K)
 	var serEnd units.Time
-	if run.full {
+	if run.links == nil {
 		_, serEnd = e.net.ReservePhaseAll(sp.Phys, traffic)
 	} else {
-		_, serEnd = e.net.ReservePhase(run.members, sp.Phys, traffic)
+		_, serEnd = e.net.ReservePhase(run.links, sp.Phys, traffic)
 	}
 	run.traffic[sp.Phys] += traffic
 	cs.size = phaseOutput(ph.op, cs.size, sp.K)

@@ -20,7 +20,7 @@ func runCollective(t *testing.T, eng *timeline.Engine, ce *Engine, op Op, size u
 	t.Helper()
 	var res Result
 	got := false
-	if err := ce.Start(op, size, g, func(r Result) { res = r; got = true }); err != nil {
+	if err := ce.Start(op, size, g, nil, func(r Result) { res = r; got = true }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Run(); err != nil {
@@ -122,7 +122,7 @@ func TestChunkModelMatchesMessageLevel(t *testing.T) {
 			netC := network.NewBackend(engC, top)
 			ce := NewEngine(netC, WithChunks(1))
 			var res Result
-			if err := ce.Start(op, 8*units.MB, FullMachine(top), func(r Result) { res = r }); err != nil {
+			if err := ce.Start(op, 8*units.MB, FullMachine(top), nil, func(r Result) { res = r }); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := engC.Run(); err != nil {
@@ -307,10 +307,10 @@ func TestSubsetDimGroups(t *testing.T) {
 	g0, _ := NewGroup(top, []int{0}, 0)
 	g1, _ := NewGroup(top, []int{0}, 4)
 	var d0, d1 units.Time
-	if err := ce.Start(AllReduce, 8*units.MB, g0, func(r Result) { d0 = r.Duration() }); err != nil {
+	if err := ce.Start(AllReduce, 8*units.MB, g0, nil, func(r Result) { d0 = r.Duration() }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ce.Start(AllReduce, 8*units.MB, g1, func(r Result) { d1 = r.Duration() }); err != nil {
+	if err := ce.Start(AllReduce, 8*units.MB, g1, nil, func(r Result) { d1 = r.Duration() }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Run(); err != nil {
@@ -324,10 +324,10 @@ func TestSubsetDimGroups(t *testing.T) {
 func TestStartValidation(t *testing.T) {
 	top := topology.MustNew(ringDim(4, 100, 0))
 	_, _, ce := newRig(t, top)
-	if err := ce.Start(AllReduce, 0, FullMachine(top), nil); err == nil {
+	if err := ce.Start(AllReduce, 0, FullMachine(top), nil, nil); err == nil {
 		t.Error("expected error for zero size")
 	}
-	if err := ce.Start(AllGather, 2, FullMachine(top), nil); err == nil {
+	if err := ce.Start(AllGather, 2, FullMachine(top), nil, nil); err == nil {
 		t.Error("expected error for shard smaller than one byte")
 	}
 }

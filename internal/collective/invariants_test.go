@@ -54,7 +54,7 @@ func TestTotalTrafficOrderInvariant(t *testing.T) {
 				net := network.NewBackend(eng, top)
 				ce := NewEngine(net, WithChunks(16), WithPolicy(policy))
 				var res Result
-				if err := ce.Start(op, size, g, func(r Result) { res = r }); err != nil {
+				if err := ce.Start(op, size, g, nil, func(r Result) { res = r }); err != nil {
 					return false
 				}
 				if _, err := eng.Run(); err != nil {
@@ -108,7 +108,7 @@ func TestThemisNeverSlowerOnIdleNetwork(t *testing.T) {
 			net := network.NewBackend(eng, top)
 			ce := NewEngine(net, WithChunks(64), WithPolicy(p))
 			var res Result
-			if err := ce.Start(AllReduce, size, FullMachine(top), func(r Result) { res = r }); err != nil {
+			if err := ce.Start(AllReduce, size, FullMachine(top), nil, func(r Result) { res = r }); err != nil {
 				return 0
 			}
 			if _, err := eng.Run(); err != nil {
@@ -140,7 +140,7 @@ func TestDurationScalesLinearlyWithSize(t *testing.T) {
 		net := network.NewBackend(eng, top)
 		ce := NewEngine(net, WithChunks(16))
 		var res Result
-		if err := ce.Start(AllReduce, size, FullMachine(top), func(r Result) { res = r }); err != nil {
+		if err := ce.Start(AllReduce, size, FullMachine(top), nil, func(r Result) { res = r }); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Run(); err != nil {
@@ -166,7 +166,7 @@ func TestProjectedLedgerDrainsToZero(t *testing.T) {
 	net := network.NewBackend(eng, top)
 	ce := NewEngine(net, WithChunks(8), WithPolicy(Themis))
 	for i := 0; i < 5; i++ {
-		if err := ce.Start(AllReduce, 32*units.MiB, FullMachine(top), nil); err != nil {
+		if err := ce.Start(AllReduce, 32*units.MiB, FullMachine(top), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func TestManyConcurrentSubgroupCollectives(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ce.Start(AllReduce, 16*units.MiB, g, func(r Result) {
+		if err := ce.Start(AllReduce, 16*units.MiB, g, nil, func(r Result) {
 			done++
 			if first == 0 {
 				first = r.Duration()

@@ -55,11 +55,9 @@ type memoEntry struct {
 	chunks   int
 	// floorDelta[d] is the dimension-floor advance over the start instant;
 	// negative marks a dimension the run never reserved.
-	floorDelta []units.Time
-	sent       []units.ByteSize // phase-sent accumulator deltas
-	recv       []units.ByteSize // phase-recv accumulator deltas
-	bytes      []units.ByteSize // BytesPerDim deltas
-	traffic    []units.ByteSize // Result.TrafficPerDim
+	floorDelta   []units.Time
+	trafficDelta []units.ByteSize // backend traffic-total deltas
+	traffic      []units.ByteSize // Result.TrafficPerDim
 }
 
 func (m *Memo) lookup(key string) *memoEntry {
@@ -191,7 +189,7 @@ func (e *Engine) replayMemo(ent *memoEntry, op Op, size units.ByteSize, g Group,
 	now := e.net.Now()
 	r := &memoReplay{e: e, op: op, size: size, group: g, done: done, events: ent.events}
 	e.net.SnapshotLedger(&r.saved)
-	e.net.ApplyLedgerDeltas(now, ent.floorDelta, ent.sent, ent.recv, ent.bytes)
+	e.net.ApplyLedgerDeltas(now, ent.floorDelta, ent.trafficDelta)
 	e.net.CreditEvents(int64(ent.events) - 1)
 	r.res = Result{
 		Op:            op,
@@ -227,15 +225,13 @@ func (e *Engine) cancelReplay() {
 	r.cancelled = true
 	e.net.RestoreLedger(&r.saved)
 	e.net.CreditEvents(-int64(r.events))
-	if err := e.Start(r.op, r.size, r.group, r.done); err != nil {
+	if err := e.Start(r.op, r.size, r.group, nil, r.done); err != nil {
 		panic(fmt.Sprintf("collective: replay fallback failed: %v", err))
 	}
 }
 
 // maybeStoreMemo validates and stores a completed recording. The run is
-// pure exactly when the engine fired only the events the run scheduled; a
-// mid-run Stats() materialization would drain the phase accumulators, which
-// the negative-delta guard rejects.
+// pure exactly when the engine fired only the events the run scheduled.
 func (e *Engine) maybeStoreMemo(run *collectiveRun) {
 	rec := e.rec
 	e.rec = nil
@@ -246,14 +242,12 @@ func (e *Engine) maybeStoreMemo(run *collectiveRun) {
 	e.net.SnapshotLedger(&end)
 	dims := len(end.Floor)
 	ent := &memoEntry{
-		duration:   e.net.Now() - rec.start,
-		events:     rec.scheduled,
-		chunks:     run.chunks,
-		floorDelta: make([]units.Time, dims),
-		sent:       make([]units.ByteSize, dims),
-		recv:       make([]units.ByteSize, dims),
-		bytes:      make([]units.ByteSize, dims),
-		traffic:    append([]units.ByteSize(nil), run.traffic...),
+		duration:     e.net.Now() - rec.start,
+		events:       rec.scheduled,
+		chunks:       run.chunks,
+		floorDelta:   make([]units.Time, dims),
+		trafficDelta: make([]units.ByteSize, dims),
+		traffic:      append([]units.ByteSize(nil), run.traffic...),
 	}
 	for d := 0; d < dims; d++ {
 		if end.Floor[d] != rec.ledger.Floor[d] {
@@ -261,12 +255,10 @@ func (e *Engine) maybeStoreMemo(run *collectiveRun) {
 		} else {
 			ent.floorDelta[d] = -1
 		}
-		ent.sent[d] = end.PhaseSent[d] - rec.ledger.PhaseSent[d]
-		ent.recv[d] = end.PhaseRecv[d] - rec.ledger.PhaseRecv[d]
-		ent.bytes[d] = end.Bytes[d] - rec.ledger.Bytes[d]
-		if ent.sent[d] < 0 || ent.recv[d] < 0 || ent.bytes[d] < 0 || ent.floorDelta[d] < -1 {
+		if ent.floorDelta[d] < -1 {
 			return
 		}
+		ent.trafficDelta[d] = end.Traffic[d] - rec.ledger.Traffic[d]
 	}
 	e.memo.store(rec.key, ent)
 }

@@ -24,7 +24,7 @@ func TestMemoDeferredObservationProbe(t *testing.T) {
 		}
 		ce := NewEngine(net, opts...)
 		var res Result
-		if err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), func(r Result) { res = r }); err != nil {
+		if err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), nil, func(r Result) { res = r }); err != nil {
 			t.Fatal(err)
 		}
 		// Foreign send at t=10us, well before the collective completes.

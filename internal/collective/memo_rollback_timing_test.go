@@ -30,7 +30,7 @@ func runProbeRun(t *testing.T, shards int, m *Memo, preStart bool, probes []unit
 		net.SimSend(0, 1, 9, units.MB, nil)
 	}
 	var res Result
-	if err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), func(r Result) { res = r }); err != nil {
+	if err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), nil, func(r Result) { res = r }); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range probes {
@@ -108,10 +108,10 @@ func TestMemoTwoEnginesSharedBackend(t *testing.T) {
 		}
 		a, b := mk(), mk()
 		var out [2]Result
-		if err := a.Start(AllReduce, 4*units.MB, FullMachine(top), func(r Result) { out[0] = r }); err != nil {
+		if err := a.Start(AllReduce, 4*units.MB, FullMachine(top), nil, func(r Result) { out[0] = r }); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Start(AllReduce, 4*units.MB, FullMachine(top), func(r Result) { out[1] = r }); err != nil {
+		if err := b.Start(AllReduce, 4*units.MB, FullMachine(top), nil, func(r Result) { out[1] = r }); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Run(); err != nil {
@@ -154,13 +154,13 @@ func TestMemoChainedReplayWithLateProbe(t *testing.T) {
 		ce := NewEngine(net, opts...)
 		var results []Result
 		var probe units.Time
-		if err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), func(r Result) {
+		if err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), nil, func(r Result) {
 			results = append(results, r)
 			if len(results) == 1 {
 				// Chain the second collective and aim a probe at the
 				// middle of its span.
 				probe = (r.End - r.Start) / 2
-				if err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), func(r2 Result) {
+				if err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), nil, func(r2 Result) {
 					results = append(results, r2)
 				}); err != nil {
 					t.Error(err)

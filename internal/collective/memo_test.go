@@ -33,7 +33,7 @@ func runChain(t *testing.T, n int, memo *Memo) ([]Result, units.Time, uint64) {
 	var results []Result
 	var launch func()
 	launch = func() {
-		err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), func(r Result) {
+		err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), nil, func(r Result) {
 			results = append(results, r)
 			if len(results) < n {
 				launch()
@@ -124,7 +124,7 @@ func TestMemoRollbackOnObservation(t *testing.T) {
 		}
 		ce := NewEngine(net, opts...)
 		var res Result
-		if err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), func(r Result) { res = r }); err != nil {
+		if err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), nil, func(r Result) { res = r }); err != nil {
 			t.Fatal(err)
 		}
 		// Foreign point-to-point traffic sharing the collective's links:

@@ -36,7 +36,7 @@ func runEngineOnce(t *testing.T, top *topology.Topology, op Op, size units.ByteS
 	net := network.NewBackend(eng, top)
 	ce := NewEngine(net, WithChunks(chunks), WithPolicy(policy))
 	var res Result
-	if err := ce.Start(op, size, FullMachine(top), func(r Result) { res = r }); err != nil {
+	if err := ce.Start(op, size, FullMachine(top), nil, func(r Result) { res = r }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Run(); err != nil {

@@ -259,10 +259,13 @@ type instanceKey struct {
 // groupInstance is one communicator instance. Its members issue the
 // instance's collectives in the same per-member sequence, so they launch in
 // sequence order: open holds the collectives some member has reached but
-// not every member, oldest (sequence number base) first.
+// not every member, oldest (sequence number base) first. links is the
+// instance's registered link set on the network backend, nil for a
+// whole-machine instance.
 type groupInstance struct {
 	group   collective.Group
 	members []int
+	links   *network.LinkSet
 	open    []*pendingCollective
 	base    int32
 }
@@ -493,6 +496,9 @@ func (s *Simulator) compile(trace *et.Trace, at units.Time) error {
 			if inst == nil {
 				g.Base = key.origin
 				inst = &groupInstance{group: g, members: g.Members(top)}
+				if len(inst.members) < top.NumNPUs() {
+					inst.links = s.net.NewLinkSet(inst.members)
+				}
 				instances[key] = inst
 			}
 			st.slots[i].inst = inst
@@ -636,14 +642,10 @@ func (s *Simulator) Finalize() (*RunStats, error) {
 			stats.Timeline = append(stats.Timeline, st.timeline...)
 		}
 	}
-	netStats := s.net.Stats()
-	stats.TrafficPerDim = make([]units.ByteSize, s.cfg.Topology.NumDims())
+	traffic := s.net.Stats().Traffic
+	stats.TrafficPerDim = make([]units.ByteSize, len(traffic))
 	n := units.ByteSize(len(s.npus))
-	for d := range stats.TrafficPerDim {
-		var sum units.ByteSize
-		for rank := range s.npus {
-			sum += netStats.SentPerNPUDim[rank][d] + netStats.RecvPerNPUDim[rank][d]
-		}
+	for d, sum := range traffic {
 		stats.TrafficPerDim[d] = sum / n
 	}
 	return stats, nil
@@ -894,7 +896,7 @@ func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
 	}
 
 	op := mapCollective(n.Collective)
-	err := s.coll.Start(op, units.ByteSize(n.CommBytes), p.inst.group, finish)
+	err := s.coll.Start(op, units.ByteSize(n.CommBytes), p.inst.group, p.inst.links, finish)
 	if err != nil && s.err == nil {
 		// The members never complete; Finalize reports the failure.
 		s.err = fmt.Errorf("core: %s %s: %w", n.Kind, n.Name, err)

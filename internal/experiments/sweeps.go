@@ -66,7 +66,7 @@ func runEngine(top *topology.Topology, op collective.Op, size units.ByteSize, ch
 	net := network.NewBackend(eng, top)
 	ce := collective.NewEngine(net, collective.WithChunks(chunks), collective.WithPolicy(policy), collective.WithMemo(collMemo))
 	var res collective.Result
-	if err := ce.Start(op, size, collective.FullMachine(top), func(r collective.Result) { res = r }); err != nil {
+	if err := ce.Start(op, size, collective.FullMachine(top), nil, func(r collective.Result) { res = r }); err != nil {
 		return res, 0, err
 	}
 	if _, err := eng.Run(); err != nil {

@@ -39,10 +39,7 @@ func (b *Backend) reserveTransit(src, dst, dim int, size units.ByteSize, factor 
 	if len(path) == 0 {
 		return b.reserve(src, dst, dim, size, factor)
 	}
-	dur := b.scaleDur(dim, d.TransferTime(size))
-	if factor > 1 {
-		dur = units.Time(float64(dur) * factor)
-	}
+	dur := b.transferTime(dim, size, factor)
 	b.ensureLinks()
 	now := b.eng.Now()
 	if f := b.dimFloor[dim]; f > now {
@@ -53,6 +50,7 @@ func (b *Backend) reserveTransit(src, dst, dim int, size units.ByteSize, factor 
 	var srcEnd, ready units.Time
 	for h, pos := range path {
 		li := b.linkIdx(base+pos*stride, dim)
+		b.release(li, dim)
 		start := b.linkFree[li]
 		if start < now {
 			start = now

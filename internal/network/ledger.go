@@ -5,24 +5,20 @@ import (
 )
 
 // Ledger is a snapshot of the dimension-aggregate state a whole-machine
-// collective reads and writes: the per-dimension link floors, the deferred
-// phase-traffic accumulators, and the per-dimension byte totals. The
-// collective engine's memoization layer captures Ledgers to validate that a
-// recorded run was pure and to fast-forward (or roll back) a replayed one.
+// collective reads and writes: the per-dimension link floors and traffic
+// totals. The collective engine's memoization layer captures Ledgers to
+// validate that a recorded run was pure and to fast-forward (or roll back)
+// a replayed one.
 type Ledger struct {
-	Floor     []units.Time
-	PhaseSent []units.ByteSize
-	PhaseRecv []units.ByteSize
-	Bytes     []units.ByteSize
+	Floor   []units.Time
+	Traffic []units.ByteSize
 }
 
 // SnapshotLedger copies the current aggregate state into dst, reusing its
 // backing arrays when possible.
 func (b *Backend) SnapshotLedger(dst *Ledger) {
 	dst.Floor = append(dst.Floor[:0], b.dimFloor...)
-	dst.PhaseSent = append(dst.PhaseSent[:0], b.phaseSent...)
-	dst.PhaseRecv = append(dst.PhaseRecv[:0], b.phaseRecv...)
-	dst.Bytes = append(dst.Bytes[:0], b.stats.BytesPerDim...)
+	dst.Traffic = append(dst.Traffic[:0], b.stats.Traffic...)
 }
 
 // RestoreLedger writes a snapshot back, undoing every aggregate mutation
@@ -31,23 +27,19 @@ func (b *Backend) SnapshotLedger(dst *Ledger) {
 // at the first observation of backend state.
 func (b *Backend) RestoreLedger(src *Ledger) {
 	copy(b.dimFloor, src.Floor)
-	copy(b.phaseSent, src.PhaseSent)
-	copy(b.phaseRecv, src.PhaseRecv)
-	copy(b.stats.BytesPerDim, src.Bytes)
+	copy(b.stats.Traffic, src.Traffic)
 }
 
 // ApplyLedgerDeltas fast-forwards the aggregates by a recorded run's net
 // effect: dimensions the run touched get their floor set to now+floorDelta
 // (untouched dimensions are marked with a negative delta), and the traffic
-// accumulators advance by the recorded amounts.
-func (b *Backend) ApplyLedgerDeltas(now units.Time, floorDelta []units.Time, sent, recv, bytes []units.ByteSize) {
+// totals advance by the recorded amounts.
+func (b *Backend) ApplyLedgerDeltas(now units.Time, floorDelta []units.Time, traffic []units.ByteSize) {
 	for d := range floorDelta {
 		if fd := floorDelta[d]; fd >= 0 {
 			b.dimFloor[d] = now + fd
 		}
-		b.phaseSent[d] += sent[d]
-		b.phaseRecv[d] += recv[d]
-		b.stats.BytesPerDim[d] += bytes[d]
+		b.stats.Traffic[d] += traffic[d]
 	}
 }
 
@@ -83,7 +75,7 @@ func (b *Backend) CreditEvents(n int64) { b.eng.CreditFired(n) }
 
 // AddActivityHook registers fn to be invoked before any operation that
 // reads or writes link or ledger state (phase reservations, point-to-point
-// sends, scenario mutations, stats materialization) and returns an id for
+// sends, scenario mutations, stats reads) and returns an id for
 // RemoveActivityHook. The memoization layer installs a hook while a
 // replayed collective is in flight so the first observer cancels the
 // fast-forward and falls back to live simulation. Hooks form a registry —

@@ -11,6 +11,13 @@
 // counts sent+received bytes per NPU) while remaining congestion-free for
 // topology-aware hierarchical collectives, the regime the paper targets.
 //
+// A collective phase costs O(1) on every communicator instance. A
+// whole-machine phase writes one per-dimension floor; a subset instance
+// (an MP or DP group) registers a LinkSet whose per-dimension floor stands
+// in for its members' link times while the set owns those links (see
+// phase.go). Traffic is counted as one sent+received total per dimension,
+// never per NPU.
+//
 // The package also exposes the paper's NetworkAPI protocol (Snippet 2):
 // SimSend / SimRecv pairs rendezvous on (src, dst, tag) and invoke
 // callbacks on completion, and SimSchedule defers arbitrary work.
@@ -63,21 +70,29 @@ type Backend struct {
 	eng timeline.Scheduler
 	top *topology.Topology
 
-	// Link occupancy is kept as a dimension-level aggregate plus an
-	// optional per-link overlay, so whole-machine collective phases cost
-	// O(1) instead of O(NPUs) per phase:
+	// Link occupancy is kept as dimension-level aggregates plus an optional
+	// per-link overlay, so collective phases cost O(1) instead of O(group)
+	// per phase. A link's free time is the latest of three values:
 	//
-	//   - dimFloor[dim] is a floor applied to every link of the dimension;
-	//     a phase that reserves all links writes it once.
+	//   - dimFloor[dim], a floor applied to every link of the dimension; a
+	//     whole-machine phase writes it once.
 	//   - linkFree[npu*dims+dim], allocated lazily on the first per-link
-	//     reservation, overlays individual point-to-point traffic; a
-	//     link's effective free time is max(linkFree entry, dimFloor).
-	//   - dimMaxLink[dim] caches the maximum stored per-link entry, so a
-	//     full-dimension phase start never walks the overlay.
+	//     reservation, which overlays individual point-to-point traffic.
+	//   - the floor of linkOwner's set: the LinkSet that last reserved the
+	//     link in a subset phase (1-based index into sets; 0 means none).
+	//
+	// dimMaxLink[dim] caches the latest per-link or set floor ever written,
+	// so a full-dimension phase start never walks the overlay.
 	linkFree   []units.Time
+	linkOwner  []int32
+	sets       []*LinkSet
 	dimFloor   []units.Time
 	dimMaxLink []units.Time
 	npus, dims int
+
+	// bw[dim] caches each dimension's effective bandwidth, so a reservation
+	// makes no dimension-model call.
+	bw []units.Bandwidth
 
 	// Rendezvous state for SimSend/SimRecv matching. Queue objects and
 	// their backing slices are recycled through the pools below.
@@ -95,13 +110,6 @@ type Backend struct {
 	// chargeTransit enables first-order congestion modeling: ring
 	// messages occupy every transit link, not just the endpoints.
 	chargeTransit bool
-
-	// phaseSent/phaseRecv[dim] accumulate per-NPU traffic charged uniformly
-	// to every NPU by whole-machine phases; Stats() folds them into the
-	// per-NPU matrices on demand. This keeps full-machine phases from
-	// writing 2×NPUs stats entries each.
-	phaseSent []units.ByteSize
-	phaseRecv []units.ByteSize
 
 	// fc, when non-nil, arbitrates this backend's flows against flows on
 	// other backends sharing the same physical fabric (the multi-job
@@ -147,16 +155,12 @@ type cbQueue struct {
 	head  int
 }
 
-// Stats accumulates per-dimension and aggregate traffic counters.
+// Stats holds the backend's traffic counters.
 type Stats struct {
-	// BytesPerDim[d] is the total bytes that crossed dimension d,
-	// counted once per message.
-	BytesPerDim []units.ByteSize
-	// SentPerNPUDim[npu][d] / RecvPerNPUDim[npu][d] count per-NPU traffic;
-	// their sum is the paper's "message size per dimension" metric.
-	SentPerNPUDim [][]units.ByteSize
-	RecvPerNPUDim [][]units.ByteSize
-	Messages      int64
+	// Traffic[d] is the sent plus received bytes on dimension d, summed
+	// over all NPUs. Divided by the NPU count it is the paper's per-NPU
+	// "message size per dimension" metric (Table IV).
+	Traffic []units.ByteSize
 }
 
 // NewBackend builds an analytical backend over a topology, driven by the
@@ -168,44 +172,29 @@ func NewBackend(eng timeline.Scheduler, top *topology.Topology) *Backend {
 		top:        top,
 		dimFloor:   make([]units.Time, d),
 		dimMaxLink: make([]units.Time, d),
-		phaseSent:  make([]units.ByteSize, d),
-		phaseRecv:  make([]units.ByteSize, d),
+		bw:         make([]units.Bandwidth, d),
 		npus:       n,
 		dims:       d,
 		arrived:    make(map[matchKey]*msgQueue),
 		waiting:    make(map[matchKey]*cbQueue),
 	}
-	b.stats.BytesPerDim = make([]units.ByteSize, d)
-	// The per-link array and the per-NPU stats matrices are O(NPUs) state;
-	// they allocate lazily on first use so backend setup — and whole-machine
-	// collective workloads, which never touch individual links — stay O(dims).
+	for i, dim := range top.Dims {
+		b.bw[i] = dim.EffectiveBandwidth()
+	}
+	b.stats.Traffic = make([]units.ByteSize, d)
+	// The per-link arrays are O(NPUs) state; they allocate lazily on first
+	// use so backend setup — and whole-machine collective workloads, which
+	// never touch individual links — stay O(dims).
 	return b
 }
 
-// ensureLinks allocates the per-link overlay on the first point-to-point
-// reservation. A zero entry means the link has no individual backlog beyond
-// the dimension floor.
+// ensureLinks allocates the per-link overlay and owner table on the first
+// per-link or subset-phase reservation. A zero entry means the link has no
+// individual backlog beyond the dimension floor and no owning set.
 func (b *Backend) ensureLinks() {
 	if b.linkFree == nil {
 		b.linkFree = make([]units.Time, b.npus*b.dims)
-	}
-}
-
-// ensureStatsMatrices allocates the per-NPU traffic matrices. The matrices
-// share one backing array each: at large NPU counts the 2n row allocations
-// otherwise dominate backend setup.
-func (b *Backend) ensureStatsMatrices() {
-	if b.stats.SentPerNPUDim != nil {
-		return
-	}
-	n, d := b.npus, b.dims
-	b.stats.SentPerNPUDim = make([][]units.ByteSize, n)
-	b.stats.RecvPerNPUDim = make([][]units.ByteSize, n)
-	sent := make([]units.ByteSize, n*d)
-	recv := make([]units.ByteSize, n*d)
-	for i := 0; i < n; i++ {
-		b.stats.SentPerNPUDim[i] = sent[i*d : (i+1)*d : (i+1)*d]
-		b.stats.RecvPerNPUDim[i] = recv[i*d : (i+1)*d : (i+1)*d]
+		b.linkOwner = make([]int32, b.npus*b.dims)
 	}
 }
 
@@ -230,13 +219,19 @@ type FlowController interface {
 // allocation-free and byte-identical to an isolated backend.
 func (b *Backend) SetFlowController(fc FlowController) { b.fc = fc }
 
-// scaleDur stretches a transfer's serialization time by the dimension's
-// bandwidth scale. Scale 1 (or a clean backend) returns dur untouched.
-func (b *Backend) scaleDur(dim int, dur units.Time) units.Time {
+// transferTime is the serialization time of size bytes on dimension dim at
+// its cached effective bandwidth, stretched by the dimension's bandwidth
+// scale (scale 1, or a clean backend, leaves it untouched) and by the
+// cross-backend contention factor (>= 1; 1 leaves it untouched).
+func (b *Backend) transferTime(dim int, size units.ByteSize, factor float64) units.Time {
+	dur := b.bw[dim].TransferTime(size)
 	if b.bwScale != nil {
 		if s := b.bwScale[dim]; s != 1 {
 			dur = units.Time(float64(dur) / s)
 		}
+	}
+	if factor > 1 {
+		dur = units.Time(float64(dur) * factor)
 	}
 	return dur
 }
@@ -299,6 +294,7 @@ func (b *Backend) StallNPULinks(npu int, until units.Time) {
 	b.ensureLinks()
 	base := npu * b.dims
 	for d := 0; d < b.dims; d++ {
+		b.release(base+d, d)
 		if b.linkFree[base+d] < until {
 			b.linkFree[base+d] = until
 		}
@@ -335,23 +331,10 @@ func (b *Backend) getFlowDone(dim int) *flowDone {
 // Topology returns the backend's topology.
 func (b *Backend) Topology() *topology.Topology { return b.top }
 
-// Stats returns a snapshot reference of the accumulated traffic counters,
-// folding any pending whole-machine phase traffic into the per-NPU matrices
-// first so callers always see fully materialized counts.
+// Stats returns a reference to the accumulated traffic counters. Reading
+// them counts as backend activity (see AddActivityHook).
 func (b *Backend) Stats() *Stats {
 	b.touchActivity()
-	b.ensureStatsMatrices()
-	for d := 0; d < b.dims; d++ {
-		sent, recv := b.phaseSent[d], b.phaseRecv[d]
-		if sent == 0 && recv == 0 {
-			continue
-		}
-		for npu := 0; npu < b.npus; npu++ {
-			b.stats.SentPerNPUDim[npu][d] += sent
-			b.stats.RecvPerNPUDim[npu][d] += recv
-		}
-		b.phaseSent[d], b.phaseRecv[d] = 0, 0
-	}
 	return &b.stats
 }
 
@@ -379,17 +362,15 @@ func (b *Backend) linkIdx(npu, dim int) int { return npu*b.dims + dim }
 // factor (>= 1) is the cross-backend fair-sharing contention multiplier;
 // 1 leaves the serialization time untouched.
 func (b *Backend) reserve(src, dst, dim int, size units.ByteSize, factor float64) (units.Time, units.Time) {
-	d := b.top.Dims[dim]
-	dur := b.scaleDur(dim, d.TransferTime(size))
-	if factor > 1 {
-		dur = units.Time(float64(dur) * factor)
-	}
+	dur := b.transferTime(dim, size, factor)
 	b.ensureLinks()
 	now := b.eng.Now()
 	if f := b.dimFloor[dim]; f > now {
 		now = f // the dimension floor lower-bounds every link of the dim
 	}
 	si, di := b.linkIdx(src, dim), b.linkIdx(dst, dim)
+	b.release(si, dim)
+	b.release(di, dim)
 	srcStart := b.linkFree[si]
 	if srcStart < now {
 		srcStart = now
@@ -496,11 +477,7 @@ func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sen
 	}
 	arrive := ready + units.Time(hops)*d.Latency
 
-	b.stats.Messages++
-	b.stats.BytesPerDim[dim] += size
-	b.ensureStatsMatrices()
-	b.stats.SentPerNPUDim[src][dim] += size
-	b.stats.RecvPerNPUDim[dst][dim] += size
+	b.stats.Traffic[dim] += 2 * size // sent by src, received by dst
 
 	if sentCB != nil {
 		b.eng.ScheduleAt(srcEnd, sentCB)

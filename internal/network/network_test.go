@@ -217,15 +217,17 @@ func TestTrafficStats(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	s := b.Stats()
-	if s.BytesPerDim[0] != 8*units.MB {
-		t.Errorf("BytesPerDim = %v", s.BytesPerDim[0])
+	// Each message counts once sent and once received.
+	if got := b.Stats().Traffic[0]; got != 16*units.MB {
+		t.Errorf("Traffic[0] = %v, want 16MB", got)
 	}
-	if s.SentPerNPUDim[0][0] != 3*units.MB || s.RecvPerNPUDim[0][0] != 5*units.MB {
-		t.Errorf("NPU0 sent=%v recv=%v", s.SentPerNPUDim[0][0], s.RecvPerNPUDim[0][0])
+	b.ReservePhaseAll(0, 2*units.MB)
+	if got := b.Stats().Traffic[0]; got != 16*units.MB+4*2*units.MB {
+		t.Errorf("Traffic[0] after a whole-machine phase = %v, want 24MB", got)
 	}
-	if s.Messages != 2 {
-		t.Errorf("Messages = %d", s.Messages)
+	// Reading the totals does not drain them.
+	if got := b.Stats().Traffic[0]; got != 24*units.MB {
+		t.Errorf("Traffic[0] on a second read = %v, want 24MB", got)
 	}
 }
 
@@ -290,23 +292,35 @@ func TestSentCallbackOnMultiLegRoute(t *testing.T) {
 func TestPhaseAvailabilityAndReserve(t *testing.T) {
 	eng := timeline.New()
 	b := NewBackend(eng, ring4())
-	members := []int{0, 1, 2, 3}
-	if got := b.PhaseAvailability(members, 0); got != 0 {
+	set := b.NewLinkSet([]int{1, 2})
+	if got := b.PhaseAvailability(set, 0); got != 0 {
 		t.Errorf("idle availability = %v", got)
 	}
-	start, end := b.ReservePhase(members, 0, 2*units.MB)
+	start, end := b.ReservePhase(set, 0, 2*units.MB)
 	if start != 0 || end != units.FromMicros(20) {
 		t.Errorf("phase [%v, %v], want [0, 20us]", start, end)
 	}
 	// Second phase queues behind the first on every member.
-	if got := b.PhaseAvailability(members, 0); got != end {
+	if got := b.PhaseAvailability(set, 0); got != end {
 		t.Errorf("availability after reserve = %v, want %v", got, end)
 	}
-	// Stats attribute half sent, half received.
-	s := b.Stats()
-	if s.SentPerNPUDim[2][0]+s.RecvPerNPUDim[2][0] != 2*units.MB {
-		t.Errorf("phase traffic accounting wrong: %v + %v",
-			s.SentPerNPUDim[2][0], s.RecvPerNPUDim[2][0])
+	// A whole-machine phase waits for the set's links.
+	if got := b.PhaseAvailabilityAll(0); got != end {
+		t.Errorf("whole-machine availability = %v, want %v", got, end)
+	}
+	// A point-to-point send from a member queues behind the phase.
+	var sentAt units.Time
+	b.SendOnDim(2, 3, 0, units.MB, 0, func() { sentAt = eng.Now() }, nil)
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := end + units.FromMicros(10); sentAt != want {
+		t.Errorf("send from a member left at %v, want %v", sentAt, want)
+	}
+	// Each member counts the phase's per-NPU traffic; the send counts
+	// twice.
+	if got, want := b.Stats().Traffic[0], 2*2*units.MB+2*units.MB; got != want {
+		t.Errorf("Traffic[0] = %v, want %v", got, want)
 	}
 }
 
