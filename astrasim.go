@@ -70,14 +70,6 @@ type MachineConfig struct {
 	// pipeline traffic contend with its neighbours.
 	ModelTransitCongestion bool
 
-	// Shards partitions the event engine's pending-event set across that
-	// many timeline shards, synchronized with conservative lookahead
-	// (the topology's minimum link latency). Simulated output is
-	// byte-identical for every value — sharding trades a small
-	// synchronization overhead for flat per-event cost at large NPU
-	// counts. <= 1 (the default) runs the serial engine.
-	Shards int
-
 	// Memory optionally configures local-memory timing and a
 	// disaggregated pool.
 	Memory *MemoryConfig
@@ -158,7 +150,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		Memory:                 mem,
 		Policy:                 policy,
 		Chunks:                 cfg.Chunks,
-		Shards:                 cfg.Shards,
 		ModelTransitCongestion: cfg.ModelTransitCongestion,
 	}
 	if err := c.Validate(); err != nil {

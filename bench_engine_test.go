@@ -3,12 +3,12 @@ package astrasim
 // Engine hot-path benchmarks (E8): the discrete-event core's cost per event
 // on the chunked All-Reduce path, the workload that dominates every paper
 // figure. BenchmarkEngineHotPath sweeps the NPU count from 64 to 32768 on
-// both the serial and the sharded engine and writes BENCH_engine.json with
-// ns/event, allocs/event and events/sec per series. Two historical series
-// are preserved across runs so the artifact always carries the full
+// the serial engine and writes BENCH_engine.json with ns/event,
+// allocs/event and events/sec per scale. Two historical series are
+// preserved across runs so the artifact always carries the full
 // before/after story: "baseline" (before the zero-allocation rework) and
-// "previous" (before the dimension-aggregate + sharded-engine rework,
-// whose per-event cost grew ~13x from 64 to 1024 NPUs).
+// "previous" (before the dimension-aggregate rework, whose per-event cost
+// grew ~13x from 64 to 1024 NPUs).
 
 import (
 	"encoding/json"
@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/collective"
-	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/timeline"
 	"repro/internal/topology"
@@ -30,7 +29,6 @@ import (
 type engineBenchRecord struct {
 	NPUs           int     `json:"npus"`
 	Topology       string  `json:"topology"`
-	Shards         int     `json:"shards,omitempty"`
 	EventsPerOp    uint64  `json:"events_per_op"`
 	NsPerEvent     float64 `json:"ns_per_event"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
@@ -42,7 +40,6 @@ type engineBenchDoc struct {
 	Baseline []engineBenchRecord `json:"baseline"`
 	Previous []engineBenchRecord `json:"previous,omitempty"`
 	Current  []engineBenchRecord `json:"current"`
-	Sharded  []engineBenchRecord `json:"sharded,omitempty"`
 }
 
 // engineHotPathTopology builds the benchmark machine at a given scale:
@@ -56,112 +53,77 @@ func engineHotPathTopology(npus int) *topology.Topology {
 	)
 }
 
-// benchShards is the shard count of the "sharded" series: the machine's
-// cores, capped so the artifact stays comparable across runners.
-func benchShards() int {
-	k := runtime.NumCPU()
-	if k > 8 {
-		k = 8
-	}
-	if k < 2 {
-		k = 2
-	}
-	return k
-}
-
 // BenchmarkEngineHotPath drives the production chunk-phase collective path
-// (64-chunk 64 MB All-Reduce) at 64-32768 NPUs on the serial and sharded
-// engines and records per-event cost.
+// (64-chunk 64 MB All-Reduce) at 64-32768 NPUs and records per-event cost.
 func BenchmarkEngineHotPath(b *testing.B) {
 	const (
 		size   = 64 * units.MB
 		chunks = 64
 	)
 	scales := []int{64, 256, 1024, 4096, 32768}
-	serial := make([]engineBenchRecord, len(scales))
-	sharded := make([]engineBenchRecord, len(scales))
+	recs := make([]engineBenchRecord, len(scales))
 	for si, npus := range scales {
 		top := engineHotPathTopology(npus)
-		for _, shards := range []int{0, benchShards()} {
-			shards := shards
-			name := fmt.Sprintf("npus=%d", npus)
-			if shards > 0 {
-				name = fmt.Sprintf("npus=%d/shards=%d", npus, shards)
+		b.Run(fmt.Sprintf("npus=%d", npus), func(b *testing.B) {
+			b.ReportAllocs()
+			var events uint64
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				eng := timeline.New()
+				net := network.NewBackend(eng, top)
+				ce := collective.NewEngine(net, collective.WithChunks(chunks))
+				if err := ce.Start(collective.AllReduce, size, collective.FullMachine(top), nil, nil); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Run(); err != nil {
+					b.Fatal(err)
+				}
+				events = eng.Fired()
 			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				var events uint64
-				var ms0, ms1 runtime.MemStats
-				runtime.ReadMemStats(&ms0)
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					eng := timeline.ForShards(shards)
-					core.ApplyLookahead(eng, top)
-					net := network.NewBackend(eng, top)
-					ce := collective.NewEngine(net, collective.WithChunks(chunks))
-					if err := ce.Start(collective.AllReduce, size, collective.FullMachine(top), nil, nil); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := eng.Run(); err != nil {
-						b.Fatal(err)
-					}
-					events = eng.Fired()
-				}
-				elapsed := time.Since(start)
-				runtime.ReadMemStats(&ms1)
-				totalEvents := float64(events) * float64(b.N)
-				nsPerEvent := float64(elapsed.Nanoseconds()) / totalEvents
-				b.ReportMetric(nsPerEvent, "ns/event")
-				// Mallocs includes per-op setup (engine, backend, stats
-				// arrays); on a multi-thousand-event run that fixed cost
-				// amortizes to noise, so the quotient tracks the hot path.
-				allocsPerEvent := float64(ms1.Mallocs-ms0.Mallocs) / totalEvents
-				b.ReportMetric(allocsPerEvent, "allocs/event")
-				rec := engineBenchRecord{
-					NPUs:           npus,
-					Topology:       top.String(),
-					Shards:         shards,
-					EventsPerOp:    events,
-					NsPerEvent:     nsPerEvent,
-					AllocsPerEvent: allocsPerEvent,
-					EventsPerSec:   1e9 / nsPerEvent,
-				}
-				if shards > 0 {
-					sharded[si] = rec
-				} else {
-					serial[si] = rec
-				}
-			})
-		}
+			elapsed := time.Since(start)
+			runtime.ReadMemStats(&ms1)
+			totalEvents := float64(events) * float64(b.N)
+			nsPerEvent := float64(elapsed.Nanoseconds()) / totalEvents
+			b.ReportMetric(nsPerEvent, "ns/event")
+			// Mallocs includes per-op setup (engine, backend, stats
+			// arrays); on a multi-thousand-event run that fixed cost
+			// amortizes to noise, so the quotient tracks the hot path.
+			allocsPerEvent := float64(ms1.Mallocs-ms0.Mallocs) / totalEvents
+			b.ReportMetric(allocsPerEvent, "allocs/event")
+			recs[si] = engineBenchRecord{
+				NPUs:           npus,
+				Topology:       top.String(),
+				EventsPerOp:    events,
+				NsPerEvent:     nsPerEvent,
+				AllocsPerEvent: allocsPerEvent,
+				EventsPerSec:   1e9 / nsPerEvent,
+			}
+		})
 	}
 	// Sub-benchmarks can be filtered away; only write the artifact when
 	// every scale ran, so a partial run never clobbers a full capture.
-	for i := range serial {
-		if serial[i].NPUs == 0 || sharded[i].NPUs == 0 {
+	for i := range recs {
+		if recs[i].NPUs == 0 {
 			return
 		}
 	}
 	doc := engineBenchDoc{
 		Workload: fmt.Sprintf("all_reduce(%v), %d chunks, R(4)_FC(4)_SW(n/16)", size, chunks),
-		Current:  serial,
-		Sharded:  sharded,
+		Current:  recs,
 	}
-	// Preserve the historical series: "baseline" survives from the first
-	// capture, and the first run after the sharded-engine rework retires
-	// the prior "current" into "previous" so the speedup this PR claims
-	// stays measurable in the artifact itself.
+	// Preserve the historical series: "baseline" and "previous" survive
+	// from earlier captures.
 	if prev, err := os.ReadFile("BENCH_engine.json"); err == nil {
 		var old engineBenchDoc
 		if json.Unmarshal(prev, &old) == nil {
 			doc.Baseline = old.Baseline
 			doc.Previous = old.Previous
-			if doc.Previous == nil && len(old.Sharded) == 0 && len(old.Current) > 0 {
-				doc.Previous = old.Current
-			}
 		}
 	}
 	if doc.Baseline == nil {
-		doc.Baseline = serial
+		doc.Baseline = recs
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

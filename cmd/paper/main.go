@@ -53,7 +53,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (fig4|speedup|tableiv|fig9a|fig9b|fig11|taxonomy|ablation|pools|fabrics|search|interference|resilience|all)")
 	reduced := flag.Bool("reduced", false, "shrink workloads for a quick pass")
 	parallel := flag.Int("parallel", 0, "sweep worker count; 0 = all cores (results identical for any value)")
-	shards := flag.Int("shards", 0, "event-engine timeline shards per simulation; 0/1 = serial (results byte-identical for any value)")
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of tables")
 	sweepPath := flag.String("sweep", "", "run a user-defined machine x workload sweep grid (JSON spec; topology blocks: "+strings.Join(astrasim.RegisteredBlocks(), ", ")+") instead of a paper experiment")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
@@ -76,7 +75,6 @@ func main() {
 	// Fig. 11 baseline inside its own sweep) simulate shared cells once.
 	o := experiments.Options{
 		Reduced: *reduced,
-		Shards:  *shards,
 		Exec:    sweep.Exec{Workers: *parallel, Cache: sweep.NewCache()},
 	}
 	runners := map[string]func(experiments.Options, bool) error{

@@ -130,10 +130,6 @@ type Config struct {
 	// CollectiveLogLimit caps each job's retained collective results.
 	CollectiveLogLimit     int
 	ModelTransitCongestion bool
-	// Shards selects the shared event engine driving every co-scheduled
-	// job: <= 1 serial, larger values a sharded engine (see core.Config).
-	// Results are byte-identical either way.
-	Shards int
 
 	Placement Placement
 	// Seed drives the random placement's shuffle; results are fully
@@ -662,8 +658,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	eng := timeline.ForShards(cfg.Shards)
-	core.ApplyLookahead(eng, cfg.Fabric)
+	eng := timeline.New()
 	fabric := newFabricState(layout)
 	var pool *poolState
 	if cfg.Memory.HasPool && len(cfg.Jobs) > 1 {

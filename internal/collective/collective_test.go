@@ -100,7 +100,7 @@ func TestRingAllGatherSingleChunk(t *testing.T) {
 // chunk-phase model against the per-message Table I algorithms for all
 // three building blocks and all four ops on a single dimension.
 func TestChunkModelMatchesMessageLevel(t *testing.T) {
-	kinds := []topology.BlockKind{topology.Ring, topology.FullyConnected, topology.Switch}
+	kinds := []topology.DimModel{topology.Ring, topology.FullyConnected, topology.Switch}
 	ops := []Op{ReduceScatter, AllGather, AllReduce, AllToAll}
 	for _, kind := range kinds {
 		for _, op := range ops {

@@ -3,8 +3,6 @@ package collective
 import (
 	"testing"
 
-	"repro/internal/network"
-	"repro/internal/timeline"
 	"repro/internal/units"
 )
 
@@ -15,14 +13,7 @@ func TestMemoDeferredObservationProbe(t *testing.T) {
 	runChain(t, 1, memo) // warm
 
 	run := func(m *Memo) (Result, units.Time) {
-		top := memoTestTopology()
-		eng := timeline.New()
-		net := network.NewBackend(eng, top)
-		opts := []Option{WithChunks(8)}
-		if m != nil {
-			opts = append(opts, WithMemo(m))
-		}
-		ce := NewEngine(net, opts...)
+		top, eng, net, ce := memoRig(m)
 		var res Result
 		if err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), nil, func(r Result) { res = r }); err != nil {
 			t.Fatal(err)

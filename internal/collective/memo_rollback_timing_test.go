@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/network"
@@ -15,16 +14,9 @@ import (
 // delays after the collective starts. It returns the collective's result,
 // the engine's final clock and its fired-event count — the three
 // observables the byte-identity contract covers.
-func runProbeRun(t *testing.T, shards int, m *Memo, preStart bool, probes []units.Time) (Result, units.Time, uint64) {
+func runProbeRun(t *testing.T, m *Memo, preStart bool, probes []units.Time) (Result, units.Time, uint64) {
 	t.Helper()
-	top := memoTestTopology()
-	eng := timeline.ForShards(shards)
-	net := network.NewBackend(eng, top)
-	opts := []Option{WithChunks(8)}
-	if m != nil {
-		opts = append(opts, WithMemo(m))
-	}
-	ce := NewEngine(net, opts...)
+	top, eng, net, ce := memoRig(m)
 	if preStart {
 		net.SimRecv(0, 1, 9, units.MB, func(network.Message) {})
 		net.SimSend(0, 1, 9, units.MB, nil)
@@ -46,9 +38,9 @@ func runProbeRun(t *testing.T, shards int, m *Memo, preStart bool, probes []unit
 // TestMemoRollbackTimingMatrix locks in rollback correctness across the
 // whole probe-timing spectrum — before the replay starts, mid-replay,
 // exactly at the cached end instant, after the window (where the replay
-// must SURVIVE), and several probes at once — on both the serial and the
-// sharded engine. Every cell must be byte-identical to the equivalent
-// memo-free run: same result, same final clock, same fired-event total.
+// must SURVIVE), and several probes at once. Every cell must be
+// byte-identical to the equivalent memo-free run: same result, same final
+// clock, same fired-event total.
 func TestMemoRollbackTimingMatrix(t *testing.T) {
 	plain, _, _ := runChain(t, 1, nil)
 	dur := plain[0].End - plain[0].Start // the cached entry's duration
@@ -64,24 +56,22 @@ func TestMemoRollbackTimingMatrix(t *testing.T) {
 		{"probe_after_cached_end", false, []units.Time{dur + units.Microsecond}},
 		{"multiple_probes", false, []units.Time{5 * units.Microsecond, 15 * units.Microsecond, dur}},
 	}
-	for _, shards := range []int{1, 4} {
-		memo := NewMemo()
-		runChain(t, 1, memo) // warm the table on a quiet machine
-		for _, tc := range cases {
-			t.Run(fmt.Sprintf("shards=%d/%s", shards, tc.name), func(t *testing.T) {
-				pRes, pEnd, pFired := runProbeRun(t, shards, nil, tc.preStart, tc.probes)
-				mRes, mEnd, mFired := runProbeRun(t, shards, memo, tc.preStart, tc.probes)
-				if !sameResult(mRes, pRes) {
-					t.Errorf("result diverged: memo %+v, plain %+v", mRes, pRes)
-				}
-				if mEnd != pEnd {
-					t.Errorf("final clock diverged: memo %v, plain %v", mEnd, pEnd)
-				}
-				if mFired != pFired {
-					t.Errorf("fired-event count diverged: memo %d, plain %d", mFired, pFired)
-				}
-			})
-		}
+	memo := NewMemo()
+	runChain(t, 1, memo) // warm the table on a quiet machine
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pRes, pEnd, pFired := runProbeRun(t, nil, tc.preStart, tc.probes)
+			mRes, mEnd, mFired := runProbeRun(t, memo, tc.preStart, tc.probes)
+			if !sameResult(mRes, pRes) {
+				t.Errorf("result diverged: memo %+v, plain %+v", mRes, pRes)
+			}
+			if mEnd != pEnd {
+				t.Errorf("final clock diverged: memo %v, plain %v", mEnd, pEnd)
+			}
+			if mFired != pFired {
+				t.Errorf("fired-event count diverged: memo %d, plain %d", mFired, pFired)
+			}
+		})
 	}
 }
 
@@ -144,14 +134,7 @@ func TestMemoChainedReplayWithLateProbe(t *testing.T) {
 	runChain(t, 1, memo)
 
 	run := func(m *Memo) ([]Result, units.Time, uint64) {
-		top := memoTestTopology()
-		eng := timeline.ForShards(1)
-		net := network.NewBackend(eng, top)
-		opts := []Option{WithChunks(8)}
-		if m != nil {
-			opts = append(opts, WithMemo(m))
-		}
-		ce := NewEngine(net, opts...)
+		top, eng, net, ce := memoRig(m)
 		var results []Result
 		var probe units.Time
 		if err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), nil, func(r Result) {

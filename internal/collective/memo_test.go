@@ -16,12 +16,10 @@ func memoTestTopology() *topology.Topology {
 	)
 }
 
-// runChain executes n back-to-back identical All-Reduces (each launched from
-// the previous one's completion callback, the shape a training loop or a
-// sweep re-evaluation produces) and returns the per-collective results plus
-// the engine's final clock and event count.
-func runChain(t *testing.T, n int, memo *Memo) ([]Result, units.Time, uint64) {
-	t.Helper()
+// memoRig builds the machine every memo test drives: memoTestTopology on a
+// fresh engine and backend, and an 8-chunk collective engine that
+// memoizes through memo when it is non-nil.
+func memoRig(memo *Memo) (*topology.Topology, *timeline.Engine, *network.Backend, *Engine) {
 	top := memoTestTopology()
 	eng := timeline.New()
 	net := network.NewBackend(eng, top)
@@ -29,7 +27,16 @@ func runChain(t *testing.T, n int, memo *Memo) ([]Result, units.Time, uint64) {
 	if memo != nil {
 		opts = append(opts, WithMemo(memo))
 	}
-	ce := NewEngine(net, opts...)
+	return top, eng, net, NewEngine(net, opts...)
+}
+
+// runChain executes n back-to-back identical All-Reduces (each launched from
+// the previous one's completion callback, the shape a training loop or a
+// sweep re-evaluation produces) and returns the per-collective results plus
+// the engine's final clock and event count.
+func runChain(t *testing.T, n int, memo *Memo) ([]Result, units.Time, uint64) {
+	t.Helper()
+	top, eng, _, ce := memoRig(memo)
 	var results []Result
 	var launch func()
 	launch = func() {
@@ -115,14 +122,7 @@ func TestMemoRollbackOnObservation(t *testing.T) {
 	runChain(t, 1, memo) // warm the table on a quiet machine
 
 	run := func(m *Memo) (Result, units.Time, units.Time) {
-		top := memoTestTopology()
-		eng := timeline.New()
-		net := network.NewBackend(eng, top)
-		opts := []Option{WithChunks(8)}
-		if m != nil {
-			opts = append(opts, WithMemo(m))
-		}
-		ce := NewEngine(net, opts...)
+		top, eng, net, ce := memoRig(m)
 		var res Result
 		if err := ce.Start(AllReduce, 4*units.MB, FullMachine(top), nil, func(r Result) { res = r }); err != nil {
 			t.Fatal(err)

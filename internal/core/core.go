@@ -44,14 +44,6 @@ type Config struct {
 	Policy collective.Policy
 	// Chunks is the collective pipelining depth (default 64).
 	Chunks int
-	// Shards selects the event engine driving this simulator: <= 1 runs
-	// the serial engine, larger values a sharded engine whose pending-event
-	// set is partitioned across that many timeline shards, synchronized
-	// with conservative lookahead (the topology's minimum link latency).
-	// Simulated output is byte-identical for every value; sharding pays
-	// off at large NPU counts, where heap maintenance dominates. Ignored
-	// by NewSimulatorOn, which drives whatever engine the caller supplies.
-	Shards int
 	// Memo, when non-nil, caches whole-machine collective sub-results
 	// across runs sharing the table — sweep and search re-evaluations
 	// replay identical collectives instead of re-simulating them. Output
@@ -203,7 +195,7 @@ func (s RunStats) MeanBreakdown() Breakdown {
 // each keeps its own network backend, collective engine and trace state.
 type Simulator struct {
 	cfg  Config
-	eng  timeline.Scheduler
+	eng  *timeline.Engine
 	net  *network.Backend
 	coll *collective.Engine
 
@@ -312,42 +304,16 @@ type npuState struct {
 }
 
 // NewSimulator builds a simulator for the given machine configuration,
-// driven by its own private event engine — serial, or sharded per
-// Config.Shards.
+// driven by its own private event engine.
 func NewSimulator(cfg Config) (*Simulator, error) {
-	eng := timeline.ForShards(cfg.Shards)
-	if cfg.Topology != nil {
-		ApplyLookahead(eng, cfg.Topology)
-	}
-	return NewSimulatorOn(eng, cfg)
-}
-
-// ApplyLookahead configures a sharded engine's conservative
-// synchronization window from the machine it will simulate: the topology's
-// minimum link latency, below which no NPU can react to another, so
-// batching a window of that width never reorders observable events (the
-// engine re-syncs on shorter-range self-scheduling regardless — the window
-// only sets the batch size, never correctness). Serial engines are
-// unaffected.
-func ApplyLookahead(eng timeline.Scheduler, top *topology.Topology) {
-	sg, ok := eng.(*timeline.ShardGroup)
-	if !ok {
-		return
-	}
-	var min units.Time
-	for i, d := range top.Dims {
-		if i == 0 || d.Latency < min {
-			min = d.Latency
-		}
-	}
-	sg.SetLookahead(min)
+	return NewSimulatorOn(timeline.New(), cfg)
 }
 
 // NewSimulatorOn builds a simulator driven by an existing engine, so
 // several simulators — the jobs of a multi-tenant cluster — can interleave
 // on one shared timeline. The caller runs the engine itself and collects
 // each simulator's statistics with Finalize.
-func NewSimulatorOn(eng timeline.Scheduler, cfg Config) (*Simulator, error) {
+func NewSimulatorOn(eng *timeline.Engine, cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

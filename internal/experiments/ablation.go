@@ -59,7 +59,7 @@ func Ablation(o Options) (*AblationResult, error) {
 			sys := systems[pt.Index("system")]
 			chunks := chunkGrid[pt.Index("chunks")]
 			policy := policies[pt.Index("policy")]
-			res, fired, err := runEngine(sys.Top, collective.AllReduce, size, chunks, policy, o.Shards)
+			res, fired, err := runEngine(sys.Top, collective.AllReduce, size, chunks, policy)
 			if err != nil {
 				return AblationRow{}, err
 			}

@@ -73,12 +73,12 @@ func nvlinkRing(k int) (*topology.Topology, error) {
 
 // analyticalAllReduce runs the simulator's collective engine on a ring of
 // k NPUs.
-func analyticalAllReduce(size units.ByteSize, k, shards int) (units.Time, error) {
+func analyticalAllReduce(size units.ByteSize, k int) (units.Time, error) {
 	top, err := nvlinkRing(k)
 	if err != nil {
 		return 0, err
 	}
-	res, _, err := runEngine(top, collective.AllReduce, size, 64, collective.Baseline, shards)
+	res, _, err := runEngine(top, collective.AllReduce, size, 64, collective.Baseline)
 	if err != nil {
 		return 0, err
 	}
@@ -98,7 +98,7 @@ func Fig4(o Options) (*Fig4Result, error) {
 		Cell: func(pt sweep.Point) (Fig4Row, error) {
 			k, s := ks[pt.Index("npus")], sizes[pt.Index("size")]
 			ref := referenceAllReduce(s, k)
-			ana, err := analyticalAllReduce(s, k, o.Shards)
+			ana, err := analyticalAllReduce(s, k)
 			if err != nil {
 				return Fig4Row{}, err
 			}

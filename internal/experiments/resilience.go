@@ -145,7 +145,6 @@ func runResilienceCell(sys System, wl Workload, scen string, o Options) (Resilie
 				Local: memory.LocalModel{Latency: units.Microsecond, Bandwidth: units.GBps(2039)},
 			},
 			Chunks:             o.chunks(),
-			Shards:             o.Shards,
 			CollectiveLogLimit: 1,
 			Memo:               collMemo,
 			Scenario:           sc,

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/collective"
-	"repro/internal/core"
 	"repro/internal/memory"
 	"repro/internal/network"
 	"repro/internal/sweep"
@@ -60,9 +59,8 @@ var collMemo = collective.NewMemo()
 
 // runEngine executes one collective on a fresh timeline + network backend,
 // returning the result and the number of discrete events fired.
-func runEngine(top *topology.Topology, op collective.Op, size units.ByteSize, chunks int, policy collective.Policy, shards int) (collective.Result, uint64, error) {
-	eng := timeline.ForShards(shards)
-	core.ApplyLookahead(eng, top)
+func runEngine(top *topology.Topology, op collective.Op, size units.ByteSize, chunks int, policy collective.Policy) (collective.Result, uint64, error) {
+	eng := timeline.New()
 	net := network.NewBackend(eng, top)
 	ce := collective.NewEngine(net, collective.WithChunks(chunks), collective.WithPolicy(policy), collective.WithMemo(collMemo))
 	var res collective.Result

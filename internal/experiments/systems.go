@@ -38,7 +38,7 @@ type System struct {
 }
 
 // mustTopo builds a topology from block kinds, sizes and bandwidths.
-func mustTopo(kinds []topology.BlockKind, sizes []int, gbps []float64) *topology.Topology {
+func mustTopo(kinds []topology.DimModel, sizes []int, gbps []float64) *topology.Topology {
 	if len(kinds) != len(sizes) || len(sizes) != len(gbps) {
 		panic("experiments: mismatched topology spec")
 	}
@@ -65,12 +65,12 @@ func TableII() []System {
 	r := topology.Ring
 	fc := topology.FullyConnected
 	return []System{
-		{Name: "W-1D-350", Top: mustTopo([]topology.BlockKind{sw}, []int{512}, []float64{350})},
-		{Name: "W-1D-500", Top: mustTopo([]topology.BlockKind{sw}, []int{512}, []float64{500})},
-		{Name: "W-1D-600", Top: mustTopo([]topology.BlockKind{sw}, []int{512}, []float64{600})},
-		{Name: "W-2D-500", Top: mustTopo([]topology.BlockKind{sw, sw}, []int{32, 16}, []float64{250, 250})},
-		{Name: "Conv-3D", Top: mustTopo([]topology.BlockKind{r, fc, sw}, []int{16, 8, 4}, []float64{200, 100, 50})},
-		{Name: "Conv-4D", Top: mustTopo([]topology.BlockKind{r, fc, r, sw}, []int{2, 8, 8, 4}, []float64{250, 200, 100, 50})},
+		{Name: "W-1D-350", Top: mustTopo([]topology.DimModel{sw}, []int{512}, []float64{350})},
+		{Name: "W-1D-500", Top: mustTopo([]topology.DimModel{sw}, []int{512}, []float64{500})},
+		{Name: "W-1D-600", Top: mustTopo([]topology.DimModel{sw}, []int{512}, []float64{600})},
+		{Name: "W-2D-500", Top: mustTopo([]topology.DimModel{sw, sw}, []int{32, 16}, []float64{250, 250})},
+		{Name: "Conv-3D", Top: mustTopo([]topology.DimModel{r, fc, sw}, []int{16, 8, 4}, []float64{200, 100, 50})},
+		{Name: "Conv-4D", Top: mustTopo([]topology.DimModel{r, fc, r, sw}, []int{2, 8, 8, 4}, []float64{250, 200, 100, 50})},
 	}
 }
 
@@ -79,7 +79,7 @@ func TableII() []System {
 // wafer-class first dimension (Section V-A-2).
 func scalingBase(dim1, dim4 int) *topology.Topology {
 	return mustTopo(
-		[]topology.BlockKind{topology.Ring, topology.FullyConnected, topology.Ring, topology.Switch},
+		[]topology.DimModel{topology.Ring, topology.FullyConnected, topology.Ring, topology.Switch},
 		[]int{dim1, 8, 8, dim4},
 		[]float64{1000, 200, 100, 50},
 	)

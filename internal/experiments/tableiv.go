@@ -53,7 +53,7 @@ func TableIV(o Options) (*TableIVResult, error) {
 		Axes: []sweep.Axis{systemAxis(systems)},
 		Cell: func(pt sweep.Point) (TableIVRow, error) {
 			sys := systems[pt.Index("system")]
-			res, _, err := runEngine(sys.Top, collective.AllGather, size, 64, collective.Baseline, o.Shards)
+			res, _, err := runEngine(sys.Top, collective.AllGather, size, 64, collective.Baseline)
 			if err != nil {
 				return TableIVRow{}, err
 			}

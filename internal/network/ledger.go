@@ -116,10 +116,10 @@ func (b *Backend) touchActivity() {
 }
 
 // SetScheduleWatch forwards to the driving engine's one-shot schedule
-// watch; see timeline.Scheduler. The memoization layer arms it alongside an
-// activity hook so foreign events scheduled into a replay's window — due
-// later than the replay's start — cancel the replay at schedule time, while
-// the clock still stands at the start instant.
+// watch; see timeline.Engine.SetScheduleWatch. The memoization layer arms
+// it alongside an activity hook so foreign events scheduled into a
+// replay's window — due later than the replay's start — cancel the replay
+// at schedule time, while the clock still stands at the start instant.
 func (b *Backend) SetScheduleWatch(limit units.Time, fn func()) {
 	b.eng.SetScheduleWatch(limit, fn)
 }

@@ -67,7 +67,7 @@ type API interface {
 
 // Backend is the analytical network backend.
 type Backend struct {
-	eng timeline.Scheduler
+	eng *timeline.Engine
 	top *topology.Topology
 
 	// Link occupancy is kept as dimension-level aggregates plus an optional
@@ -165,7 +165,7 @@ type Stats struct {
 
 // NewBackend builds an analytical backend over a topology, driven by the
 // given event engine.
-func NewBackend(eng timeline.Scheduler, top *topology.Topology) *Backend {
+func NewBackend(eng *timeline.Engine, top *topology.Topology) *Backend {
 	n, d := top.NumNPUs(), top.NumDims()
 	b := &Backend{
 		eng:        eng,

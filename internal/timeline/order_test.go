@@ -72,8 +72,8 @@ func (r *refQueue) RunUntil(deadline units.Time) (units.Time, error) {
 	return r.now, nil
 }
 
-// orderQueue is what the differential programs drive: the part of
-// Scheduler the reference implements.
+// orderQueue is what the differential programs drive: the part of the
+// Engine API the reference implements.
 type orderQueue interface {
 	Now() units.Time
 	Pending() int

@@ -121,39 +121,37 @@ func TestEventBudget(t *testing.T) {
 	}
 }
 
-// A budget of n is inclusive on both engines: a program of exactly n
-// events completes, and a livelock errors with exactly n fired — through
-// the heap and through the zero-delay FIFO, under Run and RunUntil.
+// A budget of n is inclusive: a program of exactly n events completes,
+// and a livelock errors with exactly n fired — through the heap and
+// through the zero-delay FIFO, under Run and RunUntil.
 func TestEventBudgetIsInclusive(t *testing.T) {
 	const n = 10
-	for _, k := range []int{1, 2} {
-		for _, until := range []bool{false, true} {
-			run := func(s Scheduler) error {
-				var err error
-				if until {
-					_, err = s.RunUntil(units.Second)
-				} else {
-					_, err = s.Run()
-				}
-				return err
+	for _, until := range []bool{false, true} {
+		run := func(e *Engine) error {
+			var err error
+			if until {
+				_, err = e.RunUntil(units.Second)
+			} else {
+				_, err = e.Run()
 			}
-			s := ForShards(k)
-			s.SetEventBudget(n)
-			for i := 0; i < n; i++ {
-				s.Schedule(units.Time(i%3), func() {})
-			}
-			if err := run(s); err != nil || s.Fired() != n {
-				t.Errorf("shards=%d until=%v: %d events under budget %d: fired %d, err %v", k, until, n, n, s.Fired(), err)
-			}
-			for _, d := range []units.Time{0, 1} {
-				s := ForShards(k)
-				s.SetEventBudget(n)
-				var loop func()
-				loop = func() { s.Schedule(d, loop) }
-				s.Schedule(d, loop)
-				if err := run(s); err == nil || s.Fired() != n {
-					t.Errorf("shards=%d until=%v delay=%d: livelock under budget %d: fired %d, err %v", k, until, d, n, s.Fired(), err)
-				}
+			return err
+		}
+		e := New()
+		e.SetEventBudget(n)
+		for i := 0; i < n; i++ {
+			e.Schedule(units.Time(i%3), func() {})
+		}
+		if err := run(e); err != nil || e.Fired() != n {
+			t.Errorf("until=%v: %d events under budget %d: fired %d, err %v", until, n, n, e.Fired(), err)
+		}
+		for _, d := range []units.Time{0, 1} {
+			e := New()
+			e.SetEventBudget(n)
+			var loop func()
+			loop = func() { e.Schedule(d, loop) }
+			e.Schedule(d, loop)
+			if err := run(e); err == nil || e.Fired() != n {
+				t.Errorf("until=%v delay=%d: livelock under budget %d: fired %d, err %v", until, d, n, e.Fired(), err)
 			}
 		}
 	}

@@ -614,12 +614,6 @@ func Torus2D(a, b int) DimModel { return torus2DModel{A: a, B: b} }
 // oversubscribed o:1 — the effective per-NPU bandwidth is Bandwidth/o.
 func OversubscribedSwitch(o int) DimModel { return switchModel{Oversub: o} }
 
-// BlockKind is the legacy name for a block identity; it is now simply a
-// DimModel value.
-//
-// Deprecated: use DimModel.
-type BlockKind = DimModel
-
 // factory builds a model (and the dimension size) from notation arguments.
 type factory struct {
 	minArgs, maxArgs int

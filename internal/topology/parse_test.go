@@ -10,18 +10,18 @@ import (
 func TestParsePaperExamples(t *testing.T) {
 	cases := []struct {
 		spec  string
-		kinds []BlockKind
+		kinds []DimModel
 		sizes []int
 		npus  int
 	}{
 		// 2D examples.
-		{"R(4)_R(2)", []BlockKind{Ring, Ring}, []int{4, 2}, 8},               // TPUv2/v3 torus
-		{"SW(3)_SW(2)", []BlockKind{Switch, Switch}, []int{3, 2}, 6},         // DGX-2 / DGX-A100
-		{"FC(4)_SW(2)", []BlockKind{FullyConnected, Switch}, []int{4, 2}, 8}, // Intel Habana
-		{"R(4)_SW(2)", []BlockKind{Ring, Switch}, []int{4, 2}, 8},            // Meta Zion / DGX-1
+		{"R(4)_R(2)", []DimModel{Ring, Ring}, []int{4, 2}, 8},               // TPUv2/v3 torus
+		{"SW(3)_SW(2)", []DimModel{Switch, Switch}, []int{3, 2}, 6},         // DGX-2 / DGX-A100
+		{"FC(4)_SW(2)", []DimModel{FullyConnected, Switch}, []int{4, 2}, 8}, // Intel Habana
+		{"R(4)_SW(2)", []DimModel{Ring, Switch}, []int{4, 2}, 8},            // Meta Zion / DGX-1
 		// 3D examples.
-		{"FC(4)_FC(2)_FC(2)", []BlockKind{FullyConnected, FullyConnected, FullyConnected}, []int{4, 2, 2}, 16}, // DragonFly
-		{"R(4)_R(2)_R(2)", []BlockKind{Ring, Ring, Ring}, []int{4, 2, 2}, 16},                                  // TPUv4 3D torus
+		{"FC(4)_FC(2)_FC(2)", []DimModel{FullyConnected, FullyConnected, FullyConnected}, []int{4, 2, 2}, 16}, // DragonFly
+		{"R(4)_R(2)_R(2)", []DimModel{Ring, Ring, Ring}, []int{4, 2, 2}, 16},                                  // TPUv4 3D torus
 	}
 	for _, c := range cases {
 		top, err := Parse(c.spec)

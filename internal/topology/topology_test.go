@@ -10,7 +10,7 @@ import (
 
 func TestBlockKindStrings(t *testing.T) {
 	cases := []struct {
-		k          BlockKind
+		k          DimModel
 		short, alg string
 	}{
 		{Ring, "R", "Ring"},
