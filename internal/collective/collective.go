@@ -107,9 +107,17 @@ type Engine struct {
 	projected [][]float64
 
 	// Planner scratch, reused across chunks (planning is synchronous).
-	identScratch []int
 	orderScratch []int
 	usedScratch  []bool
+	// basePlans[op][n] is op's fixed-order phase plan over n spans, built
+	// once and shared read-only by every chunk that follows it.
+	basePlans [AllToAll + 1][][]phase
+	// allMembers lists every rank: the whole-machine member list the Themis
+	// ledger walks, built on first use.
+	allMembers []int
+	// freeRuns recycles finished runs, each with its chunk slab, so a
+	// warm engine starts a collective without allocating per chunk.
+	freeRuns []*collectiveRun
 
 	// Phase memoization (see memo.go). memo is the shared cross-run cache;
 	// rec tracks the collective currently being recorded; active is the
@@ -169,14 +177,20 @@ type phase struct {
 
 // chunkState tracks one chunk's progress through its phases. It doubles as
 // the chunk's timeline event (timeline.Actor): each phase completion
-// re-schedules the chunk itself, so a collective's whole chunk wave costs
-// one allocation per chunk, not one closure per phase hop.
+// re-schedules the chunk itself, so a phase hop allocates nothing. Chunk
+// states live in their run's slab and are recycled with the run, so a warm
+// engine launches a chunk wave without allocating at all.
 type chunkState struct {
-	size   units.ByteSize // current per-NPU data size D
-	done   int            // completed phases
-	phases []phase        // planned phase sequence (shared across chunks when fixed)
-	eng    *Engine
-	run    *collectiveRun
+	size units.ByteSize // current per-NPU data size D
+	done int            // completed phases
+	// phases is the planned phase sequence: the engine's shared base plan
+	// under the fixed order, or plan under Themis.
+	phases []phase
+	// plan is this slot's own buffer for a Themis per-chunk plan. It is
+	// never shared, so planning into it cannot touch a base plan.
+	plan []phase
+	eng  *Engine
+	run  *collectiveRun
 }
 
 // Act implements timeline.Actor: advance this chunk to its next phase.
@@ -184,9 +198,8 @@ func (cs *chunkState) Act() { cs.eng.advance(cs.run, cs) }
 
 // collectiveRun is the in-flight state of one collective.
 type collectiveRun struct {
-	op    Op
-	size  units.ByteSize
-	group Group
+	op   Op
+	size units.ByteSize
 	// links is the subset group's link set, which its phases reserve; nil
 	// for a whole-machine run, whose phases reserve whole dimensions.
 	links *network.LinkSet
@@ -196,6 +209,7 @@ type collectiveRun struct {
 	spans   []Span
 	start   units.Time
 	pending int
+	// traffic is fresh per run: it escapes as Result.TrafficPerDim.
 	traffic []units.ByteSize
 	// loads accumulates each span's projected busy seconds for the Themis
 	// planner's balancing decisions.
@@ -205,6 +219,29 @@ type collectiveRun struct {
 	contrib []float64
 	done    func(Result)
 	chunks  int
+	// slab holds the chunk states; like loads and contrib, it keeps its
+	// array when the run is recycled.
+	slab []chunkState
+}
+
+// newRun takes a finished run from the engine's free list, or allocates one.
+func (e *Engine) newRun() *collectiveRun {
+	if n := len(e.freeRuns); n > 0 {
+		run := e.freeRuns[n-1]
+		e.freeRuns = e.freeRuns[:n-1]
+		return run
+	}
+	return new(collectiveRun)
+}
+
+// zeroed returns s resized to n zeros, reusing its array when it fits.
+func zeroed(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Start launches a collective of the given total size over a group and
@@ -259,7 +296,10 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, links *network.LinkS
 	var members []int
 	if e.policy == Themis {
 		if full {
-			members = g.Members(e.top)
+			if e.allMembers == nil {
+				e.allMembers = g.Members(e.top)
+			}
+			members = e.allMembers
 		} else {
 			members = links.Members()
 		}
@@ -279,18 +319,21 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, links *network.LinkS
 		rec = &memoRec{key: key, start: e.net.Now(), startFired: e.net.EventsFired()}
 		e.net.SnapshotLedger(&rec.ledger)
 	}
-	run := &collectiveRun{
+	// A recycled run carries over only its buffers.
+	run := e.newRun()
+	*run = collectiveRun{
 		op:      op,
 		size:    size,
-		group:   g,
 		links:   links,
 		members: members,
 		spans:   g.Spans,
 		start:   e.net.Now(),
 		traffic: make([]units.ByteSize, e.top.NumDims()),
-		loads:   make([]float64, len(g.Spans)),
+		loads:   zeroed(run.loads, len(g.Spans)),
+		contrib: run.contrib,
 		done:    done,
 		chunks:  e.chunks,
+		slab:    run.slab,
 	}
 	if e.policy == Themis {
 		// Seed the planner with each dimension's congestion: the larger
@@ -329,7 +372,7 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, links *network.LinkS
 	// the fixed scheduler never reads it, so those runs skip the
 	// O(members × spans) registration entirely.
 	if e.policy == Themis {
-		run.contrib = make([]float64, len(run.spans))
+		run.contrib = zeroed(run.contrib, len(run.spans))
 		if op != AllToAll {
 			traffic := spanTraffic(e.top, op, size, g)
 			var totalBytes float64
@@ -371,10 +414,15 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, links *network.LinkS
 	// chunk (its load accumulators evolve between chunks).
 	var shared []phase
 	if e.policy != Themis || op == AllToAll {
-		shared = e.basePlan(run)
+		shared = e.basePlan(op, len(run.spans))
 	}
-	for c := 0; c < run.chunks; c++ {
-		cs := &chunkState{size: e.chunkSize(startSize, run.chunks, c), eng: e, run: run}
+	if cap(run.slab) < run.chunks {
+		run.slab = make([]chunkState, run.chunks)
+	}
+	run.slab = run.slab[:run.chunks]
+	for c := range run.slab {
+		cs := &run.slab[c]
+		cs.size, cs.done, cs.eng, cs.run = e.chunkSize(startSize, run.chunks, c), 0, e, run
 		if shared != nil {
 			cs.phases = shared
 		} else {
@@ -395,45 +443,56 @@ func (e *Engine) chunkSize(size units.ByteSize, chunks, idx int) units.ByteSize 
 	return base
 }
 
-// basePlan builds the fixed multi-rail phase order shared by every chunk:
-// Reduce-Scatter ascending (Dim 1 first), All-Gather descending. All-to-all
-// keeps D constant through every phase, so per-dim traffic is
-// ordering-invariant and the fixed ascending order applies under every
-// scheduler (per-chunk order shuffling would only roughen the pipeline).
-func (e *Engine) basePlan(run *collectiveRun) []phase {
-	all := e.spanIdentity(len(run.spans))
-	switch run.op {
-	case ReduceScatter:
-		return phasesFor(nil, all, ReduceScatter, false)
+// basePlan returns the fixed multi-rail phase order of op over n spans,
+// shared by every chunk that follows it: Reduce-Scatter ascending (Dim 1
+// first), All-Gather descending. All-to-all keeps D constant through every
+// phase, so per-dim traffic is ordering-invariant and the fixed ascending
+// order applies under every scheduler (per-chunk order shuffling would only
+// roughen the pipeline). Each plan is built once per engine.
+func (e *Engine) basePlan(op Op, n int) []phase {
+	plans := e.basePlans[op]
+	if n < len(plans) && plans[n] != nil {
+		return plans[n]
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	p := make([]phase, 0, 2*n)
+	switch op {
+	case ReduceScatter, AllToAll:
+		p = phasesFor(p, all, op, false)
 	case AllGather:
-		return phasesFor(nil, all, AllGather, true)
-	case AllToAll:
-		return phasesFor(nil, all, AllToAll, false)
+		p = phasesFor(p, all, AllGather, true)
 	case AllReduce:
-		rs := phasesFor(make([]phase, 0, 2*len(all)), all, ReduceScatter, false)
-		return phasesFor(rs, all, AllGather, true)
+		p = phasesFor(p, all, ReduceScatter, false)
+		p = phasesFor(p, all, AllGather, true)
+	default:
+		panic("collective: unknown op in basePlan")
 	}
-	panic("collective: unknown op in basePlan")
+	if n >= len(plans) {
+		plans = append(plans, make([][]phase, n+1-len(plans))...)
+		e.basePlans[op] = plans
+	}
+	plans[n] = p
+	return p
 }
 
-// spanIdentity returns the reusable identity span permutation [0..n).
-func (e *Engine) spanIdentity(n int) []int {
-	if cap(e.identScratch) < n {
-		e.identScratch = make([]int, n)
-		for i := range e.identScratch {
-			e.identScratch[i] = i
-		}
-	}
-	return e.identScratch[:n]
-}
-
-// planChunk builds a Themis chunk's phase plan: a per-chunk span
-// permutation that balances projected load across dimensions.
+// planChunk builds a Themis chunk's phase plan, a per-chunk span
+// permutation that balances projected load across dimensions, into the
+// chunk slot's own plan buffer.
 func (e *Engine) planChunk(run *collectiveRun, cs *chunkState) {
+	n := len(run.spans)
+	if run.op == AllReduce {
+		n *= 2
+	}
+	if cap(cs.plan) < n {
+		cs.plan = make([]phase, 0, n)
+	}
+	plan := cs.plan[:0]
 	switch run.op {
 	case ReduceScatter:
-		order := e.themisPlan(run, run.op, cs.size)
-		cs.phases = phasesFor(nil, order, run.op, false)
+		plan = phasesFor(plan, e.themisPlan(run, run.op, cs.size), run.op, false)
 	case AllGather:
 		// All-Gather phase costs grow with position, so greedy assignment
 		// must fix the most expensive (last) position first. Planning the
@@ -445,7 +504,7 @@ func (e *Engine) planChunk(run *collectiveRun, cs *chunkState) {
 			final *= units.ByteSize(s.K)
 		}
 		order := reverseInts(e.themisPlan(run, ReduceScatter, final))
-		cs.phases = phasesFor(nil, order, AllGather, false)
+		plan = phasesFor(plan, order, AllGather, false)
 	case AllReduce:
 		// The Reduce-Scatter and All-Gather halves are planned
 		// independently: once every span has been reduce-scattered, each
@@ -455,13 +514,13 @@ func (e *Engine) planChunk(run *collectiveRun, cs *chunkState) {
 		// backward plan starts there. The planner's order scratch is
 		// consumed into the phase plan before the second planning call
 		// reuses it.
-		cs.phases = phasesFor(make([]phase, 0, 2*len(run.spans)),
-			e.themisPlan(run, ReduceScatter, cs.size), ReduceScatter, false)
+		plan = phasesFor(plan, e.themisPlan(run, ReduceScatter, cs.size), ReduceScatter, false)
 		agOrder := reverseInts(e.themisPlan(run, ReduceScatter, cs.size))
-		cs.phases = phasesFor(cs.phases, agOrder, AllGather, false)
+		plan = phasesFor(plan, agOrder, AllGather, false)
 	default:
 		panic("collective: unexpected op in planChunk")
 	}
+	cs.plan, cs.phases = plan, plan
 }
 
 func reverseInts(s []int) []int {
@@ -528,22 +587,18 @@ func (e *Engine) themisPlan(run *collectiveRun, op Op, chunkSize units.ByteSize)
 	return order
 }
 
-// phasesFor appends one phase per span index onto dst (which may be nil).
+// phasesFor appends one phase per span index onto dst.
 func phasesFor(dst []phase, spanIdx []int, op Op, descending bool) []phase {
-	out := dst
-	if out == nil {
-		out = make([]phase, 0, len(spanIdx))
-	}
 	if descending {
 		for i := len(spanIdx) - 1; i >= 0; i-- {
-			out = append(out, phase{span: spanIdx[i], op: op})
+			dst = append(dst, phase{span: spanIdx[i], op: op})
 		}
-		return out
+		return dst
 	}
 	for _, s := range spanIdx {
-		out = append(out, phase{span: s, op: op})
+		dst = append(dst, phase{span: s, op: op})
 	}
-	return out
+	return dst
 }
 
 // advance issues the chunk's next phase, or completes the chunk.
@@ -577,7 +632,7 @@ func (e *Engine) advance(run *collectiveRun, cs *chunkState) {
 }
 
 func (e *Engine) finish(run *collectiveRun) {
-	if run.contrib != nil {
+	if e.projected != nil {
 		for si, sp := range run.spans {
 			for _, m := range run.members {
 				e.projected[m][sp.Phys] -= run.contrib[si]
@@ -598,6 +653,11 @@ func (e *Engine) finish(run *collectiveRun) {
 	if run.done != nil {
 		run.done(res)
 	}
+	// Recycle only once done has returned: a collective that done starts
+	// on this engine must not receive the run that is finishing. The
+	// result now owns the traffic slice.
+	run.traffic, run.done = nil, nil
+	e.freeRuns = append(e.freeRuns, run)
 }
 
 // phaseKind maps a primitive collective op to the model layer's phase

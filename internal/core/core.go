@@ -253,21 +253,60 @@ type instanceKey struct {
 // sequence order: open holds the collectives some member has reached but
 // not every member, oldest (sequence number base) first. links is the
 // instance's registered link set on the network backend, nil for a
-// whole-machine instance.
+// whole-machine instance. free recycles completed collectives' records.
 type groupInstance struct {
 	group   collective.Group
 	members []int
 	links   *network.LinkSet
 	open    []*pendingCollective
+	free    []*pendingCollective
 	base    int32
 }
 
 // pendingCollective is one logical collective awaiting its members; nodes
-// holds each member's node position, indexed by member position.
+// holds each member's node position, indexed by member position. Records
+// are recycled through their instance's free list once the collective
+// completes, so a rendezvous allocates nothing in steady state.
 type pendingCollective struct {
+	s       *Simulator
 	inst    *groupInstance
 	arrived int
 	nodes   []int32
+	// done is p.finish, bound once per record so that launching a
+	// collective builds no completion closure.
+	done func(collective.Result)
+}
+
+// newPending takes a recycled record from the instance's free list, or
+// allocates one.
+func (s *Simulator) newPending(inst *groupInstance) *pendingCollective {
+	if n := len(inst.free); n > 0 {
+		p := inst.free[n-1]
+		inst.free = inst.free[:n-1]
+		return p
+	}
+	p := &pendingCollective{s: s, inst: inst, nodes: make([]int32, len(inst.members))}
+	p.done = p.finish
+	return p
+}
+
+// finish completes every member of a launched collective in ascending rank
+// order, logs the result and recycles the record.
+func (p *pendingCollective) finish(res collective.Result) {
+	s, inst := p.s, p.inst
+	for i, rank := range inst.members {
+		member := &s.npus[rank]
+		s.markFree(member, &member.nComm)
+		s.complete(member, p.nodes[i])
+	}
+	if len(s.collLog) < s.cfg.CollectiveLogLimit {
+		s.collLog = append(s.collLog, res)
+	}
+	// Recycle only after the loop: completing a member can issue the
+	// instance's next collective, which must not receive this record while
+	// its nodes are still being read.
+	p.arrived = 0
+	inst.free = append(inst.free, p)
 }
 
 // rankSlot is one rank's view of a layout its plan uses: the instance the
@@ -792,10 +831,7 @@ func (s *Simulator) issueCollective(st *npuState, pos int32) {
 	i := int(slot.seq - inst.base)
 	slot.seq++
 	if i == len(inst.open) {
-		inst.open = append(inst.open, &pendingCollective{
-			inst:  inst,
-			nodes: make([]int32, len(inst.members)),
-		})
+		inst.open = append(inst.open, s.newPending(inst))
 	}
 	p := inst.open[i]
 	p.nodes[sort.SearchInts(inst.members, st.rank)] = pos
@@ -815,17 +851,6 @@ func (s *Simulator) issueCollective(st *npuState, pos int32) {
 
 func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
 	members := p.inst.members
-	finish := func(res collective.Result) {
-		for i, rank := range members {
-			member := &s.npus[rank]
-			s.markFree(member, &member.nComm)
-			s.complete(member, p.nodes[i])
-		}
-		if len(s.collLog) < s.cfg.CollectiveLogLimit {
-			s.collLog = append(s.collLog, res)
-		}
-	}
-
 	if n.InSwitch && s.cfg.Memory.HasPool && s.cfg.Memory.Pool.SupportsInSwitchCollectives() {
 		// Fused in-switch collective through the memory fabric: all
 		// members complete together after the pipelined fabric time. The
@@ -851,7 +876,7 @@ func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
 			if arb != nil {
 				arb.RemoteFinished()
 			}
-			finish(collective.Result{
+			p.finish(collective.Result{
 				Op:    mapCollective(n.Collective),
 				Size:  units.ByteSize(n.CommBytes),
 				Start: start,
@@ -862,7 +887,7 @@ func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
 	}
 
 	op := mapCollective(n.Collective)
-	err := s.coll.Start(op, units.ByteSize(n.CommBytes), p.inst.group, p.inst.links, finish)
+	err := s.coll.Start(op, units.ByteSize(n.CommBytes), p.inst.group, p.inst.links, p.done)
 	if err != nil && s.err == nil {
 		// The members never complete; Finalize reports the failure.
 		s.err = fmt.Errorf("core: %s %s: %w", n.Kind, n.Name, err)

@@ -80,10 +80,13 @@ type flow struct {
 	hopsAfter int // hops remaining once this link is crossed
 }
 
-// link is one unidirectional channel: a FIFO of flows plus in-flight flits
-// delayed by the hop latency.
+// link is one unidirectional channel: a FIFO of flows. queue[head] is the
+// flow at the front; the consumed prefix is reclaimed when the queue empties
+// or its array fills, so a busy link reuses one array instead of growing a
+// new one per message.
 type link struct {
 	queue []flow
+	head  int
 }
 
 // Simulator is the cycle engine.
@@ -136,15 +139,6 @@ func (s *Simulator) Cycles() uint64 { return s.cycle }
 // Time converts the elapsed cycles to simulated time.
 func (s *Simulator) Time() units.Time {
 	return units.FromNanos(float64(s.cycle) / s.cfg.ClockGHz)
-}
-
-func (s *Simulator) coord(node int) []int {
-	c := make([]int, s.dims)
-	for i, k := range s.cfg.Shape {
-		c[i] = node % k
-		node /= k
-	}
-	return c
 }
 
 func (s *Simulator) stride(dim int) int {
@@ -211,12 +205,16 @@ func (s *Simulator) Send(src, dst, dim int, size units.ByteSize, done func()) er
 }
 
 func (s *Simulator) enqueue(li int, m *message, flits, hopsAfter int) {
-	q := &s.links[li].queue
-	if n := len(*q); n > 0 && (*q)[n-1].msg == m && (*q)[n-1].hopsAfter == hopsAfter {
-		(*q)[n-1].flits += flits
+	l := &s.links[li]
+	if n := len(l.queue); n > l.head && l.queue[n-1].msg == m && l.queue[n-1].hopsAfter == hopsAfter {
+		l.queue[n-1].flits += flits
 		return
 	}
-	*q = append(*q, flow{msg: m, flits: flits, hopsAfter: hopsAfter})
+	if l.head > 0 && len(l.queue) == cap(l.queue) {
+		n := copy(l.queue, l.queue[l.head:])
+		l.queue, l.head = l.queue[:n], 0
+	}
+	l.queue = append(l.queue, flow{msg: m, flits: flits, hopsAfter: hopsAfter})
 }
 
 // Step advances one cycle: every busy link moves one flit, and flits that
@@ -230,29 +228,34 @@ func (s *Simulator) Step() {
 	for node := 0; node < s.nnodes; node++ {
 		for dim := 0; dim < s.dims; dim++ {
 			for _, dir := range [2]int{-1, 1} {
-				li := s.linkIdx(node, dim, dir)
-				q := &s.links[li].queue
-				if len(*q) == 0 {
+				l := &s.links[s.linkIdx(node, dim, dir)]
+				if l.head == len(l.queue) {
 					continue
 				}
-				head := &(*q)[0]
+				head := &l.queue[l.head]
 				head.flits--
 				next := s.neighbor(node, dim, dir)
 				s.arrivals[landSlot] = append(s.arrivals[landSlot],
 					arrival{msg: head.msg, node: next, flits: 1, hopsLeft: head.hopsAfter})
 				if head.flits == 0 {
-					*q = (*q)[1:]
+					if l.head++; l.head == len(l.queue) {
+						l.queue, l.head = l.queue[:0], 0
+					}
 				}
 			}
 		}
 	}
 
-	// Route flits that land this cycle.
+	// Route flits that land this cycle, then keep the drained slot's
+	// backing array for a later cycle. Routing never appends to this slot:
+	// forwarded flits join link queues, and a done callback's Send only
+	// appends to the next cycle's slot, which differs from this one because
+	// there are LinkLatency+1 >= 2 slots.
 	landed := s.arrivals[slot]
-	s.arrivals[slot] = nil
 	for _, a := range landed {
 		s.route(a)
 	}
+	s.arrivals[slot] = landed[:0]
 }
 
 // route handles a flit batch arriving at a router: forward it along the
@@ -274,14 +277,17 @@ func (s *Simulator) route(a arrival) {
 }
 
 // Drain runs cycles until no messages are in flight. It returns an error
-// if maxCycles elapses first (a safety valve against driver bugs).
+// if messages are still in flight once more than maxCycles cycles have run,
+// a safety valve against a collective that never completes. A drain whose
+// last flit lands on the cycle that crosses the budget has delivered
+// everything and succeeds.
 func (s *Simulator) Drain(maxCycles uint64) error {
 	start := s.cycle
 	for s.inFlight > 0 {
-		s.Step()
 		if s.cycle-start > maxCycles {
-			return fmt.Errorf("garnet: %d messages still in flight after %d cycles", s.inFlight, maxCycles)
+			return fmt.Errorf("garnet: %d messages still in flight after %d cycles", s.inFlight, s.cycle-start)
 		}
+		s.Step()
 	}
 	return nil
 }

@@ -160,6 +160,46 @@ func TestDrainTimeout(t *testing.T) {
 	}
 }
 
+// A drain whose last flit lands on the cycle that crosses the budget has
+// delivered everything: it succeeds instead of reporting a timeout with no
+// message in flight.
+func TestDrainFinishingOnBudgetCycle(t *testing.T) {
+	s, _ := New(Config{Shape: []int{4}, FlitBytes: 16})
+	done := false
+	if err := s.Send(0, 1, 0, 16, func() { done = true }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Drain(1); err != nil {
+		t.Fatalf("Drain(1) = %v, want nil", err)
+	}
+	if !done || s.Cycles() != 2 { // 1 flit + 1 hop latency
+		t.Errorf("delivered=%v after %d cycles, want delivered after 2", done, s.Cycles())
+	}
+}
+
+// A warm simulator allocates only each message's record: the arrival slots
+// and link queues keep their arrays from cycle to cycle. An All-Reduce runs
+// dozens of cycles per message, so one object per message also bounds what
+// a cycle may allocate: nothing.
+func TestAllReduceAllocsPerMessage(t *testing.T) {
+	s, _ := New(Config{Shape: []int{4, 4}, FlitBytes: 16, LinkLatency: 1})
+	run := func() {
+		if _, _, err := s.AllReduce(64 * units.KiB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the arrival slots and link queues
+	sent, cycles := s.nextID, s.Cycles()
+	run()
+	msgs := float64(s.nextID - sent)
+	if c := float64(s.Cycles() - cycles); c < 10*msgs {
+		t.Fatalf("%.0f cycles for %.0f messages: too few cycles per message to tell per-cycle allocations apart", c, msgs)
+	}
+	if allocs := testing.AllocsPerRun(5, run); allocs > msgs {
+		t.Errorf("All-Reduce allocates %.0f objects for %.0f messages, want at most one per message", allocs, msgs)
+	}
+}
+
 func TestAllReduceRejectsBadSize(t *testing.T) {
 	s, _ := New(Config{Shape: []int{4}})
 	if _, _, err := s.AllReduce(0); err == nil {
