@@ -100,15 +100,12 @@ type PoolConfig struct {
 	LatencyUs       float64
 }
 
-// Machine is a configured platform ready to run workloads.
+// Machine is a configured platform ready to run workloads. Each run builds
+// its own simulator from the machine's immutable configuration, so sweeps
+// share one machine across goroutines.
 type Machine struct {
 	top  *topology.Topology
 	core core.Config
-	// memo caches whole-machine collective sub-results across this
-	// machine's runs (and across goroutines — sweeps share machines), so
-	// repeated workloads replay identical collectives instead of
-	// re-simulating them. Results are byte-identical either way.
-	memo *collective.Memo
 }
 
 // NewMachine validates the configuration and builds a machine.
@@ -155,7 +152,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return &Machine{top: top, core: c, memo: collective.NewMemo()}, nil
+	return &Machine{top: top, core: c}, nil
 }
 
 func buildMemory(cfg MachineConfig) (memory.System, error) {
@@ -468,7 +465,6 @@ func (m *Machine) run(w Workload, timeline bool) (*Report, *core.RunStats, error
 	}
 	cfg := m.core
 	cfg.RecordTimeline = timeline
-	cfg.Memo = m.memo
 	sim, err := core.NewSimulator(cfg)
 	if err != nil {
 		return nil, nil, err

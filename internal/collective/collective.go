@@ -118,16 +118,6 @@ type Engine struct {
 	// freeRuns recycles finished runs, each with its chunk slab, so a
 	// warm engine starts a collective without allocating per chunk.
 	freeRuns []*collectiveRun
-
-	// Phase memoization (see memo.go). memo is the shared cross-run cache;
-	// rec tracks the collective currently being recorded; active is the
-	// in-flight replayed collective, if any.
-	memo      *Memo
-	keyPrefix string
-	rec       *memoRec
-	active    *memoReplay
-	hookFn    func() // cached cancelReplay closure (hook + schedule watch)
-	hookID    int    // registry id of the armed activity hook
 }
 
 // Option configures an Engine.
@@ -162,12 +152,6 @@ func NewEngine(net *network.Backend, opts ...Option) *Engine {
 	}
 	return e
 }
-
-// Policy returns the engine's scheduling policy.
-func (e *Engine) Policy() Policy { return e.policy }
-
-// Network returns the engine's backend.
-func (e *Engine) Network() *network.Backend { return e.net }
 
 // phase is one span traversal of one chunk.
 type phase struct {
@@ -259,15 +243,6 @@ func zeroed(s []float64, n int) []float64 {
 // started with nil links gets a fresh set, which suits one-off collectives
 // but registers a new set per call.
 func (e *Engine) Start(op Op, size units.ByteSize, g Group, links *network.LinkSet, done func(Result)) error {
-	if e.active != nil {
-		// A second collective is starting while a replay is in flight: its
-		// phases would observe the fast-forwarded ledger. Fall back to live.
-		e.cancelReplay()
-	}
-	if e.rec != nil {
-		// A concurrent collective makes the in-flight recording impure.
-		e.rec = nil
-	}
 	if size <= 0 {
 		return fmt.Errorf("collective: non-positive size %d", size)
 	}
@@ -303,21 +278,6 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, links *network.LinkS
 		} else {
 			members = links.Members()
 		}
-	}
-	// Memoization: a whole-machine fixed-scheduler collective starting on a
-	// quiet engine is a pure function of its key. Replay a cached result,
-	// or record this run for the next identical one. (Themis is excluded:
-	// its planning reads the floating-point projected ledger, whose residue
-	// could perturb tie-breaks across contexts.)
-	var rec *memoRec
-	if e.memo != nil && full && e.policy != Themis && e.memoEligible() {
-		key := e.memoKey(op, size)
-		if ent := e.memo.lookup(key); ent != nil {
-			e.replayMemo(ent, op, size, g, done)
-			return nil
-		}
-		rec = &memoRec{key: key, start: e.net.Now(), startFired: e.net.EventsFired()}
-		e.net.SnapshotLedger(&rec.ledger)
 	}
 	// A recycled run carries over only its buffers.
 	run := e.newRun()
@@ -405,10 +365,6 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, links *network.LinkS
 		run.chunks = int(startSize) // never create sub-byte chunks
 	}
 	run.pending = run.chunks
-	if rec != nil {
-		rec.run = run
-		e.rec = rec
-	}
 	// Under the fixed scheduler every chunk follows the same phase order,
 	// so the whole wave shares one read-only plan; only Themis plans per
 	// chunk (its load accumulators evolve between chunks).
@@ -626,9 +582,6 @@ func (e *Engine) advance(run *collectiveRun, cs *chunkState) {
 	completion := serEnd + dim.PhaseLatency(sp.K)
 	// The chunk is its own timeline event: no closure per phase hop.
 	e.net.ScheduleActor(completion-e.net.Now(), cs)
-	if e.rec != nil && e.rec.run == run {
-		e.rec.scheduled++
-	}
 }
 
 func (e *Engine) finish(run *collectiveRun) {
@@ -638,9 +591,6 @@ func (e *Engine) finish(run *collectiveRun) {
 				e.projected[m][sp.Phys] -= run.contrib[si]
 			}
 		}
-	}
-	if e.rec != nil && e.rec.run == run {
-		e.maybeStoreMemo(run)
 	}
 	res := Result{
 		Op:            run.op,

@@ -44,10 +44,9 @@ type Config struct {
 	Policy collective.Policy
 	// Chunks is the collective pipelining depth (default 64).
 	Chunks int
-	// Memo, when non-nil, caches whole-machine collective sub-results
-	// across runs sharing the table — sweep and search re-evaluations
-	// replay identical collectives instead of re-simulating them. Output
-	// is byte-identical with or without it.
+	// Memo is ignored: every collective runs live.
+	//
+	// Deprecated: Memo has no effect and will be removed.
 	Memo *collective.Memo
 	// CollectiveLogLimit caps how many collective results are retained in
 	// the run stats (default 1024; 0 keeps none).
@@ -73,10 +72,8 @@ type Config struct {
 	// Scenario, when non-nil, injects timed infrastructure perturbations —
 	// link degradation/restoration, link/NPU failures, compute stragglers —
 	// as events on the simulator's timeline, with times relative to the
-	// trace's release. Every event counts as foreign activity on the
-	// network backend, so memoized collective replays roll back across
-	// perturbations; a scenario with no events leaves the run byte-identical
-	// to a clean one.
+	// trace's release. A scenario with no events leaves the run
+	// byte-identical to a clean one.
 	Scenario *scenario.Scenario
 }
 
@@ -367,8 +364,7 @@ func NewSimulatorOn(eng *timeline.Engine, cfg Config) (*Simulator, error) {
 	net.SetFlowController(cfg.FlowController)
 	coll := collective.NewEngine(net,
 		collective.WithPolicy(cfg.Policy),
-		collective.WithChunks(cfg.Chunks),
-		collective.WithMemo(cfg.Memo))
+		collective.WithChunks(cfg.Chunks))
 	return &Simulator{cfg: cfg, eng: eng, net: net, coll: coll}, nil
 }
 

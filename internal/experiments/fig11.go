@@ -160,7 +160,6 @@ func runFig11System(useInSwitch bool, pool memory.PoolConfig) (*core.RunStats, e
 		Policy:             collective.Baseline,
 		Chunks:             32,
 		CollectiveLogLimit: 1,
-		Memo:               collMemo,
 	})
 	if err != nil {
 		return nil, err

@@ -153,7 +153,6 @@ func runCell(sys System, wl Workload, policy collective.Policy, o Options) (Cell
 		Policy:             policy,
 		Chunks:             o.chunks(),
 		CollectiveLogLimit: 1,
-		Memo:               collMemo,
 	})
 	if err != nil {
 		return Cell{}, err

@@ -146,7 +146,6 @@ func runResilienceCell(sys System, wl Workload, scen string, o Options) (Resilie
 			},
 			Chunks:             o.chunks(),
 			CollectiveLogLimit: 1,
-			Memo:               collMemo,
 			Scenario:           sc,
 		})
 		if err != nil {

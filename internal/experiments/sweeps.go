@@ -50,19 +50,12 @@ func poolFingerprint(p memory.PoolConfig) string {
 		p.InNodeFabricBW.GBpsValue(), int64(p.Latency))
 }
 
-// collMemo is the package-shared collective memoization table: identical
-// whole-machine collectives recurring across experiments replay their
-// recorded sub-result instead of re-simulating the chunk wave. Simulated
-// output is byte-identical with or without it, and the table is safe for
-// the sweep engine's concurrent workers.
-var collMemo = collective.NewMemo()
-
 // runEngine executes one collective on a fresh timeline + network backend,
 // returning the result and the number of discrete events fired.
 func runEngine(top *topology.Topology, op collective.Op, size units.ByteSize, chunks int, policy collective.Policy) (collective.Result, uint64, error) {
 	eng := timeline.New()
 	net := network.NewBackend(eng, top)
-	ce := collective.NewEngine(net, collective.WithChunks(chunks), collective.WithPolicy(policy), collective.WithMemo(collMemo))
+	ce := collective.NewEngine(net, collective.WithChunks(chunks), collective.WithPolicy(policy))
 	var res collective.Result
 	if err := ce.Start(op, size, collective.FullMachine(top), nil, func(r collective.Result) { res = r }); err != nil {
 		return res, 0, err

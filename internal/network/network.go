@@ -116,25 +116,12 @@ type Backend struct {
 	// cluster layer). Nil — the default — costs nothing on the hot path.
 	fc FlowController
 
-	// hooks fire before every state-touching operation (see
-	// AddActivityHook); hookSeq issues registry ids.
-	hooks   []activityHook
-	hookSeq int
-
 	// bwScale[dim], when allocated, scales each dimension's effective link
 	// bandwidth (the scenario layer's degradation primitive); nil means
-	// every dimension runs clean. scaledDims counts entries != 1 so
-	// QuietDims stays O(1) on the scale check.
-	bwScale    []float64
-	scaledDims int
+	// every dimension runs clean.
+	bwScale []float64
 
 	stats Stats
-}
-
-// activityHook is one registered observer; ids are never reused.
-type activityHook struct {
-	id int
-	fn func()
 }
 
 type matchKey struct {
@@ -244,7 +231,6 @@ func (b *Backend) transferTime(dim int, size units.ByteSize, factor float64) uni
 // incrementally, never rescanned. Out-of-range dimensions and non-positive
 // scales are ignored: scenario events degrade to no-ops rather than panic.
 func (b *Backend) SetDimBandwidthScale(dim int, scale float64) {
-	b.touchActivity()
 	if dim < 0 || dim >= b.dims || scale <= 0 {
 		return
 	}
@@ -256,16 +242,6 @@ func (b *Backend) SetDimBandwidthScale(dim int, scale float64) {
 		for i := range b.bwScale {
 			b.bwScale[i] = 1
 		}
-	}
-	old := b.bwScale[dim]
-	if old == scale {
-		return
-	}
-	if old == 1 {
-		b.scaledDims++
-	}
-	if scale == 1 {
-		b.scaledDims--
 	}
 	b.bwScale[dim] = scale
 }
@@ -287,7 +263,6 @@ func (b *Backend) DimBandwidthScale(dim int) float64 {
 // cached maximum are bumped incrementally (O(dims) work); out-of-range NPUs
 // are ignored so scenario events never panic.
 func (b *Backend) StallNPULinks(npu int, until units.Time) {
-	b.touchActivity()
 	if npu < 0 || npu >= b.npus {
 		return
 	}
@@ -331,12 +306,8 @@ func (b *Backend) getFlowDone(dim int) *flowDone {
 // Topology returns the backend's topology.
 func (b *Backend) Topology() *topology.Topology { return b.top }
 
-// Stats returns a reference to the accumulated traffic counters. Reading
-// them counts as backend activity (see AddActivityHook).
-func (b *Backend) Stats() *Stats {
-	b.touchActivity()
-	return &b.stats
-}
+// Stats returns a reference to the accumulated traffic counters.
+func (b *Backend) Stats() *Stats { return &b.stats }
 
 // Now implements API.
 func (b *Backend) Now() units.Time { return b.eng.Now() }
@@ -442,7 +413,6 @@ func (b *Backend) SendOnDim(src, dst, dim int, size units.ByteSize, tag int, sen
 }
 
 func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sentCB func(), deliveredCB func(Message), sink deliverySink) {
-	b.touchActivity()
 	if src == dst {
 		panic(fmt.Sprintf("network: self-send on dim %d by NPU %d", dim, src))
 	}

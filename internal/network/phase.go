@@ -72,7 +72,6 @@ func (b *Backend) release(i, dim int) {
 // members' links the answer is its floor, in O(1); otherwise the members
 // are walked once.
 func (b *Backend) PhaseAvailability(s *LinkSet, dim int) units.Time {
-	b.touchActivity()
 	t := b.eng.Now()
 	if f := b.dimFloor[dim]; f > t {
 		t = f
@@ -97,7 +96,6 @@ func (b *Backend) PhaseAvailability(s *LinkSet, dim int) units.Time {
 // PhaseAvailabilityAll is PhaseAvailability for a whole-machine phase,
 // without needing a link set. Always O(1).
 func (b *Backend) PhaseAvailabilityAll(dim int) units.Time {
-	b.touchActivity()
 	t := b.eng.Now()
 	if f := b.dimFloor[dim]; f > t {
 		t = f
@@ -124,7 +122,6 @@ func (b *Backend) PhaseAvailabilityAll(dim int) units.Time {
 // phase end becomes the set's floor.
 func (b *Backend) ReservePhase(s *LinkSet, dim int, perNPUTraffic units.ByteSize) (start, end units.Time) {
 	dur := b.phaseDur(dim, perNPUTraffic)
-	b.touchActivity()
 	start = b.eng.Now()
 	if f := b.dimFloor[dim]; f > start {
 		start = f

@@ -48,27 +48,9 @@ func TestDimBandwidthScale(t *testing.T) {
 	}
 }
 
-// TestDimBandwidthScaleQuietDims checks that a degraded dimension blocks
-// memo eligibility: QuietDims must report false while any scale is active
-// and recover once every dimension is restored to 1.
-func TestDimBandwidthScaleQuietDims(t *testing.T) {
-	eng := timeline.New()
-	b := NewBackend(eng, ring4())
-	if !b.QuietDims() {
-		t.Fatal("clean backend: QuietDims = false, want true")
-	}
-	b.SetDimBandwidthScale(0, 0.25)
-	if b.QuietDims() {
-		t.Error("degraded backend: QuietDims = true, want false")
-	}
-	b.SetDimBandwidthScale(0, 1)
-	if !b.QuietDims() {
-		t.Error("restored backend: QuietDims = false, want true")
-	}
-}
-
 // TestDimBandwidthScaleIgnoresInvalid checks that out-of-range dimensions
-// and non-positive scales are ignored rather than corrupting state.
+// and non-positive scales are ignored rather than corrupting state: a send
+// after them serializes at the clean bandwidth.
 func TestDimBandwidthScaleIgnoresInvalid(t *testing.T) {
 	eng := timeline.New()
 	b := NewBackend(eng, ring4())
@@ -76,102 +58,46 @@ func TestDimBandwidthScaleIgnoresInvalid(t *testing.T) {
 	b.SetDimBandwidthScale(7, 0.5)
 	b.SetDimBandwidthScale(0, 0)
 	b.SetDimBandwidthScale(0, -2)
-	if !b.QuietDims() {
-		t.Error("invalid mutations flipped QuietDims to false")
-	}
 	if got := b.DimBandwidthScale(0); got != 1 {
 		t.Errorf("scale after invalid mutations = %g, want 1", got)
 	}
 	if got := b.DimBandwidthScale(-1); got != 1 {
 		t.Errorf("out-of-range getter = %g, want 1", got)
 	}
-}
-
-// TestStallNPULinks checks that failing an NPU pushes its outgoing link
-// availability to the recovery instant: a send issued at t=0 from the
-// failed NPU serializes only after the stall expires.
-func TestStallNPULinks(t *testing.T) {
-	eng := timeline.New()
-	b := NewBackend(eng, ring4())
-	stallUntil := units.FromMicros(50)
-	b.StallNPULinks(0, stallUntil)
 	var deliveredAt units.Time
 	b.SendOnDim(0, 1, 0, units.MB, 0, nil, func(Message) { deliveredAt = eng.Now() })
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := stallUntil + units.FromMicros(10) + 500*units.Nanosecond
-	if deliveredAt != want {
-		t.Errorf("post-stall delivery at %v, want %v", deliveredAt, want)
+	if want := units.FromMicros(10) + 500*units.Nanosecond; deliveredAt != want {
+		t.Errorf("delivery after invalid mutations at %v, want the clean %v", deliveredAt, want)
 	}
+}
 
-	// An earlier deadline never rewinds the link, and out-of-range NPUs are
-	// ignored.
+// TestStallNPULinks checks that failing an NPU pushes its link availability
+// to the recovery instant, that an earlier deadline never rewinds it, and
+// that out-of-range NPUs are ignored: a send issued at t=0 from the failed
+// NPU serializes only after the stall expires, while a send between two
+// healthy NPUs runs clean.
+func TestStallNPULinks(t *testing.T) {
+	eng := timeline.New()
+	b := NewBackend(eng, ring4())
+	stallUntil := units.FromMicros(50)
+	b.StallNPULinks(0, stallUntil)
 	b.StallNPULinks(0, units.FromMicros(1))
 	b.StallNPULinks(-1, units.FromMicros(500))
 	b.StallNPULinks(99, units.FromMicros(500))
-}
-
-// TestActivityHookRegistry checks the multi-hook registry: every armed hook
-// observes backend activity, removal stops exactly the removed hook, and
-// removing an unknown id is a no-op.
-func TestActivityHookRegistry(t *testing.T) {
-	eng := timeline.New()
-	b := NewBackend(eng, ring4())
-	var aCalls, bCalls int
-	idA := b.AddActivityHook(func() { aCalls++ })
-	idB := b.AddActivityHook(func() { bCalls++ })
-	b.SimSend(0, 1, 0, units.MB, nil)
-	if aCalls == 0 || bCalls == 0 {
-		t.Fatalf("hooks after activity: a=%d b=%d, want both > 0", aCalls, bCalls)
+	var stalledAt, cleanAt units.Time
+	b.SendOnDim(0, 1, 0, units.MB, 0, nil, func(Message) { stalledAt = eng.Now() })
+	b.SendOnDim(2, 3, 0, units.MB, 0, nil, func(Message) { cleanAt = eng.Now() })
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if aCalls != bCalls {
-		t.Errorf("hooks saw different activity: a=%d b=%d", aCalls, bCalls)
+	clean := units.FromMicros(10) + 500*units.Nanosecond
+	if want := stallUntil + clean; stalledAt != want {
+		t.Errorf("post-stall delivery at %v, want %v", stalledAt, want)
 	}
-
-	b.RemoveActivityHook(idA)
-	b.RemoveActivityHook(12345) // unknown id: no-op
-	aBefore, bBefore := aCalls, bCalls
-	b.SimSend(0, 1, 1, units.MB, nil)
-	if aCalls != aBefore {
-		t.Errorf("removed hook still fired: a=%d, want %d", aCalls, aBefore)
-	}
-	if bCalls == bBefore {
-		t.Error("surviving hook stopped firing after unrelated removal")
-	}
-	b.RemoveActivityHook(idB)
-	bAfter := bCalls
-	b.SimSend(0, 1, 2, units.MB, nil)
-	if bCalls != bAfter {
-		t.Errorf("hook fired after removal: b=%d, want %d", bCalls, bAfter)
-	}
-}
-
-// TestActivityHookSelfRemoval checks the rollback idiom — a hook that
-// removes itself while the registry is mid-iteration (exactly what a
-// replay's cancel does) — and that hooks armed behind it still fire.
-func TestActivityHookSelfRemoval(t *testing.T) {
-	eng := timeline.New()
-	b := NewBackend(eng, ring4())
-	var oneShot, steady int
-	var idOnce int
-	idOnce = b.AddActivityHook(func() {
-		if oneShot == 0 {
-			oneShot++
-			b.RemoveActivityHook(idOnce)
-		}
-	})
-	b.AddActivityHook(func() { steady++ })
-	b.SimSend(0, 1, 0, units.MB, nil)
-	if oneShot != 1 {
-		t.Errorf("self-removing hook fired %d times, want 1", oneShot)
-	}
-	if steady == 0 {
-		t.Error("hook behind a self-removing hook never fired")
-	}
-	before := oneShot
-	b.SimSend(0, 1, 1, units.MB, nil)
-	if oneShot != before {
-		t.Errorf("self-removed hook fired again: %d, want %d", oneShot, before)
+	if cleanAt != clean {
+		t.Errorf("delivery between healthy NPUs at %v, want %v", cleanAt, clean)
 	}
 }

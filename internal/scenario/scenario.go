@@ -10,10 +10,7 @@
 // each event at its instant through the network backend's incremental
 // mutation hooks (bandwidth scales, link stalls) and the compute model's
 // straggler scale table; routing and collectives degrade gracefully —
-// stretched flows and slower phases, never panics. Every applied event
-// counts as foreign activity on the backend, so memoized collective replays
-// roll back and re-run live across a perturbation, keeping simulated output
-// byte-identical to a never-memoized run.
+// stretched flows and slower phases, never panics.
 package scenario
 
 import (

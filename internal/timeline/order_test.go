@@ -12,13 +12,11 @@ import (
 
 // refQueue is the obviously correct queue the engine is checked against:
 // one slice of pending events kept sorted by (time, schedule order) and
-// popped from the front, with the engine's schedule-watch and RunUntil
-// semantics. It makes no attempt to be fast.
+// popped from the front, with the engine's RunUntil semantics. It makes no
+// attempt to be fast.
 type refQueue struct {
-	now        units.Time
-	q          []refEvent
-	watchLimit units.Time
-	watchFn    func()
+	now units.Time
+	q   []refEvent
 }
 
 type refEvent struct {
@@ -29,17 +27,8 @@ type refEvent struct {
 func (r *refQueue) Now() units.Time { return r.now }
 func (r *refQueue) Pending() int    { return len(r.q) }
 
-func (r *refQueue) SetScheduleWatch(limit units.Time, fn func()) {
-	r.watchLimit, r.watchFn = limit, fn
-}
-
 func (r *refQueue) Schedule(delay units.Time, fn Callback) {
 	at := r.now + max(delay, 0)
-	if r.watchFn != nil && at <= r.watchLimit {
-		wf := r.watchFn
-		r.watchFn = nil
-		wf()
-	}
 	// The newest event is last in schedule order, so it goes after every
 	// pending event due at or before its time.
 	i := sort.Search(len(r.q), func(i int) bool { return r.q[i].at > at })
@@ -78,7 +67,6 @@ type orderQueue interface {
 	Now() units.Time
 	Pending() int
 	Schedule(delay units.Time, fn Callback)
-	SetScheduleWatch(limit units.Time, fn func())
 	Run() (units.Time, error)
 	RunUntil(deadline units.Time) (units.Time, error)
 }
@@ -114,9 +102,6 @@ type orderProgram struct {
 	fanout int // each firing schedules 0..fanout more
 	// delay picks the delay of event id, scheduled when the clock reads now.
 	delay func(rng *rand.Rand, now units.Time, id int) units.Time
-	// watch, when positive, arms a schedule watch from one firing in watch;
-	// a tripped watch logs and schedules one more event.
-	watch int
 	// step, when positive, drives the queue with RunUntil(now+step) and
 	// schedules from outside between the calls, instead of one Run.
 	step units.Time
@@ -132,12 +117,6 @@ func (p orderProgram) run(q orderQueue, seed int64) (string, error) {
 			fmt.Fprintf(&log, "%d@%d ", me, q.Now())
 			for n := rng.Intn(p.fanout + 1); n > 0; n-- {
 				schedule()
-			}
-			if p.watch > 0 && rng.Intn(p.watch) == 0 {
-				q.SetScheduleWatch(q.Now()+units.Time(rng.Intn(16)), func() {
-					fmt.Fprintf(&log, "watch@%d ", q.Now())
-					schedule()
-				})
 			}
 		}
 	}
@@ -238,8 +217,6 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 		{"zero-delay-in-runs", orderProgram{roots: 30, events: 4000, fanout: 3, delay: zeroHeavyDelay}},
 		{"run-until", orderProgram{roots: 30, events: 4000, fanout: 2, delay: tiesDelay, step: 2}},
 		{"run-until-spread", orderProgram{roots: 1 << tailBits, events: 2 << tailBits, fanout: 1, delay: spreadDelay, step: 997}},
-		{"watch", orderProgram{roots: 30, events: 4000, fanout: 3, delay: zeroHeavyDelay, watch: 5}},
-		{"watch-colliding", orderProgram{roots: 20, events: 4000, fanout: 3, delay: alternating(colliding), watch: 3}},
 	}
 	for _, c := range cases {
 		for seed := int64(1); seed <= 3; seed++ {

@@ -100,17 +100,10 @@ type Engine struct {
 	zq     []int32
 	zqHead int
 
-	pending  int    // events queued in runs and zq
-	seq      uint64 // runs created so far; breaks same-instant ties
-	fired    uint64
-	credited int64
-	budget   uint64 // max events per Run/RunUntil; 0 = unlimited
-
-	// One-shot schedule watch (SetScheduleWatch): while armed, enqueueing
-	// any event due at or before watchLimit disarms the watch and invokes
-	// watchFn BEFORE the triggering event is enqueued.
-	watchLimit units.Time
-	watchFn    func()
+	pending int    // events queued in runs and zq
+	seq     uint64 // runs created so far; breaks same-instant ties
+	fired   uint64
+	budget  uint64 // max events per Run/RunUntil; 0 = unlimited
 
 	// tails maps hash(at) to the latest run created for instant at. An
 	// entry with at > now always names a run still in the heap (popping a
@@ -132,18 +125,8 @@ func (e *Engine) Now() units.Time { return e.now }
 // Pending reports how many events are waiting in the queue.
 func (e *Engine) Pending() int { return e.pending }
 
-// Fired reports how many events have executed since construction,
-// including events credited by CreditFired.
-func (e *Engine) Fired() uint64 { return uint64(int64(e.fired) + e.credited) }
-
-// CreditFired accounts n events that a fast-forward path (e.g. a memoized
-// collective replay) skipped, so Fired reports the same total as the
-// equivalent fully simulated run. A negative n revokes an earlier credit
-// when a fast-forward is rolled back; the running balance may go negative
-// transiently, as long as Fired's total stays non-negative. Credited events
-// never count against the event budget — the budget guards live scheduling
-// loops.
-func (e *Engine) CreditFired(n int64) { e.credited += n }
+// Fired reports how many events have executed since construction.
+func (e *Engine) Fired() uint64 { return e.fired }
 
 // SetEventBudget caps the number of events a single Run or RunUntil may
 // execute: a run that would need more returns an error after exactly n
@@ -166,30 +149,11 @@ func (e *Engine) allocSlot(fn Callback, actor Actor) int32 {
 	return idx
 }
 
-// SetScheduleWatch arms a one-shot watch over the window (now, limit]: the
-// next event enqueued with a fire time at or before limit disarms the watch
-// and invokes fn before that event is enqueued, so fn's own scheduling (a
-// cancelled fast-forward re-running live) precedes the triggering event in
-// seq order — exactly the order a never-fast-forwarded run would produce.
-// The watch fires at schedule time, while the clock still stands wherever
-// the scheduling code is running, which is what makes rollbacks of
-// time-skipping replays exact: cancellation happens before the clock can
-// advance past the replay's start. fn may re-arm the watch; passing a nil
-// fn disarms it.
-func (e *Engine) SetScheduleWatch(limit units.Time, fn func()) {
-	e.watchLimit, e.watchFn = limit, fn
-}
-
 func (e *Engine) enqueue(delay units.Time, fn Callback, actor Actor) {
 	if delay < 0 {
 		delay = 0
 	}
 	at := e.now + delay
-	if e.watchFn != nil && at <= e.watchLimit {
-		wf := e.watchFn
-		e.watchFn = nil // disarm before invoking: wf may schedule into the window
-		wf()
-	}
 	idx := e.allocSlot(fn, actor)
 	e.pending++
 	if delay == 0 {

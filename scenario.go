@@ -16,9 +16,7 @@ import (
 // scenarios — timed link degradations, link and NPU failures, compute
 // stragglers — injected into a workload's run and reported next to the
 // clean baseline (internal/scenario). A scenario with no events reproduces
-// the clean run byte for byte, and the collective memo's rollback machinery
-// guarantees memoized runs under scenarios stay byte-identical to memo-free
-// ones.
+// the clean run byte for byte.
 
 // ScenarioEventSpec is one timed perturbation in a scenario spec.
 type ScenarioEventSpec struct {
@@ -201,17 +199,14 @@ func RunScenario(spec ScenarioSpec) (*ScenarioResult, error) {
 	return res, nil
 }
 
-// runScenario simulates the workload under a perturbation schedule, sharing
-// the machine's collective memo: the memo's rollback machinery re-runs any
-// replayed collective live across a perturbation, so results are
-// byte-identical to a memo-free run.
+// runScenario simulates the workload under a perturbation schedule on a
+// fresh simulator built from the machine's configuration.
 func (m *Machine) runScenario(w Workload, sc *scenario.Scenario) (*Report, error) {
 	trace, err := w.trace(m.top)
 	if err != nil {
 		return nil, err
 	}
 	cfg := m.core
-	cfg.Memo = m.memo
 	cfg.Scenario = sc
 	sim, err := core.NewSimulator(cfg)
 	if err != nil {
