@@ -513,10 +513,13 @@ func newFabricState(l *Layout) *fabricState {
 	return st
 }
 
-func (st *fabricState) flowStarted(job, dim int) float64 {
+// flowStarted counts a flow of job on dim and returns its contention
+// factor. A flow on a dimension the job does not share is not counted
+// (tracked false), so no flowFinished is owed for it.
+func (st *fabricState) flowStarted(job, dim int) (factor float64, tracked bool) {
 	jp := &st.layout.Jobs[job]
 	if !jp.SharedDims[dim] {
-		return 1
+		return 1, false
 	}
 	g := jp.group[dim]
 	if st.inflight[job][dim] == 0 {
@@ -525,17 +528,15 @@ func (st *fabricState) flowStarted(job, dim int) float64 {
 	st.inflight[job][dim]++
 	if c := st.capacity[dim]; c > 0 {
 		if f := st.demand[dim][g] / c; f > 1 {
-			return f
+			return f, true
 		}
 	}
-	return 1
+	return 1, true
 }
 
+// flowFinished retires a flow flowStarted counted.
 func (st *fabricState) flowFinished(job, dim int) {
 	jp := &st.layout.Jobs[job]
-	if !jp.SharedDims[dim] {
-		return
-	}
 	st.inflight[job][dim]--
 	if st.inflight[job][dim] == 0 {
 		st.demand[dim][jp.group[dim]] -= jp.weight[dim]
@@ -549,8 +550,8 @@ type jobFlows struct {
 	job int
 }
 
-func (f *jobFlows) FlowStarted(dim int) float64 { return f.st.flowStarted(f.job, dim) }
-func (f *jobFlows) FlowFinished(dim int)        { f.st.flowFinished(f.job, dim) }
+func (f *jobFlows) FlowStarted(dim int) (float64, bool) { return f.st.flowStarted(f.job, dim) }
+func (f *jobFlows) FlowFinished(dim int)                { f.st.flowFinished(f.job, dim) }
 
 // poolState arbitrates the shared remote memory pool at job granularity:
 // each job's pool model assumes the whole pool, so an access issued while

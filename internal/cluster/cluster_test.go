@@ -108,6 +108,46 @@ func TestPlanPacked(t *testing.T) {
 	}
 }
 
+// A flow on a dimension the job does not share is not counted: flowStarted
+// returns (1, false), so no flowFinished is owed, and leaves the fabric
+// state untouched. A flow on a shared dimension is counted until it
+// finishes.
+func TestFlowStartedTracksOnlySharedDims(t *testing.T) {
+	fabric := testFabric(t, "SW(8)_SW(16,4)", 250, 250)
+	l, err := Plan(fabric, nJobs(4, 16, units.MB), Packed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newFabricState(l)
+	if f, tracked := st.flowStarted(0, 0); f != 1 || tracked {
+		t.Errorf("flow on the private leaf dim: (%v, %v), want (1, false)", f, tracked)
+	}
+	for j := range st.inflight {
+		for d, n := range st.inflight[j] {
+			if n != 0 {
+				t.Errorf("inflight[%d][%d] = %d after an untracked flow, want 0", j, d, n)
+			}
+		}
+	}
+	for d := range st.demand {
+		for g, w := range st.demand[d] {
+			if w != 0 {
+				t.Errorf("demand[%d][%d] = %v after an untracked flow, want 0", d, g, w)
+			}
+		}
+	}
+	if _, tracked := st.flowStarted(0, 1); !tracked {
+		t.Fatal("flow on the shared spine dim is not tracked")
+	}
+	if st.inflight[0][1] != 1 || st.demand[1][l.Jobs[0].group[1]] == 0 {
+		t.Errorf("tracked spine flow: inflight %d, demand %v; want 1 and the job's weight", st.inflight[0][1], st.demand[1])
+	}
+	st.flowFinished(0, 1)
+	if st.inflight[0][1] != 0 || st.demand[1][l.Jobs[0].group[1]] != 0 {
+		t.Errorf("finished spine flow: inflight %d, demand %v; want 0 and 0", st.inflight[0][1], st.demand[1])
+	}
+}
+
 func TestPlanSingleJobSharesNothing(t *testing.T) {
 	fabric := testFabric(t, "SW(8)_SW(16,4)", 250, 250)
 	l, err := Plan(fabric, nJobs(1, 32, units.MB), Packed, 0)

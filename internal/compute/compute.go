@@ -62,7 +62,8 @@ func (m Model) effectivePeak() units.FLOPS {
 }
 
 // OpTime returns the roofline execution time of an operator with the given
-// floating-point operation count and memory traffic.
+// floating-point operation count and memory traffic, saturating at
+// units.MaxTime.
 func (m Model) OpTime(flops float64, memBytes units.ByteSize) units.Time {
 	ct := m.effectivePeak().ComputeTime(flops)
 	var mt units.Time
@@ -72,6 +73,9 @@ func (m Model) OpTime(flops float64, memBytes units.ByteSize) units.Time {
 	t := ct
 	if mt > t {
 		t = mt
+	}
+	if m.LaunchOverhead > 0 && t > units.MaxTime-m.LaunchOverhead {
+		return units.MaxTime
 	}
 	return t + m.LaunchOverhead
 }

@@ -46,6 +46,9 @@ func TestLaunchOverhead(t *testing.T) {
 	if got := m.OpTime(0, 0); got != 5*units.Microsecond {
 		t.Errorf("empty op = %v, want launch overhead only", got)
 	}
+	if got := m.OpTime(1e30, 0); got != units.MaxTime {
+		t.Errorf("op past the end of time = %d, want units.MaxTime", got)
+	}
 }
 
 func TestValidate(t *testing.T) {

@@ -492,3 +492,37 @@ func TestShuffledNodeListMatchesSorted(t *testing.T) {
 		}
 	}
 }
+
+// Simulated time is int64 picoseconds, about 106 days. A trace whose
+// compute runs past that is an error from Run: never a panic from the
+// clock wrapping negative, and never a 0 s makespan from an out-of-range
+// duration conversion.
+func TestSimulatedTimeOverflowIsAnError(t *testing.T) {
+	top := topology.MustNew(topology.Dim{Kind: topology.Ring, Size: 2, Bandwidth: units.GBps(100)})
+	cfg := Config{
+		Topology: top,
+		Compute:  compute.A100(),
+		Memory: memory.System{
+			Local: memory.LocalModel{Latency: units.Microsecond, Bandwidth: units.GBps(2039)},
+		},
+	}
+	for _, flops := range []float64{1e21, 3e21, 1e24} {
+		trace := symmetricTrace(2, func(int) []*et.Node {
+			return []*et.Node{
+				{ID: 1, Kind: et.KindCompute, FLOPs: flops},
+				{ID: 2, Kind: et.KindCompute, FLOPs: flops, Deps: []int{1}},
+				{ID: 3, Kind: et.KindCompute, FLOPs: flops, Deps: []int{2}},
+			}
+		})
+		sim, err := NewSimulator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := sim.Run(trace)
+		if err == nil {
+			t.Errorf("3 chained %g-FLOP nodes: makespan %v, want a time-overflow error", flops, stats.Makespan)
+		} else if !strings.Contains(err.Error(), "overflow") {
+			t.Errorf("3 chained %g-FLOP nodes: error %q, want a time-overflow error", flops, err)
+		}
+	}
+}

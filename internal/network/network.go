@@ -194,10 +194,13 @@ func (b *Backend) ensureLinks() {
 type FlowController interface {
 	// FlowStarted reports a transfer starting on the backend's dimension
 	// dim. The returned factor (>= 1) divides the transfer's effective
-	// bandwidth; 1 leaves the transfer untouched, bit for bit.
-	FlowStarted(dim int) float64
-	// FlowFinished reports that a transfer accounted by FlowStarted has
-	// left the network (its links are free again).
+	// bandwidth; 1 leaves the transfer untouched, bit for bit. tracked
+	// reports whether the controller counted the flow: only a tracked
+	// flow is owed a FlowFinished, so a dimension the controller does not
+	// arbitrate costs no event.
+	FlowStarted(dim int) (factor float64, tracked bool)
+	// FlowFinished reports that a tracked transfer has left the network
+	// (its links are free again).
 	FlowFinished(dim int)
 }
 
@@ -429,9 +432,9 @@ func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sen
 			panic(fmt.Sprintf("network: SendOnDim(%d->%d, dim %d) endpoints differ in dim %d", src, dst, dim, i))
 		}
 	}
-	factor := 1.0
+	factor, tracked := 1.0, false
 	if b.fc != nil {
-		factor = b.fc.FlowStarted(dim)
+		factor, tracked = b.fc.FlowStarted(dim)
 	}
 	var srcEnd, ready units.Time
 	if b.chargeTransit {
@@ -439,7 +442,7 @@ func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sen
 	} else {
 		srcEnd, ready = b.reserve(src, dst, dim, size, factor)
 	}
-	if b.fc != nil {
+	if tracked {
 		// The flow occupies its links until the transfer is deliverable;
 		// report the end through a pooled typed event so fair shares are
 		// recomputed the instant it frees.

@@ -359,3 +359,61 @@ func TestEstimateP2PMatchesUnloadedSend(t *testing.T) {
 		}
 	}
 }
+
+// dimOneFlows is a flow controller that counts flows on dimension 1 only.
+type dimOneFlows struct {
+	started, finished [2]int
+}
+
+func (f *dimOneFlows) FlowStarted(dim int) (float64, bool) {
+	f.started[dim]++
+	return 1, dim == 1
+}
+
+func (f *dimOneFlows) FlowFinished(dim int) { f.finished[dim]++ }
+
+// FlowFinished is owed exactly once per tracked flow and never for an
+// untracked one, and an untracked flow queues no flow-done event — for
+// point-to-point sends (with and without transit charging), subset phases
+// and whole-machine phases alike.
+func TestFlowFinishedOnlyForTrackedFlows(t *testing.T) {
+	for _, transit := range []bool{false, true} {
+		eng, b := allocTestBackend(t)
+		b.SetTransitCharging(transit)
+		fc := &dimOneFlows{}
+		b.SetFlowController(fc)
+		set := b.NewLinkSet([]int{0, 1, 2, 3})
+		// Each operation on dim d, and the events it queues: a send queues
+		// its delivery, a phase nothing, and a tracked flow its flow-done
+		// event on top.
+		ops := func(d, delivery, flowDone int) {
+			t.Helper()
+			base := eng.Pending()
+			b.SendOnDim(0, 1+3*d, d, units.KB, 0, nil, nil) // 0->1 on dim 0, 0->4 on dim 1
+			if got := eng.Pending() - base; got != delivery+flowDone {
+				t.Errorf("transit=%v: SendOnDim on dim %d queued %d events, want %d", transit, d, got, delivery+flowDone)
+			}
+			base = eng.Pending()
+			b.ReservePhase(set, d, units.KB)
+			if got := eng.Pending() - base; got != flowDone {
+				t.Errorf("transit=%v: ReservePhase on dim %d queued %d events, want %d", transit, d, got, flowDone)
+			}
+			base = eng.Pending()
+			b.ReservePhaseAll(d, units.KB)
+			if got := eng.Pending() - base; got != flowDone {
+				t.Errorf("transit=%v: ReservePhaseAll on dim %d queued %d events, want %d", transit, d, got, flowDone)
+			}
+		}
+		ops(0, 1, 0)
+		ops(1, 1, 1)
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if fc.started != [2]int{3, 3} {
+			t.Errorf("transit=%v: FlowStarted calls per dim = %v, want [3 3]", transit, fc.started)
+		}
+		if fc.finished != [2]int{0, 3} {
+			t.Errorf("transit=%v: FlowFinished calls per dim = %v, want [0 3]: once per tracked flow, never on dim 0", transit, fc.finished)
+		}
+	}
+}

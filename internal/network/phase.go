@@ -114,14 +114,15 @@ func (b *Backend) PhaseAvailabilityAll(dim int) units.Time {
 //
 // With a flow controller attached, the phase is one flow on the dimension:
 // its serialization is stretched by the cross-job contention factor at
-// reservation time and its end is reported back through a typed event.
+// reservation time and, when the controller tracks the flow, its end is
+// reported back through a typed event.
 //
 // When the set owns its members' dim links the phase costs O(1). Otherwise
 // it walks the members once, reading each link's time and claiming it: the
 // link's previous owner loses its ownership of the dimension. Either way the
 // phase end becomes the set's floor.
 func (b *Backend) ReservePhase(s *LinkSet, dim int, perNPUTraffic units.ByteSize) (start, end units.Time) {
-	dur := b.phaseDur(dim, perNPUTraffic)
+	dur, tracked := b.phaseDur(dim, perNPUTraffic)
 	start = b.eng.Now()
 	if f := b.dimFloor[dim]; f > start {
 		start = f
@@ -145,7 +146,7 @@ func (b *Backend) ReservePhase(s *LinkSet, dim int, perNPUTraffic units.ByteSize
 		s.owns[dim] = true
 	}
 	end = start + dur
-	if b.fc != nil {
+	if tracked {
 		b.eng.ScheduleActorAt(end, b.getFlowDone(dim))
 	}
 	s.floor[dim] = end
@@ -161,10 +162,10 @@ func (b *Backend) ReservePhase(s *LinkSet, dim int, perNPUTraffic units.ByteSize
 // and its end becomes the new dimension floor. The result is byte-identical
 // to ReservePhase over a set of every NPU.
 func (b *Backend) ReservePhaseAll(dim int, perNPUTraffic units.ByteSize) (start, end units.Time) {
-	dur := b.phaseDur(dim, perNPUTraffic)
+	dur, tracked := b.phaseDur(dim, perNPUTraffic)
 	start = b.PhaseAvailabilityAll(dim)
 	end = start + dur
-	if b.fc != nil {
+	if tracked {
 		b.eng.ScheduleActorAt(end, b.getFlowDone(dim))
 	}
 	b.dimFloor[dim] = end
@@ -173,11 +174,12 @@ func (b *Backend) ReservePhaseAll(dim int, perNPUTraffic units.ByteSize) (start,
 }
 
 // phaseDur is a phase's serialization time, reporting the phase to the flow
-// controller (when attached) as one flow on the dimension.
-func (b *Backend) phaseDur(dim int, perNPUTraffic units.ByteSize) units.Time {
+// controller (when attached) as one flow on the dimension; tracked reports
+// whether the controller is owed the flow's end.
+func (b *Backend) phaseDur(dim int, perNPUTraffic units.ByteSize) (dur units.Time, tracked bool) {
 	factor := 1.0
 	if b.fc != nil {
-		factor = b.fc.FlowStarted(dim)
+		factor, tracked = b.fc.FlowStarted(dim)
 	}
-	return b.transferTime(dim, perNPUTraffic, factor)
+	return b.transferTime(dim, perNPUTraffic, factor), tracked
 }

@@ -8,9 +8,10 @@ import (
 
 // BenchmarkEventQueue measures the raw queue cost (schedule + pop) with a
 // classic hold model: a standing population of pending events where every
-// fired event schedules a successor at a pseudorandom future offset. This
-// exercises heap sift-up and sift-down on every event, the engine's
-// fundamental per-event cost.
+// fired event schedules a successor at a pseudorandom future offset. Nearly
+// every event opens its own run, so this exercises the radix buckets'
+// push, split and pop on every event, the engine's fundamental per-event
+// cost.
 //
 // The burst series is the lockstep shape of a whole-machine phase on a
 // large machine: a standing population of 4096 events split over 16

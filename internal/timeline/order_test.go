@@ -180,6 +180,20 @@ func alternating(grid []units.Time) func(*rand.Rand, units.Time, int) units.Time
 	}
 }
 
+// highBitsDelay starts its roots just below 2^40 and otherwise draws delays
+// next to a random power of two (2^k-1, 2^k or 2^k+1), or zero: instants
+// cross high bit boundaries of the clock, so runs are queued in high radix
+// buckets and split down through many levels before they fire.
+func highBitsDelay(rng *rand.Rand, now units.Time, _ int) units.Time {
+	if now == 0 {
+		return 1<<40 - units.Time(rng.Intn(64))
+	}
+	if rng.Intn(8) == 0 {
+		return 0
+	}
+	return 1<<rng.Intn(42) + units.Time(rng.Intn(3)-1)
+}
+
 // firstDiff shows where two logs part ways.
 func firstDiff(got, want string) string {
 	i := 0
@@ -217,6 +231,8 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 		{"zero-delay-in-runs", orderProgram{roots: 30, events: 4000, fanout: 3, delay: zeroHeavyDelay}},
 		{"run-until", orderProgram{roots: 30, events: 4000, fanout: 2, delay: tiesDelay, step: 2}},
 		{"run-until-spread", orderProgram{roots: 1 << tailBits, events: 2 << tailBits, fanout: 1, delay: spreadDelay, step: 997}},
+		{"high-bits", orderProgram{roots: 40, events: 4000, fanout: 3, delay: highBitsDelay}},
+		{"run-until-high-bits", orderProgram{roots: 40, events: 4000, fanout: 2, delay: highBitsDelay, step: 1<<36 + 1}},
 	}
 	for _, c := range cases {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -242,7 +258,21 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 	}
 }
 
-// A burst of events due at one instant shares one heap entry, also when
+// queuedRuns counts the runs waiting in the engine's buckets.
+func (e *Engine) queuedRuns() int {
+	n := 0
+	for k := range e.buckets {
+		if e.nonEmpty&(1<<k) == 0 {
+			continue
+		}
+		for i := e.buckets[k].head; i >= 0; i = e.runs[i].link {
+			n++
+		}
+	}
+	return n
+}
+
+// A burst of events due at one instant shares one queued run, also when
 // two instants are scheduled alternately.
 func TestSameInstantEventsShareOneRun(t *testing.T) {
 	if tailIndex(7) == tailIndex(9) {
@@ -254,8 +284,8 @@ func TestSameInstantEventsShareOneRun(t *testing.T) {
 		e.Schedule(7, fn)
 		e.Schedule(9, fn)
 	}
-	if len(e.heap) != 2 {
-		t.Fatalf("2000 events at 2 instants occupy %d heap entries, want 2", len(e.heap))
+	if n := e.queuedRuns(); n != 2 {
+		t.Fatalf("2000 events at 2 instants occupy %d queued runs, want 2", n)
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -263,4 +293,58 @@ func TestSameInstantEventsShareOneRun(t *testing.T) {
 	if e.Fired() != 2000 {
 		t.Fatalf("fired %d, want 2000", e.Fired())
 	}
+}
+
+// FuzzEngineOrder is TestEngineMatchesReferenceOrder with the program's
+// shape drawn from the fuzz input: the delay family, fanout, roots,
+// RunUntil step, event budget and seed. The engine must fire exactly the
+// reference queue's sequence.
+func FuzzEngineOrder(f *testing.F) {
+	// unit scales the step to the family's delays, so a RunUntil-driven
+	// program needs at most a few thousand calls.
+	families := []struct {
+		delay func(*rand.Rand, units.Time, int) units.Time
+		unit  units.Time
+	}{
+		{tiesDelay, 1},
+		{zeroHeavyDelay, 1},
+		{spreadDelay, 256},
+		{highBitsDelay, 1 << 32},
+		{alternating([]units.Time{8, 16, 24, 32, 40, 48, 56, 64, 72, 80}), 1},
+		{alternating([]units.Time{1 << 20, 1<<20 + 1, 1 << 21, 1<<21 + 1, 1 << 22, 1<<22 + 1}), 1 << 12},
+	}
+	f.Add(uint8(0), uint8(3), uint8(20), uint8(0), uint8(0), int64(1))
+	f.Add(uint8(1), uint8(2), uint8(30), uint8(2), uint8(7), int64(2))
+	f.Add(uint8(2), uint8(1), uint8(200), uint8(4), uint8(0), int64(3))
+	f.Add(uint8(3), uint8(3), uint8(40), uint8(0), uint8(5), int64(4))
+	f.Add(uint8(3), uint8(2), uint8(40), uint8(16), uint8(0), int64(5))
+	f.Add(uint8(4), uint8(3), uint8(10), uint8(5), uint8(3), int64(6))
+	f.Add(uint8(5), uint8(2), uint8(10), uint8(0), uint8(1), int64(7))
+	f.Fuzz(func(t *testing.T, family, fanout, roots, step, cut uint8, seed int64) {
+		fam := families[int(family)%len(families)]
+		p := orderProgram{
+			roots:  1 + int(roots),
+			events: 600,
+			fanout: int(fanout % 4),
+			delay:  fam.delay,
+			step:   units.Time(step) * fam.unit,
+		}
+		want, err := p.run(&refQueue{}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New()
+		var q orderQueue = e
+		if cut > 0 {
+			e.SetEventBudget(uint64(cut))
+			q = budgeted{e}
+		}
+		got, err := p.run(q, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("engine diverges from the reference order %s", firstDiff(got, want))
+		}
+	})
 }

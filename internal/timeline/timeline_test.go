@@ -2,7 +2,9 @@ package timeline
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -358,5 +360,42 @@ func TestFiredCounter(t *testing.T) {
 	}
 	if e.Fired() != 10 {
 		t.Errorf("Fired() = %d, want 10", e.Fired())
+	}
+}
+
+// An event that would fall at or past units.MaxTime saturates there instead
+// of wrapping the clock negative, and is reported as an error rather than
+// fired: by Run, and by RunUntil once the deadline reaches it.
+func TestTimeOverflowIsAnError(t *testing.T) {
+	for _, until := range []bool{false, true} {
+		e := New()
+		var fired []units.Time
+		var chain func()
+		chain = func() {
+			fired = append(fired, e.Now())
+			e.Schedule(units.MaxTime/2+1, chain)
+		}
+		e.Schedule(0, chain)
+		var err error
+		if until {
+			if _, err := e.RunUntil(units.MaxTime - 1); err != nil {
+				t.Fatalf("RunUntil short of the overflow: %v", err)
+			}
+			if e.Pending() != 1 || e.Now() != units.MaxTime-1 {
+				t.Fatalf("RunUntil short of the overflow: pending %d, now %d", e.Pending(), e.Now())
+			}
+			_, err = e.RunUntil(units.MaxTime)
+		} else {
+			_, err = e.Run()
+		}
+		if err == nil || !strings.Contains(err.Error(), "overflow") {
+			t.Errorf("until=%v: err = %v, want a time-overflow error", until, err)
+		}
+		if want := []units.Time{0, units.MaxTime/2 + 1}; !slices.Equal(fired, want) {
+			t.Errorf("until=%v: fired at %v, want %v", until, fired, want)
+		}
+		if e.Pending() != 1 {
+			t.Errorf("until=%v: pending = %d, want the saturated event still queued", until, e.Pending())
+		}
 	}
 }

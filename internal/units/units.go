@@ -3,7 +3,9 @@
 //
 // Simulated time is an integer count of picoseconds so that event ordering
 // is exact and reproducible; one simulated second is 1e12 ticks, which
-// leaves ample headroom in an int64 for multi-hour simulations.
+// leaves ample headroom in an int64 for multi-hour simulations. Durations
+// converted from rates saturate at MaxTime (about 106 days) rather than
+// wrap.
 package units
 
 import (
@@ -21,7 +23,28 @@ const (
 	Microsecond      = 1000 * Nanosecond
 	Millisecond      = 1000 * Microsecond
 	Second           = 1000 * Millisecond
+
+	// MaxTime is the largest representable instant. The event engine
+	// reports an event due at or past it as an overflow error.
+	MaxTime Time = math.MaxInt64
 )
+
+// fromPicos rounds a non-negative picosecond count to the nearest Time,
+// halves away from zero, saturating at MaxTime (NaN included) instead of
+// overflowing the conversion. Below 2^63 the truncation and the fraction
+// are exact, so it equals Time(math.Round(ps)) bit for bit at under half
+// math.Round's inlining cost, which keeps Bandwidth.TransferTime, on the
+// network's per-phase path, inlinable.
+func fromPicos(ps float64) Time {
+	if !(ps < float64(MaxTime)) {
+		return MaxTime
+	}
+	t := Time(ps)
+	if ps-float64(t) >= 0.5 {
+		t++
+	}
+	return t
+}
 
 // Seconds returns t expressed in seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
@@ -112,12 +135,13 @@ func (bw Bandwidth) String() string { return fmt.Sprintf("%.1fGB/s", bw.GBpsValu
 
 // TransferTime returns the serialization time of size bytes at this
 // bandwidth. A non-positive bandwidth yields zero time so that unused
-// fabrics can be configured as "infinitely fast".
+// fabrics can be configured as "infinitely fast"; a time past MaxTime
+// saturates there.
 func (bw Bandwidth) TransferTime(size ByteSize) Time {
 	if bw <= 0 || size <= 0 {
 		return 0
 	}
-	return Time(math.Round(float64(size) / float64(bw) * float64(Second)))
+	return fromPicos(float64(size) / float64(bw) * float64(Second))
 }
 
 // FLOPS is a compute rate in floating-point operations per second.
@@ -128,10 +152,11 @@ type FLOPS float64
 func TFLOPS(t float64) FLOPS { return FLOPS(t * 1e12) }
 
 // ComputeTime returns the time to execute ops floating-point operations
-// at this rate. A non-positive rate yields zero time.
+// at this rate. A non-positive rate yields zero time; a time past MaxTime
+// saturates there.
 func (f FLOPS) ComputeTime(ops float64) Time {
 	if f <= 0 || ops <= 0 {
 		return 0
 	}
-	return Time(math.Round(ops / float64(f) * float64(Second)))
+	return fromPicos(ops / float64(f) * float64(Second))
 }

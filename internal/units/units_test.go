@@ -136,6 +136,45 @@ func TestFLOPSComputeTime(t *testing.T) {
 	}
 }
 
+// Durations past the int64 picosecond range saturate at MaxTime instead
+// of converting to a wrapped or negative value.
+func TestDurationsSaturate(t *testing.T) {
+	f := TFLOPS(234)
+	for _, ops := range []float64{3e21, 1e24, math.Inf(1), math.NaN()} {
+		if got := f.ComputeTime(ops); got != MaxTime {
+			t.Errorf("ComputeTime(%g) = %d, want MaxTime", ops, got)
+		}
+	}
+	if got := Bandwidth(1e-3).TransferTime(GiB); got != MaxTime {
+		t.Errorf("1 GiB at 1e-3 B/s = %d, want MaxTime", got)
+	}
+	if got := f.ComputeTime(1e21); got <= 0 || got == MaxTime {
+		t.Errorf("ComputeTime(1e21) = %d, want an in-range positive time", got)
+	}
+}
+
+// fromPicos rounds exactly like math.Round on every non-negative value in
+// range: integers, halves, the largest double below one half, and random
+// doubles across the exponent range.
+func TestFromPicosMatchesMathRound(t *testing.T) {
+	check := func(x float64) bool {
+		x = math.Abs(x)
+		if !(x < float64(MaxTime)) {
+			return fromPicos(x) == MaxTime
+		}
+		return fromPicos(x) == Time(math.Round(x))
+	}
+	for _, x := range []float64{0, 0.5, 1, 1.5, 2.5, 0.49999999999999994, 1 << 52, 1<<52 + 1, 1<<53 - 1, 1 << 62, math.Nextafter(float64(MaxTime), 0)} {
+		if !check(x) {
+			t.Errorf("fromPicos(%v) = %d, want %d", x, fromPicos(x), Time(math.Round(x)))
+		}
+	}
+	scaled := func(m float64, e uint8) bool { return check(math.Ldexp(m, int(e%70)-4)) }
+	if err := quick.Check(scaled, &quick.Config{MaxCount: 100000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestBandwidthString(t *testing.T) {
 	if got := GBps(450).String(); got != "450.0GB/s" {
 		t.Errorf("String() = %q", got)
