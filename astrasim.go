@@ -34,6 +34,7 @@ import (
 	"repro/internal/et"
 	"repro/internal/etgen"
 	"repro/internal/memory"
+	"repro/internal/scenario"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -212,10 +213,10 @@ func buildMemory(cfg MachineConfig) (memory.System, error) {
 	return sys, nil
 }
 
-// RegisteredBlocks lists the shape-notation names of every registered
-// topology building block, sorted — the vocabulary MachineConfig.Topology
-// accepts. External DimModel registrations appear here too, so CLI help
-// and error messages never hard-code the block set.
+// RegisteredBlocks lists the shape-notation names of every topology
+// building block, sorted — the vocabulary MachineConfig.Topology accepts.
+// The list is read from the topology block table, so CLI help and error
+// messages never hard-code the block set.
 func RegisteredBlocks() []string { return topology.RegisteredBlocks() }
 
 // NumNPUs returns the machine size.
@@ -430,7 +431,7 @@ func toDuration(t units.Time) time.Duration {
 
 // Run generates the workload's trace and simulates it.
 func (m *Machine) Run(w Workload) (*Report, error) {
-	rep, _, err := m.run(w, false)
+	rep, _, err := m.run(w, false, nil)
 	return rep, err
 }
 
@@ -438,7 +439,7 @@ func (m *Machine) Run(w Workload) (*Report, error) {
 // timeline to out in the Chrome Trace Event Format, viewable in
 // chrome://tracing or Perfetto.
 func (m *Machine) RunWithTimeline(w Workload, out io.Writer) (*Report, error) {
-	rep, stats, err := m.run(w, true)
+	rep, stats, err := m.run(w, true, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -458,13 +459,17 @@ func (m *Machine) RunWithTimeline(w Workload, out io.Writer) (*Report, error) {
 	return rep, nil
 }
 
-func (m *Machine) run(w Workload, timeline bool) (*Report, *core.RunStats, error) {
+// run simulates the workload on a fresh simulator built from the machine's
+// configuration, optionally recording the activity timeline or applying a
+// perturbation schedule.
+func (m *Machine) run(w Workload, timeline bool, sc *scenario.Scenario) (*Report, *core.RunStats, error) {
 	trace, err := w.trace(m.top)
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg := m.core
 	cfg.RecordTimeline = timeline
+	cfg.Scenario = sc
 	sim, err := core.NewSimulator(cfg)
 	if err != nil {
 		return nil, nil, err

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/cluster"
@@ -68,13 +67,7 @@ func ClusterPlacements() []string { return cluster.Placements() }
 // LoadClusterSpec reads a ClusterSpec JSON document, rejecting unknown
 // fields so spec typos fail loudly.
 func LoadClusterSpec(r io.Reader) (ClusterSpec, error) {
-	var s ClusterSpec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return s, fmt.Errorf("astrasim: parse cluster spec: %w", err)
-	}
-	return s, nil
+	return decodeSpec[ClusterSpec](r, "cluster")
 }
 
 // ClusterOptions controls cluster execution.
@@ -89,16 +82,7 @@ type ClusterOptions struct {
 // RunClusterFile loads a cluster spec from a JSON file and simulates it —
 // the entry point of the CLIs' -cluster flag.
 func RunClusterFile(path string, opt ClusterOptions) (*ClusterResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	spec, err := LoadClusterSpec(f)
-	if err != nil {
-		return nil, err
-	}
-	return RunCluster(spec, opt)
+	return runSpecFile(path, LoadClusterSpec, func(s ClusterSpec) (*ClusterResult, error) { return RunCluster(s, opt) })
 }
 
 // ClusterJobRow is one job's outcome.
@@ -270,21 +254,35 @@ func RunCluster(spec ClusterSpec, opt ClusterOptions) (*ClusterResult, error) {
 		}
 	}
 
-	out := clusterResultFromInternal(spec.Name, m, placement, spec.Seed, jobs, res)
-	for i := range out.Jobs {
-		if iso := baselines[jobs[i].fp]; iso > 0 {
-			out.Jobs[i].Slowdown = float64(out.Jobs[i].Report.Makespan) / float64(iso)
+	out := &ClusterResult{
+		Name:      spec.Name,
+		Fabric:    m.TopologySpec(),
+		Placement: placement.String(),
+		Seed:      spec.Seed,
+		Makespan:  toDuration(res.Makespan),
+		Events:    res.Events,
+	}
+	for i, jr := range res.Jobs {
+		row := ClusterJobRow{
+			Job:       jr.Name,
+			Workload:  jobs[i].workload.Name(),
+			NPUs:      jr.NPUs,
+			Local:     jr.Local.String(),
+			FirstRank: jr.Ranks[0],
+			Arrival:   toDuration(jr.Arrival),
+			Finish:    toDuration(jr.Finish),
+			Report:    reportFromStats(jobs[i].workload.Name(), jr.Stats),
 		}
+		if iso := baselines[jobs[i].fp]; iso > 0 {
+			row.Slowdown = float64(row.Report.Makespan) / float64(iso)
+		}
+		out.Jobs = append(out.Jobs, row)
 	}
 	return out, nil
 }
 
 // WriteJSON writes the result as an indented JSON document.
-func (r *ClusterResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *ClusterResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // WriteTable writes a human-readable per-job summary.
 func (r *ClusterResult) WriteTable(w io.Writer) error {

@@ -197,15 +197,8 @@ func TestClusterSearchPlacementAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	if err := res1.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := res4.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("cluster search differs across worker counts")
+	if a, b := searchOutputs(t, res1), searchOutputs(t, res4); !bytes.Equal(a, b) {
+		t.Errorf("cluster search output differs across worker counts:\n%s\nvs\n%s", a, b)
 	}
 	if res1.Best.Machine != "SW(8)_SW(16) @ 250,250 GB/s" {
 		t.Errorf("best fabric = %q, want the uncontended flat spine", res1.Best.Machine)
@@ -215,5 +208,68 @@ func TestClusterSearchPlacementAxis(t *testing.T) {
 	}
 	if res1.Candidates != 4 {
 		t.Errorf("candidates = %d, want 2 fabrics x 2 placements", res1.Candidates)
+	}
+}
+
+// TestClusterSearchHalvingPromotesWholeFabrics: the screening estimate is
+// fabric-level, so every placement of a fabric ties, and the default
+// budget must promote whole fabrics — both placements of the fast one —
+// rather than cut the tie by candidate id.
+func TestClusterSearchHalvingPromotesWholeFabrics(t *testing.T) {
+	spec := testClusterSearchSpec()
+	spec.Strategy = "exhaustive"
+	ex, err := Optimize(spec, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Strategy = "halving"
+	ha, err := Optimize(spec, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ha.Estimates != 4 || ha.Simulations != 2 {
+		t.Fatalf("halving ran %d estimates / %d simulations, want 4 / 2 (one whole fabric)",
+			ha.Estimates, ha.Simulations)
+	}
+	sims := ha.History[1].Evals
+	for i, want := range []string{"strided", "packed"} {
+		if sims[i].Machine != "fast" || sims[i].Placement != want || sims[i].Workload != "cluster(2 jobs)" {
+			t.Errorf("simulated candidate %d = %+v, want fast / cluster(2 jobs) / %s", i, sims[i], want)
+		}
+	}
+	if ha.Best != ex.Best {
+		t.Errorf("halving best %+v != exhaustive best %+v", ha.Best, ex.Best)
+	}
+}
+
+// TestClusterSearchPrunedRows: a (fabric, placement) pair the jobs cannot
+// be laid out on is pruned, and its row names the placement but no
+// workload — a pruned pair never ran the cluster's jobs.
+func TestClusterSearchPrunedRows(t *testing.T) {
+	spec := testClusterSearchSpec()
+	// Strided placement splits the 8-NPU jobs' whole-switch blocks on this
+	// tapered fabric; packed keeps them whole.
+	spec.Machines = append(spec.Machines, SweepMachine{
+		Name:   "tapered",
+		Config: MachineConfig{Topology: "SW(8)_SW(4,4)", BandwidthsGBps: []float64{200, 100}},
+	})
+	spec.Cluster.Jobs = append(spec.Cluster.Jobs, ClusterJobSpec{
+		NPUs: 4, Workload: WorkloadSpec{Kind: "all_reduce", SizeBytes: 1 << 20},
+	})
+	spec.Strategy = "exhaustive"
+	res, err := Optimize(spec, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Pruned) != 1 {
+		t.Fatalf("pruned %+v, want the tapered fabric's strided pair", res.Pruned)
+	}
+	p := res.Pruned[0]
+	if p.Machine != "tapered" || p.Placement != "strided" || p.Workload != "" ||
+		!strings.Contains(p.Reason, "under strided placement") {
+		t.Errorf("pruned row %+v, want machine tapered, placement strided, no workload", p)
+	}
+	if res.Feasible != 5 || res.Simulations != 5 {
+		t.Errorf("feasible %d, simulations %d; want 5 and 5", res.Feasible, res.Simulations)
 	}
 }

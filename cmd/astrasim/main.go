@@ -94,6 +94,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -133,27 +134,26 @@ func main() {
 	defer prof.Stop()
 
 	if *sweepPath != "" {
-		if err := runSweep(*sweepPath, *parallel, *jsonOut, *csvOut); err != nil {
-			fatal(err)
-		}
+		res, err := astrasim.RunSweepFile(*sweepPath, astrasim.SweepOptions{
+			Workers:  *parallel,
+			Progress: astrasim.ProgressLine(os.Stderr),
+		})
+		emit(res, err, *jsonOut, *csvOut)
 		return
 	}
 	if *optPath != "" {
-		if err := runOptimize(*optPath, *parallel, *jsonOut, *csvOut); err != nil {
-			fatal(err)
-		}
+		res, err := runOptimize(*optPath, *parallel)
+		emit(res, err, *jsonOut, *csvOut)
 		return
 	}
 	if *clusPath != "" {
-		if err := runCluster(*clusPath, *baselines, *jsonOut, *csvOut); err != nil {
-			fatal(err)
-		}
+		res, err := astrasim.RunClusterFile(*clusPath, astrasim.ClusterOptions{Slowdowns: *baselines})
+		emit(res, err, *jsonOut, *csvOut)
 		return
 	}
 	if *scenPath != "" {
-		if err := runScenario(*scenPath, *jsonOut, *csvOut); err != nil {
-			fatal(err)
-		}
+		res, err := astrasim.RunScenarioFile(*scenPath)
+		emit(res, err, *jsonOut, *csvOut)
 		return
 	}
 
@@ -239,25 +239,32 @@ func machineConfig(path, topo, bw, scheduler string, tflops float64) (astrasim.M
 	return cfg, nil
 }
 
-func runSweep(path string, workers int, jsonOut, csvOut bool) error {
-	res, err := astrasim.RunSweepFile(path, astrasim.SweepOptions{
-		Workers:  workers,
-		Progress: astrasim.ProgressLine(os.Stderr),
-	})
-	if err != nil {
-		return err
+// result is the output of -sweep, -optimize, -cluster and -scenario.
+type result interface {
+	WriteJSON(io.Writer) error
+	WriteCSV(io.Writer) error
+	WriteTable(io.Writer) error
+}
+
+// emit prints a result as JSON, CSV or a table, exiting on err or on a
+// failed write.
+func emit(res result, err error, jsonOut, csvOut bool) {
+	if err == nil {
+		switch {
+		case jsonOut:
+			err = res.WriteJSON(os.Stdout)
+		case csvOut:
+			err = res.WriteCSV(os.Stdout)
+		default:
+			err = res.WriteTable(os.Stdout)
+		}
 	}
-	switch {
-	case jsonOut:
-		return res.WriteJSON(os.Stdout)
-	case csvOut:
-		return res.WriteCSV(os.Stdout)
-	default:
-		return res.WriteTable(os.Stdout)
+	if err != nil {
+		fatal(err)
 	}
 }
 
-func runOptimize(path string, workers int, jsonOut, csvOut bool) error {
+func runOptimize(path string, workers int) (*astrasim.SearchResult, error) {
 	// The search-wide total grows as the strategy commits to new rungs,
 	// so done == total mid-run does not mean finished; the in-place
 	// counter line is only terminated once the search returns.
@@ -272,47 +279,7 @@ func runOptimize(path string, workers int, jsonOut, csvOut bool) error {
 	if progressed {
 		fmt.Fprintln(os.Stderr)
 	}
-	if err != nil {
-		return err
-	}
-	switch {
-	case jsonOut:
-		return res.WriteJSON(os.Stdout)
-	case csvOut:
-		return res.WriteCSV(os.Stdout)
-	default:
-		return res.WriteTable(os.Stdout)
-	}
-}
-
-func runCluster(path string, slowdowns, jsonOut, csvOut bool) error {
-	res, err := astrasim.RunClusterFile(path, astrasim.ClusterOptions{Slowdowns: slowdowns})
-	if err != nil {
-		return err
-	}
-	switch {
-	case jsonOut:
-		return res.WriteJSON(os.Stdout)
-	case csvOut:
-		return res.WriteCSV(os.Stdout)
-	default:
-		return res.WriteTable(os.Stdout)
-	}
-}
-
-func runScenario(path string, jsonOut, csvOut bool) error {
-	res, err := astrasim.RunScenarioFile(path)
-	if err != nil {
-		return err
-	}
-	switch {
-	case jsonOut:
-		return res.WriteJSON(os.Stdout)
-	case csvOut:
-		return res.WriteCSV(os.Stdout)
-	default:
-		return res.WriteTable(os.Stdout)
-	}
+	return res, err
 }
 
 // pickWorkload maps the single-run flags onto a declarative WorkloadSpec —

@@ -81,10 +81,16 @@ func FuzzLoadSearchSpec(f *testing.F) {
 		if len(spec.Machines) != 0 || len(spec.Topologies) != 0 {
 			_, _ = buildSearchMachines(spec)
 		}
-		for _, ws := range spec.Workloads {
-			_, _ = ws.Workload()
+		// So must the second axis, in either mode: workloads, or cluster
+		// jobs and placement policies.
+		if spec.Cluster != nil {
+			for _, js := range spec.Cluster.Jobs {
+				if js.Count > 1<<10 {
+					return // keep job expansion bounded under fuzz
+				}
+			}
 		}
-		_, _, _ = searchObjective(spec.Objective)
+		_, _ = buildSearchAxis(spec)
 	})
 }
 

@@ -37,57 +37,68 @@ func Repeat(t *Trace, n int) (*Trace, error) {
 		Name:    fmt.Sprintf("%sx%d", t.Name, n),
 		NumNPUs: t.NumNPUs,
 	}
+	// Graphs that share a node list share its repetition too, so per-list
+	// work downstream (validation, plan compilation) stays once per list.
+	repeated := make(map[ListKey][]*Node)
 	for _, g := range t.Graphs {
-		maxID := 0
-		var entries, exits []int
-		hasChild := make(map[int]bool, len(g.Nodes))
-		for _, node := range g.Nodes {
-			if node.ID > maxID {
-				maxID = node.ID
-			}
-			for _, d := range node.Deps {
-				hasChild[d] = true
-			}
+		key := g.ListKey()
+		nodes, ok := repeated[key]
+		if !ok {
+			nodes = repeatNodes(g.Nodes, n, tagStride)
+			repeated[key] = nodes
 		}
-		for _, node := range g.Nodes {
-			if len(node.Deps) == 0 {
-				entries = append(entries, node.ID)
-			}
-			if !hasChild[node.ID] {
-				exits = append(exits, node.ID)
-			}
-		}
-		idStride := maxID + 1
-
-		ng := &Graph{NPU: g.NPU, Nodes: make([]*Node, 0, len(g.Nodes)*n)}
-		for iter := 0; iter < n; iter++ {
-			off := iter * idStride
-			for _, node := range g.Nodes {
-				clone := *node
-				clone.ID = node.ID + off
-				clone.Deps = make([]int, 0, len(node.Deps)+len(exits))
-				for _, d := range node.Deps {
-					clone.Deps = append(clone.Deps, d+off)
-				}
-				if iter > 0 && len(node.Deps) == 0 {
-					// Iteration boundary: entry waits on the previous
-					// iteration's exits.
-					prevOff := (iter - 1) * idStride
-					for _, e := range exits {
-						clone.Deps = append(clone.Deps, e+prevOff)
-					}
-				}
-				if clone.Kind == KindSend || clone.Kind == KindRecv {
-					clone.Tag = node.Tag + iter*tagStride
-				}
-				ng.Nodes = append(ng.Nodes, &clone)
-			}
-		}
-		_ = entries
-		out.Graphs = append(out.Graphs, ng)
+		out.Graphs = append(out.Graphs, &Graph{NPU: g.NPU, Nodes: nodes})
 	}
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("et: Repeat produced an invalid trace: %w", err)
 	}
 	return out, nil
+}
+
+// repeatNodes clones one node list n times with IDs offset per iteration,
+// chaining each iteration's entry nodes to the previous iteration's exits.
+func repeatNodes(nodes []*Node, n, tagStride int) []*Node {
+	maxID := 0
+	var exits []int
+	hasChild := make(map[int]bool, len(nodes))
+	for _, node := range nodes {
+		if node.ID > maxID {
+			maxID = node.ID
+		}
+		for _, d := range node.Deps {
+			hasChild[d] = true
+		}
+	}
+	for _, node := range nodes {
+		if !hasChild[node.ID] {
+			exits = append(exits, node.ID)
+		}
+	}
+	idStride := maxID + 1
+
+	out := make([]*Node, 0, len(nodes)*n)
+	for iter := 0; iter < n; iter++ {
+		off := iter * idStride
+		for _, node := range nodes {
+			clone := *node
+			clone.ID = node.ID + off
+			clone.Deps = make([]int, 0, len(node.Deps)+len(exits))
+			for _, d := range node.Deps {
+				clone.Deps = append(clone.Deps, d+off)
+			}
+			if iter > 0 && len(node.Deps) == 0 {
+				// Iteration boundary: entry waits on the previous
+				// iteration's exits.
+				prevOff := (iter - 1) * idStride
+				for _, e := range exits {
+					clone.Deps = append(clone.Deps, e+prevOff)
+				}
+			}
+			if clone.Kind == KindSend || clone.Kind == KindRecv {
+				clone.Tag = node.Tag + iter*tagStride
+			}
+			out = append(out, &clone)
+		}
+	}
+	return out
 }

@@ -83,3 +83,33 @@ func TestRepeatEdgeCases(t *testing.T) {
 		t.Error("invalid input accepted")
 	}
 }
+
+// TestRepeatKeepsSharedLists: ranks that share one node list still share
+// one (repeated) list, so per-list validation and plan compilation
+// downstream run once per distinct list rather than once per rank.
+func TestRepeatKeepsSharedLists(t *testing.T) {
+	shared := []*Node{
+		{ID: 1, Kind: KindCompute, FLOPs: 1e9},
+		{ID: 2, Kind: KindComm, Deps: []int{1}, Collective: CollAllReduce, CommBytes: 64},
+	}
+	tr := &Trace{Name: "sym", NumNPUs: 3}
+	for r := 0; r < 3; r++ {
+		tr.Graphs = append(tr.Graphs, &Graph{NPU: r, Nodes: shared})
+	}
+	out, err := Repeat(tr, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := out.Graphs[0].ListKey()
+	for _, g := range out.Graphs[1:] {
+		if g.ListKey() != key {
+			t.Fatalf("npu %d has its own repeated list; want the list shared by every rank", g.NPU)
+		}
+	}
+	if got := len(out.Graphs[0].Nodes); got != 4 {
+		t.Errorf("repeated list has %d nodes, want 4", got)
+	}
+	if key == tr.Graphs[0].ListKey() {
+		t.Error("Repeat returned the input list itself")
+	}
+}

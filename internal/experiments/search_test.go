@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -66,8 +67,8 @@ func TestFabricSearchRecoversOptimum(t *testing.T) {
 
 	// Reproducibility: a fixed seed and budget give byte-identical results
 	// at any worker count.
-	var want bytes.Buffer
-	if err := res.Halving.WriteJSON(&want); err != nil {
+	want, err := json.Marshal(res.Halving)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
@@ -76,11 +77,11 @@ func TestFabricSearchRecoversOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got bytes.Buffer
-		if err := again.Halving.WriteJSON(&got); err != nil {
+		got, err := json.Marshal(again.Halving)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		if !bytes.Equal(want, got) {
 			t.Errorf("workers=%d: halving result differs", workers)
 		}
 	}

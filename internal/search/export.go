@@ -1,47 +1,9 @@
 package search
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 )
-
-// WriteJSON writes the result as an indented JSON document. The output is
-// byte-identical for any worker count (wall time is excluded).
-func (r *Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteCSV writes the full history flat — one record per evaluation —
-// followed by nothing else, so downstream tooling can reconstruct every
-// rung. Deterministic for a given result.
-func (r *Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"generation", "fidelity", "candidate", "label", "score", "promoted"}); err != nil {
-		return err
-	}
-	for _, g := range r.History {
-		for _, e := range g.Evals {
-			rec := []string{
-				strconv.Itoa(g.Index),
-				g.Fidelity,
-				strconv.Itoa(e.Candidate),
-				e.Label,
-				strconv.FormatFloat(e.Score, 'g', -1, 64),
-				strconv.FormatBool(e.Promoted),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
 
 // WriteTable writes a human-readable run summary: the rung structure, the
 // evaluation counts against the space size, and the winner.

@@ -6,18 +6,17 @@
 // pool with its content-hash result cache, so results are byte-identical
 // for any worker count and duplicate candidates simulate once.
 //
-// Three strategies ship registered:
+// Three strategies are built in, named (case-insensitively) by
+// Options.Strategy:
 //
 //	exhaustive  full-fidelity simulation of every feasible candidate —
 //	            the delegate-to-sweep baseline every other strategy is
-//	            measured against
+//	            measured against (aliases: sweep, grid)
 //	random      seeded random sample, estimate-screened, with only the
 //	            top-ranked slice promoted to simulation
 //	halving     multi-fidelity successive halving: estimate the whole
 //	            space, promote the top 1/eta survivors to full simulation
-//
-// New strategies are added by implementing Strategy and registering a
-// factory name; Optimize picks them up without modification.
+//	            (the default; aliases: sha, successive-halving)
 package search
 
 import (
@@ -25,7 +24,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/sweep"
@@ -82,7 +80,7 @@ type Problem struct {
 
 // Options controls a search run.
 type Options struct {
-	// Strategy names a registered strategy (default "halving").
+	// Strategy names a built-in strategy or alias (default "halving").
 	Strategy string
 	// Seed drives every stochastic choice; a fixed seed makes the search
 	// fully deterministic for any worker count.
@@ -153,10 +151,10 @@ type Result struct {
 	Wall time.Duration `json:"-"`
 }
 
-// Evaluator runs same-fidelity candidate batches for strategies on the
+// evaluator runs same-fidelity candidate batches for strategies on the
 // sweep engine: worker pool, fingerprint deduplication, shared cache, and
 // deterministic batch-order results.
-type Evaluator struct {
+type evaluator struct {
 	p           Problem
 	exec        sweep.Exec
 	estimates   int
@@ -167,9 +165,9 @@ type Evaluator struct {
 	done int
 }
 
-// Batch evaluates the candidates at one fidelity, returning evals in the
+// batch evaluates the candidates at one fidelity, returning evals in the
 // ids' order. Duplicate fingerprints within the batch evaluate once.
-func (e *Evaluator) Batch(ids []int, f Fidelity) ([]Eval, error) {
+func (e *evaluator) batch(ids []int, f Fidelity) ([]Eval, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
@@ -221,9 +219,9 @@ func (e *Evaluator) Batch(ids []int, f Fidelity) ([]Eval, error) {
 	return evals, nil
 }
 
-// Rank returns the evals sorted by ascending score, ties broken by
+// rank returns the evals sorted by ascending score, ties broken by
 // candidate id — the promotion order of every strategy.
-func Rank(evals []Eval) []Eval {
+func rank(evals []Eval) []Eval {
 	out := make([]Eval, len(evals))
 	copy(out, evals)
 	sort.Slice(out, func(i, j int) bool {
@@ -235,53 +233,33 @@ func Rank(evals []Eval) []Eval {
 	return out
 }
 
-// Strategy is one search algorithm: it receives the feasible candidate
-// ids in ascending order and returns the rungs it ran. The framework
-// derives the winner from the full-fidelity evaluations in the history.
-type Strategy interface {
-	// Name is the canonical registry name.
-	Name() string
-	// Run executes the search, evaluating batches through ev.
-	Run(ev *Evaluator, feasible []int, o Options) ([]Generation, error)
+// strategies maps every accepted strategy name to its canonical name.
+var strategies = map[string]string{
+	"exhaustive":         "exhaustive",
+	"sweep":              "exhaustive",
+	"grid":               "exhaustive",
+	"random":             "random",
+	"halving":            "halving",
+	"sha":                "halving",
+	"successive-halving": "halving",
 }
 
-var (
-	strategyMu sync.RWMutex
-	strategies = map[string]Strategy{}
-)
-
-// RegisterStrategy associates names (case-insensitive) with a strategy.
-// Built-ins register at init; external packages may add their own.
-func RegisterStrategy(s Strategy, names ...string) {
-	if len(names) == 0 {
-		panic("search: RegisterStrategy needs at least one name")
-	}
-	strategyMu.Lock()
-	defer strategyMu.Unlock()
-	for _, n := range names {
-		strategies[strings.ToLower(n)] = s
-	}
-}
-
-// StrategyFor resolves a strategy name; empty means "halving".
-func StrategyFor(name string) (Strategy, error) {
+// CanonicalStrategy resolves a strategy name, matched case-insensitively,
+// to its canonical name; empty means "halving".
+func CanonicalStrategy(name string) (string, error) {
 	if name == "" {
 		name = "halving"
 	}
-	strategyMu.RLock()
 	s, ok := strategies[strings.ToLower(name)]
-	strategyMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("search: unknown strategy %q (registered: %s)",
+		return "", fmt.Errorf("search: unknown strategy %q (registered: %s)",
 			name, strings.Join(Strategies(), ", "))
 	}
 	return s, nil
 }
 
-// Strategies lists the registered strategy names, sorted.
+// Strategies lists the accepted strategy names and aliases, sorted.
 func Strategies() []string {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
 	names := make([]string, 0, len(strategies))
 	for n := range strategies {
 		names = append(names, n)
@@ -321,7 +299,7 @@ func Optimize(p Problem, o Options) (*Result, error) {
 	if p.Label == nil {
 		return nil, fmt.Errorf("search %s: nil Label", p.Name)
 	}
-	strat, err := StrategyFor(o.Strategy)
+	strat, err := CanonicalStrategy(o.Strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -349,8 +327,20 @@ func Optimize(p Problem, o Options) (*Result, error) {
 		return nil, fmt.Errorf("search %s: no feasible candidates (%d pruned)", p.Name, len(pruned))
 	}
 
-	ev := &Evaluator{p: p, exec: o.Exec}
-	gens, err := strat.Run(ev, feasible, o)
+	ev := &evaluator{p: p, exec: o.Exec}
+	var gens []Generation
+	switch strat {
+	case "exhaustive":
+		// Simulate every feasible candidate: the delegate-to-sweep baseline.
+		var sims []Eval
+		sims, err = ev.batch(feasible, FidelitySimulate)
+		gens = []Generation{{Fidelity: FidelitySimulate.String(), Evals: sims}}
+	case "random":
+		sample, budget := randomSample(feasible, o)
+		gens, err = screenThenSimulate(ev, sample, budget)
+	default: // halving
+		gens, err = screenThenSimulate(ev, feasible, simulationBudget(o, len(feasible), o.Eta))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +349,7 @@ func Optimize(p Problem, o Options) (*Result, error) {
 	}
 
 	// The winner is the best full-fidelity evaluation anywhere in the
-	// history (ties by candidate id, matching Rank).
+	// history (ties by candidate id, matching rank).
 	var best Eval
 	found := false
 	for _, g := range gens {
@@ -374,13 +364,13 @@ func Optimize(p Problem, o Options) (*Result, error) {
 		}
 	}
 	if !found {
-		return nil, fmt.Errorf("search %s: strategy %s ran no full-fidelity evaluations", p.Name, strat.Name())
+		return nil, fmt.Errorf("search %s: strategy %s ran no full-fidelity evaluations", p.Name, strat)
 	}
 	best.Promoted = false
 
 	return &Result{
 		Problem:          p.Name,
-		Strategy:         strat.Name(),
+		Strategy:         strat,
 		Seed:             o.Seed,
 		Candidates:       p.Candidates,
 		Feasible:         len(feasible),
@@ -395,29 +385,11 @@ func Optimize(p Problem, o Options) (*Result, error) {
 
 // ---------------------------------------------------------- strategies ----
 
-// exhaustiveStrategy simulates every feasible candidate at full fidelity —
-// the delegate-to-sweep baseline.
-type exhaustiveStrategy struct{}
-
-func (exhaustiveStrategy) Name() string { return "exhaustive" }
-
-func (exhaustiveStrategy) Run(ev *Evaluator, feasible []int, o Options) ([]Generation, error) {
-	evals, err := ev.Batch(feasible, FidelitySimulate)
-	if err != nil {
-		return nil, err
-	}
-	return []Generation{{Fidelity: FidelitySimulate.String(), Evals: evals}}, nil
-}
-
-// randomStrategy draws a seeded sample of the space, screens it with the
-// estimator, and promotes only the top-ranked slice to simulation.
-type randomStrategy struct{}
-
-func (randomStrategy) Name() string { return "random" }
-
-func (randomStrategy) Run(ev *Evaluator, feasible []int, o Options) ([]Generation, error) {
+// randomSample draws the random strategy's seeded sample of the feasible
+// candidates, in ascending order, and its simulation budget.
+func randomSample(feasible []int, o Options) (sample []int, budget int) {
 	n := len(feasible)
-	var pop, budget int
+	var pop int
 	if o.Population > 0 {
 		// The sample size is the contract; the budget follows from it
 		// (never from the full space, which the sample may be a tiny
@@ -444,34 +416,23 @@ func (randomStrategy) Run(ev *Evaluator, feasible []int, o Options) ([]Generatio
 	// sample set — not the draw order — defines the batch.
 	rng := rand.New(rand.NewSource(o.Seed))
 	perm := rng.Perm(n)
-	sample := make([]int, pop)
+	sample = make([]int, pop)
 	for i := 0; i < pop; i++ {
 		sample[i] = feasible[perm[i]]
 	}
 	sort.Ints(sample)
-	return screenThenSimulate(ev, sample, budget)
+	return sample, budget
 }
 
-// halvingStrategy is multi-fidelity successive halving: rung 0 scores the
-// whole feasible space with the cheap estimator, and only the top
-// 1/eta survivors (bounded by the simulation budget) are promoted to full
-// event-engine simulation.
-type halvingStrategy struct{}
-
-func (halvingStrategy) Name() string { return "halving" }
-
-func (halvingStrategy) Run(ev *Evaluator, feasible []int, o Options) ([]Generation, error) {
-	return screenThenSimulate(ev, feasible, simulationBudget(o, len(feasible), o.Eta))
-}
-
-// screenThenSimulate is the shared promote step: estimate the pool, mark
-// the top `budget` candidates promoted, and simulate them.
-func screenThenSimulate(ev *Evaluator, pool []int, budget int) ([]Generation, error) {
-	screen, err := ev.Batch(pool, FidelityEstimate)
+// screenThenSimulate is the promote step of halving and random: estimate
+// the pool, mark the top `budget` candidates promoted, and simulate them.
+// Halving screens the whole feasible space with a budget of 1/eta of it.
+func screenThenSimulate(ev *evaluator, pool []int, budget int) ([]Generation, error) {
+	screen, err := ev.batch(pool, FidelityEstimate)
 	if err != nil {
 		return nil, err
 	}
-	ranked := Rank(screen)
+	ranked := rank(screen)
 	if budget > len(ranked) {
 		budget = len(ranked)
 	}
@@ -485,7 +446,7 @@ func screenThenSimulate(ev *Evaluator, pool []int, budget int) ([]Generation, er
 	for i := range screen {
 		screen[i].Promoted = promoted[screen[i].Candidate]
 	}
-	sims, err := ev.Batch(survivors, FidelitySimulate)
+	sims, err := ev.batch(survivors, FidelitySimulate)
 	if err != nil {
 		return nil, err
 	}
@@ -493,10 +454,4 @@ func screenThenSimulate(ev *Evaluator, pool []int, budget int) ([]Generation, er
 		{Fidelity: FidelityEstimate.String(), Evals: screen},
 		{Fidelity: FidelitySimulate.String(), Evals: sims},
 	}, nil
-}
-
-func init() {
-	RegisterStrategy(exhaustiveStrategy{}, "exhaustive", "sweep", "grid")
-	RegisterStrategy(randomStrategy{}, "random")
-	RegisterStrategy(halvingStrategy{}, "halving", "sha", "successive-halving")
 }

@@ -2,6 +2,7 @@ package search
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -137,14 +138,7 @@ func TestRandomStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	if err := res.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := again.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if a, b := mustMarshal(t, res), mustMarshal(t, again); !bytes.Equal(a, b) {
 		t.Error("same seed produced different results")
 	}
 	// An explicit population is honored and clamped to the space.
@@ -172,7 +166,7 @@ func TestRandomStrategy(t *testing.T) {
 // count, mirroring the sweep engine's serial-parity property.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	for _, strategy := range []string{"exhaustive", "random", "halving"} {
-		var want bytes.Buffer
+		var want []byte
 		for i, workers := range []int{1, 2, 3, 8} {
 			res, err := Optimize(testProblem(nil, nil), Options{
 				Strategy: strategy,
@@ -182,19 +176,12 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var gotJSON, gotCSV bytes.Buffer
-			if err := res.WriteJSON(&gotJSON); err != nil {
-				t.Fatal(err)
-			}
-			if err := res.WriteCSV(&gotCSV); err != nil {
-				t.Fatal(err)
-			}
-			gotJSON.Write(gotCSV.Bytes())
+			got := mustMarshal(t, res)
 			if i == 0 {
-				want = gotJSON
+				want = got
 				continue
 			}
-			if !bytes.Equal(want.Bytes(), gotJSON.Bytes()) {
+			if !bytes.Equal(want, got) {
 				t.Errorf("%s: workers=%d output differs from serial", strategy, workers)
 			}
 		}
@@ -327,28 +314,30 @@ func TestOptimizeErrors(t *testing.T) {
 }
 
 func TestStrategyRegistry(t *testing.T) {
-	names := Strategies()
-	for _, want := range []string{"exhaustive", "random", "halving", "sha", "grid"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("registry missing %q (have %v)", want, names)
+	names := strings.Join(Strategies(), ", ")
+	if want := "exhaustive, grid, halving, random, sha, successive-halving, sweep"; names != want {
+		t.Errorf("strategies = %q, want %q", names, want)
+	}
+	for name, want := range map[string]string{
+		"": "halving", "Successive-Halving": "halving", "SHA": "halving",
+		"grid": "exhaustive", "Sweep": "exhaustive", "RANDOM": "random",
+	} {
+		if got, err := CanonicalStrategy(name); err != nil || got != want {
+			t.Errorf("CanonicalStrategy(%q) = %q, %v; want %q", name, got, err, want)
 		}
 	}
-	s, err := StrategyFor("")
-	if err != nil || s.Name() != "halving" {
-		t.Errorf("default strategy = %v, %v; want halving", s, err)
+	_, err := CanonicalStrategy("annealing")
+	if want := `search: unknown strategy "annealing" (registered: ` + names + ")"; err == nil || err.Error() != want {
+		t.Errorf("unknown strategy error = %v, want %q", err, want)
 	}
-	if s, _ := StrategyFor("Successive-Halving"); s == nil || s.Name() != "halving" {
-		t.Error("alias lookup is not case-insensitive")
+	// The canonical name, not the alias, is what a result reports.
+	res, err := Optimize(testProblem(nil, nil), Options{Strategy: "Grid"})
+	if err != nil || res.Strategy != "exhaustive" {
+		t.Errorf("alias run: strategy %v, %v; want exhaustive", res, err)
 	}
 }
 
-func TestTableAndCSVShape(t *testing.T) {
+func TestTableShape(t *testing.T) {
 	res, err := Optimize(testProblem(nil, nil), Options{Strategy: "halving"})
 	if err != nil {
 		t.Fatal(err)
@@ -362,15 +351,13 @@ func TestTableAndCSVShape(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, tbl.String())
 		}
 	}
-	var csvBuf bytes.Buffer
-	if err := res.WriteCSV(&csvBuf); err != nil {
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
-	if len(lines) != 1+16+4 {
-		t.Errorf("CSV has %d lines, want header + 16 estimates + 4 simulations", len(lines))
-	}
-	if lines[0] != "generation,fidelity,candidate,label,score,promoted" {
-		t.Errorf("CSV header = %q", lines[0])
-	}
+	return b
 }

@@ -13,14 +13,15 @@
 //     simulated once; overlapping grids (a scaling study and an ablation
 //     sharing a corner) share results through an optional cross-sweep
 //     Cache keyed by content hash.
-//   - Structure: results export to JSON and CSV without per-experiment
-//     plumbing, and a progress callback reports completion as cells
-//     finish.
+//   - Structure: rows carry their axis labels in grid order, ready for a
+//     caller to tabulate or marshal, and a progress callback reports
+//     completion as cells finish.
 package sweep
 
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,6 +144,16 @@ func (r *Results[T]) Values() []T {
 	}
 	return out
 }
+
+// FormatFloat renders an axis value for a numeric grid: the shortest
+// representation that round-trips, shared by sweep builders so axis
+// labels stay canonical.
+func FormatFloat(v float64) string {
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// FormatInt renders an integer axis value.
+func FormatInt(v int) string { return strconv.Itoa(v) }
 
 // CellError reports the first failing cell in grid order.
 type CellError struct {

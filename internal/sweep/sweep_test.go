@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -57,15 +58,12 @@ func TestRowMajorOrder(t *testing.T) {
 }
 
 func TestParallelByteIdenticalToSerial(t *testing.T) {
-	var refJSON, refCSV bytes.Buffer
 	ref, err := Run(gridSpec(true, nil), Exec{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.WriteJSON(&refJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.WriteCSV(&refCSV); err != nil {
+	want, err := json.Marshal(ref.Rows)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, 64} {
@@ -73,18 +71,12 @@ func TestParallelByteIdenticalToSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var j, c bytes.Buffer
-		if err := res.WriteJSON(&j); err != nil {
+		got, err := json.Marshal(res.Rows)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := res.WriteCSV(&c); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(refJSON.Bytes(), j.Bytes()) {
-			t.Errorf("workers=%d: JSON differs from serial", workers)
-		}
-		if !bytes.Equal(refCSV.Bytes(), c.Bytes()) {
-			t.Errorf("workers=%d: CSV differs from serial", workers)
+		if !bytes.Equal(want, got) {
+			t.Errorf("workers=%d: rows differ from serial", workers)
 		}
 	}
 }
@@ -248,39 +240,5 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := Run(Spec[int]{Name: "x", Cell: cell, Axes: []Axis{{Name: "a"}}}, Exec{}); err == nil {
 		t.Error("empty axis accepted")
-	}
-}
-
-func TestCSVShape(t *testing.T) {
-	type row struct {
-		Total   int64     `json:"total_ps"`
-		Label   string    `json:"label"`
-		Traffic []float64 `json:"traffic_mb"`
-	}
-	spec := Spec[row]{
-		Name: "csv",
-		Axes: []Axis{{Name: "k", Values: []string{"4", "16"}}},
-		Cell: func(pt Point) (row, error) {
-			i := pt.Index("k")
-			return row{Total: int64(i + 1), Label: "r" + pt.Value("k"), Traffic: []float64{1.5, float64(i)}}, nil
-		},
-	}
-	res, err := Run(spec, Exec{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want 3:\n%s", len(lines), buf.String())
-	}
-	if lines[0] != "k,label,total_ps,traffic_mb" {
-		t.Errorf("header = %q (fields should be axis then sorted value fields)", lines[0])
-	}
-	if lines[1] != `4,r4,1,"[1.5,0]"` {
-		t.Errorf("row 1 = %q", lines[1])
 	}
 }

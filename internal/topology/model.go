@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/units"
 )
@@ -14,11 +13,12 @@ import (
 // collective step structure, phase latency and traffic, bandwidth derating,
 // transit paths and message-level schedules — so that the rest of the
 // simulator (parser, analytical estimator, event-driven engine, network
-// backend) never dispatches on block identity. New fabrics are added by
-// implementing the interface and registering a factory; every layer picks
-// them up without modification.
+// backend) never dispatches on block identity. A new fabric is added by
+// implementing the interface and adding its factory to the block table
+// (registry, below); every layer picks it up without modification. The
+// table is fixed at compile time: no other package can extend it.
 //
-// Five blocks ship registered:
+// The table holds five blocks:
 //
 //	R(k)      Ring            Ring collective (Table I)
 //	FC(k)     FullyConnected  Direct collective (Table I)
@@ -620,33 +620,49 @@ type factory struct {
 	build            func(args []int) (DimModel, int, error)
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]factory{}
-)
-
-// RegisterModel associates shape-notation names (case-insensitive) with a
-// model factory taking between minArgs and maxArgs integer arguments and
-// returning the model plus the dimension size. Built-in blocks are
-// registered at init; external packages may add their own.
-func RegisterModel(minArgs, maxArgs int, build func(args []int) (DimModel, int, error), names ...string) {
-	if len(names) == 0 {
-		panic("topology: RegisterModel needs at least one name")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	for _, n := range names {
-		registry[strings.ToLower(n)] = factory{minArgs: minArgs, maxArgs: maxArgs, build: build}
-	}
+// single is the factory body of a one-argument stateless block.
+func single(m DimModel) func(args []int) (DimModel, int, error) {
+	return func(args []int) (DimModel, int, error) { return m, args[0], nil }
 }
 
-// ModelFor resolves a shape-notation block name and arguments to a model
-// and dimension size. Unknown names and malformed arguments are errors —
-// there is no default block.
+// switchFactory builds SW(k) or the oversubscribed SW(k,o).
+func switchFactory(args []int) (DimModel, int, error) {
+	if len(args) == 2 {
+		if args[1] < 1 {
+			return nil, 0, fmt.Errorf("switch oversubscription factor must be >= 1, got %d", args[1])
+		}
+		return OversubscribedSwitch(args[1]), args[0], nil
+	}
+	return Switch, args[0], nil
+}
+
+// torusFactory builds T2D(a,b), one dimension of a*b NPUs.
+func torusFactory(args []int) (DimModel, int, error) {
+	return Torus2D(args[0], args[1]), args[0] * args[1], nil
+}
+
+// registry is the block table: every lower-case shape-notation name and
+// alias, mapped to its block's factory.
+var registry = map[string]factory{
+	"r":               {1, 1, single(Ring)},
+	"ring":            {1, 1, single(Ring)},
+	"fc":              {1, 1, single(FullyConnected)},
+	"fullyconnected":  {1, 1, single(FullyConnected)},
+	"fully-connected": {1, 1, single(FullyConnected)},
+	"sw":              {1, 2, switchFactory},
+	"switch":          {1, 2, switchFactory},
+	"m":               {1, 1, single(Mesh)},
+	"mesh":            {1, 1, single(Mesh)},
+	"t2d":             {2, 2, torusFactory},
+	"torus2d":         {2, 2, torusFactory},
+	"torus":           {2, 2, torusFactory},
+}
+
+// ModelFor resolves a shape-notation block name (case-insensitive) and
+// arguments to a model and dimension size. Unknown names and malformed
+// arguments are errors — there is no default block.
 func ModelFor(name string, args []int) (DimModel, int, error) {
-	registryMu.RLock()
 	f, ok := registry[strings.ToLower(name)]
-	registryMu.RUnlock()
 	if !ok {
 		return nil, 0, fmt.Errorf("unknown building block %q (registered: %s)", name, strings.Join(RegisteredBlocks(), ", "))
 	}
@@ -659,10 +675,8 @@ func ModelFor(name string, args []int) (DimModel, int, error) {
 	return f.build(args)
 }
 
-// RegisteredBlocks lists the registered notation names, sorted.
+// RegisteredBlocks lists the accepted notation names, sorted.
 func RegisteredBlocks() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	names := make([]string, 0, len(registry))
 	for n := range registry {
 		names = append(names, n)
@@ -676,25 +690,4 @@ func RegisteredBlocks() []string {
 // sized a=4, b=2 (Dim.Size must be 8); the oversubscribed switch is 4:1.
 func BuiltinModels() []DimModel {
 	return []DimModel{Ring, FullyConnected, Switch, Mesh, Torus2D(4, 2), OversubscribedSwitch(4)}
-}
-
-func init() {
-	single := func(m DimModel) func(args []int) (DimModel, int, error) {
-		return func(args []int) (DimModel, int, error) { return m, args[0], nil }
-	}
-	RegisterModel(1, 1, single(Ring), "r", "ring")
-	RegisterModel(1, 1, single(FullyConnected), "fc", "fullyconnected", "fully-connected")
-	RegisterModel(1, 2, func(args []int) (DimModel, int, error) {
-		if len(args) == 2 {
-			if args[1] < 1 {
-				return nil, 0, fmt.Errorf("switch oversubscription factor must be >= 1, got %d", args[1])
-			}
-			return OversubscribedSwitch(args[1]), args[0], nil
-		}
-		return Switch, args[0], nil
-	}, "sw", "switch")
-	RegisterModel(1, 1, single(Mesh), "m", "mesh")
-	RegisterModel(2, 2, func(args []int) (DimModel, int, error) {
-		return Torus2D(args[0], args[1]), args[0] * args[1], nil
-	}, "t2d", "torus2d", "torus")
 }

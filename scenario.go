@@ -1,13 +1,10 @@
 package astrasim
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/units"
 )
@@ -115,16 +112,12 @@ func (s ScenarioSpec) buildScenario() (*scenario.Scenario, error) {
 // that depend on the machine (dimension and NPU ranges) are validated when
 // the scenario runs.
 func LoadScenarioSpec(r io.Reader) (ScenarioSpec, error) {
-	var s ScenarioSpec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return s, fmt.Errorf("astrasim: parse scenario spec: %w", err)
-	}
-	if _, err := s.buildScenario(); err != nil {
+	s, err := decodeSpec[ScenarioSpec](r, "scenario")
+	if err != nil {
 		return s, err
 	}
-	return s, nil
+	_, err = s.buildScenario()
+	return s, err
 }
 
 // ScenarioResult is a completed resilience experiment: the clean baseline,
@@ -146,16 +139,7 @@ type ScenarioResult struct {
 // RunScenarioFile loads a scenario spec from a JSON file and runs it — the
 // entry point of the CLI's -scenario flag.
 func RunScenarioFile(path string) (*ScenarioResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	spec, err := LoadScenarioSpec(f)
-	if err != nil {
-		return nil, err
-	}
-	return RunScenario(spec)
+	return runSpecFile(path, LoadScenarioSpec, RunScenario)
 }
 
 // RunScenario simulates the spec's workload twice on the same machine —
@@ -181,7 +165,7 @@ func RunScenario(spec ScenarioSpec) (*ScenarioResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("astrasim: scenario baseline: %w", err)
 	}
-	perturbed, err := m.runScenario(w, sc)
+	perturbed, _, err := m.run(w, false, sc)
 	if err != nil {
 		return nil, fmt.Errorf("astrasim: scenario run: %w", err)
 	}
@@ -199,32 +183,8 @@ func RunScenario(spec ScenarioSpec) (*ScenarioResult, error) {
 	return res, nil
 }
 
-// runScenario simulates the workload under a perturbation schedule on a
-// fresh simulator built from the machine's configuration.
-func (m *Machine) runScenario(w Workload, sc *scenario.Scenario) (*Report, error) {
-	trace, err := w.trace(m.top)
-	if err != nil {
-		return nil, err
-	}
-	cfg := m.core
-	cfg.Scenario = sc
-	sim, err := core.NewSimulator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := sim.Run(trace)
-	if err != nil {
-		return nil, err
-	}
-	return reportFromStats(w.Name(), stats), nil
-}
-
 // WriteJSON writes the result as an indented JSON document.
-func (r *ScenarioResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *ScenarioResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // WriteTable writes a human-readable clean-vs-perturbed summary.
 func (r *ScenarioResult) WriteTable(w io.Writer) error {

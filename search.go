@@ -3,9 +3,9 @@ package astrasim
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -103,13 +103,7 @@ type ClusterSearchSpec struct {
 // LoadSearchSpec reads a SearchSpec JSON document, rejecting unknown
 // fields so spec typos fail loudly.
 func LoadSearchSpec(r io.Reader) (SearchSpec, error) {
-	var s SearchSpec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return s, fmt.Errorf("astrasim: parse search spec: %w", err)
-	}
-	return s, nil
+	return decodeSpec[SearchSpec](r, "search")
 }
 
 // SearchOptions controls search execution.
@@ -125,16 +119,7 @@ type SearchOptions struct {
 // RunSearchFile loads a search spec from a JSON file and optimizes it —
 // the shared entry point of the CLIs' -optimize flag.
 func RunSearchFile(path string, opt SearchOptions) (*SearchResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	spec, err := LoadSearchSpec(f)
-	if err != nil {
-		return nil, err
-	}
-	return Optimize(spec, opt)
+	return runSpecFile(path, LoadSearchSpec, func(s SearchSpec) (*SearchResult, error) { return Optimize(s, opt) })
 }
 
 // SearchEval is one scored candidate: (machine, workload) in single-job
@@ -189,8 +174,8 @@ type SearchResult struct {
 	Wall time.Duration `json:"-"`
 }
 
-// SearchStrategies lists the registered strategy names, sorted — for CLI
-// help and validation.
+// SearchStrategies lists the accepted strategy names and aliases, sorted —
+// for CLI help.
 func SearchStrategies() []string { return search.Strategies() }
 
 // searchCandidates is the enumerated machine axis of a search space.
@@ -278,16 +263,138 @@ func buildSearchMachines(spec SearchSpec) (*searchCandidates, error) {
 	return out, nil
 }
 
-// searchObjective maps the spec's objective name to a report metric.
-func searchObjective(name string) (string, func(*Report) time.Duration, error) {
-	switch name {
-	case "", "makespan":
-		return "makespan", func(r *Report) time.Duration { return r.Makespan }, nil
-	case "comm", "exposed_comm":
-		return "comm", func(r *Report) time.Duration { return r.ExposedComm }, nil
-	default:
-		return "", nil, fmt.Errorf("astrasim: unknown objective %q (want makespan or comm)", name)
+// searchAxis is a search space's second axis: the spec's workloads, or in
+// cluster mode its placement policies over the spec's co-scheduled jobs.
+// Building it is the only step of Optimize that depends on the mode.
+type searchAxis struct {
+	// name is the problem name when the spec gives none.
+	name   string
+	values []axisValue
+	// feasible, when non-nil, reports why value j cannot run on m.
+	feasible func(m *Machine, j int) error
+	// simulate runs value j on m, returning the makespan and the exposed
+	// communication time the objectives read.
+	simulate func(m *Machine, j int) (makespan, comm time.Duration, err error)
+}
+
+// axisValue is one value of the second axis.
+type axisValue struct {
+	label string // candidate label suffix
+	fp    string // canonical description of the value's simulation input
+	// eval and pruned carry the value's Workload and Placement columns for
+	// evaluated and pruned candidates.
+	eval   SearchEval
+	pruned SearchPruned
+}
+
+// buildSearchAxis validates the spec's second axis up front, so a bad
+// workload, job or placement fails the search before anything runs.
+func buildSearchAxis(spec SearchSpec) (*searchAxis, error) {
+	if spec.Cluster != nil {
+		return buildPlacementAxis(spec.Name, spec.Cluster)
 	}
+	if len(spec.Workloads) == 0 {
+		return nil, fmt.Errorf("astrasim: search %q has no workloads", spec.Name)
+	}
+	ax := &searchAxis{
+		name: "search",
+		simulate: func(m *Machine, j int) (time.Duration, time.Duration, error) {
+			// Each run materializes its own workload so trace readers and
+			// generators are never shared between goroutines.
+			w, err := spec.Workloads[j].Workload()
+			if err != nil {
+				return 0, 0, err
+			}
+			rep, err := m.Run(w)
+			if err != nil {
+				return 0, 0, err
+			}
+			return rep.Makespan, rep.ExposedComm, nil
+		},
+	}
+	names, fps, err := workloadTable(spec.Workloads)
+	if err != nil {
+		name := spec.Name
+		if name == "" {
+			name = ax.name
+		}
+		return nil, fmt.Errorf("astrasim: search %s: %w", name, err)
+	}
+	for i, n := range names {
+		ax.values = append(ax.values, axisValue{
+			label: n, fp: fps[i], eval: SearchEval{Workload: n}, pruned: SearchPruned{Workload: n},
+		})
+	}
+	return ax, nil
+}
+
+// buildPlacementAxis is the cluster-mode axis: one value per placement
+// policy, each co-simulating every job of the spec. A (fabric, placement)
+// pair the jobs cannot be laid out on is infeasible, not an error.
+func buildPlacementAxis(name string, cs *ClusterSearchSpec) (*searchAxis, error) {
+	if len(cs.Jobs) == 0 {
+		return nil, fmt.Errorf("astrasim: cluster search %q has no jobs", name)
+	}
+	placements := cs.Placements
+	if len(placements) == 0 {
+		placements = cluster.Placements()
+	}
+	placed := make([]cluster.Placement, len(placements))
+	for i, p := range placements {
+		pl, err := cluster.ParsePlacement(p)
+		if err != nil {
+			return nil, err
+		}
+		placed[i] = pl
+	}
+	jobs, err := expandClusterJobs(cs.Jobs)
+	if err != nil {
+		return nil, err
+	}
+	jobsJSON, err := json.Marshal(cs.Jobs)
+	if err != nil {
+		return nil, err
+	}
+	ax := &searchAxis{
+		name: "cluster-search",
+		feasible: func(m *Machine, j int) error {
+			// Planning never generates a trace, so the validated jobs serve
+			// every (serial) feasibility check.
+			cfg := clusterConfig(m, placed[j], cs.Seed, jobs)
+			_, err := cluster.Plan(cfg.Fabric, cfg.Jobs, cfg.Placement, cfg.Seed)
+			return err
+		},
+		simulate: func(m *Machine, j int) (time.Duration, time.Duration, error) {
+			// Each run materializes its own workloads so trace generators
+			// are never shared between goroutines.
+			jobs, err := expandClusterJobs(cs.Jobs)
+			if err != nil {
+				return 0, 0, err
+			}
+			res, err := cluster.Run(clusterConfig(m, placed[j], cs.Seed, jobs))
+			if err != nil {
+				return 0, 0, err
+			}
+			// The cluster makespan is when the last job finishes; comm is
+			// the mean exposed communication across jobs — fabric
+			// interference without the compute floor.
+			var comm time.Duration
+			for _, jr := range res.Jobs {
+				comm += toDuration(jr.Stats.MeanBreakdown().ExposedComm)
+			}
+			return toDuration(res.Makespan), comm / time.Duration(len(res.Jobs)), nil
+		},
+	}
+	workload := fmt.Sprintf("cluster(%d jobs)", len(jobs))
+	for _, p := range placements {
+		ax.values = append(ax.values, axisValue{
+			label:  p,
+			fp:     fmt.Sprintf("cluster|%s|%d|%s", p, cs.Seed, jobsJSON),
+			eval:   SearchEval{Workload: workload, Placement: p},
+			pruned: SearchPruned{Placement: p},
+		})
+	}
+	return ax, nil
 }
 
 // Optimize searches the spec's machine x workload space (or, in cluster
@@ -296,11 +403,9 @@ func searchObjective(name string) (string, func(*Report) time.Duration, error) {
 // estimator; only strategy-promoted survivors run the full event engine.
 // The result is byte-identical for any worker count.
 func Optimize(spec SearchSpec, opt SearchOptions) (*SearchResult, error) {
-	if spec.Cluster != nil {
-		return optimizeCluster(spec, opt)
-	}
-	if len(spec.Workloads) == 0 {
-		return nil, fmt.Errorf("astrasim: search %q has no workloads", spec.Name)
+	axis, err := buildSearchAxis(spec)
+	if err != nil {
+		return nil, err
 	}
 	machines, err := buildSearchMachines(spec)
 	if err != nil {
@@ -308,16 +413,16 @@ func Optimize(spec SearchSpec, opt SearchOptions) (*SearchResult, error) {
 	}
 	name := spec.Name
 	if name == "" {
-		name = "search"
+		name = axis.name
 	}
-	nW := len(spec.Workloads)
-	workloadNames, workloadFPs, err := workloadTable(spec.Workloads)
-	if err != nil {
-		return nil, fmt.Errorf("astrasim: search %s: %w", name, err)
-	}
-	objName, objFn, err := searchObjective(spec.Objective)
-	if err != nil {
-		return nil, err
+	var objName string
+	switch spec.Objective {
+	case "", "makespan":
+		objName = "makespan"
+	case "comm", "exposed_comm":
+		objName = "comm"
+	default:
+		return nil, fmt.Errorf("astrasim: unknown objective %q (want makespan or comm)", spec.Objective)
 	}
 	proxyOp := spec.ProxyOp
 	if proxyOp == "" {
@@ -330,287 +435,77 @@ func Optimize(spec SearchSpec, opt SearchOptions) (*SearchResult, error) {
 	if proxySize == 0 {
 		proxySize = 1 << 30
 	}
-
-	strat, err := search.StrategyFor(spec.Strategy)
+	strat, err := search.CanonicalStrategy(spec.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	// The screening estimate is machine-level: every workload paired with
-	// one machine ties, and ties rank by candidate id. With multiple
-	// workloads the default budget therefore promotes whole machines —
-	// ceil(feasibleMachines/eta) of them, all pairs — so no workload is
-	// dropped by id order. An explicit MaxSimulations is respected as-is,
-	// and Population only affects the random strategy, whose explicit
-	// sample keeps its own derived budget (ceil(Population/Eta)).
-	maxSims := spec.MaxSimulations
-	if maxSims <= 0 && nW > 1 && !(strat.Name() == "random" && spec.Population > 0) {
-		eta := spec.Eta
-		if eta <= 0 {
-			eta = 4
-		}
-		feasibleMachines := 0
-		for _, r := range machines.reasons {
-			if r == "" {
-				feasibleMachines++
-			}
-		}
-		if feasibleMachines > 0 {
-			maxSims = (feasibleMachines + eta - 1) / eta * nW
-		}
-	}
-	// Candidate id = machine-major (workload fastest), matching the sweep
+
+	// Candidate id = machine-major (axis value fastest), matching the sweep
 	// engine's row-major convention.
+	nA := len(axis.values)
 	problem := search.Problem{
 		Name:       name,
-		Candidates: len(machines.names) * nW,
+		Candidates: len(machines.names) * nA,
 		Label: func(i int) string {
-			return machines.names[i/nW] + " / " + workloadNames[i%nW]
+			return machines.names[i/nA] + " / " + axis.values[i%nA].label
 		},
 		Feasible: func(i int) error {
-			if r := machines.reasons[i/nW]; r != "" {
-				return fmt.Errorf("%s", r)
+			if r := machines.reasons[i/nA]; r != "" {
+				return errors.New(r)
+			}
+			if axis.feasible != nil {
+				return axis.feasible(machines.mach[i/nA], i%nA)
 			}
 			return nil
 		},
 		Estimate: func(i int) (float64, error) {
-			d, err := machines.mach[i/nW].EstimateCollective(proxyOp, proxySize)
+			d, err := machines.mach[i/nA].EstimateCollective(proxyOp, proxySize)
 			return float64(d), err
 		},
 		Simulate: func(i int) (float64, error) {
-			// Each run materializes its own workload so trace readers and
-			// generators are never shared between goroutines.
-			w, err := spec.Workloads[i%nW].Workload()
-			if err != nil {
-				return 0, err
+			makespan, comm, err := axis.simulate(machines.mach[i/nA], i%nA)
+			if objName == "comm" {
+				return float64(comm), err
 			}
-			rep, err := machines.mach[i/nW].Run(w)
-			if err != nil {
-				return 0, err
-			}
-			return float64(objFn(rep)), nil
+			return float64(makespan), err
 		},
 		Fingerprint: func(i int, f search.Fidelity) string {
 			if f == search.FidelityEstimate {
-				// The estimate is machine-level: every workload paired with
-				// the same machine shares one closed-form evaluation.
-				return fmt.Sprintf("astrasim-search-est|%s|%d|%s", proxyOp, proxySize, machines.fps[i/nW])
+				// The estimate is machine-level: every axis value paired
+				// with the same machine shares one closed-form evaluation.
+				return fmt.Sprintf("astrasim-search-est|%s|%d|%s", proxyOp, proxySize, machines.fps[i/nA])
 			}
-			return fmt.Sprintf("astrasim-search-sim|%s|%s|%s", objName, machines.fps[i/nW], workloadFPs[i%nW])
+			return fmt.Sprintf("astrasim-search-sim|%s|%s|%s", objName, machines.fps[i/nA], axis.values[i%nA].fp)
 		},
 	}
-	res, err := search.Optimize(problem, search.Options{
-		Strategy:       spec.Strategy,
-		Seed:           spec.Seed,
-		MaxSimulations: maxSims,
-		Population:     spec.Population,
-		Eta:            spec.Eta,
-		Exec: sweep.Exec{
-			Workers:  opt.Workers,
-			Cache:    sweep.NewCache(),
-			Progress: opt.Progress,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
 
-	conv := func(e search.Eval) SearchEval {
-		return SearchEval{
-			Machine:  machines.names[e.Candidate/nW],
-			Workload: workloadNames[e.Candidate%nW],
-			Score:    time.Duration(e.Score),
-			Promoted: e.Promoted,
-		}
-	}
-	out := &SearchResult{
-		Name:        spec.Name,
-		Strategy:    res.Strategy,
-		Seed:        res.Seed,
-		Objective:   objName,
-		Candidates:  res.Candidates,
-		Feasible:    res.Feasible,
-		Estimates:   res.Estimates,
-		Simulations: res.Simulations,
-		Best:        conv(res.Best),
-		Wall:        res.Wall,
-	}
-	for _, g := range res.History {
-		gen := SearchGeneration{Index: g.Index, Fidelity: g.Fidelity}
-		for _, e := range g.Evals {
-			gen.Evals = append(gen.Evals, conv(e))
-		}
-		out.History = append(out.History, gen)
-	}
-	for _, p := range res.PrunedCandidates {
-		out.Pruned = append(out.Pruned, SearchPruned{
-			Machine:  machines.names[p.Candidate/nW],
-			Workload: workloadNames[p.Candidate%nW],
-			Reason:   p.Reason,
-		})
-	}
-	return out, nil
-}
-
-// clusterObjective maps the objective name to a cluster-result metric.
-func clusterObjective(name string) (string, func(*ClusterResult) time.Duration, error) {
-	switch name {
-	case "", "makespan":
-		// The cluster makespan: when the last job finishes.
-		return "makespan", func(r *ClusterResult) time.Duration { return r.Makespan }, nil
-	case "comm", "exposed_comm":
-		// Mean exposed communication across jobs — fabric-interference
-		// sensitivity without the compute floor.
-		return "comm", func(r *ClusterResult) time.Duration {
-			var sum time.Duration
-			for _, j := range r.Jobs {
-				sum += j.Report.ExposedComm
-			}
-			return sum / time.Duration(len(r.Jobs))
-		}, nil
-	default:
-		return "", nil, fmt.Errorf("astrasim: unknown objective %q (want makespan or comm)", name)
-	}
-}
-
-// optimizeCluster is the cluster-mode search: candidates are (fabric,
-// placement) pairs hosting the spec's co-scheduled jobs. Screening stays
-// machine-level (the closed-form proxy on the fabric); promoted survivors
-// run the full multi-job co-simulation.
-func optimizeCluster(spec SearchSpec, opt SearchOptions) (*SearchResult, error) {
-	cs := spec.Cluster
-	if len(cs.Jobs) == 0 {
-		return nil, fmt.Errorf("astrasim: cluster search %q has no jobs", spec.Name)
-	}
-	placements := cs.Placements
-	if len(placements) == 0 {
-		placements = cluster.Placements()
-	}
-	placed := make([]cluster.Placement, len(placements))
-	for i, name := range placements {
-		p, err := cluster.ParsePlacement(name)
-		if err != nil {
-			return nil, err
-		}
-		placed[i] = p
-	}
-	// Validate the job specs once up front.
-	if _, err := expandClusterJobs(cs.Jobs); err != nil {
-		return nil, err
-	}
-	jobsJSON, err := json.Marshal(cs.Jobs)
-	if err != nil {
-		return nil, err
-	}
-
-	machines, err := buildSearchMachines(spec)
-	if err != nil {
-		return nil, err
-	}
-	name := spec.Name
-	if name == "" {
-		name = "cluster-search"
-	}
-	objName, objFn, err := clusterObjective(spec.Objective)
-	if err != nil {
-		return nil, err
-	}
-	proxyOp := spec.ProxyOp
-	if proxyOp == "" {
-		proxyOp = "all_reduce"
-	}
-	if _, _, err := collectiveOp(proxyOp); err != nil {
-		return nil, fmt.Errorf("astrasim: proxy op: %w", err)
-	}
-	proxySize := spec.ProxySizeBytes
-	if proxySize == 0 {
-		proxySize = 1 << 30
-	}
-	strat, err := search.StrategyFor(spec.Strategy)
-	if err != nil {
-		return nil, err
-	}
-
-	// feasible pre-plans each (fabric, placement) pair so ill-fitting job
-	// sizes and placement-incompatible layouts become pruned candidates,
-	// not evaluation errors.
-	nP := len(placements)
-	feasible := func(i int) error {
-		mi, pi := i/nP, i%nP
-		if r := machines.reasons[mi]; r != "" {
-			return fmt.Errorf("%s", r)
-		}
-		m := machines.mach[mi]
-		jobs, err := expandClusterJobs(cs.Jobs)
-		if err != nil {
-			return err
-		}
-		cfg := clusterConfig(m, placed[pi], cs.Seed, jobs)
-		_, err = cluster.Plan(cfg.Fabric, cfg.Jobs, cfg.Placement, cfg.Seed)
-		return err
-	}
-
-	// Like the multi-workload default, promote whole machines: the proxy
-	// is machine-level, so placements of one fabric tie and are ranked by
-	// candidate id, not merit.
+	// The screening estimate is machine-level: every axis value paired with
+	// one machine ties, and ties rank by candidate id. With several values
+	// the default budget therefore promotes whole machines —
+	// ceil(feasibleMachines/eta) of them, all pairs — so no workload or
+	// placement is dropped by id order. A machine counts when any value is
+	// feasible on it (placement policies genuinely differ: strided can split
+	// blocks packed keeps whole). An explicit MaxSimulations is respected
+	// as-is, and Population only affects the random strategy, whose
+	// explicit sample keeps its own derived budget (ceil(Population/Eta)).
 	maxSims := spec.MaxSimulations
-	if maxSims <= 0 && nP > 1 && !(strat.Name() == "random" && spec.Population > 0) {
+	if maxSims <= 0 && nA > 1 && !(strat == "random" && spec.Population > 0) {
 		eta := spec.Eta
 		if eta <= 0 {
 			eta = 4
 		}
 		feasibleMachines := 0
-		for mi, r := range machines.reasons {
-			if r != "" {
-				continue
-			}
-			// A machine counts if any placement lays the jobs out — the
-			// policies genuinely differ (strided can split blocks packed
-			// keeps whole).
-			for pi := range placed {
-				if feasible(mi*nP+pi) == nil {
+		for mi := range machines.names {
+			for j := 0; j < nA; j++ {
+				if problem.Feasible(mi*nA+j) == nil {
 					feasibleMachines++
 					break
 				}
 			}
 		}
 		if feasibleMachines > 0 {
-			maxSims = (feasibleMachines + eta - 1) / eta * nP
+			maxSims = (feasibleMachines + eta - 1) / eta * nA
 		}
-	}
-
-	problem := search.Problem{
-		Name:       name,
-		Candidates: len(machines.names) * nP,
-		Label: func(i int) string {
-			return machines.names[i/nP] + " / " + placements[i%nP]
-		},
-		Feasible: feasible,
-		Estimate: func(i int) (float64, error) {
-			d, err := machines.mach[i/nP].EstimateCollective(proxyOp, proxySize)
-			return float64(d), err
-		},
-		Simulate: func(i int) (float64, error) {
-			mi, pi := i/nP, i%nP
-			// Each run materializes its own workloads so trace generators
-			// are never shared between goroutines.
-			jobs, err := expandClusterJobs(cs.Jobs)
-			if err != nil {
-				return 0, err
-			}
-			res, err := cluster.Run(clusterConfig(machines.mach[mi], placed[pi], cs.Seed, jobs))
-			if err != nil {
-				return 0, err
-			}
-			rep := clusterResultFromInternal(spec.Name, machines.mach[mi], placed[pi], cs.Seed, jobs, res)
-			return float64(objFn(rep)), nil
-		},
-		Fingerprint: func(i int, f search.Fidelity) string {
-			if f == search.FidelityEstimate {
-				return fmt.Sprintf("astrasim-search-est|%s|%d|%s", proxyOp, proxySize, machines.fps[i/nP])
-			}
-			return fmt.Sprintf("astrasim-cluster-sim|%s|%s|%d|%s|%s",
-				objName, placements[i%nP], cs.Seed, jobsJSON, machines.fps[i/nP])
-		},
 	}
 	res, err := search.Optimize(problem, search.Options{
 		Strategy:       spec.Strategy,
@@ -628,15 +523,12 @@ func optimizeCluster(spec SearchSpec, opt SearchOptions) (*SearchResult, error) 
 		return nil, err
 	}
 
-	workload := fmt.Sprintf("cluster(%d jobs)", countClusterJobs(cs.Jobs))
 	conv := func(e search.Eval) SearchEval {
-		return SearchEval{
-			Machine:   machines.names[e.Candidate/nP],
-			Workload:  workload,
-			Placement: placements[e.Candidate%nP],
-			Score:     time.Duration(e.Score),
-			Promoted:  e.Promoted,
-		}
+		ev := axis.values[e.Candidate%nA].eval
+		ev.Machine = machines.names[e.Candidate/nA]
+		ev.Score = time.Duration(e.Score)
+		ev.Promoted = e.Promoted
+		return ev
 	}
 	out := &SearchResult{
 		Name:        spec.Name,
@@ -658,61 +550,17 @@ func optimizeCluster(spec SearchSpec, opt SearchOptions) (*SearchResult, error) 
 		out.History = append(out.History, gen)
 	}
 	for _, p := range res.PrunedCandidates {
-		out.Pruned = append(out.Pruned, SearchPruned{
-			Machine:   machines.names[p.Candidate/nP],
-			Placement: placements[p.Candidate%nP],
-			Reason:    p.Reason,
-		})
+		row := axis.values[p.Candidate%nA].pruned
+		row.Machine = machines.names[p.Candidate/nA]
+		row.Reason = p.Reason
+		out.Pruned = append(out.Pruned, row)
 	}
 	return out, nil
 }
 
-// countClusterJobs sums the job specs' replica counts.
-func countClusterJobs(specs []ClusterJobSpec) int {
-	n := 0
-	for _, js := range specs {
-		c := js.Count
-		if c == 0 {
-			c = 1
-		}
-		n += c
-	}
-	return n
-}
-
-// clusterResultFromInternal wraps an internal cluster result in the public
-// form (without isolated baselines) so objectives read one type.
-func clusterResultFromInternal(name string, m *Machine, p cluster.Placement, seed int64, jobs []clusterJob, res *cluster.Result) *ClusterResult {
-	out := &ClusterResult{
-		Name:      name,
-		Fabric:    m.TopologySpec(),
-		Placement: p.String(),
-		Seed:      seed,
-		Makespan:  toDuration(res.Makespan),
-		Events:    res.Events,
-	}
-	for i, jr := range res.Jobs {
-		out.Jobs = append(out.Jobs, ClusterJobRow{
-			Job:       jr.Name,
-			Workload:  jobs[i].workload.Name(),
-			NPUs:      jr.NPUs,
-			Local:     jr.Local.String(),
-			FirstRank: jr.Ranks[0],
-			Arrival:   toDuration(jr.Arrival),
-			Finish:    toDuration(jr.Finish),
-			Report:    reportFromStats(jobs[i].workload.Name(), jr.Stats),
-		})
-	}
-	return out
-}
-
 // WriteJSON writes the result as an indented JSON document — byte-
 // identical for any worker count.
-func (r *SearchResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *SearchResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // WriteCSV writes the full history flat: one record per evaluation, in
 // rung order. Deterministic for a given result.

@@ -2,8 +2,10 @@ package astrasim
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // testSearchSpec is a cheap 4-topology x 2-bandwidth x 1-workload space
@@ -50,6 +52,28 @@ func TestOptimizeHalvingMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// searchOutputs renders a result in all three output forms: JSON, CSV and
+// the table without its wall-clock line.
+func searchOutputs(t *testing.T, res *SearchResult) []byte {
+	t.Helper()
+	var out, tbl bytes.Buffer
+	if err := res.WriteJSON(&out); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WriteCSV(&out); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WriteTable(&tbl); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.SplitAfter(tbl.String(), "\n") {
+		if !strings.HasPrefix(line, "simulated ") {
+			out.WriteString(line)
+		}
+	}
+	return out.Bytes()
+}
+
 // TestOptimizeDeterministicAcrossWorkers mirrors the sweep engine's
 // serial-parity guarantee: same seed + budget => byte-identical
 // SearchResult at any -parallel worker count.
@@ -59,26 +83,18 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 		spec.Strategy = strategy
 		spec.Seed = 99
 		spec.MaxSimulations = 2
-		var want bytes.Buffer
+		var want []byte
 		for i, workers := range []int{1, 2, 8} {
 			res, err := Optimize(spec, SearchOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got bytes.Buffer
-			if err := res.WriteJSON(&got); err != nil {
-				t.Fatal(err)
-			}
-			var csv bytes.Buffer
-			if err := res.WriteCSV(&csv); err != nil {
-				t.Fatal(err)
-			}
-			got.Write(csv.Bytes())
+			got := searchOutputs(t, res)
 			if i == 0 {
 				want = got
 				continue
 			}
-			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			if !bytes.Equal(want, got) {
 				t.Errorf("%s: workers=%d result differs from serial", strategy, workers)
 			}
 		}
@@ -145,6 +161,62 @@ func TestOptimizeExplicitMachinesAndObjective(t *testing.T) {
 	}
 	if res.Best.Machine != "fast" {
 		t.Errorf("best machine = %q, want fast", res.Best.Machine)
+	}
+}
+
+// TestOptimizeObjectives: in both modes the objective picks what a
+// candidate scores — the makespan, or the exposed communication (in
+// cluster mode, its mean over the jobs) — as the direct run reports it.
+func TestOptimizeObjectives(t *testing.T) {
+	w := WorkloadSpec{Kind: "pipeline", Stages: 2, MicroBatches: 2, FlopsPerStage: 1e11,
+		ActivationBytes: 1 << 20, GradBytes: 8 << 20}
+	machine := MachineConfig{Topology: "R(4)_SW(2)", BandwidthsGBps: []float64{100, 50}}
+	jobs := []ClusterJobSpec{{NPUs: 4, Count: 2, Workload: w}}
+	m, err := NewMachine(machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := w.Workload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := m.Run(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := RunCluster(ClusterSpec{Fabric: machine, Placement: "strided", Jobs: jobs}, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clusterComm time.Duration
+	for _, j := range cl.Jobs {
+		clusterComm += j.Report.ExposedComm
+	}
+	clusterComm /= time.Duration(len(cl.Jobs))
+	if rep.Makespan == rep.ExposedComm || cl.Makespan == clusterComm {
+		t.Fatal("the workload does not tell the objectives apart")
+	}
+	for _, c := range []struct {
+		cluster   bool
+		objective string
+		want      time.Duration
+	}{
+		{false, "", rep.Makespan}, {false, "comm", rep.ExposedComm},
+		{true, "makespan", cl.Makespan}, {true, "exposed_comm", clusterComm},
+	} {
+		spec := SearchSpec{Strategy: "exhaustive", Objective: c.objective, Machines: []SweepMachine{{Config: machine}}}
+		if c.cluster {
+			spec.Cluster = &ClusterSearchSpec{Jobs: jobs, Placements: []string{"strided"}}
+		} else {
+			spec.Workloads = []WorkloadSpec{w}
+		}
+		res, err := Optimize(spec, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Best.Score != c.want {
+			t.Errorf("cluster=%v objective %q: score %v, want %v", c.cluster, c.objective, res.Best.Score, c.want)
+		}
 	}
 }
 
@@ -262,50 +334,86 @@ func TestLoadSearchSpec(t *testing.T) {
 	}
 }
 
+// testClusterSearchSpec is a cheap cluster-mode space: two 32-NPU fabrics
+// x two placements, hosting two 8-NPU all-to-all jobs.
+func testClusterSearchSpec() SearchSpec {
+	return SearchSpec{
+		Name: "cluster-test",
+		Machines: []SweepMachine{
+			{Name: "slow", Config: MachineConfig{Topology: "R(4)_SW(8)", BandwidthsGBps: []float64{100, 25}}},
+			{Name: "fast", Config: MachineConfig{Topology: "R(4)_SW(8)", BandwidthsGBps: []float64{400, 200}}},
+		},
+		Cluster: &ClusterSearchSpec{
+			Jobs:       []ClusterJobSpec{{NPUs: 8, Count: 2, Workload: WorkloadSpec{Kind: "all_to_all", SizeBytes: 1 << 20}}},
+			Placements: []string{"strided", "packed"},
+		},
+	}
+}
+
+// specDefect is one single-defect edit of a valid search spec and the
+// exact error it must produce.
+type specDefect struct {
+	name string
+	edit func(*SearchSpec)
+	want string
+}
+
+// TestOptimizeSpecErrors pins the exact error of every single-defect spec
+// in both modes: the one optimizer loop must reject each defect the way
+// its mode always has.
 func TestOptimizeSpecErrors(t *testing.T) {
-	base := testSearchSpec()
-
-	spec := base
-	spec.Workloads = nil
-	if _, err := Optimize(spec, SearchOptions{}); err == nil {
-		t.Error("no workloads accepted")
+	// Defects both modes share; name is the spec's name and pruned the
+	// size of its space.
+	shared := func(name string, pruned int) []specDefect {
+		return []specDefect{
+			{"unknown objective", func(s *SearchSpec) { s.Objective = "dollars" },
+				`astrasim: unknown objective "dollars" (want makespan or comm)`},
+			{"unknown proxy op", func(s *SearchSpec) { s.ProxyOp = "broadcast" },
+				`astrasim: proxy op: astrasim: unknown collective "broadcast"`},
+			{"unknown strategy", func(s *SearchSpec) { s.Strategy = "annealing" },
+				`search: unknown strategy "annealing" (registered: exhaustive, grid, halving, random, sha, successive-halving, sweep)`},
+			{"no machines", func(s *SearchSpec) { s.Machines, s.Topologies = nil, nil },
+				fmt.Sprintf("astrasim: search %q has no machine candidates", name)},
+			{"every candidate pruned", func(s *SearchSpec) { s.MaxAggregateGBps = 1 },
+				fmt.Sprintf("search %s: no feasible candidates (%d pruned)", name, pruned)},
+		}
 	}
-
-	spec = base
-	spec.Topologies = nil
-	if _, err := Optimize(spec, SearchOptions{}); err == nil {
-		t.Error("empty machine space accepted")
+	modes := []struct {
+		mode    string
+		spec    func() SearchSpec
+		defects []specDefect
+	}{
+		{"single", testSearchSpec, append(shared("test-search", 8),
+			specDefect{"no workloads", func(s *SearchSpec) { s.Workloads = nil },
+				`astrasim: search "test-search" has no workloads`},
+			specDefect{"bad workload kind", func(s *SearchSpec) { s.Workloads = []WorkloadSpec{{Kind: "nope"}} },
+				`astrasim: search test-search: workload 0: astrasim: unknown workload kind "nope"`},
+			specDefect{"bad workload kind, unnamed", func(s *SearchSpec) { s.Name, s.Workloads = "", []WorkloadSpec{{Kind: "nope"}} },
+				`astrasim: search search: workload 0: astrasim: unknown workload kind "nope"`},
+			specDefect{"every candidate pruned, unnamed", func(s *SearchSpec) { s.Name, s.MaxAggregateGBps = "", 1 },
+				`search search: no feasible candidates (8 pruned)`},
+		)},
+		{"cluster", testClusterSearchSpec, append(shared("cluster-test", 4),
+			specDefect{"no jobs", func(s *SearchSpec) { s.Cluster.Jobs = nil },
+				`astrasim: cluster search "cluster-test" has no jobs`},
+			specDefect{"unknown placement", func(s *SearchSpec) { s.Cluster.Placements = []string{"packed", "diagonal"} },
+				`cluster: unknown placement "diagonal" (want packed, strided, random)`},
+			specDefect{"negative count", func(s *SearchSpec) { s.Cluster.Jobs[0].Count = -1 },
+				`astrasim: cluster job 0: negative count`},
+			specDefect{"bad workload kind", func(s *SearchSpec) { s.Cluster.Jobs[0].Workload.Kind = "nope" },
+				`astrasim: cluster job 0: astrasim: unknown workload kind "nope"`},
+			specDefect{"every candidate pruned, unnamed", func(s *SearchSpec) { s.Name, s.MaxAggregateGBps = "", 1 },
+				`search cluster-search: no feasible candidates (4 pruned)`},
+		)},
 	}
-
-	spec = base
-	spec.Workloads = []WorkloadSpec{{Kind: "nope"}}
-	if _, err := Optimize(spec, SearchOptions{}); err == nil {
-		t.Error("bad workload accepted")
-	}
-
-	spec = base
-	spec.Strategy = "annealing"
-	if _, err := Optimize(spec, SearchOptions{}); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-
-	spec = base
-	spec.Objective = "dollars"
-	if _, err := Optimize(spec, SearchOptions{}); err == nil {
-		t.Error("unknown objective accepted")
-	}
-
-	spec = base
-	spec.ProxyOp = "broadcast"
-	if _, err := Optimize(spec, SearchOptions{}); err == nil {
-		t.Error("unknown proxy op accepted")
-	}
-
-	// All candidates infeasible is an error (nothing to search).
-	spec = base
-	spec.MaxAggregateGBps = 1
-	if _, err := Optimize(spec, SearchOptions{}); err == nil {
-		t.Error("fully pruned space accepted")
+	for _, m := range modes {
+		for _, d := range m.defects {
+			spec := m.spec()
+			d.edit(&spec)
+			if _, err := Optimize(spec, SearchOptions{}); err == nil || err.Error() != d.want {
+				t.Errorf("%s mode, %s: error %v, want %q", m.mode, d.name, err, d.want)
+			}
+		}
 	}
 }
 

@@ -160,11 +160,17 @@ type SweepSpec struct {
 // LoadSweepSpec reads a SweepSpec JSON document, rejecting unknown fields
 // so grid typos fail loudly.
 func LoadSweepSpec(r io.Reader) (SweepSpec, error) {
-	var s SweepSpec
+	return decodeSpec[SweepSpec](r, "sweep")
+}
+
+// decodeSpec reads one JSON spec document of the named kind, rejecting
+// unknown fields — the shared body of the Load*Spec functions.
+func decodeSpec[S any](r io.Reader, kind string) (S, error) {
+	var s S
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
-		return s, fmt.Errorf("astrasim: parse sweep spec: %w", err)
+		return s, fmt.Errorf("astrasim: parse %s spec: %w", kind, err)
 	}
 	return s, nil
 }
@@ -181,16 +187,30 @@ type SweepOptions struct {
 // RunSweepFile loads a sweep spec from a JSON file and runs it — the
 // shared entry point of the CLIs' -sweep flag.
 func RunSweepFile(path string, opt SweepOptions) (*SweepResult, error) {
+	return runSpecFile(path, LoadSweepSpec, func(s SweepSpec) (*SweepResult, error) { return RunSweep(s, opt) })
+}
+
+// writeJSON writes v as an indented JSON document — the body of every
+// result's WriteJSON.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// runSpecFile loads a spec from a JSON file and runs it — the shared body
+// of the Run*File functions.
+func runSpecFile[S, R any](path string, load func(io.Reader) (S, error), run func(S) (*R, error)) (*R, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	spec, err := LoadSweepSpec(f)
+	spec, err := load(f)
 	if err != nil {
 		return nil, err
 	}
-	return RunSweep(spec, opt)
+	return run(spec)
 }
 
 // ProgressLine returns a Progress callback rendering an in-place
@@ -310,11 +330,7 @@ func RunSweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 }
 
 // WriteJSON writes the result as an indented JSON document.
-func (r *SweepResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *SweepResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // WriteTable writes a human-readable summary table.
 func (r *SweepResult) WriteTable(w io.Writer) error {
