@@ -66,9 +66,10 @@ func NewSpanGroup(top *topology.Topology, spans []Span, base int) (Group, error)
 
 // CheckSpans reports whether spans form a valid group rooted at base: every
 // span names an existing physical dimension, has K >= 2 members and a
-// positive stride, and the members reached from base stay inside the
-// dimension without wrapping. It allocates nothing, so callers can check a
-// span layout against every rank that uses it.
+// positive stride, the members reached from base stay inside the
+// dimension without wrapping, and the members number at most the NPUs
+// (spans sharing a dimension multiply). It allocates nothing, so callers
+// can check a span layout against every rank that uses it.
 func CheckSpans(top *topology.Topology, spans []Span, base int) error {
 	if len(spans) == 0 {
 		return fmt.Errorf("collective: group must have at least one span")
@@ -76,6 +77,7 @@ func CheckSpans(top *topology.Topology, spans []Span, base int) error {
 	if base < 0 || base >= top.NumNPUs() {
 		return fmt.Errorf("collective: base rank %d out of range", base)
 	}
+	members := 1
 	for i, s := range spans {
 		if s.Phys < 0 || s.Phys >= top.NumDims() {
 			return fmt.Errorf("collective: span %d physical dim %d out of range", i, s.Phys)
@@ -86,10 +88,13 @@ func CheckSpans(top *topology.Topology, spans []Span, base int) error {
 		if s.Stride < 1 {
 			return fmt.Errorf("collective: span %d needs stride >= 1, got %d", i, s.Stride)
 		}
-		reach := top.DimPos(base, s.Phys)%s.Stride + (s.K-1)*s.Stride
-		if reach >= top.Dims[s.Phys].Size {
+		size := top.Dims[s.Phys].Size // bounds K and Stride before the reach can overflow
+		if s.K > size || s.Stride >= size || top.DimPos(base, s.Phys)%s.Stride+(s.K-1)*s.Stride >= size {
 			return fmt.Errorf("collective: span %d (K=%d, stride=%d) exceeds dim %d size %d",
-				i, s.K, s.Stride, s.Phys, top.Dims[s.Phys].Size)
+				i, s.K, s.Stride, s.Phys, size)
+		}
+		if members *= s.K; members > top.NumNPUs() {
+			return fmt.Errorf("collective: spans 0..%d have more members than the machine's %d NPUs", i, top.NumNPUs())
 		}
 	}
 	return nil

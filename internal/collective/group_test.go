@@ -123,6 +123,8 @@ func TestSpanGroupValidation(t *testing.T) {
 		{"k too small", []Span{{Phys: 0, K: 1, Stride: 1}}, 0},
 		{"zero stride", []Span{{Phys: 0, K: 2, Stride: 0}}, 0},
 		{"overflow", []Span{{Phys: 0, K: 64, Stride: 16}}, 0}, // 63*16 >= 512
+		{"reach wraps int", []Span{{Phys: 0, K: 1 << 62, Stride: 4}}, 0},
+		{"more members than npus", []Span{{Phys: 0, K: 512, Stride: 1}, {Phys: 0, K: 2, Stride: 1}}, 0},
 		{"bad base", []Span{{Phys: 0, K: 2, Stride: 1}}, 9999},
 	}
 	for _, c := range cases {

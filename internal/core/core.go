@@ -12,16 +12,17 @@
 // same logical collective, and it launches once every member has reached
 // it — synchronous-training semantics.
 //
-// Execution runs on integer indices. Start compiles each distinct node list
-// once into an immutable graphPlan (nodes, children and in-degrees by list
-// position) shared by every rank using the list, and interns each
-// communicator span layout once. A communicator instance is an (origin rank,
-// layout) pair resolved per rank at Start, so issuing a node touches only
-// slices: no map, no string key and no allocation per NPU issue.
+// Execution runs on integer indices. Start takes one validated et.Plan per
+// distinct node list from et.Trace.Plans, so this package never reads Deps
+// or resolves a node ID, and interns each communicator span layout once. A
+// communicator instance is an (origin rank, layout) pair resolved per rank
+// at Start, so issuing a node touches only slices: no map, no string key
+// and no allocation per NPU issue.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/collective"
@@ -216,24 +217,16 @@ type Simulator struct {
 	finished units.Time
 }
 
-// graphPlan is one distinct node list compiled for execution. It is
-// immutable and shared by every rank whose graph uses the list; nodes are
-// addressed by their position in the list.
+// graphPlan is one distinct node list's compiled plan plus its communicator
+// layouts. It is immutable and shared by every rank whose graph uses the
+// list; nodes are addressed by their position in the list.
 type graphPlan struct {
-	nodes []*et.Node
-	// children lists each node's dependents, one entry per dependency edge
-	// (a duplicated dep appears twice, matching the in-degree count).
-	children [][]int32
-	// indeg is each node's initial in-degree: len(Deps).
-	indeg []int32
-	// roots are the initially ready positions in ascending-ID order.
-	roots []int32
+	*et.Plan
 	// slot maps a communicator node's position to the plan-local index of
 	// its layout (-1 for every other kind); layouts maps that index to the
-	// interned layout id, and layoutNode to the first node using it.
-	slot       []int32
-	layouts    []int32
-	layoutNode []int32
+	// interned layout id.
+	slot    []int32
+	layouts []int32
 }
 
 // instanceKey names a communicator instance: its lowest member rank and its
@@ -390,7 +383,8 @@ func (s *Simulator) Start(trace *et.Trace, at units.Time) error {
 	if s.npus != nil {
 		return fmt.Errorf("core: simulator already started (single-use)")
 	}
-	if err := trace.Validate(); err != nil {
+	plans, err := trace.Plans()
+	if err != nil {
 		return err
 	}
 	if trace.NumNPUs != s.cfg.Topology.NumNPUs() {
@@ -400,7 +394,7 @@ func (s *Simulator) Start(trace *et.Trace, at units.Time) error {
 	if at < s.eng.Now() {
 		return fmt.Errorf("core: start time %v is in the engine's past (now %v)", at, s.eng.Now())
 	}
-	if err := s.compile(trace, at); err != nil {
+	if err := s.compile(trace, plans, at); err != nil {
 		return err
 	}
 	s.startAt = at
@@ -427,12 +421,12 @@ func (s *Simulator) Start(trace *et.Trace, at units.Time) error {
 	return nil
 }
 
-// compile builds the per-rank execution state: one plan per distinct node
-// list, one interned layout per distinct communicator shape, and every
-// rank's communicator instances, checking each layout against every rank
-// that uses it. It sets the simulator's state only when the whole trace
-// checks out.
-func (s *Simulator) compile(trace *et.Trace, at units.Time) error {
+// compile builds the per-rank execution state from the trace's plans: the
+// communicator layouts of each distinct plan, one interned layout per
+// distinct communicator shape, and every rank's communicator instances,
+// checking each layout against every rank that uses it. It sets the
+// simulator's state only when the whole trace checks out.
+func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) error {
 	top := s.cfg.Topology
 	full := collective.FullMachine(top).Spans
 	var layouts [][]collective.Span
@@ -458,17 +452,16 @@ func (s *Simulator) compile(trace *et.Trace, at units.Time) error {
 	}
 
 	npus := make([]npuState, trace.NumNPUs)
-	plans := make(map[et.ListKey]*graphPlan)
+	layoutsOf := make(map[*et.Plan]*graphPlan)
 	var nodeTotal, slotTotal int
-	for _, g := range trace.Graphs {
-		key := g.ListKey()
-		p := plans[key]
+	for i, g := range trace.Graphs {
+		p := layoutsOf[plans[i]]
 		if p == nil {
-			p = compilePlan(g.Nodes, internLayout)
-			plans[key] = p
+			p = planLayouts(plans[i], internLayout)
+			layoutsOf[plans[i]] = p
 		}
 		npus[g.NPU].plan = p
-		nodeTotal += len(p.nodes)
+		nodeTotal += len(p.Nodes())
 		slotTotal += len(p.layouts)
 	}
 
@@ -483,13 +476,15 @@ func (s *Simulator) compile(trace *et.Trace, at units.Time) error {
 		st.rank = rank
 		st.lastTouch = at
 		st.recording = s.cfg.RecordTimeline
-		st.indeg, indeg = indeg[:len(p.nodes):len(p.nodes)], indeg[len(p.nodes):]
-		copy(st.indeg, p.indeg)
+		n := len(p.Nodes())
+		st.indeg, indeg = indeg[:n:n], indeg[n:]
+		copy(st.indeg, p.InDegrees())
 		st.slots, slots = slots[:len(p.layouts):len(p.layouts)], slots[len(p.layouts):]
 		for i, id := range p.layouts {
 			spans := layouts[id]
 			if err := collective.CheckSpans(top, spans, rank); err != nil {
-				return fmt.Errorf("core: npu %d node %d: %w", rank, p.nodes[p.layoutNode[i]].ID, err)
+				first := slices.Index(p.slot, int32(i)) // the first node using the layout
+				return fmt.Errorf("core: npu %d node %d: %w", rank, p.Nodes()[first].ID, err)
 			}
 			g := collective.Group{Spans: spans, Base: rank}
 			key := instanceKey{origin: g.Origin(top), layout: id}
@@ -510,57 +505,23 @@ func (s *Simulator) compile(trace *et.Trace, at units.Time) error {
 	return nil
 }
 
-// compilePlan compiles one node list. Node IDs need not be dense or
-// ascending; they are resolved to list positions once, here.
-func compilePlan(nodes []*et.Node, internLayout func(*et.Node) int32) *graphPlan {
-	n := len(nodes)
-	p := &graphPlan{
-		nodes:    nodes,
-		children: make([][]int32, n),
-		indeg:    make([]int32, n),
-		slot:     make([]int32, n),
-	}
-	pos := make(map[int]int32, n)
-	for i, nd := range nodes {
-		pos[nd.ID] = int32(i)
-	}
-	// Size every children list first so they all share one array.
-	fanout := make([]int32, n)
-	edges := 0
-	for i, nd := range nodes {
-		p.indeg[i] = int32(len(nd.Deps))
-		edges += len(nd.Deps)
-		for _, d := range nd.Deps {
-			fanout[pos[d]]++
-		}
-	}
-	flat := make([]int32, edges)
-	for i, f := range fanout {
-		p.children[i], flat = flat[:0:f], flat[f:]
-	}
-	local := make(map[int32]int32) // layout id -> plan-local index
-	for i, nd := range nodes {
-		for _, d := range nd.Deps {
-			c := pos[d]
-			p.children[c] = append(p.children[c], int32(i))
-		}
+// planLayouts resolves each communicator node of one plan to its interned
+// layout.
+func planLayouts(ep *et.Plan, internLayout func(*et.Node) int32) *graphPlan {
+	p := &graphPlan{Plan: ep, slot: make([]int32, len(ep.Nodes()))}
+	for i, nd := range ep.Nodes() {
 		p.slot[i] = -1
-		if nd.Kind == et.KindComm {
-			id := internLayout(nd)
-			li, ok := local[id]
-			if !ok {
-				li = int32(len(p.layouts))
-				local[id] = li
-				p.layouts = append(p.layouts, id)
-				p.layoutNode = append(p.layoutNode, int32(i))
-			}
-			p.slot[i] = li
+		if nd.Kind != et.KindComm {
+			continue
 		}
-		if len(nd.Deps) == 0 {
-			p.roots = append(p.roots, int32(i))
+		id := internLayout(nd)
+		li := int32(slices.Index(p.layouts, id)) // a plan uses few layouts
+		if li < 0 {
+			li = int32(len(p.layouts))
+			p.layouts = append(p.layouts, id)
 		}
+		p.slot[i] = li
 	}
-	sort.Slice(p.roots, func(a, b int) bool { return nodes[p.roots[a]].ID < nodes[p.roots[b]].ID })
 	return p
 }
 
@@ -592,7 +553,7 @@ func (s *Simulator) applyScenarioEvent(ev scenario.Event) {
 func (s *Simulator) release() {
 	for rank := range s.npus {
 		st := &s.npus[rank]
-		for _, pos := range st.plan.roots {
+		for _, pos := range st.plan.Roots() {
 			if st.indeg[pos] == 0 {
 				s.issue(st, pos)
 			}
@@ -661,7 +622,7 @@ func (s *Simulator) describeStuck() string {
 		st := &s.npus[rank]
 		for pos, deg := range st.indeg {
 			if deg == issuedMark {
-				n := st.plan.nodes[pos]
+				n := st.plan.Nodes()[pos]
 				return fmt.Sprintf("npu %d node %d (%s %s, in flight)", st.rank, n.ID, n.Kind, n.Name)
 			}
 		}
@@ -670,7 +631,7 @@ func (s *Simulator) describeStuck() string {
 		st := &s.npus[rank]
 		for pos, deg := range st.indeg {
 			if deg > 0 {
-				n := st.plan.nodes[pos]
+				n := st.plan.Nodes()[pos]
 				return fmt.Sprintf("npu %d node %d (%s %s, %d deps unmet)", st.rank, n.ID, n.Kind, n.Name, deg)
 			}
 		}
@@ -719,7 +680,7 @@ func (st *npuState) touch(now units.Time) {
 // issue dispatches a ready node to its layer.
 func (s *Simulator) issue(st *npuState, pos int32) {
 	st.indeg[pos] = issuedMark
-	n := st.plan.nodes[pos]
+	n := st.plan.Nodes()[pos]
 	switch n.Kind {
 	case et.KindCompute:
 		dur := s.cfg.Compute.OpTime(n.FLOPs, units.ByteSize(n.MemBytes))
@@ -842,7 +803,7 @@ func (s *Simulator) issueCollective(st *npuState, pos int32) {
 	inst.open[len(inst.open)-1] = nil
 	inst.open = inst.open[:len(inst.open)-1]
 	inst.base++
-	s.launchCollective(p, st.plan.nodes[pos])
+	s.launchCollective(p, st.plan.Nodes()[pos])
 }
 
 func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
@@ -912,7 +873,7 @@ func (s *Simulator) complete(st *npuState, pos int32) {
 	if s.remaining == 0 {
 		s.finished = s.eng.Now()
 	}
-	for _, c := range st.plan.children[pos] {
+	for _, c := range st.plan.Dependents(pos) {
 		st.indeg[c]--
 		if st.indeg[c] == 0 {
 			s.issue(st, c)

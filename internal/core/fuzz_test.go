@@ -1,0 +1,97 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/compute"
+	"repro/internal/convert"
+	"repro/internal/et"
+	"repro/internal/memory"
+	"repro/internal/timeline"
+	"repro/internal/topology"
+	"repro/internal/units"
+)
+
+func fuzzTraceSeeds() []string {
+	return []string{
+		// ET: compute, a whole-machine and a subgroup collective, an
+		// in-switch collective, remote memory and a send/recv pair.
+		`{"name":"et","num_npus":4,"graphs":[` +
+			`{"npu":0,"nodes":[{"id":1,"kind":"COMP","flops":1e9},{"id":2,"kind":"COMM_COLL","deps":[1],"collective":"ALL_REDUCE","comm_bytes":65536},{"id":3,"kind":"COMM_SEND","deps":[2],"peer":1,"tag":7,"comm_bytes":4096},{"id":4,"kind":"COMM_COLL","deps":[3],"collective":"ALL_GATHER","comm_bytes":512,"in_switch":true,"group":{"spans":[{"phys":0,"k":2,"stride":2}]}}]},` +
+			`{"npu":1,"nodes":[{"id":1,"kind":"COMP","flops":1e9},{"id":2,"kind":"COMM_COLL","deps":[1],"collective":"ALL_REDUCE","comm_bytes":65536},{"id":3,"kind":"COMM_RECV","deps":[2],"peer":0,"tag":7,"comm_bytes":4096}]},` +
+			`{"npu":2,"nodes":[{"id":5,"kind":"MEM","mem_op":"LOAD","mem_location":"REMOTE","tensor_bytes":1024},{"id":2,"kind":"COMM_COLL","deps":[5],"collective":"ALL_REDUCE","comm_bytes":65536},{"id":4,"kind":"COMM_COLL","deps":[2,2],"collective":"ALL_GATHER","comm_bytes":512,"in_switch":true,"group":{"spans":[{"phys":0,"k":2,"stride":2}]}}]},` +
+			`{"npu":3,"nodes":[{"id":2,"kind":"COMM_COLL","collective":"ALL_REDUCE","comm_bytes":65536}]}]}`,
+		// ET: a collective that only some members reach (deadlock).
+		`{"num_npus":2,"graphs":[{"npu":0,"nodes":[{"id":1,"kind":"COMM_COLL","collective":"ALL_TO_ALL","comm_bytes":8}]},{"npu":1,"nodes":[]}]}`,
+		// PARAM PyTorch graph.
+		`{"name":"pt","num_npus":2,"graphs":[` +
+			`{"rank":0,"nodes":[{"id":1,"name":"aten::matmul","attrs":{"flops":1e9}},{"id":2,"name":"nccl:all_reduce","ctrl_deps":[1],"attrs":{"comm_bytes":4096}},{"id":3,"name":"nccl:send","ctrl_deps":[2],"attrs":{"comm_bytes":64,"peer":1,"tag":5}}]},` +
+			`{"rank":1,"nodes":[{"id":1,"name":"mem::load","attrs":{"tensor_bytes":4096,"remote":true}},{"id":2,"name":"nccl:all_reduce","ctrl_deps":[1],"attrs":{"comm_bytes":4096}},{"id":3,"name":"nccl:recv","ctrl_deps":[2],"attrs":{"comm_bytes":64,"peer":0,"tag":5}}]}]}`,
+		`{"num_npus":1,"graphs":[{"npu":0,"nodes":[]}]}`,
+		`{"num_npus":2}`, `{`, `null`, `[]`,
+	}
+}
+
+// FuzzRunTrace feeds arbitrary bytes through the trace decoders into a
+// whole simulation. The bytes are read as an ET document or, failing that,
+// as a PARAM PyTorch graph through convert; any trace of 2-16 NPUs then
+// runs on SW(n) with a hierarchical memory pool, transit charging and an
+// event budget. Start, Run and Finalize may return errors but must never
+// panic.
+func FuzzRunTrace(f *testing.F) {
+	for _, s := range fuzzTraceSeeds() {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		trace, err := et.Decode(bytes.NewReader(doc))
+		if err != nil {
+			src, err := convert.DecodePyTorch(bytes.NewReader(doc))
+			if err != nil {
+				return
+			}
+			if trace, err = convert.Convert(src); err != nil {
+				return
+			}
+		}
+		n := trace.NumNPUs
+		if n < 2 || n > 16 {
+			return
+		}
+		top, err := topology.New(topology.Dim{Kind: topology.Switch, Size: n, Bandwidth: units.GBps(100), Latency: 500 * units.Nanosecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			Topology: top,
+			Compute:  compute.Model{Peak: units.TFLOPS(100), MemBandwidth: units.GBps(2000)},
+			Memory: memory.System{
+				Local:   memory.LocalModel{Latency: units.Microsecond, Bandwidth: units.GBps(2000)},
+				HasPool: true,
+				Pool: memory.PoolConfig{
+					Design:             memory.Hierarchical,
+					NumNodes:           2,
+					GPUsPerNode:        8,
+					NumOutSwitches:     2,
+					NumRemoteGroups:    4,
+					RemoteGroupBW:      units.GBps(100),
+					GPUSideOutFabricBW: units.GBps(100),
+					InNodeFabricBW:     units.GBps(256),
+				},
+			},
+			Chunks:                 4,
+			ModelTransitCongestion: true,
+		}
+		eng := timeline.New()
+		eng.SetEventBudget(1 << 16)
+		sim, err := NewSimulatorOn(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Start(trace, 0); err != nil {
+			return
+		}
+		_, _ = eng.Run()
+		_, _ = sim.Finalize()
+	})
+}

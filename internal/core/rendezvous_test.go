@@ -244,6 +244,8 @@ func TestInvalidSpanReturnsError(t *testing.T) {
 		{"too many members", ring4Top(), et.SpanRef{Phys: 0, K: 8, Stride: 1}, "npu 0 node 1"},
 		{"one member", ring4Top(), et.SpanRef{Phys: 0, K: 1, Stride: 1}, "npu 0 node 1"},
 		{"zero stride", ring4Top(), et.SpanRef{Phys: 0, K: 2, Stride: 0}, "npu 0 node 1"},
+		// (K-1)*Stride wraps to -4 in int64 arithmetic.
+		{"reach overflows", ring4Top(), et.SpanRef{Phys: 0, K: 1 << 62, Stride: 4}, "npu 0 node 1"},
 		// From rank 0 the pair {0, 4} fits; from rank 1, {1, 5} wraps.
 		{"reach from rank 1", ring5, et.SpanRef{Phys: 0, K: 2, Stride: 4}, "npu 1 node 1"},
 	}

@@ -6,12 +6,19 @@
 // Because each NPU has an independent graph, NPUs may execute different
 // operations at the same time, which is what enables pipeline parallelism
 // and other asymmetric strategies.
+//
+// Trace.Plans validates a trace in one compile pass per distinct node list,
+// returning each list as an immutable Plan addressed by list position.
+// Validation, Repeat and the execution engine all read plans, so node IDs
+// are resolved in this package only.
 package et
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // NodeKind is the ET node type of Fig. 1(b), with communication split into
@@ -120,41 +127,118 @@ type Trace struct {
 }
 
 // Validate checks structural invariants of a single graph: unique IDs,
-// dependencies referencing existing earlier-declared nodes, kind-specific
-// metadata present, and acyclicity.
+// dependencies referencing existing nodes other than the node itself,
+// kind-specific metadata present, and acyclicity.
 func (g *Graph) Validate() error {
-	pos := make(map[int]int32, len(g.Nodes))
-	for i, n := range g.Nodes {
-		if n == nil {
-			return fmt.Errorf("et: npu %d has a nil node", g.NPU)
+	_, err := compile(g.NPU, g.Nodes)
+	return err
+}
+
+// Plan is one distinct node list, validated and compiled for execution.
+// Nodes are addressed by their position in the list, so nothing downstream
+// resolves a node ID or reads Deps. A plan is immutable and shared by every
+// graph that uses its list; the slices its methods return are shared too,
+// and callers must not modify them.
+type Plan struct {
+	nodes []*Node
+	// The dependents of position p are deps[off[p]:off[p+1]], in list
+	// order, one entry per dependency edge.
+	off, deps []int32
+	indeg     []int32
+	roots     []int32
+	// p2p counts the list's send and receive nodes.
+	p2p int
+}
+
+// Nodes returns the node list in declaration order.
+func (p *Plan) Nodes() []*Node { return p.nodes }
+
+// Dependents returns the positions that depend on position pos, one entry
+// per dependency edge: a duplicated dep appears twice, matching the
+// in-degree count.
+func (p *Plan) Dependents(pos int32) []int32 { return p.deps[p.off[pos]:p.off[pos+1]] }
+
+// InDegrees returns each position's initial in-degree: its dependency count.
+func (p *Plan) InDegrees() []int32 { return p.indeg }
+
+// Roots returns the positions with no dependencies in ascending-ID order.
+func (p *Plan) Roots() []int32 { return p.roots }
+
+// compile validates one node list and builds its plan. Node IDs need not
+// be dense or ascending; this is the one place they are resolved to list
+// positions. Errors come in list order: nil nodes and duplicate IDs first,
+// then each node's dependencies and metadata, then cycles.
+func compile(npu int, nodes []*Node) (*Plan, error) {
+	n := len(nodes)
+	pos := make(map[int]int32, n)
+	edges := 0
+	for i, nd := range nodes {
+		if nd == nil {
+			return nil, fmt.Errorf("et: npu %d has a nil node", npu)
 		}
-		if _, dup := pos[n.ID]; dup {
-			return fmt.Errorf("et: npu %d has duplicate node id %d", g.NPU, n.ID)
+		if _, dup := pos[nd.ID]; dup {
+			return nil, fmt.Errorf("et: npu %d has duplicate node id %d", npu, nd.ID)
 		}
-		pos[n.ID] = int32(i)
+		pos[nd.ID] = int32(i)
+		edges += len(nd.Deps)
 	}
+	p := &Plan{nodes: nodes, off: make([]int32, n+1), indeg: make([]int32, n)}
 	// depPos holds every node's dependencies as list positions, node after
-	// node, for the cycle check.
-	var depPos []int32
-	for _, n := range g.Nodes {
-		for _, d := range n.Deps {
-			p, ok := pos[d]
+	// node, so each ID is resolved once.
+	depPos := make([]int32, 0, edges)
+	for i, nd := range nodes {
+		for _, d := range nd.Deps {
+			q, ok := pos[d]
 			if !ok {
-				return fmt.Errorf("et: npu %d node %d depends on unknown node %d", g.NPU, n.ID, d)
+				return nil, fmt.Errorf("et: npu %d node %d depends on unknown node %d", npu, nd.ID, d)
 			}
-			if d == n.ID {
-				return fmt.Errorf("et: npu %d node %d depends on itself", g.NPU, n.ID)
+			if d == nd.ID {
+				return nil, fmt.Errorf("et: npu %d node %d depends on itself", npu, nd.ID)
 			}
-			depPos = append(depPos, p)
+			depPos = append(depPos, q)
+			p.off[q+1]++
 		}
-		if err := n.validateMeta(); err != nil {
-			return fmt.Errorf("et: npu %d node %d: %w", g.NPU, n.ID, err)
+		if err := nd.validateMeta(); err != nil {
+			return nil, fmt.Errorf("et: npu %d node %d: %w", npu, nd.ID, err)
+		}
+		p.indeg[i] = int32(len(nd.Deps))
+		if len(nd.Deps) == 0 {
+			p.roots = append(p.roots, int32(i))
+		}
+		if nd.Kind == KindSend || nd.Kind == KindRecv {
+			p.p2p++
 		}
 	}
-	if g.hasCycle(depPos) {
-		return fmt.Errorf("et: npu %d graph has a dependency cycle", g.NPU)
+	for q := 0; q < n; q++ {
+		p.off[q+1] += p.off[q]
 	}
-	return nil
+	p.deps = make([]int32, edges)
+	// Fill the dependents in list order; node i's indeg[i] dependency
+	// positions are next on depPos.
+	next := append([]int32(nil), p.off[:n]...) // next free slot per position
+	for i, k := range p.indeg {
+		for _, q := range depPos[:k] {
+			p.deps[next[q]] = int32(i)
+			next[q]++
+		}
+		depPos = depPos[k:]
+	}
+	// Kahn's algorithm: the list is acyclic when every position drains.
+	deg := append(next[:0], p.indeg...)
+	queue := append(make([]int32, 0, n), p.roots...)
+	for h := 0; h < len(queue); h++ {
+		for _, c := range p.Dependents(queue[h]) {
+			deg[c]--
+			if deg[c] == 0 {
+				queue = append(queue, c)
+			}
+		}
+	}
+	if len(queue) != n {
+		return nil, fmt.Errorf("et: npu %d graph has a dependency cycle", npu)
+	}
+	slices.SortFunc(p.roots, func(a, b int32) int { return cmp.Compare(nodes[a].ID, nodes[b].ID) })
+	return p, nil
 }
 
 func (n *Node) validateMeta() error {
@@ -195,159 +279,145 @@ func (n *Node) validateMeta() error {
 	return nil
 }
 
-// hasCycle runs Kahn's algorithm over list positions; depPos is every
-// node's dependency positions in list order.
-func (g *Graph) hasCycle(depPos []int32) bool {
-	n := len(g.Nodes)
-	indeg := make([]int32, n)
-	// The children of position p are kids[off[p]:off[p+1]].
-	off := make([]int32, n+1)
-	for _, p := range depPos {
-		off[p+1]++
-	}
-	for p := 0; p < n; p++ {
-		off[p+1] += off[p]
-	}
-	kids := make([]int32, len(depPos))
-	fill := append([]int32(nil), off[:n]...)
-	k := 0
-	for i, nd := range g.Nodes {
-		indeg[i] = int32(len(nd.Deps))
-		for range nd.Deps {
-			p := depPos[k]
-			k++
-			kids[fill[p]] = int32(i)
-			fill[p]++
-		}
-	}
-	queue := make([]int32, 0, n)
-	for p, d := range indeg {
-		if d == 0 {
-			queue = append(queue, int32(p))
-		}
-	}
-	for h := 0; h < len(queue); h++ {
-		p := queue[h]
-		for _, c := range kids[off[p]:off[p+1]] {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
-			}
-		}
-	}
-	return len(queue) != n
-}
-
-// ListKey identifies a graph's node list by its backing array and length.
-// Graphs that share one list — etgen's symmetric traces hand every rank the
-// same slice — have equal keys, and equal keys mean the same list, so
-// per-list work (validation, the execution engine's plan compilation) runs
-// once per distinct list rather than once per rank. Lists that merely start
-// with the same node are distinct: the key is the address of the list's
-// first slot, not the node stored there.
-type ListKey struct {
+// listKey identifies a node list by its first slot's address and its
+// length: graphs that share one list (etgen's symmetric traces hand every
+// rank the same slice) have equal keys, lists that merely start with the
+// same node do not.
+type listKey struct {
 	first **Node
 	n     int
 }
 
-// ListKey returns the identity of the graph's node list.
-func (g *Graph) ListKey() ListKey {
-	if len(g.Nodes) == 0 {
-		return ListKey{}
-	}
-	return ListKey{first: &g.Nodes[0], n: len(g.Nodes)}
+// Validate checks the whole trace; see Plans.
+func (t *Trace) Validate() error {
+	_, err := t.Plans()
+	return err
 }
 
-// Validate checks the whole trace: per-graph invariants, one graph per NPU
-// rank, and point-to-point send/recv matching across graphs (every send
-// must have a matching recv at the peer with the same tag and size, and
-// vice versa) — mismatched P2P nodes would deadlock the simulation. The
-// per-graph checks run once per distinct node list (see ListKey).
-func (t *Trace) Validate() error {
+// Plans validates the whole trace and compiles it: per-list invariants, one
+// graph per NPU rank, and point-to-point send/recv matching across graphs
+// (every send must have a matching recv at the peer with the same tag and
+// size, and vice versa) — mismatched P2P nodes would deadlock the
+// simulation. It returns each graph's plan, indexed like Graphs. Graphs
+// that share one node list share one plan, so per-list work runs once per
+// distinct list rather than once per rank.
+func (t *Trace) Plans() ([]*Plan, error) {
 	if t.NumNPUs <= 0 {
-		return fmt.Errorf("et: trace needs a positive NPU count")
+		return nil, fmt.Errorf("et: trace needs a positive NPU count")
 	}
 	if len(t.Graphs) != t.NumNPUs {
-		return fmt.Errorf("et: trace has %d graphs for %d NPUs", len(t.Graphs), t.NumNPUs)
+		return nil, fmt.Errorf("et: trace has %d graphs for %d NPUs", len(t.Graphs), t.NumNPUs)
 	}
 	seen := make([]bool, t.NumNPUs)
-	hasP2P := make(map[ListKey]bool) // validated lists -> holds send/recv nodes
-	for _, g := range t.Graphs {
+	plans := make([]*Plan, len(t.Graphs))
+	shared := make(map[listKey]*Plan)
+	p2p := 0
+	for i, g := range t.Graphs {
 		if g == nil {
-			return fmt.Errorf("et: trace has a nil graph")
+			return nil, fmt.Errorf("et: trace has a nil graph")
 		}
 		if g.NPU < 0 || g.NPU >= t.NumNPUs {
-			return fmt.Errorf("et: graph for out-of-range npu %d", g.NPU)
+			return nil, fmt.Errorf("et: graph for out-of-range npu %d", g.NPU)
 		}
 		if seen[g.NPU] {
-			return fmt.Errorf("et: duplicate graph for npu %d", g.NPU)
+			return nil, fmt.Errorf("et: duplicate graph for npu %d", g.NPU)
 		}
 		seen[g.NPU] = true
-		key := g.ListKey()
-		if _, ok := hasP2P[key]; ok {
+		key := listKey{n: len(g.Nodes)}
+		if key.n > 0 {
+			key.first = &g.Nodes[0]
+		}
+		p := shared[key]
+		if p == nil {
+			var err error
+			if p, err = compile(g.NPU, g.Nodes); err != nil {
+				return nil, err
+			}
+			shared[key] = p
+		}
+		plans[i] = p
+		p2p += p.p2p
+	}
+	if err := t.matchP2P(plans, p2p); err != nil {
+		return nil, err
+	}
+	return plans, nil
+}
+
+// p2pChannel is a point-to-point channel: sender, receiver and tag.
+type p2pChannel struct{ src, dst, tag int }
+
+// p2pRecord is one send or receive on a channel; pos is its position in
+// its graph's list.
+type p2pRecord struct {
+	ch   p2pChannel
+	recv bool
+	pos  int32
+	size int64
+}
+
+// matchP2P matches sends against receives. It sorts one record per P2P
+// node by channel, then sends before receives, then list position, so each
+// channel is a run of sends in list order followed by its receives, and
+// the lowest faulty channel is the one reported.
+func (t *Trace) matchP2P(plans []*Plan, count int) error {
+	recs := make([]p2pRecord, 0, count)
+	for i, g := range t.Graphs {
+		if plans[i].p2p == 0 {
 			continue
 		}
-		if err := g.Validate(); err != nil {
-			return err
-		}
-		hasP2P[key] = g.hasP2P()
-	}
-	return t.validateP2P(hasP2P)
-}
-
-func (g *Graph) hasP2P() bool {
-	for _, n := range g.Nodes {
-		if n.Kind == KindSend || n.Kind == KindRecv {
-			return true
-		}
-	}
-	return false
-}
-
-type p2pKey struct {
-	src, dst, tag int
-}
-
-// validateP2P matches sends against recvs, skipping the graphs whose list
-// holds no point-to-point nodes.
-func (t *Trace) validateP2P(hasP2P map[ListKey]bool) error {
-	sends := make(map[p2pKey][]int64)
-	recvs := make(map[p2pKey][]int64)
-	for _, g := range t.Graphs {
-		if !hasP2P[g.ListKey()] {
-			continue
-		}
-		for _, n := range g.Nodes {
+		for pos, n := range g.Nodes {
 			switch n.Kind {
 			case KindSend:
 				if n.Peer >= t.NumNPUs {
 					return fmt.Errorf("et: npu %d sends to out-of-range peer %d", g.NPU, n.Peer)
 				}
-				k := p2pKey{src: g.NPU, dst: n.Peer, tag: n.Tag}
-				sends[k] = append(sends[k], n.CommBytes)
+				recs = append(recs, p2pRecord{ch: p2pChannel{g.NPU, n.Peer, n.Tag}, pos: int32(pos), size: n.CommBytes})
 			case KindRecv:
 				if n.Peer >= t.NumNPUs {
 					return fmt.Errorf("et: npu %d receives from out-of-range peer %d", g.NPU, n.Peer)
 				}
-				k := p2pKey{src: n.Peer, dst: g.NPU, tag: n.Tag}
-				recvs[k] = append(recvs[k], n.CommBytes)
+				recs = append(recs, p2pRecord{ch: p2pChannel{n.Peer, g.NPU, n.Tag}, recv: true, pos: int32(pos), size: n.CommBytes})
 			}
 		}
 	}
-	for k, s := range sends {
-		r := recvs[k]
-		if len(s) != len(r) {
-			return fmt.Errorf("et: %d sends but %d recvs for %d->%d tag %d", len(s), len(r), k.src, k.dst, k.tag)
+	slices.SortFunc(recs, func(a, b p2pRecord) int {
+		switch {
+		case a.ch.src != b.ch.src:
+			return cmp.Compare(a.ch.src, b.ch.src)
+		case a.ch.dst != b.ch.dst:
+			return cmp.Compare(a.ch.dst, b.ch.dst)
+		case a.ch.tag != b.ch.tag:
+			return cmp.Compare(a.ch.tag, b.ch.tag)
+		case a.recv != b.recv:
+			if a.recv {
+				return 1
+			}
+			return -1
 		}
-		for i := range s {
-			if s[i] != r[i] {
-				return fmt.Errorf("et: size mismatch on %d->%d tag %d: send %d vs recv %d", k.src, k.dst, k.tag, s[i], r[i])
+		return cmp.Compare(a.pos, b.pos)
+	})
+	for i := 0; i < len(recs); {
+		c := recs[i].ch
+		j, m := i, i // the channel's sends are recs[i:m], its receives recs[m:j]
+		for ; j < len(recs) && recs[j].ch == c; j++ {
+			if !recs[j].recv {
+				m++
 			}
 		}
-		delete(recvs, k)
-	}
-	for k, r := range recvs {
-		return fmt.Errorf("et: %d recvs with no send for %d->%d tag %d", len(r), k.src, k.dst, k.tag)
+		sends, recvs := recs[i:m], recs[m:j]
+		if len(sends) == 0 {
+			return fmt.Errorf("et: %d recvs with no send for %d->%d tag %d", len(recvs), c.src, c.dst, c.tag)
+		}
+		if len(sends) != len(recvs) {
+			return fmt.Errorf("et: %d sends but %d recvs for %d->%d tag %d", len(sends), len(recvs), c.src, c.dst, c.tag)
+		}
+		for k, s := range sends {
+			if s.size != recvs[k].size {
+				return fmt.Errorf("et: size mismatch on %d->%d tag %d: send %d vs recv %d", c.src, c.dst, c.tag, s.size, recvs[k].size)
+			}
+		}
+		i = j
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package et
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -256,5 +258,228 @@ func TestSharedListDefectsStillRejected(t *testing.T) {
 	tr.Graphs[3].Nodes = good
 	if err := tr.Validate(); err != nil {
 		t.Errorf("valid shared list rejected: %v", err)
+	}
+}
+
+// Every single-defect trace reports exactly the text it always has.
+func TestSingleDefectErrorTexts(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(tr *Trace)
+		want   string
+	}{
+		{"nil node", func(tr *Trace) { tr.Graphs[0].Nodes[1] = nil }, "et: npu 0 has a nil node"},
+		{"duplicate id", func(tr *Trace) { tr.Graphs[0].Nodes[1].ID = 1 }, "et: npu 0 has duplicate node id 1"},
+		{"unknown dep", func(tr *Trace) { tr.Graphs[0].Nodes[1].Deps = []int{99} }, "et: npu 0 node 2 depends on unknown node 99"},
+		{"self dep", func(tr *Trace) { tr.Graphs[0].Nodes[0].Deps = []int{1} }, "et: npu 0 node 1 depends on itself"},
+		{"cycle", func(tr *Trace) { tr.Graphs[1].Nodes[0].Deps = []int{3} }, "et: npu 1 graph has a dependency cycle"},
+		{"bad metadata", func(tr *Trace) { tr.Graphs[1].Nodes[1].Collective = "BROADCAST" }, `et: npu 1 node 2: collective node has unknown type "BROADCAST"`},
+		{"orphan send", func(tr *Trace) { tr.Graphs[1].Nodes = tr.Graphs[1].Nodes[:2] }, "et: 1 sends but 0 recvs for 0->1 tag 7"},
+		{"orphan recv", func(tr *Trace) { tr.Graphs[0].Nodes = tr.Graphs[0].Nodes[:2] }, "et: 1 recvs with no send for 0->1 tag 7"},
+		{"extra recv", func(tr *Trace) {
+			tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, &Node{ID: 4, Kind: KindRecv, Peer: 0, Tag: 7, CommBytes: 4096})
+		}, "et: 1 sends but 2 recvs for 0->1 tag 7"},
+		{"size mismatch", func(tr *Trace) { tr.Graphs[1].Nodes[2].CommBytes = 8192 }, "et: size mismatch on 0->1 tag 7: send 4096 vs recv 8192"},
+		{"send peer out of range", func(tr *Trace) { tr.Graphs[0].Nodes[2].Peer = 5 }, "et: npu 0 sends to out-of-range peer 5"},
+		{"recv peer out of range", func(tr *Trace) { tr.Graphs[1].Nodes[2].Peer = 5 }, "et: npu 1 receives from out-of-range peer 5"},
+	}
+	for _, c := range cases {
+		tr := validTrace()
+		c.mutate(tr)
+		if err := tr.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// With several faulty point-to-point channels, the lowest channel by
+// (src, dst, tag) is reported, on every call: the report does not depend
+// on map iteration order, and an orphan receive on a low channel is not
+// passed over for a faulty send on a higher one.
+func TestP2PFaultReportsLowestChannel(t *testing.T) {
+	tr := &Trace{NumNPUs: 2, Graphs: []*Graph{{NPU: 0}, {NPU: 1}}}
+	for tag := 1; tag <= 6; tag++ {
+		tr.Graphs[0].Nodes = append(tr.Graphs[0].Nodes, &Node{ID: tag, Kind: KindSend, Peer: 1, Tag: tag, CommBytes: 10})
+		tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, &Node{ID: tag, Kind: KindRecv, Peer: 0, Tag: tag, CommBytes: 20})
+	}
+	check := func(want string) {
+		t.Helper()
+		for i := 0; i < 50; i++ {
+			if err := tr.Validate(); err == nil || err.Error() != want {
+				t.Fatalf("call %d: got %v, want %q", i, err, want)
+			}
+		}
+	}
+	check("et: size mismatch on 0->1 tag 1: send 10 vs recv 20")
+	tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, &Node{ID: 7, Kind: KindRecv, Peer: 0, Tag: 0, CommBytes: 20})
+	check("et: 1 recvs with no send for 0->1 tag 0")
+}
+
+// refPlan builds a list's dependents, in-degrees and roots from maps.
+func refPlan(nodes []*Node) (deps [][]int32, indeg, roots []int32) {
+	pos := make(map[int]int32)
+	for i, n := range nodes {
+		pos[n.ID] = int32(i)
+	}
+	deps = make([][]int32, len(nodes))
+	for i, n := range nodes {
+		indeg = append(indeg, int32(len(n.Deps)))
+		if len(n.Deps) == 0 {
+			roots = append(roots, int32(i))
+		}
+		for _, d := range n.Deps {
+			deps[pos[d]] = append(deps[pos[d]], int32(i))
+		}
+	}
+	sort.Slice(roots, func(a, b int) bool { return nodes[roots[a]].ID < nodes[roots[b]].ID })
+	return deps, indeg, roots
+}
+
+// cycleDFS reports whether following dependencies from some node leads
+// back to a node on the current path.
+func cycleDFS(nodes []*Node) bool {
+	byID := make(map[int]*Node)
+	for _, n := range nodes {
+		byID[n.ID] = n
+	}
+	const onPath, done = 1, 2
+	state := make(map[int]int)
+	var visit func(id int) bool
+	visit = func(id int) bool {
+		switch state[id] {
+		case onPath:
+			return true
+		case done:
+			return false
+		}
+		state[id] = onPath
+		for _, d := range byID[id].Deps {
+			if visit(d) {
+				return true
+			}
+		}
+		state[id] = done
+		return false
+	}
+	for _, n := range nodes {
+		if visit(n.ID) {
+			return true
+		}
+	}
+	return false
+}
+
+// randomList draws up to 30 compute nodes with sparse, partly negative
+// IDs. Node i depends on up to three other nodes, some twice; with acyclic
+// set, only on nodes j < i. The list is then shuffled, so declaration
+// order never gives the dependency order away.
+func randomList(rng *rand.Rand, acyclic bool) []*Node {
+	n := rng.Intn(31)
+	ids := rng.Perm(4*n + 1)
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		nodes[i] = &Node{ID: 3*ids[i] - 40, Kind: KindCompute, FLOPs: 1}
+	}
+	for i, nd := range nodes {
+		for k := rng.Intn(4); k > 0 && n > 1; k-- {
+			j := rng.Intn(n)
+			if acyclic {
+				if i == 0 {
+					break
+				}
+				j = rng.Intn(i)
+			}
+			if j == i {
+				continue
+			}
+			nd.Deps = append(nd.Deps, nodes[j].ID)
+			if rng.Intn(5) == 0 {
+				nd.Deps = append(nd.Deps, nodes[j].ID)
+			}
+		}
+	}
+	rng.Shuffle(n, func(a, b int) { nodes[a], nodes[b] = nodes[b], nodes[a] })
+	return nodes
+}
+
+// checkPlan compares a plan with the map-built reference of its list.
+func checkPlan(t *testing.T, p *Plan, nodes []*Node) {
+	t.Helper()
+	deps, indeg, roots := refPlan(nodes)
+	if len(p.Nodes()) != len(nodes) || (len(nodes) > 0 && &p.Nodes()[0] != &nodes[0]) {
+		t.Fatal("plan does not hold the list it was compiled from")
+	}
+	for pos := range nodes {
+		if got := p.Dependents(int32(pos)); !slices.Equal(got, deps[pos]) {
+			t.Fatalf("dependents of position %d = %v, want %v", pos, got, deps[pos])
+		}
+	}
+	if !slices.Equal(p.InDegrees(), indeg) {
+		t.Fatalf("in-degrees = %v, want %v", p.InDegrees(), indeg)
+	}
+	if !slices.Equal(p.Roots(), roots) {
+		t.Fatalf("roots = %v, want %v", p.Roots(), roots)
+	}
+}
+
+// The compile pass agrees with references built from maps and a DFS over
+// random lists with sparse, shuffled IDs and duplicate dependencies: the
+// plan's dependents, in-degrees and roots equal the reference's, and a
+// cycle is reported exactly when the DFS finds one.
+func TestCompileMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var cyclic, acyclic int
+	for iter := 0; iter < 4000; iter++ {
+		nodes := randomList(rng, iter%2 == 0)
+		p, err := compile(0, nodes)
+		if cycleDFS(nodes) {
+			cyclic++
+			if err == nil || err.Error() != "et: npu 0 graph has a dependency cycle" {
+				t.Fatalf("list with a cycle: got %v", err)
+			}
+			continue
+		}
+		acyclic++
+		if err != nil {
+			t.Fatalf("acyclic list rejected: %v", err)
+		}
+		checkPlan(t, p, nodes)
+	}
+	if cyclic < 100 || acyclic < 100 {
+		t.Fatalf("drew %d cyclic and %d acyclic lists; want both kinds", cyclic, acyclic)
+	}
+}
+
+// Plans compiles each distinct list once: graphs that share a list share
+// its plan, and a list that starts at the same slot as another but is
+// longer is distinct.
+func TestPlansShareExactlyTheSharedLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for iter := 0; iter < 300; iter++ {
+		// long extends short's array, so the two share their first slot.
+		short := append(make([]*Node, 0, 32), randomList(rng, true)...)
+		extra := &Node{ID: 1000, Kind: KindCompute}
+		if len(short) > 0 {
+			extra.Deps = []int{short[0].ID, short[0].ID}
+		}
+		long := append(short, extra, &Node{ID: 1001, Kind: KindCompute, Deps: []int{1000}})
+		lists := [][]*Node{short, long, randomList(rng, true), nil}
+		tr := &Trace{NumNPUs: 8}
+		for r := 0; r < 8; r++ {
+			tr.Graphs = append(tr.Graphs, &Graph{NPU: r, Nodes: lists[rng.Intn(len(lists))]})
+		}
+		plans, err := tr.Plans()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range tr.Graphs {
+			checkPlan(t, plans[i], g.Nodes)
+			for j, h := range tr.Graphs {
+				same := len(g.Nodes) == len(h.Nodes) && (len(g.Nodes) == 0 || &g.Nodes[0] == &h.Nodes[0])
+				if (plans[i] == plans[j]) != same {
+					t.Fatalf("graphs %d and %d: shared plan %v, shared list %v", i, j, plans[i] == plans[j], same)
+				}
+			}
+		}
 	}
 }

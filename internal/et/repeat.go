@@ -15,7 +15,8 @@ func Repeat(t *Trace, n int) (*Trace, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("et: Repeat needs n >= 1, got %d", n)
 	}
-	if err := t.Validate(); err != nil {
+	plans, err := t.Plans()
+	if err != nil {
 		return nil, fmt.Errorf("et: Repeat input: %w", err)
 	}
 	if n == 1 {
@@ -37,15 +38,14 @@ func Repeat(t *Trace, n int) (*Trace, error) {
 		Name:    fmt.Sprintf("%sx%d", t.Name, n),
 		NumNPUs: t.NumNPUs,
 	}
-	// Graphs that share a node list share its repetition too, so per-list
-	// work downstream (validation, plan compilation) stays once per list.
-	repeated := make(map[ListKey][]*Node)
-	for _, g := range t.Graphs {
-		key := g.ListKey()
-		nodes, ok := repeated[key]
+	// Graphs that share a plan share its repetition too, so per-list work
+	// downstream stays once per list.
+	repeated := make(map[*Plan][]*Node)
+	for i, g := range t.Graphs {
+		nodes, ok := repeated[plans[i]]
 		if !ok {
-			nodes = repeatNodes(g.Nodes, n, tagStride)
-			repeated[key] = nodes
+			nodes = repeatNodes(plans[i], n, tagStride)
+			repeated[plans[i]] = nodes
 		}
 		out.Graphs = append(out.Graphs, &Graph{NPU: g.NPU, Nodes: nodes})
 	}
@@ -55,31 +55,26 @@ func Repeat(t *Trace, n int) (*Trace, error) {
 	return out, nil
 }
 
-// repeatNodes clones one node list n times with IDs offset per iteration,
-// chaining each iteration's entry nodes to the previous iteration's exits.
-func repeatNodes(nodes []*Node, n, tagStride int) []*Node {
+// repeatNodes clones one plan's node list n times with IDs offset per
+// iteration, chaining each iteration's entry nodes to the previous
+// iteration's exits.
+func repeatNodes(p *Plan, n, tagStride int) []*Node {
 	maxID := 0
 	var exits []int
-	hasChild := make(map[int]bool, len(nodes))
-	for _, node := range nodes {
+	for pos, node := range p.nodes {
 		if node.ID > maxID {
 			maxID = node.ID
 		}
-		for _, d := range node.Deps {
-			hasChild[d] = true
-		}
-	}
-	for _, node := range nodes {
-		if !hasChild[node.ID] {
+		if len(p.Dependents(int32(pos))) == 0 {
 			exits = append(exits, node.ID)
 		}
 	}
 	idStride := maxID + 1
 
-	out := make([]*Node, 0, len(nodes)*n)
+	out := make([]*Node, 0, len(p.nodes)*n)
 	for iter := 0; iter < n; iter++ {
 		off := iter * idStride
-		for _, node := range nodes {
+		for _, node := range p.nodes {
 			clone := *node
 			clone.ID = node.ID + off
 			clone.Deps = make([]int, 0, len(node.Deps)+len(exits))

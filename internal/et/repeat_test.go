@@ -100,16 +100,19 @@ func TestRepeatKeepsSharedLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := out.Graphs[0].ListKey()
-	for _, g := range out.Graphs[1:] {
-		if g.ListKey() != key {
-			t.Fatalf("npu %d has its own repeated list; want the list shared by every rank", g.NPU)
+	plans, err := out.Plans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range plans[1:] {
+		if p != plans[0] {
+			t.Fatalf("npu %d has its own repeated list; want the list shared by every rank", out.Graphs[i+1].NPU)
 		}
 	}
-	if got := len(out.Graphs[0].Nodes); got != 4 {
+	if got := len(plans[0].Nodes()); got != 4 {
 		t.Errorf("repeated list has %d nodes, want 4", got)
 	}
-	if key == tr.Graphs[0].ListKey() {
+	if &out.Graphs[0].Nodes[0] == &shared[0] {
 		t.Error("Repeat returned the input list itself")
 	}
 }

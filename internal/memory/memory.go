@@ -7,9 +7,9 @@
 //
 // The memory API "takes tensor location (local or remote), tensor size,
 // memory bandwidth, and memory system design as arguments and returns the
-// number of cycles to load or store a tensor" — here expressed as
-// simulated time rather than cycles, consistent with the rest of the
-// simulator.
+// number of cycles to load or store a tensor" — here System.AccessTime,
+// returning simulated time rather than cycles, consistent with the rest of
+// the simulator. The execution engine holds a System directly.
 package memory
 
 import (
@@ -50,13 +50,6 @@ func (k AccessKind) String() string {
 		return "store"
 	}
 	return "load"
-}
-
-// API is the memory interface consumed by the execution engine: given a
-// tensor's location and size it returns the access time under the
-// configured memory system design.
-type API interface {
-	AccessTime(loc Location, kind AccessKind, size units.ByteSize) units.Time
 }
 
 // LocalModel is the paper's local memory model:

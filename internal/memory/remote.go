@@ -134,7 +134,8 @@ func (c PoolConfig) meshTransfer(perGPU units.ByteSize) units.Time {
 	return units.FromSeconds(linkSeconds / capacity)
 }
 
-// System combines a local model and a pool into the engine-facing API.
+// System combines a local model and a pool; its AccessTime is the memory
+// API the execution engine consumes.
 type System struct {
 	Local LocalModel
 	Pool  PoolConfig
@@ -154,9 +155,9 @@ func (s System) Validate() error {
 	return nil
 }
 
-// AccessTime implements API. Remote accesses use the bulk pool transfer
-// model (all GPUs streaming together, the dominant pattern in sharded
-// training); local accesses use the latency + size/BW model.
+// AccessTime returns a tensor access's time. Remote accesses use the bulk
+// pool transfer model (all GPUs streaming together, the dominant pattern in
+// sharded training); local accesses use the latency + size/BW model.
 func (s System) AccessTime(loc Location, kind AccessKind, size units.ByteSize) units.Time {
 	if loc == Local || !s.HasPool {
 		return s.Local.AccessTime(size)
@@ -164,5 +165,3 @@ func (s System) AccessTime(loc Location, kind AccessKind, size units.ByteSize) u
 	_ = kind // loads and stores are symmetric in these designs
 	return s.Pool.TransferTime(size)
 }
-
-var _ API = System{}

@@ -18,9 +18,9 @@
 // phase.go). Traffic is counted as one sent+received total per dimension,
 // never per NPU.
 //
-// The package also exposes the paper's NetworkAPI protocol (Snippet 2):
+// The backend also speaks the paper's NetworkAPI protocol (Snippet 2):
 // SimSend / SimRecv pairs rendezvous on (src, dst, tag) and invoke
-// callbacks on completion, and SimSchedule defers arbitrary work.
+// callbacks on completion.
 //
 // The backend is allocation-free per message in steady state: routes are
 // computed arithmetically (no coordinate slices), multi-hop sends and
@@ -44,25 +44,6 @@ type Message struct {
 	// Dim is the topology dimension the message travelled on, or -1 for a
 	// multi-dimension (dimension-ordered) route.
 	Dim int
-}
-
-// API is the frontend-facing protocol of the paper's Snippet 2. The system
-// layer is written against this interface so alternative backends (the
-// cycle-level simulator in internal/garnet, test fakes) are drop-in.
-type API interface {
-	// SimSend transmits size bytes from src to dst with a message tag.
-	// sentCB fires when the message has left src (its link is free again);
-	// the matching SimRecv's callback fires on delivery. Either callback
-	// may be nil.
-	SimSend(src, dst, tag int, size units.ByteSize, sentCB func())
-	// SimRecv registers interest in a message (src, dst, tag). recvCB
-	// fires when the matching send has been delivered. Posting the recv
-	// after the message arrived fires the callback immediately.
-	SimRecv(src, dst, tag int, size units.ByteSize, recvCB func(Message))
-	// SimSchedule runs fn after delay of simulated time.
-	SimSchedule(delay units.Time, fn func())
-	// Now returns the current simulated time.
-	Now() units.Time
 }
 
 // Backend is the analytical network backend.
@@ -312,59 +293,60 @@ func (b *Backend) Topology() *topology.Topology { return b.top }
 // Stats returns a reference to the accumulated traffic counters.
 func (b *Backend) Stats() *Stats { return &b.stats }
 
-// Now implements API.
+// Now returns the current simulated time.
 func (b *Backend) Now() units.Time { return b.eng.Now() }
 
-// SimSchedule implements API.
-func (b *Backend) SimSchedule(delay units.Time, fn func()) { b.eng.Schedule(delay, fn) }
-
-// ScheduleActor defers a typed event — the allocation-free SimSchedule used
-// by hot model code (the collective engine's chunk waves).
+// ScheduleActor defers a typed event; hot model code (the collective
+// engine's chunk waves) schedules through it without allocating.
 func (b *Backend) ScheduleActor(delay units.Time, a timeline.Actor) { b.eng.ScheduleActor(delay, a) }
 
 func (b *Backend) linkIdx(npu, dim int) int { return npu*b.dims + dim }
 
-// reserve charges the serialization time of size bytes to both endpoint
-// links of a dimension and returns (src egress end, delivery-ready end).
-// Each link is an independent FIFO queue (store-and-forward buffering
-// between endpoints): the transfer occupies the source link and the
-// destination link for size/BW each, and is deliverable when the later of
-// the two finishes. Charging both ends makes sent and received bytes share
-// each NPU's per-dimension bandwidth, which is the accounting the paper's
-// Table IV uses; queueing the ends independently avoids artificial
-// convoy-chains around rings when every NPU sends and receives at once.
-// factor (>= 1) is the cross-backend fair-sharing contention multiplier;
-// 1 leaves the serialization time untouched.
-func (b *Backend) reserve(src, dst, dim int, size units.ByteSize, factor float64) (units.Time, units.Time) {
+// chargeLinks charges size bytes' serialization time to the dimension-dim
+// link of every NPU the message occupies, from src (at position srcPos) to
+// position dstPos, and returns (src egress end, delivery-ready end). Each
+// link is an independent FIFO queue (store-and-forward buffering), and the
+// message is deliverable when its last link finishes. By default only the
+// two endpoints are charged, so sent and received bytes share each NPU's
+// per-dimension bandwidth (the paper's Table IV accounting) without
+// artificial convoy-chains around rings; with transit charging on, so is
+// every position on the model's transit path. factor (>= 1) is the
+// cross-backend contention multiplier; 1 leaves the time untouched.
+func (b *Backend) chargeLinks(src, dim, srcPos, dstPos int, size units.ByteSize, factor float64) (srcEnd, ready units.Time) {
+	ends := [2]int{srcPos, dstPos}
+	path := ends[:]
+	if b.chargeTransit {
+		d := b.top.Dims[dim]
+		if transit := d.Kind.TransitPositions(srcPos, dstPos, d.Size); len(transit) > 0 {
+			path = transit
+		}
+	}
 	dur := b.transferTime(dim, size, factor)
 	b.ensureLinks()
 	now := b.eng.Now()
 	if f := b.dimFloor[dim]; f > now {
 		now = f // the dimension floor lower-bounds every link of the dim
 	}
-	si, di := b.linkIdx(src, dim), b.linkIdx(dst, dim)
-	b.release(si, dim)
-	b.release(di, dim)
-	srcStart := b.linkFree[si]
-	if srcStart < now {
-		srcStart = now
+	stride := b.top.DimStride(dim)
+	base := src - srcPos*stride
+	for h, pos := range path {
+		li := b.linkIdx(base+pos*stride, dim)
+		b.release(li, dim)
+		start := b.linkFree[li]
+		if start < now {
+			start = now
+		}
+		end := start + dur
+		b.linkFree[li] = end
+		if h == 0 {
+			srcEnd = end
+		}
+		if end > ready {
+			ready = end
+		}
 	}
-	dstStart := b.linkFree[di]
-	if dstStart < now {
-		dstStart = now
-	}
-	srcEnd, dstEnd := srcStart+dur, dstStart+dur
-	b.linkFree[si] = srcEnd
-	b.linkFree[di] = dstEnd
-	if dstEnd > b.dimMaxLink[dim] {
-		b.dimMaxLink[dim] = dstEnd
-	}
-	if srcEnd > b.dimMaxLink[dim] {
-		b.dimMaxLink[dim] = srcEnd
-	}
-	ready := srcEnd
-	if dstEnd > ready {
-		ready = dstEnd
+	if ready > b.dimMaxLink[dim] {
+		b.dimMaxLink[dim] = ready
 	}
 	return srcEnd, ready
 }
@@ -423,11 +405,11 @@ func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sen
 	// Walk both ranks' mixed-radix positions: validates that the endpoints
 	// differ only in dim and extracts the dim positions without
 	// materializing coordinate slices.
-	hops := 0
+	var srcPos, dstPos int
 	w := b.top.WalkPositions(src, dst)
 	for i, sp, tp, ok := w.Next(); ok; i, sp, tp, ok = w.Next() {
 		if i == dim {
-			hops = d.Hops(sp, tp)
+			srcPos, dstPos = sp, tp
 		} else if sp != tp {
 			panic(fmt.Sprintf("network: SendOnDim(%d->%d, dim %d) endpoints differ in dim %d", src, dst, dim, i))
 		}
@@ -436,19 +418,14 @@ func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sen
 	if b.fc != nil {
 		factor, tracked = b.fc.FlowStarted(dim)
 	}
-	var srcEnd, ready units.Time
-	if b.chargeTransit {
-		srcEnd, ready = b.reserveTransit(src, dst, dim, size, factor)
-	} else {
-		srcEnd, ready = b.reserve(src, dst, dim, size, factor)
-	}
+	srcEnd, ready := b.chargeLinks(src, dim, srcPos, dstPos, size, factor)
 	if tracked {
 		// The flow occupies its links until the transfer is deliverable;
 		// report the end through a pooled typed event so fair shares are
 		// recomputed the instant it frees.
 		b.eng.ScheduleActorAt(ready, b.getFlowDone(dim))
 	}
-	arrive := ready + units.Time(hops)*d.Latency
+	arrive := ready + units.Time(d.Hops(srcPos, dstPos))*d.Latency
 
 	b.stats.Traffic[dim] += 2 * size // sent by src, received by dst
 
@@ -461,9 +438,11 @@ func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sen
 	b.eng.ScheduleActorAt(arrive, del)
 }
 
-// SimSend implements API using dimension-ordered routing: the message
-// traverses, in ascending dimension order, every dimension where the
-// endpoint coordinates differ, serializing on each dimension's links.
+// SimSend transmits size bytes from src to dst with a message tag, using
+// dimension-ordered routing: the message traverses, in ascending dimension
+// order, every dimension where the endpoint coordinates differ, serializing
+// on each dimension's links. sentCB, which may be nil, fires when the
+// message has left src; the matching SimRecv's callback fires on delivery.
 func (b *Backend) SimSend(src, dst, tag int, size units.ByteSize, sentCB func()) {
 	if src == dst {
 		// Local loopback: deliver instantly.
@@ -545,7 +524,9 @@ func (r *legRun) deliverMsg(Message) {
 	b.deliver(msg)
 }
 
-// SimRecv implements API.
+// SimRecv registers interest in a message (src, dst, tag). recvCB fires
+// when the matching send has been delivered; posting the recv after the
+// message arrived fires it at once.
 func (b *Backend) SimRecv(src, dst, tag int, size units.ByteSize, recvCB func(Message)) {
 	if recvCB == nil {
 		panic("network: SimRecv requires a callback")
@@ -645,5 +626,3 @@ func (b *Backend) EstimateP2P(src, dst int, size units.ByteSize) units.Time {
 	}
 	return t
 }
-
-var _ API = (*Backend)(nil)

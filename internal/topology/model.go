@@ -10,8 +10,8 @@ import (
 
 // This file is the pluggable dimension-model layer. A DimModel describes one
 // hierarchical building block's complete behavior — notation, hop costs,
-// collective step structure, phase latency and traffic, bandwidth derating,
-// transit paths and message-level schedules — so that the rest of the
+// collective step structure, phase latency, bandwidth derating, transit
+// paths and message-level schedules — so that the rest of the
 // simulator (parser, analytical estimator, event-driven engine, network
 // backend) never dispatches on block identity. A new fabric is added by
 // implementing the interface and adding its factory to the block table
@@ -63,9 +63,8 @@ type Xfer struct {
 // DimModel is the behavior of one building block. Position arguments are
 // coordinates within the dimension (0..size-1).
 type DimModel interface {
-	// Short is the canonical shape-notation token, e.g. "R" or "T2D";
-	// String returns the same token (models print as their notation).
-	Short() string
+	// String is the canonical shape-notation token, e.g. "R" or "T2D"
+	// (models print as their notation).
 	String() string
 	// LongName is the spelled-out name used in prose, e.g. "Ring".
 	LongName() string
@@ -87,9 +86,6 @@ type DimModel interface {
 	// PhaseLatency is the latency component of one collective phase over k
 	// members with the given per-hop link latency.
 	PhaseLatency(k int, link units.Time) units.Time
-	// PhaseTraffic is the per-NPU sent+received bytes of one phase with
-	// per-NPU input size d over k members.
-	PhaseTraffic(op PhaseKind, d units.ByteSize, k int) units.ByteSize
 	// EffectiveBandwidth derates the configured per-NPU bandwidth to what
 	// the block actually delivers to collectives at the given dimension
 	// size (e.g. switch oversubscription, mesh embedding dilation).
@@ -157,10 +153,6 @@ func (baseModel) Validate(size int) error {
 	return nil
 }
 
-func (baseModel) PhaseTraffic(op PhaseKind, d units.ByteSize, k int) units.ByteSize {
-	return genericPhaseTraffic(op, d, k)
-}
-
 func (baseModel) EffectiveBandwidth(bw units.Bandwidth, size int) units.Bandwidth { return bw }
 
 func (baseModel) TransitPositions(a, b, size int) []int { return nil }
@@ -217,12 +209,11 @@ func directSchedule(k int, per units.ByteSize) [][]Xfer {
 
 type ringModel struct{ baseModel }
 
-func (ringModel) Short() string          { return "R" }
-func (m ringModel) String() string       { return m.Short() }
+func (ringModel) String() string         { return "R" }
 func (ringModel) LongName() string       { return "Ring" }
 func (ringModel) CollectiveName() string { return "Ring" }
 func (m ringModel) Format(size int) string {
-	return fmt.Sprintf("%s(%d)", m.Short(), size)
+	return fmt.Sprintf("%s(%d)", m, size)
 }
 
 func (ringModel) Hops(a, b, size int) int {
@@ -268,12 +259,11 @@ func (ringModel) PhaseSchedule(op PhaseKind, k int, d units.ByteSize) [][]Xfer {
 
 type fcModel struct{ baseModel }
 
-func (fcModel) Short() string          { return "FC" }
-func (m fcModel) String() string       { return m.Short() }
+func (fcModel) String() string         { return "FC" }
 func (fcModel) LongName() string       { return "FullyConnected" }
 func (fcModel) CollectiveName() string { return "Direct" }
 func (m fcModel) Format(size int) string {
-	return fmt.Sprintf("%s(%d)", m.Short(), size)
+	return fmt.Sprintf("%s(%d)", m, size)
 }
 
 func (fcModel) Hops(a, b, size int) int { return 1 }
@@ -305,16 +295,15 @@ type switchModel struct {
 	Oversub int
 }
 
-func (switchModel) Short() string          { return "SW" }
-func (m switchModel) String() string       { return m.Short() }
+func (switchModel) String() string         { return "SW" }
 func (switchModel) LongName() string       { return "Switch" }
 func (switchModel) CollectiveName() string { return "HalvingDoubling" }
 
 func (m switchModel) Format(size int) string {
 	if m.Oversub > 1 {
-		return fmt.Sprintf("%s(%d,%d)", m.Short(), size, m.Oversub)
+		return fmt.Sprintf("%s(%d,%d)", m, size, m.Oversub)
 	}
-	return fmt.Sprintf("%s(%d)", m.Short(), size)
+	return fmt.Sprintf("%s(%d)", m, size)
 }
 
 func (m switchModel) Validate(size int) error {
@@ -408,12 +397,11 @@ func (switchModel) PhaseSchedule(op PhaseKind, k int, d units.ByteSize) [][]Xfer
 // by the dilation.
 type meshModel struct{ baseModel }
 
-func (meshModel) Short() string          { return "M" }
-func (m meshModel) String() string       { return m.Short() }
+func (meshModel) String() string         { return "M" }
 func (meshModel) LongName() string       { return "Mesh" }
 func (meshModel) CollectiveName() string { return "EmbeddedRing" }
 func (m meshModel) Format(size int) string {
-	return fmt.Sprintf("%s(%d)", m.Short(), size)
+	return fmt.Sprintf("%s(%d)", m, size)
 }
 
 func (meshModel) Hops(a, b, size int) int {
@@ -489,13 +477,12 @@ type torus2DModel struct {
 	A, B int
 }
 
-func (torus2DModel) Short() string          { return "T2D" }
-func (m torus2DModel) String() string       { return m.Short() }
+func (torus2DModel) String() string         { return "T2D" }
 func (torus2DModel) LongName() string       { return "Torus2D" }
 func (torus2DModel) CollectiveName() string { return "PerAxisRing" }
 
 func (m torus2DModel) Format(size int) string {
-	return fmt.Sprintf("%s(%d,%d)", m.Short(), m.A, m.B)
+	return fmt.Sprintf("%s(%d,%d)", m, m.A, m.B)
 }
 
 func (m torus2DModel) Validate(size int) error {

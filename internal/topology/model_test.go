@@ -241,7 +241,7 @@ func TestPhaseScheduleTrafficConservation(t *testing.T) {
 					recv[x.Dst] += x.Bytes
 				}
 			}
-			want := m.PhaseTraffic(op, d, k)
+			want := genericPhaseTraffic(op, d, k)
 			for i := 0; i < k; i++ {
 				if got := sent[i] + recv[i]; got != want {
 					t.Errorf("%v %v member %d: schedule moves %d bytes, aggregate model says %d",

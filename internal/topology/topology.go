@@ -83,7 +83,7 @@ func (d Dim) PhaseLatency(k int) units.Time {
 // PhaseTraffic is the per-NPU sent+received bytes of one collective phase
 // with per-NPU input size dataSize over k members of this dimension.
 func (d Dim) PhaseTraffic(op PhaseKind, dataSize units.ByteSize, k int) units.ByteSize {
-	return d.Kind.PhaseTraffic(op, dataSize, k)
+	return genericPhaseTraffic(op, dataSize, k)
 }
 
 // Format renders the dimension in shape notation, e.g. "R(8)" or "T2D(4,2)".
