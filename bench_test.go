@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/collective"
+	"repro/internal/etgen"
 	"repro/internal/experiments"
 	"repro/internal/garnet"
 	"repro/internal/network"
@@ -333,6 +334,32 @@ func BenchmarkEndToEndGPT3(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Run(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTraceSetup measures trace ingestion for a per-rank trace: a
+// 256-NPU pipeline (16 stages, 64 microbatches, 94,464 nodes) built by
+// etgen.Pipeline and compiled by Trace.Plans, the set-up a
+// pipeline-parallel run pays before its first event. With -benchmem its
+// allocs/op show set-up allocating per list, not per node.
+func BenchmarkTraceSetup(b *testing.B) {
+	top, err := topology.ParseWithBandwidth("FC(8)_SW(8)_R(4)", []float64{250, 200, 50}, 500*units.Nanosecond)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := etgen.PipelineConfig{
+		Name: "pipeline", Stages: 16, MicroBatches: 64, FlopsPerStage: 1e12,
+		ActivationBytes: 16 * units.MiB, GradBytes: 256 * units.MiB,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr, err := etgen.Pipeline(top, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tr.Plans(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -144,7 +144,8 @@ func runInfo(args []string) error {
 	var commBytes, memBytes int64
 	var flops float64
 	for _, g := range trace.Graphs {
-		for _, n := range g.Nodes {
+		for i := range g.Nodes {
+			n := &g.Nodes[i]
 			kinds[n.Kind]++
 			commBytes += n.CommBytes
 			memBytes += n.TensorBytes

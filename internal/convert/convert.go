@@ -49,11 +49,16 @@ type PyTorchTrace struct {
 	Graphs  []PyTorchGraph `json:"graphs"`
 }
 
-// DecodePyTorch reads a PARAM-style trace from JSON.
+// DecodePyTorch reads one PARAM-style trace document from JSON. Anything
+// but whitespace after the document is an error.
 func DecodePyTorch(r io.Reader) (*PyTorchTrace, error) {
 	var t PyTorchTrace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("convert: decode pytorch trace: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("convert: decode pytorch trace: data after the trace document")
 	}
 	return &t, nil
 }
@@ -77,24 +82,31 @@ func Convert(src *PyTorchTrace) (*et.Trace, error) {
 	return out, nil
 }
 
+// convertGraph fills one exact-size node list; the nodes' deps are windows
+// of one exact-size array.
 func convertGraph(src *PyTorchGraph) (*et.Graph, error) {
-	g := &et.Graph{NPU: src.Rank}
+	edges := 0
 	for i := range src.Nodes {
-		n, err := convertNode(&src.Nodes[i])
-		if err != nil {
+		edges += len(src.Nodes[i].CtrlDeps)
+	}
+	g := &et.Graph{NPU: src.Rank, Nodes: make([]et.Node, len(src.Nodes))}
+	deps := make([]int, 0, edges)
+	for i := range src.Nodes {
+		n := &g.Nodes[i]
+		if err := convertNode(n, &src.Nodes[i]); err != nil {
 			return nil, fmt.Errorf("convert: rank %d node %d (%s): %w", src.Rank, src.Nodes[i].ID, src.Nodes[i].Name, err)
 		}
-		g.Nodes = append(g.Nodes, n)
+		if k := len(src.Nodes[i].CtrlDeps); k > 0 {
+			deps = append(deps, src.Nodes[i].CtrlDeps...)
+			n.Deps = deps[len(deps)-k:]
+		}
 	}
 	return g, nil
 }
 
-func convertNode(src *PyTorchNode) (*et.Node, error) {
-	n := &et.Node{
-		ID:   src.ID,
-		Name: src.Name,
-		Deps: append([]int(nil), src.CtrlDeps...),
-	}
+// convertNode fills n, whose Deps the caller sets, from one operator.
+func convertNode(n *et.Node, src *PyTorchNode) error {
+	n.ID, n.Name = src.ID, src.Name
 	switch {
 	case strings.HasPrefix(src.Name, "aten::"):
 		n.Kind = et.KindCompute
@@ -108,7 +120,7 @@ func convertNode(src *PyTorchNode) (*et.Node, error) {
 		case "mem::store":
 			n.MemOp = et.MemStore
 		default:
-			return nil, fmt.Errorf("unknown memory op %q", src.Name)
+			return fmt.Errorf("unknown memory op %q", src.Name)
 		}
 		n.MemLocation = et.MemLocal
 		if attrBool(src.Attrs, "remote") {
@@ -135,23 +147,23 @@ func convertNode(src *PyTorchNode) (*et.Node, error) {
 			n.Peer = int(attrInt(src.Attrs, "peer"))
 			n.Tag = int(attrInt(src.Attrs, "tag"))
 		default:
-			return nil, fmt.Errorf("unknown nccl op %q", op)
+			return fmt.Errorf("unknown nccl op %q", op)
 		}
 		n.CommBytes = attrInt(src.Attrs, "comm_bytes")
 		if n.Kind == et.KindComm {
 			n.InSwitch = attrBool(src.Attrs, "in_switch")
 			spans, err := attrSpans(src.Attrs, "group_spans")
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if len(spans) > 0 {
 				n.Group = &et.GroupRef{Spans: spans}
 			}
 		}
 	default:
-		return nil, fmt.Errorf("unclassifiable operator %q", src.Name)
+		return fmt.Errorf("unclassifiable operator %q", src.Name)
 	}
-	return n, nil
+	return nil
 }
 
 func attrFloat(attrs map[string]json.RawMessage, key string) float64 {

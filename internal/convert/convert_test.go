@@ -162,6 +162,25 @@ func TestDecodePyTorchRoundTrip(t *testing.T) {
 	}
 }
 
+// DecodePyTorch reads exactly one document: trailing whitespace is fine,
+// and trailing garbage or a second document is an error.
+func TestDecodePyTorchRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(sampleTrace(t)); err != nil {
+		t.Fatal(err)
+	}
+	doc := buf.String()
+	if _, err := DecodePyTorch(strings.NewReader(doc + " \n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+	const want = "convert: decode pytorch trace: data after the trace document"
+	for _, bad := range []string{doc + "trailing garbage {", doc + doc} {
+		if _, err := DecodePyTorch(strings.NewReader(bad)); err == nil || err.Error() != want {
+			t.Errorf("got %v, want %q", err, want)
+		}
+	}
+}
+
 func TestConvertedTraceRunsEndToEnd(t *testing.T) {
 	out, err := Convert(sampleTrace(t))
 	if err != nil {

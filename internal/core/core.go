@@ -509,7 +509,9 @@ func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) er
 // layout.
 func planLayouts(ep *et.Plan, internLayout func(*et.Node) int32) *graphPlan {
 	p := &graphPlan{Plan: ep, slot: make([]int32, len(ep.Nodes()))}
-	for i, nd := range ep.Nodes() {
+	nodes := ep.Nodes()
+	for i := range nodes {
+		nd := &nodes[i]
 		p.slot[i] = -1
 		if nd.Kind != et.KindComm {
 			continue
@@ -622,7 +624,7 @@ func (s *Simulator) describeStuck() string {
 		st := &s.npus[rank]
 		for pos, deg := range st.indeg {
 			if deg == issuedMark {
-				n := st.plan.Nodes()[pos]
+				n := &st.plan.Nodes()[pos]
 				return fmt.Sprintf("npu %d node %d (%s %s, in flight)", st.rank, n.ID, n.Kind, n.Name)
 			}
 		}
@@ -631,7 +633,7 @@ func (s *Simulator) describeStuck() string {
 		st := &s.npus[rank]
 		for pos, deg := range st.indeg {
 			if deg > 0 {
-				n := st.plan.Nodes()[pos]
+				n := &st.plan.Nodes()[pos]
 				return fmt.Sprintf("npu %d node %d (%s %s, %d deps unmet)", st.rank, n.ID, n.Kind, n.Name, deg)
 			}
 		}
@@ -680,7 +682,7 @@ func (st *npuState) touch(now units.Time) {
 // issue dispatches a ready node to its layer.
 func (s *Simulator) issue(st *npuState, pos int32) {
 	st.indeg[pos] = issuedMark
-	n := st.plan.Nodes()[pos]
+	n := &st.plan.Nodes()[pos]
 	switch n.Kind {
 	case et.KindCompute:
 		dur := s.cfg.Compute.OpTime(n.FLOPs, units.ByteSize(n.MemBytes))
@@ -803,7 +805,7 @@ func (s *Simulator) issueCollective(st *npuState, pos int32) {
 	inst.open[len(inst.open)-1] = nil
 	inst.open = inst.open[:len(inst.open)-1]
 	inst.base++
-	s.launchCollective(p, st.plan.Nodes()[pos])
+	s.launchCollective(p, &st.plan.Nodes()[pos])
 }
 
 func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {

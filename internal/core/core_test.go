@@ -43,7 +43,7 @@ func run(t *testing.T, cfg Config, trace *et.Trace) *RunStats {
 }
 
 // symmetricTrace builds the same node list on every NPU.
-func symmetricTrace(n int, build func(rank int) []*et.Node) *et.Trace {
+func symmetricTrace(n int, build func(rank int) []et.Node) *et.Trace {
 	tr := &et.Trace{Name: "test", NumNPUs: n}
 	for r := 0; r < n; r++ {
 		tr.Graphs = append(tr.Graphs, &et.Graph{NPU: r, Nodes: build(r)})
@@ -53,8 +53,8 @@ func symmetricTrace(n int, build func(rank int) []*et.Node) *et.Trace {
 
 func TestComputeOnlyTrace(t *testing.T) {
 	top := ring4Top()
-	trace := symmetricTrace(4, func(int) []*et.Node {
-		return []*et.Node{
+	trace := symmetricTrace(4, func(int) []et.Node {
+		return []et.Node{
 			{ID: 1, Kind: et.KindCompute, FLOPs: 1e11}, // 1 ms at 100 TFLOPS
 			{ID: 2, Kind: et.KindCompute, FLOPs: 1e11, Deps: []int{1}},
 		}
@@ -73,8 +73,8 @@ func TestComputeOnlyTrace(t *testing.T) {
 func TestParallelNodesOverlap(t *testing.T) {
 	top := ring4Top()
 	// Two independent 1 ms compute nodes run concurrently (async streams).
-	trace := symmetricTrace(4, func(int) []*et.Node {
-		return []*et.Node{
+	trace := symmetricTrace(4, func(int) []et.Node {
+		return []et.Node{
 			{ID: 1, Kind: et.KindCompute, FLOPs: 1e11},
 			{ID: 2, Kind: et.KindCompute, FLOPs: 1e11},
 		}
@@ -87,8 +87,8 @@ func TestParallelNodesOverlap(t *testing.T) {
 
 func TestMemoryNodeTiming(t *testing.T) {
 	top := ring4Top()
-	trace := symmetricTrace(4, func(int) []*et.Node {
-		return []*et.Node{
+	trace := symmetricTrace(4, func(int) []et.Node {
+		return []et.Node{
 			{ID: 1, Kind: et.KindMemory, MemOp: et.MemLoad, MemLocation: et.MemLocal, TensorBytes: int64(2 * units.GB)},
 		}
 	})
@@ -104,8 +104,8 @@ func TestMemoryNodeTiming(t *testing.T) {
 
 func TestCollectiveRendezvous(t *testing.T) {
 	top := ring4Top()
-	trace := symmetricTrace(4, func(int) []*et.Node {
-		return []*et.Node{
+	trace := symmetricTrace(4, func(int) []et.Node {
+		return []et.Node{
 			{ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: int64(8 * units.MB)},
 		}
 	})
@@ -126,12 +126,12 @@ func TestCollectiveRendezvous(t *testing.T) {
 func TestStaggeredRendezvousWaitsCountAsComm(t *testing.T) {
 	top := ring4Top()
 	// NPU 0 computes 1 ms before joining; others wait at the collective.
-	trace := symmetricTrace(4, func(rank int) []*et.Node {
-		nodes := []*et.Node{}
+	trace := symmetricTrace(4, func(rank int) []et.Node {
+		nodes := []et.Node{}
 		if rank == 0 {
-			nodes = append(nodes, &et.Node{ID: 10, Kind: et.KindCompute, FLOPs: 1e11})
+			nodes = append(nodes, et.Node{ID: 10, Kind: et.KindCompute, FLOPs: 1e11})
 		}
-		coll := &et.Node{ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: int64(8 * units.MB)}
+		coll := et.Node{ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: int64(8 * units.MB)}
 		if rank == 0 {
 			coll.Deps = []int{10}
 		}
@@ -156,8 +156,8 @@ func TestStaggeredRendezvousWaitsCountAsComm(t *testing.T) {
 func TestComputeHidesCommunication(t *testing.T) {
 	top := ring4Top()
 	// A collective overlapped with a longer compute: comm fully hidden.
-	trace := symmetricTrace(4, func(int) []*et.Node {
-		return []*et.Node{
+	trace := symmetricTrace(4, func(int) []et.Node {
+		return []et.Node{
 			{ID: 1, Kind: et.KindCompute, FLOPs: 1e12}, // 10 ms
 			{ID: 2, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: int64(8 * units.MB)},
 		}
@@ -182,8 +182,8 @@ func TestSubgroupCollectives(t *testing.T) {
 	)
 	// Each dim-0 group runs its own All-Reduce; the two instances are
 	// disjoint and concurrent.
-	trace := symmetricTrace(8, func(int) []*et.Node {
-		return []*et.Node{
+	trace := symmetricTrace(8, func(int) []et.Node {
+		return []et.Node{
 			{ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: int64(8 * units.MB),
 				Group: &et.GroupRef{Spans: []et.SpanRef{{Phys: 0, K: 4, Stride: 1}}}},
 		}
@@ -202,20 +202,20 @@ func TestPipelineParallelP2P(t *testing.T) {
 	tr := &et.Trace{Name: "pp", NumNPUs: 4}
 	const msg = int64(1 * units.MB) // 10 us per hop at 100 GB/s
 	for r := 0; r < 4; r++ {
-		var nodes []*et.Node
+		var nodes []et.Node
 		id := 1
 		if r > 0 {
-			nodes = append(nodes, &et.Node{ID: id, Kind: et.KindRecv, Peer: r - 1, Tag: r, CommBytes: msg})
+			nodes = append(nodes, et.Node{ID: id, Kind: et.KindRecv, Peer: r - 1, Tag: r, CommBytes: msg})
 			id++
 		}
-		comp := &et.Node{ID: id, Kind: et.KindCompute, FLOPs: 1e11} // 1 ms
+		comp := et.Node{ID: id, Kind: et.KindCompute, FLOPs: 1e11} // 1 ms
 		if r > 0 {
 			comp.Deps = []int{id - 1}
 		}
 		nodes = append(nodes, comp)
 		id++
 		if r < 3 {
-			nodes = append(nodes, &et.Node{ID: id, Kind: et.KindSend, Peer: r + 1, Tag: r + 1, CommBytes: msg, Deps: []int{id - 1}})
+			nodes = append(nodes, et.Node{ID: id, Kind: et.KindSend, Peer: r + 1, Tag: r + 1, CommBytes: msg, Deps: []int{id - 1}})
 		}
 		tr.Graphs = append(tr.Graphs, &et.Graph{NPU: r, Nodes: nodes})
 	}
@@ -240,11 +240,11 @@ func TestDeadlockDetection(t *testing.T) {
 	// constructing the simulator input directly: Run validates, so give a
 	// matching send on NPU 1 that itself depends on an impossible
 	// collective rendezvous (NPU 1 joins a collective nobody else joins).
-	tr := symmetricTrace(4, func(rank int) []*et.Node {
+	tr := symmetricTrace(4, func(rank int) []et.Node {
 		if rank != 1 {
-			return []*et.Node{{ID: 1, Kind: et.KindCompute, FLOPs: 1}}
+			return []et.Node{{ID: 1, Kind: et.KindCompute, FLOPs: 1}}
 		}
-		return []*et.Node{
+		return []et.Node{
 			{ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: 1024},
 		}
 	})
@@ -266,8 +266,8 @@ func TestTraceTopologyMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := symmetricTrace(2, func(int) []*et.Node {
-		return []*et.Node{{ID: 1, Kind: et.KindCompute, FLOPs: 1}}
+	tr := symmetricTrace(2, func(int) []et.Node {
+		return []et.Node{{ID: 1, Kind: et.KindCompute, FLOPs: 1}}
 	})
 	if _, err := sim.Run(tr); err == nil {
 		t.Error("expected NPU-count mismatch error")
@@ -276,8 +276,8 @@ func TestTraceTopologyMismatch(t *testing.T) {
 
 func TestBreakdownSumsToMakespan(t *testing.T) {
 	top := ring4Top()
-	trace := symmetricTrace(4, func(rank int) []*et.Node {
-		return []*et.Node{
+	trace := symmetricTrace(4, func(rank int) []et.Node {
+		return []et.Node{
 			{ID: 1, Kind: et.KindCompute, FLOPs: 5e10},
 			{ID: 2, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: int64(4 * units.MB), Deps: []int{1}},
 			{ID: 3, Kind: et.KindMemory, MemOp: et.MemStore, MemLocation: et.MemLocal, TensorBytes: int64(64 * units.MB), Deps: []int{2}},
@@ -305,8 +305,8 @@ func TestThemisPolicyWiredThrough(t *testing.T) {
 	mk := func(policy collective.Policy) units.Time {
 		cfg := testConfig(t, top)
 		cfg.Policy = policy
-		trace := symmetricTrace(16, func(int) []*et.Node {
-			return []*et.Node{
+		trace := symmetricTrace(16, func(int) []et.Node {
+			return []et.Node{
 				{ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: int64(256 * units.MB)},
 			}
 		})
@@ -333,8 +333,8 @@ func TestInSwitchCollective(t *testing.T) {
 		GPUSideOutFabricBW: units.GBps(100),
 		InNodeFabricBW:     units.GBps(256),
 	}
-	trace := symmetricTrace(4, func(int) []*et.Node {
-		return []*et.Node{
+	trace := symmetricTrace(4, func(int) []et.Node {
+		return []et.Node{
 			{ID: 1, Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: int64(32 * units.MiB), InSwitch: true},
 		}
 	})
@@ -362,8 +362,8 @@ func TestConfigValidation(t *testing.T) {
 
 func TestMultipleSequentialCollectives(t *testing.T) {
 	top := ring4Top()
-	trace := symmetricTrace(4, func(int) []*et.Node {
-		return []*et.Node{
+	trace := symmetricTrace(4, func(int) []et.Node {
+		return []et.Node{
 			{ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: int64(8 * units.MB)},
 			{ID: 2, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: int64(8 * units.MB), Deps: []int{1}},
 		}
@@ -381,10 +381,10 @@ func TestCollectiveLogLimit(t *testing.T) {
 	top := ring4Top()
 	cfg := testConfig(t, top)
 	cfg.CollectiveLogLimit = 2
-	trace := symmetricTrace(4, func(int) []*et.Node {
-		nodes := make([]*et.Node, 5)
+	trace := symmetricTrace(4, func(int) []et.Node {
+		nodes := make([]et.Node, 5)
 		for i := range nodes {
-			nodes[i] = &et.Node{ID: i + 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: int64(units.MB)}
+			nodes[i] = et.Node{ID: i + 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: int64(units.MB)}
 			if i > 0 {
 				nodes[i].Deps = []int{i}
 			}
@@ -399,8 +399,8 @@ func TestCollectiveLogLimit(t *testing.T) {
 
 func TestRunStatsTrafficPerDim(t *testing.T) {
 	top := ring4Top()
-	trace := symmetricTrace(4, func(int) []*et.Node {
-		return []*et.Node{
+	trace := symmetricTrace(4, func(int) []et.Node {
+		return []et.Node{
 			{ID: 1, Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: int64(8 * units.MB)},
 		}
 	})
@@ -415,8 +415,8 @@ func TestTimelineRecording(t *testing.T) {
 	top := ring4Top()
 	cfg := testConfig(t, top)
 	cfg.RecordTimeline = true
-	trace := symmetricTrace(4, func(int) []*et.Node {
-		return []*et.Node{
+	trace := symmetricTrace(4, func(int) []et.Node {
+		return []et.Node{
 			{ID: 1, Kind: et.KindCompute, FLOPs: 1e11},
 			{ID: 2, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: int64(8 * units.MB), Deps: []int{1}},
 		}
@@ -445,8 +445,8 @@ func TestTimelineRecording(t *testing.T) {
 
 func TestTimelineOffByDefault(t *testing.T) {
 	top := ring4Top()
-	trace := symmetricTrace(4, func(int) []*et.Node {
-		return []*et.Node{{ID: 1, Kind: et.KindCompute, FLOPs: 1e9}}
+	trace := symmetricTrace(4, func(int) []et.Node {
+		return []et.Node{{ID: 1, Kind: et.KindCompute, FLOPs: 1e9}}
 	})
 	stats := run(t, testConfig(t, top), trace)
 	if stats.Timeline != nil {
@@ -463,10 +463,10 @@ func TestShuffledNodeListMatchesSorted(t *testing.T) {
 	// Two independent roots plus a dependent P2P pair so issue order is
 	// observable through link reservation and rendezvous timing.
 	build := func(shuffled bool) *et.Trace {
-		return symmetricTrace(4, func(rank int) []*et.Node {
+		return symmetricTrace(4, func(rank int) []et.Node {
 			peer := (rank + 1) % 4
 			prev := (rank + 3) % 4
-			nodes := []*et.Node{
+			nodes := []et.Node{
 				{ID: 1, Kind: et.KindCompute, FLOPs: 2e11},
 				{ID: 2, Kind: et.KindCompute, FLOPs: 1e11},
 				{ID: 3, Kind: et.KindSend, Peer: peer, Tag: rank, CommBytes: 1 << 20, Deps: []int{1}},
@@ -507,8 +507,8 @@ func TestSimulatedTimeOverflowIsAnError(t *testing.T) {
 		},
 	}
 	for _, flops := range []float64{1e21, 3e21, 1e24} {
-		trace := symmetricTrace(2, func(int) []*et.Node {
-			return []*et.Node{
+		trace := symmetricTrace(2, func(int) []et.Node {
+			return []et.Node{
 				{ID: 1, Kind: et.KindCompute, FLOPs: flops},
 				{ID: 2, Kind: et.KindCompute, FLOPs: flops, Deps: []int{1}},
 				{ID: 3, Kind: et.KindCompute, FLOPs: flops, Deps: []int{2}},

@@ -28,6 +28,15 @@ func fuzzTraceSeeds() []string {
 		`{"name":"pt","num_npus":2,"graphs":[` +
 			`{"rank":0,"nodes":[{"id":1,"name":"aten::matmul","attrs":{"flops":1e9}},{"id":2,"name":"nccl:all_reduce","ctrl_deps":[1],"attrs":{"comm_bytes":4096}},{"id":3,"name":"nccl:send","ctrl_deps":[2],"attrs":{"comm_bytes":64,"peer":1,"tag":5}}]},` +
 			`{"rank":1,"nodes":[{"id":1,"name":"mem::load","attrs":{"tensor_bytes":4096,"remote":true}},{"id":2,"name":"nccl:all_reduce","ctrl_deps":[1],"attrs":{"comm_bytes":4096}},{"id":3,"name":"nccl:recv","ctrl_deps":[2],"attrs":{"comm_bytes":64,"peer":0,"tag":5}}]}]}`,
+		// ET: IDs at both ends of int in one list (a map), IDs packed
+		// against the top of int (an ID table), and a dependency just past
+		// a list's span at the bottom of int.
+		`{"num_npus":2,"graphs":[` +
+			`{"npu":0,"nodes":[{"id":-9223372036854775808,"kind":"COMP","flops":1},{"id":9223372036854775807,"kind":"COMM_COLL","deps":[-9223372036854775808],"collective":"ALL_REDUCE","comm_bytes":64}]},` +
+			`{"npu":1,"nodes":[{"id":9223372036854775806,"kind":"COMP","flops":1},{"id":9223372036854775807,"kind":"COMM_COLL","deps":[9223372036854775806],"collective":"ALL_REDUCE","comm_bytes":64}]}]}`,
+		`{"num_npus":2,"graphs":[{"npu":0,"nodes":[{"id":-9223372036854775807,"kind":"COMP","flops":1},{"id":-9223372036854775808,"kind":"COMP","flops":1,"deps":[-9223372036854775806]}]},{"npu":1,"nodes":[]}]}`,
+		// PARAM PyTorch graph with IDs at both ends of int.
+		`{"num_npus":2,"graphs":[{"rank":0,"nodes":[{"id":9223372036854775807,"name":"aten::mm"},{"id":-9223372036854775808,"name":"aten::mm","ctrl_deps":[9223372036854775807]}]},{"rank":1,"nodes":[]}]}`,
 		`{"num_npus":1,"graphs":[{"npu":0,"nodes":[]}]}`,
 		`{"num_npus":2}`, `{`, `null`, `[]`,
 	}

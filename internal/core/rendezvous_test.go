@@ -31,7 +31,7 @@ func render(st *RunStats) string {
 
 // perRank builds a trace whose ranks may hold distinct node lists; ranks
 // for which build returns the same slice share one list.
-func perRank(n int, build func(rank int) []*et.Node) *et.Trace {
+func perRank(n int, build func(rank int) []et.Node) *et.Trace {
 	tr := &et.Trace{Name: "test", NumNPUs: n}
 	for r := 0; r < n; r++ {
 		tr.Graphs = append(tr.Graphs, &et.Graph{NPU: r, Nodes: build(r)})
@@ -53,8 +53,8 @@ const mb8, mb4 = int64(8 * units.MB), int64(4 * units.MB)
 // communicator and the 1 ms branch's 8 MB one its second, whether the ranks
 // share one shuffled list or each declare the nodes in a different order.
 func TestRendezvousNonAscendingList(t *testing.T) {
-	nodes := func() []*et.Node {
-		return []*et.Node{
+	nodes := func() []et.Node {
+		return []et.Node{
 			{ID: 4, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: mb4, Deps: []int{3}},
 			{ID: 2, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: mb8, Deps: []int{1}},
 			{ID: 3, Kind: et.KindCompute, FLOPs: 5e10},
@@ -70,8 +70,8 @@ All-Reduce 4000000 [500, 620]
 All-Reduce 8000000 [1000, 1240]
 `
 	list := nodes()
-	checkRun(t, testConfig(t, ring4Top()), perRank(4, func(int) []*et.Node { return list }), want)
-	rotated := perRank(4, func(r int) []*et.Node {
+	checkRun(t, testConfig(t, ring4Top()), perRank(4, func(int) []et.Node { return list }), want)
+	rotated := perRank(4, func(r int) []et.Node {
 		l := nodes()
 		return append(l[r:], l[:r]...)
 	})
@@ -82,7 +82,7 @@ All-Reduce 8000000 [1000, 1240]
 // ascending-ID order.
 func TestRendezvousSparseIDs(t *testing.T) {
 	const big = 1 << 40
-	list := []*et.Node{
+	list := []et.Node{
 		{ID: big, Kind: et.KindCompute, FLOPs: 1e11},
 		{ID: 7, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: mb8, Deps: []int{big}},
 		{ID: 1000, Kind: et.KindCompute, FLOPs: 5e10, Deps: []int{7}},
@@ -100,13 +100,13 @@ npu 3: compute 1500 comm 240 remote 0 local 1001 idle 0
 All-Reduce 4000000 [0, 120]
 All-Reduce 8000000 [1000, 1240]
 `
-	checkRun(t, testConfig(t, ring4Top()), perRank(4, func(int) []*et.Node { return list }), want)
+	checkRun(t, testConfig(t, ring4Top()), perRank(4, func(int) []et.Node { return list }), want)
 }
 
 // A repeated dependency counts once per listing: the node runs after its
 // last parent completes, not before.
 func TestRendezvousDuplicateDeps(t *testing.T) {
-	list := []*et.Node{
+	list := []et.Node{
 		{ID: 1, Kind: et.KindCompute, FLOPs: 1e11},
 		{ID: 2, Kind: et.KindCompute, FLOPs: 5e10},
 		{ID: 3, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: mb8, Deps: []int{1, 1, 2, 1}},
@@ -119,7 +119,7 @@ npu 2: compute 1100 comm 240 remote 0 local 0 idle 0
 npu 3: compute 1100 comm 240 remote 0 local 0 idle 0
 All-Reduce 8000000 [1000, 1240]
 `
-	checkRun(t, testConfig(t, ring4Top()), perRank(4, func(int) []*et.Node { return list }), want)
+	checkRun(t, testConfig(t, ring4Top()), perRank(4, func(int) []et.Node { return list }), want)
 }
 
 // Two collectives over identical spans — one naming no group, one naming
@@ -129,16 +129,16 @@ All-Reduce 8000000 [1000, 1240]
 // the ring: 12 MB of All-Reduce at the 8 MB rate ends at 1360 us.
 func TestRendezvousSequencePairing(t *testing.T) {
 	ring := &et.GroupRef{Spans: []et.SpanRef{{Phys: 0, K: 4, Stride: 1}}}
-	waiting := []*et.Node{
+	waiting := []et.Node{
 		{ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: mb8},
 		{ID: 2, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: mb4, Group: ring},
 	}
-	late := []*et.Node{
+	late := []et.Node{
 		{ID: 10, Kind: et.KindCompute, FLOPs: 1e11},
 		{ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: mb8, Deps: []int{10}},
 		{ID: 2, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: mb4, Group: ring, Deps: []int{10}},
 	}
-	tr := perRank(4, func(r int) []*et.Node {
+	tr := perRank(4, func(r int) []et.Node {
 		if r == 0 {
 			return late
 		}
@@ -173,15 +173,15 @@ func TestRendezvousInSwitchSeparate(t *testing.T) {
 		GPUSideOutFabricBW: units.GBps(100),
 		InNodeFabricBW:     units.GBps(256),
 	}
-	fabric := func(id int, deps ...int) *et.Node {
-		return &et.Node{ID: id, Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: mb8, Deps: deps}
+	fabric := func(id int, deps ...int) et.Node {
+		return et.Node{ID: id, Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: mb8, Deps: deps}
 	}
-	inSwitch := func(id int) *et.Node {
-		return &et.Node{ID: id, Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: int64(32 * units.MiB), InSwitch: true}
+	inSwitch := func(id int) et.Node {
+		return et.Node{ID: id, Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: int64(32 * units.MiB), InSwitch: true}
 	}
-	first := []*et.Node{inSwitch(1), {ID: 5, Kind: et.KindCompute, FLOPs: 1e11}, fabric(2, 5)}
-	rest := []*et.Node{fabric(1), inSwitch(2)}
-	tr := perRank(4, func(r int) []*et.Node {
+	first := []et.Node{inSwitch(1), {ID: 5, Kind: et.KindCompute, FLOPs: 1e11}, fabric(2, 5)}
+	rest := []et.Node{fabric(1), inSwitch(2)}
+	tr := perRank(4, func(r int) []et.Node {
 		if r == 0 {
 			return first
 		}
@@ -203,15 +203,15 @@ All-Gather 8000000 [1000, 1120]
 // The deadlock report names the same stuck node on every run: the first
 // in-flight node of the lowest stuck rank, in list order.
 func TestDescribeStuckIsDeterministic(t *testing.T) {
-	stuck := []*et.Node{
+	stuck := []et.Node{
 		{ID: 1, Name: "ar1", Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: 1024},
 		{ID: 2, Name: "ar2", Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: 1024},
 		{ID: 3, Name: "ar3", Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: 1024},
 		{ID: 4, Name: "ar4", Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: 1024},
 		{ID: 5, Name: "tail", Kind: et.KindCompute, FLOPs: 1, Deps: []int{4}},
 	}
-	idle := []*et.Node{{ID: 1, Kind: et.KindCompute, FLOPs: 1}}
-	tr := perRank(4, func(r int) []*et.Node {
+	idle := []et.Node{{ID: 1, Kind: et.KindCompute, FLOPs: 1}}
+	tr := perRank(4, func(r int) []et.Node {
 		if r == 0 {
 			return idle
 		}
@@ -251,13 +251,13 @@ func TestInvalidSpanReturnsError(t *testing.T) {
 	}
 	for _, c := range cases {
 		n := c.top.NumNPUs()
-		list := []*et.Node{{ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: mb8,
+		list := []et.Node{{ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: mb8,
 			Group: &et.GroupRef{Spans: []et.SpanRef{c.span}}}}
 		sim, err := NewSimulator(testConfig(t, c.top))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = sim.Run(perRank(n, func(int) []*et.Node { return list }))
+		_, err = sim.Run(perRank(n, func(int) []et.Node { return list }))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
 		}
@@ -267,12 +267,12 @@ func TestInvalidSpanReturnsError(t *testing.T) {
 // A collective the engine cannot launch — an All-Gather whose per-member
 // shard rounds to zero bytes — is an error from Run, not a panic.
 func TestCollectiveLaunchErrorReturned(t *testing.T) {
-	list := []*et.Node{{ID: 1, Name: "tiny", Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: 2}}
+	list := []et.Node{{ID: 1, Name: "tiny", Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: 2}}
 	sim, err := NewSimulator(testConfig(t, ring4Top()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sim.Run(perRank(4, func(int) []*et.Node { return list }))
+	_, err = sim.Run(perRank(4, func(int) []et.Node { return list }))
 	if err == nil || !strings.Contains(err.Error(), "tiny") {
 		t.Errorf("error %v, want one naming the collective node", err)
 	}

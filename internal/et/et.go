@@ -11,6 +11,13 @@
 // returning each list as an immutable Plan addressed by list position.
 // Validation, Repeat and the execution engine all read plans, so node IDs
 // are resolved in this package only.
+//
+// Traces are compact: a graph holds its nodes by value in one slice, and
+// graphs that share a list share one slice. The compile pass resolves IDs
+// through a table when they are dense (a span of at most twice the list's
+// length) and through a map only when they are sparse, and it carves a
+// plan's arrays from one allocation. Point-to-point matching buckets its
+// records by sender and sorts each bucket, not the whole trace's records.
 package et
 
 import (
@@ -111,10 +118,11 @@ type Node struct {
 	Tag      int  `json:"tag,omitempty"`
 }
 
-// Graph is one NPU's execution trace.
+// Graph is one NPU's execution trace. Nodes are held by value, so a list
+// is one allocation however long it is.
 type Graph struct {
-	NPU   int     `json:"npu"`
-	Nodes []*Node `json:"nodes"`
+	NPU   int    `json:"npu"`
+	Nodes []Node `json:"nodes"`
 }
 
 // Trace is a whole-machine execution trace: one graph per NPU.
@@ -140,7 +148,7 @@ func (g *Graph) Validate() error {
 // graph that uses its list; the slices its methods return are shared too,
 // and callers must not modify them.
 type Plan struct {
-	nodes []*Node
+	nodes []Node
 	// The dependents of position p are deps[off[p]:off[p+1]], in list
 	// order, one entry per dependency edge.
 	off, deps []int32
@@ -151,7 +159,7 @@ type Plan struct {
 }
 
 // Nodes returns the node list in declaration order.
-func (p *Plan) Nodes() []*Node { return p.nodes }
+func (p *Plan) Nodes() []Node { return p.nodes }
 
 // Dependents returns the positions that depend on position pos, one entry
 // per dependency edge: a duplicated dep appears twice, matching the
@@ -164,31 +172,98 @@ func (p *Plan) InDegrees() []int32 { return p.indeg }
 // Roots returns the positions with no dependencies in ascending-ID order.
 func (p *Plan) Roots() []int32 { return p.roots }
 
+// idIndex resolves one list's node IDs to list positions. IDs whose span
+// is at most twice the list's length, as every generator and Repeat
+// produce, go through a table indexed by ID - min; sparser IDs, which JSON
+// or convert may carry, go through a map, since a table over an arbitrary
+// span could be unbounded.
+type idIndex struct {
+	min int
+	// table holds position+1 per ID - min, 0 where no node has that ID.
+	table []int32
+	m     map[int]int32
+}
+
+func newIDIndex(nodes []Node) idIndex {
+	if len(nodes) == 0 {
+		return idIndex{}
+	}
+	lo, hi := nodes[0].ID, nodes[0].ID
+	for i := range nodes {
+		lo, hi = min(lo, nodes[i].ID), max(hi, nodes[i].ID)
+	}
+	// The span is hi - lo + 1, taken in uint64 so that IDs at both ends of
+	// int cannot overflow it.
+	if d := uint64(hi) - uint64(lo); d < 2*uint64(len(nodes)) {
+		return idIndex{min: lo, table: make([]int32, d+1)}
+	}
+	return idIndex{m: make(map[int]int32, len(nodes))}
+}
+
+// add records that id is at position pos; it reports false when another
+// node already has id.
+func (x *idIndex) add(id int, pos int32) bool {
+	if x.m != nil {
+		if _, dup := x.m[id]; dup {
+			return false
+		}
+		x.m[id] = pos
+		return true
+	}
+	e := &x.table[uint64(id)-uint64(x.min)]
+	if *e != 0 {
+		return false
+	}
+	*e = pos + 1
+	return true
+}
+
+// lookup returns the position of id.
+func (x *idIndex) lookup(id int) (int32, bool) {
+	if x.m != nil {
+		q, ok := x.m[id]
+		return q, ok
+	}
+	off := uint64(id) - uint64(x.min)
+	if off >= uint64(len(x.table)) || x.table[off] == 0 {
+		return 0, false
+	}
+	return x.table[off] - 1, true
+}
+
 // compile validates one node list and builds its plan. Node IDs need not
 // be dense or ascending; this is the one place they are resolved to list
-// positions. Errors come in list order: nil nodes and duplicate IDs first,
-// then each node's dependencies and metadata, then cycles.
-func compile(npu int, nodes []*Node) (*Plan, error) {
+// positions. Errors come in list order: duplicate IDs first, then each
+// node's dependencies and metadata, then cycles. The plan's arrays are
+// carved from one allocation, and the pass's scratch from another.
+func compile(npu int, nodes []Node) (*Plan, error) {
 	n := len(nodes)
-	pos := make(map[int]int32, n)
-	edges := 0
-	for i, nd := range nodes {
-		if nd == nil {
-			return nil, fmt.Errorf("et: npu %d has a nil node", npu)
-		}
-		if _, dup := pos[nd.ID]; dup {
+	ids := newIDIndex(nodes)
+	edges, nroots := 0, 0
+	for i := range nodes {
+		nd := &nodes[i]
+		if !ids.add(nd.ID, int32(i)) {
 			return nil, fmt.Errorf("et: npu %d has duplicate node id %d", npu, nd.ID)
 		}
-		pos[nd.ID] = int32(i)
 		edges += len(nd.Deps)
+		if len(nd.Deps) == 0 {
+			nroots++
+		}
 	}
-	p := &Plan{nodes: nodes, off: make([]int32, n+1), indeg: make([]int32, n)}
+	buf := make([]int32, 2*n+1+nroots+edges)
+	p := &Plan{nodes: nodes}
+	p.off, buf = buf[:n+1:n+1], buf[n+1:]
+	p.indeg, buf = buf[:n:n], buf[n:]
+	p.roots, p.deps = buf[:0:nroots], buf[nroots:]
 	// depPos holds every node's dependencies as list positions, node after
-	// node, so each ID is resolved once.
-	depPos := make([]int32, 0, edges)
-	for i, nd := range nodes {
+	// node, so each ID is resolved once; next and queue serve the fill and
+	// the cycle check below.
+	scratch := make([]int32, edges+2*n)
+	depPos, next, queue := scratch[:0:edges], scratch[edges:edges+n], scratch[edges+n:edges+n]
+	for i := range nodes {
+		nd := &nodes[i]
 		for _, d := range nd.Deps {
-			q, ok := pos[d]
+			q, ok := ids.lookup(d)
 			if !ok {
 				return nil, fmt.Errorf("et: npu %d node %d depends on unknown node %d", npu, nd.ID, d)
 			}
@@ -212,10 +287,9 @@ func compile(npu int, nodes []*Node) (*Plan, error) {
 	for q := 0; q < n; q++ {
 		p.off[q+1] += p.off[q]
 	}
-	p.deps = make([]int32, edges)
 	// Fill the dependents in list order; node i's indeg[i] dependency
 	// positions are next on depPos.
-	next := append([]int32(nil), p.off[:n]...) // next free slot per position
+	copy(next, p.off[:n]) // next free slot per position
 	for i, k := range p.indeg {
 		for _, q := range depPos[:k] {
 			p.deps[next[q]] = int32(i)
@@ -224,8 +298,9 @@ func compile(npu int, nodes []*Node) (*Plan, error) {
 		depPos = depPos[k:]
 	}
 	// Kahn's algorithm: the list is acyclic when every position drains.
-	deg := append(next[:0], p.indeg...)
-	queue := append(make([]int32, 0, n), p.roots...)
+	deg := next
+	copy(deg, p.indeg)
+	queue = append(queue, p.roots...)
 	for h := 0; h < len(queue); h++ {
 		for _, c := range p.Dependents(queue[h]) {
 			deg[c]--
@@ -284,7 +359,7 @@ func (n *Node) validateMeta() error {
 // rank the same slice) have equal keys, lists that merely start with the
 // same node do not.
 type listKey struct {
-	first **Node
+	first *Node
 	n     int
 }
 
@@ -344,80 +419,104 @@ func (t *Trace) Plans() ([]*Plan, error) {
 	return plans, nil
 }
 
-// p2pChannel is a point-to-point channel: sender, receiver and tag.
-type p2pChannel struct{ src, dst, tag int }
-
-// p2pRecord is one send or receive on a channel; pos is its position in
-// its graph's list.
+// p2pRecord is one send or receive on a channel whose sender is implied by
+// the bucket holding the record; pos is its position in its graph's list.
 type p2pRecord struct {
-	ch   p2pChannel
-	recv bool
-	pos  int32
-	size int64
+	dst, tag int
+	size     int64
+	pos      int32
+	recv     bool
 }
 
-// matchP2P matches sends against receives. It sorts one record per P2P
-// node by channel, then sends before receives, then list position, so each
-// channel is a run of sends in list order followed by its receives, and
-// the lowest faulty channel is the one reported.
+// matchP2P matches sends against receives. It buckets one record per P2P
+// node by sender, then sorts each bucket by receiver, tag, sends before
+// receives and list position, so each channel is a run of sends in list
+// order followed by its receives, and channels come in (src, dst, tag)
+// order: the lowest faulty channel is the one reported.
 func (t *Trace) matchP2P(plans []*Plan, count int) error {
-	recs := make([]p2pRecord, 0, count)
+	if count == 0 {
+		return nil
+	}
+	// start[s+1] counts sender s's records; summed, sender s's bucket is
+	// recs[start[s]:start[s+1]], and next[s] is the bucket's next free slot.
+	start := make([]int, t.NumNPUs+1)
 	for i, g := range t.Graphs {
 		if plans[i].p2p == 0 {
 			continue
 		}
-		for pos, n := range g.Nodes {
-			switch n.Kind {
+		for k := range g.Nodes {
+			switch n := &g.Nodes[k]; n.Kind {
 			case KindSend:
 				if n.Peer >= t.NumNPUs {
 					return fmt.Errorf("et: npu %d sends to out-of-range peer %d", g.NPU, n.Peer)
 				}
-				recs = append(recs, p2pRecord{ch: p2pChannel{g.NPU, n.Peer, n.Tag}, pos: int32(pos), size: n.CommBytes})
+				start[g.NPU+1]++
 			case KindRecv:
 				if n.Peer >= t.NumNPUs {
 					return fmt.Errorf("et: npu %d receives from out-of-range peer %d", g.NPU, n.Peer)
 				}
-				recs = append(recs, p2pRecord{ch: p2pChannel{n.Peer, g.NPU, n.Tag}, recv: true, pos: int32(pos), size: n.CommBytes})
+				start[n.Peer+1]++
 			}
 		}
 	}
-	slices.SortFunc(recs, func(a, b p2pRecord) int {
-		switch {
-		case a.ch.src != b.ch.src:
-			return cmp.Compare(a.ch.src, b.ch.src)
-		case a.ch.dst != b.ch.dst:
-			return cmp.Compare(a.ch.dst, b.ch.dst)
-		case a.ch.tag != b.ch.tag:
-			return cmp.Compare(a.ch.tag, b.ch.tag)
-		case a.recv != b.recv:
-			if a.recv {
-				return 1
-			}
-			return -1
+	for s := 0; s < t.NumNPUs; s++ {
+		start[s+1] += start[s]
+	}
+	next := append(make([]int, 0, t.NumNPUs), start[:t.NumNPUs]...)
+	recs := make([]p2pRecord, count)
+	for i, g := range t.Graphs {
+		if plans[i].p2p == 0 {
+			continue
 		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	for i := 0; i < len(recs); {
-		c := recs[i].ch
-		j, m := i, i // the channel's sends are recs[i:m], its receives recs[m:j]
-		for ; j < len(recs) && recs[j].ch == c; j++ {
-			if !recs[j].recv {
-				m++
+		for k := range g.Nodes {
+			switch n := &g.Nodes[k]; n.Kind {
+			case KindSend:
+				recs[next[g.NPU]] = p2pRecord{dst: n.Peer, tag: n.Tag, size: n.CommBytes, pos: int32(k)}
+				next[g.NPU]++
+			case KindRecv:
+				recs[next[n.Peer]] = p2pRecord{dst: g.NPU, tag: n.Tag, size: n.CommBytes, pos: int32(k), recv: true}
+				next[n.Peer]++
 			}
 		}
-		sends, recvs := recs[i:m], recs[m:j]
-		if len(sends) == 0 {
-			return fmt.Errorf("et: %d recvs with no send for %d->%d tag %d", len(recvs), c.src, c.dst, c.tag)
-		}
-		if len(sends) != len(recvs) {
-			return fmt.Errorf("et: %d sends but %d recvs for %d->%d tag %d", len(sends), len(recvs), c.src, c.dst, c.tag)
-		}
-		for k, s := range sends {
-			if s.size != recvs[k].size {
-				return fmt.Errorf("et: size mismatch on %d->%d tag %d: send %d vs recv %d", c.src, c.dst, c.tag, s.size, recvs[k].size)
+	}
+	for src := 0; src < t.NumNPUs; src++ {
+		bucket := recs[start[src]:start[src+1]]
+		slices.SortFunc(bucket, func(a, b p2pRecord) int {
+			switch {
+			case a.dst != b.dst:
+				return cmp.Compare(a.dst, b.dst)
+			case a.tag != b.tag:
+				return cmp.Compare(a.tag, b.tag)
+			case a.recv != b.recv:
+				if a.recv {
+					return 1
+				}
+				return -1
 			}
+			return cmp.Compare(a.pos, b.pos)
+		})
+		for i := 0; i < len(bucket); {
+			dst, tag := bucket[i].dst, bucket[i].tag
+			j, m := i, i // the channel's sends are bucket[i:m], its receives bucket[m:j]
+			for ; j < len(bucket) && bucket[j].dst == dst && bucket[j].tag == tag; j++ {
+				if !bucket[j].recv {
+					m++
+				}
+			}
+			sends, recvs := bucket[i:m], bucket[m:j]
+			if len(sends) == 0 {
+				return fmt.Errorf("et: %d recvs with no send for %d->%d tag %d", len(recvs), src, dst, tag)
+			}
+			if len(sends) != len(recvs) {
+				return fmt.Errorf("et: %d sends but %d recvs for %d->%d tag %d", len(sends), len(recvs), src, dst, tag)
+			}
+			for k, s := range sends {
+				if s.size != recvs[k].size {
+					return fmt.Errorf("et: size mismatch on %d->%d tag %d: send %d vs recv %d", src, dst, tag, s.size, recvs[k].size)
+				}
+			}
+			i = j
 		}
-		i = j
 	}
 	return nil
 }
@@ -437,12 +536,16 @@ func (t *Trace) Encode(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// Decode reads a trace from JSON and validates it.
+// Decode reads one trace document from JSON and validates it. Anything but
+// whitespace after the document is an error.
 func Decode(r io.Reader) (*Trace, error) {
 	var t Trace
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("et: decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("et: decode: data after the trace document")
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

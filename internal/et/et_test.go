@@ -2,6 +2,10 @@ package et
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -14,12 +18,12 @@ func validTrace() *Trace {
 		Name:    "test",
 		NumNPUs: 2,
 		Graphs: []*Graph{
-			{NPU: 0, Nodes: []*Node{
+			{NPU: 0, Nodes: []Node{
 				{ID: 1, Kind: KindCompute, FLOPs: 1e9, MemBytes: 1 << 20},
 				{ID: 2, Kind: KindComm, Deps: []int{1}, Collective: CollAllReduce, CommBytes: 1 << 20},
 				{ID: 3, Kind: KindSend, Deps: []int{2}, Peer: 1, Tag: 7, CommBytes: 4096},
 			}},
-			{NPU: 1, Nodes: []*Node{
+			{NPU: 1, Nodes: []Node{
 				{ID: 1, Kind: KindCompute, FLOPs: 1e9},
 				{ID: 2, Kind: KindComm, Deps: []int{1}, Collective: CollAllReduce, CommBytes: 1 << 20},
 				{ID: 3, Kind: KindRecv, Deps: []int{2}, Peer: 0, Tag: 7, CommBytes: 4096},
@@ -77,7 +81,7 @@ func TestSelfDep(t *testing.T) {
 }
 
 func TestCycleDetected(t *testing.T) {
-	g := &Graph{NPU: 0, Nodes: []*Node{
+	g := &Graph{NPU: 0, Nodes: []Node{
 		{ID: 1, Kind: KindCompute, Deps: []int{2}},
 		{ID: 2, Kind: KindCompute, Deps: []int{1}},
 	}}
@@ -87,9 +91,9 @@ func TestCycleDetected(t *testing.T) {
 }
 
 func TestLongChainNoCycle(t *testing.T) {
-	nodes := make([]*Node, 1000)
+	nodes := make([]Node, 1000)
 	for i := range nodes {
-		n := &Node{ID: i + 1, Kind: KindCompute, FLOPs: 1}
+		n := Node{ID: i + 1, Kind: KindCompute, FLOPs: 1}
 		if i > 0 {
 			n.Deps = []int{i}
 		}
@@ -104,20 +108,20 @@ func TestLongChainNoCycle(t *testing.T) {
 func TestKindMetadataValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		node *Node
+		node Node
 	}{
-		{"negative flops", &Node{ID: 1, Kind: KindCompute, FLOPs: -1}},
-		{"mem without op", &Node{ID: 1, Kind: KindMemory, TensorBytes: 10, MemLocation: MemLocal}},
-		{"mem without location", &Node{ID: 1, Kind: KindMemory, TensorBytes: 10, MemOp: MemLoad}},
-		{"mem zero size", &Node{ID: 1, Kind: KindMemory, MemOp: MemLoad, MemLocation: MemLocal}},
-		{"coll unknown type", &Node{ID: 1, Kind: KindComm, CommBytes: 10, Collective: "BROADCAST"}},
-		{"coll zero size", &Node{ID: 1, Kind: KindComm, Collective: CollAllToAll}},
-		{"send zero size", &Node{ID: 1, Kind: KindSend, Peer: 1}},
-		{"recv bad peer", &Node{ID: 1, Kind: KindRecv, Peer: -1, CommBytes: 8}},
-		{"bogus kind", &Node{ID: 1, Kind: "NOP"}},
+		{"negative flops", Node{ID: 1, Kind: KindCompute, FLOPs: -1}},
+		{"mem without op", Node{ID: 1, Kind: KindMemory, TensorBytes: 10, MemLocation: MemLocal}},
+		{"mem without location", Node{ID: 1, Kind: KindMemory, TensorBytes: 10, MemOp: MemLoad}},
+		{"mem zero size", Node{ID: 1, Kind: KindMemory, MemOp: MemLoad, MemLocation: MemLocal}},
+		{"coll unknown type", Node{ID: 1, Kind: KindComm, CommBytes: 10, Collective: "BROADCAST"}},
+		{"coll zero size", Node{ID: 1, Kind: KindComm, Collective: CollAllToAll}},
+		{"send zero size", Node{ID: 1, Kind: KindSend, Peer: 1}},
+		{"recv bad peer", Node{ID: 1, Kind: KindRecv, Peer: -1, CommBytes: 8}},
+		{"bogus kind", Node{ID: 1, Kind: "NOP"}},
 	}
 	for _, c := range cases {
-		g := &Graph{NPU: 0, Nodes: []*Node{c.node}}
+		g := &Graph{NPU: 0, Nodes: []Node{c.node}}
 		if err := g.Validate(); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
@@ -187,6 +191,25 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 	}
 }
 
+// Decode reads exactly one document: trailing whitespace is fine, and
+// trailing garbage or a second trace is an error.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := validTrace().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	doc := buf.String()
+	if _, err := Decode(bytes.NewBufferString(doc + " \n\t")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+	const want = "et: decode: data after the trace document"
+	for _, bad := range []string{doc + "trailing garbage {", doc + doc} {
+		if _, err := Decode(bytes.NewBufferString(bad)); err == nil || err.Error() != want {
+			t.Errorf("got %v, want %q", err, want)
+		}
+	}
+}
+
 // Property: random DAGs built by only referencing earlier IDs always
 // validate, and reversing an edge into a later node creates either a valid
 // DAG or is caught — never a crash.
@@ -194,9 +217,9 @@ func TestRandomDAGValidates(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(50) + 1
-		nodes := make([]*Node, n)
+		nodes := make([]Node, n)
 		for i := 0; i < n; i++ {
-			node := &Node{ID: i + 1, Kind: KindCompute, FLOPs: float64(rng.Intn(1000))}
+			node := Node{ID: i + 1, Kind: KindCompute, FLOPs: float64(rng.Intn(1000))}
 			for d := 1; d <= i; d++ {
 				if rng.Intn(4) == 0 {
 					node.Deps = append(node.Deps, d)
@@ -222,14 +245,14 @@ func TestNodeCount(t *testing.T) {
 // every rank shares must still be reported, and so must a defect in a list
 // that only starts like a shared one.
 func TestSharedListDefectsStillRejected(t *testing.T) {
-	shared := func(nodes []*Node) *Trace {
+	shared := func(nodes []Node) *Trace {
 		tr := &Trace{NumNPUs: 4}
 		for r := 0; r < 4; r++ {
 			tr.Graphs = append(tr.Graphs, &Graph{NPU: r, Nodes: nodes})
 		}
 		return tr
 	}
-	cycle := shared([]*Node{
+	cycle := shared([]Node{
 		{ID: 1, Kind: KindCompute, FLOPs: 1},
 		{ID: 2, Kind: KindCompute, FLOPs: 1, Deps: []int{3}},
 		{ID: 3, Kind: KindCompute, FLOPs: 1, Deps: []int{2}},
@@ -237,7 +260,7 @@ func TestSharedListDefectsStillRejected(t *testing.T) {
 	if err := cycle.Validate(); err == nil {
 		t.Error("shared list with a cycle accepted")
 	}
-	unknown := shared([]*Node{
+	unknown := shared([]Node{
 		{ID: 1, Kind: KindCompute, FLOPs: 1},
 		{ID: 2, Kind: KindCompute, FLOPs: 1, Deps: []int{9}},
 	})
@@ -247,9 +270,9 @@ func TestSharedListDefectsStillRejected(t *testing.T) {
 
 	// Rank 3's list holds the same first node and has the same length as
 	// the list ranks 0-2 share, but a different second node.
-	first := &Node{ID: 1, Kind: KindCompute, FLOPs: 1}
-	good := []*Node{first, {ID: 2, Kind: KindCompute, FLOPs: 1, Deps: []int{1}}}
-	bad := []*Node{first, {ID: 2, Kind: KindCompute, FLOPs: 1, Deps: []int{7}}}
+	first := Node{ID: 1, Kind: KindCompute, FLOPs: 1}
+	good := []Node{first, {ID: 2, Kind: KindCompute, FLOPs: 1, Deps: []int{1}}}
+	bad := []Node{first, {ID: 2, Kind: KindCompute, FLOPs: 1, Deps: []int{7}}}
 	tr := shared(good)
 	tr.Graphs[3].Nodes = bad
 	if err := tr.Validate(); err == nil {
@@ -268,7 +291,13 @@ func TestSingleDefectErrorTexts(t *testing.T) {
 		mutate func(tr *Trace)
 		want   string
 	}{
-		{"nil node", func(tr *Trace) { tr.Graphs[0].Nodes[1] = nil }, "et: npu 0 has a nil node"},
+		{"null node", func(tr *Trace) {
+			// A JSON null in a node list decodes to a zero node.
+			tr.Graphs[0].Nodes = nil
+			if err := json.Unmarshal([]byte(`[null]`), &tr.Graphs[0].Nodes); err != nil {
+				panic(err)
+			}
+		}, `et: npu 0 node 0: unknown node kind ""`},
 		{"duplicate id", func(tr *Trace) { tr.Graphs[0].Nodes[1].ID = 1 }, "et: npu 0 has duplicate node id 1"},
 		{"unknown dep", func(tr *Trace) { tr.Graphs[0].Nodes[1].Deps = []int{99} }, "et: npu 0 node 2 depends on unknown node 99"},
 		{"self dep", func(tr *Trace) { tr.Graphs[0].Nodes[0].Deps = []int{1} }, "et: npu 0 node 1 depends on itself"},
@@ -277,7 +306,7 @@ func TestSingleDefectErrorTexts(t *testing.T) {
 		{"orphan send", func(tr *Trace) { tr.Graphs[1].Nodes = tr.Graphs[1].Nodes[:2] }, "et: 1 sends but 0 recvs for 0->1 tag 7"},
 		{"orphan recv", func(tr *Trace) { tr.Graphs[0].Nodes = tr.Graphs[0].Nodes[:2] }, "et: 1 recvs with no send for 0->1 tag 7"},
 		{"extra recv", func(tr *Trace) {
-			tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, &Node{ID: 4, Kind: KindRecv, Peer: 0, Tag: 7, CommBytes: 4096})
+			tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, Node{ID: 4, Kind: KindRecv, Peer: 0, Tag: 7, CommBytes: 4096})
 		}, "et: 1 sends but 2 recvs for 0->1 tag 7"},
 		{"size mismatch", func(tr *Trace) { tr.Graphs[1].Nodes[2].CommBytes = 8192 }, "et: size mismatch on 0->1 tag 7: send 4096 vs recv 8192"},
 		{"send peer out of range", func(tr *Trace) { tr.Graphs[0].Nodes[2].Peer = 5 }, "et: npu 0 sends to out-of-range peer 5"},
@@ -299,8 +328,8 @@ func TestSingleDefectErrorTexts(t *testing.T) {
 func TestP2PFaultReportsLowestChannel(t *testing.T) {
 	tr := &Trace{NumNPUs: 2, Graphs: []*Graph{{NPU: 0}, {NPU: 1}}}
 	for tag := 1; tag <= 6; tag++ {
-		tr.Graphs[0].Nodes = append(tr.Graphs[0].Nodes, &Node{ID: tag, Kind: KindSend, Peer: 1, Tag: tag, CommBytes: 10})
-		tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, &Node{ID: tag, Kind: KindRecv, Peer: 0, Tag: tag, CommBytes: 20})
+		tr.Graphs[0].Nodes = append(tr.Graphs[0].Nodes, Node{ID: tag, Kind: KindSend, Peer: 1, Tag: tag, CommBytes: 10})
+		tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, Node{ID: tag, Kind: KindRecv, Peer: 0, Tag: tag, CommBytes: 20})
 	}
 	check := func(want string) {
 		t.Helper()
@@ -311,12 +340,12 @@ func TestP2PFaultReportsLowestChannel(t *testing.T) {
 		}
 	}
 	check("et: size mismatch on 0->1 tag 1: send 10 vs recv 20")
-	tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, &Node{ID: 7, Kind: KindRecv, Peer: 0, Tag: 0, CommBytes: 20})
+	tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, Node{ID: 7, Kind: KindRecv, Peer: 0, Tag: 0, CommBytes: 20})
 	check("et: 1 recvs with no send for 0->1 tag 0")
 }
 
 // refPlan builds a list's dependents, in-degrees and roots from maps.
-func refPlan(nodes []*Node) (deps [][]int32, indeg, roots []int32) {
+func refPlan(nodes []Node) (deps [][]int32, indeg, roots []int32) {
 	pos := make(map[int]int32)
 	for i, n := range nodes {
 		pos[n.ID] = int32(i)
@@ -337,8 +366,8 @@ func refPlan(nodes []*Node) (deps [][]int32, indeg, roots []int32) {
 
 // cycleDFS reports whether following dependencies from some node leads
 // back to a node on the current path.
-func cycleDFS(nodes []*Node) bool {
-	byID := make(map[int]*Node)
+func cycleDFS(nodes []Node) bool {
+	byID := make(map[int]Node)
 	for _, n := range nodes {
 		byID[n.ID] = n
 	}
@@ -373,14 +402,21 @@ func cycleDFS(nodes []*Node) bool {
 // IDs. Node i depends on up to three other nodes, some twice; with acyclic
 // set, only on nodes j < i. The list is then shuffled, so declaration
 // order never gives the dependency order away.
-func randomList(rng *rand.Rand, acyclic bool) []*Node {
+func randomList(rng *rand.Rand, acyclic bool) []Node {
 	n := rng.Intn(31)
-	ids := rng.Perm(4*n + 1)
-	nodes := make([]*Node, n)
-	for i := range nodes {
-		nodes[i] = &Node{ID: 3*ids[i] - 40, Kind: KindCompute, FLOPs: 1}
+	// Half the lists draw IDs from a window of 2n+1 consecutive values, so
+	// their span is at most 2n (an ID table) or exactly 2n+1 (a map); the
+	// rest spread them about 12n wide.
+	ids, spread := rng.Perm(4*n+1), 3
+	if rng.Intn(2) == 0 {
+		ids, spread = rng.Perm(2*n+1), 1
 	}
-	for i, nd := range nodes {
+	nodes := make([]Node, n)
+	for i := range nodes {
+		nodes[i] = Node{ID: spread*ids[i] - 40, Kind: KindCompute, FLOPs: 1}
+	}
+	for i := range nodes {
+		nd := &nodes[i]
 		for k := rng.Intn(4); k > 0 && n > 1; k-- {
 			j := rng.Intn(n)
 			if acyclic {
@@ -403,7 +439,7 @@ func randomList(rng *rand.Rand, acyclic bool) []*Node {
 }
 
 // checkPlan compares a plan with the map-built reference of its list.
-func checkPlan(t *testing.T, p *Plan, nodes []*Node) {
+func checkPlan(t *testing.T, p *Plan, nodes []Node) {
 	t.Helper()
 	deps, indeg, roots := refPlan(nodes)
 	if len(p.Nodes()) != len(nodes) || (len(nodes) > 0 && &p.Nodes()[0] != &nodes[0]) {
@@ -422,10 +458,25 @@ func checkPlan(t *testing.T, p *Plan, nodes []*Node) {
 	}
 }
 
+// chain returns compute nodes with the given IDs, each depending on the
+// one before it.
+func chain(ids ...int) []Node {
+	nodes := make([]Node, len(ids))
+	for i, id := range ids {
+		nodes[i] = Node{ID: id, Kind: KindCompute, FLOPs: 1}
+		if i > 0 {
+			nodes[i].Deps = []int{ids[i-1]}
+		}
+	}
+	return nodes
+}
+
 // The compile pass agrees with references built from maps and a DFS over
 // random lists with sparse, shuffled IDs and duplicate dependencies: the
 // plan's dependents, in-degrees and roots equal the reference's, and a
-// cycle is reported exactly when the DFS finds one.
+// cycle is reported exactly when the DFS finds one. Lists at the ID
+// table's edges compile the same way, and the table serves exactly the
+// lists whose ID span is at most twice their length.
 func TestCompileMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var cyclic, acyclic int
@@ -448,6 +499,49 @@ func TestCompileMatchesReference(t *testing.T) {
 	if cyclic < 100 || acyclic < 100 {
 		t.Fatalf("drew %d cyclic and %d acyclic lists; want both kinds", cyclic, acyclic)
 	}
+
+	// Repeat's IDs: three iterations of IDs 1-4, offset by 5 each.
+	// Repeat's IDs: three iterations of a chain 1-4, offset by 5 each, with
+	// each iteration's entry waiting on the previous one's exit.
+	repeated := chain(1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14)
+	edges := []struct {
+		name  string
+		nodes []Node
+		table bool
+	}{
+		// The span of int's two ends overflows int, and even uint64 by one.
+		{"both ends of int", chain(math.MinInt, 0, math.MaxInt), false},
+		{"near the lowest int", chain(math.MinInt+2, math.MinInt, math.MinInt+1), true},
+		{"near the highest int", chain(math.MaxInt, math.MaxInt-2, math.MaxInt-1), true},
+		{"span 2n", chain(10, 12, 15), true},
+		{"span 2n+1", chain(10, 12, 16), false},
+		{"Repeat-style gaps", repeated, true},
+	}
+	for _, c := range edges {
+		if table := newIDIndex(c.nodes).m == nil; table != c.table {
+			t.Errorf("%s: ID table %v, want %v", c.name, table, c.table)
+		}
+		p, err := compile(0, c.nodes)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		checkPlan(t, p, c.nodes)
+		// A dependency on an ID just outside the list's span, or at either
+		// end of int, is unknown, not a wrapped-around table slot.
+		byID := func(a, b Node) int { return cmp.Compare(a.ID, b.ID) }
+		lo, hi := slices.MinFunc(c.nodes, byID).ID, slices.MaxFunc(c.nodes, byID).ID
+		for _, d := range []int{math.MinInt, math.MaxInt, lo - 1, hi + 1, 0} {
+			if slices.ContainsFunc(c.nodes, func(n Node) bool { return n.ID == d }) {
+				continue
+			}
+			bad := slices.Clone(c.nodes)
+			bad[1].Deps = []int{d}
+			want := fmt.Sprintf("et: npu 0 node %d depends on unknown node %d", bad[1].ID, d)
+			if _, err := compile(0, bad); err == nil || err.Error() != want {
+				t.Errorf("%s, dep %d: got %v, want %q", c.name, d, err, want)
+			}
+		}
+	}
 }
 
 // Plans compiles each distinct list once: graphs that share a list share
@@ -457,13 +551,13 @@ func TestPlansShareExactlyTheSharedLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for iter := 0; iter < 300; iter++ {
 		// long extends short's array, so the two share their first slot.
-		short := append(make([]*Node, 0, 32), randomList(rng, true)...)
-		extra := &Node{ID: 1000, Kind: KindCompute}
+		short := append(make([]Node, 0, 32), randomList(rng, true)...)
+		extra := Node{ID: 1000, Kind: KindCompute}
 		if len(short) > 0 {
 			extra.Deps = []int{short[0].ID, short[0].ID}
 		}
-		long := append(short, extra, &Node{ID: 1001, Kind: KindCompute, Deps: []int{1000}})
-		lists := [][]*Node{short, long, randomList(rng, true), nil}
+		long := append(short, extra, Node{ID: 1001, Kind: KindCompute, Deps: []int{1000}})
+		lists := [][]Node{short, long, randomList(rng, true), nil}
 		tr := &Trace{NumNPUs: 8}
 		for r := 0; r < 8; r++ {
 			tr.Graphs = append(tr.Graphs, &Graph{NPU: r, Nodes: lists[rng.Intn(len(lists))]})

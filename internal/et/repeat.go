@@ -26,10 +26,8 @@ func Repeat(t *Trace, n int) (*Trace, error) {
 	// existing tag to keep iterations disjoint.
 	maxTag := 0
 	for _, g := range t.Graphs {
-		for _, node := range g.Nodes {
-			if node.Tag > maxTag {
-				maxTag = node.Tag
-			}
+		for i := range g.Nodes {
+			maxTag = max(maxTag, g.Nodes[i].Tag)
 		}
 	}
 	tagStride := maxTag + 1
@@ -40,7 +38,7 @@ func Repeat(t *Trace, n int) (*Trace, error) {
 	}
 	// Graphs that share a plan share its repetition too, so per-list work
 	// downstream stays once per list.
-	repeated := make(map[*Plan][]*Node)
+	repeated := make(map[*Plan][]Node)
 	for i, g := range t.Graphs {
 		nodes, ok := repeated[plans[i]]
 		if !ok {
@@ -57,42 +55,49 @@ func Repeat(t *Trace, n int) (*Trace, error) {
 
 // repeatNodes clones one plan's node list n times with IDs offset per
 // iteration, chaining each iteration's entry nodes to the previous
-// iteration's exits.
-func repeatNodes(p *Plan, n, tagStride int) []*Node {
-	maxID := 0
+// iteration's exits. The clones fill one exact-size list, and their deps
+// are windows of one exact-size array.
+func repeatNodes(p *Plan, n, tagStride int) []Node {
+	maxID, edges := 0, 0
 	var exits []int
-	for pos, node := range p.nodes {
-		if node.ID > maxID {
-			maxID = node.ID
-		}
+	for pos := range p.nodes {
+		node := &p.nodes[pos]
+		maxID = max(maxID, node.ID)
+		edges += len(node.Deps)
 		if len(p.Dependents(int32(pos))) == 0 {
 			exits = append(exits, node.ID)
 		}
 	}
 	idStride := maxID + 1
 
-	out := make([]*Node, 0, len(p.nodes)*n)
+	out := make([]Node, 0, len(p.nodes)*n)
+	deps := make([]int, 0, n*edges+(n-1)*len(p.roots)*len(exits))
 	for iter := 0; iter < n; iter++ {
 		off := iter * idStride
-		for _, node := range p.nodes {
+		for i := range p.nodes {
+			node := &p.nodes[i]
 			clone := *node
 			clone.ID = node.ID + off
-			clone.Deps = make([]int, 0, len(node.Deps)+len(exits))
+			start := len(deps)
 			for _, d := range node.Deps {
-				clone.Deps = append(clone.Deps, d+off)
+				deps = append(deps, d+off)
 			}
 			if iter > 0 && len(node.Deps) == 0 {
 				// Iteration boundary: entry waits on the previous
 				// iteration's exits.
 				prevOff := (iter - 1) * idStride
 				for _, e := range exits {
-					clone.Deps = append(clone.Deps, e+prevOff)
+					deps = append(deps, e+prevOff)
 				}
+			}
+			clone.Deps = nil
+			if len(deps) > start {
+				clone.Deps = deps[start:]
 			}
 			if clone.Kind == KindSend || clone.Kind == KindRecv {
 				clone.Tag = node.Tag + iter*tagStride
 			}
-			out = append(out, &clone)
+			out = append(out, clone)
 		}
 	}
 	return out

@@ -9,11 +9,11 @@ func twoNPUTrace() *Trace {
 		Name:    "iter",
 		NumNPUs: 2,
 		Graphs: []*Graph{
-			{NPU: 0, Nodes: []*Node{
+			{NPU: 0, Nodes: []Node{
 				{ID: 1, Kind: KindCompute, FLOPs: 1e9},
 				{ID: 2, Kind: KindSend, Deps: []int{1}, Peer: 1, Tag: 3, CommBytes: 64},
 			}},
-			{NPU: 1, Nodes: []*Node{
+			{NPU: 1, Nodes: []Node{
 				{ID: 1, Kind: KindRecv, Peer: 0, Tag: 3, CommBytes: 64},
 				{ID: 2, Kind: KindCompute, Deps: []int{1}, FLOPs: 1e9},
 			}},
@@ -88,7 +88,7 @@ func TestRepeatEdgeCases(t *testing.T) {
 // one (repeated) list, so per-list validation and plan compilation
 // downstream run once per distinct list rather than once per rank.
 func TestRepeatKeepsSharedLists(t *testing.T) {
-	shared := []*Node{
+	shared := []Node{
 		{ID: 1, Kind: KindCompute, FLOPs: 1e9},
 		{ID: 2, Kind: KindComm, Deps: []int{1}, Collective: CollAllReduce, CommBytes: 64},
 	}

@@ -4,66 +4,71 @@ import (
 	"repro/internal/et"
 )
 
-// graphBuilder accumulates a node list with auto-assigned IDs. Generators
-// use it to express graphs as straight-line code.
+// graphBuilder fills one node list with auto-assigned IDs 1, 2, ... .
+// Generators use it to express graphs as straight-line code. They pass it
+// the list's exact node and dependency counts, so the list is one
+// allocation and every node's Deps is a window of one shared array, filled
+// in node order. Generated lists are read-only, like every list the ranks
+// of a symmetric trace share.
 type graphBuilder struct {
-	nodes  []*et.Node
-	nextID int
+	nodes []et.Node
+	deps  []int
 }
 
-func newGraphBuilder() *graphBuilder {
-	return &graphBuilder{nextID: 1}
+func newGraphBuilder(nodes, deps int) *graphBuilder {
+	return &graphBuilder{nodes: make([]et.Node, 0, nodes), deps: make([]int, 0, deps)}
 }
 
-// dep wraps a node ID for use as a dependency list; id 0 means "no dep".
-func dep(id int) []int {
-	if id == 0 {
-		return nil
-	}
-	return []int{id}
-}
-
-func (b *graphBuilder) add(n *et.Node, deps ...int) int {
-	n.ID = b.nextID
-	b.nextID++
+// add appends n with the next ID and returns the ID. A dep of 0 means
+// "none", so callers can pass a predecessor that may not exist.
+func (b *graphBuilder) add(n et.Node, deps ...int) int {
+	n.ID = len(b.nodes) + 1
+	start := len(b.deps)
 	for _, d := range deps {
 		if d != 0 {
-			n.Deps = append(n.Deps, d)
+			b.deps = append(b.deps, d)
 		}
+	}
+	if len(b.deps) > start {
+		n.Deps = b.deps[start:]
 	}
 	b.nodes = append(b.nodes, n)
 	return n.ID
 }
 
-func (b *graphBuilder) compute(name string, flops float64, memBytes int64, deps ...[]int) int {
-	return b.add(&et.Node{Name: name, Kind: et.KindCompute, FLOPs: flops, MemBytes: memBytes}, flatten(deps)...)
+func (b *graphBuilder) compute(name string, flops float64, memBytes int64, deps ...int) int {
+	return b.add(et.Node{Name: name, Kind: et.KindCompute, FLOPs: flops, MemBytes: memBytes}, deps...)
 }
 
 func (b *graphBuilder) memory(name string, op et.MemOp, loc et.MemLocation, bytes int64, deps ...int) int {
-	return b.add(&et.Node{Name: name, Kind: et.KindMemory, MemOp: op, MemLocation: loc, TensorBytes: bytes}, deps...)
+	return b.add(et.Node{Name: name, Kind: et.KindMemory, MemOp: op, MemLocation: loc, TensorBytes: bytes}, deps...)
 }
 
-func (b *graphBuilder) collective(name string, coll et.CollectiveType, bytes int64, group *et.GroupRef, inSwitch bool, deps ...[]int) int {
-	return b.add(&et.Node{
+func (b *graphBuilder) collective(name string, coll et.CollectiveType, bytes int64, group *et.GroupRef, inSwitch bool, deps ...int) int {
+	return b.add(et.Node{
 		Name: name, Kind: et.KindComm, Collective: coll,
 		CommBytes: bytes, Group: group, InSwitch: inSwitch,
-	}, flatten(deps)...)
+	}, deps...)
 }
 
 func (b *graphBuilder) send(name string, peer, tag int, bytes int64, deps ...int) int {
-	return b.add(&et.Node{Name: name, Kind: et.KindSend, Peer: peer, Tag: tag, CommBytes: bytes}, deps...)
+	return b.add(et.Node{Name: name, Kind: et.KindSend, Peer: peer, Tag: tag, CommBytes: bytes}, deps...)
 }
 
 func (b *graphBuilder) recv(name string, peer, tag int, bytes int64, deps ...int) int {
-	return b.add(&et.Node{Name: name, Kind: et.KindRecv, Peer: peer, Tag: tag, CommBytes: bytes}, deps...)
+	return b.add(et.Node{Name: name, Kind: et.KindRecv, Peer: peer, Tag: tag, CommBytes: bytes}, deps...)
 }
 
-func flatten(deps [][]int) []int {
-	var out []int
-	for _, d := range deps {
-		out = append(out, d...)
+// newTrace returns a trace of numNPUs graphs, graph r for NPU r, whose
+// graph structs share one array. The caller fills in each graph's nodes.
+func newTrace(name string, numNPUs int) *et.Trace {
+	graphs := make([]et.Graph, numNPUs)
+	tr := &et.Trace{Name: name, NumNPUs: numNPUs, Graphs: make([]*et.Graph, numNPUs)}
+	for r := range graphs {
+		graphs[r].NPU = r
+		tr.Graphs[r] = &graphs[r]
 	}
-	return out
+	return tr
 }
 
 // symmetric builds a whole-machine trace where every NPU shares the same
@@ -71,9 +76,9 @@ func flatten(deps [][]int) []int {
 // them as read-only and resolves communicator groups per issuing rank, so
 // sharing keeps trace memory independent of machine size.
 func symmetric(name string, numNPUs int, b *graphBuilder) *et.Trace {
-	tr := &et.Trace{Name: name, NumNPUs: numNPUs}
-	for r := 0; r < numNPUs; r++ {
-		tr.Graphs = append(tr.Graphs, &et.Graph{NPU: r, Nodes: b.nodes})
+	tr := newTrace(name, numNPUs)
+	for _, g := range tr.Graphs {
+		g.Nodes = b.nodes
 	}
 	return tr
 }

@@ -1,0 +1,165 @@
+package etgen
+
+import (
+	"testing"
+
+	"repro/internal/et"
+	"repro/internal/topology"
+	"repro/internal/units"
+)
+
+// checkExactList fails unless nodes fills its array exactly and the nodes'
+// deps are adjacent windows, in node order, of one array that they fill
+// exactly.
+func checkExactList(t *testing.T, name string, npu int, nodes []et.Node) {
+	t.Helper()
+	if len(nodes) != cap(nodes) {
+		t.Errorf("%s: npu %d: %d nodes in an array of %d", name, npu, len(nodes), cap(nodes))
+	}
+	var all []int // the shared deps array, reached through the first node with deps
+	used := 0
+	for i := range nodes {
+		d := nodes[i].Deps
+		if len(d) == 0 {
+			continue
+		}
+		if all == nil {
+			all = d[:cap(d)]
+		}
+		if used+len(d) > len(all) || &d[0] != &all[used] {
+			t.Errorf("%s: npu %d: node %d's deps are not the next window of the list's deps array", name, npu, nodes[i].ID)
+			return
+		}
+		used += len(d)
+	}
+	if used != len(all) {
+		t.Errorf("%s: npu %d: deps array of %d holds %d deps", name, npu, len(all), used)
+	}
+}
+
+// Every generator, on every branch, sizes each node list and its deps
+// array exactly: a wrong count would cost a regrowth per list, or leave
+// slack in every list of a per-rank trace. (A transformer with MP=1 and no
+// DP would need a one-NPU machine, which no topology has.)
+func TestGeneratorsSizeListsExactly(t *testing.T) {
+	twoDim := topology.MustNew(
+		topology.Dim{Kind: topology.Ring, Size: 8, Bandwidth: units.GBps(300)},
+		topology.Dim{Kind: topology.Switch, Size: 4, Bandwidth: units.GBps(50)},
+	)
+	moe := func(inSwitch bool, a2a units.ByteSize) MoEConfig {
+		return MoEConfig{
+			Name: "moe", Layers: 3, LayerParamBytes: 64 * units.MB, ShardBytes: 8 * units.MB,
+			A2ABytes: a2a, FlopsPerLayer: 1e12, UseInSwitch: inSwitch,
+		}
+	}
+	pipeline := func(stages int, grad units.ByteSize) PipelineConfig {
+		return PipelineConfig{
+			Name: "pp", Stages: stages, MicroBatches: 5,
+			FlopsPerStage: 1e12, ActivationBytes: units.MB, GradBytes: grad,
+		}
+	}
+	cases := []struct {
+		name string
+		gen  func() (*et.Trace, error)
+	}{
+		{"transformer MP=1 with DP", func() (*et.Trace, error) { return Transformer(wafer(8), tinyModel(1)) }},
+		{"transformer MP>1 with DP", func() (*et.Trace, error) { return Transformer(wafer(8), tinyModel(4)) }},
+		{"transformer MP>1 without DP", func() (*et.Trace, error) { return Transformer(wafer(8), tinyModel(8)) }},
+		{"dlrm", func() (*et.Trace, error) { return DLRMTrace(wafer(8), DLRM()) }},
+		{"moe network with all-to-all", func() (*et.Trace, error) { return MoETrace(wafer(8), moe(false, 16*units.MB)) }},
+		{"moe network without all-to-all", func() (*et.Trace, error) { return MoETrace(wafer(8), moe(false, 0)) }},
+		{"moe in-switch with all-to-all", func() (*et.Trace, error) { return MoETrace(wafer(8), moe(true, 16*units.MB)) }},
+		{"moe in-switch without all-to-all", func() (*et.Trace, error) { return MoETrace(wafer(8), moe(true, 0)) }},
+		{"fsdp with prefetch", func() (*et.Trace, error) { return FSDP(wafer(8), FSDPConfig{Model: tinyModel(1)}) }},
+		{"fsdp without prefetch", func() (*et.Trace, error) {
+			return FSDP(wafer(8), FSDPConfig{Model: tinyModel(1), NoPrefetch: true})
+		}},
+		{"threed MP>1 with DP", func() (*et.Trace, error) {
+			return ThreeD(twoDim, ThreeDConfig{Model: tinyModel(4), Stages: 4, MicroBatches: 3})
+		}},
+		{"threed MP=1 with DP", func() (*et.Trace, error) {
+			return ThreeD(twoDim, ThreeDConfig{Model: tinyModel(1), Stages: 4, MicroBatches: 3})
+		}},
+		{"threed MP>1 without DP", func() (*et.Trace, error) {
+			return ThreeD(twoDim, ThreeDConfig{Model: tinyModel(8), Stages: 4, MicroBatches: 3})
+		}},
+		{"pipeline with DP", func() (*et.Trace, error) { return Pipeline(twoDim, pipeline(4, units.MB)) }},
+		{"pipeline without gradients", func() (*et.Trace, error) { return Pipeline(twoDim, pipeline(4, 0)) }},
+		{"pipeline one rank per stage", func() (*et.Trace, error) { return Pipeline(wafer(8), pipeline(8, units.MB)) }},
+		{"single collective", func() (*et.Trace, error) {
+			return SingleCollective(wafer(8), et.CollAllReduce, units.MB), nil
+		}},
+		// et.Repeat fills its lists the same way.
+		{"repeated transformer", func() (*et.Trace, error) {
+			tr, err := Transformer(wafer(8), tinyModel(4))
+			if err != nil {
+				return nil, err
+			}
+			return et.Repeat(tr, 3)
+		}},
+		{"repeated pipeline", func() (*et.Trace, error) {
+			tr, err := Pipeline(twoDim, pipeline(4, units.MB))
+			if err != nil {
+				return nil, err
+			}
+			return et.Repeat(tr, 3)
+		}},
+	}
+	for _, c := range cases {
+		tr, err := c.gen()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, g := range tr.Graphs {
+			checkExactList(t, c.name, g.NPU, g.Nodes)
+		}
+	}
+}
+
+// pipelineTrace is a 64-NPU pipeline on FC(8)_SW(8): 8 stages of 8 ranks,
+// 32 microbatches, 11,328 nodes.
+func pipelineTrace(t testing.TB) *et.Trace {
+	top, err := topology.ParseWithBandwidth("FC(8)_SW(8)", []float64{200, 50}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Pipeline(top, PipelineConfig{
+		Name: "pp", Stages: 8, MicroBatches: 32,
+		FlopsPerStage: 1e12, ActivationBytes: 16 * units.MiB, GradBytes: 256 * units.MiB,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// Building and compiling a per-rank trace allocates per list, not per
+// node (about 180 here): two objects per graph for its nodes and their
+// deps, and four for its plan, plus the names of the nodes, formatted once
+// for every rank.
+func TestPipelineAllocsScaleWithRanks(t *testing.T) {
+	tr := pipelineTrace(t)
+	graphs := len(tr.Graphs)
+	if nodes := tr.NodeCount(); graphs != 64 || nodes != 11328 {
+		t.Fatalf("trace has %d graphs and %d nodes, want 64 and 11328", graphs, nodes)
+	}
+	// Per microbatch, a compute, receive and send per pass. Each name may
+	// cost fmt two allocations: its printer pool drops printers under the
+	// race detector.
+	const names = 6 * 32
+	build := testing.AllocsPerRun(5, func() { pipelineTrace(t) })
+	if limit := float64(3*graphs + 2*names + 16); build > limit {
+		t.Errorf("Pipeline: %.0f allocations for %d graphs; want at most %.0f", build, graphs, limit)
+	}
+	plans := testing.AllocsPerRun(5, func() {
+		if _, err := tr.Plans(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(5*graphs + 16); plans > limit {
+		t.Errorf("Trace.Plans: %.0f allocations for %d graphs; want at most %.0f", plans, graphs, limit)
+	}
+}

@@ -35,20 +35,28 @@ func FSDP(top *topology.Topology, cfg FSDPConfig) (*et.Trace, error) {
 	layerBytes := int64(paramsPerLayer) * int64(model.BytesPerElem)
 	actBytes := int64(model.MicroBatch*model.SeqLen*model.Hidden) * int64(model.BytesPerElem)
 
-	b := newGraphBuilder()
+	// Per layer a forward gather and compute and a backward gather, compute
+	// and reduce-scatter, then the optimizer's load, step and store. Every
+	// node but the first waits on one earlier node; every compute after the
+	// first, every reduce-scatter after the first and the load also wait
+	// on a second one, and without prefetch so does every gather after the
+	// first.
+	nodes, deps := 5*model.Layers+3, 8*model.Layers+1
+	if cfg.NoPrefetch {
+		deps += 2*model.Layers - 1
+	}
+	b := newGraphBuilder(nodes, deps)
 	full := (*et.GroupRef)(nil)
 
 	// Forward: gather each layer, compute; prefetch next layer's gather.
-	gathers := make([]int, model.Layers)
 	prevGather, prevComp := 0, 0
 	for l := 0; l < model.Layers; l++ {
-		deps := dep(prevGather)
+		wait := 0 // the gather waits for the previous compute only without prefetch
 		if cfg.NoPrefetch {
-			deps = flatten([][]int{dep(prevGather), dep(prevComp)})
+			wait = prevComp
 		}
-		ag := b.collective(fmt.Sprintf("fwd%d.ag", l), et.CollAllGather, layerBytes, full, false, deps)
-		comp := b.compute(fmt.Sprintf("fwd%d", l), fwdFlops, layerBytes+actBytes, dep(ag), dep(prevComp))
-		gathers[l] = ag
+		ag := b.collective(fmt.Sprintf("fwd%d.ag", l), et.CollAllGather, layerBytes, full, false, prevGather, wait)
+		comp := b.compute(fmt.Sprintf("fwd%d", l), fwdFlops, layerBytes+actBytes, ag, prevComp)
 		prevGather, prevComp = ag, comp
 	}
 
@@ -57,20 +65,20 @@ func FSDP(top *topology.Topology, cfg FSDPConfig) (*et.Trace, error) {
 	prevBwd := prevComp
 	prevRS := 0
 	for l := model.Layers - 1; l >= 0; l-- {
-		deps := dep(prevGather)
+		wait := 0
 		if cfg.NoPrefetch {
-			deps = flatten([][]int{dep(prevGather), dep(prevBwd)})
+			wait = prevBwd
 		}
-		ag := b.collective(fmt.Sprintf("bwd%d.ag", l), et.CollAllGather, layerBytes, full, false, deps)
-		comp := b.compute(fmt.Sprintf("bwd%d", l), bwdFlops, layerBytes+actBytes, dep(ag), dep(prevBwd))
-		rs := b.collective(fmt.Sprintf("bwd%d.rs", l), et.CollReduceScatter, layerBytes, full, false, dep(comp), dep(prevRS))
+		ag := b.collective(fmt.Sprintf("bwd%d.ag", l), et.CollAllGather, layerBytes, full, false, prevGather, wait)
+		comp := b.compute(fmt.Sprintf("bwd%d", l), bwdFlops, layerBytes+actBytes, ag, prevBwd)
+		rs := b.collective(fmt.Sprintf("bwd%d.rs", l), et.CollReduceScatter, layerBytes, full, false, comp, prevRS)
 		prevGather, prevBwd, prevRS = ag, comp, rs
 	}
 
 	// Optimizer on the local shard.
 	shard := int64(model.Params) * int64(model.BytesPerElem) / int64(n)
 	load := b.memory("opt.load", et.MemLoad, et.MemLocal, shard, prevRS, prevBwd)
-	opt := b.compute("opt.step", float64(shard), 2*shard, dep(load))
+	opt := b.compute("opt.step", float64(shard), 2*shard, load)
 	b.memory("opt.store", et.MemStore, et.MemLocal, shard, opt)
 
 	return symmetric(model.Name+"/FSDP", n, b), nil

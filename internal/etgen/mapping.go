@@ -5,6 +5,13 @@
 // generators encode parallelization strategies — data, tensor (model),
 // pipeline, expert, and hybrid parallelism — purely as trace structure,
 // which is the paper's core decoupling idea.
+//
+// Every generator writes compact lists: it gives its graph builder each
+// list's exact node and dependency counts, so a list is one allocation of
+// nodes held by value, and the nodes' deps are windows of one exactly
+// sized array. Symmetric generators hand every rank the same list; the
+// per-rank ones (Pipeline, ThreeD) format each node name once and reuse it
+// on every rank.
 package etgen
 
 import (

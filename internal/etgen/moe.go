@@ -73,17 +73,27 @@ func MoETrace(top *topology.Topology, cfg MoEConfig) (*et.Trace, error) {
 	if cfg.Layers < 1 || cfg.LayerParamBytes <= 0 || cfg.ShardBytes < 0 || cfg.FlopsPerLayer <= 0 {
 		return nil, fmt.Errorf("etgen: %s: invalid config", cfg.Name)
 	}
-	b := newGraphBuilder()
+	a2a := 0 // All-to-All nodes per layer and pass
+	if cfg.A2ABytes > 0 {
+		a2a = 1
+	}
+	// Per layer, a fetch's load and gather, a compute and the All-to-All
+	// forward, and a compute, the All-to-All and a flush's reduce-scatter
+	// and store backward. Every node but the first waits on one earlier
+	// node; every forward compute and every reduce-scatter after the first
+	// also wait on a second one.
+	nodes := cfg.Layers * (6 + 2*a2a)
+	b := newGraphBuilder(nodes, nodes-1+2*(cfg.Layers-1))
 	full := (*et.GroupRef)(nil)
 
 	// Forward pass with pipelined parameter fetches.
 	prevFetch, prevComp := 0, 0
 	for l := 0; l < cfg.Layers; l++ {
 		fetch := b.fetchParams(cfg, l, prevFetch)
-		comp := b.compute(fmt.Sprintf("fwd%d", l), cfg.FlopsPerLayer, int64(cfg.LayerParamBytes), dep(fetch), dep(prevComp))
+		comp := b.compute(fmt.Sprintf("fwd%d", l), cfg.FlopsPerLayer, int64(cfg.LayerParamBytes), fetch, prevComp)
 		cur := comp
 		if cfg.A2ABytes > 0 {
-			cur = b.collective(fmt.Sprintf("fwd%d.a2a", l), et.CollAllToAll, int64(cfg.A2ABytes), full, false, dep(comp))
+			cur = b.collective(fmt.Sprintf("fwd%d.a2a", l), et.CollAllToAll, int64(cfg.A2ABytes), full, false, comp)
 		}
 		prevFetch, prevComp = fetch, cur
 	}
@@ -92,10 +102,10 @@ func MoETrace(top *topology.Topology, cfg MoEConfig) (*et.Trace, error) {
 	prevBwd := prevComp
 	prevFlush := 0
 	for l := cfg.Layers - 1; l >= 0; l-- {
-		comp := b.compute(fmt.Sprintf("bwd%d", l), 2*cfg.FlopsPerLayer, int64(cfg.LayerParamBytes), dep(prevBwd))
+		comp := b.compute(fmt.Sprintf("bwd%d", l), 2*cfg.FlopsPerLayer, int64(cfg.LayerParamBytes), prevBwd)
 		cur := comp
 		if cfg.A2ABytes > 0 {
-			cur = b.collective(fmt.Sprintf("bwd%d.a2a", l), et.CollAllToAll, int64(cfg.A2ABytes), full, false, dep(comp))
+			cur = b.collective(fmt.Sprintf("bwd%d.a2a", l), et.CollAllToAll, int64(cfg.A2ABytes), full, false, comp)
 		}
 		prevFlush = b.flushGrads(cfg, l, comp, prevFlush)
 		prevBwd = cur
@@ -114,11 +124,11 @@ func (b *graphBuilder) fetchParams(cfg MoEConfig, l, prevFetch int) int {
 	if cfg.UseInSwitch {
 		// Gather-on-load fused into the memory fabric.
 		return b.collective(fmt.Sprintf("fetch%d.insw_ag", l), et.CollAllGather,
-			int64(cfg.LayerParamBytes), nil, true, dep(load))
+			int64(cfg.LayerParamBytes), nil, true, load)
 	}
 	// ZeRO-Infinity: a network All-Gather materializes the dense layer.
 	return b.collective(fmt.Sprintf("fetch%d.ag", l), et.CollAllGather,
-		int64(cfg.LayerParamBytes), nil, false, dep(load))
+		int64(cfg.LayerParamBytes), nil, false, load)
 }
 
 // flushGrads emits the gradient-drain subgraph for one layer.
@@ -127,10 +137,10 @@ func (b *graphBuilder) flushGrads(cfg MoEConfig, l, bwdComp, prevFlush int) int 
 		// Reduce-on-store fused into the memory fabric, then the expert
 		// slice streams back.
 		rs := b.collective(fmt.Sprintf("grad%d.insw_rs", l), et.CollReduceScatter,
-			int64(cfg.LayerParamBytes), nil, true, dep(bwdComp), dep(prevFlush))
+			int64(cfg.LayerParamBytes), nil, true, bwdComp, prevFlush)
 		return b.memory(fmt.Sprintf("grad%d.store", l), et.MemStore, et.MemRemote, int64(cfg.ShardBytes), rs)
 	}
 	rs := b.collective(fmt.Sprintf("grad%d.rs", l), et.CollReduceScatter,
-		int64(cfg.LayerParamBytes), nil, false, dep(bwdComp), dep(prevFlush))
+		int64(cfg.LayerParamBytes), nil, false, bwdComp, prevFlush)
 	return b.memory(fmt.Sprintf("grad%d.store", l), et.MemStore, et.MemRemote, int64(cfg.ShardBytes), rs)
 }

@@ -61,23 +61,50 @@ func Pipeline(top *topology.Topology, cfg PipelineConfig) (*et.Trace, error) {
 		dpGroup = m.MPGroup()
 	}
 
-	tr := &et.Trace{Name: cfg.Name, NumNPUs: n}
+	// Every rank uses the same node names, so format each once.
+	type mbNames struct{ fwdRecv, fwd, fwdSend, bwdRecv, bwd, bwdSend string }
+	names := make([]mbNames, cfg.MicroBatches)
+	for m := range names {
+		names[m] = mbNames{
+			fmt.Sprintf("fwd%d.recv", m), fmt.Sprintf("fwd%d", m), fmt.Sprintf("fwd%d.send", m),
+			fmt.Sprintf("bwd%d.recv", m), fmt.Sprintf("bwd%d", m), fmt.Sprintf("bwd%d.send", m),
+		}
+	}
+	dp := 0
+	if dpGroup != nil {
+		dp = 1
+	}
+
+	tr := newTrace(cfg.Name, n)
 	const fwdTagBase, bwdTagBase = 1 << 16, 1 << 17
+	fwdDone := make([]int, cfg.MicroBatches)
 	for rank := 0; rank < n; rank++ {
 		stage := rank / block
-		b := newGraphBuilder()
+		hasPrev, hasNext := 0, 0 // whether the stage has a previous and a next stage
+		if stage > 0 {
+			hasPrev = 1
+		}
+		if stage < cfg.Stages-1 {
+			hasNext = 1
+		}
+		// Per microbatch and pass, a compute plus a receive from and a send
+		// to each neighbouring stage. Every node but the first waits on one
+		// earlier node. Every forward compute but the first also waits on
+		// its receive when the stage has a previous stage, and every
+		// backward compute does when it has a next one.
+		nodes := 2*cfg.MicroBatches*(1+hasPrev+hasNext) + dp
+		b := newGraphBuilder(nodes, nodes-1+hasPrev*(cfg.MicroBatches-1)+hasNext*cfg.MicroBatches)
 		prev := 0
 		// Forward waves.
-		fwdDone := make([]int, cfg.MicroBatches)
 		for m := 0; m < cfg.MicroBatches; m++ {
 			in := 0
 			if stage > 0 {
-				in = b.recv(fmt.Sprintf("fwd%d.recv", m), rank-block, fwdTagBase+m, int64(cfg.ActivationBytes), prev)
+				in = b.recv(names[m].fwdRecv, rank-block, fwdTagBase+m, int64(cfg.ActivationBytes), prev)
 			}
-			comp := b.compute(fmt.Sprintf("fwd%d", m), cfg.FlopsPerStage, int64(cfg.ActivationBytes), dep(in), dep(prev))
+			comp := b.compute(names[m].fwd, cfg.FlopsPerStage, int64(cfg.ActivationBytes), in, prev)
 			out := comp
 			if stage < cfg.Stages-1 {
-				out = b.send(fmt.Sprintf("fwd%d.send", m), rank+block, fwdTagBase+m, int64(cfg.ActivationBytes), comp)
+				out = b.send(names[m].fwdSend, rank+block, fwdTagBase+m, int64(cfg.ActivationBytes), comp)
 			}
 			fwdDone[m] = out
 			prev = comp // next microbatch can start once compute frees up
@@ -88,20 +115,20 @@ func Pipeline(top *topology.Topology, cfg PipelineConfig) (*et.Trace, error) {
 		for m := cfg.MicroBatches - 1; m >= 0; m-- {
 			in := 0
 			if stage < cfg.Stages-1 {
-				in = b.recv(fmt.Sprintf("bwd%d.recv", m), rank+block, bwdTagBase+m, int64(cfg.ActivationBytes), prevBwd)
+				in = b.recv(names[m].bwdRecv, rank+block, bwdTagBase+m, int64(cfg.ActivationBytes), prevBwd)
 			}
-			comp := b.compute(fmt.Sprintf("bwd%d", m), 2*cfg.FlopsPerStage, int64(cfg.ActivationBytes), dep(in), dep(prevBwd))
+			comp := b.compute(names[m].bwd, 2*cfg.FlopsPerStage, int64(cfg.ActivationBytes), in, prevBwd)
 			if stage > 0 {
-				b.send(fmt.Sprintf("bwd%d.send", m), rank-block, bwdTagBase+m, int64(cfg.ActivationBytes), comp)
+				b.send(names[m].bwdSend, rank-block, bwdTagBase+m, int64(cfg.ActivationBytes), comp)
 			}
 			prevBwd = comp
 			lastBwd = comp
 		}
 		// Intra-stage gradient synchronization.
 		if dpGroup != nil {
-			b.collective("dp_ar", et.CollAllReduce, int64(cfg.GradBytes), dpGroup, false, dep(lastBwd))
+			b.collective("dp_ar", et.CollAllReduce, int64(cfg.GradBytes), dpGroup, false, lastBwd)
 		}
-		tr.Graphs = append(tr.Graphs, &et.Graph{NPU: rank, Nodes: b.nodes})
+		tr.Graphs[rank].Nodes = b.nodes
 	}
 	return tr, nil
 }

@@ -66,21 +66,68 @@ func ThreeD(top *topology.Topology, cfg ThreeDConfig) (*et.Trace, error) {
 	block := model.MP * dp
 	const fwdTagBase, bwdTagBase = 1 << 20, 1 << 21
 
-	tr := &et.Trace{Name: fmt.Sprintf("%s/3D(mp%d,dp%d,pp%d)", model.Name, model.MP, dp, cfg.Stages), NumNPUs: n}
+	// Every rank uses the same node names, so format each once: per
+	// microbatch, the receive and send of each pass and each pass's layer
+	// names, three per layer with MP (the compute and two All-Reduces).
+	perLayer := 1
+	if mpGroup != nil {
+		perLayer = 3
+	}
+	layerNames := func(prefix string) []string {
+		out := make([]string, 0, perLayer*layersPerStage)
+		for l := 0; l < layersPerStage; l++ {
+			out = append(out, fmt.Sprintf("%s.l%d", prefix, l))
+			if mpGroup != nil {
+				out = append(out, fmt.Sprintf("%s.l%d.mp_ar0", prefix, l), fmt.Sprintf("%s.l%d.mp_ar1", prefix, l))
+			}
+		}
+		return out
+	}
+	type mbNames struct {
+		fwdRecv, fwdSend, bwdRecv, bwdSend string
+		fwd, bwd                           []string
+	}
+	names := make([]mbNames, cfg.MicroBatches)
+	for m := range names {
+		names[m] = mbNames{
+			fwdRecv: fmt.Sprintf("fwd%d.recv", m), fwdSend: fmt.Sprintf("fwd%d.send", m),
+			bwdRecv: fmt.Sprintf("bwd%d.recv", m), bwdSend: fmt.Sprintf("bwd%d.send", m),
+			fwd: layerNames(fmt.Sprintf("fwd%d", m)), bwd: layerNames(fmt.Sprintf("bwd%d", m)),
+		}
+	}
+	dpNodes := 0
+	if dpGroup != nil {
+		dpNodes = 1
+	}
+
+	tr := newTrace(fmt.Sprintf("%s/3D(mp%d,dp%d,pp%d)", model.Name, model.MP, dp, cfg.Stages), n)
+	fwdDone := make([]int, cfg.MicroBatches)
 	for rank := 0; rank < n; rank++ {
 		stage := rank / block
-		b := newGraphBuilder()
+		hasPrev, hasNext := 0, 0 // whether the stage has a previous and a next stage
+		if stage > 0 {
+			hasPrev = 1
+		}
+		if stage < cfg.Stages-1 {
+			hasNext = 1
+		}
+		// Per microbatch and pass, the stage's layers plus a receive from
+		// and a send to each neighbouring stage, then the optimizer's load,
+		// step and store. Every node but the first waits on exactly one
+		// earlier node.
+		nodes := 2*cfg.MicroBatches*(hasPrev+hasNext+perLayer*layersPerStage) + dpNodes + 3
+		b := newGraphBuilder(nodes, nodes-1)
 
 		// stageWork emits one pass over this stage's layers and returns
 		// the last node.
-		stageWork := func(prefix string, entry int, flops float64) int {
+		stageWork := func(names []string, entry int, flops float64) int {
 			prev := entry
 			for l := 0; l < layersPerStage; l++ {
-				comp := b.compute(fmt.Sprintf("%s.l%d", prefix, l), flops, layerBytes+actBytes, dep(prev))
+				comp := b.compute(names[perLayer*l], flops, layerBytes+actBytes, prev)
 				cur := comp
 				if mpGroup != nil {
-					ar1 := b.collective(fmt.Sprintf("%s.l%d.mp_ar0", prefix, l), et.CollAllReduce, actBytes, mpGroup, false, dep(comp))
-					ar2 := b.collective(fmt.Sprintf("%s.l%d.mp_ar1", prefix, l), et.CollAllReduce, actBytes, mpGroup, false, dep(ar1))
+					ar1 := b.collective(names[3*l+1], et.CollAllReduce, actBytes, mpGroup, false, comp)
+					ar2 := b.collective(names[3*l+2], et.CollAllReduce, actBytes, mpGroup, false, ar1)
 					cur = ar2
 				}
 				prev = cur
@@ -89,20 +136,19 @@ func ThreeD(top *topology.Topology, cfg ThreeDConfig) (*et.Trace, error) {
 		}
 
 		prev := 0
-		fwdDone := make([]int, cfg.MicroBatches)
 		for m := 0; m < cfg.MicroBatches; m++ {
 			in := 0
 			if stage > 0 {
-				in = b.recv(fmt.Sprintf("fwd%d.recv", m), rank-block, fwdTagBase+m, actBytes, prev)
+				in = b.recv(names[m].fwdRecv, rank-block, fwdTagBase+m, actBytes, prev)
 			}
 			entry := in
 			if entry == 0 {
 				entry = prev
 			}
-			out := stageWork(fmt.Sprintf("fwd%d", m), entry, fwdFlops)
+			out := stageWork(names[m].fwd, entry, fwdFlops)
 			last := out
 			if stage < cfg.Stages-1 {
-				last = b.send(fmt.Sprintf("fwd%d.send", m), rank+block, fwdTagBase+m, actBytes, out)
+				last = b.send(names[m].fwdSend, rank+block, fwdTagBase+m, actBytes, out)
 			}
 			fwdDone[m] = last
 			prev = out
@@ -113,15 +159,15 @@ func ThreeD(top *topology.Topology, cfg ThreeDConfig) (*et.Trace, error) {
 		for m := cfg.MicroBatches - 1; m >= 0; m-- {
 			in := 0
 			if stage < cfg.Stages-1 {
-				in = b.recv(fmt.Sprintf("bwd%d.recv", m), rank+block, bwdTagBase+m, actBytes, prevBwd)
+				in = b.recv(names[m].bwdRecv, rank+block, bwdTagBase+m, actBytes, prevBwd)
 			}
 			entry := in
 			if entry == 0 {
 				entry = prevBwd
 			}
-			out := stageWork(fmt.Sprintf("bwd%d", m), entry, bwdFlops)
+			out := stageWork(names[m].bwd, entry, bwdFlops)
 			if stage > 0 {
-				b.send(fmt.Sprintf("bwd%d.send", m), rank-block, bwdTagBase+m, actBytes, out)
+				b.send(names[m].bwdSend, rank-block, bwdTagBase+m, actBytes, out)
 			}
 			prevBwd = out
 			lastBwd = out
@@ -130,14 +176,14 @@ func ThreeD(top *topology.Topology, cfg ThreeDConfig) (*et.Trace, error) {
 		// Unoverlapped data-parallel gradient synchronization per stage.
 		optDep := lastBwd
 		if dpGroup != nil {
-			optDep = b.collective("dp_ar", et.CollAllReduce, gradBytes, dpGroup, false, dep(lastBwd))
+			optDep = b.collective("dp_ar", et.CollAllReduce, gradBytes, dpGroup, false, lastBwd)
 		}
 		shard := int64(paramsPerLayer) * int64(layersPerStage) * int64(model.BytesPerElem) / int64(block)
 		load := b.memory("opt.load", et.MemLoad, et.MemLocal, shard, optDep)
-		opt := b.compute("opt.step", float64(shard), 2*shard, dep(load))
+		opt := b.compute("opt.step", float64(shard), 2*shard, load)
 		b.memory("opt.store", et.MemStore, et.MemLocal, shard, opt)
 
-		tr.Graphs = append(tr.Graphs, &et.Graph{NPU: rank, Nodes: b.nodes})
+		tr.Graphs[rank].Nodes = b.nodes
 	}
 	return tr, nil
 }

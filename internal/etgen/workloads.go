@@ -81,29 +81,41 @@ func Transformer(top *topology.Topology, cfg TransformerConfig) (*et.Trace, erro
 	// layer's gradients).
 	dpARBytes := int64(paramsPerLayer) * int64(cfg.BytesPerElem) / int64(cfg.MP)
 
-	b := newGraphBuilder()
+	mpGroup, dpGroup := m.MPGroup(), m.DPGroup()
+	perLayer := 1 // nodes per layer and pass: the compute, plus two MP All-Reduces
+	if mpGroup != nil {
+		perLayer = 3
+	}
+	// Both passes, then the optimizer's load, step and store. Every node
+	// but the first waits on one earlier node, and with DP the load also
+	// waits on the gradient All-Reduce.
+	nodes := 2*cfg.Layers*perLayer + 3
+	deps := nodes - 1
+	if dpGroup != nil {
+		nodes++
+		deps += 2
+	}
+	b := newGraphBuilder(nodes, deps)
 	// Forward pass.
 	prev := 0
-	fwdOut := make([]int, cfg.Layers)
 	for l := 0; l < cfg.Layers; l++ {
-		comp := b.compute(fmt.Sprintf("fwd%d", l), fwdFlops, layerBytes+actBytes, dep(prev))
+		comp := b.compute(fmt.Sprintf("fwd%d", l), fwdFlops, layerBytes+actBytes, prev)
 		cur := comp
-		if m.MPGroup() != nil {
-			ar1 := b.collective(fmt.Sprintf("fwd%d.mp_ar0", l), et.CollAllReduce, mpARBytes, m.MPGroup(), false, dep(comp))
-			ar2 := b.collective(fmt.Sprintf("fwd%d.mp_ar1", l), et.CollAllReduce, mpARBytes, m.MPGroup(), false, dep(ar1))
+		if mpGroup != nil {
+			ar1 := b.collective(fmt.Sprintf("fwd%d.mp_ar0", l), et.CollAllReduce, mpARBytes, mpGroup, false, comp)
+			ar2 := b.collective(fmt.Sprintf("fwd%d.mp_ar1", l), et.CollAllReduce, mpARBytes, mpGroup, false, ar1)
 			cur = ar2
 		}
-		fwdOut[l] = cur
 		prev = cur
 	}
 	// Backward pass, reverse order.
 	prevBwd := prev
 	for l := cfg.Layers - 1; l >= 0; l-- {
-		comp := b.compute(fmt.Sprintf("bwd%d", l), bwdFlops, layerBytes+actBytes, dep(prevBwd))
+		comp := b.compute(fmt.Sprintf("bwd%d", l), bwdFlops, layerBytes+actBytes, prevBwd)
 		cur := comp
-		if m.MPGroup() != nil {
-			ar1 := b.collective(fmt.Sprintf("bwd%d.mp_ar0", l), et.CollAllReduce, mpARBytes, m.MPGroup(), false, dep(comp))
-			ar2 := b.collective(fmt.Sprintf("bwd%d.mp_ar1", l), et.CollAllReduce, mpARBytes, m.MPGroup(), false, dep(ar1))
+		if mpGroup != nil {
+			ar1 := b.collective(fmt.Sprintf("bwd%d.mp_ar0", l), et.CollAllReduce, mpARBytes, mpGroup, false, comp)
+			ar2 := b.collective(fmt.Sprintf("bwd%d.mp_ar1", l), et.CollAllReduce, mpARBytes, mpGroup, false, ar1)
 			cur = ar2
 		}
 		prevBwd = cur
@@ -112,15 +124,14 @@ func Transformer(top *topology.Topology, cfg TransformerConfig) (*et.Trace, erro
 	// the paper-era Megatron training loop runs it unoverlapped, which is
 	// what makes hybrid parallelism on hierarchical systems pay for using
 	// only the DP dimensions' bandwidth (Section V-A-1).
-	optDeps := []int{prevBwd}
-	if m.DPGroup() != nil {
-		gar := b.collective("dp_ar", et.CollAllReduce, dpARBytes*int64(cfg.Layers), m.DPGroup(), false, dep(prevBwd))
-		optDeps = append(optDeps, gar)
+	gar := 0
+	if dpGroup != nil {
+		gar = b.collective("dp_ar", et.CollAllReduce, dpARBytes*int64(cfg.Layers), dpGroup, false, prevBwd)
 	}
 	// Optimizer step: read and write the local parameter shard after the
 	// backward pass and the gradient All-Reduce.
-	load := b.memory("opt.load", et.MemLoad, et.MemLocal, int64(cfg.Params)*int64(cfg.BytesPerElem)/int64(n), optDeps...)
-	opt := b.compute("opt.step", cfg.Params/float64(n), 2*int64(cfg.Params)*int64(cfg.BytesPerElem)/int64(n), dep(load))
+	load := b.memory("opt.load", et.MemLoad, et.MemLocal, int64(cfg.Params)*int64(cfg.BytesPerElem)/int64(n), prevBwd, gar)
+	opt := b.compute("opt.step", cfg.Params/float64(n), 2*int64(cfg.Params)*int64(cfg.BytesPerElem)/int64(n), load)
 	b.memory("opt.store", et.MemStore, et.MemLocal, int64(cfg.Params)*int64(cfg.BytesPerElem)/int64(n), opt)
 
 	return symmetric(cfg.Name, n, b), nil
@@ -162,18 +173,18 @@ func DLRMTrace(top *topology.Topology, cfg DLRMConfig) (*et.Trace, error) {
 	if cfg.MLPParams <= 0 || cfg.EmbExchangeBytes <= 0 || cfg.BatchPerNPU < 1 || cfg.GradBytesPerElem < 1 {
 		return nil, fmt.Errorf("etgen: %s: invalid config", cfg.Name)
 	}
-	b := newGraphBuilder()
+	b := newGraphBuilder(5, 4)
 	full := (*et.GroupRef)(nil) // nil group = whole machine
 
 	// Forward: embedding lookup exchange, then MLP.
 	embFwd := b.collective("emb.fwd.a2a", et.CollAllToAll, int64(cfg.EmbExchangeBytes), full, false)
 	mlpFlops := 2 * cfg.MLPParams * float64(cfg.BatchPerNPU)
-	mlpFwd := b.compute("mlp.fwd", mlpFlops, int64(cfg.MLPParams)*int64(cfg.GradBytesPerElem), dep(embFwd))
+	mlpFwd := b.compute("mlp.fwd", mlpFlops, int64(cfg.MLPParams)*int64(cfg.GradBytesPerElem), embFwd)
 	// Backward: MLP, embedding-gradient exchange, dense gradient sync.
-	mlpBwd := b.compute("mlp.bwd", 2*mlpFlops, int64(cfg.MLPParams)*int64(cfg.GradBytesPerElem), dep(mlpFwd))
-	b.collective("emb.bwd.a2a", et.CollAllToAll, int64(cfg.EmbExchangeBytes), full, false, dep(mlpBwd))
+	mlpBwd := b.compute("mlp.bwd", 2*mlpFlops, int64(cfg.MLPParams)*int64(cfg.GradBytesPerElem), mlpFwd)
+	b.collective("emb.bwd.a2a", et.CollAllToAll, int64(cfg.EmbExchangeBytes), full, false, mlpBwd)
 	gradBytes := int64(cfg.MLPParams) * int64(cfg.GradBytesPerElem)
-	b.collective("mlp.dp_ar", et.CollAllReduce, gradBytes, full, false, dep(mlpBwd))
+	b.collective("mlp.dp_ar", et.CollAllReduce, gradBytes, full, false, mlpBwd)
 
 	return symmetric(cfg.Name, n, b), nil
 }
@@ -182,7 +193,7 @@ func DLRMTrace(top *topology.Topology, cfg DLRMConfig) (*et.Trace, error) {
 // the whole machine — the microbenchmark workload of Fig. 9's
 // "All-Reduce (1GB)" columns and Table IV.
 func SingleCollective(top *topology.Topology, coll et.CollectiveType, size units.ByteSize) *et.Trace {
-	b := newGraphBuilder()
+	b := newGraphBuilder(1, 0)
 	b.collective("coll", coll, int64(size), nil, false)
 	return symmetric(fmt.Sprintf("%s(%v)", coll, size), top.NumNPUs(), b)
 }

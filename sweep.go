@@ -164,13 +164,17 @@ func LoadSweepSpec(r io.Reader) (SweepSpec, error) {
 }
 
 // decodeSpec reads one JSON spec document of the named kind, rejecting
-// unknown fields — the shared body of the Load*Spec functions.
+// unknown fields and anything but whitespace after the document — the
+// shared body of the Load*Spec functions.
 func decodeSpec[S any](r io.Reader, kind string) (S, error) {
 	var s S
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return s, fmt.Errorf("astrasim: parse %s spec: %w", kind, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return s, fmt.Errorf("astrasim: parse %s spec: data after the spec document", kind)
 	}
 	return s, nil
 }

@@ -3,6 +3,7 @@ package astrasim
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
@@ -143,6 +144,31 @@ func TestLoadSweepSpec(t *testing.T) {
 
 	if _, err := LoadSweepSpec(strings.NewReader(`{"machiness": []}`)); err == nil {
 		t.Error("unknown field accepted")
+	}
+}
+
+// Every spec loader reads exactly one document: trailing whitespace is
+// fine, and anything else after the document is an error.
+func TestLoadSpecsRejectTrailingData(t *testing.T) {
+	loaders := []struct {
+		name string
+		load func(io.Reader) error
+	}{
+		{"sweep", func(r io.Reader) error { _, err := LoadSweepSpec(r); return err }},
+		{"search", func(r io.Reader) error { _, err := LoadSearchSpec(r); return err }},
+		{"cluster", func(r io.Reader) error { _, err := LoadClusterSpec(r); return err }},
+		{"scenario", func(r io.Reader) error { _, err := LoadScenarioSpec(r); return err }},
+	}
+	for _, l := range loaders {
+		if err := l.load(strings.NewReader("{} \n\t")); err != nil {
+			t.Errorf("%s: trailing whitespace rejected: %v", l.name, err)
+		}
+		for _, doc := range []string{"{} trailing garbage {", "{}{}", "{}]"} {
+			want := "astrasim: parse " + l.name + " spec: data after the spec document"
+			if err := l.load(strings.NewReader(doc)); err == nil || err.Error() != want {
+				t.Errorf("%s %q: got %v, want %q", l.name, doc, err, want)
+			}
+		}
 	}
 }
 
