@@ -3,9 +3,9 @@
 // arbitrary parallelization strategies (as execution-trace graphs),
 // multi-dimensional hierarchical networks (as stacked building blocks —
 // Ring, FullyConnected, Switch, oversubscribed Switch, Mesh, 2D Torus, or
-// any registered dimension model — with an analytical performance model),
-// and memory systems from local HBM to disaggregated pools with in-switch
-// collectives.
+// any dimension model in the block table — with an analytical performance
+// model), and memory systems from local HBM to disaggregated pools with
+// in-switch collectives.
 //
 // Quick start:
 //
@@ -24,6 +24,7 @@ package astrasim
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/chrometrace"
@@ -45,7 +46,7 @@ type MachineConfig struct {
 	// "Ring(16)_FullyConnected(8)_Switch(4)", "T2D(16,16)" (a 16x16
 	// torus), "M(8)" (a wrap-free mesh), or "SW(32,4)" (a 4:1
 	// oversubscribed switch). Block names resolve through the topology
-	// model registry.
+	// package's block table.
 	Topology string
 	// BandwidthsGBps gives each dimension's per-NPU shared bandwidth in
 	// GB/s, positionally (Table II convention).
@@ -370,17 +371,26 @@ func Pipeline(stages, microBatches int, flopsPerStage float64, activationBytes, 
 	}}
 }
 
-// Iterations repeats a workload's trace n times back-to-back with
-// synchronous iteration boundaries — a multi-iteration training run.
+// Iterations runs a workload's trace n times back-to-back with
+// synchronous iteration boundaries — a multi-iteration training run. Each
+// NPU re-executes its one graph; nothing is copied per iteration.
 func Iterations(w Workload, n int) Workload {
 	return workloadFunc{
 		name: fmt.Sprintf("%dx %s", n, w.Name()),
 		fn: func(top *topology.Topology) (*et.Trace, error) {
+			if n < 1 {
+				return nil, fmt.Errorf("astrasim: Iterations needs n >= 1, got %d", n)
+			}
 			tr, err := w.trace(top)
 			if err != nil {
 				return nil, err
 			}
-			return et.Repeat(tr, n)
+			iters := max(tr.Iterations, 1)
+			if iters > math.MaxInt/n {
+				return nil, fmt.Errorf("astrasim: %d x %d iterations overflow int", iters, n)
+			}
+			tr.Iterations = iters * n
+			return tr, nil
 		},
 	}
 }

@@ -3,6 +3,7 @@ package astrasim
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -396,6 +397,82 @@ func TestIterationsWithP2P(t *testing.T) {
 	}
 	if rep.Makespan <= 0 {
 		t.Fatal("zero makespan")
+	}
+}
+
+// TestIterationsWithNegativeIDs: a trace whose IDs span zero runs for two
+// iterations in exactly twice its single-iteration time.
+func TestIterationsWithNegativeIDs(t *testing.T) {
+	const doc = `{"num_npus": 2, "graphs": [
+	  {"npu": 0, "nodes": [{"id": -1, "kind": "COMP", "flops": 1e12},
+	    {"id": 5, "kind": "COMM_COLL", "deps": [-1], "collective": "ALL_REDUCE", "comm_bytes": 1048576}]},
+	  {"npu": 1, "nodes": [{"id": -1, "kind": "COMP", "flops": 1e12},
+	    {"id": 5, "kind": "COMM_COLL", "deps": [-1], "collective": "ALL_REDUCE", "comm_bytes": 1048576}]}]}`
+	m := testMachine(t, MachineConfig{Topology: "R(2)", BandwidthsGBps: []float64{100}})
+	_, one, err := m.run(TraceJSON(strings.NewReader(doc)), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, two, err := m.run(Iterations(TraceJSON(strings.NewReader(doc)), 2), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if two.Makespan != 2*one.Makespan {
+		t.Errorf("2 iterations took %v, want exactly 2 x %v", two.Makespan, one.Makespan)
+	}
+}
+
+func TestIterationsEdgeCases(t *testing.T) {
+	m := smallRing(t)
+	for _, c := range []struct {
+		w    Workload
+		want string
+	}{
+		{Iterations(DLRM(), 0), "astrasim: Iterations needs n >= 1, got 0"},
+		{Iterations(DLRM(), -3), "astrasim: Iterations needs n >= 1, got -3"},
+		{Iterations(Iterations(DLRM(), math.MaxInt/2+1), 2), "astrasim: 4611686018427387904 x 2 iterations overflow int"},
+	} {
+		if _, err := m.Run(c.w); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.w.Name(), err, c.want)
+		}
+	}
+	// One iteration is the workload itself.
+	one, err := m.Run(DLRM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := m.Run(Iterations(DLRM(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same.Makespan != one.Makespan || same.Events != one.Events {
+		t.Errorf("1 iteration: %v in %d events, want %v in %d", same.Makespan, same.Events, one.Makespan, one.Events)
+	}
+}
+
+// TestIterationsPinnedOutputs pins multi-iteration results on the
+// paper's Conv-4D machine: nested counts multiply.
+func TestIterationsPinnedOutputs(t *testing.T) {
+	m := testMachine(t, MachineConfig{Topology: "R(2)_FC(8)_R(8)_SW(4)", BandwidthsGBps: []float64{250, 200, 100, 50}})
+	cases := []struct {
+		w        Workload
+		makespan time.Duration
+		events   uint64
+	}{
+		{Iterations(Iterations(DLRM(), 2), 3), 33834251 * time.Nanosecond, 12288},
+		{Iterations(GPT3(), 2), 3026873509 * time.Nanosecond, 6499328},
+	}
+	if testing.Short() {
+		cases = cases[:1] // GPT-3 takes about half a second
+	}
+	for _, c := range cases {
+		rep, err := m.Run(c.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Makespan != c.makespan || rep.Events != c.events {
+			t.Errorf("%s: %v in %d events, want %v in %d", c.w.Name(), rep.Makespan, rep.Events, c.makespan, c.events)
+		}
 	}
 }
 

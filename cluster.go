@@ -1,9 +1,11 @@
 package astrasim
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -327,17 +329,13 @@ func (r *ClusterResult) WriteTable(w io.Writer) error {
 // WriteCSV writes one record per job with the headline metrics in
 // microseconds. Deterministic for a given result.
 func (r *ClusterResult) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "job,workload,npus,local,first_rank,arrival_us,finish_us,makespan_us,exposed_comm_us,exposed_remote_mem_us,slowdown"); err != nil {
-		return err
-	}
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	recs := [][]string{{"job", "workload", "npus", "local", "first_rank", "arrival_us", "finish_us", "makespan_us", "exposed_comm_us", "exposed_remote_mem_us", "slowdown"}}
 	for _, row := range r.Jobs {
-		if _, err := fmt.Fprintf(w, "%q,%q,%d,%q,%d,%g,%g,%g,%g,%g,%g\n",
-			row.Job, row.Workload, row.NPUs, row.Local, row.FirstRank,
-			us(row.Arrival), us(row.Finish), us(row.Report.Makespan),
-			us(row.Report.ExposedComm), us(row.Report.ExposedRemoteMem), row.Slowdown); err != nil {
-			return err
-		}
+		recs = append(recs, []string{
+			row.Job, row.Workload, strconv.Itoa(row.NPUs), row.Local, strconv.Itoa(row.FirstRank),
+			csvMicros(row.Arrival), csvMicros(row.Finish), csvMicros(row.Report.Makespan),
+			csvMicros(row.Report.ExposedComm), csvMicros(row.Report.ExposedRemoteMem), csvFloat(row.Slowdown),
+		})
 	}
-	return nil
+	return csv.NewWriter(w).WriteAll(recs)
 }

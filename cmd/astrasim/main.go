@@ -202,12 +202,14 @@ func main() {
 func machineConfig(path, topo, bw, scheduler string, tflops float64) (astrasim.MachineConfig, error) {
 	var cfg astrasim.MachineConfig
 	if path != "" {
-		data, err := os.ReadFile(path)
+		f, err := os.Open(path)
 		if err != nil {
 			return cfg, err
 		}
-		if err := json.Unmarshal(data, &cfg); err != nil {
-			return cfg, fmt.Errorf("parse %s: %w", path, err)
+		cfg, err = astrasim.LoadMachineConfig(f)
+		f.Close()
+		if err != nil {
+			return cfg, err
 		}
 	}
 	if topo != "" {

@@ -17,9 +17,8 @@ import (
 // contains no block-specific logic.
 //
 // The chunk-phase model in collective.go is the production path (it scales
-// to thousands of NPUs); the message-level path exists to validate that the
-// aggregate model reproduces the per-message algorithms exactly, and to
-// drive the cycle-level backend comparison.
+// to thousands of NPUs); the message-level path is a test oracle that checks
+// the aggregate model reproduces the per-message algorithms exactly.
 
 // RunMessageLevel executes a single-dimension collective at message
 // granularity over the group formed by varying dimension dim from base.

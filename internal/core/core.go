@@ -18,10 +18,20 @@
 // communicator instance is an (origin rank, layout) pair resolved per rank
 // at Start, so issuing a node touches only slices: no map, no string key
 // and no allocation per NPU issue.
+//
+// A trace with Iterations > 1 is the paper's training loop: each NPU
+// re-executes its one plan. When an NPU's last node of an iteration
+// completes, its in-degrees are copied back from the plan and its roots
+// issued again, exactly when an unrolled trace's next-iteration entry
+// nodes would become ready. Point-to-point tags need no remapping: a rank
+// starts iteration k+1 only after its iteration-k sends have left and its
+// receives have matched, and each (src, dst, tag) channel delivers in send
+// order, so FIFO matching pairs the messages of one iteration.
 package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -202,8 +212,12 @@ type Simulator struct {
 	// freeOps recycles timed-node completion events.
 	freeOps []*timedOp
 
-	collLog   []collective.Result
+	collLog []collective.Result
+	// remaining counts the nodes still to complete over every iteration;
+	// left, allocated only for a trace with several iterations, counts
+	// them per rank.
 	remaining int
+	left      []int
 	// err is the first collective launch failure; Finalize reports it.
 	err error
 
@@ -464,6 +478,13 @@ func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) er
 		nodeTotal += len(p.Nodes())
 		slotTotal += len(p.layouts)
 	}
+	iters := max(trace.Iterations, 1)
+	switch {
+	case trace.Iterations < 0:
+		return fmt.Errorf("core: trace has a negative iteration count %d", trace.Iterations)
+	case nodeTotal > math.MaxInt/iters:
+		return fmt.Errorf("core: %d nodes x %d iterations overflows the node count", nodeTotal, iters)
+	}
 
 	// Every rank's in-degrees and layout slots are windows of two shared
 	// arrays, so set-up allocates per plan, not per rank.
@@ -500,8 +521,14 @@ func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) er
 			st.slots[i].inst = inst
 		}
 	}
+	if iters > 1 {
+		s.left = make([]int, len(npus))
+		for rank := range npus {
+			s.left[rank] = len(npus[rank].indeg) * iters
+		}
+	}
 	s.npus = npus
-	s.remaining = nodeTotal
+	s.remaining = nodeTotal * iters
 	return nil
 }
 
@@ -549,16 +576,20 @@ func (s *Simulator) applyScenarioEvent(ev scenario.Event) {
 	}
 }
 
-// release issues every rank's initially ready nodes in ascending-ID order,
-// which keeps a trace's simulated output independent of the order its node
-// list is declared in.
+// release issues every rank's initially ready nodes.
 func (s *Simulator) release() {
 	for rank := range s.npus {
-		st := &s.npus[rank]
-		for _, pos := range st.plan.Roots() {
-			if st.indeg[pos] == 0 {
-				s.issue(st, pos)
-			}
+		s.releaseRoots(&s.npus[rank])
+	}
+}
+
+// releaseRoots issues a rank's ready roots in ascending-ID order, which
+// keeps a trace's simulated output independent of the order its node list
+// is declared in.
+func (s *Simulator) releaseRoots(st *npuState) {
+	for _, pos := range st.plan.Roots() {
+		if st.indeg[pos] == 0 {
+			s.issue(st, pos)
 		}
 	}
 }
@@ -697,11 +728,7 @@ func (s *Simulator) issue(st *npuState, pos int32) {
 			loc = memory.Remote
 			counter = &st.nRemote
 		}
-		kind := memory.LoadAccess
-		if n.MemOp == et.MemStore {
-			kind = memory.StoreAccess
-		}
-		dur := s.cfg.Memory.AccessTime(loc, kind, units.ByteSize(n.TensorBytes))
+		dur := s.cfg.Memory.AccessTime(loc, units.ByteSize(n.TensorBytes))
 		remote := loc == memory.Remote && s.cfg.RemoteArbiter != nil
 		if remote {
 			// The access duration is stretched by the cross-job pool
@@ -868,12 +895,22 @@ func mapCollective(c et.CollectiveType) collective.Op {
 	}
 }
 
-// complete finishes a node and unlocks its children.
+// complete finishes a node and unlocks its children. The rank's last node
+// of an iteration has none; if iterations remain, completing it restarts
+// the rank's plan.
 func (s *Simulator) complete(st *npuState, pos int32) {
 	st.indeg[pos] = doneMark
 	s.remaining--
 	if s.remaining == 0 {
 		s.finished = s.eng.Now()
+	}
+	if s.left != nil {
+		s.left[st.rank]--
+		if left := s.left[st.rank]; left > 0 && left%len(st.indeg) == 0 {
+			copy(st.indeg, st.plan.InDegrees())
+			s.releaseRoots(st)
+			return
+		}
 	}
 	for _, c := range st.plan.Dependents(pos) {
 		st.indeg[c]--

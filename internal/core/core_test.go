@@ -455,9 +455,8 @@ func TestTimelineOffByDefault(t *testing.T) {
 }
 
 // A trace whose node list is NOT in ascending-ID order must simulate
-// identically to its sorted twin: the initial ready batch is issued in
-// ascending-ID order either way (generated traces hit the sort-free fast
-// path; shuffled external traces take the sorting fallback).
+// identically to its sorted twin, over one iteration or several: each
+// iteration's ready roots are issued in ascending-ID order either way.
 func TestShuffledNodeListMatchesSorted(t *testing.T) {
 	top := ring4Top()
 	// Two independent roots plus a dependent P2P pair so issue order is
@@ -478,17 +477,21 @@ func TestShuffledNodeListMatchesSorted(t *testing.T) {
 			return nodes
 		})
 	}
-	sorted := run(t, testConfig(t, top), build(false))
-	shuffled := run(t, testConfig(t, top), build(true))
-	if sorted.Makespan != shuffled.Makespan {
-		t.Errorf("shuffled node list changed makespan: %v vs %v", shuffled.Makespan, sorted.Makespan)
-	}
-	if sorted.Events != shuffled.Events {
-		t.Errorf("shuffled node list changed event count: %d vs %d", shuffled.Events, sorted.Events)
-	}
-	for i := range sorted.PerNPU {
-		if sorted.PerNPU[i] != shuffled.PerNPU[i] {
-			t.Errorf("npu %d breakdown differs: %+v vs %+v", i, shuffled.PerNPU[i], sorted.PerNPU[i])
+	for _, iters := range []int{1, 3} {
+		sortedTrace, shuffledTrace := build(false), build(true)
+		sortedTrace.Iterations, shuffledTrace.Iterations = iters, iters
+		sorted := run(t, testConfig(t, top), sortedTrace)
+		shuffled := run(t, testConfig(t, top), shuffledTrace)
+		if sorted.Makespan != shuffled.Makespan {
+			t.Errorf("%d iterations: shuffled node list changed makespan: %v vs %v", iters, shuffled.Makespan, sorted.Makespan)
+		}
+		if sorted.Events != shuffled.Events {
+			t.Errorf("%d iterations: shuffled node list changed event count: %d vs %d", iters, shuffled.Events, sorted.Events)
+		}
+		for i := range sorted.PerNPU {
+			if sorted.PerNPU[i] != shuffled.PerNPU[i] {
+				t.Errorf("%d iterations: npu %d breakdown differs: %+v vs %+v", iters, i, shuffled.PerNPU[i], sorted.PerNPU[i])
+			}
 		}
 	}
 }

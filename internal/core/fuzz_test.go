@@ -45,9 +45,9 @@ func fuzzTraceSeeds() []string {
 // FuzzRunTrace feeds arbitrary bytes through the trace decoders into a
 // whole simulation. The bytes are read as an ET document or, failing that,
 // as a PARAM PyTorch graph through convert; any trace of 2-16 NPUs then
-// runs on SW(n) with a hierarchical memory pool, transit charging and an
-// event budget. Start, Run and Finalize may return errors but must never
-// panic.
+// runs for one to three iterations on SW(n) with a hierarchical memory
+// pool, transit charging and an event budget. Start, Run and Finalize may
+// return errors but must never panic.
 func FuzzRunTrace(f *testing.F) {
 	for _, s := range fuzzTraceSeeds() {
 		f.Add([]byte(s))
@@ -67,6 +67,7 @@ func FuzzRunTrace(f *testing.F) {
 		if n < 2 || n > 16 {
 			return
 		}
+		trace.Iterations = 1 + len(doc)%3
 		top, err := topology.New(topology.Dim{Kind: topology.Switch, Size: n, Bandwidth: units.GBps(100), Latency: 500 * units.Nanosecond})
 		if err != nil {
 			t.Fatal(err)

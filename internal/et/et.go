@@ -9,8 +9,12 @@
 //
 // Trace.Plans validates a trace in one compile pass per distinct node list,
 // returning each list as an immutable Plan addressed by list position.
-// Validation, Repeat and the execution engine all read plans, so node IDs
-// are resolved in this package only.
+// Validation and the execution engine both read plans, so node IDs are
+// resolved in this package only.
+//
+// A trace describes one training iteration. Trace.Iterations asks the
+// execution engine to run it several times back to back; the node lists
+// are never copied per iteration.
 //
 // Traces are compact: a graph holds its nodes by value in one slice, and
 // graphs that share a list share one slice. The compile pass resolves IDs
@@ -132,6 +136,11 @@ type Trace struct {
 	// NumNPUs is the machine size the trace was generated for.
 	NumNPUs int      `json:"num_npus"`
 	Graphs  []*Graph `json:"graphs"`
+	// Iterations is how many times each NPU runs its graph back to back,
+	// with a synchronous boundary: an NPU starts its next iteration when
+	// the last node of its current one completes. Zero means one. It is
+	// not serialized.
+	Iterations int `json:"-"`
 }
 
 // Validate checks structural invariants of a single graph: unique IDs,
@@ -173,10 +182,10 @@ func (p *Plan) InDegrees() []int32 { return p.indeg }
 func (p *Plan) Roots() []int32 { return p.roots }
 
 // idIndex resolves one list's node IDs to list positions. IDs whose span
-// is at most twice the list's length, as every generator and Repeat
-// produce, go through a table indexed by ID - min; sparser IDs, which JSON
-// or convert may carry, go through a map, since a table over an arbitrary
-// span could be unbounded.
+// is at most twice the list's length, as every generator produces, go
+// through a table indexed by ID - min; sparser IDs, which JSON or convert
+// may carry, go through a map, since a table over an arbitrary span could
+// be unbounded.
 type idIndex struct {
 	min int
 	// table holds position+1 per ID - min, 0 where no node has that ID.

@@ -500,10 +500,8 @@ func TestCompileMatchesReference(t *testing.T) {
 		t.Fatalf("drew %d cyclic and %d acyclic lists; want both kinds", cyclic, acyclic)
 	}
 
-	// Repeat's IDs: three iterations of IDs 1-4, offset by 5 each.
-	// Repeat's IDs: three iterations of a chain 1-4, offset by 5 each, with
-	// each iteration's entry waiting on the previous one's exit.
-	repeated := chain(1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14)
+	// Gapped IDs: a chain of three runs of IDs 1-4, offset by 5 each.
+	gapped := chain(1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14)
 	edges := []struct {
 		name  string
 		nodes []Node
@@ -515,7 +513,7 @@ func TestCompileMatchesReference(t *testing.T) {
 		{"near the highest int", chain(math.MaxInt, math.MaxInt-2, math.MaxInt-1), true},
 		{"span 2n", chain(10, 12, 15), true},
 		{"span 2n+1", chain(10, 12, 16), false},
-		{"Repeat-style gaps", repeated, true},
+		{"gapped IDs", gapped, true},
 	}
 	for _, c := range edges {
 		if table := newIDIndex(c.nodes).m == nil; table != c.table {

@@ -89,21 +89,6 @@ func TestGeneratorsSizeListsExactly(t *testing.T) {
 		{"single collective", func() (*et.Trace, error) {
 			return SingleCollective(wafer(8), et.CollAllReduce, units.MB), nil
 		}},
-		// et.Repeat fills its lists the same way.
-		{"repeated transformer", func() (*et.Trace, error) {
-			tr, err := Transformer(wafer(8), tinyModel(4))
-			if err != nil {
-				return nil, err
-			}
-			return et.Repeat(tr, 3)
-		}},
-		{"repeated pipeline", func() (*et.Trace, error) {
-			tr, err := Pipeline(twoDim, pipeline(4, units.MB))
-			if err != nil {
-				return nil, err
-			}
-			return et.Repeat(tr, 3)
-		}},
 	}
 	for _, c := range cases {
 		tr, err := c.gen()

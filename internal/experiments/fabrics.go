@@ -42,8 +42,8 @@ func fabricSpecs() []fabricSpec {
 	}
 }
 
-// buildFabric constructs one fabric from shape notation through the model
-// registry (the same path cmd/astrasim users take).
+// buildFabric constructs one fabric from shape notation through the block
+// table (the same path cmd/astrasim users take).
 func buildFabric(s fabricSpec) System {
 	top, err := topology.ParseWithBandwidth(s.topo, s.bw, hopLatency)
 	if err != nil {

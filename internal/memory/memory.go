@@ -35,23 +35,6 @@ func (l Location) String() string {
 	return "local"
 }
 
-// AccessKind distinguishes loads from stores.
-type AccessKind int
-
-// Access kinds.
-const (
-	LoadAccess AccessKind = iota
-	StoreAccess
-)
-
-// String names the access kind.
-func (k AccessKind) String() string {
-	if k == StoreAccess {
-		return "store"
-	}
-	return "load"
-}
-
 // LocalModel is the paper's local memory model:
 //
 //	AccessTime = AccessLatency + TensorSize / MemoryBandwidth

@@ -209,18 +209,14 @@ func TestSystemAPI(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	local := s.AccessTime(Local, LoadAccess, units.MB)
-	remote := s.AccessTime(Remote, LoadAccess, units.MB)
+	local := s.AccessTime(Local, units.MB)
+	remote := s.AccessTime(Remote, units.MB)
 	if local >= remote {
 		t.Errorf("local (%v) should be faster than remote (%v)", local, remote)
 	}
-	// Loads and stores are symmetric.
-	if s.AccessTime(Remote, StoreAccess, units.MB) != remote {
-		t.Error("store time should equal load time")
-	}
 	// Without a pool, remote falls back to local.
 	noPool := System{Local: s.Local}
-	if noPool.AccessTime(Remote, LoadAccess, units.MB) != local {
+	if noPool.AccessTime(Remote, units.MB) != local {
 		t.Error("poolless remote access should use local timing")
 	}
 }
@@ -233,8 +229,5 @@ func TestDesignStrings(t *testing.T) {
 	}
 	if Local.String() != "local" || Remote.String() != "remote" {
 		t.Error("location names wrong")
-	}
-	if LoadAccess.String() != "load" || StoreAccess.String() != "store" {
-		t.Error("access kind names wrong")
 	}
 }

@@ -155,13 +155,13 @@ func (s System) Validate() error {
 	return nil
 }
 
-// AccessTime returns a tensor access's time. Remote accesses use the bulk
-// pool transfer model (all GPUs streaming together, the dominant pattern in
-// sharded training); local accesses use the latency + size/BW model.
-func (s System) AccessTime(loc Location, kind AccessKind, size units.ByteSize) units.Time {
+// AccessTime returns a tensor access's time; loads and stores cost the
+// same in every design. Remote accesses use the bulk pool transfer model
+// (all GPUs streaming together, the dominant pattern in sharded training);
+// local accesses use the latency + size/BW model.
+func (s System) AccessTime(loc Location, size units.ByteSize) units.Time {
 	if loc == Local || !s.HasPool {
 		return s.Local.AccessTime(size)
 	}
-	_ = kind // loads and stores are symmetric in these designs
 	return s.Pool.TransferTime(size)
 }

@@ -3,7 +3,7 @@
 // run at two fidelities — a cheap closed-form estimate and a full
 // event-engine simulation. Strategies decide which candidates to evaluate
 // at which fidelity; every batch executes on the sweep engine's worker
-// pool with its content-hash result cache, so results are byte-identical
+// pool with its fingerprint-keyed result cache, so results are byte-identical
 // for any worker count and duplicate candidates simulate once.
 //
 // Three strategies are built in, named (case-insensitively) by

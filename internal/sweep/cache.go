@@ -1,16 +1,12 @@
 package sweep
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"sync"
-)
+import "sync"
 
-// Cache shares cell results across sweeps. Entries are keyed by the
-// SHA-256 of the cell's fingerprint — a content hash of the full
-// simulation configuration — so two grids that overlap (the same
-// topology, workload, scheduler and chunking) simulate the shared cells
-// once, whichever grid runs first.
+// Cache shares cell results across sweeps. Entries are keyed by the cell's
+// fingerprint — a canonical description of the full simulation
+// configuration — so two grids that overlap (the same topology, workload,
+// scheduler and chunking) simulate the shared cells once, whichever grid
+// runs first.
 //
 // The zero Cache is not usable; construct with NewCache. All methods are
 // safe for concurrent use.
@@ -43,16 +39,10 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: len(c.m)}
 }
 
-func contentKey(fingerprint string) string {
-	h := sha256.Sum256([]byte(fingerprint))
-	return hex.EncodeToString(h[:])
-}
-
 func (c *Cache) lookup(fingerprint string) (any, bool) {
-	key := contentKey(fingerprint)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.m[key]
+	v, ok := c.m[fingerprint]
 	if ok {
 		c.hits++
 	} else {
@@ -62,8 +52,7 @@ func (c *Cache) lookup(fingerprint string) (any, bool) {
 }
 
 func (c *Cache) store(fingerprint string, v any) {
-	key := contentKey(fingerprint)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[key] = v
+	c.m[fingerprint] = v
 }

@@ -12,7 +12,7 @@
 //   - Deduplication: cells that declare equal content fingerprints are
 //     simulated once; overlapping grids (a scaling study and an ablation
 //     sharing a corner) share results through an optional cross-sweep
-//     Cache keyed by content hash.
+//     Cache keyed by fingerprint.
 //   - Structure: rows carry their axis labels in grid order, ready for a
 //     caller to tabulate or marshal, and a progress callback reports
 //     completion as cells finish.

@@ -15,7 +15,7 @@ import (
 // simulator (parser, analytical estimator, event-driven engine, network
 // backend) never dispatches on block identity. A new fabric is added by
 // implementing the interface and adding its factory to the block table
-// (registry, below); every layer picks it up without modification. The
+// (blockTable, below); every layer picks it up without modification. The
 // table is fixed at compile time: no other package can extend it.
 //
 // The table holds five blocks:
@@ -581,7 +581,7 @@ func (m torus2DModel) PhaseSchedule(op PhaseKind, k int, d units.ByteSize) [][]X
 	return append(cols, rows...)
 }
 
-// ------------------------------------------------------------ registry ----
+// --------------------------------------------------------- block table ----
 
 // Exported block models. Ring, FullyConnected, Switch and Mesh are
 // stateless singletons usable directly in Dim literals; Torus2D and
@@ -628,9 +628,9 @@ func torusFactory(args []int) (DimModel, int, error) {
 	return Torus2D(args[0], args[1]), args[0] * args[1], nil
 }
 
-// registry is the block table: every lower-case shape-notation name and
-// alias, mapped to its block's factory.
-var registry = map[string]factory{
+// blockTable maps every lower-case shape-notation name and alias to its
+// block's factory.
+var blockTable = map[string]factory{
 	"r":               {1, 1, single(Ring)},
 	"ring":            {1, 1, single(Ring)},
 	"fc":              {1, 1, single(FullyConnected)},
@@ -649,7 +649,7 @@ var registry = map[string]factory{
 // arguments to a model and dimension size. Unknown names and malformed
 // arguments are errors — there is no default block.
 func ModelFor(name string, args []int) (DimModel, int, error) {
-	f, ok := registry[strings.ToLower(name)]
+	f, ok := blockTable[strings.ToLower(name)]
 	if !ok {
 		return nil, 0, fmt.Errorf("unknown building block %q (registered: %s)", name, strings.Join(RegisteredBlocks(), ", "))
 	}
@@ -664,8 +664,8 @@ func ModelFor(name string, args []int) (DimModel, int, error) {
 
 // RegisteredBlocks lists the accepted notation names, sorted.
 func RegisteredBlocks() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
+	names := make([]string, 0, len(blockTable))
+	for n := range blockTable {
 		names = append(names, n)
 	}
 	sort.Strings(names)

@@ -17,9 +17,9 @@ import (
 //	"T2D(4,4)_SW(8)"             (TPU-style 2D torus pods under a switch)
 //	"M(8)_SW(16,4)"              (NoC mesh under a 4:1 tapered switch)
 //
-// Block names are case-insensitive and resolved through the model registry;
+// Block names are case-insensitive and resolved through the block table;
 // both short (R, FC, SW, M, T2D) and long (Ring, FullyConnected, Switch,
-// Mesh, Torus2D) spellings are registered. Multi-argument blocks take
+// Mesh, Torus2D) spellings are listed. Multi-argument blocks take
 // comma-separated arguments: Torus2D(a,b) spans a*b NPUs, SW(k,o) is a
 // k-port switch whose uplinks are oversubscribed o:1. Bandwidths and
 // latencies are zero; set them afterwards or use ParseWithBandwidth.

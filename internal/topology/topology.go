@@ -9,9 +9,9 @@
 //	Mesh           -> Ring collective over a dilation-2 line embedding
 //	Torus2D        -> per-axis bidirectional-ring phases
 //
-// Block behavior lives behind the DimModel interface (model.go) with a
-// notation registry, so new fabrics plug in without touching the parser,
-// the estimator, or the event-driven engine.
+// Block behavior lives behind the DimModel interface (model.go), and the
+// notation resolves through a fixed block table, so new fabrics plug in
+// without touching the parser, the estimator, or the event-driven engine.
 //
 // NPUs are addressed by mixed-radix coordinates: dimension 1 varies fastest,
 // matching the paper's convention that Dim 1 is the innermost (e.g. on-chip

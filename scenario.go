@@ -1,8 +1,10 @@
 package astrasim
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"repro/internal/scenario"
@@ -212,20 +214,16 @@ func (r *ScenarioResult) WriteTable(w io.Writer) error {
 // WriteCSV writes one record per run with the headline metrics in
 // microseconds. Deterministic for a given result.
 func (r *ScenarioResult) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "run,workload,machine,events,makespan_us,exposed_comm_us,compute_us,slowdown"); err != nil {
-		return err
-	}
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	recs := [][]string{{"run", "workload", "machine", "events", "makespan_us", "exposed_comm_us", "compute_us", "slowdown"}}
 	for _, row := range []struct {
 		label    string
 		rep      *Report
 		slowdown float64
 	}{{"clean", r.Clean, 1}, {"perturbed", r.Perturbed, r.Slowdown}} {
-		if _, err := fmt.Fprintf(w, "%q,%q,%q,%d,%g,%g,%g,%g\n",
-			row.label, r.Workload, r.Machine, r.Events,
-			us(row.rep.Makespan), us(row.rep.ExposedComm), us(row.rep.Compute), row.slowdown); err != nil {
-			return err
-		}
+		recs = append(recs, []string{
+			row.label, r.Workload, r.Machine, strconv.Itoa(r.Events),
+			csvMicros(row.rep.Makespan), csvMicros(row.rep.ExposedComm), csvMicros(row.rep.Compute), csvFloat(row.slowdown),
+		})
 	}
-	return nil
+	return csv.NewWriter(w).WriteAll(recs)
 }

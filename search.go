@@ -565,28 +565,16 @@ func (r *SearchResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 // WriteCSV writes the full history flat: one record per evaluation, in
 // rung order. Deterministic for a given result.
 func (r *SearchResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"generation", "fidelity", "machine", "workload", "placement", "score_us", "promoted"}); err != nil {
-		return err
-	}
+	recs := [][]string{{"generation", "fidelity", "machine", "workload", "placement", "score_us", "promoted"}}
 	for _, g := range r.History {
 		for _, e := range g.Evals {
-			rec := []string{
-				strconv.Itoa(g.Index),
-				g.Fidelity,
-				e.Machine,
-				e.Workload,
-				e.Placement,
-				strconv.FormatFloat(float64(e.Score)/float64(time.Microsecond), 'g', -1, 64),
-				strconv.FormatBool(e.Promoted),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
+			recs = append(recs, []string{
+				strconv.Itoa(g.Index), g.Fidelity, e.Machine, e.Workload, e.Placement,
+				csvMicros(e.Score), strconv.FormatBool(e.Promoted),
+			})
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(recs)
 }
 
 // WriteTable writes a human-readable run summary: rung structure, budget

@@ -1,10 +1,12 @@
 package astrasim
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/convert"
@@ -15,7 +17,7 @@ import (
 
 // This file is the design-space-exploration facade: declarative sweep
 // grids of machines x workloads, executed in parallel with deterministic
-// output and content-hash result sharing. It is the public face of
+// output and fingerprint-keyed result sharing. It is the public face of
 // internal/sweep, which also drives every reproduced paper artifact.
 
 // WorkloadSpec is a declarative, JSON-serializable workload description —
@@ -161,6 +163,13 @@ type SweepSpec struct {
 // so grid typos fail loudly.
 func LoadSweepSpec(r io.Reader) (SweepSpec, error) {
 	return decodeSpec[SweepSpec](r, "sweep")
+}
+
+// LoadMachineConfig reads one MachineConfig JSON document, the format of
+// the astrasim CLI's -config file. Unknown fields and data after the
+// document are errors, as in every spec loader.
+func LoadMachineConfig(r io.Reader) (MachineConfig, error) {
+	return decodeSpec[MachineConfig](r, "machine")
 }
 
 // decodeSpec reads one JSON spec document of the named kind, rejecting
@@ -368,19 +377,19 @@ func (r *SweepResult) WriteTable(w io.Writer) error {
 // WriteCSV writes one row per cell with the report's headline metrics in
 // microseconds. Deterministic for a given result.
 func (r *SweepResult) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "machine,workload,makespan_us,compute_us,exposed_comm_us,exposed_remote_mem_us,exposed_local_mem_us,idle_us,collectives,events"); err != nil {
-		return err
-	}
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	recs := [][]string{{"machine", "workload", "makespan_us", "compute_us", "exposed_comm_us", "exposed_remote_mem_us", "exposed_local_mem_us", "idle_us", "collectives", "events"}}
 	for _, row := range r.Rows {
 		rep := row.Report
-		if _, err := fmt.Fprintf(w, "%q,%q,%g,%g,%g,%g,%g,%g,%d,%d\n",
+		recs = append(recs, []string{
 			row.Machine, row.Workload,
-			us(rep.Makespan), us(rep.Compute), us(rep.ExposedComm),
-			us(rep.ExposedRemoteMem), us(rep.ExposedLocalMem), us(rep.Idle),
-			rep.Collectives, rep.Events); err != nil {
-			return err
-		}
+			csvMicros(rep.Makespan), csvMicros(rep.Compute), csvMicros(rep.ExposedComm),
+			csvMicros(rep.ExposedRemoteMem), csvMicros(rep.ExposedLocalMem), csvMicros(rep.Idle),
+			strconv.Itoa(rep.Collectives), strconv.FormatUint(rep.Events, 10),
+		})
 	}
-	return nil
+	return csv.NewWriter(w).WriteAll(recs)
 }
+
+// csvFloat formats x as %g does; csvMicros formats d in microseconds.
+func csvFloat(x float64) string        { return strconv.FormatFloat(x, 'g', -1, 64) }
+func csvMicros(d time.Duration) string { return csvFloat(float64(d) / float64(time.Microsecond)) }

@@ -158,6 +158,7 @@ func TestLoadSpecsRejectTrailingData(t *testing.T) {
 		{"search", func(r io.Reader) error { _, err := LoadSearchSpec(r); return err }},
 		{"cluster", func(r io.Reader) error { _, err := LoadClusterSpec(r); return err }},
 		{"scenario", func(r io.Reader) error { _, err := LoadScenarioSpec(r); return err }},
+		{"machine", func(r io.Reader) error { _, err := LoadMachineConfig(r); return err }},
 	}
 	for _, l := range loaders {
 		if err := l.load(strings.NewReader("{} \n\t")); err != nil {
@@ -169,6 +170,23 @@ func TestLoadSpecsRejectTrailingData(t *testing.T) {
 				t.Errorf("%s %q: got %v, want %q", l.name, doc, err, want)
 			}
 		}
+	}
+}
+
+// TestLoadMachineConfigRejectsTypos: a misspelled field in a -config file
+// is an error, not a silent fall-back to the default scheduler.
+func TestLoadMachineConfigRejectsTypos(t *testing.T) {
+	cfg, err := LoadMachineConfig(strings.NewReader(`{"Topology":"R(4)","BandwidthsGBps":[100],"Scheduler":"themis","Chunks":8}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Topology != "R(4)" || cfg.Scheduler != "themis" || cfg.Chunks != 8 || len(cfg.BandwidthsGBps) != 1 {
+		t.Errorf("decoded %+v", cfg)
+	}
+	_, err = LoadMachineConfig(strings.NewReader(`{"Topology":"R(4)","BandwidthsGBps":[100],"Schedular":"themis","Chunkz":8}`))
+	const want = `astrasim: parse machine spec: json: unknown field "Schedular"`
+	if err == nil || err.Error() != want {
+		t.Errorf("misspelled field: got %v, want %q", err, want)
 	}
 }
 
