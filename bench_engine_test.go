@@ -4,7 +4,8 @@ package astrasim
 // on the chunked All-Reduce path, the workload that dominates every paper
 // figure. BenchmarkEngineHotPath sweeps the NPU count from 64 to 32768 on
 // the serial engine and writes BENCH_engine.json with ns/event,
-// allocs/event and events/sec per scale. Two historical series are
+// allocs/event, events/sec and bytes allocated per collective (set-up
+// included) per scale. Two historical series are
 // preserved across runs so the artifact always carries the full
 // before/after story: "baseline" (before the zero-allocation rework) and
 // "previous" (before the dimension-aggregate rework, whose per-event cost
@@ -33,6 +34,7 @@ type engineBenchRecord struct {
 	NsPerEvent     float64 `json:"ns_per_event"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
 	EventsPerSec   float64 `json:"events_per_sec"`
+	BytesPerOp     float64 `json:"bytes_per_op,omitempty"`
 }
 
 type engineBenchDoc struct {
@@ -99,6 +101,7 @@ func BenchmarkEngineHotPath(b *testing.B) {
 				NsPerEvent:     nsPerEvent,
 				AllocsPerEvent: allocsPerEvent,
 				EventsPerSec:   1e9 / nsPerEvent,
+				BytesPerOp:     float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(b.N),
 			}
 		})
 	}

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/convert"
 	"repro/internal/et"
@@ -44,13 +45,17 @@ func main() {
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: ettool <gen|validate|info|convert> [flags]
+// genWorkloads lists every workload gen accepts.
+var genWorkloads = []string{"gpt3", "t1t", "dlrm", "moe", "pipeline", "all_reduce", "all_gather", "reduce_scatter", "all_to_all"}
 
-  gen      -workload <gpt3|t1t|dlrm|moe|pipeline|all_reduce> -topology <spec> [-size N] [-o file]
+func usage() {
+	fmt.Fprintf(os.Stderr, `usage: ettool <gen|validate|info|convert> [flags]
+
+  gen      -workload <%s> -topology <spec> [-size N] [-o file]
   validate <trace.json>
   info     <trace.json>
-  convert  -pytorch <graph.json> [-o file]`)
+  convert  -pytorch <graph.json> [-o file]
+`, strings.Join(genWorkloads, "|"))
 	os.Exit(2)
 }
 
@@ -70,35 +75,9 @@ func runGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	var trace *et.Trace
-	switch *workload {
-	case "all_reduce":
-		trace = etgen.SingleCollective(top, et.CollAllReduce, units.ByteSize(*size))
-	case "all_gather":
-		trace = etgen.SingleCollective(top, et.CollAllGather, units.ByteSize(*size))
-	case "all_to_all":
-		trace = etgen.SingleCollective(top, et.CollAllToAll, units.ByteSize(*size))
-	case "gpt3":
-		trace, err = etgen.Transformer(top, etgen.GPT3())
-	case "t1t":
-		trace, err = etgen.Transformer(top, etgen.Transformer1T())
-	case "dlrm":
-		trace, err = etgen.DLRMTrace(top, etgen.DLRM())
-	case "moe":
-		trace, err = etgen.MoETrace(top, etgen.MoE1T(false))
-	case "pipeline":
-		trace, err = etgen.Pipeline(top, etgen.PipelineConfig{
-			Name: "pipeline", Stages: 4, MicroBatches: 8,
-			FlopsPerStage: 1e12, ActivationBytes: 16 * units.MB, GradBytes: 64 * units.MB,
-		})
-	default:
-		return fmt.Errorf("gen: unknown workload %q", *workload)
-	}
+	trace, err := generate(*workload, top, units.ByteSize(*size))
 	if err != nil {
 		return err
-	}
-	if err := trace.Validate(); err != nil {
-		return fmt.Errorf("gen: generated trace invalid: %w", err)
 	}
 	w := os.Stdout
 	if *out != "" {
@@ -110,6 +89,46 @@ func runGen(args []string) error {
 		w = f
 	}
 	return trace.Encode(w)
+}
+
+// generate builds and validates one of genWorkloads on a topology; size is
+// the payload of the collective workloads. The pipeline matches astrasim
+// -workload pipeline.
+func generate(workload string, top *topology.Topology, size units.ByteSize) (*et.Trace, error) {
+	var trace *et.Trace
+	var err error
+	switch workload {
+	case "all_reduce":
+		trace = etgen.SingleCollective(top, et.CollAllReduce, size)
+	case "all_gather":
+		trace = etgen.SingleCollective(top, et.CollAllGather, size)
+	case "reduce_scatter":
+		trace = etgen.SingleCollective(top, et.CollReduceScatter, size)
+	case "all_to_all":
+		trace = etgen.SingleCollective(top, et.CollAllToAll, size)
+	case "gpt3":
+		trace, err = etgen.Transformer(top, etgen.GPT3())
+	case "t1t":
+		trace, err = etgen.Transformer(top, etgen.Transformer1T())
+	case "dlrm":
+		trace, err = etgen.DLRMTrace(top, etgen.DLRM())
+	case "moe":
+		trace, err = etgen.MoETrace(top, etgen.MoE1T(false))
+	case "pipeline":
+		trace, err = etgen.Pipeline(top, etgen.PipelineConfig{
+			Name: "pipeline", Stages: 4, MicroBatches: 8,
+			FlopsPerStage: 1e12, ActivationBytes: 16 * units.MiB, GradBytes: 64 * units.MiB,
+		})
+	default:
+		return nil, fmt.Errorf("gen: unknown workload %q", workload)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := trace.Validate(); err != nil {
+		return nil, fmt.Errorf("gen: generated trace invalid: %w", err)
+	}
+	return trace, nil
 }
 
 func loadTrace(path string) (*et.Trace, error) {

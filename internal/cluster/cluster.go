@@ -127,8 +127,7 @@ type Config struct {
 	Memory  memory.System
 	Policy  collective.Policy
 	Chunks  int
-	// CollectiveLogLimit caps each job's retained collective results.
-	CollectiveLogLimit     int
+	// ModelTransitCongestion is core.Config's, for every job.
 	ModelTransitCongestion bool
 
 	Placement Placement
@@ -675,7 +674,6 @@ func Run(cfg Config) (*Result, error) {
 			Memory:                 cfg.Memory,
 			Policy:                 cfg.Policy,
 			Chunks:                 cfg.Chunks,
-			CollectiveLogLimit:     cfg.CollectiveLogLimit,
 			ModelTransitCongestion: cfg.ModelTransitCongestion,
 		}
 		// Jobs that share nothing get no arbitration hooks at all: their

@@ -14,9 +14,10 @@
 // therefore pipeline: while chunk 0 runs its second phase, chunk 1 occupies
 // the first span's links. With enough chunks the collective's runtime
 // converges to the bottleneck dimension's total serialization time, which
-// is exactly the behaviour the paper's Table IV exhibits. A whole-machine
-// phase reserves whole dimensions; a subset group's phase reserves its
-// instance's registered network.LinkSet, so either costs O(1) per phase.
+// is exactly the behaviour the paper's Table IV exhibits. Every phase
+// reserves its instance's registered network.LinkSet — the backend's
+// machine set for a whole-machine group — so it costs O(1) while the set
+// owns its links.
 package collective
 
 import (
@@ -112,9 +113,6 @@ type Engine struct {
 	// basePlans[op][n] is op's fixed-order phase plan over n spans, built
 	// once and shared read-only by every chunk that follows it.
 	basePlans [AllToAll + 1][][]phase
-	// allMembers lists every rank: the whole-machine member list the Themis
-	// ledger walks, built on first use.
-	allMembers []int
 	// freeRuns recycles finished runs, each with its chunk slab, so a
 	// warm engine starts a collective without allocating per chunk.
 	freeRuns []*collectiveRun
@@ -184,8 +182,7 @@ func (cs *chunkState) Act() { cs.eng.advance(cs.run, cs) }
 type collectiveRun struct {
 	op   Op
 	size units.ByteSize
-	// links is the subset group's link set, which its phases reserve; nil
-	// for a whole-machine run, whose phases reserve whole dimensions.
+	// links is the group instance's link set, which its phases reserve.
 	links *network.LinkSet
 	// members lists the member ranks for the Themis ledger; nil under the
 	// fixed scheduler, which never needs them.
@@ -239,9 +236,9 @@ func zeroed(s []float64, n int) []float64 {
 //
 // links is the group instance's link set on the engine's backend (see
 // network.Backend.NewLinkSet), registered once per instance and reused by
-// every collective on it. A whole-machine group ignores it. A subset group
-// started with nil links gets a fresh set, which suits one-off collectives
-// but registers a new set per call.
+// every collective on it. With nil links a whole-machine group reserves the
+// backend's machine set, and a subset group gets a fresh set, which suits
+// one-off collectives but registers a new set per call.
 func (e *Engine) Start(op Op, size units.ByteSize, g Group, links *network.LinkSet, done func(Result)) error {
 	if size <= 0 {
 		return fmt.Errorf("collective: non-positive size %d", size)
@@ -257,27 +254,18 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, links *network.LinkS
 	if startSize <= 0 {
 		return fmt.Errorf("collective: %v of %v over %d members leaves an empty shard", op, size, n)
 	}
-	// A whole-machine collective — the dominant case for training
-	// workloads — never consults individual member ranks: its phases
-	// reserve whole dimensions through the backend's O(1) aggregate path.
-	// A subset group reserves its link set; only the Themis ledger needs
-	// member ranks.
-	full := n == e.top.NumNPUs()
-	if full {
-		links = nil
-	} else if links == nil {
-		links = e.net.NewLinkSet(g.Members(e.top))
+	// The machine set serves a whole-machine group without listing its
+	// ranks; only the Themis ledger needs member ranks.
+	if links == nil {
+		if n == e.top.NumNPUs() {
+			links = e.net.Machine()
+		} else {
+			links = e.net.NewLinkSet(g.Members(e.top))
+		}
 	}
 	var members []int
 	if e.policy == Themis {
-		if full {
-			if e.allMembers == nil {
-				e.allMembers = g.Members(e.top)
-			}
-			members = e.allMembers
-		} else {
-			members = links.Members()
-		}
+		members = links.Members()
 	}
 	// A recycled run carries over only its buffers.
 	run := e.newRun()
@@ -304,13 +292,7 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, links *network.LinkS
 		// DP dimension).
 		now := e.net.Now()
 		for si, sp := range run.spans {
-			var avail units.Time
-			if links == nil {
-				avail = e.net.PhaseAvailabilityAll(sp.Phys)
-			} else {
-				avail = e.net.PhaseAvailability(links, sp.Phys)
-			}
-			backlog := (avail - now).Seconds()
+			backlog := (e.net.PhaseAvailability(links, sp.Phys) - now).Seconds()
 			proj := 0.0
 			for _, m := range members {
 				if p := e.projected[m][sp.Phys]; p > proj {
@@ -570,12 +552,7 @@ func (e *Engine) advance(run *collectiveRun, cs *chunkState) {
 	sp := run.spans[ph.span]
 	dim := e.top.Dims[sp.Phys]
 	traffic := dim.PhaseTraffic(phaseKind(ph.op), cs.size, sp.K)
-	var serEnd units.Time
-	if run.links == nil {
-		_, serEnd = e.net.ReservePhaseAll(sp.Phys, traffic)
-	} else {
-		_, serEnd = e.net.ReservePhase(run.links, sp.Phys, traffic)
-	}
+	_, serEnd := e.net.ReservePhase(run.links, sp.Phys, traffic)
 	run.traffic[sp.Phys] += traffic
 	cs.size = phaseOutput(ph.op, cs.size, sp.K)
 	cs.done++

@@ -79,23 +79,3 @@ func (m Model) OpTime(flops float64, memBytes units.ByteSize) units.Time {
 	}
 	return t + m.LaunchOverhead
 }
-
-// IsComputeBound reports whether the operator's runtime is set by the
-// compute roof rather than the memory roof.
-func (m Model) IsComputeBound(flops float64, memBytes units.ByteSize) bool {
-	ct := m.effectivePeak().ComputeTime(flops)
-	var mt units.Time
-	if m.MemBandwidth > 0 {
-		mt = m.MemBandwidth.TransferTime(memBytes)
-	}
-	return ct >= mt
-}
-
-// RidgeFLOPsPerByte returns the arithmetic-intensity ridge point of the
-// roofline: operators above it are compute-bound.
-func (m Model) RidgeFLOPsPerByte() float64 {
-	if m.MemBandwidth <= 0 {
-		return 0
-	}
-	return float64(m.effectivePeak()) / float64(m.MemBandwidth)
-}

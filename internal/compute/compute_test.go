@@ -25,12 +25,6 @@ func TestMemoryBoundOp(t *testing.T) {
 	if got != units.Millisecond {
 		t.Errorf("OpTime = %v, want 1ms (memory bound)", got)
 	}
-	if m.IsComputeBound(1e6, units.GB) {
-		t.Error("op should be memory bound")
-	}
-	if !m.IsComputeBound(1e15, units.KB) {
-		t.Error("op should be compute bound")
-	}
 }
 
 func TestEfficiencyDerating(t *testing.T) {
@@ -62,16 +56,6 @@ func TestValidate(t *testing.T) {
 		if err := m.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
-	}
-}
-
-func TestRidgePoint(t *testing.T) {
-	m := Model{Peak: units.TFLOPS(200), MemBandwidth: units.GBps(2000)}
-	if got := m.RidgeFLOPsPerByte(); got != 100 {
-		t.Errorf("ridge = %v flops/byte, want 100", got)
-	}
-	if (Model{Peak: units.TFLOPS(1)}).RidgeFLOPsPerByte() != 0 {
-		t.Error("ridge without memory roof should be 0")
 	}
 }
 

@@ -256,8 +256,9 @@ type instanceKey struct {
 // instance's collectives in the same per-member sequence, so they launch in
 // sequence order: open holds the collectives some member has reached but
 // not every member, oldest (sequence number base) first. links is the
-// instance's registered link set on the network backend, nil for a
-// whole-machine instance. free recycles completed collectives' records.
+// instance's registered link set on the network backend, the machine set
+// for a whole-machine instance. free recycles completed collectives'
+// records.
 type groupInstance struct {
 	group   collective.Group
 	members []int
@@ -513,9 +514,7 @@ func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) er
 			if inst == nil {
 				g.Base = key.origin
 				inst = &groupInstance{group: g, members: g.Members(top)}
-				if len(inst.members) < top.NumNPUs() {
-					inst.links = s.net.NewLinkSet(inst.members)
-				}
+				inst.links = s.net.NewLinkSet(inst.members)
 				instances[key] = inst
 			}
 			st.slots[i].inst = inst

@@ -17,6 +17,3 @@ package network
 
 // SetTransitCharging enables or disables first-order transit congestion.
 func (b *Backend) SetTransitCharging(on bool) { b.chargeTransit = on }
-
-// TransitCharging reports the current mode.
-func (b *Backend) TransitCharging() bool { return b.chargeTransit }

@@ -20,9 +20,6 @@ func ring8For(t *testing.T) (*timeline.Engine, *Backend) {
 func TestTransitChargingOccupiesIntermediateLinks(t *testing.T) {
 	eng, b := ring8For(t)
 	b.SetTransitCharging(true)
-	if !b.TransitCharging() {
-		t.Fatal("mode not set")
-	}
 	var longAt, shortAt units.Time
 	// 0 -> 3 transits nodes 1 and 2; a concurrent 1 -> 2 send must queue
 	// behind it on those links.

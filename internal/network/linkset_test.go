@@ -288,6 +288,10 @@ func runLinkSetDiff(t testing.TB, rig linkSetRig, data []byte) {
 	for i := range all {
 		all[i] = i
 	}
+	machine := b.Machine()
+	if got := b.NewLinkSet(all); got != machine {
+		t.Fatalf("NewLinkSet over every NPU = %p, want the machine set %p", got, machine)
+	}
 	// Half the subset phases reuse the previous phase's set, so sets keep
 	// their links across phases and take the owned path.
 	last := sets[0]
@@ -314,7 +318,7 @@ func runLinkSetDiff(t testing.TB, rig linkSetRig, data []byte) {
 		case 3: // whole-machine phase
 			dim, size := in.pick(dims), diffSizes[in.pick(len(diffSizes))]
 			fn = func() {
-				gs, ge := b.ReservePhaseAll(dim, size)
+				gs, ge := b.ReservePhase(machine, dim, size)
 				ws, we := ref.phase(all, dim, size)
 				if gs != ws || ge != we {
 					t.Fatalf("t=%d: whole-machine phase dim %d = [%d, %d], reference [%d, %d]", eng.Now(), dim, gs, ge, ws, we)
@@ -330,7 +334,7 @@ func runLinkSetDiff(t testing.TB, rig linkSetRig, data []byte) {
 		case 5: // whole-machine availability
 			dim := in.pick(dims)
 			fn = func() {
-				if got, want := b.PhaseAvailabilityAll(dim), ref.avail(all, dim); got != want {
+				if got, want := b.PhaseAvailability(machine, dim), ref.avail(all, dim); got != want {
 					t.Fatalf("t=%d: whole-machine availability dim %d = %d, reference %d", eng.Now(), dim, got, want)
 				}
 			}
@@ -395,7 +399,7 @@ func runLinkSetDiff(t testing.TB, rig linkSetRig, data []byte) {
 		if got, want := b.Stats().Traffic[d], ref.traffic(d); got != want {
 			t.Fatalf("dim %d traffic total %d, reference %d", d, got, want)
 		}
-		for _, s := range sets {
+		for _, s := range append(sets, machine) {
 			if got, want := b.PhaseAvailability(s, d), ref.avail(s.Members(), d); got != want {
 				t.Fatalf("final availability of %v dim %d = %d, reference %d", s.Members(), d, got, want)
 			}
@@ -439,16 +443,92 @@ func FuzzLinkSets(f *testing.F) {
 }
 
 // TestOwnedLinkSetPhaseAllocFree: once a set owns its links, a phase on it
-// allocates nothing.
+// allocates nothing. The machine set owns every link from the start, so
+// whole-machine phases alone never allocate the per-link arrays.
 func TestOwnedLinkSetPhaseAllocFree(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(b *Backend) *LinkSet
+	}{
+		{"subset", func(b *Backend) *LinkSet {
+			return b.NewLinkSet(layoutInstances(b.Topology(), []layoutSpan{{0, 16, 1}})[0])
+		}},
+		{"machine", (*Backend).Machine},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := NewBackend(timeline.New(), waferRig().top)
+			set := c.set(b)
+			b.ReservePhase(set, 0, units.MB)
+			allocs := testing.AllocsPerRun(100, func() {
+				b.ReservePhase(set, 0, units.MB)
+			})
+			if allocs != 0 {
+				t.Errorf("owned link-set phase allocates %.1f objects, want 0", allocs)
+			}
+			if c.name == "machine" && b.linkFree != nil {
+				t.Error("whole-machine phases allocated the per-link arrays")
+			}
+		})
+	}
+}
+
+// TestMachineSetReclaimsLinks: a subset phase, a point-to-point send and a
+// stall each take links of one dimension from the machine set; the next
+// whole-machine phase walks every link, starts behind the latest and owns
+// the dimension again. Every window and availability matches the plain
+// per-link reference.
+func TestMachineSetReclaimsLinks(t *testing.T) {
+	const dim = 0
+	top := multiDimRig().top
 	eng := timeline.New()
-	b := NewBackend(eng, waferRig().top)
-	set := b.NewLinkSet(layoutInstances(b.Topology(), []layoutSpan{{0, 16, 1}})[0])
-	b.ReservePhase(set, 0, units.MB)
-	allocs := testing.AllocsPerRun(100, func() {
-		b.ReservePhase(set, 0, units.MB)
-	})
-	if allocs != 0 {
-		t.Errorf("owned link-set phase allocates %.1f objects, want 0", allocs)
+	b := NewBackend(eng, top)
+	ref := newRefLinks(eng, top)
+	machine := b.Machine()
+	all := machine.Members()
+	subset := b.NewLinkSet([]int{0, 1, 2, 3})
+	phase := func(s *LinkSet, size units.ByteSize) {
+		t.Helper()
+		gs, ge := b.ReservePhase(s, dim, size)
+		ws, we := ref.phase(s.Members(), dim, size)
+		if gs != ws || ge != we {
+			t.Fatalf("phase on %v = [%d, %d], reference [%d, %d]", s.Members(), gs, ge, ws, we)
+		}
+	}
+	for _, take := range []struct {
+		name string
+		do   func()
+	}{
+		{"subset phase", func() { phase(subset, 3*units.MB) }},
+		{"SendOnDim", func() {
+			b.SendOnDim(4, 6, dim, 2*units.MB, 0, nil, nil)
+			ref.send(4, 6, dim, 2*units.MB)
+		}},
+		{"StallNPULinks", func() {
+			until := eng.Now() + units.Millisecond
+			b.StallNPULinks(7, until)
+			ref.stall(7, until)
+		}},
+	} {
+		phase(machine, units.MB)
+		if !machine.owns[dim] {
+			t.Fatalf("before %s: machine set does not own dim %d after a whole-machine phase", take.name, dim)
+		}
+		take.do()
+		if machine.owns[dim] {
+			t.Fatalf("%s left the machine set owning dim %d", take.name, dim)
+		}
+		if got, want := b.PhaseAvailability(machine, dim), ref.avail(all, dim); got != want {
+			t.Fatalf("after %s: whole-machine availability %d, reference %d", take.name, got, want)
+		}
+		phase(machine, units.MB)
+		if !machine.owns[dim] || subset.owns[dim] {
+			t.Fatalf("after %s: whole-machine phase left ownership machine=%v subset=%v, want true, false", take.name, machine.owns[dim], subset.owns[dim])
+		}
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.Stats().Traffic[dim], ref.traffic(dim); got != want {
+		t.Fatalf("dim %d traffic total %d, reference %d", dim, got, want)
 	}
 }

@@ -11,11 +11,12 @@
 // counts sent+received bytes per NPU) while remaining congestion-free for
 // topology-aware hierarchical collectives, the regime the paper targets.
 //
-// A collective phase costs O(1) on every communicator instance. A
-// whole-machine phase writes one per-dimension floor; a subset instance
-// (an MP or DP group) registers a LinkSet whose per-dimension floor stands
-// in for its members' link times while the set owns those links (see
-// phase.go). Traffic is counted as one sent+received total per dimension,
+// A collective phase costs O(1) on every communicator instance. Each
+// instance reserves through a LinkSet whose per-dimension floor stands in
+// for its members' link times while the set owns those links (see
+// phase.go); the whole machine is one more set, which owns every link from
+// the start, so a whole-machine-only workload never allocates per-link
+// state. Traffic is counted as one sent+received total per dimension,
 // never per NPU.
 //
 // The backend also speaks the paper's NetworkAPI protocol (Snippet 2):
@@ -51,24 +52,21 @@ type Backend struct {
 	eng *timeline.Engine
 	top *topology.Topology
 
-	// Link occupancy is kept as dimension-level aggregates plus an optional
-	// per-link overlay, so collective phases cost O(1) instead of O(group)
-	// per phase. A link's free time is the latest of three values:
+	// Link occupancy is kept per link set plus an optional per-link
+	// overlay, so collective phases cost O(1) instead of O(group) per
+	// phase. A link's free time is the later of two values:
 	//
-	//   - dimFloor[dim], a floor applied to every link of the dimension; a
-	//     whole-machine phase writes it once.
-	//   - linkFree[npu*dims+dim], allocated lazily on the first per-link
-	//     reservation, which overlays individual point-to-point traffic.
+	//   - linkFree[npu*dims+dim], which overlays individual point-to-point
+	//     traffic and stalls.
 	//   - the floor of linkOwner's set: the LinkSet that last reserved the
-	//     link in a subset phase (1-based index into sets; 0 means none).
+	//     link in a phase, an index into sets. sets[0] is the machine set,
+	//     so a zero entry means the machine owns the link.
 	//
-	// dimMaxLink[dim] caches the latest per-link or set floor ever written,
-	// so a full-dimension phase start never walks the overlay.
+	// Both per-link arrays are allocated on the first per-link write or
+	// subset-phase claim; until then every link is the machine's.
 	linkFree   []units.Time
 	linkOwner  []int32
 	sets       []*LinkSet
-	dimFloor   []units.Time
-	dimMaxLink []units.Time
 	npus, dims int
 
 	// bw[dim] caches each dimension's effective bandwidth, so a reservation
@@ -136,29 +134,32 @@ type Stats struct {
 func NewBackend(eng *timeline.Engine, top *topology.Topology) *Backend {
 	n, d := top.NumNPUs(), top.NumDims()
 	b := &Backend{
-		eng:        eng,
-		top:        top,
-		dimFloor:   make([]units.Time, d),
-		dimMaxLink: make([]units.Time, d),
-		bw:         make([]units.Bandwidth, d),
-		npus:       n,
-		dims:       d,
-		arrived:    make(map[matchKey]*msgQueue),
-		waiting:    make(map[matchKey]*cbQueue),
+		eng:     eng,
+		top:     top,
+		bw:      make([]units.Bandwidth, d),
+		npus:    n,
+		dims:    d,
+		arrived: make(map[matchKey]*msgQueue),
+		waiting: make(map[matchKey]*cbQueue),
 	}
 	for i, dim := range top.Dims {
 		b.bw[i] = dim.EffectiveBandwidth()
 	}
 	b.stats.Traffic = make([]units.ByteSize, d)
-	// The per-link arrays are O(NPUs) state; they allocate lazily on first
-	// use so backend setup — and whole-machine collective workloads, which
-	// never touch individual links — stay O(dims).
+	// The machine set owns every link from the start. The per-link arrays
+	// are O(NPUs) state; they allocate lazily on first use so backend setup
+	// — and whole-machine collective workloads, which never touch
+	// individual links — stay O(dims).
+	m := b.addSet(nil, n)
+	for i := range m.owns {
+		m.owns[i] = true
+	}
 	return b
 }
 
 // ensureLinks allocates the per-link overlay and owner table on the first
 // per-link or subset-phase reservation. A zero entry means the link has no
-// individual backlog beyond the dimension floor and no owning set.
+// individual backlog and belongs to the machine set.
 func (b *Backend) ensureLinks() {
 	if b.linkFree == nil {
 		b.linkFree = make([]units.Time, b.npus*b.dims)
@@ -243,9 +244,9 @@ func (b *Backend) DimBandwidthScale(dim int) float64 {
 // the scenario layer's NPU-failure/recovery primitive. Traffic touching the
 // NPU queues behind the stall, and synchronous collective phases gate on it
 // as their slowest member, which is exactly how a hung rank manifests to
-// the rest of a training job. The per-link overlay and each dimension's
-// cached maximum are bumped incrementally (O(dims) work); out-of-range NPUs
-// are ignored so scenario events never panic.
+// the rest of a training job. The per-link overlay is bumped incrementally
+// (O(dims) work); out-of-range NPUs are ignored so scenario events never
+// panic.
 func (b *Backend) StallNPULinks(npu int, until units.Time) {
 	if npu < 0 || npu >= b.npus {
 		return
@@ -254,12 +255,7 @@ func (b *Backend) StallNPULinks(npu int, until units.Time) {
 	base := npu * b.dims
 	for d := 0; d < b.dims; d++ {
 		b.release(base+d, d)
-		if b.linkFree[base+d] < until {
-			b.linkFree[base+d] = until
-		}
-		if b.dimMaxLink[d] < until {
-			b.dimMaxLink[d] = until
-		}
+		b.linkFree[base+d] = max(b.linkFree[base+d], until)
 	}
 }
 
@@ -324,29 +320,17 @@ func (b *Backend) chargeLinks(src, dim, srcPos, dstPos int, size units.ByteSize,
 	dur := b.transferTime(dim, size, factor)
 	b.ensureLinks()
 	now := b.eng.Now()
-	if f := b.dimFloor[dim]; f > now {
-		now = f // the dimension floor lower-bounds every link of the dim
-	}
 	stride := b.top.DimStride(dim)
 	base := src - srcPos*stride
 	for h, pos := range path {
 		li := b.linkIdx(base+pos*stride, dim)
 		b.release(li, dim)
-		start := b.linkFree[li]
-		if start < now {
-			start = now
-		}
-		end := start + dur
+		end := max(b.linkFree[li], now) + dur
 		b.linkFree[li] = end
 		if h == 0 {
 			srcEnd = end
 		}
-		if end > ready {
-			ready = end
-		}
-	}
-	if ready > b.dimMaxLink[dim] {
-		b.dimMaxLink[dim] = ready
+		ready = max(ready, end)
 	}
 	return srcEnd, ready
 }

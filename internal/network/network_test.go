@@ -221,7 +221,7 @@ func TestTrafficStats(t *testing.T) {
 	if got := b.Stats().Traffic[0]; got != 16*units.MB {
 		t.Errorf("Traffic[0] = %v, want 16MB", got)
 	}
-	b.ReservePhaseAll(0, 2*units.MB)
+	b.ReservePhase(b.Machine(), 0, 2*units.MB)
 	if got := b.Stats().Traffic[0]; got != 16*units.MB+4*2*units.MB {
 		t.Errorf("Traffic[0] after a whole-machine phase = %v, want 24MB", got)
 	}
@@ -305,7 +305,7 @@ func TestPhaseAvailabilityAndReserve(t *testing.T) {
 		t.Errorf("availability after reserve = %v, want %v", got, end)
 	}
 	// A whole-machine phase waits for the set's links.
-	if got := b.PhaseAvailabilityAll(0); got != end {
+	if got := b.PhaseAvailability(b.Machine(), 0); got != end {
 		t.Errorf("whole-machine availability = %v, want %v", got, end)
 	}
 	// A point-to-point send from a member queues behind the phase.
@@ -399,9 +399,9 @@ func TestFlowFinishedOnlyForTrackedFlows(t *testing.T) {
 				t.Errorf("transit=%v: ReservePhase on dim %d queued %d events, want %d", transit, d, got, flowDone)
 			}
 			base = eng.Pending()
-			b.ReservePhaseAll(d, units.KB)
+			b.ReservePhase(b.Machine(), d, units.KB)
 			if got := eng.Pending() - base; got != flowDone {
-				t.Errorf("transit=%v: ReservePhaseAll on dim %d queued %d events, want %d", transit, d, got, flowDone)
+				t.Errorf("transit=%v: whole-machine ReservePhase on dim %d queued %d events, want %d", transit, d, got, flowDone)
 			}
 		}
 		ops(0, 1, 0)

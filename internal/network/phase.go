@@ -4,36 +4,47 @@ import (
 	"repro/internal/units"
 )
 
-// LinkSet is one registered subset communicator instance (an MP or DP
-// group, say): its member NPUs plus, per dimension, a floor time and an
-// ownership flag. While the set owns every member's link of a dimension,
-// its floor stands in for those links' times, so a phase on it reads and
-// writes one value instead of one per member.
+// LinkSet is one registered communicator instance: the whole machine, or a
+// subset such as an MP or DP group. It holds its member NPUs plus, per
+// dimension, a floor time and an ownership flag. While the set owns every
+// member's link of a dimension, its floor stands in for those links' times,
+// so a phase on it reads and writes one value instead of one per member.
 //
 // Each link records its owner: the set that last reserved it in a phase, or
-// none. A link's free time is the latest of the dimension floor, its own
-// entry and its owner's floor. owns[d] holds exactly when every member's
-// dimension-d link still names this set as owner; another set's phase or a
-// per-link write on any of them clears it. While it holds, the set's floor
-// is the latest of those links' times.
+// the machine set, which owns every link at first and takes back each link
+// a per-link write releases. A link's free time is the later of its own
+// entry and its owner's floor. owns[d] holds only while every member's
+// dimension-d link names this set as owner and has no time of its own past
+// the set's floor; another set's phase or a per-link write on any of them
+// clears it. While it holds, the set's floor is the latest of those links'
+// times.
 type LinkSet struct {
-	id      int32 // 1-based index into the backend's sets
+	id int32 // index into the backend's sets; 0 is the machine set
+	n  int   // member count
+	// members is nil for the machine set until something walks it.
 	members []int
 	floor   []units.Time
 	owns    []bool
 }
 
-// Members returns the set's member ranks. The slice is shared; callers
-// must not modify it.
-func (s *LinkSet) Members() []int { return s.members }
+// Members returns the set's member ranks; the machine set lists every NPU
+// in ascending order. The slice is shared; callers must not modify it.
+func (s *LinkSet) Members() []int {
+	if s.members == nil {
+		s.members = make([]int, s.n)
+		for i := range s.members {
+			s.members[i] = i
+		}
+	}
+	return s.members
+}
 
-// NewLinkSet registers a subset communicator instance over the given member
-// ranks and returns its link set. The set keeps members (which must not
-// change afterwards, nor repeat a rank). Sets live as long as the backend;
-// register one per instance, not per collective.
-func (b *Backend) NewLinkSet(members []int) *LinkSet {
+// addSet registers a link set over n members; members may be nil only for
+// the machine set.
+func (b *Backend) addSet(members []int, n int) *LinkSet {
 	s := &LinkSet{
-		id:      int32(len(b.sets) + 1),
+		id:      int32(len(b.sets)),
+		n:       n,
 		members: members,
 		floor:   make([]units.Time, b.dims),
 		owns:    make([]bool, b.dims),
@@ -42,66 +53,56 @@ func (b *Backend) NewLinkSet(members []int) *LinkSet {
 	return s
 }
 
-// linkTime is link i's free time on dimension dim, short of the dimension
-// floor: its own entry or its owner's floor, whichever is later.
-func (b *Backend) linkTime(i, dim int) units.Time {
-	t := b.linkFree[i]
-	if o := b.linkOwner[i]; o != 0 {
-		if f := b.sets[o-1].floor[dim]; f > t {
-			t = f
-		}
+// Machine returns the machine link set, whose members are every NPU. A
+// whole-machine phase reserves it; while it owns a dimension, which it does
+// from the start, a phase on it touches no per-link state at all.
+func (b *Backend) Machine() *LinkSet { return b.sets[0] }
+
+// NewLinkSet registers a communicator instance over the given member ranks
+// and returns its link set. The set keeps members (which must not change
+// afterwards, nor repeat a rank). Members naming every NPU return the
+// machine set. Sets live as long as the backend; register one per
+// instance, not per collective.
+func (b *Backend) NewLinkSet(members []int) *LinkSet {
+	if len(members) == b.npus {
+		return b.Machine()
 	}
-	return t
+	return b.addSet(members, len(members))
 }
 
-// release hands link i of dimension dim back to per-link accounting before
-// a per-link write: its owner's floor folds into the link's own entry, and
-// the owner no longer owns all its dimension-dim links. O(1).
+// linkTime is link i's free time on dimension dim: its own entry or its
+// owner's floor, whichever is later.
+func (b *Backend) linkTime(i, dim int) units.Time {
+	return max(b.linkFree[i], b.sets[b.linkOwner[i]].floor[dim])
+}
+
+// release hands link i of dimension dim to per-link accounting before a
+// per-link write: its owner's floor folds into the link's own entry, the
+// owner no longer owns all its dimension-dim links, and the link returns
+// to the machine set. No link's time is below the machine's floor, so the
+// machine adds nothing to it. O(1).
 func (b *Backend) release(i, dim int) {
-	if o := b.linkOwner[i]; o != 0 {
-		b.linkFree[i] = b.linkTime(i, dim)
-		b.sets[o-1].owns[dim] = false
-		b.linkOwner[i] = 0
-	}
+	b.linkFree[i] = b.linkTime(i, dim)
+	b.sets[b.linkOwner[i]].owns[dim] = false
+	b.linkOwner[i] = 0
 }
 
 // PhaseAvailability returns the earliest time a bulk-synchronous phase over
 // the link set's dim links could begin: the latest of "now" and every
 // member's link-free time. Collective phases are gated by their slowest
-// member, mirroring synchronous training semantics. While the set owns its
-// members' links the answer is its floor, in O(1); otherwise the members
-// are walked once.
+// member, mirroring synchronous training semantics. While the set, or the
+// machine set, owns the dimension the answer is its floor, in O(1);
+// otherwise the members are walked once.
 func (b *Backend) PhaseAvailability(s *LinkSet, dim int) units.Time {
 	t := b.eng.Now()
-	if f := b.dimFloor[dim]; f > t {
-		t = f
+	if b.Machine().owns[dim] {
+		s = b.Machine() // every link of the dimension is the machine's
 	}
 	if s.owns[dim] {
-		if f := s.floor[dim]; f > t {
-			t = f
-		}
-		return t
+		return max(t, s.floor[dim])
 	}
-	if b.linkFree == nil {
-		return t // no per-link backlog and no set floors anywhere
-	}
-	for _, m := range s.members {
-		if f := b.linkTime(b.linkIdx(m, dim), dim); f > t {
-			t = f
-		}
-	}
-	return t
-}
-
-// PhaseAvailabilityAll is PhaseAvailability for a whole-machine phase,
-// without needing a link set. Always O(1).
-func (b *Backend) PhaseAvailabilityAll(dim int) units.Time {
-	t := b.eng.Now()
-	if f := b.dimFloor[dim]; f > t {
-		t = f
-	}
-	if m := b.dimMaxLink[dim]; m > t {
-		t = m
+	for _, m := range s.Members() {
+		t = max(t, b.linkTime(b.linkIdx(m, dim), dim))
 	}
 	return t
 }
@@ -124,23 +125,14 @@ func (b *Backend) PhaseAvailabilityAll(dim int) units.Time {
 func (b *Backend) ReservePhase(s *LinkSet, dim int, perNPUTraffic units.ByteSize) (start, end units.Time) {
 	dur, tracked := b.phaseDur(dim, perNPUTraffic)
 	start = b.eng.Now()
-	if f := b.dimFloor[dim]; f > start {
-		start = f
-	}
 	if s.owns[dim] {
-		if f := s.floor[dim]; f > start {
-			start = f
-		}
+		start = max(start, s.floor[dim])
 	} else {
 		b.ensureLinks()
-		for _, m := range s.members {
+		for _, m := range s.Members() {
 			i := b.linkIdx(m, dim)
-			if f := b.linkTime(i, dim); f > start {
-				start = f
-			}
-			if o := b.linkOwner[i]; o != 0 {
-				b.sets[o-1].owns[dim] = false
-			}
+			start = max(start, b.linkTime(i, dim))
+			b.sets[b.linkOwner[i]].owns[dim] = false
 			b.linkOwner[i] = s.id
 		}
 		s.owns[dim] = true
@@ -150,26 +142,7 @@ func (b *Backend) ReservePhase(s *LinkSet, dim int, perNPUTraffic units.ByteSize
 		b.eng.ScheduleActorAt(end, b.getFlowDone(dim))
 	}
 	s.floor[dim] = end
-	if end > b.dimMaxLink[dim] {
-		b.dimMaxLink[dim] = end
-	}
-	b.stats.Traffic[dim] += units.ByteSize(len(s.members)) * perNPUTraffic
-	return start, end
-}
-
-// ReservePhaseAll reserves every NPU's dimension link for a whole-machine
-// phase in O(1): the phase start is the dimension's aggregate availability
-// and its end becomes the new dimension floor. The result is byte-identical
-// to ReservePhase over a set of every NPU.
-func (b *Backend) ReservePhaseAll(dim int, perNPUTraffic units.ByteSize) (start, end units.Time) {
-	dur, tracked := b.phaseDur(dim, perNPUTraffic)
-	start = b.PhaseAvailabilityAll(dim)
-	end = start + dur
-	if tracked {
-		b.eng.ScheduleActorAt(end, b.getFlowDone(dim))
-	}
-	b.dimFloor[dim] = end
-	b.stats.Traffic[dim] += units.ByteSize(b.npus) * perNPUTraffic
+	b.stats.Traffic[dim] += units.ByteSize(s.n) * perNPUTraffic
 	return start, end
 }
 

@@ -23,9 +23,11 @@
 // into lower ones around that bucket's earliest instant, so a run moves
 // down a few buckets (under four on average on a 128-job cluster) before it
 // fires. Zero-delay events bypass the buckets entirely through a
-// same-instant FIFO. Nothing is boxed and steady-state scheduling never
-// allocates; model layers that schedule millions of events can avoid
-// closure allocations too by implementing Actor and using ScheduleActor.
+// same-instant FIFO. Every event body is an Actor, a plain Callback
+// included, so a slot holds one interface and firing dispatches one way.
+// Nothing is boxed and steady-state scheduling never allocates; model
+// layers that schedule millions of events can avoid closure allocations too
+// by implementing Actor and using ScheduleActor.
 //
 // Simulated time saturates: an event that would fall at or beyond
 // units.MaxTime is queued there, and Run and RunUntil return an error
@@ -40,20 +42,24 @@ import (
 	"repro/internal/units"
 )
 
-// Callback is an event body, invoked at its scheduled simulated time.
-type Callback func()
-
-// Actor is a typed event body: an object whose Act method runs at the
-// scheduled time. Scheduling an existing pointer through ScheduleActor
-// stores the interface pair directly in the event slot, so hot model code
-// pays no closure allocation per event.
+// Actor is an event body: an object whose Act method runs at the scheduled
+// time. Scheduling an existing pointer through ScheduleActor stores the
+// interface pair directly in the event slot, so hot model code pays no
+// closure allocation per event.
 type Actor interface {
 	Act()
 }
 
-// event is a value-typed arena slot. Exactly one of fn/actor is set.
+// Callback is a plain function event body, invoked at its scheduled
+// simulated time. It is an Actor: a func value fits the interface's data
+// word, so scheduling one boxes nothing.
+type Callback func()
+
+// Act implements Actor.
+func (f Callback) Act() { f() }
+
+// event is a value-typed arena slot.
 type event struct {
-	fn    Callback
 	actor Actor
 	next  int32 // next event of the same run; -1 ends it (and every zq entry)
 }
@@ -167,7 +173,7 @@ func (e *Engine) SetEventBudget(n uint64) { e.budget = n }
 
 // allocSlot takes a slot from the free list (or grows the arena) and fills
 // it. It returns the slot index; the caller enqueues it.
-func (e *Engine) allocSlot(fn Callback, actor Actor) int32 {
+func (e *Engine) allocSlot(actor Actor) int32 {
 	var idx int32
 	if n := len(e.free); n > 0 {
 		idx = e.free[n-1]
@@ -176,11 +182,11 @@ func (e *Engine) allocSlot(fn Callback, actor Actor) int32 {
 		e.slots = append(e.slots, event{})
 		idx = int32(len(e.slots) - 1)
 	}
-	e.slots[idx] = event{fn: fn, actor: actor, next: -1}
+	e.slots[idx] = event{actor: actor, next: -1}
 	return idx
 }
 
-func (e *Engine) enqueue(delay units.Time, fn Callback, actor Actor) {
+func (e *Engine) enqueue(delay units.Time, actor Actor) {
 	if delay < 0 {
 		delay = 0
 	}
@@ -188,7 +194,7 @@ func (e *Engine) enqueue(delay units.Time, fn Callback, actor Actor) {
 	if delay < units.MaxTime-e.now {
 		at = e.now + delay
 	}
-	idx := e.allocSlot(fn, actor)
+	idx := e.allocSlot(actor)
 	e.pending++
 	if delay == 0 {
 		// Same-instant events never enter the buckets: they fire after
@@ -214,7 +220,7 @@ func (e *Engine) Schedule(delay units.Time, fn Callback) {
 	if fn == nil {
 		panic("timeline: Schedule called with nil callback")
 	}
-	e.enqueue(delay, fn, nil)
+	e.enqueue(delay, fn)
 }
 
 // ScheduleAt enqueues fn at an absolute simulated time, which must not be
@@ -232,7 +238,7 @@ func (e *Engine) ScheduleActor(delay units.Time, a Actor) {
 	if a == nil {
 		panic("timeline: ScheduleActor called with nil actor")
 	}
-	e.enqueue(delay, nil, a)
+	e.enqueue(delay, a)
 }
 
 // ScheduleActorAt enqueues a typed event at an absolute simulated time,
@@ -244,7 +250,7 @@ func (e *Engine) ScheduleActorAt(at units.Time, a Actor) {
 	if at < e.now {
 		at = e.now
 	}
-	e.enqueue(at-e.now, nil, a)
+	e.enqueue(at-e.now, a)
 }
 
 // push queues a new run at instant at (> now) whose first event is slot
@@ -355,17 +361,13 @@ func (e *Engine) Step() bool {
 	// freeing first lets it reuse this very slot. A zq entry's next is -1,
 	// so advancing cur is right on every path.
 	s := &e.slots[idx]
-	fn, actor := s.fn, s.actor
+	actor := s.actor
 	e.cur = s.next
-	s.fn, s.actor = nil, nil // release references for the GC
+	s.actor = nil // release the reference for the GC
 	e.free = append(e.free, idx)
 	e.pending--
 	e.fired++
-	if fn != nil {
-		fn()
-	} else {
-		actor.Act()
-	}
+	actor.Act()
 	return true
 }
 

@@ -93,7 +93,7 @@ func TestMeshHopsAndSteps(t *testing.T) {
 	if got := m.Hops(2, 5); got != 3 {
 		t.Errorf("mesh hops(2,5) = %d, want 3", got)
 	}
-	if got := m.Steps(); got != 7 {
+	if got := m.Kind.Steps(m.Size); got != 7 {
 		t.Errorf("mesh steps = %d, want 7", got)
 	}
 	// Dilation-2 embedding: k-1 steps of at most 2 hops each.
@@ -140,7 +140,7 @@ func TestTorusHopsAndSteps(t *testing.T) {
 	if got := d.Hops(0, 1); got != 1 {
 		t.Errorf("torus hops(0,1) = %d, want 1", got)
 	}
-	if got := d.Steps(); got != 6 {
+	if got := d.Kind.Steps(d.Size); got != 6 {
 		t.Errorf("torus steps = %d, want (4-1)+(4-1)=6", got)
 	}
 }

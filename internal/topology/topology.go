@@ -50,15 +50,6 @@ func (d Dim) Hops(a, b int) int {
 	return d.Kind.Hops(a, b, d.Size)
 }
 
-// Steps returns the number of communication steps the block's topology-aware
-// collective algorithm uses on a group of this size (used for latency terms).
-func (d Dim) Steps() int {
-	if d.Size <= 1 {
-		return 0
-	}
-	return d.Kind.Steps(d.Size)
-}
-
 // EffectiveBandwidth is the bandwidth the block actually delivers per NPU
 // after any model-level derating (e.g. switch oversubscription).
 func (d Dim) EffectiveBandwidth() units.Bandwidth {
@@ -272,9 +263,4 @@ func (t *Topology) AggregateBandwidth() units.Bandwidth {
 		bw += d.EffectiveBandwidth()
 	}
 	return bw
-}
-
-// Clone returns a deep copy; mutating the copy's dims leaves t unchanged.
-func (t *Topology) Clone() *Topology {
-	return &Topology{Dims: append([]Dim(nil), t.Dims...)}
 }

@@ -101,9 +101,6 @@ const (
 // Bytes returns the size as a float64 byte count.
 func (b ByteSize) Bytes() float64 { return float64(b) }
 
-// MiBs returns the size expressed in binary megabytes.
-func (b ByteSize) MiBs() float64 { return float64(b) / float64(MiB) }
-
 // String renders the size with an auto-selected binary unit.
 func (b ByteSize) String() string {
 	switch {
