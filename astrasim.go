@@ -270,7 +270,7 @@ func collectiveOp(op string) (et.CollectiveType, collective.Op, error) {
 	case "all_to_all":
 		return et.CollAllToAll, collective.AllToAll, nil
 	default:
-		return "", 0, fmt.Errorf("astrasim: unknown collective %q", op)
+		return 0, 0, fmt.Errorf("astrasim: unknown collective %q", op)
 	}
 }
 

@@ -159,7 +159,7 @@ func runInfo(args []string) error {
 	if err != nil {
 		return err
 	}
-	kinds := map[et.NodeKind]int{}
+	var kinds [et.KindRecv + 1]int // Decode validated every kind
 	var commBytes, memBytes int64
 	var flops float64
 	for _, g := range trace.Graphs {
@@ -174,9 +174,9 @@ func runInfo(args []string) error {
 	fmt.Printf("name:      %s\n", trace.Name)
 	fmt.Printf("npus:      %d\n", trace.NumNPUs)
 	fmt.Printf("nodes:     %d total\n", trace.NodeCount())
-	for _, k := range []et.NodeKind{et.KindCompute, et.KindMemory, et.KindComm, et.KindSend, et.KindRecv} {
-		if kinds[k] > 0 {
-			fmt.Printf("  %-10s %d\n", k, kinds[k])
+	for k, count := range kinds {
+		if count > 0 {
+			fmt.Printf("  %-10s %d\n", et.NodeKind(k), count)
 		}
 	}
 	fmt.Printf("flops:     %.3g total\n", flops)

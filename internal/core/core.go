@@ -34,6 +34,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/collective"
 	"repro/internal/compute"
@@ -446,23 +447,39 @@ func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) er
 	full := collective.FullMachine(top).Spans
 	var layouts [][]collective.Span
 	layoutIDs := make(map[string]int32)
+	var key []byte
 	// internLayout runs once per communicator node of each distinct list,
-	// never per rank.
+	// never per rank. It keys a layout by InSwitch and the resolved spans,
+	// so a nil group and explicit whole-machine spans share one layout;
+	// the key is built in one reused buffer, and spans are copied only for
+	// a new layout.
 	internLayout := func(n *et.Node) int32 {
-		spans := full
-		if n.Group != nil && len(n.Group.Spans) > 0 {
-			spans = make([]collective.Span, len(n.Group.Spans))
-			for i, sp := range n.Group.Spans {
-				spans[i] = collective.Span{Phys: sp.Phys, K: sp.K, Stride: sp.Stride}
+		var group []et.SpanRef
+		if n.Group != nil {
+			group = n.Group.Spans
+		}
+		key = strconv.AppendBool(key[:0], n.InSwitch)
+		if len(group) == 0 {
+			for _, sp := range full {
+				key = appendSpanKey(key, sp)
 			}
 		}
-		key := fmt.Sprint(n.InSwitch, spans)
-		id, ok := layoutIDs[key]
-		if !ok {
-			id = int32(len(layouts))
-			layoutIDs[key] = id
-			layouts = append(layouts, spans)
+		for _, sp := range group {
+			key = appendSpanKey(key, collective.Span(sp))
 		}
+		if id, ok := layoutIDs[string(key)]; ok {
+			return id
+		}
+		spans := full
+		if len(group) > 0 {
+			spans = make([]collective.Span, len(group))
+			for i, sp := range group {
+				spans[i] = collective.Span(sp)
+			}
+		}
+		id := int32(len(layouts))
+		layoutIDs[string(key)] = id
+		layouts = append(layouts, spans)
 		return id
 	}
 
@@ -529,6 +546,13 @@ func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) er
 	s.npus = npus
 	s.remaining = nodeTotal * iters
 	return nil
+}
+
+// appendSpanKey appends a span's three coordinates to a layout key.
+func appendSpanKey(key []byte, sp collective.Span) []byte {
+	key = strconv.AppendInt(append(key, ' '), int64(sp.Phys), 10)
+	key = strconv.AppendInt(append(key, ','), int64(sp.K), 10)
+	return strconv.AppendInt(append(key, ','), int64(sp.Stride), 10)
 }
 
 // planLayouts resolves each communicator node of one plan to its interned

@@ -39,6 +39,10 @@ func fuzzTraceSeeds() []string {
 		`{"num_npus":2,"graphs":[{"rank":0,"nodes":[{"id":9223372036854775807,"name":"aten::mm"},{"id":-9223372036854775808,"name":"aten::mm","ctrl_deps":[9223372036854775807]}]},{"rank":1,"nodes":[]}]}`,
 		`{"num_npus":1,"graphs":[{"npu":0,"nodes":[]}]}`,
 		`{"num_npus":2}`, `{`, `null`, `[]`,
+		// ET with an unknown node kind, and with an unknown collective
+		// name: both are decode errors.
+		`{"num_npus":2,"graphs":[{"npu":0,"nodes":[{"id":1,"kind":"NOP"}]},{"npu":1,"nodes":[]}]}`,
+		`{"num_npus":2,"graphs":[{"npu":0,"nodes":[{"id":1,"kind":"COMM_COLL","collective":"BROADCAST","comm_bytes":8}]},{"npu":1,"nodes":[{"id":1,"kind":"COMM_COLL","collective":"ALL_REDUCE","comm_bytes":8}]}]}`,
 	}
 }
 

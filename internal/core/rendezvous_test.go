@@ -155,6 +155,31 @@ All-Reduce 4000000 [1000, 1360]
 	checkRun(t, testConfig(t, ring4Top()), tr, want)
 }
 
+// Ranks may write one communicator in two forms: rank 0 names no group
+// and ranks 1-3 name the whole ring. Layouts are keyed by their resolved
+// spans, so the four ranks still rendezvous, exactly as when none names a
+// group.
+func TestRendezvousGroupForms(t *testing.T) {
+	ring := &et.GroupRef{Spans: []et.SpanRef{{Phys: 0, K: 4, Stride: 1}}}
+	implicit := []et.Node{{ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: mb8}}
+	explicit := []et.Node{{ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: mb8, Group: ring}}
+	const want = `makespan 240
+npu 0: compute 0 comm 240 remote 0 local 0 idle 0
+npu 1: compute 0 comm 240 remote 0 local 0 idle 0
+npu 2: compute 0 comm 240 remote 0 local 0 idle 0
+npu 3: compute 0 comm 240 remote 0 local 0 idle 0
+All-Reduce 8000000 [0, 240]
+`
+	checkRun(t, testConfig(t, ring4Top()), perRank(4, func(int) []et.Node { return implicit }), want)
+	mixed := perRank(4, func(r int) []et.Node {
+		if r == 0 {
+			return implicit
+		}
+		return explicit
+	})
+	checkRun(t, testConfig(t, ring4Top()), mixed, want)
+}
+
 // An in-switch collective never pairs with a fabric collective over the
 // same spans. Rank 0 issues its in-switch node at t=0 and its fabric node
 // after 1 ms of compute, the others both at t=0: paired by sequence alone,

@@ -22,6 +22,13 @@
 // length) and through a map only when they are sparse, and it carves a
 // plan's arrays from one allocation. Point-to-point matching buckets its
 // records by sender and sorts each bucket, not the whole trace's records.
+//
+// A node is 112 bytes on 64-bit platforms. Its four enums (NodeKind,
+// CollectiveType, MemOp, MemLocation) are one byte each, with zero meaning
+// unset, and JSON carries them by name through MarshalText and
+// UnmarshalText: the names are those traces have always used, an unknown
+// name is a decode error, and an unset or out-of-range value is a
+// validation error.
 package et
 
 import (
@@ -33,46 +40,110 @@ import (
 )
 
 // NodeKind is the ET node type of Fig. 1(b), with communication split into
-// collective and point-to-point flavours.
-type NodeKind string
+// collective and point-to-point flavours. Like the other trace enums it is
+// one byte whose zero value means unset; JSON carries it by name ("COMP",
+// "MEM", "COMM_COLL", "COMM_SEND", "COMM_RECV").
+type NodeKind uint8
 
 // Node kinds.
 const (
-	KindCompute NodeKind = "COMP"
-	KindMemory  NodeKind = "MEM"
-	KindComm    NodeKind = "COMM_COLL"
-	KindSend    NodeKind = "COMM_SEND"
-	KindRecv    NodeKind = "COMM_RECV"
+	KindCompute NodeKind = iota + 1
+	KindMemory
+	KindComm
+	KindSend
+	KindRecv
 )
 
-// CollectiveType names a collective pattern in trace metadata.
-type CollectiveType string
+var nodeKinds = enum[NodeKind]{"node kind", []string{"", "COMP", "MEM", "COMM_COLL", "COMM_SEND", "COMM_RECV"}}
+
+func (k NodeKind) String() string                { return nodeKinds.name(k) }
+func (k NodeKind) MarshalText() ([]byte, error)  { return nodeKinds.marshal(k) }
+func (k *NodeKind) UnmarshalText(b []byte) error { return nodeKinds.unmarshal(k, b) }
+
+// CollectiveType names a collective pattern in trace metadata (Fig. 2): a
+// one-byte enum, zero when unset, carried in JSON as "ALL_REDUCE",
+// "ALL_GATHER", "REDUCE_SCATTER" or "ALL_TO_ALL".
+type CollectiveType uint8
 
 // Collective types (Fig. 2).
 const (
-	CollAllReduce     CollectiveType = "ALL_REDUCE"
-	CollAllGather     CollectiveType = "ALL_GATHER"
-	CollReduceScatter CollectiveType = "REDUCE_SCATTER"
-	CollAllToAll      CollectiveType = "ALL_TO_ALL"
+	CollAllReduce CollectiveType = iota + 1
+	CollAllGather
+	CollReduceScatter
+	CollAllToAll
 )
 
-// MemOp distinguishes memory-node loads from stores.
-type MemOp string
+var collectiveTypes = enum[CollectiveType]{"collective type", []string{"", "ALL_REDUCE", "ALL_GATHER", "REDUCE_SCATTER", "ALL_TO_ALL"}}
+
+func (c CollectiveType) String() string                { return collectiveTypes.name(c) }
+func (c CollectiveType) MarshalText() ([]byte, error)  { return collectiveTypes.marshal(c) }
+func (c *CollectiveType) UnmarshalText(b []byte) error { return collectiveTypes.unmarshal(c, b) }
+
+// MemOp distinguishes memory-node loads from stores: a one-byte enum, zero
+// when unset, carried in JSON as "LOAD" or "STORE".
+type MemOp uint8
 
 // Memory operations.
 const (
-	MemLoad  MemOp = "LOAD"
-	MemStore MemOp = "STORE"
+	MemLoad MemOp = iota + 1
+	MemStore
 )
 
-// MemLocation says which memory tier a memory node touches.
-type MemLocation string
+var memOps = enum[MemOp]{"memory op", []string{"", "LOAD", "STORE"}}
+
+func (o MemOp) String() string                { return memOps.name(o) }
+func (o MemOp) MarshalText() ([]byte, error)  { return memOps.marshal(o) }
+func (o *MemOp) UnmarshalText(b []byte) error { return memOps.unmarshal(o, b) }
+
+// MemLocation says which memory tier a memory node touches: a one-byte
+// enum, zero when unset, carried in JSON as "LOCAL" or "REMOTE".
+type MemLocation uint8
 
 // Memory locations.
 const (
-	MemLocal  MemLocation = "LOCAL"
-	MemRemote MemLocation = "REMOTE"
+	MemLocal MemLocation = iota + 1
+	MemRemote
 )
+
+var memLocations = enum[MemLocation]{"memory location", []string{"", "LOCAL", "REMOTE"}}
+
+func (l MemLocation) String() string                { return memLocations.name(l) }
+func (l MemLocation) MarshalText() ([]byte, error)  { return memLocations.marshal(l) }
+func (l *MemLocation) UnmarshalText(b []byte) error { return memLocations.unmarshal(l, b) }
+
+// enum is the name table of a one-byte trace enum: names[v] is value v's
+// JSON name, and names[0], the unset value's, is "". Unset round-trips as
+// the empty name, so that validation reports it; any other name outside
+// the table is a decode error, and a value outside it an encode error.
+type enum[T ~uint8] struct {
+	what  string // the type as errors name it
+	names []string
+}
+
+// name returns v's JSON name, or T(v) for a value outside the table.
+func (e enum[T]) name(v T) string {
+	if int(v) < len(e.names) {
+		return e.names[v]
+	}
+	return fmt.Sprintf("%T(%d)", v, uint8(v))
+}
+
+func (e enum[T]) marshal(v T) ([]byte, error) {
+	if int(v) >= len(e.names) {
+		return nil, fmt.Errorf("unknown %s %q", e.what, e.name(v))
+	}
+	return []byte(e.names[v]), nil
+}
+
+func (e enum[T]) unmarshal(v *T, b []byte) error {
+	for i, name := range e.names {
+		if string(b) == name {
+			*v = T(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown %s %q", e.what, b)
+}
 
 // GroupRef describes a communicator group in trace metadata as logical
 // spans over physical topology dimensions (see collective.Span). An empty
@@ -95,10 +166,20 @@ type SpanRef struct {
 //	COMM_COLL: Collective, CommBytes, Group, InSwitch
 //	COMM_SEND: Peer, CommBytes, Tag
 //	COMM_RECV: Peer, CommBytes, Tag
+//
+// The one-byte enums and InSwitch sit together, so they share one word
+// and a node is 112 bytes on 64-bit platforms, with three pointers (Name,
+// Deps, Group) for the GC to scan. JSON encodes fields in this order.
 type Node struct {
-	ID   int      `json:"id"`
-	Name string   `json:"name,omitempty"`
-	Kind NodeKind `json:"kind"`
+	ID          int            `json:"id"`
+	Name        string         `json:"name,omitempty"`
+	Kind        NodeKind       `json:"kind"`
+	MemOp       MemOp          `json:"mem_op,omitempty"`
+	MemLocation MemLocation    `json:"mem_location,omitempty"`
+	Collective  CollectiveType `json:"collective,omitempty"`
+	// InSwitch requests the collective be fused into the disaggregated
+	// memory fabric (gather-on-load / reduce-on-store, Section IV-D.3).
+	InSwitch bool `json:"in_switch,omitempty"`
 	// Deps lists node IDs (same NPU graph) that must complete first.
 	Deps []int `json:"deps,omitempty"`
 
@@ -107,19 +188,13 @@ type Node struct {
 	MemBytes int64   `json:"mem_bytes,omitempty"`
 
 	// Memory metadata.
-	MemOp       MemOp       `json:"mem_op,omitempty"`
-	MemLocation MemLocation `json:"mem_location,omitempty"`
-	TensorBytes int64       `json:"tensor_bytes,omitempty"`
+	TensorBytes int64 `json:"tensor_bytes,omitempty"`
 
 	// Communication metadata.
-	Collective CollectiveType `json:"collective,omitempty"`
-	CommBytes  int64          `json:"comm_bytes,omitempty"`
-	Group      *GroupRef      `json:"group,omitempty"`
-	// InSwitch requests the collective be fused into the disaggregated
-	// memory fabric (gather-on-load / reduce-on-store, Section IV-D.3).
-	InSwitch bool `json:"in_switch,omitempty"`
-	Peer     int  `json:"peer,omitempty"`
-	Tag      int  `json:"tag,omitempty"`
+	CommBytes int64     `json:"comm_bytes,omitempty"`
+	Group     *GroupRef `json:"group,omitempty"`
+	Peer      int       `json:"peer,omitempty"`
+	Tag       int       `json:"tag,omitempty"`
 }
 
 // Graph is one NPU's execution trace. Nodes are held by value, so a list

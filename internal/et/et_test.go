@@ -114,11 +114,11 @@ func TestKindMetadataValidation(t *testing.T) {
 		{"mem without op", Node{ID: 1, Kind: KindMemory, TensorBytes: 10, MemLocation: MemLocal}},
 		{"mem without location", Node{ID: 1, Kind: KindMemory, TensorBytes: 10, MemOp: MemLoad}},
 		{"mem zero size", Node{ID: 1, Kind: KindMemory, MemOp: MemLoad, MemLocation: MemLocal}},
-		{"coll unknown type", Node{ID: 1, Kind: KindComm, CommBytes: 10, Collective: "BROADCAST"}},
+		{"coll unknown type", Node{ID: 1, Kind: KindComm, CommBytes: 10, Collective: CollAllToAll + 1}},
 		{"coll zero size", Node{ID: 1, Kind: KindComm, Collective: CollAllToAll}},
 		{"send zero size", Node{ID: 1, Kind: KindSend, Peer: 1}},
 		{"recv bad peer", Node{ID: 1, Kind: KindRecv, Peer: -1, CommBytes: 8}},
-		{"bogus kind", Node{ID: 1, Kind: "NOP"}},
+		{"bogus kind", Node{ID: 1, Kind: KindRecv + 1}},
 	}
 	for _, c := range cases {
 		g := &Graph{NPU: 0, Nodes: []Node{c.node}}
@@ -284,7 +284,9 @@ func TestSharedListDefectsStillRejected(t *testing.T) {
 	}
 }
 
-// Every single-defect trace reports exactly the text it always has.
+// Every single-defect trace reports exactly the text it always has. An
+// unknown enum name is a decode error; TestDecodeUnknownEnumNames pins
+// those texts.
 func TestSingleDefectErrorTexts(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -302,7 +304,9 @@ func TestSingleDefectErrorTexts(t *testing.T) {
 		{"unknown dep", func(tr *Trace) { tr.Graphs[0].Nodes[1].Deps = []int{99} }, "et: npu 0 node 2 depends on unknown node 99"},
 		{"self dep", func(tr *Trace) { tr.Graphs[0].Nodes[0].Deps = []int{1} }, "et: npu 0 node 1 depends on itself"},
 		{"cycle", func(tr *Trace) { tr.Graphs[1].Nodes[0].Deps = []int{3} }, "et: npu 1 graph has a dependency cycle"},
-		{"bad metadata", func(tr *Trace) { tr.Graphs[1].Nodes[1].Collective = "BROADCAST" }, `et: npu 1 node 2: collective node has unknown type "BROADCAST"`},
+		{"unset mem op", func(tr *Trace) {
+			tr.Graphs[0].Nodes[0] = Node{ID: 1, Kind: KindMemory, MemLocation: MemLocal, TensorBytes: 8}
+		}, `et: npu 0 node 1: memory node needs mem_op LOAD or STORE, got ""`},
 		{"orphan send", func(tr *Trace) { tr.Graphs[1].Nodes = tr.Graphs[1].Nodes[:2] }, "et: 1 sends but 0 recvs for 0->1 tag 7"},
 		{"orphan recv", func(tr *Trace) { tr.Graphs[0].Nodes = tr.Graphs[0].Nodes[:2] }, "et: 1 recvs with no send for 0->1 tag 7"},
 		{"extra recv", func(tr *Trace) {
