@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/collective"
+	"repro/internal/core"
 	"repro/internal/etgen"
 	"repro/internal/experiments"
 	"repro/internal/garnet"
@@ -339,27 +340,57 @@ func BenchmarkEndToEndGPT3(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceSetup measures trace ingestion for a per-rank trace: a
-// 256-NPU pipeline (16 stages, 64 microbatches, 94,464 nodes) built by
-// etgen.Pipeline and compiled by Trace.Plans, the set-up a
-// pipeline-parallel run pays before its first event. With -benchmem its
-// allocs/op show set-up allocating per list, not per node.
-func BenchmarkTraceSetup(b *testing.B) {
-	top, err := topology.ParseWithBandwidth("FC(8)_SW(8)_R(4)", []float64{250, 200, 50}, 500*units.Nanosecond)
+// benchPipeline is the 256-NPU pipeline (16 stages, 64 microbatches,
+// 94,464 nodes) that BenchmarkTraceSetup ingests and BenchmarkPipelineRun
+// simulates.
+func benchPipeline(b *testing.B) (*Machine, etgen.PipelineConfig) {
+	m, err := NewMachine(MachineConfig{Topology: "FC(8)_SW(8)_R(4)", BandwidthsGBps: []float64{250, 200, 50}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := etgen.PipelineConfig{
+	return m, etgen.PipelineConfig{
 		Name: "pipeline", Stages: 16, MicroBatches: 64, FlopsPerStage: 1e12,
 		ActivationBytes: 16 * units.MiB, GradBytes: 256 * units.MiB,
 	}
+}
+
+// BenchmarkTraceSetup measures trace ingestion for a per-rank trace: the
+// pipeline built by etgen.Pipeline and compiled by Trace.Plans, the set-up
+// a pipeline-parallel run pays before its first event. With -benchmem its
+// allocs/op show set-up allocating per list, not per node.
+func BenchmarkTraceSetup(b *testing.B) {
+	m, cfg := benchPipeline(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr, err := etgen.Pipeline(top, cfg)
+		tr, err := etgen.Pipeline(m.top, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := tr.Plans(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPipelineRun simulates the same pipeline from its generated
+// trace: compilation, every send and receive, and the stages' gradient
+// All-Reduces. With -benchmem its allocs/op show the point-to-point run
+// path allocating nothing per send or receive.
+func BenchmarkPipelineRun(b *testing.B) {
+	m, cfg := benchPipeline(b)
+	tr, err := etgen.Pipeline(m.top, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim, err := core.NewSimulator(m.core)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.Run(tr); err != nil {
 			b.Fatal(err)
 		}
 	}

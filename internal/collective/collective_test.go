@@ -110,7 +110,7 @@ func TestChunkModelMatchesMessageLevel(t *testing.T) {
 			engM := timeline.New()
 			netM := network.NewBackend(engM, top)
 			var msgTime units.Time
-			if err := RunMessageLevel(netM, op, 8*units.MB, 0, 0, 0, func(at units.Time) { msgTime = at }); err != nil {
+			if err := RunMessageLevel(netM, op, 8*units.MB, 0, 0, func(at units.Time) { msgTime = at }); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := engM.Run(); err != nil {

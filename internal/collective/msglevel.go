@@ -24,7 +24,7 @@ import (
 // granularity over the group formed by varying dimension dim from base.
 // It returns the completion time via the done callback. Only single-dim
 // groups are supported; multi-dim collectives compose these phases.
-func RunMessageLevel(net *network.Backend, op Op, size units.ByteSize, dim, base int, tagBase int, done func(units.Time)) error {
+func RunMessageLevel(net *network.Backend, op Op, size units.ByteSize, dim, base int, done func(units.Time)) error {
 	top := net.Topology()
 	if dim < 0 || dim >= top.NumDims() {
 		return fmt.Errorf("collective: dim %d out of range", dim)
@@ -37,15 +37,15 @@ func RunMessageLevel(net *network.Backend, op Op, size units.ByteSize, dim, base
 	switch op {
 	case AllGather:
 		shard := size / units.ByteSize(k)
-		runMsgPhase(net, top, members, dim, AllGather, shard, tagBase, done)
+		runMsgPhase(net, top, members, dim, AllGather, shard, done)
 	case ReduceScatter:
-		runMsgPhase(net, top, members, dim, ReduceScatter, size, tagBase, done)
+		runMsgPhase(net, top, members, dim, ReduceScatter, size, done)
 	case AllReduce:
-		runMsgPhase(net, top, members, dim, ReduceScatter, size, tagBase, func(units.Time) {
-			runMsgPhase(net, top, members, dim, AllGather, size/units.ByteSize(k), tagBase+1<<20, done)
+		runMsgPhase(net, top, members, dim, ReduceScatter, size, func(units.Time) {
+			runMsgPhase(net, top, members, dim, AllGather, size/units.ByteSize(k), done)
 		})
 	case AllToAll:
-		runMsgAllToAll(net, top, members, dim, size, tagBase, done)
+		runMsgAllToAll(net, top, members, dim, size, done)
 	default:
 		return fmt.Errorf("collective: unsupported message-level op %v", op)
 	}
@@ -55,9 +55,8 @@ func RunMessageLevel(net *network.Backend, op Op, size units.ByteSize, dim, base
 // runMsgPhase executes the dimension model's message-level schedule:
 // bulk-synchronous steps of point-to-point transfers, each step barriered
 // on all of its deliveries.
-func runMsgPhase(net *network.Backend, top *topology.Topology, members []int, dim int, op Op, d units.ByteSize, tagBase int, done func(units.Time)) {
-	k := len(members)
-	sched := top.Dims[dim].Kind.PhaseSchedule(phaseKind(op), k, d)
+func runMsgPhase(net *network.Backend, top *topology.Topology, members []int, dim int, op Op, d units.ByteSize, done func(units.Time)) {
+	sched := top.Dims[dim].Kind.PhaseSchedule(phaseKind(op), len(members), d)
 	var step func(s int)
 	step = func(s int) {
 		if s >= len(sched) {
@@ -69,24 +68,23 @@ func runMsgPhase(net *network.Backend, top *topology.Topology, members []int, di
 			step(s + 1)
 			return
 		}
-		bar := newBarrier(len(xfers), func() { step(s + 1) })
-		for i, x := range xfers {
-			net.SendOnDim(members[x.Src], members[x.Dst], dim, x.Bytes,
-				tagBase+s*k*k+i, nil, func(network.Message) { bar.arrive() })
+		bar := &barrier{remaining: len(xfers), fn: func() { step(s + 1) }}
+		for _, x := range xfers {
+			net.SendOnDim(members[x.Src], members[x.Dst], dim, x.Bytes, nil, bar)
 		}
 	}
 	step(0)
 }
 
-// barrier invokes done once count completions have been reported.
+// barrier is the delivery event of every transfer of a step; it invokes fn
+// once the last of them has landed.
 type barrier struct {
 	remaining int
 	fn        func()
 }
 
-func newBarrier(count int, fn func()) *barrier { return &barrier{remaining: count, fn: fn} }
-
-func (b *barrier) arrive() {
+// Act implements timeline.Actor.
+func (b *barrier) Act() {
 	b.remaining--
 	if b.remaining == 0 {
 		b.fn()
@@ -95,18 +93,15 @@ func (b *barrier) arrive() {
 
 // runMsgAllToAll exchanges size/k bytes between every ordered pair; the
 // pattern is block-agnostic, so no model schedule is involved.
-func runMsgAllToAll(net *network.Backend, top *topology.Topology, members []int, dim int, size units.ByteSize, tagBase int, done func(units.Time)) {
+func runMsgAllToAll(net *network.Backend, top *topology.Topology, members []int, dim int, size units.ByteSize, done func(units.Time)) {
 	k := len(members)
 	per := size / units.ByteSize(k)
-	bar := newBarrier(k*(k-1), func() { done(net.Now()) })
-	tag := tagBase
+	bar := &barrier{remaining: k * (k - 1), fn: func() { done(net.Now()) }}
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
-			if i == j {
-				continue
+			if i != j {
+				net.SendOnDim(members[i], members[j], dim, per, nil, bar)
 			}
-			net.SendOnDim(members[i], members[j], dim, per, tag, nil, func(network.Message) { bar.arrive() })
-			tag++
 		}
 	}
 }

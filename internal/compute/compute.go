@@ -2,7 +2,7 @@
 // paper's graph-based execution engine uses for compute nodes: an operator
 // with F floating-point operations and B bytes of memory traffic runs in
 //
-//	time = max(F / PeakFLOPS, B / MemoryBandwidth) + LaunchOverhead
+//	time = max(F / PeakFLOPS, B / MemoryBandwidth)
 //
 // i.e. it is either compute-bound or memory-bandwidth-bound, whichever is
 // slower. The paper's case studies assume 234 TFLOPS per NPU, measured on
@@ -22,9 +22,6 @@ type Model struct {
 	// MemBandwidth is the local memory (HBM) bandwidth that bounds
 	// memory-bound operators.
 	MemBandwidth units.Bandwidth
-	// LaunchOverhead is a fixed per-operator cost (kernel launch,
-	// scheduling); zero by default.
-	LaunchOverhead units.Time
 	// Efficiency derates the peak throughput (0 < Efficiency <= 1);
 	// zero means 1.0. Real training kernels rarely sustain peak FLOPS.
 	Efficiency float64
@@ -47,9 +44,6 @@ func (m Model) Validate() error {
 	if m.Efficiency < 0 || m.Efficiency > 1 {
 		return fmt.Errorf("compute: efficiency %v outside (0,1]", m.Efficiency)
 	}
-	if m.LaunchOverhead < 0 {
-		return fmt.Errorf("compute: negative launch overhead")
-	}
 	return nil
 }
 
@@ -70,12 +64,5 @@ func (m Model) OpTime(flops float64, memBytes units.ByteSize) units.Time {
 	if m.MemBandwidth > 0 {
 		mt = m.MemBandwidth.TransferTime(memBytes)
 	}
-	t := ct
-	if mt > t {
-		t = mt
-	}
-	if m.LaunchOverhead > 0 && t > units.MaxTime-m.LaunchOverhead {
-		return units.MaxTime
-	}
-	return t + m.LaunchOverhead
+	return max(ct, mt)
 }

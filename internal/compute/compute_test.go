@@ -16,6 +16,9 @@ func TestA100Reference(t *testing.T) {
 	if got := m.OpTime(234e12, 0); got != units.Second {
 		t.Errorf("OpTime = %v, want 1s", got)
 	}
+	if got := m.OpTime(1e30, 0); got != units.MaxTime {
+		t.Errorf("op past the end of time = %d, want units.MaxTime", got)
+	}
 }
 
 func TestMemoryBoundOp(t *testing.T) {
@@ -35,22 +38,11 @@ func TestEfficiencyDerating(t *testing.T) {
 	}
 }
 
-func TestLaunchOverhead(t *testing.T) {
-	m := Model{Peak: units.TFLOPS(100), LaunchOverhead: 5 * units.Microsecond}
-	if got := m.OpTime(0, 0); got != 5*units.Microsecond {
-		t.Errorf("empty op = %v, want launch overhead only", got)
-	}
-	if got := m.OpTime(1e30, 0); got != units.MaxTime {
-		t.Errorf("op past the end of time = %d, want units.MaxTime", got)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	bad := []Model{
 		{Peak: 0},
 		{Peak: units.TFLOPS(1), MemBandwidth: -1},
 		{Peak: units.TFLOPS(1), Efficiency: 1.5},
-		{Peak: units.TFLOPS(1), LaunchOverhead: -1},
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {

@@ -210,8 +210,8 @@ type Simulator struct {
 
 	npus []npuState
 
-	// freeOps recycles timed-node completion events.
-	freeOps []*timedOp
+	// freeOps recycles node completion events.
+	freeOps []*nodeOp
 
 	collLog []collective.Result
 	// remaining counts the nodes still to complete over every iteration;
@@ -766,59 +766,63 @@ func (s *Simulator) issue(st *npuState, pos int32) {
 		s.issueCollective(st, pos)
 	case et.KindSend:
 		s.markBusy(st, &st.nComm)
-		s.net.SimSend(st.rank, n.Peer, n.Tag, units.ByteSize(n.CommBytes), func() {
-			s.markFree(st, &st.nComm)
-			s.complete(st, pos)
-		})
+		s.net.SimSend(st.rank, n.Peer, n.Tag, units.ByteSize(n.CommBytes), s.newOp(st, pos, &st.nComm, false))
 	case et.KindRecv:
-		// A receive is pure synchronization: the message's wire time is
-		// attributed to the sender's link, and waiting for a peer that has
-		// not sent yet is idle time (this is what makes pipeline bubbles
-		// visible in the breakdown).
-		s.net.SimRecv(n.Peer, st.rank, n.Tag, units.ByteSize(n.CommBytes), func(network.Message) {
-			st.touch(s.eng.Now())
-			s.complete(st, pos)
-		})
+		// A receive is pure synchronization, so it runs under no activity
+		// counter: the message's wire time is attributed to the sender's
+		// link, and waiting for a peer that has not sent yet is idle time
+		// (this is what makes pipeline bubbles visible in the breakdown).
+		s.net.SimRecv(n.Peer, st.rank, n.Tag, s.newOp(st, pos, nil, false))
 	default:
 		panic(fmt.Sprintf("core: unknown node kind %q", n.Kind))
 	}
 }
 
-// timedOp is the completion event of a fixed-duration node. Ops are
-// recycled through the simulator's free list, so issuing a compute or
-// memory node does not allocate.
-type timedOp struct {
-	s       *Simulator
-	st      *npuState
-	pos     int32
+// nodeOp is the completion event of a compute, memory, send or receive
+// node. Ops are recycled through the simulator's free list, so issuing
+// those nodes does not allocate.
+type nodeOp struct {
+	s   *Simulator
+	st  *npuState
+	pos int32
+	// counter is the activity the node runs under; nil for a receive.
 	counter *int
 	// remote releases the cross-job pool arbiter on completion.
 	remote bool
 }
 
-func (op *timedOp) Act() {
+func (op *nodeOp) Act() {
 	s, st, pos, counter := op.s, op.st, op.pos, op.counter
 	if op.remote {
 		s.cfg.RemoteArbiter.RemoteFinished()
 	}
-	*op = timedOp{}
+	*op = nodeOp{}
 	s.freeOps = append(s.freeOps, op)
-	s.markFree(st, counter)
+	st.touch(s.eng.Now())
+	if counter != nil {
+		*counter--
+	}
 	s.complete(st, pos)
+}
+
+// newOp takes a completion event for the node at pos from the free list, or
+// allocates one.
+func (s *Simulator) newOp(st *npuState, pos int32, counter *int, remote bool) *nodeOp {
+	var op *nodeOp
+	if n := len(s.freeOps); n > 0 {
+		op = s.freeOps[n-1]
+		s.freeOps = s.freeOps[:n-1]
+	} else {
+		op = new(nodeOp)
+	}
+	*op = nodeOp{s: s, st: st, pos: pos, counter: counter, remote: remote}
+	return op
 }
 
 // runTimed executes a node with a fixed duration under an activity counter.
 func (s *Simulator) runTimed(st *npuState, pos int32, dur units.Time, counter *int, remote bool) {
 	s.markBusy(st, counter)
-	var op *timedOp
-	if n := len(s.freeOps); n > 0 {
-		op = s.freeOps[n-1]
-		s.freeOps = s.freeOps[:n-1]
-	} else {
-		op = new(timedOp)
-	}
-	*op = timedOp{s: s, st: st, pos: pos, counter: counter, remote: remote}
-	s.eng.ScheduleActor(dur, op)
+	s.eng.ScheduleActor(dur, s.newOp(st, pos, counter, remote))
 }
 
 func (s *Simulator) markBusy(st *npuState, counter *int) {

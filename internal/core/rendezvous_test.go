@@ -353,3 +353,33 @@ func TestRunAllocsScaleWithCollectiveInstances(t *testing.T) {
 			allocs, instances, issues, perInstance)
 	}
 }
+
+// Issuing a send or a receive allocates nothing: both complete through the
+// simulator's pooled node events, and the network routes, charges transit
+// paths and matches messages without allocating. A pipeline's later
+// iterations re-issue every point-to-point node, so four iterations may
+// allocate only a handful of objects more than one.
+func TestP2PReissueAllocatesNothing(t *testing.T) {
+	top, err := topology.ParseWithBandwidth("FC(4)_SW(2)_R(4)", []float64{250, 200, 50}, 500*units.Nanosecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := etgen.Pipeline(top, etgen.PipelineConfig{
+		Name: "pipeline", Stages: 4, MicroBatches: 8, FlopsPerStage: 1e12,
+		ActivationBytes: 16 * units.MiB, // no GradBytes: no All-Reduce
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(t, top)
+	cfg.ModelTransitCongestion = true
+	allocs := func(iters int) float64 {
+		tr := *trace
+		tr.Iterations = iters
+		return testing.AllocsPerRun(3, func() { run(t, cfg, &tr) })
+	}
+	one, four := allocs(1), allocs(4)
+	if four-one > 4 {
+		t.Errorf("a 32-NPU pipeline allocates %v objects for one iteration and %v for four; want at most 4 more", one, four)
+	}
+}

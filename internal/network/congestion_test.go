@@ -23,8 +23,8 @@ func TestTransitChargingOccupiesIntermediateLinks(t *testing.T) {
 	var longAt, shortAt units.Time
 	// 0 -> 3 transits nodes 1 and 2; a concurrent 1 -> 2 send must queue
 	// behind it on those links.
-	b.SendOnDim(0, 3, 0, units.MB, 0, nil, func(Message) { longAt = eng.Now() })
-	b.SendOnDim(1, 2, 0, units.MB, 1, nil, func(Message) { shortAt = eng.Now() })
+	b.SendOnDim(0, 3, 0, units.MB, nil, timeline.Callback(func() { longAt = eng.Now() }))
+	b.SendOnDim(1, 2, 0, units.MB, nil, timeline.Callback(func() { shortAt = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +42,8 @@ func TestEndpointChargingIgnoresTransit(t *testing.T) {
 	// Default mode: the same pair of sends shares no endpoint, so both
 	// complete together.
 	var longAt, shortAt units.Time
-	b.SendOnDim(0, 3, 0, units.MB, 0, nil, func(Message) { longAt = eng.Now() })
-	b.SendOnDim(1, 2, 0, units.MB, 1, nil, func(Message) { shortAt = eng.Now() })
+	b.SendOnDim(0, 3, 0, units.MB, nil, timeline.Callback(func() { longAt = eng.Now() }))
+	b.SendOnDim(1, 2, 0, units.MB, nil, timeline.Callback(func() { shortAt = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTransitChargingNeighborUnchanged(t *testing.T) {
 		eng, b := ring8For(t)
 		b.SetTransitCharging(transit)
 		var at units.Time
-		b.SendOnDim(0, 1, 0, units.MB, 0, nil, func(Message) { at = eng.Now() })
+		b.SendOnDim(0, 1, 0, units.MB, nil, timeline.Callback(func() { at = eng.Now() }))
 		if _, err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -74,10 +74,10 @@ func TestTransitChargingWraparound(t *testing.T) {
 	b.SetTransitCharging(true)
 	// 0 -> 6 goes backwards (2 hops through node 7).
 	var at units.Time
-	b.SendOnDim(0, 6, 0, units.MB, 0, nil, func(Message) { at = eng.Now() })
+	b.SendOnDim(0, 6, 0, units.MB, nil, timeline.Callback(func() { at = eng.Now() }))
 	// Node 7's link is now charged: a send from 7 queues.
 	var at7 units.Time
-	b.SendOnDim(7, 6, 0, units.MB, 1, nil, func(Message) { at7 = eng.Now() })
+	b.SendOnDim(7, 6, 0, units.MB, nil, timeline.Callback(func() { at7 = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ func TestTransitChargingNonRingFallsBack(t *testing.T) {
 	b := NewBackend(eng, top)
 	b.SetTransitCharging(true)
 	var a, c units.Time
-	b.SendOnDim(0, 3, 0, units.MB, 0, nil, func(Message) { a = eng.Now() })
-	b.SendOnDim(1, 2, 0, units.MB, 1, nil, func(Message) { c = eng.Now() })
+	b.SendOnDim(0, 3, 0, units.MB, nil, timeline.Callback(func() { a = eng.Now() }))
+	b.SendOnDim(1, 2, 0, units.MB, nil, timeline.Callback(func() { c = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

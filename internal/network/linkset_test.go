@@ -88,7 +88,7 @@ func (r *refLinks) send(src, dst, dim int, size units.ByteSize) (srcEnd, arrive 
 	sp, dp := r.top.DimPos(src, dim), r.top.DimPos(dst, dim)
 	var path []int
 	if r.transit {
-		path = d.Kind.TransitPositions(sp, dp, d.Size)
+		path = d.Kind.TransitPositions(nil, sp, dp, d.Size)
 	}
 	var ready units.Time
 	if len(path) == 0 {
@@ -346,9 +346,9 @@ func runLinkSetDiff(t testing.TB, rig linkSetRig, data []byte) {
 			m := &diffMessage{}
 			msgs = append(msgs, m)
 			fn = func() {
-				b.SendOnDim(src, dst, dim, size, 0,
-					func() { m.gotSent, m.sawSent = eng.Now(), true },
-					func(Message) { m.gotDelivered, m.sawDelivered = eng.Now(), true })
+				b.SendOnDim(src, dst, dim, size,
+					timeline.Callback(func() { m.gotSent, m.sawSent = eng.Now(), true }),
+					timeline.Callback(func() { m.gotDelivered, m.sawDelivered = eng.Now(), true }))
 				m.wantSent, m.wantDelivered = ref.send(src, dst, dim, size)
 			}
 		case 7: // SimSend
@@ -359,8 +359,8 @@ func runLinkSetDiff(t testing.TB, rig linkSetRig, data []byte) {
 			tag := len(msgs)
 			msgs = append(msgs, m)
 			fn = func() {
-				b.SimRecv(src, dst, tag, size, func(Message) { m.gotDelivered, m.sawDelivered = eng.Now(), true })
-				b.SimSend(src, dst, tag, size, func() { m.gotSent, m.sawSent = eng.Now(), true })
+				b.SimRecv(src, dst, tag, timeline.Callback(func() { m.gotDelivered, m.sawDelivered = eng.Now(), true }))
+				b.SimSend(src, dst, tag, size, timeline.Callback(func() { m.gotSent, m.sawSent = eng.Now(), true }))
 				ref.simSend(src, dst, size, &m.wantSent, &m.wantDelivered)
 			}
 		case 8: // NPU stall
@@ -500,7 +500,7 @@ func TestMachineSetReclaimsLinks(t *testing.T) {
 	}{
 		{"subset phase", func() { phase(subset, 3*units.MB) }},
 		{"SendOnDim", func() {
-			b.SendOnDim(4, 6, dim, 2*units.MB, 0, nil, nil)
+			b.SendOnDim(4, 6, dim, 2*units.MB, nil, noop)
 			ref.send(4, 6, dim, 2*units.MB)
 		}},
 		{"StallNPULinks", func() {

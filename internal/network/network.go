@@ -20,13 +20,16 @@
 // never per NPU.
 //
 // The backend also speaks the paper's NetworkAPI protocol (Snippet 2):
-// SimSend / SimRecv pairs rendezvous on (src, dst, tag) and invoke
-// callbacks on completion.
+// SimSend / SimRecv pairs rendezvous on (src, dst, tag), and completion
+// schedules the caller's timeline.Actors: the send's when the message has
+// left its source, the receive's when it is matched to a delivered
+// message.
 //
 // The backend is allocation-free per message in steady state: routes are
-// computed arithmetically (no coordinate slices), multi-hop sends and
-// deliveries run through pooled typed events, and the rendezvous queues
-// recycle their small slices through per-backend free lists.
+// computed arithmetically (no coordinate slices), transit paths are
+// appended into one reused buffer, a routed send is one pooled event that
+// delivers each of its legs, and the rendezvous counts unclaimed messages
+// and recycles its queues of waiting receives.
 package network
 
 import (
@@ -36,16 +39,6 @@ import (
 	"repro/internal/topology"
 	"repro/internal/units"
 )
-
-// Message describes a delivered transmission, passed to receive callbacks.
-type Message struct {
-	Src, Dst int
-	Tag      int
-	Size     units.ByteSize
-	// Dim is the topology dimension the message travelled on, or -1 for a
-	// multi-dimension (dimension-ordered) route.
-	Dim int
-}
 
 // Backend is the analytical network backend.
 type Backend struct {
@@ -73,18 +66,20 @@ type Backend struct {
 	// makes no dimension-model call.
 	bw []units.Bandwidth
 
-	// Rendezvous state for SimSend/SimRecv matching. Queue objects and
-	// their backing slices are recycled through the pools below.
-	arrived map[matchKey]*msgQueue
-	waiting map[matchKey]*cbQueue
+	// Rendezvous state for SimSend/SimRecv matching, per (src, dst, tag):
+	// the count of delivered messages no receive has claimed, and the FIFO
+	// of posted receives no message has matched.
+	arrived map[matchKey]int
+	waiting map[matchKey]*recvQueue
 
 	// Free lists for the per-message hot-path objects (legRuns keep their
 	// leg slices across reuse, so routed sends need no separate slice pool).
-	msgQueues  []*msgQueue
-	cbQueues   []*cbQueue
-	deliveries []*delivery
+	recvQueues []*recvQueue
 	legRuns    []*legRun
 	flowDones  []*flowDone
+
+	// path is chargeLinks's reused buffer of the positions it charges.
+	path []int
 
 	// chargeTransit enables first-order congestion modeling: ring
 	// messages occupy every transit link, not just the endpoints.
@@ -107,17 +102,11 @@ type matchKey struct {
 	src, dst, tag int
 }
 
-// msgQueue is a FIFO of arrived-but-unclaimed messages for one match key.
+// recvQueue is a FIFO of posted-but-unmatched receives for one match key.
 // Popping advances head instead of reslicing so the backing array survives
 // intact and returns to the pool when the queue drains.
-type msgQueue struct {
-	items []Message
-	head  int
-}
-
-// cbQueue is the mirror FIFO of posted-but-unmatched receive callbacks.
-type cbQueue struct {
-	items []func(Message)
+type recvQueue struct {
+	items []timeline.Actor
 	head  int
 }
 
@@ -139,8 +128,8 @@ func NewBackend(eng *timeline.Engine, top *topology.Topology) *Backend {
 		bw:      make([]units.Bandwidth, d),
 		npus:    n,
 		dims:    d,
-		arrived: make(map[matchKey]*msgQueue),
-		waiting: make(map[matchKey]*cbQueue),
+		arrived: make(map[matchKey]int),
+		waiting: make(map[matchKey]*recvQueue),
 	}
 	for i, dim := range top.Dims {
 		b.bw[i] = dim.EffectiveBandwidth()
@@ -309,14 +298,15 @@ func (b *Backend) linkIdx(npu, dim int) int { return npu*b.dims + dim }
 // every position on the model's transit path. factor (>= 1) is the
 // cross-backend contention multiplier; 1 leaves the time untouched.
 func (b *Backend) chargeLinks(src, dim, srcPos, dstPos int, size units.ByteSize, factor float64) (srcEnd, ready units.Time) {
-	ends := [2]int{srcPos, dstPos}
-	path := ends[:]
+	path := b.path[:0]
 	if b.chargeTransit {
 		d := b.top.Dims[dim]
-		if transit := d.Kind.TransitPositions(srcPos, dstPos, d.Size); len(transit) > 0 {
-			path = transit
-		}
+		path = d.Kind.TransitPositions(path, srcPos, dstPos, d.Size)
 	}
+	if len(path) == 0 {
+		path = append(path, srcPos, dstPos)
+	}
+	b.path = path
 	dur := b.transferTime(dim, size, factor)
 	b.ensureLinks()
 	now := b.eng.Now()
@@ -335,53 +325,12 @@ func (b *Backend) chargeLinks(src, dim, srcPos, dstPos int, size units.ByteSize,
 	return srcEnd, ready
 }
 
-// delivery is a pooled typed event that hands a delivered message to its
-// receiver — either a plain callback or an internal sink (a routed send's
-// next leg). One pooled object replaces the per-message closure capture.
-type delivery struct {
-	b    *Backend
-	msg  Message
-	cb   func(Message)
-	sink deliverySink
-}
-
-// deliverySink receives internal deliveries without a closure; *legRun and
-// *Backend (final rendezvous matching) implement it.
-type deliverySink interface {
-	deliverMsg(Message)
-}
-
-// Act implements timeline.Actor.
-func (d *delivery) Act() {
-	b, msg, cb, sink := d.b, d.msg, d.cb, d.sink
-	d.cb, d.sink = nil, nil
-	b.deliveries = append(b.deliveries, d)
-	switch {
-	case sink != nil:
-		sink.deliverMsg(msg)
-	case cb != nil:
-		cb(msg)
-	}
-}
-
-func (b *Backend) getDelivery() *delivery {
-	if n := len(b.deliveries); n > 0 {
-		d := b.deliveries[n-1]
-		b.deliveries = b.deliveries[:n-1]
-		return d
-	}
-	return &delivery{b: b}
-}
-
 // SendOnDim transmits size bytes between two NPUs that differ only in
-// dimension dim. sentCB fires when src's link frees; deliveredCB fires when
-// the message lands at dst. This is the fast path used by collective
-// algorithms, which by construction communicate one dimension at a time.
-func (b *Backend) SendOnDim(src, dst, dim int, size units.ByteSize, tag int, sentCB func(), deliveredCB func(Message)) {
-	b.sendOnDim(src, dst, dim, size, tag, sentCB, deliveredCB, nil)
-}
-
-func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sentCB func(), deliveredCB func(Message), sink deliverySink) {
+// dimension dim. sent, which may be nil, fires when src's link frees;
+// delivered fires when the message lands at dst. This is the fast path used
+// by collective algorithms, which by construction communicate one dimension
+// at a time.
+func (b *Backend) SendOnDim(src, dst, dim int, size units.ByteSize, sent, delivered timeline.Actor) {
 	if src == dst {
 		panic(fmt.Sprintf("network: self-send on dim %d by NPU %d", dim, src))
 	}
@@ -413,37 +362,30 @@ func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sen
 
 	b.stats.Traffic[dim] += 2 * size // sent by src, received by dst
 
-	if sentCB != nil {
-		b.eng.ScheduleAt(srcEnd, sentCB)
+	if sent != nil {
+		b.eng.ScheduleActorAt(srcEnd, sent)
 	}
-	del := b.getDelivery()
-	del.msg = Message{Src: src, Dst: dst, Tag: tag, Size: size, Dim: dim}
-	del.cb, del.sink = deliveredCB, sink
-	b.eng.ScheduleActorAt(arrive, del)
+	b.eng.ScheduleActorAt(arrive, delivered)
 }
 
 // SimSend transmits size bytes from src to dst with a message tag, using
 // dimension-ordered routing: the message traverses, in ascending dimension
 // order, every dimension where the endpoint coordinates differ, serializing
-// on each dimension's links. sentCB, which may be nil, fires when the
-// message has left src; the matching SimRecv's callback fires on delivery.
-func (b *Backend) SimSend(src, dst, tag int, size units.ByteSize, sentCB func()) {
-	if src == dst {
-		// Local loopback: deliver instantly.
-		if sentCB != nil {
-			b.eng.Schedule(0, sentCB)
-		}
-		del := b.getDelivery()
-		del.msg = Message{Src: src, Dst: dst, Tag: tag, Size: size, Dim: -1}
-		del.sink = b
-		b.eng.ScheduleActor(0, del)
+// on each dimension's links. sent, which may be nil, fires when the message
+// has left src, at the first leg's egress end; the matching SimRecv's actor
+// fires on delivery. A message to itself leaves and lands at once.
+func (b *Backend) SimSend(src, dst, tag int, size units.ByteSize, sent timeline.Actor) {
+	r := b.getLegRun()
+	r.src, r.dst, r.tag, r.size, r.idx = src, dst, tag, size, 0
+	r.legs = b.route(src, dst, r.legs[:0])
+	if len(r.legs) > 0 {
+		r.send(sent)
 		return
 	}
-	r := b.getLegRun()
-	r.src, r.dst, r.tag, r.size = src, dst, tag, size
-	r.legs = b.route(src, dst, r.legs[:0])
-	r.idx = 0
-	r.issue(sentCB)
+	if sent != nil {
+		b.eng.ScheduleActor(0, sent)
+	}
+	b.eng.ScheduleActor(0, r)
 }
 
 // route appends the dimension-ordered hop legs from src to dst onto legs
@@ -470,7 +412,7 @@ type hopLeg struct {
 }
 
 // legRun is a pooled in-flight routed send: it owns its leg slice for the
-// message's lifetime and re-issues itself as each leg delivers.
+// message's lifetime and is the delivery event of each leg in turn.
 type legRun struct {
 	b        *Backend
 	src, dst int
@@ -489,107 +431,82 @@ func (b *Backend) getLegRun() *legRun {
 	return &legRun{b: b}
 }
 
-func (r *legRun) issue(sentCB func()) {
+// send issues the current leg, with r as its delivery event.
+func (r *legRun) send(sent timeline.Actor) {
 	leg := r.legs[r.idx]
-	r.b.sendOnDim(leg.from, leg.to, leg.dim, r.size, r.tag, sentCB, nil, r)
+	r.b.SendOnDim(leg.from, leg.to, leg.dim, r.size, sent, r)
 }
 
-// deliverMsg implements deliverySink: one leg landed, issue the next or
-// complete the route and recycle.
-func (r *legRun) deliverMsg(Message) {
+// Act implements timeline.Actor: one leg landed, so issue the next, or
+// recycle the run and hand the message to the rendezvous.
+func (r *legRun) Act() {
 	r.idx++
 	if r.idx < len(r.legs) {
-		r.issue(nil)
+		r.send(nil)
 		return
 	}
 	b := r.b
-	msg := Message{Src: r.src, Dst: r.dst, Tag: r.tag, Size: r.size, Dim: -1}
 	b.legRuns = append(b.legRuns, r)
-	b.deliver(msg)
+	b.deliver(matchKey{src: r.src, dst: r.dst, tag: r.tag})
 }
 
-// SimRecv registers interest in a message (src, dst, tag). recvCB fires
-// when the matching send has been delivered; posting the recv after the
-// message arrived fires it at once.
-func (b *Backend) SimRecv(src, dst, tag int, size units.ByteSize, recvCB func(Message)) {
-	if recvCB == nil {
-		panic("network: SimRecv requires a callback")
+// SimRecv registers interest in a message (src, dst, tag). recv fires when
+// the matching send has been delivered, inside the delivery's event;
+// posting the receive after the message arrived fires it as its own
+// zero-delay event.
+func (b *Backend) SimRecv(src, dst, tag int, recv timeline.Actor) {
+	if recv == nil {
+		panic("network: SimRecv requires an actor")
 	}
 	k := matchKey{src: src, dst: dst, tag: tag}
-	if q := b.arrived[k]; q != nil {
-		msg := q.items[q.head]
-		q.head++
-		if q.head == len(q.items) {
+	if n := b.arrived[k]; n > 0 {
+		if n == 1 {
 			delete(b.arrived, k)
-			b.putMsgQueue(q)
+		} else {
+			b.arrived[k] = n - 1
 		}
-		del := b.getDelivery()
-		del.msg = msg
-		del.cb = recvCB
-		b.eng.ScheduleActor(0, del)
+		b.eng.ScheduleActor(0, recv)
 		return
 	}
 	q := b.waiting[k]
 	if q == nil {
-		q = b.getCBQueue()
+		q = b.getRecvQueue()
 		b.waiting[k] = q
 	}
-	q.items = append(q.items, recvCB)
+	q.items = append(q.items, recv)
 }
 
-// deliverMsg implements deliverySink for loopback sends: route the message
-// into the rendezvous machinery at delivery time.
-func (b *Backend) deliverMsg(msg Message) { b.deliver(msg) }
-
-func (b *Backend) deliver(msg Message) {
-	k := matchKey{src: msg.Src, dst: msg.Dst, tag: msg.Tag}
-	if q := b.waiting[k]; q != nil {
-		cb := q.items[q.head]
-		q.items[q.head] = nil // release for the GC while pooled
-		q.head++
-		if q.head == len(q.items) {
-			delete(b.waiting, k)
-			b.putCBQueue(q)
-		}
-		cb(msg)
+// deliver hands a delivered message to its channel's oldest waiting
+// receive, or counts it as unclaimed.
+func (b *Backend) deliver(k matchKey) {
+	q := b.waiting[k]
+	if q == nil {
+		b.arrived[k]++
 		return
 	}
-	q := b.arrived[k]
-	if q == nil {
-		q = b.getMsgQueue()
-		b.arrived[k] = q
+	recv := q.items[q.head]
+	q.items[q.head] = nil // release for the GC while pooled
+	q.head++
+	if q.head == len(q.items) {
+		delete(b.waiting, k)
+		b.putRecvQueue(q)
 	}
-	q.items = append(q.items, msg)
+	recv.Act()
 }
 
-func (b *Backend) getMsgQueue() *msgQueue {
-	if n := len(b.msgQueues); n > 0 {
-		q := b.msgQueues[n-1]
-		b.msgQueues = b.msgQueues[:n-1]
+func (b *Backend) getRecvQueue() *recvQueue {
+	if n := len(b.recvQueues); n > 0 {
+		q := b.recvQueues[n-1]
+		b.recvQueues = b.recvQueues[:n-1]
 		return q
 	}
-	return &msgQueue{}
+	return &recvQueue{}
 }
 
-func (b *Backend) putMsgQueue(q *msgQueue) {
+func (b *Backend) putRecvQueue(q *recvQueue) {
 	q.items = q.items[:0]
 	q.head = 0
-	b.msgQueues = append(b.msgQueues, q)
-}
-
-func (b *Backend) getCBQueue() *cbQueue {
-	if n := len(b.cbQueues); n > 0 {
-		q := b.cbQueues[n-1]
-		b.cbQueues = b.cbQueues[:n-1]
-		return q
-	}
-	return &cbQueue{}
-}
-
-func (b *Backend) putCBQueue(q *cbQueue) {
-	q.items = q.items[:0]
-	q.head = 0
-	b.cbQueues = append(b.cbQueues, q)
+	b.recvQueues = append(b.recvQueues, q)
 }
 
 // EstimateP2P returns the unloaded (no-queueing) latency of a point-to-point

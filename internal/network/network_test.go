@@ -20,7 +20,7 @@ func TestSingleSendTiming(t *testing.T) {
 	b := NewBackend(eng, ring4())
 	var deliveredAt units.Time
 	// 1 MB over 100 GB/s is 10 us serialization, plus one hop of 500 ns.
-	b.SendOnDim(0, 1, 0, units.MB, 0, nil, func(Message) { deliveredAt = eng.Now() })
+	b.SendOnDim(0, 1, 0, units.MB, nil, timeline.Callback(func() { deliveredAt = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestRingWraparoundHops(t *testing.T) {
 	b := NewBackend(eng, ring4())
 	var deliveredAt units.Time
 	// 0 -> 3 is one hop backwards around the ring.
-	b.SendOnDim(0, 3, 0, units.MB, 0, nil, func(Message) { deliveredAt = eng.Now() })
+	b.SendOnDim(0, 3, 0, units.MB, nil, timeline.Callback(func() { deliveredAt = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestLinkSerialization(t *testing.T) {
 	var first, second units.Time
 	// Two back-to-back sends from NPU 0 share its dim-0 link: the second
 	// serializes behind the first.
-	b.SendOnDim(0, 1, 0, units.MB, 0, nil, func(Message) { first = eng.Now() })
-	b.SendOnDim(0, 3, 0, units.MB, 1, nil, func(Message) { second = eng.Now() })
+	b.SendOnDim(0, 1, 0, units.MB, nil, timeline.Callback(func() { first = eng.Now() }))
+	b.SendOnDim(0, 3, 0, units.MB, nil, timeline.Callback(func() { second = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +72,8 @@ func TestSendAndReceiveShareLink(t *testing.T) {
 	var d1, d2 units.Time
 	// NPU 1 both receives from 0 and sends to 2; its half-duplex dim link
 	// serializes the two transfers (the paper's sent+received accounting).
-	b.SendOnDim(0, 1, 0, units.MB, 0, nil, func(Message) { d1 = eng.Now() })
-	b.SendOnDim(1, 2, 0, units.MB, 1, nil, func(Message) { d2 = eng.Now() })
+	b.SendOnDim(0, 1, 0, units.MB, nil, timeline.Callback(func() { d1 = eng.Now() }))
+	b.SendOnDim(1, 2, 0, units.MB, nil, timeline.Callback(func() { d2 = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func TestDisjointLinksRunInParallel(t *testing.T) {
 	eng := timeline.New()
 	b := NewBackend(eng, ring4())
 	var d1, d2 units.Time
-	b.SendOnDim(0, 1, 0, units.MB, 0, nil, func(Message) { d1 = eng.Now() })
-	b.SendOnDim(2, 3, 0, units.MB, 1, nil, func(Message) { d2 = eng.Now() })
+	b.SendOnDim(0, 1, 0, units.MB, nil, timeline.Callback(func() { d1 = eng.Now() }))
+	b.SendOnDim(2, 3, 0, units.MB, nil, timeline.Callback(func() { d2 = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,24 +113,26 @@ func TestSendOnDimPanicsAcrossDims(t *testing.T) {
 			t.Error("expected panic for endpoints differing in another dim")
 		}
 	}()
-	b.SendOnDim(0, 3, 0, units.KB, 0, nil, nil) // ranks 0 and 3 differ in both dims
+	b.SendOnDim(0, 3, 0, units.KB, nil, noop) // ranks 0 and 3 differ in both dims
 }
+
+// noop is the delivery actor of a send whose landing a test does not
+// observe.
+var noop = timeline.Callback(func() {})
 
 func TestSimSendSimRecvRendezvous(t *testing.T) {
 	eng := timeline.New()
 	b := NewBackend(eng, ring4())
-	var got Message
-	recvFired := false
-	b.SimRecv(0, 1, 7, units.MB, func(m Message) { got = m; recvFired = true })
+	var fired []units.Time
+	b.SimRecv(0, 1, 7, timeline.Callback(func() { fired = append(fired, eng.Now()) }))
 	b.SimSend(0, 1, 7, units.MB, nil)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !recvFired {
-		t.Fatal("recv callback never fired")
-	}
-	if got.Src != 0 || got.Dst != 1 || got.Tag != 7 || got.Size != units.MB {
-		t.Errorf("message = %+v", got)
+	// The receive fires once, inside the delivery event: 10 us of
+	// serialization plus one 500 ns hop.
+	if want := units.FromMicros(10) + 500*units.Nanosecond; len(fired) != 1 || fired[0] != want {
+		t.Errorf("recv fired at %v, want once at %v", fired, want)
 	}
 }
 
@@ -143,7 +145,7 @@ func TestRecvPostedAfterArrival(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	b.SimRecv(0, 1, 3, units.KB, func(Message) { fired = true })
+	b.SimRecv(0, 1, 3, timeline.Callback(func() { fired = true }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +158,8 @@ func TestTagsAreIndependent(t *testing.T) {
 	eng := timeline.New()
 	b := NewBackend(eng, ring4())
 	var order []int
-	b.SimRecv(0, 1, 1, units.KB, func(Message) { order = append(order, 1) })
-	b.SimRecv(0, 1, 2, units.KB, func(Message) { order = append(order, 2) })
+	b.SimRecv(0, 1, 1, timeline.Callback(func() { order = append(order, 1) }))
+	b.SimRecv(0, 1, 2, timeline.Callback(func() { order = append(order, 2) }))
 	b.SimSend(0, 1, 2, units.KB, nil)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -175,7 +177,7 @@ func TestDimensionOrderedRouting(t *testing.T) {
 	eng := timeline.New()
 	b := NewBackend(eng, top)
 	var deliveredAt units.Time
-	b.SimRecv(0, 3, 0, units.MB, func(Message) { deliveredAt = eng.Now() })
+	b.SimRecv(0, 3, 0, timeline.Callback(func() { deliveredAt = eng.Now() }))
 	b.SimSend(0, 3, 0, units.MB, nil) // (0,0) -> (1,1): one ring leg, one switch leg
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -195,7 +197,7 @@ func TestSelfSendLoopback(t *testing.T) {
 	eng := timeline.New()
 	b := NewBackend(eng, ring4())
 	fired := false
-	b.SimRecv(2, 2, 0, units.MB, func(Message) { fired = true })
+	b.SimRecv(2, 2, 0, timeline.Callback(func() { fired = true }))
 	b.SimSend(2, 2, 0, units.MB, nil)
 	end, err := eng.Run()
 	if err != nil {
@@ -212,8 +214,8 @@ func TestSelfSendLoopback(t *testing.T) {
 func TestTrafficStats(t *testing.T) {
 	eng := timeline.New()
 	b := NewBackend(eng, ring4())
-	b.SendOnDim(0, 1, 0, 3*units.MB, 0, nil, nil)
-	b.SendOnDim(1, 0, 0, 5*units.MB, 1, nil, nil)
+	b.SendOnDim(0, 1, 0, 3*units.MB, nil, noop)
+	b.SendOnDim(1, 0, 0, 5*units.MB, nil, noop)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,9 +237,9 @@ func TestSentCallbackBeforeDelivery(t *testing.T) {
 	eng := timeline.New()
 	b := NewBackend(eng, ring4())
 	var sentAt, deliveredAt units.Time
-	b.SendOnDim(0, 2, 0, units.MB, 0,
-		func() { sentAt = eng.Now() },
-		func(Message) { deliveredAt = eng.Now() })
+	b.SendOnDim(0, 2, 0, units.MB,
+		timeline.Callback(func() { sentAt = eng.Now() }),
+		timeline.Callback(func() { deliveredAt = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +263,7 @@ func TestMultiLegRouteSerializesPerDim(t *testing.T) {
 	// (0,0,0) -> (1,1,1): three legs of 10us each.
 	dst := top.Rank([]int{1, 1, 1})
 	var at units.Time
-	b.SimRecv(0, dst, 0, units.MB, func(Message) { at = eng.Now() })
+	b.SimRecv(0, dst, 0, timeline.Callback(func() { at = eng.Now() }))
 	b.SimSend(0, dst, 0, units.MB, nil)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -279,7 +281,7 @@ func TestSentCallbackOnMultiLegRoute(t *testing.T) {
 	eng := timeline.New()
 	b := NewBackend(eng, top)
 	var sentAt units.Time
-	b.SimSend(0, 3, 0, units.MB, func() { sentAt = eng.Now() })
+	b.SimSend(0, 3, 0, units.MB, timeline.Callback(func() { sentAt = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +312,7 @@ func TestPhaseAvailabilityAndReserve(t *testing.T) {
 	}
 	// A point-to-point send from a member queues behind the phase.
 	var sentAt units.Time
-	b.SendOnDim(2, 3, 0, units.MB, 0, func() { sentAt = eng.Now() }, nil)
+	b.SendOnDim(2, 3, 0, units.MB, timeline.Callback(func() { sentAt = eng.Now() }), noop)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +334,7 @@ func TestSimRecvNilCallbackPanics(t *testing.T) {
 			t.Error("nil recv callback accepted")
 		}
 	}()
-	b.SimRecv(0, 1, 0, units.KB, nil)
+	b.SimRecv(0, 1, 0, nil)
 }
 
 func TestEstimateP2PMatchesUnloadedSend(t *testing.T) {
@@ -348,7 +350,7 @@ func TestEstimateP2PMatchesUnloadedSend(t *testing.T) {
 			eng := timeline.New()
 			b := NewBackend(eng, top)
 			var at units.Time
-			b.SimRecv(src, dst, 0, 4*units.MB, func(Message) { at = eng.Now() })
+			b.SimRecv(src, dst, 0, timeline.Callback(func() { at = eng.Now() }))
 			b.SimSend(src, dst, 0, 4*units.MB, nil)
 			if _, err := eng.Run(); err != nil {
 				t.Fatal(err)
@@ -389,7 +391,7 @@ func TestFlowFinishedOnlyForTrackedFlows(t *testing.T) {
 		ops := func(d, delivery, flowDone int) {
 			t.Helper()
 			base := eng.Pending()
-			b.SendOnDim(0, 1+3*d, d, units.KB, 0, nil, nil) // 0->1 on dim 0, 0->4 on dim 1
+			b.SendOnDim(0, 1+3*d, d, units.KB, nil, noop) // 0->1 on dim 0, 0->4 on dim 1
 			if got := eng.Pending() - base; got != delivery+flowDone {
 				t.Errorf("transit=%v: SendOnDim on dim %d queued %d events, want %d", transit, d, got, delivery+flowDone)
 			}

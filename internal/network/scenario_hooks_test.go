@@ -23,7 +23,7 @@ func TestDimBandwidthScale(t *testing.T) {
 	}
 	var deliveredAt units.Time
 	// 1 MB over 100 GB/s at half bandwidth is 20 us, plus one 500 ns hop.
-	b.SendOnDim(0, 1, 0, units.MB, 0, nil, func(Message) { deliveredAt = eng.Now() })
+	b.SendOnDim(0, 1, 0, units.MB, nil, timeline.Callback(func() { deliveredAt = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestDimBandwidthScale(t *testing.T) {
 		t.Fatalf("scale after restore = %g, want 1", got)
 	}
 	start := eng.Now()
-	b.SendOnDim(0, 1, 0, units.MB, 1, nil, func(Message) { deliveredAt = eng.Now() })
+	b.SendOnDim(0, 1, 0, units.MB, nil, timeline.Callback(func() { deliveredAt = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestDimBandwidthScaleIgnoresInvalid(t *testing.T) {
 		t.Errorf("out-of-range getter = %g, want 1", got)
 	}
 	var deliveredAt units.Time
-	b.SendOnDim(0, 1, 0, units.MB, 0, nil, func(Message) { deliveredAt = eng.Now() })
+	b.SendOnDim(0, 1, 0, units.MB, nil, timeline.Callback(func() { deliveredAt = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,8 @@ func TestStallNPULinks(t *testing.T) {
 	b.StallNPULinks(-1, units.FromMicros(500))
 	b.StallNPULinks(99, units.FromMicros(500))
 	var stalledAt, cleanAt units.Time
-	b.SendOnDim(0, 1, 0, units.MB, 0, nil, func(Message) { stalledAt = eng.Now() })
-	b.SendOnDim(2, 3, 0, units.MB, 0, nil, func(Message) { cleanAt = eng.Now() })
+	b.SendOnDim(0, 1, 0, units.MB, nil, timeline.Callback(func() { stalledAt = eng.Now() }))
+	b.SendOnDim(2, 3, 0, units.MB, nil, timeline.Callback(func() { cleanAt = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

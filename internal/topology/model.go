@@ -90,11 +90,12 @@ type DimModel interface {
 	// the block actually delivers to collectives at the given dimension
 	// size (e.g. switch oversubscription, mesh embedding dilation).
 	EffectiveBandwidth(bw units.Bandwidth, size int) units.Bandwidth
-	// TransitPositions returns the ordered positions (both endpoints
-	// inclusive) a message crosses travelling from a to b, for first-order
-	// transit-congestion charging — or nil if the block has no NPU transit
-	// path (fabric hops are folded into the hop latency).
-	TransitPositions(a, b, size int) []int
+	// TransitPositions appends to path the ordered positions (both
+	// endpoints inclusive) a message crosses travelling from a to b, for
+	// first-order transit-congestion charging, and returns the extended
+	// slice. A block with no NPU transit path (fabric hops are folded into
+	// the hop latency) returns path unchanged.
+	TransitPositions(path []int, a, b, size int) []int
 	// PhaseSchedule is the message-level schedule of the block's
 	// collective: one slice per bulk-synchronous step, each holding that
 	// step's transfers. d is the per-NPU input size (the full input for
@@ -155,7 +156,7 @@ func (baseModel) Validate(size int) error {
 
 func (baseModel) EffectiveBandwidth(bw units.Bandwidth, size int) units.Bandwidth { return bw }
 
-func (baseModel) TransitPositions(a, b, size int) []int { return nil }
+func (baseModel) TransitPositions(path []int, a, b, size int) []int { return path }
 
 // ringSchedule is the ring algorithm's message-level schedule over an
 // arbitrary logical member order: k−1 steps, each member forwarding per
@@ -236,14 +237,13 @@ func (m ringModel) PhaseLatency(k int, link units.Time) units.Time {
 	return units.Time(m.Steps(k)) * link
 }
 
-func (m ringModel) TransitPositions(a, b, size int) []int {
+func (m ringModel) TransitPositions(path []int, a, b, size int) []int {
 	fwd := (b - a + size) % size
 	bwd := (a - b + size) % size
 	dir, hops := 1, fwd
 	if bwd < fwd {
 		dir, hops = -1, bwd
 	}
-	path := make([]int, 0, hops+1)
 	for h, p := 0, a; h <= hops; h++ {
 		path = append(path, p)
 		p = (p + dir + size) % size
@@ -435,12 +435,11 @@ func (m meshModel) EffectiveBandwidth(bw units.Bandwidth, size int) units.Bandwi
 	return bw / units.Bandwidth(meshDilation(size))
 }
 
-func (meshModel) TransitPositions(a, b, size int) []int {
+func (meshModel) TransitPositions(path []int, a, b, size int) []int {
 	dir := 1
 	if b < a {
 		dir = -1
 	}
-	path := make([]int, 0, (b-a)*dir+1)
 	for p := a; ; p += dir {
 		path = append(path, p)
 		if p == b {
@@ -521,20 +520,22 @@ func (m torus2DModel) PhaseLatency(k int, link units.Time) units.Time {
 	return units.Time(m.Steps(k)) * link
 }
 
-func (m torus2DModel) TransitPositions(a, b, size int) []int {
-	// Dimension-ordered within the block: resolve the x ring, then the y
-	// ring, concatenating the per-axis ring paths.
+func (m torus2DModel) TransitPositions(path []int, a, b, size int) []int {
+	// Dimension-ordered within the block: resolve the x ring along row ay,
+	// then the y ring along column bx from the corner the x ring ends on.
 	ax, ay := m.xy(a)
-	bx, _ := m.xy(b)
+	bx, by := m.xy(b)
 	r := ringModel{}
-	path := []int{}
-	for _, x := range r.TransitPositions(ax, bx, m.A) {
-		path = append(path, ay*m.A+x)
+	x := len(path)
+	path = r.TransitPositions(path, ax, bx, m.A)
+	for i := x; i < len(path); i++ {
+		path[i] += ay * m.A
 	}
-	corner := path[len(path)-1]
-	ypath := r.TransitPositions(corner/m.A, b/m.A, m.B)
-	for _, y := range ypath[1:] {
-		path = append(path, y*m.A+bx)
+	y := len(path)
+	path = r.TransitPositions(path, ay, by, m.B)
+	path = append(path[:y], path[y+1:]...) // the corner is already on the path
+	for i := y; i < len(path); i++ {
+		path[i] = path[i]*m.A + bx
 	}
 	return path
 }

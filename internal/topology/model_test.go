@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -182,35 +183,27 @@ func TestMeshBandwidthPaysDilation(t *testing.T) {
 }
 
 func TestTransitPositions(t *testing.T) {
-	ring := Ring.TransitPositions(6, 1, 8) // wrap: 6 -> 7 -> 0 -> 1
-	want := []int{6, 7, 0, 1}
-	if len(ring) != len(want) {
+	ring := Ring.TransitPositions(nil, 6, 1, 8) // wrap: 6 -> 7 -> 0 -> 1
+	if want := []int{6, 7, 0, 1}; !slices.Equal(ring, want) {
 		t.Fatalf("ring transit = %v, want %v", ring, want)
 	}
-	for i := range want {
-		if ring[i] != want[i] {
-			t.Fatalf("ring transit = %v, want %v", ring, want)
-		}
+	// The path is appended after what the buffer already holds.
+	mesh := Mesh.TransitPositions([]int{9}, 5, 2, 8) // line: 5 -> 4 -> 3 -> 2
+	if want := []int{9, 5, 4, 3, 2}; !slices.Equal(mesh, want) {
+		t.Fatalf("mesh transit = %v, want %v", mesh, want)
 	}
-	mesh := Mesh.TransitPositions(5, 2, 8) // line: 5 -> 4 -> 3 -> 2
-	wantM := []int{5, 4, 3, 2}
-	for i := range wantM {
-		if mesh[i] != wantM[i] {
-			t.Fatalf("mesh transit = %v, want %v", mesh, wantM)
-		}
+	if p := Switch.TransitPositions([]int{9}, 0, 3, 8); !slices.Equal(p, []int{9}) {
+		t.Errorf("switch transit = %v, want the buffer unchanged", p)
 	}
-	if p := Switch.TransitPositions(0, 3, 8); p != nil {
-		t.Errorf("switch transit = %v, want nil", p)
-	}
-	// Torus transit is dimension-ordered (x ring then y ring) and its
-	// length matches Hops+1.
+	// Torus transit is dimension-ordered (x ring along the source row, then
+	// y ring along the destination column) and its length matches Hops+1.
 	tor := Torus2D(4, 4)
-	path := tor.TransitPositions(0, 2+4*3, 16)
-	if len(path) != tor.Hops(0, 2+4*3, 16)+1 {
-		t.Errorf("torus transit %v length %d, want hops+1 = %d", path, len(path), tor.Hops(0, 2+4*3, 16)+1)
+	path := tor.TransitPositions([]int{9}, 0, 2+4*3, 16)
+	if want := []int{9, 0, 1, 2, 2 + 4*3}; !slices.Equal(path, want) {
+		t.Errorf("torus transit = %v, want %v", path, want)
 	}
-	if path[0] != 0 || path[len(path)-1] != 2+4*3 {
-		t.Errorf("torus transit %v must start/end at the endpoints", path)
+	if len(path)-1 != tor.Hops(0, 2+4*3, 16)+1 {
+		t.Errorf("torus transit %v has %d positions, want hops+1 = %d", path[1:], len(path)-1, tor.Hops(0, 2+4*3, 16)+1)
 	}
 }
 

@@ -49,7 +49,7 @@ type WorkloadSpec struct {
 	GradBytes       int64   `json:"grad_bytes,omitempty"`
 
 	// Iterations > 1 repeats the workload with synchronous iteration
-	// boundaries.
+	// boundaries; 0 and 1 run it once, and a negative count is an error.
 	Iterations int `json:"iterations,omitempty"`
 }
 
@@ -57,6 +57,9 @@ type WorkloadSpec struct {
 // each time the trace is generated, so one spec can serve many sweep
 // cells.
 func (s WorkloadSpec) Workload() (Workload, error) {
+	if s.Iterations < 0 {
+		return nil, fmt.Errorf("astrasim: workload kind %q has a negative iteration count %d", s.Kind, s.Iterations)
+	}
 	size := s.SizeBytes
 	if size == 0 {
 		size = 1 << 30

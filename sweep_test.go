@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 )
 
 func testSweepSpec() SweepSpec {
@@ -116,6 +117,40 @@ func TestRunSweepProgressAndErrors(t *testing.T) {
 	}
 	if _, err := RunSweep(SweepSpec{}, SweepOptions{}); err == nil {
 		t.Error("empty spec accepted")
+	}
+}
+
+// A negative iteration count is an error naming the kind and the count,
+// through every spec that carries a workload; 0 and 1 both run the
+// workload once.
+func TestWorkloadIterationCounts(t *testing.T) {
+	spec := func(iters int) SweepSpec {
+		return SweepSpec{
+			Machines:  []SweepMachine{{Config: MachineConfig{Topology: "R(4)", BandwidthsGBps: []float64{300}}}},
+			Workloads: []WorkloadSpec{{Kind: "all_reduce", SizeBytes: 1 << 20, Iterations: iters}},
+		}
+	}
+	const want = `workload kind "all_reduce" has a negative iteration count -3`
+	if _, err := RunSweep(spec(-3), SweepOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("sweep with iterations -3: error %v, want one containing %q", err, want)
+	}
+	_, err := RunScenario(ScenarioSpec{
+		Machine:  scenarioTestMachineConfig(),
+		Workload: WorkloadSpec{Kind: "all_reduce", SizeBytes: 1 << 20, Iterations: -3},
+	})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("scenario with iterations -3: error %v, want one containing %q", err, want)
+	}
+	var makespans []time.Duration
+	for _, iters := range []int{0, 1, 2} {
+		res, err := RunSweep(spec(iters), SweepOptions{})
+		if err != nil {
+			t.Fatalf("iterations %d: %v", iters, err)
+		}
+		makespans = append(makespans, res.Rows[0].Report.Makespan)
+	}
+	if makespans[0] != makespans[1] || makespans[2] <= makespans[1] {
+		t.Errorf("makespans for iterations 0, 1, 2 = %v, want the first two equal and the third longer", makespans)
 	}
 }
 
