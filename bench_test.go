@@ -7,6 +7,7 @@ package astrasim
 // performance regression harness for the simulator itself.
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/core"
+	"repro/internal/et"
 	"repro/internal/etgen"
 	"repro/internal/experiments"
 	"repro/internal/garnet"
@@ -354,10 +356,11 @@ func benchPipeline(b *testing.B) (*Machine, etgen.PipelineConfig) {
 	}
 }
 
-// BenchmarkTraceSetup measures trace ingestion for a per-rank trace: the
-// pipeline built by etgen.Pipeline and compiled by Trace.Plans, the set-up
-// a pipeline-parallel run pays before its first event. With -benchmem its
-// allocs/op show set-up allocating per list, not per node.
+// BenchmarkTraceSetup measures the set-up a pipeline-parallel run pays
+// before its first event: the pipeline built by etgen.Pipeline, one list
+// per stage class shared by its ranks, and compiled by Trace.Plans. With
+// -benchmem its allocs/op show set-up allocating per list, not per node or
+// per rank.
 func BenchmarkTraceSetup(b *testing.B) {
 	m, cfg := benchPipeline(b)
 	b.ReportAllocs()
@@ -368,6 +371,35 @@ func BenchmarkTraceSetup(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := tr.Plans(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTraceSetupPerRank measures ingestion of a trace whose every rank
+// holds its own list with absolute peers, the shape et.Decode and convert
+// produce: the same pipeline, encoded and decoded once, then compiled by
+// Trace.Plans, which checks 256 lists and matches every rank's sends and
+// receives. With -benchmem its allocs/op show it allocating per list, not
+// per node.
+func BenchmarkTraceSetupPerRank(b *testing.B) {
+	m, cfg := benchPipeline(b)
+	tr, err := etgen.Pipeline(m.top, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := tr.Encode(&doc); err != nil {
+		b.Fatal(err)
+	}
+	perRank, err := et.Decode(&doc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := perRank.Plans(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/et"
@@ -50,5 +54,26 @@ func TestGenerateEveryWorkload(t *testing.T) {
 	}
 	if _, err := generate("broadcast", top, units.MB); err == nil {
 		t.Error("unknown workload accepted")
+	}
+}
+
+// gen writes a pipeline trace byte for byte as it did when every rank had
+// its own list with absolute peers (the digest was taken then), and
+// validate accepts it.
+func TestGenPipelineDigest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pipeline.json")
+	if err := runGen([]string{"-workload", "pipeline", "-topology", "FC(4)_SW(2)_R(4)", "-o", path}); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "c09d17666bc0aa6b4bc88c9907d90d4e537497c1248c0c74460a2fc030641ed6"
+	if sum := sha256.Sum256(doc); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("gen output digest %x, want %s", sum, want)
+	}
+	if _, err := loadTrace(path); err != nil {
+		t.Errorf("validate rejects the generated trace: %v", err)
 	}
 }

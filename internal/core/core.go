@@ -766,13 +766,13 @@ func (s *Simulator) issue(st *npuState, pos int32) {
 		s.issueCollective(st, pos)
 	case et.KindSend:
 		s.markBusy(st, &st.nComm)
-		s.net.SimSend(st.rank, n.Peer, n.Tag, units.ByteSize(n.CommBytes), s.newOp(st, pos, &st.nComm, false))
+		s.net.SimSend(st.rank, st.plan.Peer(n, st.rank), n.Tag, units.ByteSize(n.CommBytes), s.newOp(st, pos, &st.nComm, false))
 	case et.KindRecv:
 		// A receive is pure synchronization, so it runs under no activity
 		// counter: the message's wire time is attributed to the sender's
 		// link, and waiting for a peer that has not sent yet is idle time
 		// (this is what makes pipeline bubbles visible in the breakdown).
-		s.net.SimRecv(n.Peer, st.rank, n.Tag, s.newOp(st, pos, nil, false))
+		s.net.SimRecv(st.plan.Peer(n, st.rank), st.rank, n.Tag, s.newOp(st, pos, nil, false))
 	default:
 		panic(fmt.Sprintf("core: unknown node kind %q", n.Kind))
 	}

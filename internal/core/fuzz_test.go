@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/compute"
@@ -52,6 +54,12 @@ func fuzzTraceSeeds() []string {
 // runs for one to three iterations on SW(n) with a hierarchical memory
 // pool, transit charging and an event budget. Start, Run and Finalize may
 // return errors but must never panic.
+//
+// Each trace also runs in its rank-relative form (relativeRewrite), which
+// must encode to the same bytes, fail Start exactly when the trace does
+// and with the same error, and past Start give the same errors and
+// RunStats. Both forms passed validation as absolute traces, so no peer
+// is negative, and no error text may differ.
 func FuzzRunTrace(f *testing.F) {
 	for _, s := range fuzzTraceSeeds() {
 		f.Add([]byte(s))
@@ -72,6 +80,12 @@ func FuzzRunTrace(f *testing.F) {
 			return
 		}
 		trace.Iterations = 1 + len(doc)%3
+		rel := relativeRewrite(trace)
+		var abs, relDoc bytes.Buffer
+		absErr, relErr := trace.Encode(&abs), rel.Encode(&relDoc)
+		if errText(absErr) != errText(relErr) || !bytes.Equal(abs.Bytes(), relDoc.Bytes()) {
+			t.Fatalf("rank-relative trace encodes differently: %v vs %v\n%s\n%s", absErr, relErr, abs.Bytes(), relDoc.Bytes())
+		}
 		top, err := topology.New(topology.Dim{Kind: topology.Switch, Size: n, Bandwidth: units.GBps(100), Latency: 500 * units.Nanosecond})
 		if err != nil {
 			t.Fatal(err)
@@ -96,16 +110,36 @@ func FuzzRunTrace(f *testing.F) {
 			Chunks:                 4,
 			ModelTransitCongestion: true,
 		}
-		eng := timeline.New()
-		eng.SetEventBudget(1 << 16)
-		sim, err := NewSimulatorOn(eng, cfg)
-		if err != nil {
-			t.Fatal(err)
+		// simulate returns Start's error, or the run's and Finalize's.
+		simulate := func(tr *et.Trace) (startErr, runErr error, stats *RunStats) {
+			eng := timeline.New()
+			eng.SetEventBudget(1 << 16)
+			sim, err := NewSimulatorOn(eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.Start(tr, 0); err != nil {
+				return err, nil, nil
+			}
+			_, runErr = eng.Run()
+			stats, err = sim.Finalize()
+			return nil, errors.Join(runErr, err), stats
 		}
-		if err := sim.Start(trace, 0); err != nil {
-			return
+		absStart, absRun, absStats := simulate(trace)
+		relStart, relRun, relStats := simulate(rel)
+		if errText(absStart) != errText(relStart) {
+			t.Fatalf("Start: %v, but %v for the rank-relative trace", absStart, relStart)
 		}
-		_, _ = eng.Run()
-		_, _ = sim.Finalize()
+		if errText(absRun) != errText(relRun) || !reflect.DeepEqual(absStats, relStats) {
+			t.Fatalf("run: %v, but %v for the rank-relative trace; stats equal: %v", absRun, relRun, reflect.DeepEqual(absStats, relStats))
+		}
 	})
+}
+
+// errText is err's text, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

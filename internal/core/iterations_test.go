@@ -25,7 +25,7 @@ func unroll(tr *et.Trace, n int) *et.Trace {
 			tagStride = max(tagStride, nd.Tag+1)
 		}
 	}
-	out := &et.Trace{Name: tr.Name, NumNPUs: tr.NumNPUs}
+	out := &et.Trace{Name: tr.Name, NumNPUs: tr.NumNPUs, RelativePeers: tr.RelativePeers}
 	for _, g := range tr.Graphs {
 		var nodes []et.Node
 		if len(g.Nodes) > 0 {

@@ -16,6 +16,13 @@
 // execution engine to run it several times back to back; the node lists
 // are never copied per iteration.
 //
+// A send's or receive's Peer is a rank, or, in a trace with RelativePeers,
+// an offset from its graph's NPU. Relative peers let ranks whose lists
+// differ only in absolute peers share one list: etgen's pipeline
+// generators hand every rank of a stage class the same list. Plan.Peer is
+// the one place a peer is resolved, and Encode always writes absolute
+// peers, so the JSON format has no relative form.
+//
 // Traces are compact: a graph holds its nodes by value in one slice, and
 // graphs that share a list share one slice. The compile pass resolves IDs
 // through a table when they are dense (a span of at most twice the list's
@@ -36,6 +43,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 )
 
@@ -193,8 +201,11 @@ type Node struct {
 	// Communication metadata.
 	CommBytes int64     `json:"comm_bytes,omitempty"`
 	Group     *GroupRef `json:"group,omitempty"`
-	Peer      int       `json:"peer,omitempty"`
-	Tag       int       `json:"tag,omitempty"`
+	// Peer is the rank a send goes to or a receive comes from. In a trace
+	// with RelativePeers it is an offset from the graph's NPU instead, and
+	// Plan.Peer resolves it.
+	Peer int `json:"peer,omitempty"`
+	Tag  int `json:"tag,omitempty"`
 }
 
 // Graph is one NPU's execution trace. Nodes are held by value, so a list
@@ -216,15 +227,15 @@ type Trace struct {
 	// the last node of its current one completes. Zero means one. It is
 	// not serialized.
 	Iterations int `json:"-"`
+	// RelativePeers means every send's and receive's Peer is an offset from
+	// its graph's NPU, so one list serves every rank whose peers sit at the
+	// same offsets. It is not serialized: Encode writes absolute peers.
+	RelativePeers bool `json:"-"`
 }
 
-// Validate checks structural invariants of a single graph: unique IDs,
-// dependencies referencing existing nodes other than the node itself,
-// kind-specific metadata present, and acyclicity.
-func (g *Graph) Validate() error {
-	_, err := compile(g.NPU, g.Nodes)
-	return err
-}
+// MaxListLen is the most nodes, and the most dependencies, one node list
+// may hold: a Plan addresses both as int32.
+const MaxListLen = math.MaxInt32
 
 // Plan is one distinct node list, validated and compiled for execution.
 // Nodes are addressed by their position in the list, so nothing downstream
@@ -240,6 +251,8 @@ type Plan struct {
 	roots     []int32
 	// p2p counts the list's send and receive nodes.
 	p2p int
+	// relative is the trace's RelativePeers.
+	relative bool
 }
 
 // Nodes returns the node list in declaration order.
@@ -255,6 +268,16 @@ func (p *Plan) InDegrees() []int32 { return p.indeg }
 
 // Roots returns the positions with no dependencies in ascending-ID order.
 func (p *Plan) Roots() []int32 { return p.roots }
+
+// Peer returns the rank that a send or receive node of the plan exchanges
+// with when rank issues it: the node's Peer, offset by rank when the trace
+// has RelativePeers.
+func (p *Plan) Peer(n *Node, rank int) int {
+	if p.relative {
+		return rank + n.Peer
+	}
+	return n.Peer
+}
 
 // idIndex resolves one list's node IDs to list positions. IDs whose span
 // is at most twice the list's length, as every generator produces, go
@@ -315,13 +338,18 @@ func (x *idIndex) lookup(id int) (int32, bool) {
 	return x.table[off] - 1, true
 }
 
-// compile validates one node list and builds its plan. Node IDs need not
-// be dense or ascending; this is the one place they are resolved to list
-// positions. Errors come in list order: duplicate IDs first, then each
-// node's dependencies and metadata, then cycles. The plan's arrays are
-// carved from one allocation, and the pass's scratch from another.
-func compile(npu int, nodes []Node) (*Plan, error) {
+// compile validates one node list and builds its plan; relative is the
+// trace's RelativePeers, under which a negative peer is an offset, not a
+// missing rank. Node IDs need not be dense or ascending; this is the one
+// place they are resolved to list positions. Errors come in list order:
+// the node count and duplicate IDs first, then the dependency count, then
+// each node's dependencies and metadata, then cycles. The plan's arrays
+// are carved from one allocation, and the pass's scratch from another.
+func compile(npu int, nodes []Node, relative bool) (*Plan, error) {
 	n := len(nodes)
+	if n > MaxListLen {
+		return nil, fmt.Errorf("et: npu %d has %d nodes; a list holds at most %d", npu, n, MaxListLen)
+	}
 	ids := newIDIndex(nodes)
 	edges, nroots := 0, 0
 	for i := range nodes {
@@ -334,8 +362,11 @@ func compile(npu int, nodes []Node) (*Plan, error) {
 			nroots++
 		}
 	}
+	if edges > MaxListLen {
+		return nil, fmt.Errorf("et: npu %d has %d dependencies; a list holds at most %d", npu, edges, MaxListLen)
+	}
 	buf := make([]int32, 2*n+1+nroots+edges)
-	p := &Plan{nodes: nodes}
+	p := &Plan{nodes: nodes, relative: relative}
 	p.off, buf = buf[:n+1:n+1], buf[n+1:]
 	p.indeg, buf = buf[:n:n], buf[n:]
 	p.roots, p.deps = buf[:0:nroots], buf[nroots:]
@@ -357,7 +388,7 @@ func compile(npu int, nodes []Node) (*Plan, error) {
 			depPos = append(depPos, q)
 			p.off[q+1]++
 		}
-		if err := nd.validateMeta(); err != nil {
+		if err := nd.validateMeta(relative); err != nil {
 			return nil, fmt.Errorf("et: npu %d node %d: %w", npu, nd.ID, err)
 		}
 		p.indeg[i] = int32(len(nd.Deps))
@@ -400,7 +431,9 @@ func compile(npu int, nodes []Node) (*Plan, error) {
 	return p, nil
 }
 
-func (n *Node) validateMeta() error {
+// validateMeta checks a node's kind-specific metadata; relative is the
+// trace's RelativePeers.
+func (n *Node) validateMeta(relative bool) error {
 	switch n.Kind {
 	case KindCompute:
 		if n.FLOPs < 0 || n.MemBytes < 0 {
@@ -429,7 +462,7 @@ func (n *Node) validateMeta() error {
 		if n.CommBytes <= 0 {
 			return fmt.Errorf("p2p node needs positive comm_bytes")
 		}
-		if n.Peer < 0 {
+		if n.Peer < 0 && !relative {
 			return fmt.Errorf("p2p node needs a peer rank")
 		}
 	default:
@@ -489,7 +522,7 @@ func (t *Trace) Plans() ([]*Plan, error) {
 		p := shared[key]
 		if p == nil {
 			var err error
-			if p, err = compile(g.NPU, g.Nodes); err != nil {
+			if p, err = compile(g.NPU, g.Nodes, t.RelativePeers); err != nil {
 				return nil, err
 			}
 			shared[key] = p
@@ -525,21 +558,23 @@ func (t *Trace) matchP2P(plans []*Plan, count int) error {
 	// recs[start[s]:start[s+1]], and next[s] is the bucket's next free slot.
 	start := make([]int, t.NumNPUs+1)
 	for i, g := range t.Graphs {
-		if plans[i].p2p == 0 {
+		p := plans[i]
+		if p.p2p == 0 {
 			continue
 		}
 		for k := range g.Nodes {
 			switch n := &g.Nodes[k]; n.Kind {
 			case KindSend:
-				if n.Peer >= t.NumNPUs {
-					return fmt.Errorf("et: npu %d sends to out-of-range peer %d", g.NPU, n.Peer)
+				if peer := p.Peer(n, g.NPU); peer < 0 || peer >= t.NumNPUs {
+					return fmt.Errorf("et: npu %d sends to out-of-range peer %d", g.NPU, peer)
 				}
 				start[g.NPU+1]++
 			case KindRecv:
-				if n.Peer >= t.NumNPUs {
-					return fmt.Errorf("et: npu %d receives from out-of-range peer %d", g.NPU, n.Peer)
+				peer := p.Peer(n, g.NPU)
+				if peer < 0 || peer >= t.NumNPUs {
+					return fmt.Errorf("et: npu %d receives from out-of-range peer %d", g.NPU, peer)
 				}
-				start[n.Peer+1]++
+				start[peer+1]++
 			}
 		}
 	}
@@ -549,17 +584,19 @@ func (t *Trace) matchP2P(plans []*Plan, count int) error {
 	next := append(make([]int, 0, t.NumNPUs), start[:t.NumNPUs]...)
 	recs := make([]p2pRecord, count)
 	for i, g := range t.Graphs {
-		if plans[i].p2p == 0 {
+		p := plans[i]
+		if p.p2p == 0 {
 			continue
 		}
 		for k := range g.Nodes {
 			switch n := &g.Nodes[k]; n.Kind {
 			case KindSend:
-				recs[next[g.NPU]] = p2pRecord{dst: n.Peer, tag: n.Tag, size: n.CommBytes, pos: int32(k)}
+				recs[next[g.NPU]] = p2pRecord{dst: p.Peer(n, g.NPU), tag: n.Tag, size: n.CommBytes, pos: int32(k)}
 				next[g.NPU]++
 			case KindRecv:
-				recs[next[n.Peer]] = p2pRecord{dst: g.NPU, tag: n.Tag, size: n.CommBytes, pos: int32(k), recv: true}
-				next[n.Peer]++
+				peer := p.Peer(n, g.NPU)
+				recs[next[peer]] = p2pRecord{dst: g.NPU, tag: n.Tag, size: n.CommBytes, pos: int32(k), recv: true}
+				next[peer]++
 			}
 		}
 	}
@@ -614,10 +651,27 @@ func (t *Trace) NodeCount() int {
 	return n
 }
 
-// Encode writes the trace as JSON.
+// Encode writes the trace as JSON. Peers are written as ranks: a trace
+// with RelativePeers is written as the per-rank trace it stands for,
+// without modifying its shared lists.
 func (t *Trace) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(t)
+	out := t
+	if t.RelativePeers {
+		out = &Trace{Name: t.Name, NumNPUs: t.NumNPUs, Graphs: make([]*Graph, len(t.Graphs))}
+		for i, g := range t.Graphs {
+			if g == nil {
+				continue
+			}
+			nodes := slices.Clone(g.Nodes)
+			for k := range nodes {
+				if n := &nodes[k]; n.Kind == KindSend || n.Kind == KindRecv {
+					n.Peer += g.NPU
+				}
+			}
+			out.Graphs[i] = &Graph{NPU: g.NPU, Nodes: nodes}
+		}
+	}
+	return json.NewEncoder(w).Encode(out)
 }
 
 // Decode reads one trace document from JSON and validates it. Anything but

@@ -81,11 +81,11 @@ func TestSelfDep(t *testing.T) {
 }
 
 func TestCycleDetected(t *testing.T) {
-	g := &Graph{NPU: 0, Nodes: []Node{
+	cycle := []Node{
 		{ID: 1, Kind: KindCompute, Deps: []int{2}},
 		{ID: 2, Kind: KindCompute, Deps: []int{1}},
-	}}
-	if err := g.Validate(); err == nil {
+	}
+	if _, err := compile(0, cycle, false); err == nil {
 		t.Error("cycle accepted")
 	}
 }
@@ -99,8 +99,7 @@ func TestLongChainNoCycle(t *testing.T) {
 		}
 		nodes[i] = n
 	}
-	g := &Graph{NPU: 0, Nodes: nodes}
-	if err := g.Validate(); err != nil {
+	if _, err := compile(0, nodes, false); err != nil {
 		t.Errorf("chain rejected: %v", err)
 	}
 }
@@ -121,8 +120,7 @@ func TestKindMetadataValidation(t *testing.T) {
 		{"bogus kind", Node{ID: 1, Kind: KindRecv + 1}},
 	}
 	for _, c := range cases {
-		g := &Graph{NPU: 0, Nodes: []Node{c.node}}
-		if err := g.Validate(); err == nil {
+		if _, err := compile(0, []Node{c.node}, false); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -227,8 +225,8 @@ func TestRandomDAGValidates(t *testing.T) {
 			}
 			nodes[i] = node
 		}
-		g := &Graph{NPU: 0, Nodes: nodes}
-		return g.Validate() == nil
+		_, err := compile(0, nodes, false)
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -315,12 +313,85 @@ func TestSingleDefectErrorTexts(t *testing.T) {
 		{"size mismatch", func(tr *Trace) { tr.Graphs[1].Nodes[2].CommBytes = 8192 }, "et: size mismatch on 0->1 tag 7: send 4096 vs recv 8192"},
 		{"send peer out of range", func(tr *Trace) { tr.Graphs[0].Nodes[2].Peer = 5 }, "et: npu 0 sends to out-of-range peer 5"},
 		{"recv peer out of range", func(tr *Trace) { tr.Graphs[1].Nodes[2].Peer = 5 }, "et: npu 1 receives from out-of-range peer 5"},
+		{"too many dependencies", func(tr *Trace) {
+			// 2^15+1 nodes, each depending on the same 2^16 nodes: one
+			// list with 2^31+2^16 dependency edges in a few megabytes.
+			deps := make([]int, 1<<16)
+			for i := range deps {
+				deps[i] = i + 1
+			}
+			nodes := make([]Node, 1<<15+1)
+			for i := range nodes {
+				nodes[i] = Node{ID: i + 1, Kind: KindCompute, Deps: deps}
+			}
+			tr.Graphs[0].Nodes = nodes
+		}, "et: npu 0 has 2147549184 dependencies; a list holds at most 2147483647"},
 	}
 	for _, c := range cases {
 		tr := validTrace()
 		c.mutate(tr)
 		if err := tr.Validate(); err == nil || err.Error() != c.want {
 			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// relativeTrace is validTrace with rank-relative peers: rank 0 sends to
+// the rank after it and rank 1 receives from the rank before it.
+func relativeTrace() *Trace {
+	tr := validTrace()
+	tr.RelativePeers = true
+	tr.Graphs[0].Nodes[2].Peer = 1
+	tr.Graphs[1].Nodes[2].Peer = -1
+	return tr
+}
+
+// A trace with RelativePeers resolves each peer against its graph's NPU:
+// Plan.Peer gives the rank, a negative offset is valid, a resolved peer
+// outside the machine is out of range, and Encode writes the absolute
+// trace without touching the lists.
+func TestRelativePeers(t *testing.T) {
+	tr := relativeTrace()
+	plans, err := tr.Plans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{1, 0} {
+		if got := plans[i].Peer(&tr.Graphs[i].Nodes[2], tr.Graphs[i].NPU); got != want {
+			t.Errorf("npu %d: resolved peer %d, want %d", i, got, want)
+		}
+	}
+	var rel, abs bytes.Buffer
+	if err := tr.Encode(&rel); err != nil {
+		t.Fatal(err)
+	}
+	if err := validTrace().Encode(&abs); err != nil {
+		t.Fatal(err)
+	}
+	if rel.String() != abs.String() {
+		t.Errorf("relative trace encodes as\n%s\nwant\n%s", rel.String(), abs.String())
+	}
+	if p := tr.Graphs[1].Nodes[2].Peer; p != -1 {
+		t.Errorf("Encode rewrote a relative peer to %d", p)
+	}
+
+	// The offset that is valid here is a missing rank in an absolute list.
+	if _, err := compile(1, tr.Graphs[1].Nodes, false); err == nil || err.Error() != "et: npu 1 node 3: p2p node needs a peer rank" {
+		t.Errorf("absolute list with a negative peer: got %v", err)
+	}
+	for _, c := range []struct {
+		npu, peer int
+		want      string
+	}{
+		{0, -1, "et: npu 0 sends to out-of-range peer -1"},
+		{0, 2, "et: npu 0 sends to out-of-range peer 2"},
+		{1, -2, "et: npu 1 receives from out-of-range peer -1"},
+		{1, 1, "et: npu 1 receives from out-of-range peer 2"},
+	} {
+		tr := relativeTrace()
+		tr.Graphs[c.npu].Nodes[2].Peer = c.peer
+		if err := tr.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("offset %d on npu %d: got %v, want %q", c.peer, c.npu, err, c.want)
 		}
 	}
 }
@@ -486,7 +557,7 @@ func TestCompileMatchesReference(t *testing.T) {
 	var cyclic, acyclic int
 	for iter := 0; iter < 4000; iter++ {
 		nodes := randomList(rng, iter%2 == 0)
-		p, err := compile(0, nodes)
+		p, err := compile(0, nodes, false)
 		if cycleDFS(nodes) {
 			cyclic++
 			if err == nil || err.Error() != "et: npu 0 graph has a dependency cycle" {
@@ -523,7 +594,7 @@ func TestCompileMatchesReference(t *testing.T) {
 		if table := newIDIndex(c.nodes).m == nil; table != c.table {
 			t.Errorf("%s: ID table %v, want %v", c.name, table, c.table)
 		}
-		p, err := compile(0, c.nodes)
+		p, err := compile(0, c.nodes, false)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -539,7 +610,7 @@ func TestCompileMatchesReference(t *testing.T) {
 			bad := slices.Clone(c.nodes)
 			bad[1].Deps = []int{d}
 			want := fmt.Sprintf("et: npu 0 node %d depends on unknown node %d", bad[1].ID, d)
-			if _, err := compile(0, bad); err == nil || err.Error() != want {
+			if _, err := compile(0, bad, false); err == nil || err.Error() != want {
 				t.Errorf("%s, dep %d: got %v, want %q", c.name, d, err, want)
 			}
 		}

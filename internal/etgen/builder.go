@@ -1,6 +1,8 @@
 package etgen
 
 import (
+	"fmt"
+
 	"repro/internal/et"
 )
 
@@ -79,6 +81,48 @@ func symmetric(name string, numNPUs int, b *graphBuilder) *et.Trace {
 	tr := newTrace(name, numNPUs)
 	for _, g := range tr.Graphs {
 		g.Nodes = b.nodes
+	}
+	return tr
+}
+
+// stageClasses lists the classes of a pipeline's stages as (hasPrev,
+// hasNext) pairs: the first stage's, the last's, and with more than two
+// stages the middle ones'. A pipeline trace's peers are offsets from the
+// issuing rank (et.Trace.RelativePeers), so a stage's node list depends
+// only on its class.
+func stageClasses(stages int) [][2]int {
+	return [][2]int{{0, 1}, {1, 0}, {1, 1}}[:min(stages, 3)]
+}
+
+// checkStageLists reports a stage class whose list is too long for et:
+// size returns the class's exact node and dependency counts. Generators
+// call it before allocating anything proportional to the lists.
+func checkStageLists(name string, stages int, size func(hasPrev, hasNext int) (nodes, deps int)) error {
+	for _, c := range stageClasses(stages) {
+		if nodes, deps := size(c[0], c[1]); nodes > et.MaxListLen || deps > et.MaxListLen {
+			return fmt.Errorf("etgen: %s: a stage's node list needs %d nodes and %d dependencies; a list holds at most %d of each",
+				name, nodes, deps, et.MaxListLen)
+		}
+	}
+	return nil
+}
+
+// stageTrace returns a rank-relative trace of stages pipeline stages,
+// stage s owning the block ranks [s*block, (s+1)*block). It builds one
+// list per stage class, through a builder of the counts size returns, and
+// every rank of the class shares it.
+func stageTrace(name string, stages, block int, size func(hasPrev, hasNext int) (nodes, deps int), build func(b *graphBuilder, hasPrev, hasNext int)) *et.Trace {
+	var lists [2][2][]et.Node // by hasPrev, hasNext
+	for _, c := range stageClasses(stages) {
+		b := newGraphBuilder(size(c[0], c[1]))
+		build(b, c[0], c[1])
+		lists[c[0]][c[1]] = b.nodes
+	}
+	tr := newTrace(name, stages*block)
+	tr.RelativePeers = true
+	for rank, g := range tr.Graphs {
+		stage := rank / block
+		g.Nodes = lists[min(stage, 1)][min(stages-1-stage, 1)]
 	}
 	return tr
 }

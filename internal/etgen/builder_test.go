@@ -121,10 +121,11 @@ func pipelineTrace(t testing.TB) *et.Trace {
 	return tr
 }
 
-// Building and compiling a per-rank trace allocates per list, not per
-// node (about 180 here): two objects per graph for its nodes and their
-// deps, and four for its plan, plus the names of the nodes, formatted once
-// for every rank.
+// Building and compiling a pipeline trace allocates per stage class, not
+// per rank or per node (about 220 and 17 allocations here for 64 ranks):
+// two objects per class list for its nodes and their deps, and four for
+// its plan, plus the names of the nodes, formatted once for every class,
+// and the machine's topology.
 func TestPipelineAllocsScaleWithRanks(t *testing.T) {
 	tr := pipelineTrace(t)
 	graphs := len(tr.Graphs)
@@ -134,9 +135,9 @@ func TestPipelineAllocsScaleWithRanks(t *testing.T) {
 	// Per microbatch, a compute, receive and send per pass. Each name may
 	// cost fmt two allocations: its printer pool drops printers under the
 	// race detector.
-	const names = 6 * 32
+	const names, classes = 6 * 32, 3
 	build := testing.AllocsPerRun(5, func() { pipelineTrace(t) })
-	if limit := float64(3*graphs + 2*names + 16); build > limit {
+	if limit := float64(2*names + 32); build > limit {
 		t.Errorf("Pipeline: %.0f allocations for %d graphs; want at most %.0f", build, graphs, limit)
 	}
 	plans := testing.AllocsPerRun(5, func() {
@@ -144,7 +145,50 @@ func TestPipelineAllocsScaleWithRanks(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if limit := float64(5*graphs + 16); plans > limit {
+	if limit := float64(5*classes + 16); plans > limit {
 		t.Errorf("Trace.Plans: %.0f allocations for %d graphs; want at most %.0f", plans, graphs, limit)
+	}
+}
+
+// A stage's list is too long for et when its exact node or dependency
+// count exceeds et.MaxListLen, and the generators say so before they
+// allocate anything proportional to it: for two billion microbatches the
+// table of node names alone would take 192 GB.
+func TestHugeMicroBatchCountIsAnError(t *testing.T) {
+	top := wafer(4)
+	pipeline := func(stages, mbs int) error {
+		_, err := Pipeline(top, PipelineConfig{
+			Name: "pp", Stages: stages, MicroBatches: mbs,
+			FlopsPerStage: 1e12, ActivationBytes: units.MB, GradBytes: units.MB,
+		})
+		return err
+	}
+	threeD := func(stages, mbs int) error {
+		_, err := ThreeD(top, ThreeDConfig{Model: tinyModel(1), Stages: stages, MicroBatches: mbs})
+		return err
+	}
+	cases := []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"pipeline, every list", pipeline(2, 2000000000),
+			"etgen: pp: 2000000000 microbatches need more than the 2147483647 nodes a list holds"},
+		// 2 stages: the first stage's list fits its nodes but not its
+		// dependencies.
+		{"pipeline, dependencies", pipeline(2, 500000000),
+			"etgen: pp: a stage's node list needs 2000000001 nodes and 2500000000 dependencies; a list holds at most 2147483647 of each"},
+		// 4 stages: the edge stages' lists fit, the middle stages' do not.
+		{"pipeline, middle stages", pipeline(4, 400000000),
+			"etgen: pp: a stage's node list needs 2400000000 nodes and 3199999998 dependencies; a list holds at most 2147483647 of each"},
+		{"3D, every list", threeD(2, 2000000000),
+			"etgen: tiny: 2000000000 microbatches of 4 layers per stage need more than the 2147483647 nodes a list holds"},
+		{"3D, exact count", threeD(2, 300000000),
+			"etgen: tiny: a stage's node list needs 3000000004 nodes and 3000000003 dependencies; a list holds at most 2147483647 of each"},
+	}
+	for _, c := range cases {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("%s: got %v, want %q", c.name, c.err, c.want)
+		}
 	}
 }

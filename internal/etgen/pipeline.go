@@ -34,9 +34,11 @@ type PipelineConfig struct {
 	GradBytes units.ByteSize
 }
 
-// Pipeline generates the per-rank trace graphs. Unlike the symmetric
-// generators, every rank gets its own graph: stage position changes both
-// the node list and the P2P peers.
+// Pipeline generates the pipeline's trace. Unlike the symmetric
+// generators, ranks run different node lists: a stage's list depends on
+// whether it has a previous and a next stage. Peers are offsets from the
+// issuing rank (et.Trace.RelativePeers), so every rank of one such class
+// shares one list, and the trace holds at most three.
 func Pipeline(top *topology.Topology, cfg PipelineConfig) (*et.Trace, error) {
 	n := top.NumNPUs()
 	if cfg.Stages < 2 {
@@ -47,6 +49,12 @@ func Pipeline(top *topology.Topology, cfg PipelineConfig) (*et.Trace, error) {
 	}
 	if cfg.MicroBatches < 1 || cfg.FlopsPerStage <= 0 || cfg.ActivationBytes <= 0 {
 		return nil, fmt.Errorf("etgen: %s: invalid config", cfg.Name)
+	}
+	// Every list holds two computes per microbatch, so a larger count
+	// cannot fit in one, and a count within the bound keeps the exact
+	// counts below from overflowing.
+	if cfg.MicroBatches > et.MaxListLen/2 {
+		return nil, fmt.Errorf("etgen: %s: %d microbatches need more than the %d nodes a list holds", cfg.Name, cfg.MicroBatches, et.MaxListLen)
 	}
 	block := n / cfg.Stages
 
@@ -60,8 +68,25 @@ func Pipeline(top *topology.Topology, cfg PipelineConfig) (*et.Trace, error) {
 		}
 		dpGroup = m.MPGroup()
 	}
+	dp := 0
+	if dpGroup != nil {
+		dp = 1
+	}
 
-	// Every rank uses the same node names, so format each once.
+	// Per microbatch and pass, a compute plus a receive from and a send to
+	// each neighbouring stage. Every node but the first waits on one
+	// earlier node. Every forward compute but the first also waits on its
+	// receive when the stage has a previous stage, and every backward
+	// compute does when it has a next one.
+	size := func(hasPrev, hasNext int) (nodes, deps int) {
+		nodes = 2*cfg.MicroBatches*(1+hasPrev+hasNext) + dp
+		return nodes, nodes - 1 + hasPrev*(cfg.MicroBatches-1) + hasNext*cfg.MicroBatches
+	}
+	if err := checkStageLists(cfg.Name, cfg.Stages, size); err != nil {
+		return nil, err
+	}
+
+	// Every stage class uses the same node names, so format each once.
 	type mbNames struct{ fwdRecv, fwd, fwdSend, bwdRecv, bwd, bwdSend string }
 	names := make([]mbNames, cfg.MicroBatches)
 	for m := range names {
@@ -70,65 +95,39 @@ func Pipeline(top *topology.Topology, cfg PipelineConfig) (*et.Trace, error) {
 			fmt.Sprintf("bwd%d.recv", m), fmt.Sprintf("bwd%d", m), fmt.Sprintf("bwd%d.send", m),
 		}
 	}
-	dp := 0
-	if dpGroup != nil {
-		dp = 1
-	}
-
-	tr := newTrace(cfg.Name, n)
 	const fwdTagBase, bwdTagBase = 1 << 16, 1 << 17
-	fwdDone := make([]int, cfg.MicroBatches)
-	for rank := 0; rank < n; rank++ {
-		stage := rank / block
-		hasPrev, hasNext := 0, 0 // whether the stage has a previous and a next stage
-		if stage > 0 {
-			hasPrev = 1
-		}
-		if stage < cfg.Stages-1 {
-			hasNext = 1
-		}
-		// Per microbatch and pass, a compute plus a receive from and a send
-		// to each neighbouring stage. Every node but the first waits on one
-		// earlier node. Every forward compute but the first also waits on
-		// its receive when the stage has a previous stage, and every
-		// backward compute does when it has a next one.
-		nodes := 2*cfg.MicroBatches*(1+hasPrev+hasNext) + dp
-		b := newGraphBuilder(nodes, nodes-1+hasPrev*(cfg.MicroBatches-1)+hasNext*cfg.MicroBatches)
-		prev := 0
+	build := func(b *graphBuilder, hasPrev, hasNext int) {
 		// Forward waves.
+		prev, lastFwd := 0, 0
 		for m := 0; m < cfg.MicroBatches; m++ {
 			in := 0
-			if stage > 0 {
-				in = b.recv(names[m].fwdRecv, rank-block, fwdTagBase+m, int64(cfg.ActivationBytes), prev)
+			if hasPrev > 0 {
+				in = b.recv(names[m].fwdRecv, -block, fwdTagBase+m, int64(cfg.ActivationBytes), prev)
 			}
 			comp := b.compute(names[m].fwd, cfg.FlopsPerStage, int64(cfg.ActivationBytes), in, prev)
-			out := comp
-			if stage < cfg.Stages-1 {
-				out = b.send(names[m].fwdSend, rank+block, fwdTagBase+m, int64(cfg.ActivationBytes), comp)
+			lastFwd = comp
+			if hasNext > 0 {
+				lastFwd = b.send(names[m].fwdSend, block, fwdTagBase+m, int64(cfg.ActivationBytes), comp)
 			}
-			fwdDone[m] = out
 			prev = comp // next microbatch can start once compute frees up
 		}
 		// Backward waves (GPipe: after all forwards).
-		prevBwd := fwdDone[cfg.MicroBatches-1]
-		var lastBwd int
+		prevBwd := lastFwd
 		for m := cfg.MicroBatches - 1; m >= 0; m-- {
 			in := 0
-			if stage < cfg.Stages-1 {
-				in = b.recv(names[m].bwdRecv, rank+block, bwdTagBase+m, int64(cfg.ActivationBytes), prevBwd)
+			if hasNext > 0 {
+				in = b.recv(names[m].bwdRecv, block, bwdTagBase+m, int64(cfg.ActivationBytes), prevBwd)
 			}
 			comp := b.compute(names[m].bwd, 2*cfg.FlopsPerStage, int64(cfg.ActivationBytes), in, prevBwd)
-			if stage > 0 {
-				b.send(names[m].bwdSend, rank-block, bwdTagBase+m, int64(cfg.ActivationBytes), comp)
+			if hasPrev > 0 {
+				b.send(names[m].bwdSend, -block, bwdTagBase+m, int64(cfg.ActivationBytes), comp)
 			}
 			prevBwd = comp
-			lastBwd = comp
 		}
 		// Intra-stage gradient synchronization.
 		if dpGroup != nil {
-			b.collective("dp_ar", et.CollAllReduce, int64(cfg.GradBytes), dpGroup, false, lastBwd)
+			b.collective("dp_ar", et.CollAllReduce, int64(cfg.GradBytes), dpGroup, false, prevBwd)
 		}
-		tr.Graphs[rank].Nodes = b.nodes
 	}
-	return tr, nil
+	return stageTrace(cfg.Name, cfg.Stages, block, size, build), nil
 }

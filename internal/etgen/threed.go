@@ -26,8 +26,11 @@ type ThreeDConfig struct {
 	MicroBatches int
 }
 
-// ThreeD generates one 3D-parallel training iteration. Every rank gets its
-// own graph: stage position changes both the node list and the P2P peers.
+// ThreeD generates one 3D-parallel training iteration. A stage's node
+// list depends on whether it has a previous and a next stage, and peers
+// are offsets from the issuing rank (et.Trace.RelativePeers), so every
+// rank of one such class shares one list, and the trace holds at most
+// three.
 func ThreeD(top *topology.Topology, cfg ThreeDConfig) (*et.Trace, error) {
 	n := top.NumNPUs()
 	model := cfg.Model
@@ -45,6 +48,14 @@ func ThreeD(top *topology.Topology, cfg ThreeDConfig) (*et.Trace, error) {
 		return nil, fmt.Errorf("etgen: %s: %d layers do not split into %d stages",
 			model.Name, model.Layers, cfg.Stages)
 	}
+	layersPerStage := model.Layers / cfg.Stages
+	// Every list holds a forward and a backward compute per layer and
+	// microbatch, so larger counts cannot fit in one, and counts within the
+	// bounds keep the exact counts below from overflowing.
+	if cfg.MicroBatches > et.MaxListLen/2 || layersPerStage > et.MaxListLen/2 {
+		return nil, fmt.Errorf("etgen: %s: %d microbatches of %d layers per stage need more than the %d nodes a list holds",
+			model.Name, cfg.MicroBatches, layersPerStage, et.MaxListLen)
+	}
 	dp := n / model.MP / cfg.Stages
 	grids, err := MapGrid(top, model.MP, dp, cfg.Stages)
 	if err != nil {
@@ -53,7 +64,6 @@ func ThreeD(top *topology.Topology, cfg ThreeDConfig) (*et.Trace, error) {
 	mpGroup := groupRefOrNil(grids[0])
 	dpGroup := groupRefOrNil(grids[1])
 
-	layersPerStage := model.Layers / cfg.Stages
 	paramsPerLayer := model.Params / float64(model.Layers)
 	tokens := float64(model.MicroBatch * model.SeqLen)
 	fwdFlops := 2 * paramsPerLayer * tokens / float64(model.MP)
@@ -65,14 +75,29 @@ func ThreeD(top *topology.Topology, cfg ThreeDConfig) (*et.Trace, error) {
 
 	block := model.MP * dp
 	const fwdTagBase, bwdTagBase = 1 << 20, 1 << 21
-
-	// Every rank uses the same node names, so format each once: per
-	// microbatch, the receive and send of each pass and each pass's layer
-	// names, three per layer with MP (the compute and two All-Reduces).
-	perLayer := 1
+	perLayer := 1 // nodes per layer and pass: the compute, plus two MP All-Reduces
 	if mpGroup != nil {
 		perLayer = 3
 	}
+	dpNodes := 0
+	if dpGroup != nil {
+		dpNodes = 1
+	}
+
+	// Per microbatch and pass, the stage's layers plus a receive from and a
+	// send to each neighbouring stage, then the optimizer's load, step and
+	// store. Every node but the first waits on exactly one earlier node.
+	size := func(hasPrev, hasNext int) (nodes, deps int) {
+		nodes = 2*cfg.MicroBatches*(hasPrev+hasNext+perLayer*layersPerStage) + dpNodes + 3
+		return nodes, nodes - 1
+	}
+	if err := checkStageLists(model.Name, cfg.Stages, size); err != nil {
+		return nil, err
+	}
+
+	// Every stage class uses the same node names, so format each once: per
+	// microbatch, the receive and send of each pass and each pass's layer
+	// names, three per layer with MP (the compute and two All-Reduces).
 	layerNames := func(prefix string) []string {
 		out := make([]string, 0, perLayer*layersPerStage)
 		for l := 0; l < layersPerStage; l++ {
@@ -95,29 +120,8 @@ func ThreeD(top *topology.Topology, cfg ThreeDConfig) (*et.Trace, error) {
 			fwd: layerNames(fmt.Sprintf("fwd%d", m)), bwd: layerNames(fmt.Sprintf("bwd%d", m)),
 		}
 	}
-	dpNodes := 0
-	if dpGroup != nil {
-		dpNodes = 1
-	}
 
-	tr := newTrace(fmt.Sprintf("%s/3D(mp%d,dp%d,pp%d)", model.Name, model.MP, dp, cfg.Stages), n)
-	fwdDone := make([]int, cfg.MicroBatches)
-	for rank := 0; rank < n; rank++ {
-		stage := rank / block
-		hasPrev, hasNext := 0, 0 // whether the stage has a previous and a next stage
-		if stage > 0 {
-			hasPrev = 1
-		}
-		if stage < cfg.Stages-1 {
-			hasNext = 1
-		}
-		// Per microbatch and pass, the stage's layers plus a receive from
-		// and a send to each neighbouring stage, then the optimizer's load,
-		// step and store. Every node but the first waits on exactly one
-		// earlier node.
-		nodes := 2*cfg.MicroBatches*(hasPrev+hasNext+perLayer*layersPerStage) + dpNodes + 3
-		b := newGraphBuilder(nodes, nodes-1)
-
+	build := func(b *graphBuilder, hasPrev, hasNext int) {
 		// stageWork emits one pass over this stage's layers and returns
 		// the last node.
 		stageWork := func(names []string, entry int, flops float64) int {
@@ -135,57 +139,52 @@ func ThreeD(top *topology.Topology, cfg ThreeDConfig) (*et.Trace, error) {
 			return prev
 		}
 
-		prev := 0
+		prev, lastFwd := 0, 0
 		for m := 0; m < cfg.MicroBatches; m++ {
 			in := 0
-			if stage > 0 {
-				in = b.recv(names[m].fwdRecv, rank-block, fwdTagBase+m, actBytes, prev)
+			if hasPrev > 0 {
+				in = b.recv(names[m].fwdRecv, -block, fwdTagBase+m, actBytes, prev)
 			}
 			entry := in
 			if entry == 0 {
 				entry = prev
 			}
 			out := stageWork(names[m].fwd, entry, fwdFlops)
-			last := out
-			if stage < cfg.Stages-1 {
-				last = b.send(names[m].fwdSend, rank+block, fwdTagBase+m, actBytes, out)
+			lastFwd = out
+			if hasNext > 0 {
+				lastFwd = b.send(names[m].fwdSend, block, fwdTagBase+m, actBytes, out)
 			}
-			fwdDone[m] = last
 			prev = out
 		}
 
-		prevBwd := fwdDone[cfg.MicroBatches-1]
-		var lastBwd int
+		prevBwd := lastFwd
 		for m := cfg.MicroBatches - 1; m >= 0; m-- {
 			in := 0
-			if stage < cfg.Stages-1 {
-				in = b.recv(names[m].bwdRecv, rank+block, bwdTagBase+m, actBytes, prevBwd)
+			if hasNext > 0 {
+				in = b.recv(names[m].bwdRecv, block, bwdTagBase+m, actBytes, prevBwd)
 			}
 			entry := in
 			if entry == 0 {
 				entry = prevBwd
 			}
 			out := stageWork(names[m].bwd, entry, bwdFlops)
-			if stage > 0 {
-				b.send(names[m].bwdSend, rank-block, bwdTagBase+m, actBytes, out)
+			if hasPrev > 0 {
+				b.send(names[m].bwdSend, -block, bwdTagBase+m, actBytes, out)
 			}
 			prevBwd = out
-			lastBwd = out
 		}
 
 		// Unoverlapped data-parallel gradient synchronization per stage.
-		optDep := lastBwd
+		optDep := prevBwd
 		if dpGroup != nil {
-			optDep = b.collective("dp_ar", et.CollAllReduce, gradBytes, dpGroup, false, lastBwd)
+			optDep = b.collective("dp_ar", et.CollAllReduce, gradBytes, dpGroup, false, prevBwd)
 		}
 		shard := int64(paramsPerLayer) * int64(layersPerStage) * int64(model.BytesPerElem) / int64(block)
 		load := b.memory("opt.load", et.MemLoad, et.MemLocal, shard, optDep)
 		opt := b.compute("opt.step", float64(shard), 2*shard, load)
 		b.memory("opt.store", et.MemStore, et.MemLocal, shard, opt)
-
-		tr.Graphs[rank].Nodes = b.nodes
 	}
-	return tr, nil
+	return stageTrace(fmt.Sprintf("%s/3D(mp%d,dp%d,pp%d)", model.Name, model.MP, dp, cfg.Stages), cfg.Stages, block, size, build), nil
 }
 
 func groupRefOrNil(spans []et.SpanRef) *et.GroupRef {

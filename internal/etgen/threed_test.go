@@ -1,6 +1,8 @@
 package etgen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/et"
@@ -101,22 +103,21 @@ func TestThreeDDifferentStagesDifferentGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plans, err := tr.Plans()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// First and last stage differ structurally: stage 0 only sends
 	// downstream (forward) and receives from downstream (backward); the
-	// last stage is the mirror image. Peers must be one block (8) apart.
-	for _, n := range tr.Graphs[0].Nodes {
-		switch n.Kind {
-		case et.KindSend, et.KindRecv:
-			if n.Peer != 8 {
-				t.Errorf("stage 0 rank 0 %s peer = %d, want 8", n.Kind, n.Peer)
-			}
-		}
-	}
-	for _, n := range tr.Graphs[15].Nodes {
-		switch n.Kind {
-		case et.KindSend, et.KindRecv:
-			if n.Peer != 7 {
-				t.Errorf("last stage rank 15 %s peer = %d, want 7", n.Kind, n.Peer)
+	// last stage is the mirror image. Resolved peers must be one block (8)
+	// apart.
+	for _, c := range []struct{ rank, peer int }{{0, 8}, {15, 7}} {
+		for i := range tr.Graphs[c.rank].Nodes {
+			switch n := &tr.Graphs[c.rank].Nodes[i]; n.Kind {
+			case et.KindSend, et.KindRecv:
+				if got := plans[c.rank].Peer(n, c.rank); got != c.peer {
+					t.Errorf("rank %d %s peer = %d, want %d", c.rank, n.Kind, got, c.peer)
+				}
 			}
 		}
 	}
@@ -136,6 +137,24 @@ func TestThreeDDifferentStagesDifferentGraphs(t *testing.T) {
 	}
 	// A middle... with 2 stages there is no middle; the mirror check above
 	// suffices.
+}
+
+// A 3D trace shares one list per stage class, with rank-relative peers,
+// but encodes to the same JSON as when every rank had its own list with
+// absolute peers: the digest was taken from that per-rank generator.
+func TestThreeDEncodeDigest(t *testing.T) {
+	tr, err := ThreeD(wafer(16), ThreeDConfig{Model: tinyModel(2), Stages: 4, MicroBatches: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := tr.Encode(h); err != nil {
+		t.Fatal(err)
+	}
+	const want = "14c5a1463dea8aa6e702a1ed4f153a6485d8deb983971cdcb1cdf3df61b7c92a"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("Encode digest %s, want %s", got, want)
+	}
 }
 
 func TestFSDPTraceRuns(t *testing.T) {
