@@ -11,6 +11,11 @@
 //	nccl:reduce_scatter / nccl:all_to_all -> collective nodes
 //	nccl:send / nccl:recv            -> point-to-point nodes
 //	mem::load / mem::store           -> memory nodes
+//
+// Each kind reads its attributes (flops and mem_bytes; remote and
+// tensor_bytes; peer, tag and comm_bytes; comm_bytes, in_switch and
+// group_spans). An absent or null attribute reads as zero, and one of
+// another JSON type is an error that names it.
 package convert
 
 import (
@@ -107,11 +112,12 @@ func convertGraph(src *PyTorchGraph) (*et.Graph, error) {
 // convertNode fills n, whose Deps the caller sets, from one operator.
 func convertNode(n *et.Node, src *PyTorchNode) error {
 	n.ID, n.Name = src.ID, src.Name
+	a := attrs{m: src.Attrs}
 	switch {
 	case strings.HasPrefix(src.Name, "aten::"):
 		n.Kind = et.KindCompute
-		n.FLOPs = attrFloat(src.Attrs, "flops")
-		n.MemBytes = attrInt(src.Attrs, "mem_bytes")
+		a.get("flops", &n.FLOPs)
+		a.get("mem_bytes", &n.MemBytes)
 	case strings.HasPrefix(src.Name, "mem::"):
 		n.Kind = et.KindMemory
 		switch src.Name {
@@ -122,11 +128,13 @@ func convertNode(n *et.Node, src *PyTorchNode) error {
 		default:
 			return fmt.Errorf("unknown memory op %q", src.Name)
 		}
+		var remote bool
+		a.get("remote", &remote)
 		n.MemLocation = et.MemLocal
-		if attrBool(src.Attrs, "remote") {
+		if remote {
 			n.MemLocation = et.MemRemote
 		}
-		n.TensorBytes = attrInt(src.Attrs, "tensor_bytes")
+		a.get("tensor_bytes", &n.TensorBytes)
 	case strings.HasPrefix(src.Name, "nccl:"):
 		op := strings.TrimPrefix(src.Name, "nccl:")
 		switch op {
@@ -140,22 +148,20 @@ func convertNode(n *et.Node, src *PyTorchNode) error {
 			n.Kind, n.Collective = et.KindComm, et.CollAllToAll
 		case "send":
 			n.Kind = et.KindSend
-			n.Peer = int(attrInt(src.Attrs, "peer"))
-			n.Tag = int(attrInt(src.Attrs, "tag"))
 		case "recv":
 			n.Kind = et.KindRecv
-			n.Peer = int(attrInt(src.Attrs, "peer"))
-			n.Tag = int(attrInt(src.Attrs, "tag"))
 		default:
 			return fmt.Errorf("unknown nccl op %q", op)
 		}
-		n.CommBytes = attrInt(src.Attrs, "comm_bytes")
+		if n.Kind != et.KindComm {
+			a.get("peer", &n.Peer)
+			a.get("tag", &n.Tag)
+		}
+		a.get("comm_bytes", &n.CommBytes)
 		if n.Kind == et.KindComm {
-			n.InSwitch = attrBool(src.Attrs, "in_switch")
-			spans, err := attrSpans(src.Attrs, "group_spans")
-			if err != nil {
-				return err
-			}
+			a.get("in_switch", &n.InSwitch)
+			var spans []et.SpanRef
+			a.get("group_spans", &spans)
 			if len(spans) > 0 {
 				n.Group = &et.GroupRef{Spans: spans}
 			}
@@ -163,41 +169,24 @@ func convertNode(n *et.Node, src *PyTorchNode) error {
 	default:
 		return fmt.Errorf("unclassifiable operator %q", src.Name)
 	}
-	return nil
+	return a.err
 }
 
-func attrFloat(attrs map[string]json.RawMessage, key string) float64 {
-	var v float64
-	if raw, ok := attrs[key]; ok {
-		_ = json.Unmarshal(raw, &v)
-	}
-	return v
+// attrs decodes one operator's attributes and keeps the first error.
+type attrs struct {
+	m   map[string]json.RawMessage
+	err error
 }
 
-func attrInt(attrs map[string]json.RawMessage, key string) int64 {
-	var v int64
-	if raw, ok := attrs[key]; ok {
-		_ = json.Unmarshal(raw, &v)
+// get decodes attribute key into v, which stays zero when the key is
+// absent or null. A value of another JSON type is an error, and after an
+// error get decodes nothing.
+func (a *attrs) get(key string, v any) {
+	raw, ok := a.m[key]
+	if !ok || a.err != nil {
+		return
 	}
-	return v
-}
-
-func attrBool(attrs map[string]json.RawMessage, key string) bool {
-	var v bool
-	if raw, ok := attrs[key]; ok {
-		_ = json.Unmarshal(raw, &v)
+	if err := json.Unmarshal(raw, v); err != nil {
+		a.err = fmt.Errorf("bad %s attribute: %w", key, err)
 	}
-	return v
-}
-
-func attrSpans(attrs map[string]json.RawMessage, key string) ([]et.SpanRef, error) {
-	raw, ok := attrs[key]
-	if !ok {
-		return nil, nil
-	}
-	var spans []et.SpanRef
-	if err := json.Unmarshal(raw, &spans); err != nil {
-		return nil, fmt.Errorf("bad %s attribute: %w", key, err)
-	}
-	return spans, nil
 }

@@ -3,6 +3,8 @@ package convert
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -191,5 +193,38 @@ func TestConvertedTraceRunsEndToEnd(t *testing.T) {
 	}
 	if out.NodeCount() != 8 {
 		t.Errorf("NodeCount = %d", out.NodeCount())
+	}
+}
+
+// A recognized attribute of the wrong JSON type is an error that names it,
+// not a zero: one case per attribute key. The same key set to null, or
+// absent, reads as zero.
+func TestConvertRejectsMistypedAttributes(t *testing.T) {
+	cases := []struct{ op, key, value, want string }{
+		{"aten::mm", "flops", `"1e12"`, "json: cannot unmarshal string into Go value of type float64"},
+		{"aten::mm", "mem_bytes", `"64"`, "json: cannot unmarshal string into Go value of type int64"},
+		{"mem::load", "remote", `"true"`, "json: cannot unmarshal string into Go value of type bool"},
+		{"mem::load", "tensor_bytes", `1.5`, "json: cannot unmarshal number 1.5 into Go value of type int64"},
+		{"nccl:send", "peer", `1.0`, "json: cannot unmarshal number 1.0 into Go value of type int"},
+		{"nccl:recv", "tag", `"7"`, "json: cannot unmarshal string into Go value of type int"},
+		{"nccl:all_reduce", "comm_bytes", `true`, "json: cannot unmarshal bool into Go value of type int64"},
+		{"nccl:all_gather", "in_switch", `1`, "json: cannot unmarshal number into Go value of type bool"},
+		{"nccl:all_reduce", "group_spans", `{}`, "json: cannot unmarshal object into Go value of type []et.SpanRef"},
+	}
+	for _, c := range cases {
+		node := func(value string) PyTorchNode {
+			return PyTorchNode{ID: 1, Name: c.op, Attrs: map[string]json.RawMessage{c.key: json.RawMessage(value)}}
+		}
+		tr := &PyTorchTrace{NumNPUs: 1, Graphs: []PyTorchGraph{{Rank: 0, Nodes: []PyTorchNode{node(c.value)}}}}
+		want := fmt.Sprintf("convert: rank 0 node 1 (%s): bad %s attribute: %s", c.op, c.key, c.want)
+		if _, err := Convert(tr); err == nil || err.Error() != want {
+			t.Errorf("%s %s=%s: got %v, want %q", c.op, c.key, c.value, err, want)
+		}
+		var null, absent et.Node
+		errNull := convertNode(&null, &PyTorchNode{ID: 1, Name: c.op, Attrs: node("null").Attrs})
+		errAbsent := convertNode(&absent, &PyTorchNode{ID: 1, Name: c.op})
+		if errNull != nil || errAbsent != nil || !reflect.DeepEqual(null, absent) {
+			t.Errorf("%s %s: null reads as %+v (%v), absent as %+v (%v)", c.op, c.key, null, errNull, absent, errAbsent)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -45,7 +46,32 @@ func fuzzTraceSeeds() []string {
 		// name: both are decode errors.
 		`{"num_npus":2,"graphs":[{"npu":0,"nodes":[{"id":1,"kind":"NOP"}]},{"npu":1,"nodes":[]}]}`,
 		`{"num_npus":2,"graphs":[{"npu":0,"nodes":[{"id":1,"kind":"COMM_COLL","collective":"BROADCAST","comm_bytes":8}]},{"npu":1,"nodes":[{"id":1,"kind":"COMM_COLL","collective":"ALL_REDUCE","comm_bytes":8}]}]}`,
+		// ET: a ring, every rank sending to the next and receiving from
+		// the one before on one tag, so the rank-relative rewrite shares
+		// one list among the inner ranks; then the same ring with one
+		// size mismatch.
+		ringSeed(4096),
+		ringSeed(8192),
 	}
+}
+
+// ringSeed is a 4-NPU ring trace in which rank 2 receives recv2 bytes and
+// every other transfer is 4096 bytes.
+func ringSeed(recv2 int) string {
+	doc := `{"name":"ring","num_npus":4,"graphs":[`
+	for r := 0; r < 4; r++ {
+		recv := 4096
+		if r == 2 {
+			recv = recv2
+		}
+		if r > 0 {
+			doc += ","
+		}
+		doc += fmt.Sprintf(`{"npu":%d,"nodes":[{"id":1,"kind":"COMP","flops":1e9},`+
+			`{"id":2,"kind":"COMM_SEND","deps":[1],"peer":%d,"tag":3,"comm_bytes":4096},`+
+			`{"id":3,"kind":"COMM_RECV","deps":[1],"peer":%d,"tag":3,"comm_bytes":%d}]}`, r, (r+1)%4, (r+3)%4, recv)
+	}
+	return doc + "]}"
 }
 
 // FuzzRunTrace feeds arbitrary bytes through the trace decoders into a
@@ -55,11 +81,22 @@ func fuzzTraceSeeds() []string {
 // pool, transit charging and an event budget. Start, Run and Finalize may
 // return errors but must never panic.
 //
-// Each trace also runs in its rank-relative form (relativeRewrite), which
-// must encode to the same bytes, fail Start exactly when the trace does
-// and with the same error, and past Start give the same errors and
-// RunStats. Both forms passed validation as absolute traces, so no peer
-// is negative, and no error text may differ.
+// Each trace also runs in its rank-relative form (relativeRewrite, whose
+// ranks share a list where their rewritten lists are equal), which must
+// encode to the same bytes, fail Start exactly when the trace does and
+// with the same error, and past Start give the same errors and RunStats.
+// Both forms passed validation as absolute traces, so no peer is negative,
+// and no error text may differ.
+//
+// Three oracles check the results:
+//   - in a finished run, every NPU's breakdown adds up to the makespan;
+//   - a trace that starts runs its iterations exactly as its unrolled
+//     reference (unroll) does, with the same RunStats, and fails exactly
+//     when it does, if every node ID and tag is within 2^20 of zero, so
+//     that unrolling cannot overflow;
+//   - the trace's JSON, decoded again and given the same iteration count,
+//     fails to decode with the trace's Start error, or gives the same Start
+//     error, or the same run errors and RunStats.
 func FuzzRunTrace(f *testing.F) {
 	for _, s := range fuzzTraceSeeds() {
 		f.Add([]byte(s))
@@ -133,7 +170,53 @@ func FuzzRunTrace(f *testing.F) {
 		if errText(absRun) != errText(relRun) || !reflect.DeepEqual(absStats, relStats) {
 			t.Fatalf("run: %v, but %v for the rank-relative trace; stats equal: %v", absRun, relRun, reflect.DeepEqual(absStats, relStats))
 		}
+		if absErr == nil {
+			var decStart, decRun error
+			var decStats *RunStats
+			decoded, err := et.Decode(&abs)
+			if err != nil {
+				decStart = err
+			} else {
+				decoded.Iterations = trace.Iterations
+				decStart, decRun, decStats = simulate(decoded)
+			}
+			if errText(absStart) != errText(decStart) || errText(absRun) != errText(decRun) || !reflect.DeepEqual(absStats, decStats) {
+				t.Fatalf("start %v, run %v; from its JSON: start %v, run %v; stats equal: %v",
+					absStart, absRun, decStart, decRun, reflect.DeepEqual(absStats, decStats))
+			}
+		}
+		if absStart != nil {
+			return
+		}
+		if absRun == nil {
+			for i, b := range absStats.PerNPU {
+				if b.Total() != absStats.Makespan {
+					t.Fatalf("npu %d: breakdown adds up to %v, makespan %v", i, b.Total(), absStats.Makespan)
+				}
+			}
+		}
+		if trace.Iterations > 1 && smallIDsAndTags(trace) {
+			unStart, unRun, unStats := simulate(unroll(trace, trace.Iterations))
+			if unStart != nil || (absRun == nil) != (unRun == nil) || !reflect.DeepEqual(absStats, unStats) {
+				t.Fatalf("%d native iterations: %v; unrolled: start %v, run %v; stats equal: %v",
+					trace.Iterations, absRun, unStart, unRun, reflect.DeepEqual(absStats, unStats))
+			}
+		}
 	})
+}
+
+// smallIDsAndTags reports whether every node ID and P2P tag of tr lies
+// within 2^20 of zero.
+func smallIDsAndTags(tr *et.Trace) bool {
+	const limit = 1 << 20
+	for _, g := range tr.Graphs {
+		for _, n := range g.Nodes {
+			if n.ID < -limit || n.ID > limit || n.Tag < -limit || n.Tag > limit {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // errText is err's text, or "" for nil.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"reflect"
 	"slices"
 	"testing"
@@ -28,17 +29,24 @@ func expand(tr *et.Trace) *et.Trace {
 	return out
 }
 
-// relativeRewrite returns tr with rank-relative peers: every graph gets its
-// own copy of its list, with each send's and receive's peer made an offset
-// from the graph's NPU. It is expand's inverse.
+// relativeRewrite returns tr with rank-relative peers: each graph's list is
+// copied with every send's and receive's peer made an offset from the
+// graph's NPU, and graphs whose copies are equal share one slice, as the
+// ranks of a pipeline stage class do. It is expand's inverse.
 func relativeRewrite(tr *et.Trace) *et.Trace {
 	out := &et.Trace{Name: tr.Name, NumNPUs: tr.NumNPUs, Iterations: tr.Iterations, RelativePeers: true}
+	var lists [][]et.Node
 	for _, g := range tr.Graphs {
 		nodes := slices.Clone(g.Nodes)
 		for i := range nodes {
 			if n := &nodes[i]; n.Kind == et.KindSend || n.Kind == et.KindRecv {
 				n.Peer -= g.NPU
 			}
+		}
+		if k := slices.IndexFunc(lists, func(l []et.Node) bool { return reflect.DeepEqual(l, nodes) }); k >= 0 {
+			nodes = lists[k]
+		} else {
+			lists = append(lists, nodes)
 		}
 		out.Graphs = append(out.Graphs, &et.Graph{NPU: g.NPU, Nodes: nodes})
 	}
@@ -56,11 +64,69 @@ func distinctLists(tr *et.Trace) int {
 	return len(lists)
 }
 
+// withListFault returns tr with every graph that holds list given mutate's
+// copy of it instead, or nil when mutate finds nothing to change.
+func withListFault(tr *et.Trace, list []et.Node, mutate func(nodes []et.Node) []et.Node) *et.Trace {
+	faulty := mutate(slices.Clone(list))
+	if faulty == nil {
+		return nil
+	}
+	out := *tr
+	out.Graphs = nil
+	for _, g := range tr.Graphs {
+		if len(g.Nodes) > 0 && &g.Nodes[0] == &list[0] {
+			g = &et.Graph{NPU: g.NPU, Nodes: faulty}
+		}
+		out.Graphs = append(out.Graphs, g)
+	}
+	return &out
+}
+
+// p2pFault is a point-to-point defect that TestSharedListsMatchPerRankLists
+// injects into one shared list: inject changes the list, or returns nil
+// when the list lacks the node it changes.
+type p2pFault struct {
+	name   string
+	inject func(nodes []et.Node) []et.Node
+}
+
+func p2pFaults(npus int) []p2pFault {
+	first := func(kind et.NodeKind, change func(n *et.Node)) func(nodes []et.Node) []et.Node {
+		return func(nodes []et.Node) []et.Node {
+			for i := range nodes {
+				if nodes[i].Kind == kind {
+					change(&nodes[i])
+					return nodes
+				}
+			}
+			return nil
+		}
+	}
+	extraRecv := func(nodes []et.Node) []et.Node {
+		for _, n := range nodes {
+			if n.Kind == et.KindRecv {
+				n.ID, n.Deps = slices.MaxFunc(nodes, func(a, b et.Node) int { return cmp.Compare(a.ID, b.ID) }).ID+1, nil
+				return append(nodes, n)
+			}
+		}
+		return nil
+	}
+	return []p2pFault{
+		{"receive size", first(et.KindRecv, func(n *et.Node) { n.CommBytes++ })},
+		{"send tag", first(et.KindSend, func(n *et.Node) { n.Tag += 1000 })},
+		{"receive tag", first(et.KindRecv, func(n *et.Node) { n.Tag-- })},
+		{"send out of range", first(et.KindSend, func(n *et.Node) { n.Peer += npus })},
+		{"extra receive", extraRecv},
+	}
+}
+
 // TestSharedListsMatchPerRankLists: the pipeline generators hand every
 // rank of a stage class one list with rank-relative peers, three lists
 // with three or more stages and two with two, and each trace runs, at one
 // and at three iterations with transit charging, exactly as the same trace
-// expanded to per-rank lists with absolute peers.
+// expanded to per-rank lists with absolute peers. With a point-to-point
+// defect injected into any one of its shared lists, a trace reports the
+// same error as its expansion.
 func TestSharedListsMatchPerRankLists(t *testing.T) {
 	ring := topology.MustNew(topology.Dim{Kind: topology.Ring, Size: 8, Bandwidth: units.GBps(100), Latency: 500 * units.Nanosecond})
 	twoDim := topology.MustNew(
@@ -119,6 +185,23 @@ func TestSharedListsMatchPerRankLists(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s x%d: shared lists differ from per-rank lists: makespan %v vs %v, events %d vs %d",
 					c.name, iters, got.Makespan, want.Makespan, got.Events, want.Events)
+			}
+		}
+		for _, fault := range p2pFaults(tr.NumNPUs) {
+			faulted := make(map[*et.Node]bool) // each shared list once
+			for _, g := range tr.Graphs {
+				if len(g.Nodes) == 0 || faulted[&g.Nodes[0]] {
+					continue
+				}
+				faulted[&g.Nodes[0]] = true
+				faulty := withListFault(tr, g.Nodes, fault.inject)
+				if faulty == nil {
+					continue
+				}
+				got, want := faulty.Validate(), expand(faulty).Validate()
+				if got == nil || got.Error() != errText(want) {
+					t.Errorf("%s, %s in npu %d's list: got %v, want %v", c.name, fault.name, g.NPU, got, want)
+				}
 			}
 		}
 	}

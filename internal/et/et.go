@@ -27,8 +27,11 @@
 // graphs that share a list share one slice. The compile pass resolves IDs
 // through a table when they are dense (a span of at most twice the list's
 // length) and through a map only when they are sparse, and it carves a
-// plan's arrays from one allocation. Point-to-point matching buckets its
-// records by sender and sorts each bucket, not the whole trace's records.
+// plan's arrays from one allocation. Point-to-point matching keeps no
+// record per rank: each plan indexes its sends and receives once, by peer
+// field and tag, and each channel group (a sender's list, a receiver's
+// list and the peer fields between them) is compared once, however many
+// rank pairs share it.
 //
 // A node is 112 bytes on 64-bit platforms. Its four enums (NodeKind,
 // CollectiveType, MemOp, MemLocation) are one byte each, with zero meaning
@@ -45,6 +48,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sort"
 )
 
 // NodeKind is the ET node type of Fig. 1(b), with communication split into
@@ -248,9 +252,13 @@ type Plan struct {
 	// order, one entry per dependency edge.
 	off, deps []int32
 	indeg     []int32
-	roots     []int32
-	// p2p counts the list's send and receive nodes.
-	p2p int
+	// idx holds the roots, then the positions of the list's sends, then
+	// those of its receives, the last two each ordered by (Peer, Tag,
+	// position): the nodes of one peer field are a run, in the order their
+	// channels match them. One slice and two counts keep a plan at 136
+	// bytes.
+	idx            []int32
+	nroots, nsends int32
 	// relative is the trace's RelativePeers.
 	relative bool
 }
@@ -267,7 +275,15 @@ func (p *Plan) Dependents(pos int32) []int32 { return p.deps[p.off[pos]:p.off[po
 func (p *Plan) InDegrees() []int32 { return p.indeg }
 
 // Roots returns the positions with no dependencies in ascending-ID order.
-func (p *Plan) Roots() []int32 { return p.roots }
+func (p *Plan) Roots() []int32 { return p.idx[:p.nroots:p.nroots] }
+
+// sends returns the positions of the list's sends in (Peer, Tag, position)
+// order.
+func (p *Plan) sends() []int32 { return p.idx[p.nroots : p.nroots+p.nsends] }
+
+// recvs returns the positions of the list's receives in (Peer, Tag,
+// position) order.
+func (p *Plan) recvs() []int32 { return p.idx[p.nroots+p.nsends:] }
 
 // Peer returns the rank that a send or receive node of the plan exchanges
 // with when rank issues it: the node's Peer, offset by rank when the trace
@@ -277,6 +293,61 @@ func (p *Plan) Peer(n *Node, rank int) int {
 		return rank + n.Peer
 	}
 	return n.Peer
+}
+
+// hasP2P reports whether the list holds a send or a receive.
+func (p *Plan) hasP2P() bool { return len(p.idx) > int(p.nroots) }
+
+// checkPeers returns an error for the first send or receive, in list
+// order, whose resolved peer is not a rank below npus when rank issues it.
+// The lowest and highest peer fields, the ends of sends and recvs, decide
+// in O(1) whether there is one: rank + f is a rank below npus exactly when
+// f lies in [-rank, npus-rank), since an f past that overflows only to a
+// negative sum.
+func (p *Plan) checkPeers(rank, npus int) error {
+	lo, hi := math.MaxInt, math.MinInt
+	for _, part := range [2][]int32{p.sends(), p.recvs()} {
+		if len(part) > 0 {
+			lo, hi = min(lo, p.nodes[part[0]].Peer), max(hi, p.nodes[part[len(part)-1]].Peer)
+		}
+	}
+	base := 0
+	if p.relative {
+		base = rank
+	}
+	if lo >= -base && hi < npus-base {
+		return nil
+	}
+	for k := range p.nodes {
+		n := &p.nodes[k]
+		if n.Kind != KindSend && n.Kind != KindRecv {
+			continue
+		}
+		if peer := p.Peer(n, rank); peer < 0 || peer >= npus {
+			if n.Kind == KindSend {
+				return fmt.Errorf("et: npu %d sends to out-of-range peer %d", rank, peer)
+			}
+			return fmt.Errorf("et: npu %d receives from out-of-range peer %d", rank, peer)
+		}
+	}
+	return nil
+}
+
+// peerRun returns the run of positions ps, which are ordered like sends
+// and recvs, whose nodes have the given peer field.
+func (p *Plan) peerRun(ps []int32, peer int) []int32 {
+	lo := sort.Search(len(ps), func(k int) bool { return p.nodes[ps[k]].Peer >= peer })
+	hi := sort.Search(len(ps), func(k int) bool { return p.nodes[ps[k]].Peer > peer })
+	return ps[lo:hi]
+}
+
+// tagLen returns how many of the leading positions ps hold tag.
+func (p *Plan) tagLen(ps []int32, tag int) int {
+	n := 0
+	for n < len(ps) && p.nodes[ps[n]].Tag == tag {
+		n++
+	}
+	return n
 }
 
 // idIndex resolves one list's node IDs to list positions. IDs whose span
@@ -343,15 +414,16 @@ func (x *idIndex) lookup(id int) (int32, bool) {
 // missing rank. Node IDs need not be dense or ascending; this is the one
 // place they are resolved to list positions. Errors come in list order:
 // the node count and duplicate IDs first, then the dependency count, then
-// each node's dependencies and metadata, then cycles. The plan's arrays
-// are carved from one allocation, and the pass's scratch from another.
+// each node's dependencies and metadata, then cycles. The plan's arrays,
+// its send and receive index among them, are carved from one allocation,
+// and the pass's scratch from another.
 func compile(npu int, nodes []Node, relative bool) (*Plan, error) {
 	n := len(nodes)
 	if n > MaxListLen {
 		return nil, fmt.Errorf("et: npu %d has %d nodes; a list holds at most %d", npu, n, MaxListLen)
 	}
 	ids := newIDIndex(nodes)
-	edges, nroots := 0, 0
+	edges, nroots, nsends, nrecvs := 0, 0, 0, 0
 	for i := range nodes {
 		nd := &nodes[i]
 		if !ids.add(nd.ID, int32(i)) {
@@ -361,15 +433,23 @@ func compile(npu int, nodes []Node, relative bool) (*Plan, error) {
 		if len(nd.Deps) == 0 {
 			nroots++
 		}
+		switch nd.Kind {
+		case KindSend:
+			nsends++
+		case KindRecv:
+			nrecvs++
+		}
 	}
 	if edges > MaxListLen {
 		return nil, fmt.Errorf("et: npu %d has %d dependencies; a list holds at most %d", npu, edges, MaxListLen)
 	}
-	buf := make([]int32, 2*n+1+nroots+edges)
-	p := &Plan{nodes: nodes, relative: relative}
+	nidx := nroots + nsends + nrecvs
+	buf := make([]int32, 2*n+1+nidx+edges)
+	p := &Plan{nodes: nodes, nroots: int32(nroots), nsends: int32(nsends), relative: relative}
 	p.off, buf = buf[:n+1:n+1], buf[n+1:]
 	p.indeg, buf = buf[:n:n], buf[n:]
-	p.roots, p.deps = buf[:0:nroots], buf[nroots:]
+	p.idx, p.deps = buf[:nidx:nidx], buf[nidx:]
+	roots, sends, recvs := p.idx[:0:nroots], p.idx[nroots:nroots:nroots+nsends], p.idx[nroots+nsends:nroots+nsends]
 	// depPos holds every node's dependencies as list positions, node after
 	// node, so each ID is resolved once; next and queue serve the fill and
 	// the cycle check below.
@@ -393,10 +473,13 @@ func compile(npu int, nodes []Node, relative bool) (*Plan, error) {
 		}
 		p.indeg[i] = int32(len(nd.Deps))
 		if len(nd.Deps) == 0 {
-			p.roots = append(p.roots, int32(i))
+			roots = append(roots, int32(i))
 		}
-		if nd.Kind == KindSend || nd.Kind == KindRecv {
-			p.p2p++
+		switch nd.Kind {
+		case KindSend:
+			sends = append(sends, int32(i))
+		case KindRecv:
+			recvs = append(recvs, int32(i))
 		}
 	}
 	for q := 0; q < n; q++ {
@@ -415,7 +498,7 @@ func compile(npu int, nodes []Node, relative bool) (*Plan, error) {
 	// Kahn's algorithm: the list is acyclic when every position drains.
 	deg := next
 	copy(deg, p.indeg)
-	queue = append(queue, p.roots...)
+	queue = append(queue, roots...)
 	for h := 0; h < len(queue); h++ {
 		for _, c := range p.Dependents(queue[h]) {
 			deg[c]--
@@ -427,7 +510,18 @@ func compile(npu int, nodes []Node, relative bool) (*Plan, error) {
 	if len(queue) != n {
 		return nil, fmt.Errorf("et: npu %d graph has a dependency cycle", npu)
 	}
-	slices.SortFunc(p.roots, func(a, b int32) int { return cmp.Compare(nodes[a].ID, nodes[b].ID) })
+	slices.SortFunc(roots, func(a, b int32) int { return cmp.Compare(nodes[a].ID, nodes[b].ID) })
+	byChannel := func(a, b int32) int {
+		if c := cmp.Compare(nodes[a].Peer, nodes[b].Peer); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(nodes[a].Tag, nodes[b].Tag); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	slices.SortFunc(sends, byChannel)
+	slices.SortFunc(recvs, byChannel)
 	return p, nil
 }
 
@@ -503,7 +597,6 @@ func (t *Trace) Plans() ([]*Plan, error) {
 	seen := make([]bool, t.NumNPUs)
 	plans := make([]*Plan, len(t.Graphs))
 	shared := make(map[listKey]*Plan)
-	p2p := 0
 	for i, g := range t.Graphs {
 		if g == nil {
 			return nil, fmt.Errorf("et: trace has a nil graph")
@@ -528,116 +621,139 @@ func (t *Trace) Plans() ([]*Plan, error) {
 			shared[key] = p
 		}
 		plans[i] = p
-		p2p += p.p2p
 	}
-	if err := t.matchP2P(plans, p2p); err != nil {
+	if err := t.matchP2P(plans); err != nil {
 		return nil, err
 	}
 	return plans, nil
 }
 
-// p2pRecord is one send or receive on a channel whose sender is implied by
-// the bucket holding the record; pos is its position in its graph's list.
-type p2pRecord struct {
-	dst, tag int
-	size     int64
-	pos      int32
-	recv     bool
+// groupKey names a channel group of a RelativePeers trace: the sender's
+// plan, the receiver's plan and the send peer field, whose negation is the
+// receive peer field. Every rank pair that instantiates a group, one pair
+// per rank of a shared list, shares its verdict.
+type groupKey struct {
+	send, recv *Plan
+	peer       int
 }
 
-// matchP2P matches sends against receives. It buckets one record per P2P
-// node by sender, then sorts each bucket by receiver, tag, sends before
-// receives and list position, so each channel is a run of sends in list
-// order followed by its receives, and channels come in (src, dst, tag)
-// order: the lowest faulty channel is the one reported.
-func (t *Trace) matchP2P(plans []*Plan, count int) error {
-	if count == 0 {
+// p2pFault is a channel group's first faulty channel: its lowest tag with
+// no send, with more or fewer sends than receives, or with a send and a
+// receive, paired in list order, of different sizes. The zero p2pFault is
+// a group without fault.
+type p2pFault struct {
+	bad                bool
+	tag                int
+	sends, recvs       int
+	sendSize, recvSize int64
+}
+
+// err is f's error on the channels from src to dst.
+func (f *p2pFault) err(src, dst int) error {
+	switch {
+	case f.sends == 0:
+		return fmt.Errorf("et: %d recvs with no send for %d->%d tag %d", f.recvs, src, dst, f.tag)
+	case f.sends != f.recvs:
+		return fmt.Errorf("et: %d sends but %d recvs for %d->%d tag %d", f.sends, f.recvs, src, dst, f.tag)
+	}
+	return fmt.Errorf("et: size mismatch on %d->%d tag %d: send %d vs recv %d", src, dst, f.tag, f.sendSize, f.recvSize)
+}
+
+// matchGroup compares one channel group, a's sends and b's receives of
+// one peer field each, both in (Tag, position) order, tag by tag from the
+// lowest, and returns its first faulty channel.
+func matchGroup(a *Plan, sends []int32, b *Plan, recvs []int32) p2pFault {
+	for len(sends) > 0 || len(recvs) > 0 {
+		tag := math.MaxInt
+		if len(sends) > 0 {
+			tag = a.nodes[sends[0]].Tag
+		}
+		if len(recvs) > 0 {
+			tag = min(tag, b.nodes[recvs[0]].Tag)
+		}
+		ns, nr := a.tagLen(sends, tag), b.tagLen(recvs, tag)
+		if ns == 0 || ns != nr {
+			return p2pFault{bad: true, tag: tag, sends: ns, recvs: nr}
+		}
+		for k := 0; k < ns; k++ {
+			if s, r := a.nodes[sends[k]].CommBytes, b.nodes[recvs[k]].CommBytes; s != r {
+				return p2pFault{bad: true, tag: tag, sends: ns, recvs: nr, sendSize: s, recvSize: r}
+			}
+		}
+		sends, recvs = sends[ns:], recvs[nr:]
+	}
+	return p2pFault{}
+}
+
+// matchP2P matches sends against receives, once per channel group rather
+// than once per rank. A (src, dst) pair's channels form one group: the
+// sender's plan, the receiver's plan, the send peer field and the receive
+// peer field, which are the offsets dst-src and src-dst in a RelativePeers
+// trace and dst and src in an absolute one. The walk visits each rank once
+// and checks its peer range in O(1). Each run of one peer field among the
+// rank's sends is a group, compared once against the receiver's run of the
+// mirrored field (a RelativePeers trace keeps the verdict for every rank
+// pair of the group; in an absolute trace a group is one pair). Each run
+// among its receives whose sender holds no matching run is a group without
+// sends. A faulty group carries its lowest faulty tag, so the lowest
+// faulty (src, dst, tag) channel is the one reported.
+func (t *Trace) matchP2P(plans []*Plan) error {
+	if !slices.ContainsFunc(plans, (*Plan).hasP2P) {
 		return nil
 	}
-	// start[s+1] counts sender s's records; summed, sender s's bucket is
-	// recs[start[s]:start[s+1]], and next[s] is the bucket's next free slot.
-	start := make([]int, t.NumNPUs+1)
+	byNPU := make([]*Plan, t.NumNPUs)
 	for i, g := range t.Graphs {
-		p := plans[i]
-		if p.p2p == 0 {
-			continue
+		byNPU[g.NPU] = plans[i]
+	}
+	// mirror is the peer field by which the far end of a channel names the
+	// rank whose peer field f names it.
+	mirror := func(f, rank int) int {
+		if t.RelativePeers {
+			return -f
 		}
-		for k := range g.Nodes {
-			switch n := &g.Nodes[k]; n.Kind {
-			case KindSend:
-				if peer := p.Peer(n, g.NPU); peer < 0 || peer >= t.NumNPUs {
-					return fmt.Errorf("et: npu %d sends to out-of-range peer %d", g.NPU, peer)
-				}
-				start[g.NPU+1]++
-			case KindRecv:
-				peer := p.Peer(n, g.NPU)
-				if peer < 0 || peer >= t.NumNPUs {
-					return fmt.Errorf("et: npu %d receives from out-of-range peer %d", g.NPU, peer)
-				}
-				start[peer+1]++
-			}
+		return rank
+	}
+	var verdicts map[groupKey]p2pFault
+	if t.RelativePeers {
+		verdicts = make(map[groupKey]p2pFault)
+	}
+	var worst p2pFault // on the lowest faulty pair, src -> dst
+	src, dst := 0, 0
+	report := func(f p2pFault, s, d int) {
+		if f.bad && (!worst.bad || s < src || s == src && d < dst) {
+			worst, src, dst = f, s, d
 		}
 	}
-	for s := 0; s < t.NumNPUs; s++ {
-		start[s+1] += start[s]
-	}
-	next := append(make([]int, 0, t.NumNPUs), start[:t.NumNPUs]...)
-	recs := make([]p2pRecord, count)
 	for i, g := range t.Graphs {
-		p := plans[i]
-		if p.p2p == 0 {
-			continue
+		p, rank := plans[i], g.NPU
+		if err := p.checkPeers(rank, t.NumNPUs); err != nil {
+			return err
 		}
-		for k := range g.Nodes {
-			switch n := &g.Nodes[k]; n.Kind {
-			case KindSend:
-				recs[next[g.NPU]] = p2pRecord{dst: p.Peer(n, g.NPU), tag: n.Tag, size: n.CommBytes, pos: int32(k)}
-				next[g.NPU]++
-			case KindRecv:
-				peer := p.Peer(n, g.NPU)
-				recs[next[peer]] = p2pRecord{dst: g.NPU, tag: n.Tag, size: n.CommBytes, pos: int32(k), recv: true}
-				next[peer]++
+		for rest := p.sends(); len(rest) > 0; {
+			run := p.peerRun(rest, p.nodes[rest[0]].Peer)
+			rest = rest[len(run):]
+			f, to := p.nodes[run[0]].Peer, p.Peer(&p.nodes[run[0]], rank)
+			key := groupKey{p, byNPU[to], f}
+			v, ok := verdicts[key]
+			if !ok {
+				v = matchGroup(p, run, key.recv, key.recv.peerRun(key.recv.recvs(), mirror(f, rank)))
+				if verdicts != nil {
+					verdicts[key] = v
+				}
+			}
+			report(v, rank, to)
+		}
+		for rest := p.recvs(); len(rest) > 0; {
+			run := p.peerRun(rest, p.nodes[rest[0]].Peer)
+			rest = rest[len(run):]
+			f, from := p.nodes[run[0]].Peer, p.Peer(&p.nodes[run[0]], rank)
+			if s := byNPU[from]; len(s.peerRun(s.sends(), mirror(f, rank))) == 0 {
+				report(matchGroup(s, nil, p, run), from, rank)
 			}
 		}
 	}
-	for src := 0; src < t.NumNPUs; src++ {
-		bucket := recs[start[src]:start[src+1]]
-		slices.SortFunc(bucket, func(a, b p2pRecord) int {
-			switch {
-			case a.dst != b.dst:
-				return cmp.Compare(a.dst, b.dst)
-			case a.tag != b.tag:
-				return cmp.Compare(a.tag, b.tag)
-			case a.recv != b.recv:
-				if a.recv {
-					return 1
-				}
-				return -1
-			}
-			return cmp.Compare(a.pos, b.pos)
-		})
-		for i := 0; i < len(bucket); {
-			dst, tag := bucket[i].dst, bucket[i].tag
-			j, m := i, i // the channel's sends are bucket[i:m], its receives bucket[m:j]
-			for ; j < len(bucket) && bucket[j].dst == dst && bucket[j].tag == tag; j++ {
-				if !bucket[j].recv {
-					m++
-				}
-			}
-			sends, recvs := bucket[i:m], bucket[m:j]
-			if len(sends) == 0 {
-				return fmt.Errorf("et: %d recvs with no send for %d->%d tag %d", len(recvs), src, dst, tag)
-			}
-			if len(sends) != len(recvs) {
-				return fmt.Errorf("et: %d sends but %d recvs for %d->%d tag %d", len(sends), len(recvs), src, dst, tag)
-			}
-			for k, s := range sends {
-				if s.size != recvs[k].size {
-					return fmt.Errorf("et: size mismatch on %d->%d tag %d: send %d vs recv %d", src, dst, tag, s.size, recvs[k].size)
-				}
-			}
-			i = j
-		}
+	if worst.bad {
+		return worst.err(src, dst)
 	}
 	return nil
 }

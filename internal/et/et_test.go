@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -649,4 +650,291 @@ func TestPlansShareExactlyTheSharedLists(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refMatchP2P is the reference point-to-point matcher: one record per
+// rank's send or receive, bucketed by sender and sorted by (dst, tag,
+// sends before receives, list position), so each channel is a run of sends
+// in list order followed by its receives, checked in (src, dst, tag)
+// order. Out-of-range peers are reported first, in Graphs and list order.
+func refMatchP2P(t *Trace) error {
+	type record struct {
+		dst, tag int
+		size     int64
+		pos      int
+		recv     bool
+	}
+	buckets := make([][]record, t.NumNPUs)
+	for _, g := range t.Graphs {
+		for k, n := range g.Nodes {
+			if n.Kind != KindSend && n.Kind != KindRecv {
+				continue
+			}
+			peer := n.Peer
+			if t.RelativePeers {
+				peer += g.NPU
+			}
+			if n.Kind == KindSend {
+				if peer < 0 || peer >= t.NumNPUs {
+					return fmt.Errorf("et: npu %d sends to out-of-range peer %d", g.NPU, peer)
+				}
+				buckets[g.NPU] = append(buckets[g.NPU], record{dst: peer, tag: n.Tag, size: n.CommBytes, pos: k})
+				continue
+			}
+			if peer < 0 || peer >= t.NumNPUs {
+				return fmt.Errorf("et: npu %d receives from out-of-range peer %d", g.NPU, peer)
+			}
+			buckets[peer] = append(buckets[peer], record{dst: g.NPU, tag: n.Tag, size: n.CommBytes, pos: k, recv: true})
+		}
+	}
+	for src, bucket := range buckets {
+		slices.SortFunc(bucket, func(a, b record) int {
+			switch {
+			case a.dst != b.dst:
+				return cmp.Compare(a.dst, b.dst)
+			case a.tag != b.tag:
+				return cmp.Compare(a.tag, b.tag)
+			case a.recv != b.recv:
+				if a.recv {
+					return 1
+				}
+				return -1
+			}
+			return cmp.Compare(a.pos, b.pos)
+		})
+		for i := 0; i < len(bucket); {
+			dst, tag := bucket[i].dst, bucket[i].tag
+			j, m := i, i // the channel's sends are bucket[i:m], its receives bucket[m:j]
+			for ; j < len(bucket) && bucket[j].dst == dst && bucket[j].tag == tag; j++ {
+				if !bucket[j].recv {
+					m++
+				}
+			}
+			sends, recvs := bucket[i:m], bucket[m:j]
+			if len(sends) == 0 {
+				return fmt.Errorf("et: %d recvs with no send for %d->%d tag %d", len(recvs), src, dst, tag)
+			}
+			if len(sends) != len(recvs) {
+				return fmt.Errorf("et: %d sends but %d recvs for %d->%d tag %d", len(sends), len(recvs), src, dst, tag)
+			}
+			for k, s := range sends {
+				if s.size != recvs[k].size {
+					return fmt.Errorf("et: size mismatch on %d->%d tag %d: send %d vs recv %d", src, dst, tag, s.size, recvs[k].size)
+				}
+			}
+			i = j
+		}
+	}
+	return nil
+}
+
+// refValidate is Plans with the reference matcher, for traces whose shape
+// is valid: each graph's list is compiled in Graphs order, so a list's
+// first graph reports its defect, as in Plans.
+func refValidate(t *Trace) error {
+	for _, g := range t.Graphs {
+		if _, err := compile(g.NPU, g.Nodes, t.RelativePeers); err != nil {
+			return err
+		}
+	}
+	return refMatchP2P(t)
+}
+
+// p2pTrace builds a small trace of sends and receives from fuzz input.
+// It has n = 2 + npus%7 NPUs. Flag bit 0 makes peers rank-relative. Bit 1
+// gives every rank its own list; otherwise 1 + (flags>>3)%3 lists are
+// shared, rank r holding list assign[r] modulo that count (0 past the end
+// of assign). Bit 2 lists the graphs in descending NPU order. Each 4 bytes
+// of nodes, at most 64 of them, add a node to a list; h is the lowest rank
+// holding that list (0 if none does).
+//   - Byte 0: bit 0 makes the node a receive, not a send, and the rest,
+//     shifted right twice, modulo the list count, picks its list. With bit
+//     1 set, the matching receive or send also joins the list of the rank
+//     h exchanges with, if that rank exists.
+//   - Byte 1 picks the rank h exchanges with, byte%n, except that 254 is
+//     rank -1 and 255 rank n, both outside the machine. The peer is that
+//     rank, or its offset from h with relative peers.
+//   - Byte 2 is the tag, byte%5-1.
+//   - Byte 3 is the size, 1+byte%3; a matching node added by bit 1 of
+//     byte 0 is one larger when byte 3 is 128 or more.
+func p2pTrace(npus, flags uint8, assign, nodes []byte) *Trace {
+	n := 2 + int(npus)%7
+	t := &Trace{NumNPUs: n, RelativePeers: flags&1 != 0}
+	nlists := 1 + int(flags>>3)%3
+	if flags&2 != 0 {
+		nlists = n
+	}
+	listOf := make([]int, n) // each rank's list
+	holder := make([]int, nlists)
+	for r := n - 1; r >= 0; r-- {
+		if flags&2 != 0 {
+			listOf[r] = r
+		} else if r < len(assign) {
+			listOf[r] = int(assign[r]) % nlists
+		}
+		holder[listOf[r]] = r
+	}
+	peer := func(from, to int) int {
+		if t.RelativePeers {
+			return to - from
+		}
+		return to
+	}
+	lists := make([][]Node, nlists)
+	add := func(l int, nd Node) {
+		nd.ID = len(lists[l]) + 1
+		lists[l] = append(lists[l], nd)
+	}
+	for k := 0; k+4 <= len(nodes) && k < 4*64; k += 4 {
+		c := nodes[k : k+4]
+		l := int(c[0]>>2) % nlists
+		h, to := holder[l], int(c[1])%n
+		switch c[1] {
+		case 254:
+			to = -1
+		case 255:
+			to = n
+		}
+		nd := Node{Kind: KindSend, Peer: peer(h, to), Tag: int(c[2]%5) - 1, CommBytes: 1 + int64(c[3]%3)}
+		if c[0]&1 != 0 {
+			nd.Kind = KindRecv
+		}
+		add(l, nd)
+		if c[0]&2 != 0 && to >= 0 && to < n {
+			match := Node{Kind: KindSend + KindRecv - nd.Kind, Peer: peer(to, h), Tag: nd.Tag, CommBytes: nd.CommBytes + int64(c[3]>>7)}
+			add(listOf[to], match)
+		}
+	}
+	for r := 0; r < n; r++ {
+		t.Graphs = append(t.Graphs, &Graph{NPU: r, Nodes: lists[listOf[r]]})
+	}
+	if flags&4 != 0 {
+		slices.Reverse(t.Graphs)
+	}
+	return t
+}
+
+// p2pSeed is one FuzzMatchP2P input and the error Plans reports for it.
+type p2pSeed struct {
+	npus, flags   uint8
+	assign, nodes []byte
+	want          string
+}
+
+// p2pSeeds covers every point-to-point error. On 4 NPUs (npus 2), a node
+// of list l has byte 0 4l (a send) or 4l+1 (a receive), plus 2 to add its
+// matching node, and byte 1 names rank r as r, rank -1 as 254 and rank 4
+// as 255.
+func p2pSeeds() []p2pSeed {
+	// chain is a relative 4-NPU chain in three shared lists: rank 0 sends
+	// to rank 1, ranks 1 and 2 receive from the rank before and send to
+	// the rank after, and rank 3 receives, all on tag 0 with size 1.
+	chain := []byte{
+		0, 1, 1, 0, // list 0, held by rank 0: send to rank 1
+		4, 2, 1, 0, // list 1, held first by rank 1: send to rank 2
+		5, 0, 1, 0, // list 1: receive from rank 0
+		9, 2, 1, 0, // list 2, held by rank 3: receive from rank 2
+	}
+	const shared3 = 1 | 2<<3 // relative peers, three shared lists
+	classes := []byte{0, 1, 1, 2}
+	with := func(nodes []byte, extra ...byte) []byte { return append(slices.Clone(nodes), extra...) }
+	mismatch := slices.Clone(chain)
+	mismatch[15] = 1 // list 2's receive has size 2
+	return []p2pSeed{
+		{2, shared3, classes, chain, ""},
+		{2, shared3, classes, mismatch, "et: size mismatch on 2->3 tag 0: send 1 vs recv 2"},
+		// The middle list receives a second time on tag 0: its first rank's
+		// sender holds one send, and the pair 0->1 comes first.
+		{2, shared3, classes, with(chain, 5, 0, 1, 0), "et: 1 sends but 2 recvs for 0->1 tag 0"},
+		// The middle list also receives on tag 2, which nobody sends; its
+		// first rank's receive from rank 0 comes first.
+		{2, shared3, classes, with(chain, 5, 0, 3, 0), "et: 1 recvs with no send for 0->1 tag 2"},
+		// Per-rank relative lists, each send with its matching receive: a
+		// chain 0->1->2->3, then the same with the last receive one larger.
+		{2, 1 | 2, nil, []byte{2, 1, 1, 0, 6, 2, 1, 0, 10, 3, 1, 0}, ""},
+		{2, 1 | 2, nil, []byte{2, 1, 1, 0, 6, 2, 1, 0, 10, 3, 1, 129}, "et: size mismatch on 2->3 tag 0: send 1 vs recv 2"},
+		// Every rank shares one relative list that sends to the next rank:
+		// the last rank's send leaves the machine.
+		{2, 1, nil, []byte{0, 1, 1, 0}, "et: npu 3 sends to out-of-range peer 4"},
+		// The same list receiving from the rank before: listed in
+		// descending NPU order, rank 0 is still the first out of range.
+		{2, 1 | 4, nil, []byte{1, 254, 1, 0}, "et: npu 0 receives from out-of-range peer -1"},
+		// Per-rank absolute lists: rank 0 sends to rank 1 on tag 1, rank 1
+		// receives from rank 0 on tag 2, and then also from rank 4, past
+		// the machine.
+		{2, 2, nil, []byte{0, 1, 2, 0, 5, 0, 3, 0}, "et: 1 sends but 0 recvs for 0->1 tag 1"},
+		{2, 2, nil, []byte{0, 1, 2, 0, 5, 0, 3, 0, 5, 255, 1, 0}, "et: npu 1 receives from out-of-range peer 4"},
+		// A shared absolute list: every rank sends to rank 0, which never
+		// receives.
+		{2, 0, nil, []byte{0, 0, 1, 0}, "et: 1 sends but 0 recvs for 0->0 tag 0"},
+		// An absolute peer of -1 is no rank at all.
+		{2, 0, nil, []byte{0, 254, 1, 0}, "et: npu 0 node 1: p2p node needs a peer rank"},
+	}
+}
+
+// checkMatchesReference requires Plans to report exactly the reference
+// matcher's error, or nil, for tr.
+func checkMatchesReference(t *testing.T, tr *Trace) {
+	t.Helper()
+	_, err := tr.Plans()
+	if got, want := fmt.Sprint(err), fmt.Sprint(refValidate(tr)); got != want {
+		t.Fatalf("Plans: %s; the reference matcher: %s", got, want)
+	}
+}
+
+// The seeds report the errors they were written for, and together they
+// reach every point-to-point error.
+func TestP2PSeedsCoverEveryFault(t *testing.T) {
+	kinds := []string{"sends to out-of-range", "receives from out-of-range", "recvs with no send", "sends but", "size mismatch", "needs a peer rank"}
+	seen := make(map[string]bool)
+	for _, s := range p2pSeeds() {
+		tr := p2pTrace(s.npus, s.flags, s.assign, s.nodes)
+		_, err := tr.Plans()
+		if got := fmt.Sprint(err); (s.want == "" && err != nil) || (s.want != "" && got != s.want) {
+			t.Errorf("seed %v: got %v, want %q", s.nodes, err, s.want)
+		}
+		checkMatchesReference(t, tr)
+		for _, k := range kinds {
+			seen[k] = seen[k] || strings.Contains(s.want, k)
+		}
+	}
+	for _, k := range kinds {
+		if !seen[k] {
+			t.Errorf("no seed reports %q", k)
+		}
+	}
+}
+
+// Plans matches point-to-point traffic exactly as the reference matcher
+// does on random small traces, most of them faulty.
+func TestMatchP2PMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	faulty := 0
+	for iter := 0; iter < 3000; iter++ {
+		assign, nodes := make([]byte, 8), make([]byte, 4*rng.Intn(17))
+		rng.Read(assign)
+		rng.Read(nodes)
+		tr := p2pTrace(uint8(rng.Intn(256)), uint8(rng.Intn(256)), assign, nodes)
+		checkMatchesReference(t, tr)
+		if tr.Validate() != nil {
+			faulty++
+		}
+	}
+	if faulty < 1000 || faulty > 2900 {
+		t.Fatalf("%d of 3000 random traces faulty; want most but not all", faulty)
+	}
+}
+
+// FuzzMatchP2P checks the point-to-point matcher against the reference
+// per-record matcher on small generated traces (see p2pTrace): absolute
+// and relative peers, shared and per-rank lists, and random peers, tags
+// and sizes, so that most inputs are faulty. Plans must report the
+// reference's error text, or nil when the reference finds no fault.
+func FuzzMatchP2P(f *testing.F) {
+	for _, s := range p2pSeeds() {
+		f.Add(s.npus, s.flags, s.assign, s.nodes)
+	}
+	f.Fuzz(func(t *testing.T, npus, flags uint8, assign, nodes []byte) {
+		checkMatchesReference(t, p2pTrace(npus, flags, assign, nodes))
+	})
 }

@@ -1,6 +1,7 @@
 package etgen
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/et"
@@ -125,7 +126,9 @@ func pipelineTrace(t testing.TB) *et.Trace {
 // per rank or per node (about 220 and 17 allocations here for 64 ranks):
 // two objects per class list for its nodes and their deps, and four for
 // its plan, plus the names of the nodes, formatted once for every class,
-// and the machine's topology.
+// and the machine's topology. Compiling allocates bytes per list too,
+// about 17 KB here, where one 32-byte record per rank's send or receive
+// (7,168 of them) would take 229 KB.
 func TestPipelineAllocsScaleWithRanks(t *testing.T) {
 	tr := pipelineTrace(t)
 	graphs := len(tr.Graphs)
@@ -147,6 +150,18 @@ func TestPipelineAllocsScaleWithRanks(t *testing.T) {
 	})
 	if limit := float64(5*classes + 16); plans > limit {
 		t.Errorf("Trace.Plans: %.0f allocations for %d graphs; want at most %.0f", plans, graphs, limit)
+	}
+	const runs, byteLimit = 5, 48 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := tr.Plans(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > byteLimit {
+		t.Errorf("Trace.Plans: %d bytes for %d graphs; want at most %d", bytes, graphs, byteLimit)
 	}
 }
 
