@@ -429,8 +429,8 @@ type Report struct {
 	// TrafficPerDimMB is the mean per-NPU sent+received megabytes per
 	// topology dimension.
 	TrafficPerDimMB []float64
-	// Collectives is the number of collectives logged; Events the number
-	// of simulation events executed.
+	// Collectives is the number of collectives that completed; Events the
+	// number of simulation events executed.
 	Collectives int
 	Events      uint64
 }
@@ -503,7 +503,7 @@ func reportFromStats(workload string, stats *core.RunStats) *Report {
 		ExposedRemoteMem: toDuration(mean.ExposedRemoteMem),
 		ExposedLocalMem:  toDuration(mean.ExposedLocalMem),
 		Idle:             toDuration(mean.Idle),
-		Collectives:      len(stats.Collectives),
+		Collectives:      stats.CollectiveCount,
 		Events:           stats.Events,
 	}
 	for _, b := range stats.TrafficPerDim {

@@ -476,6 +476,20 @@ func TestIterationsPinnedOutputs(t *testing.T) {
 	}
 }
 
+// A report counts every collective that ran, not the capped collective
+// log: one GPT-3 iteration on the paper's Conv-4D machine runs 12,304,
+// far past the log's default of 1,024 entries.
+func TestReportCountsEveryCollective(t *testing.T) {
+	m := testMachine(t, MachineConfig{Topology: "R(2)_FC(8)_R(8)_SW(4)", BandwidthsGBps: []float64{250, 200, 100, 50}})
+	rep, err := m.Run(GPT3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Collectives != 12304 {
+		t.Errorf("%s: %d collectives, want 12304", rep.Workload, rep.Collectives)
+	}
+}
+
 func TestTransitCongestionSlowsStridedPipelines(t *testing.T) {
 	// A pipeline whose stages are adjacent on the ring: activations hop
 	// over intermediate NPUs only when stages are blocks of >1 rank. Use

@@ -377,11 +377,11 @@ func BenchmarkTraceSetup(b *testing.B) {
 }
 
 // BenchmarkTraceSetupPerRank measures ingestion of a trace whose every rank
-// holds its own list with absolute peers, the shape et.Decode and convert
-// produce: the same pipeline, encoded and decoded once, then compiled by
-// Trace.Plans, which checks 256 lists and matches every rank's sends and
-// receives. With -benchmem its allocs/op show it allocating per list, not
-// per node.
+// holds its own list, the shape et.Decode and convert produce: the same
+// pipeline, encoded and decoded once, then compiled by Trace.Plans, which
+// checks 256 lists and matches every rank's sends and receives, one
+// channel group per rank pair. With -benchmem its allocs/op show it
+// allocating per list, not per node.
 func BenchmarkTraceSetupPerRank(b *testing.B) {
 	m, cfg := benchPipeline(b)
 	tr, err := etgen.Pipeline(m.top, cfg)

@@ -5,9 +5,13 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/compute"
+	"repro/internal/core"
 	"repro/internal/et"
+	"repro/internal/memory"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -75,5 +79,64 @@ func TestGenPipelineDigest(t *testing.T) {
 	}
 	if _, err := loadTrace(path); err != nil {
 		t.Errorf("validate rejects the generated trace: %v", err)
+	}
+}
+
+// The JSON gen writes for the pipeline holds ranks, and decodes to the
+// generated lists, peers as offsets from each graph's NPU, one copy per
+// rank. The decoded trace runs to the same RunStats as the generated one
+// at one and at three iterations.
+func TestGenPipelineJSONRunsAsGenerated(t *testing.T) {
+	const spec = "FC(4)_SW(2)_R(4)"
+	top, err := topology.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	generated, err := generate("pipeline", top, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "pipeline.json")
+	if err := runGen([]string{"-workload", "pipeline", "-topology", spec, "-o", path}); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := loadTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	negative := false
+	for i, g := range decoded.Graphs {
+		want := generated.Graphs[i]
+		if g.NPU != want.NPU || !reflect.DeepEqual(g.Nodes, want.Nodes) {
+			t.Fatalf("graph %d: decoded npu %d's list differs from the generated npu %d's", i, g.NPU, want.NPU)
+		}
+		for _, n := range g.Nodes {
+			negative = negative || n.Peer < 0
+		}
+	}
+	if !negative {
+		t.Error("no decoded peer is negative; a receive from the previous stage should be")
+	}
+	cfg := core.Config{
+		Topology: top,
+		Compute:  compute.Model{Peak: units.TFLOPS(100), MemBandwidth: units.GBps(2000)},
+		Memory:   memory.System{Local: memory.LocalModel{Latency: units.Microsecond, Bandwidth: units.GBps(2000)}},
+	}
+	for _, iters := range []int{1, 3} {
+		var stats [2]*core.RunStats
+		for k, tr := range []*et.Trace{generated, decoded} {
+			tr.Iterations = iters
+			sim, err := core.NewSimulator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats[k], err = sim.Run(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(stats[0], stats[1]) {
+			t.Errorf("x%d: decoded JSON runs in %v and %d events, generated trace in %v and %d",
+				iters, stats[1].Makespan, stats[1].Events, stats[0].Makespan, stats[0].Events)
+		}
 	}
 }

@@ -88,7 +88,8 @@ func Convert(src *PyTorchTrace) (*et.Trace, error) {
 }
 
 // convertGraph fills one exact-size node list; the nodes' deps are windows
-// of one exact-size array.
+// of one exact-size array. A send's or receive's peer attribute is a rank,
+// which becomes the offset from src.Rank that et.Node.Peer holds.
 func convertGraph(src *PyTorchGraph) (*et.Graph, error) {
 	edges := 0
 	for i := range src.Nodes {
@@ -100,6 +101,9 @@ func convertGraph(src *PyTorchGraph) (*et.Graph, error) {
 		n := &g.Nodes[i]
 		if err := convertNode(n, &src.Nodes[i]); err != nil {
 			return nil, fmt.Errorf("convert: rank %d node %d (%s): %w", src.Rank, src.Nodes[i].ID, src.Nodes[i].Name, err)
+		}
+		if n.Kind == et.KindSend || n.Kind == et.KindRecv {
+			n.Peer -= src.Rank
 		}
 		if k := len(src.Nodes[i].CtrlDeps); k > 0 {
 			deps = append(deps, src.Nodes[i].CtrlDeps...)

@@ -54,6 +54,48 @@ func sampleTrace(t *testing.T) *PyTorchTrace {
 	}
 }
 
+// Convert turns a peer attribute, a rank, into the offset from the graph's
+// rank that et.Node.Peer holds, and Encode writes the rank back: a receive
+// on rank 2 from rank 0 is peer -2 in the trace and 0 in its JSON (where
+// omitempty leaves the zero out), and rank 0's send to rank 2 is 2 in both.
+func TestConvertPeersAreOffsets(t *testing.T) {
+	p2p := func(rank int, op string, peer int) PyTorchGraph {
+		return PyTorchGraph{Rank: rank, Nodes: []PyTorchNode{{ID: 1, Name: op, Attrs: map[string]json.RawMessage{
+			"comm_bytes": raw(t, 64), "peer": raw(t, peer), "tag": raw(t, 3),
+		}}}}
+	}
+	src := &PyTorchTrace{NumNPUs: 3, Graphs: []PyTorchGraph{
+		p2p(0, "nccl:send", 2), {Rank: 1}, p2p(2, "nccl:recv", 0),
+	}}
+	out, err := Convert(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if send, recv := out.Graphs[0].Nodes[0].Peer, out.Graphs[2].Nodes[0].Peer; send != 2 || recv != -2 {
+		t.Errorf("send peer %d, receive peer %d; want 2 and -2", send, recv)
+	}
+	var doc bytes.Buffer
+	if err := out.Encode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var encoded struct {
+		Graphs []struct {
+			Nodes []map[string]json.RawMessage
+		}
+	}
+	if err := json.Unmarshal(doc.Bytes(), &encoded); err != nil {
+		t.Fatal(err)
+	}
+	sendPeer, hasRecvPeer := string(encoded.Graphs[0].Nodes[0]["peer"]), encoded.Graphs[2].Nodes[0]["peer"] != nil
+	if sendPeer != "2" || hasRecvPeer {
+		t.Errorf("encoded send peer %s and receive peer %s; want 2 and none (rank 0)\n%s",
+			sendPeer, encoded.Graphs[2].Nodes[0]["peer"], doc.Bytes())
+	}
+	if out.Graphs[2].Nodes[0].Peer != -2 {
+		t.Error("Encode rewrote the trace's offset")
+	}
+}
+
 func TestConvertClassifiesOperators(t *testing.T) {
 	out, err := Convert(sampleTrace(t))
 	if err != nil {

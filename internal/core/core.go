@@ -61,7 +61,9 @@ type Config struct {
 	// Deprecated: Memo has no effect and will be removed.
 	Memo *collective.Memo
 	// CollectiveLogLimit caps how many collective results are retained in
-	// the run stats (default 1024; 0 keeps none).
+	// the run stats' log: 0 selects the default of 1024, and a negative
+	// limit keeps none. RunStats.CollectiveCount counts every collective
+	// whatever the limit.
 	CollectiveLogLimit int
 	// RecordTimeline retains each NPU's activity intervals in the run
 	// stats (for Chrome-trace export). Off by default: a large run
@@ -164,8 +166,12 @@ type RunStats struct {
 	Makespan units.Time
 	// PerNPU holds each NPU's exposed-time breakdown.
 	PerNPU []Breakdown
-	// Collectives logs completed collectives (capped by config).
+	// Collectives logs completed collectives, at most
+	// Config.CollectiveLogLimit of them.
 	Collectives []collective.Result
+	// CollectiveCount is the number of collectives that completed, through
+	// the fabric or in-switch.
+	CollectiveCount int
 	// TrafficPerDim is the per-NPU mean sent+received bytes per physical
 	// dimension across the whole run.
 	TrafficPerDim []units.ByteSize
@@ -214,6 +220,7 @@ type Simulator struct {
 	freeOps []*nodeOp
 
 	collLog []collective.Result
+	nColl   int
 	// remaining counts the nodes still to complete over every iteration;
 	// left, allocated only for a trace with several iterations, counts
 	// them per rank.
@@ -297,7 +304,7 @@ func (s *Simulator) newPending(inst *groupInstance) *pendingCollective {
 }
 
 // finish completes every member of a launched collective in ascending rank
-// order, logs the result and recycles the record.
+// order, counts and logs the result and recycles the record.
 func (p *pendingCollective) finish(res collective.Result) {
 	s, inst := p.s, p.inst
 	for i, rank := range inst.members {
@@ -305,6 +312,7 @@ func (p *pendingCollective) finish(res collective.Result) {
 		s.markFree(member, &member.nComm)
 		s.complete(member, p.nodes[i])
 	}
+	s.nColl++
 	if len(s.collLog) < s.cfg.CollectiveLogLimit {
 		s.collLog = append(s.collLog, res)
 	}
@@ -645,10 +653,11 @@ func (s *Simulator) Finalize() (*RunStats, error) {
 
 	makespan := s.finished - s.startAt
 	stats := &RunStats{
-		Makespan:    makespan,
-		PerNPU:      make([]Breakdown, len(s.npus)),
-		Collectives: s.collLog,
-		Events:      s.eng.Fired(),
+		Makespan:        makespan,
+		PerNPU:          make([]Breakdown, len(s.npus)),
+		Collectives:     s.collLog,
+		CollectiveCount: s.nColl,
+		Events:          s.eng.Fired(),
 	}
 	for i := range s.npus {
 		st := &s.npus[i]

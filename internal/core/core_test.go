@@ -205,7 +205,7 @@ func TestPipelineParallelP2P(t *testing.T) {
 		var nodes []et.Node
 		id := 1
 		if r > 0 {
-			nodes = append(nodes, et.Node{ID: id, Kind: et.KindRecv, Peer: r - 1, Tag: r, CommBytes: msg})
+			nodes = append(nodes, et.Node{ID: id, Kind: et.KindRecv, Peer: -1, Tag: r, CommBytes: msg})
 			id++
 		}
 		comp := et.Node{ID: id, Kind: et.KindCompute, FLOPs: 1e11} // 1 ms
@@ -215,7 +215,7 @@ func TestPipelineParallelP2P(t *testing.T) {
 		nodes = append(nodes, comp)
 		id++
 		if r < 3 {
-			nodes = append(nodes, et.Node{ID: id, Kind: et.KindSend, Peer: r + 1, Tag: r + 1, CommBytes: msg, Deps: []int{id - 1}})
+			nodes = append(nodes, et.Node{ID: id, Kind: et.KindSend, Peer: 1, Tag: r + 1, CommBytes: msg, Deps: []int{id - 1}})
 		}
 		tr.Graphs = append(tr.Graphs, &et.Graph{NPU: r, Nodes: nodes})
 	}
@@ -395,6 +395,9 @@ func TestCollectiveLogLimit(t *testing.T) {
 	if len(stats.Collectives) != 2 {
 		t.Errorf("logged %d collectives, want cap of 2", len(stats.Collectives))
 	}
+	if stats.CollectiveCount != 5 {
+		t.Errorf("counted %d collectives, want all 5", stats.CollectiveCount)
+	}
 }
 
 func TestRunStatsTrafficPerDim(t *testing.T) {
@@ -468,8 +471,8 @@ func TestShuffledNodeListMatchesSorted(t *testing.T) {
 			nodes := []et.Node{
 				{ID: 1, Kind: et.KindCompute, FLOPs: 2e11},
 				{ID: 2, Kind: et.KindCompute, FLOPs: 1e11},
-				{ID: 3, Kind: et.KindSend, Peer: peer, Tag: rank, CommBytes: 1 << 20, Deps: []int{1}},
-				{ID: 4, Kind: et.KindRecv, Peer: prev, Tag: prev, CommBytes: 1 << 20, Deps: []int{2}},
+				{ID: 3, Kind: et.KindSend, Peer: peer - rank, Tag: rank, CommBytes: 1 << 20, Deps: []int{1}},
+				{ID: 4, Kind: et.KindRecv, Peer: prev - rank, Tag: prev, CommBytes: 1 << 20, Deps: []int{2}},
 			}
 			if shuffled {
 				nodes[0], nodes[2] = nodes[2], nodes[0] // 3,2,1,4: not ascending

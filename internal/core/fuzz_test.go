@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/compute"
@@ -47,11 +48,55 @@ func fuzzTraceSeeds() []string {
 		`{"num_npus":2,"graphs":[{"npu":0,"nodes":[{"id":1,"kind":"NOP"}]},{"npu":1,"nodes":[]}]}`,
 		`{"num_npus":2,"graphs":[{"npu":0,"nodes":[{"id":1,"kind":"COMM_COLL","collective":"BROADCAST","comm_bytes":8}]},{"npu":1,"nodes":[{"id":1,"kind":"COMM_COLL","collective":"ALL_REDUCE","comm_bytes":8}]}]}`,
 		// ET: a ring, every rank sending to the next and receiving from
-		// the one before on one tag, so the rank-relative rewrite shares
-		// one list among the inner ranks; then the same ring with one
-		// size mismatch.
+		// the one before on one tag, so sharing equal lists gives every
+		// rank the same list; then the same ring with one size mismatch.
 		ringSeed(4096),
 		ringSeed(8192),
+	}
+}
+
+// peerSeed is a FuzzRunTrace seed whose JSON peer sits at one end of int,
+// and the error it decodes to.
+type peerSeed struct {
+	doc     string
+	pytorch bool // a PARAM PyTorch graph, read through convert
+	want    string
+}
+
+// peerSeeds put JSON peers at both ends of int on rank 1. Turning the rank
+// into an offset subtracts 1, which wraps the lowest int around to the
+// highest, and the out-of-range report adds it back, so it names the JSON
+// value: the wraparound is harmless.
+func peerSeeds() []peerSeed {
+	const lowest, highest = "-9223372036854775808", "9223372036854775807"
+	etDoc := func(kind, peer string) string {
+		return `{"num_npus":2,"graphs":[{"npu":0,"nodes":[]},{"npu":1,"nodes":[` +
+			`{"id":1,"kind":"` + kind + `","peer":` + peer + `,"comm_bytes":8}]}]}`
+	}
+	return []peerSeed{
+		{etDoc("COMM_SEND", lowest), false, "et: npu 1 sends to out-of-range peer " + lowest},
+		{etDoc("COMM_RECV", highest), false, "et: npu 1 receives from out-of-range peer " + highest},
+		{`{"num_npus":2,"graphs":[{"rank":0,"nodes":[]},{"rank":1,"nodes":[` +
+			`{"id":1,"name":"nccl:recv","attrs":{"comm_bytes":8,"peer":` + lowest + `}}]}]}`,
+			true, "convert: converted trace invalid: et: npu 1 receives from out-of-range peer " + lowest},
+	}
+}
+
+// The peer seeds report the peer their JSON holds.
+func TestPeerSeedsNameTheJSONPeer(t *testing.T) {
+	for _, s := range peerSeeds() {
+		var err error
+		if s.pytorch {
+			var src *convert.PyTorchTrace
+			if src, err = convert.DecodePyTorch(strings.NewReader(s.doc)); err == nil {
+				_, err = convert.Convert(src)
+			}
+		} else {
+			_, err = et.Decode(strings.NewReader(s.doc))
+		}
+		if errText(err) != s.want {
+			t.Errorf("%s: got %v, want %q", s.doc, err, s.want)
+		}
 	}
 }
 
@@ -81,12 +126,10 @@ func ringSeed(recv2 int) string {
 // pool, transit charging and an event budget. Start, Run and Finalize may
 // return errors but must never panic.
 //
-// Each trace also runs in its rank-relative form (relativeRewrite, whose
-// ranks share a list where their rewritten lists are equal), which must
-// encode to the same bytes, fail Start exactly when the trace does and
-// with the same error, and past Start give the same errors and RunStats.
-// Both forms passed validation as absolute traces, so no peer is negative,
-// and no error text may differ.
+// Each trace also runs with its equal lists shared (share), as a
+// generated trace's ranks share them. That form must encode to the same
+// bytes, fail Start exactly when the trace does and with the same error,
+// and past Start give the same errors and RunStats.
 //
 // Three oracles check the results:
 //   - in a finished run, every NPU's breakdown adds up to the makespan;
@@ -100,6 +143,9 @@ func ringSeed(recv2 int) string {
 func FuzzRunTrace(f *testing.F) {
 	for _, s := range fuzzTraceSeeds() {
 		f.Add([]byte(s))
+	}
+	for _, s := range peerSeeds() {
+		f.Add([]byte(s.doc))
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		trace, err := et.Decode(bytes.NewReader(doc))
@@ -117,11 +163,11 @@ func FuzzRunTrace(f *testing.F) {
 			return
 		}
 		trace.Iterations = 1 + len(doc)%3
-		rel := relativeRewrite(trace)
-		var abs, relDoc bytes.Buffer
-		absErr, relErr := trace.Encode(&abs), rel.Encode(&relDoc)
-		if errText(absErr) != errText(relErr) || !bytes.Equal(abs.Bytes(), relDoc.Bytes()) {
-			t.Fatalf("rank-relative trace encodes differently: %v vs %v\n%s\n%s", absErr, relErr, abs.Bytes(), relDoc.Bytes())
+		shared := share(trace)
+		var enc, sharedEnc bytes.Buffer
+		encErr, sharedErr := trace.Encode(&enc), shared.Encode(&sharedEnc)
+		if errText(encErr) != errText(sharedErr) || !bytes.Equal(enc.Bytes(), sharedEnc.Bytes()) {
+			t.Fatalf("shared trace encodes differently: %v vs %v\n%s\n%s", encErr, sharedErr, enc.Bytes(), sharedEnc.Bytes())
 		}
 		top, err := topology.New(topology.Dim{Kind: topology.Switch, Size: n, Bandwidth: units.GBps(100), Latency: 500 * units.Nanosecond})
 		if err != nil {
@@ -162,44 +208,44 @@ func FuzzRunTrace(f *testing.F) {
 			stats, err = sim.Finalize()
 			return nil, errors.Join(runErr, err), stats
 		}
-		absStart, absRun, absStats := simulate(trace)
-		relStart, relRun, relStats := simulate(rel)
-		if errText(absStart) != errText(relStart) {
-			t.Fatalf("Start: %v, but %v for the rank-relative trace", absStart, relStart)
+		start, runErr, stats := simulate(trace)
+		sharedStart, sharedRun, sharedStats := simulate(shared)
+		if errText(start) != errText(sharedStart) {
+			t.Fatalf("Start: %v, but %v for the shared trace", start, sharedStart)
 		}
-		if errText(absRun) != errText(relRun) || !reflect.DeepEqual(absStats, relStats) {
-			t.Fatalf("run: %v, but %v for the rank-relative trace; stats equal: %v", absRun, relRun, reflect.DeepEqual(absStats, relStats))
+		if errText(runErr) != errText(sharedRun) || !reflect.DeepEqual(stats, sharedStats) {
+			t.Fatalf("run: %v, but %v for the shared trace; stats equal: %v", runErr, sharedRun, reflect.DeepEqual(stats, sharedStats))
 		}
-		if absErr == nil {
+		if encErr == nil {
 			var decStart, decRun error
 			var decStats *RunStats
-			decoded, err := et.Decode(&abs)
+			decoded, err := et.Decode(&enc)
 			if err != nil {
 				decStart = err
 			} else {
 				decoded.Iterations = trace.Iterations
 				decStart, decRun, decStats = simulate(decoded)
 			}
-			if errText(absStart) != errText(decStart) || errText(absRun) != errText(decRun) || !reflect.DeepEqual(absStats, decStats) {
+			if errText(start) != errText(decStart) || errText(runErr) != errText(decRun) || !reflect.DeepEqual(stats, decStats) {
 				t.Fatalf("start %v, run %v; from its JSON: start %v, run %v; stats equal: %v",
-					absStart, absRun, decStart, decRun, reflect.DeepEqual(absStats, decStats))
+					start, runErr, decStart, decRun, reflect.DeepEqual(stats, decStats))
 			}
 		}
-		if absStart != nil {
+		if start != nil {
 			return
 		}
-		if absRun == nil {
-			for i, b := range absStats.PerNPU {
-				if b.Total() != absStats.Makespan {
-					t.Fatalf("npu %d: breakdown adds up to %v, makespan %v", i, b.Total(), absStats.Makespan)
+		if runErr == nil {
+			for i, b := range stats.PerNPU {
+				if b.Total() != stats.Makespan {
+					t.Fatalf("npu %d: breakdown adds up to %v, makespan %v", i, b.Total(), stats.Makespan)
 				}
 			}
 		}
 		if trace.Iterations > 1 && smallIDsAndTags(trace) {
 			unStart, unRun, unStats := simulate(unroll(trace, trace.Iterations))
-			if unStart != nil || (absRun == nil) != (unRun == nil) || !reflect.DeepEqual(absStats, unStats) {
+			if unStart != nil || (runErr == nil) != (unRun == nil) || !reflect.DeepEqual(stats, unStats) {
 				t.Fatalf("%d native iterations: %v; unrolled: start %v, run %v; stats equal: %v",
-					trace.Iterations, absRun, unStart, unRun, reflect.DeepEqual(absStats, unStats))
+					trace.Iterations, runErr, unStart, unRun, reflect.DeepEqual(stats, unStats))
 			}
 		}
 	})

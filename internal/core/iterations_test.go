@@ -25,7 +25,7 @@ func unroll(tr *et.Trace, n int) *et.Trace {
 			tagStride = max(tagStride, nd.Tag+1)
 		}
 	}
-	out := &et.Trace{Name: tr.Name, NumNPUs: tr.NumNPUs, RelativePeers: tr.RelativePeers}
+	out := &et.Trace{Name: tr.Name, NumNPUs: tr.NumNPUs}
 	for _, g := range tr.Graphs {
 		var nodes []et.Node
 		if len(g.Nodes) > 0 {
@@ -156,10 +156,10 @@ func racingSends(reversed bool) *et.Trace {
 	return symmetricTrace(4, func(rank int) []et.Node {
 		next, prev := (rank+1)%4, (rank+3)%4
 		nodes := []et.Node{
-			{ID: 1, Kind: et.KindSend, Peer: next, Tag: 1, CommBytes: 4 << 20},
-			{ID: 2, Kind: et.KindSend, Peer: next, Tag: 2, CommBytes: 1 << 20},
-			{ID: 3, Kind: et.KindRecv, Peer: prev, Tag: 1, CommBytes: 4 << 20},
-			{ID: 4, Kind: et.KindRecv, Peer: prev, Tag: 2, CommBytes: 1 << 20},
+			{ID: 1, Kind: et.KindSend, Peer: next - rank, Tag: 1, CommBytes: 4 << 20},
+			{ID: 2, Kind: et.KindSend, Peer: next - rank, Tag: 2, CommBytes: 1 << 20},
+			{ID: 3, Kind: et.KindRecv, Peer: prev - rank, Tag: 1, CommBytes: 4 << 20},
+			{ID: 4, Kind: et.KindRecv, Peer: prev - rank, Tag: 2, CommBytes: 1 << 20},
 			{ID: 5, Kind: et.KindCompute, FLOPs: 1e9, Deps: []int{4}},
 			{ID: 6, Kind: et.KindCompute, FLOPs: 1e10, Deps: []int{3}},
 		}
@@ -192,7 +192,7 @@ func TestIterationsPairQueuedMessagesInOrder(t *testing.T) {
 	tr := &et.Trace{Name: "ahead", NumNPUs: 4, Graphs: []*et.Graph{
 		{NPU: 0, Nodes: []et.Node{{ID: 1, Kind: et.KindSend, Peer: 1, Tag: 3, CommBytes: msg}}},
 		{NPU: 1, Nodes: []et.Node{
-			{ID: 1, Kind: et.KindRecv, Peer: 0, Tag: 3, CommBytes: msg},
+			{ID: 1, Kind: et.KindRecv, Peer: -1, Tag: 3, CommBytes: msg},
 			{ID: 2, Kind: et.KindCompute, FLOPs: 1e11, Deps: []int{1}}, // 1 ms
 		}},
 		{NPU: 2}, {NPU: 3},

@@ -12,37 +12,23 @@ import (
 	"repro/internal/units"
 )
 
-// expand returns tr as a per-rank trace with absolute peers, the shape
-// et.Decode and convert produce: every graph gets its own copy of its
-// list, with rank-relative peers resolved.
-func expand(tr *et.Trace) *et.Trace {
+// unshare returns tr with a copy of its list for every graph, the shape
+// et.Decode and convert produce.
+func unshare(tr *et.Trace) *et.Trace {
 	out := &et.Trace{Name: tr.Name, NumNPUs: tr.NumNPUs, Iterations: tr.Iterations}
 	for _, g := range tr.Graphs {
-		nodes := slices.Clone(g.Nodes)
-		for i := range nodes {
-			if n := &nodes[i]; tr.RelativePeers && (n.Kind == et.KindSend || n.Kind == et.KindRecv) {
-				n.Peer += g.NPU
-			}
-		}
-		out.Graphs = append(out.Graphs, &et.Graph{NPU: g.NPU, Nodes: nodes})
+		out.Graphs = append(out.Graphs, &et.Graph{NPU: g.NPU, Nodes: slices.Clone(g.Nodes)})
 	}
 	return out
 }
 
-// relativeRewrite returns tr with rank-relative peers: each graph's list is
-// copied with every send's and receive's peer made an offset from the
-// graph's NPU, and graphs whose copies are equal share one slice, as the
-// ranks of a pipeline stage class do. It is expand's inverse.
-func relativeRewrite(tr *et.Trace) *et.Trace {
-	out := &et.Trace{Name: tr.Name, NumNPUs: tr.NumNPUs, Iterations: tr.Iterations, RelativePeers: true}
+// share returns tr with graphs whose lists are equal sharing one slice, as
+// the ranks of a pipeline stage class do. It is unshare's inverse.
+func share(tr *et.Trace) *et.Trace {
+	out := &et.Trace{Name: tr.Name, NumNPUs: tr.NumNPUs, Iterations: tr.Iterations}
 	var lists [][]et.Node
 	for _, g := range tr.Graphs {
-		nodes := slices.Clone(g.Nodes)
-		for i := range nodes {
-			if n := &nodes[i]; n.Kind == et.KindSend || n.Kind == et.KindRecv {
-				n.Peer -= g.NPU
-			}
-		}
+		nodes := g.Nodes
 		if k := slices.IndexFunc(lists, func(l []et.Node) bool { return reflect.DeepEqual(l, nodes) }); k >= 0 {
 			nodes = lists[k]
 		} else {
@@ -121,12 +107,11 @@ func p2pFaults(npus int) []p2pFault {
 }
 
 // TestSharedListsMatchPerRankLists: the pipeline generators hand every
-// rank of a stage class one list with rank-relative peers, three lists
-// with three or more stages and two with two, and each trace runs, at one
-// and at three iterations with transit charging, exactly as the same trace
-// expanded to per-rank lists with absolute peers. With a point-to-point
-// defect injected into any one of its shared lists, a trace reports the
-// same error as its expansion.
+// rank of a stage class one list, three lists with three or more stages
+// and two with two, and each trace runs, at one and at three iterations
+// with transit charging, exactly as the same trace with a copy of its list
+// per rank. With a point-to-point defect injected into any one of its
+// shared lists, a trace reports the same error as its per-rank copy.
 func TestSharedListsMatchPerRankLists(t *testing.T) {
 	ring := topology.MustNew(topology.Dim{Kind: topology.Ring, Size: 8, Bandwidth: units.GBps(100), Latency: 500 * units.Nanosecond})
 	twoDim := topology.MustNew(
@@ -169,13 +154,12 @@ func TestSharedListsMatchPerRankLists(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if !tr.RelativePeers || distinctLists(tr) != c.lists {
-			t.Fatalf("%s: relative peers %v, %d distinct lists; want relative peers and %d lists",
-				c.name, tr.RelativePeers, distinctLists(tr), c.lists)
+		if n := distinctLists(tr); n != c.lists {
+			t.Fatalf("%s: %d distinct lists, want %d", c.name, n, c.lists)
 		}
-		perRank := expand(tr)
+		perRank := unshare(tr)
 		if n := distinctLists(perRank); n != tr.NumNPUs {
-			t.Fatalf("%s: expanded trace has %d lists for %d ranks", c.name, n, tr.NumNPUs)
+			t.Fatalf("%s: unshared trace has %d lists for %d ranks", c.name, n, tr.NumNPUs)
 		}
 		cfg := testConfig(t, c.top)
 		cfg.ModelTransitCongestion = true
@@ -198,7 +182,7 @@ func TestSharedListsMatchPerRankLists(t *testing.T) {
 				if faulty == nil {
 					continue
 				}
-				got, want := faulty.Validate(), expand(faulty).Validate()
+				got, want := faulty.Validate(), unshare(faulty).Validate()
 				if got == nil || got.Error() != errText(want) {
 					t.Errorf("%s, %s in npu %d's list: got %v, want %v", c.name, fault.name, g.NPU, got, want)
 				}

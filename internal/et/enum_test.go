@@ -36,7 +36,7 @@ func enumTrace() *Trace {
 			{ID: 7, Kind: KindComm, Deps: []int{4}, Collective: CollAllToAll, CommBytes: 8},
 			{ID: 8, Name: "s", Kind: KindSend, Deps: []int{1, 7}, Peer: 1, Tag: 3, CommBytes: 8},
 		}},
-		{NPU: 1, Nodes: []Node{{ID: 1, Kind: KindRecv, Peer: 0, Tag: 3, CommBytes: 8}}},
+		{NPU: 1, Nodes: []Node{{ID: 1, Kind: KindRecv, Peer: -1, Tag: 3, CommBytes: 8}}},
 	}}
 }
 

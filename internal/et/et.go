@@ -16,12 +16,11 @@
 // execution engine to run it several times back to back; the node lists
 // are never copied per iteration.
 //
-// A send's or receive's Peer is a rank, or, in a trace with RelativePeers,
-// an offset from its graph's NPU. Relative peers let ranks whose lists
-// differ only in absolute peers share one list: etgen's pipeline
-// generators hand every rank of a stage class the same list. Plan.Peer is
-// the one place a peer is resolved, and Encode always writes absolute
-// peers, so the JSON format has no relative form.
+// A send's or receive's Peer is an offset from its graph's NPU, so ranks
+// whose lists differ only in absolute peers share one list: etgen's
+// pipeline generators hand every rank of a stage class the same list.
+// Plan.Peer is the one place a peer is resolved. The JSON format holds
+// ranks: Decode turns each into an offset and Encode turns it back.
 //
 // Traces are compact: a graph holds its nodes by value in one slice, and
 // graphs that share a list share one slice. The compile pass resolves IDs
@@ -205,9 +204,8 @@ type Node struct {
 	// Communication metadata.
 	CommBytes int64     `json:"comm_bytes,omitempty"`
 	Group     *GroupRef `json:"group,omitempty"`
-	// Peer is the rank a send goes to or a receive comes from. In a trace
-	// with RelativePeers it is an offset from the graph's NPU instead, and
-	// Plan.Peer resolves it.
+	// Peer is the offset from the graph's NPU to the rank a send goes to
+	// or a receive comes from; Plan.Peer resolves it. JSON holds the rank.
 	Peer int `json:"peer,omitempty"`
 	Tag  int `json:"tag,omitempty"`
 }
@@ -231,10 +229,6 @@ type Trace struct {
 	// the last node of its current one completes. Zero means one. It is
 	// not serialized.
 	Iterations int `json:"-"`
-	// RelativePeers means every send's and receive's Peer is an offset from
-	// its graph's NPU, so one list serves every rank whose peers sit at the
-	// same offsets. It is not serialized: Encode writes absolute peers.
-	RelativePeers bool `json:"-"`
 }
 
 // MaxListLen is the most nodes, and the most dependencies, one node list
@@ -259,8 +253,6 @@ type Plan struct {
 	// bytes.
 	idx            []int32
 	nroots, nsends int32
-	// relative is the trace's RelativePeers.
-	relative bool
 }
 
 // Nodes returns the node list in declaration order.
@@ -286,14 +278,8 @@ func (p *Plan) sends() []int32 { return p.idx[p.nroots : p.nroots+p.nsends] }
 func (p *Plan) recvs() []int32 { return p.idx[p.nroots+p.nsends:] }
 
 // Peer returns the rank that a send or receive node of the plan exchanges
-// with when rank issues it: the node's Peer, offset by rank when the trace
-// has RelativePeers.
-func (p *Plan) Peer(n *Node, rank int) int {
-	if p.relative {
-		return rank + n.Peer
-	}
-	return n.Peer
-}
+// with when rank issues it.
+func (p *Plan) Peer(n *Node, rank int) int { return rank + n.Peer }
 
 // hasP2P reports whether the list holds a send or a receive.
 func (p *Plan) hasP2P() bool { return len(p.idx) > int(p.nroots) }
@@ -311,11 +297,7 @@ func (p *Plan) checkPeers(rank, npus int) error {
 			lo, hi = min(lo, p.nodes[part[0]].Peer), max(hi, p.nodes[part[len(part)-1]].Peer)
 		}
 	}
-	base := 0
-	if p.relative {
-		base = rank
-	}
-	if lo >= -base && hi < npus-base {
+	if lo >= -rank && hi < npus-rank {
 		return nil
 	}
 	for k := range p.nodes {
@@ -409,15 +391,14 @@ func (x *idIndex) lookup(id int) (int32, bool) {
 	return x.table[off] - 1, true
 }
 
-// compile validates one node list and builds its plan; relative is the
-// trace's RelativePeers, under which a negative peer is an offset, not a
-// missing rank. Node IDs need not be dense or ascending; this is the one
-// place they are resolved to list positions. Errors come in list order:
-// the node count and duplicate IDs first, then the dependency count, then
-// each node's dependencies and metadata, then cycles. The plan's arrays,
-// its send and receive index among them, are carved from one allocation,
-// and the pass's scratch from another.
-func compile(npu int, nodes []Node, relative bool) (*Plan, error) {
+// compile validates one node list and builds its plan. Node IDs need not
+// be dense or ascending; this is the one place they are resolved to list
+// positions. Errors come in list order: the node count and duplicate IDs
+// first, then the dependency count, then each node's dependencies and
+// metadata, then cycles. The plan's arrays, its send and receive index
+// among them, are carved from one allocation, and the pass's scratch from
+// another.
+func compile(npu int, nodes []Node) (*Plan, error) {
 	n := len(nodes)
 	if n > MaxListLen {
 		return nil, fmt.Errorf("et: npu %d has %d nodes; a list holds at most %d", npu, n, MaxListLen)
@@ -445,7 +426,7 @@ func compile(npu int, nodes []Node, relative bool) (*Plan, error) {
 	}
 	nidx := nroots + nsends + nrecvs
 	buf := make([]int32, 2*n+1+nidx+edges)
-	p := &Plan{nodes: nodes, nroots: int32(nroots), nsends: int32(nsends), relative: relative}
+	p := &Plan{nodes: nodes, nroots: int32(nroots), nsends: int32(nsends)}
 	p.off, buf = buf[:n+1:n+1], buf[n+1:]
 	p.indeg, buf = buf[:n:n], buf[n:]
 	p.idx, p.deps = buf[:nidx:nidx], buf[nidx:]
@@ -468,7 +449,7 @@ func compile(npu int, nodes []Node, relative bool) (*Plan, error) {
 			depPos = append(depPos, q)
 			p.off[q+1]++
 		}
-		if err := nd.validateMeta(relative); err != nil {
+		if err := nd.validateMeta(); err != nil {
 			return nil, fmt.Errorf("et: npu %d node %d: %w", npu, nd.ID, err)
 		}
 		p.indeg[i] = int32(len(nd.Deps))
@@ -525,9 +506,9 @@ func compile(npu int, nodes []Node, relative bool) (*Plan, error) {
 	return p, nil
 }
 
-// validateMeta checks a node's kind-specific metadata; relative is the
-// trace's RelativePeers.
-func (n *Node) validateMeta(relative bool) error {
+// validateMeta checks a node's kind-specific metadata. A peer is checked
+// against the machine once the whole trace has compiled.
+func (n *Node) validateMeta() error {
 	switch n.Kind {
 	case KindCompute:
 		if n.FLOPs < 0 || n.MemBytes < 0 {
@@ -555,9 +536,6 @@ func (n *Node) validateMeta(relative bool) error {
 	case KindSend, KindRecv:
 		if n.CommBytes <= 0 {
 			return fmt.Errorf("p2p node needs positive comm_bytes")
-		}
-		if n.Peer < 0 && !relative {
-			return fmt.Errorf("p2p node needs a peer rank")
 		}
 	default:
 		return fmt.Errorf("unknown node kind %q", n.Kind)
@@ -615,7 +593,7 @@ func (t *Trace) Plans() ([]*Plan, error) {
 		p := shared[key]
 		if p == nil {
 			var err error
-			if p, err = compile(g.NPU, g.Nodes, t.RelativePeers); err != nil {
+			if p, err = compile(g.NPU, g.Nodes); err != nil {
 				return nil, err
 			}
 			shared[key] = p
@@ -628,10 +606,10 @@ func (t *Trace) Plans() ([]*Plan, error) {
 	return plans, nil
 }
 
-// groupKey names a channel group of a RelativePeers trace: the sender's
-// plan, the receiver's plan and the send peer field, whose negation is the
-// receive peer field. Every rank pair that instantiates a group, one pair
-// per rank of a shared list, shares its verdict.
+// groupKey names a channel group: the sender's plan, the receiver's plan
+// and the send peer field, whose negation is the receive peer field. Every
+// rank pair that instantiates a group, one pair per rank of a shared list,
+// shares its verdict.
 type groupKey struct {
 	send, recv *Plan
 	peer       int
@@ -687,16 +665,14 @@ func matchGroup(a *Plan, sends []int32, b *Plan, recvs []int32) p2pFault {
 
 // matchP2P matches sends against receives, once per channel group rather
 // than once per rank. A (src, dst) pair's channels form one group: the
-// sender's plan, the receiver's plan, the send peer field and the receive
-// peer field, which are the offsets dst-src and src-dst in a RelativePeers
-// trace and dst and src in an absolute one. The walk visits each rank once
-// and checks its peer range in O(1). Each run of one peer field among the
-// rank's sends is a group, compared once against the receiver's run of the
-// mirrored field (a RelativePeers trace keeps the verdict for every rank
-// pair of the group; in an absolute trace a group is one pair). Each run
-// among its receives whose sender holds no matching run is a group without
-// sends. A faulty group carries its lowest faulty tag, so the lowest
-// faulty (src, dst, tag) channel is the one reported.
+// sender's plan, the receiver's plan, the send peer field dst-src and the
+// receive peer field src-dst. The walk visits each rank once and checks
+// its peer range in O(1). Each run of one peer field among the rank's
+// sends is a group, compared once against the receiver's run of the
+// negated field, and its verdict serves every rank pair of the group. Each
+// run among its receives whose sender holds no matching run is a group
+// without sends. A faulty group carries its lowest faulty tag, so the
+// lowest faulty (src, dst, tag) channel is the one reported.
 func (t *Trace) matchP2P(plans []*Plan) error {
 	if !slices.ContainsFunc(plans, (*Plan).hasP2P) {
 		return nil
@@ -705,18 +681,7 @@ func (t *Trace) matchP2P(plans []*Plan) error {
 	for i, g := range t.Graphs {
 		byNPU[g.NPU] = plans[i]
 	}
-	// mirror is the peer field by which the far end of a channel names the
-	// rank whose peer field f names it.
-	mirror := func(f, rank int) int {
-		if t.RelativePeers {
-			return -f
-		}
-		return rank
-	}
-	var verdicts map[groupKey]p2pFault
-	if t.RelativePeers {
-		verdicts = make(map[groupKey]p2pFault)
-	}
+	verdicts := make(map[groupKey]p2pFault)
 	var worst p2pFault // on the lowest faulty pair, src -> dst
 	src, dst := 0, 0
 	report := func(f p2pFault, s, d int) {
@@ -736,10 +701,8 @@ func (t *Trace) matchP2P(plans []*Plan) error {
 			key := groupKey{p, byNPU[to], f}
 			v, ok := verdicts[key]
 			if !ok {
-				v = matchGroup(p, run, key.recv, key.recv.peerRun(key.recv.recvs(), mirror(f, rank)))
-				if verdicts != nil {
-					verdicts[key] = v
-				}
+				v = matchGroup(p, run, key.recv, key.recv.peerRun(key.recv.recvs(), -f))
+				verdicts[key] = v
 			}
 			report(v, rank, to)
 		}
@@ -747,7 +710,7 @@ func (t *Trace) matchP2P(plans []*Plan) error {
 			run := p.peerRun(rest, p.nodes[rest[0]].Peer)
 			rest = rest[len(run):]
 			f, from := p.nodes[run[0]].Peer, p.Peer(&p.nodes[run[0]], rank)
-			if s := byNPU[from]; len(s.peerRun(s.sends(), mirror(f, rank))) == 0 {
+			if s := byNPU[from]; len(s.peerRun(s.sends(), -f)) == 0 {
 				report(matchGroup(s, nil, p, run), from, rank)
 			}
 		}
@@ -767,31 +730,39 @@ func (t *Trace) NodeCount() int {
 	return n
 }
 
-// Encode writes the trace as JSON. Peers are written as ranks: a trace
-// with RelativePeers is written as the per-rank trace it stands for,
-// without modifying its shared lists.
+// Encode writes the trace as JSON, with each send's and receive's peer as
+// a rank. A list that holds one is copied for each graph that holds it, to
+// write that graph's ranks; every other list is written as it is, so a
+// shared list without point-to-point nodes is never copied.
 func (t *Trace) Encode(w io.Writer) error {
-	out := t
-	if t.RelativePeers {
-		out = &Trace{Name: t.Name, NumNPUs: t.NumNPUs, Graphs: make([]*Graph, len(t.Graphs))}
-		for i, g := range t.Graphs {
-			if g == nil {
-				continue
-			}
+	out := *t
+	out.Graphs = slices.Clone(t.Graphs)
+	for i, g := range out.Graphs {
+		if g != nil && slices.ContainsFunc(g.Nodes, isP2P) {
 			nodes := slices.Clone(g.Nodes)
-			for k := range nodes {
-				if n := &nodes[k]; n.Kind == KindSend || n.Kind == KindRecv {
-					n.Peer += g.NPU
-				}
-			}
+			shiftPeers(nodes, g.NPU)
 			out.Graphs[i] = &Graph{NPU: g.NPU, Nodes: nodes}
 		}
 	}
-	return json.NewEncoder(w).Encode(out)
+	return json.NewEncoder(w).Encode(&out)
 }
 
-// Decode reads one trace document from JSON and validates it. Anything but
-// whitespace after the document is an error.
+// isP2P reports whether n is a send or a receive.
+func isP2P(n Node) bool { return n.Kind == KindSend || n.Kind == KindRecv }
+
+// shiftPeers adds by to the peer of every send and receive in nodes.
+func shiftPeers(nodes []Node, by int) {
+	for k := range nodes {
+		if isP2P(nodes[k]) {
+			nodes[k].Peer += by
+		}
+	}
+}
+
+// Decode reads one trace document from JSON, turns each send's and
+// receive's peer from a rank into an offset from its graph's NPU, and
+// validates the trace. Anything but whitespace after the document is an
+// error.
 func Decode(r io.Reader) (*Trace, error) {
 	var t Trace
 	dec := json.NewDecoder(r)
@@ -800,6 +771,11 @@ func Decode(r io.Reader) (*Trace, error) {
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("et: decode: data after the trace document")
+	}
+	for _, g := range t.Graphs {
+		if g != nil {
+			shiftPeers(g.Nodes, -g.NPU)
+		}
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

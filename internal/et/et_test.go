@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -27,7 +28,7 @@ func validTrace() *Trace {
 			{NPU: 1, Nodes: []Node{
 				{ID: 1, Kind: KindCompute, FLOPs: 1e9},
 				{ID: 2, Kind: KindComm, Deps: []int{1}, Collective: CollAllReduce, CommBytes: 1 << 20},
-				{ID: 3, Kind: KindRecv, Deps: []int{2}, Peer: 0, Tag: 7, CommBytes: 4096},
+				{ID: 3, Kind: KindRecv, Deps: []int{2}, Peer: -1, Tag: 7, CommBytes: 4096},
 			}},
 		},
 	}
@@ -86,7 +87,7 @@ func TestCycleDetected(t *testing.T) {
 		{ID: 1, Kind: KindCompute, Deps: []int{2}},
 		{ID: 2, Kind: KindCompute, Deps: []int{1}},
 	}
-	if _, err := compile(0, cycle, false); err == nil {
+	if _, err := compile(0, cycle); err == nil {
 		t.Error("cycle accepted")
 	}
 }
@@ -100,7 +101,7 @@ func TestLongChainNoCycle(t *testing.T) {
 		}
 		nodes[i] = n
 	}
-	if _, err := compile(0, nodes, false); err != nil {
+	if _, err := compile(0, nodes); err != nil {
 		t.Errorf("chain rejected: %v", err)
 	}
 }
@@ -117,11 +118,10 @@ func TestKindMetadataValidation(t *testing.T) {
 		{"coll unknown type", Node{ID: 1, Kind: KindComm, CommBytes: 10, Collective: CollAllToAll + 1}},
 		{"coll zero size", Node{ID: 1, Kind: KindComm, Collective: CollAllToAll}},
 		{"send zero size", Node{ID: 1, Kind: KindSend, Peer: 1}},
-		{"recv bad peer", Node{ID: 1, Kind: KindRecv, Peer: -1, CommBytes: 8}},
 		{"bogus kind", Node{ID: 1, Kind: KindRecv + 1}},
 	}
 	for _, c := range cases {
-		if _, err := compile(0, []Node{c.node}, false); err == nil {
+		if _, err := compile(0, []Node{c.node}); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -226,7 +226,7 @@ func TestRandomDAGValidates(t *testing.T) {
 			}
 			nodes[i] = node
 		}
-		_, err := compile(0, nodes, false)
+		_, err := compile(0, nodes)
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -309,11 +309,11 @@ func TestSingleDefectErrorTexts(t *testing.T) {
 		{"orphan send", func(tr *Trace) { tr.Graphs[1].Nodes = tr.Graphs[1].Nodes[:2] }, "et: 1 sends but 0 recvs for 0->1 tag 7"},
 		{"orphan recv", func(tr *Trace) { tr.Graphs[0].Nodes = tr.Graphs[0].Nodes[:2] }, "et: 1 recvs with no send for 0->1 tag 7"},
 		{"extra recv", func(tr *Trace) {
-			tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, Node{ID: 4, Kind: KindRecv, Peer: 0, Tag: 7, CommBytes: 4096})
+			tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, Node{ID: 4, Kind: KindRecv, Peer: -1, Tag: 7, CommBytes: 4096})
 		}, "et: 1 sends but 2 recvs for 0->1 tag 7"},
 		{"size mismatch", func(tr *Trace) { tr.Graphs[1].Nodes[2].CommBytes = 8192 }, "et: size mismatch on 0->1 tag 7: send 4096 vs recv 8192"},
 		{"send peer out of range", func(tr *Trace) { tr.Graphs[0].Nodes[2].Peer = 5 }, "et: npu 0 sends to out-of-range peer 5"},
-		{"recv peer out of range", func(tr *Trace) { tr.Graphs[1].Nodes[2].Peer = 5 }, "et: npu 1 receives from out-of-range peer 5"},
+		{"recv peer out of range", func(tr *Trace) { tr.Graphs[1].Nodes[2].Peer = 4 }, "et: npu 1 receives from out-of-range peer 5"},
 		{"too many dependencies", func(tr *Trace) {
 			// 2^15+1 nodes, each depending on the same 2^16 nodes: one
 			// list with 2^31+2^16 dependency edges in a few megabytes.
@@ -337,22 +337,35 @@ func TestSingleDefectErrorTexts(t *testing.T) {
 	}
 }
 
-// relativeTrace is validTrace with rank-relative peers: rank 0 sends to
-// the rank after it and rank 1 receives from the rank before it.
-func relativeTrace() *Trace {
-	tr := validTrace()
-	tr.RelativePeers = true
-	tr.Graphs[0].Nodes[2].Peer = 1
-	tr.Graphs[1].Nodes[2].Peer = -1
-	return tr
+// encodedPeers returns the peer of every node of doc, an encoded trace, by
+// graph, as the JSON holds it.
+func encodedPeers(t *testing.T, doc []byte) [][]int {
+	t.Helper()
+	var raw struct {
+		Graphs []struct {
+			Nodes []struct{ Peer int }
+		}
+	}
+	if err := json.Unmarshal(doc, &raw); err != nil {
+		t.Fatal(err)
+	}
+	var peers [][]int
+	for _, g := range raw.Graphs {
+		var ps []int
+		for _, n := range g.Nodes {
+			ps = append(ps, n.Peer)
+		}
+		peers = append(peers, ps)
+	}
+	return peers
 }
 
-// A trace with RelativePeers resolves each peer against its graph's NPU:
-// Plan.Peer gives the rank, a negative offset is valid, a resolved peer
-// outside the machine is out of range, and Encode writes the absolute
-// trace without touching the lists.
-func TestRelativePeers(t *testing.T) {
-	tr := relativeTrace()
+// A send's or receive's peer is an offset from its graph's NPU: Plan.Peer
+// resolves it, a negative offset is valid, and a resolved peer outside the
+// machine is out of range. Encode writes ranks without touching the lists,
+// and Decode reads them back as offsets.
+func TestPeersAreOffsets(t *testing.T) {
+	tr := validTrace()
 	plans, err := tr.Plans()
 	if err != nil {
 		t.Fatal(err)
@@ -362,23 +375,22 @@ func TestRelativePeers(t *testing.T) {
 			t.Errorf("npu %d: resolved peer %d, want %d", i, got, want)
 		}
 	}
-	var rel, abs bytes.Buffer
-	if err := tr.Encode(&rel); err != nil {
+	var doc bytes.Buffer
+	if err := tr.Encode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if err := validTrace().Encode(&abs); err != nil {
-		t.Fatal(err)
-	}
-	if rel.String() != abs.String() {
-		t.Errorf("relative trace encodes as\n%s\nwant\n%s", rel.String(), abs.String())
+	if got, want := encodedPeers(t, doc.Bytes()), [][]int{{0, 0, 1}, {0, 0, 0}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("encoded peers %v, want %v", got, want)
 	}
 	if p := tr.Graphs[1].Nodes[2].Peer; p != -1 {
-		t.Errorf("Encode rewrote a relative peer to %d", p)
+		t.Errorf("Encode rewrote an offset to %d", p)
 	}
-
-	// The offset that is valid here is a missing rank in an absolute list.
-	if _, err := compile(1, tr.Graphs[1].Nodes, false); err == nil || err.Error() != "et: npu 1 node 3: p2p node needs a peer rank" {
-		t.Errorf("absolute list with a negative peer: got %v", err)
+	back, err := Decode(&doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Graphs, tr.Graphs) {
+		t.Errorf("decoded graphs differ from the encoded ones")
 	}
 	for _, c := range []struct {
 		npu, peer int
@@ -389,10 +401,27 @@ func TestRelativePeers(t *testing.T) {
 		{1, -2, "et: npu 1 receives from out-of-range peer -1"},
 		{1, 1, "et: npu 1 receives from out-of-range peer 2"},
 	} {
-		tr := relativeTrace()
+		tr := validTrace()
 		tr.Graphs[c.npu].Nodes[2].Peer = c.peer
 		if err := tr.Validate(); err == nil || err.Error() != c.want {
 			t.Errorf("offset %d on npu %d: got %v, want %q", c.peer, c.npu, err, c.want)
+		}
+	}
+}
+
+// A negative peer in JSON is a rank outside the machine, reported by the
+// point-to-point check once every list has compiled: a defect that
+// compiling finds in a later list is reported first.
+func TestDecodeNegativePeer(t *testing.T) {
+	send := `{"id":1,"kind":"COMM_SEND","peer":-1,"comm_bytes":8}`
+	for _, c := range []struct{ doc, want string }{
+		{`{"num_npus":2,"graphs":[{"npu":0,"nodes":[` + send + `]},{"npu":1,"nodes":[]}]}`,
+			"et: npu 0 sends to out-of-range peer -1"},
+		{`{"num_npus":2,"graphs":[{"npu":0,"nodes":[` + send + `]},{"npu":1,"nodes":[{"id":1,"kind":"COMP","deps":[1]}]}]}`,
+			"et: npu 1 node 1 depends on itself"},
+	} {
+		if _, err := Decode(strings.NewReader(c.doc)); err == nil || err.Error() != c.want {
+			t.Errorf("%s: got %v, want %q", c.doc, err, c.want)
 		}
 	}
 }
@@ -405,7 +434,7 @@ func TestP2PFaultReportsLowestChannel(t *testing.T) {
 	tr := &Trace{NumNPUs: 2, Graphs: []*Graph{{NPU: 0}, {NPU: 1}}}
 	for tag := 1; tag <= 6; tag++ {
 		tr.Graphs[0].Nodes = append(tr.Graphs[0].Nodes, Node{ID: tag, Kind: KindSend, Peer: 1, Tag: tag, CommBytes: 10})
-		tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, Node{ID: tag, Kind: KindRecv, Peer: 0, Tag: tag, CommBytes: 20})
+		tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, Node{ID: tag, Kind: KindRecv, Peer: -1, Tag: tag, CommBytes: 20})
 	}
 	check := func(want string) {
 		t.Helper()
@@ -416,7 +445,7 @@ func TestP2PFaultReportsLowestChannel(t *testing.T) {
 		}
 	}
 	check("et: size mismatch on 0->1 tag 1: send 10 vs recv 20")
-	tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, Node{ID: 7, Kind: KindRecv, Peer: 0, Tag: 0, CommBytes: 20})
+	tr.Graphs[1].Nodes = append(tr.Graphs[1].Nodes, Node{ID: 7, Kind: KindRecv, Peer: -1, Tag: 0, CommBytes: 20})
 	check("et: 1 recvs with no send for 0->1 tag 0")
 }
 
@@ -558,7 +587,7 @@ func TestCompileMatchesReference(t *testing.T) {
 	var cyclic, acyclic int
 	for iter := 0; iter < 4000; iter++ {
 		nodes := randomList(rng, iter%2 == 0)
-		p, err := compile(0, nodes, false)
+		p, err := compile(0, nodes)
 		if cycleDFS(nodes) {
 			cyclic++
 			if err == nil || err.Error() != "et: npu 0 graph has a dependency cycle" {
@@ -595,7 +624,7 @@ func TestCompileMatchesReference(t *testing.T) {
 		if table := newIDIndex(c.nodes).m == nil; table != c.table {
 			t.Errorf("%s: ID table %v, want %v", c.name, table, c.table)
 		}
-		p, err := compile(0, c.nodes, false)
+		p, err := compile(0, c.nodes)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -611,7 +640,7 @@ func TestCompileMatchesReference(t *testing.T) {
 			bad := slices.Clone(c.nodes)
 			bad[1].Deps = []int{d}
 			want := fmt.Sprintf("et: npu 0 node %d depends on unknown node %d", bad[1].ID, d)
-			if _, err := compile(0, bad, false); err == nil || err.Error() != want {
+			if _, err := compile(0, bad); err == nil || err.Error() != want {
 				t.Errorf("%s, dep %d: got %v, want %q", c.name, d, err, want)
 			}
 		}
@@ -670,10 +699,7 @@ func refMatchP2P(t *Trace) error {
 			if n.Kind != KindSend && n.Kind != KindRecv {
 				continue
 			}
-			peer := n.Peer
-			if t.RelativePeers {
-				peer += g.NPU
-			}
+			peer := g.NPU + n.Peer
 			if n.Kind == KindSend {
 				if peer < 0 || peer >= t.NumNPUs {
 					return fmt.Errorf("et: npu %d sends to out-of-range peer %d", g.NPU, peer)
@@ -733,7 +759,7 @@ func refMatchP2P(t *Trace) error {
 // first graph reports its defect, as in Plans.
 func refValidate(t *Trace) error {
 	for _, g := range t.Graphs {
-		if _, err := compile(g.NPU, g.Nodes, t.RelativePeers); err != nil {
+		if _, err := compile(g.NPU, g.Nodes); err != nil {
 			return err
 		}
 	}
@@ -741,44 +767,38 @@ func refValidate(t *Trace) error {
 }
 
 // p2pTrace builds a small trace of sends and receives from fuzz input.
-// It has n = 2 + npus%7 NPUs. Flag bit 0 makes peers rank-relative. Bit 1
-// gives every rank its own list; otherwise 1 + (flags>>3)%3 lists are
-// shared, rank r holding list assign[r] modulo that count (0 past the end
-// of assign). Bit 2 lists the graphs in descending NPU order. Each 4 bytes
-// of nodes, at most 64 of them, add a node to a list; h is the lowest rank
-// holding that list (0 if none does).
+// It has n = 2 + npus%7 NPUs. Flag bit 0 gives every rank its own list;
+// otherwise 1 + (flags>>2)%3 lists are shared, rank r holding list
+// assign[r] modulo that count (0 past the end of assign). Bit 1 lists the
+// graphs in descending NPU order. Each 4 bytes of nodes, at most 64 of
+// them, add a node to a list; h is the lowest rank holding that list (0 if
+// none does).
 //   - Byte 0: bit 0 makes the node a receive, not a send, and the rest,
 //     shifted right twice, modulo the list count, picks its list. With bit
 //     1 set, the matching receive or send also joins the list of the rank
 //     h exchanges with, if that rank exists.
 //   - Byte 1 picks the rank h exchanges with, byte%n, except that 254 is
 //     rank -1 and 255 rank n, both outside the machine. The peer is that
-//     rank, or its offset from h with relative peers.
+//     rank's offset from h.
 //   - Byte 2 is the tag, byte%5-1.
 //   - Byte 3 is the size, 1+byte%3; a matching node added by bit 1 of
 //     byte 0 is one larger when byte 3 is 128 or more.
 func p2pTrace(npus, flags uint8, assign, nodes []byte) *Trace {
 	n := 2 + int(npus)%7
-	t := &Trace{NumNPUs: n, RelativePeers: flags&1 != 0}
-	nlists := 1 + int(flags>>3)%3
-	if flags&2 != 0 {
+	t := &Trace{NumNPUs: n}
+	nlists := 1 + int(flags>>2)%3
+	if flags&1 != 0 {
 		nlists = n
 	}
 	listOf := make([]int, n) // each rank's list
 	holder := make([]int, nlists)
 	for r := n - 1; r >= 0; r-- {
-		if flags&2 != 0 {
+		if flags&1 != 0 {
 			listOf[r] = r
 		} else if r < len(assign) {
 			listOf[r] = int(assign[r]) % nlists
 		}
 		holder[listOf[r]] = r
-	}
-	peer := func(from, to int) int {
-		if t.RelativePeers {
-			return to - from
-		}
-		return to
 	}
 	lists := make([][]Node, nlists)
 	add := func(l int, nd Node) {
@@ -795,20 +815,20 @@ func p2pTrace(npus, flags uint8, assign, nodes []byte) *Trace {
 		case 255:
 			to = n
 		}
-		nd := Node{Kind: KindSend, Peer: peer(h, to), Tag: int(c[2]%5) - 1, CommBytes: 1 + int64(c[3]%3)}
+		nd := Node{Kind: KindSend, Peer: to - h, Tag: int(c[2]%5) - 1, CommBytes: 1 + int64(c[3]%3)}
 		if c[0]&1 != 0 {
 			nd.Kind = KindRecv
 		}
 		add(l, nd)
 		if c[0]&2 != 0 && to >= 0 && to < n {
-			match := Node{Kind: KindSend + KindRecv - nd.Kind, Peer: peer(to, h), Tag: nd.Tag, CommBytes: nd.CommBytes + int64(c[3]>>7)}
+			match := Node{Kind: KindSend + KindRecv - nd.Kind, Peer: h - to, Tag: nd.Tag, CommBytes: nd.CommBytes + int64(c[3]>>7)}
 			add(listOf[to], match)
 		}
 	}
 	for r := 0; r < n; r++ {
 		t.Graphs = append(t.Graphs, &Graph{NPU: r, Nodes: lists[listOf[r]]})
 	}
-	if flags&4 != 0 {
+	if flags&2 != 0 {
 		slices.Reverse(t.Graphs)
 	}
 	return t
@@ -826,16 +846,16 @@ type p2pSeed struct {
 // matching node, and byte 1 names rank r as r, rank -1 as 254 and rank 4
 // as 255.
 func p2pSeeds() []p2pSeed {
-	// chain is a relative 4-NPU chain in three shared lists: rank 0 sends
-	// to rank 1, ranks 1 and 2 receive from the rank before and send to
-	// the rank after, and rank 3 receives, all on tag 0 with size 1.
+	// chain is a 4-NPU chain in three shared lists: rank 0 sends to rank
+	// 1, ranks 1 and 2 receive from the rank before and send to the rank
+	// after, and rank 3 receives, all on tag 0 with size 1.
 	chain := []byte{
 		0, 1, 1, 0, // list 0, held by rank 0: send to rank 1
 		4, 2, 1, 0, // list 1, held first by rank 1: send to rank 2
 		5, 0, 1, 0, // list 1: receive from rank 0
 		9, 2, 1, 0, // list 2, held by rank 3: receive from rank 2
 	}
-	const shared3 = 1 | 2<<3 // relative peers, three shared lists
+	const shared3 = 2 << 2 // three shared lists
 	classes := []byte{0, 1, 1, 2}
 	with := func(nodes []byte, extra ...byte) []byte { return append(slices.Clone(nodes), extra...) }
 	mismatch := slices.Clone(chain)
@@ -849,26 +869,27 @@ func p2pSeeds() []p2pSeed {
 		// The middle list also receives on tag 2, which nobody sends; its
 		// first rank's receive from rank 0 comes first.
 		{2, shared3, classes, with(chain, 5, 0, 3, 0), "et: 1 recvs with no send for 0->1 tag 2"},
-		// Per-rank relative lists, each send with its matching receive: a
-		// chain 0->1->2->3, then the same with the last receive one larger.
-		{2, 1 | 2, nil, []byte{2, 1, 1, 0, 6, 2, 1, 0, 10, 3, 1, 0}, ""},
-		{2, 1 | 2, nil, []byte{2, 1, 1, 0, 6, 2, 1, 0, 10, 3, 1, 129}, "et: size mismatch on 2->3 tag 0: send 1 vs recv 2"},
-		// Every rank shares one relative list that sends to the next rank:
-		// the last rank's send leaves the machine.
-		{2, 1, nil, []byte{0, 1, 1, 0}, "et: npu 3 sends to out-of-range peer 4"},
+		// Per-rank lists, each send with its matching receive: a chain
+		// 0->1->2->3, then the same with the last receive one larger.
+		{2, 1, nil, []byte{2, 1, 1, 0, 6, 2, 1, 0, 10, 3, 1, 0}, ""},
+		{2, 1, nil, []byte{2, 1, 1, 0, 6, 2, 1, 0, 10, 3, 1, 129}, "et: size mismatch on 2->3 tag 0: send 1 vs recv 2"},
+		// Every rank shares one list that sends to the next rank: the last
+		// rank's send leaves the machine.
+		{2, 0, nil, []byte{0, 1, 1, 0}, "et: npu 3 sends to out-of-range peer 4"},
 		// The same list receiving from the rank before: listed in
 		// descending NPU order, rank 0 is still the first out of range.
-		{2, 1 | 4, nil, []byte{1, 254, 1, 0}, "et: npu 0 receives from out-of-range peer -1"},
-		// Per-rank absolute lists: rank 0 sends to rank 1 on tag 1, rank 1
-		// receives from rank 0 on tag 2, and then also from rank 4, past
-		// the machine.
-		{2, 2, nil, []byte{0, 1, 2, 0, 5, 0, 3, 0}, "et: 1 sends but 0 recvs for 0->1 tag 1"},
-		{2, 2, nil, []byte{0, 1, 2, 0, 5, 0, 3, 0, 5, 255, 1, 0}, "et: npu 1 receives from out-of-range peer 4"},
-		// A shared absolute list: every rank sends to rank 0, which never
+		{2, 2, nil, []byte{1, 254, 1, 0}, "et: npu 0 receives from out-of-range peer -1"},
+		// Per-rank lists: rank 0 sends to rank 1 on tag 1, rank 1 receives
+		// from rank 0 on tag 2, and then also from rank 4, past the
+		// machine.
+		{2, 1, nil, []byte{0, 1, 2, 0, 5, 0, 3, 0}, "et: 1 sends but 0 recvs for 0->1 tag 1"},
+		{2, 1, nil, []byte{0, 1, 2, 0, 5, 0, 3, 0, 5, 255, 1, 0}, "et: npu 1 receives from out-of-range peer 4"},
+		// One shared list in which every rank sends to itself, and none
 		// receives.
 		{2, 0, nil, []byte{0, 0, 1, 0}, "et: 1 sends but 0 recvs for 0->0 tag 0"},
-		// An absolute peer of -1 is no rank at all.
-		{2, 0, nil, []byte{0, 254, 1, 0}, "et: npu 0 node 1: p2p node needs a peer rank"},
+		// The same list sending to the rank before: rank 0's send leaves
+		// the machine.
+		{2, 0, nil, []byte{0, 254, 1, 0}, "et: npu 0 sends to out-of-range peer -1"},
 	}
 }
 
@@ -885,7 +906,7 @@ func checkMatchesReference(t *testing.T, tr *Trace) {
 // The seeds report the errors they were written for, and together they
 // reach every point-to-point error.
 func TestP2PSeedsCoverEveryFault(t *testing.T) {
-	kinds := []string{"sends to out-of-range", "receives from out-of-range", "recvs with no send", "sends but", "size mismatch", "needs a peer rank"}
+	kinds := []string{"sends to out-of-range", "receives from out-of-range", "recvs with no send", "sends but", "size mismatch"}
 	seen := make(map[string]bool)
 	for _, s := range p2pSeeds() {
 		tr := p2pTrace(s.npus, s.flags, s.assign, s.nodes)
@@ -926,9 +947,9 @@ func TestMatchP2PMatchesReference(t *testing.T) {
 }
 
 // FuzzMatchP2P checks the point-to-point matcher against the reference
-// per-record matcher on small generated traces (see p2pTrace): absolute
-// and relative peers, shared and per-rank lists, and random peers, tags
-// and sizes, so that most inputs are faulty. Plans must report the
+// per-record matcher on small generated traces (see p2pTrace): shared and
+// per-rank lists, and random peers, tags and sizes, so that most inputs are
+// faulty. Plans must report the
 // reference's error text, or nil when the reference finds no fault.
 func FuzzMatchP2P(f *testing.F) {
 	for _, s := range p2pSeeds() {

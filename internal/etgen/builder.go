@@ -87,9 +87,8 @@ func symmetric(name string, numNPUs int, b *graphBuilder) *et.Trace {
 
 // stageClasses lists the classes of a pipeline's stages as (hasPrev,
 // hasNext) pairs: the first stage's, the last's, and with more than two
-// stages the middle ones'. A pipeline trace's peers are offsets from the
-// issuing rank (et.Trace.RelativePeers), so a stage's node list depends
-// only on its class.
+// stages the middle ones'. Peers are offsets from the issuing rank, so a
+// stage's node list depends only on its class.
 func stageClasses(stages int) [][2]int {
 	return [][2]int{{0, 1}, {1, 0}, {1, 1}}[:min(stages, 3)]
 }
@@ -107,10 +106,10 @@ func checkStageLists(name string, stages int, size func(hasPrev, hasNext int) (n
 	return nil
 }
 
-// stageTrace returns a rank-relative trace of stages pipeline stages,
-// stage s owning the block ranks [s*block, (s+1)*block). It builds one
-// list per stage class, through a builder of the counts size returns, and
-// every rank of the class shares it.
+// stageTrace returns a trace of stages pipeline stages, stage s owning the
+// block ranks [s*block, (s+1)*block). It builds one list per stage class,
+// through a builder of the counts size returns, and every rank of the
+// class shares it.
 func stageTrace(name string, stages, block int, size func(hasPrev, hasNext int) (nodes, deps int), build func(b *graphBuilder, hasPrev, hasNext int)) *et.Trace {
 	var lists [2][2][]et.Node // by hasPrev, hasNext
 	for _, c := range stageClasses(stages) {
@@ -119,7 +118,6 @@ func stageTrace(name string, stages, block int, size func(hasPrev, hasNext int) 
 		lists[c[0]][c[1]] = b.nodes
 	}
 	tr := newTrace(name, stages*block)
-	tr.RelativePeers = true
 	for rank, g := range tr.Graphs {
 		stage := rank / block
 		g.Nodes = lists[min(stage, 1)][min(stages-1-stage, 1)]

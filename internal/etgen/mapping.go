@@ -9,11 +9,11 @@
 // Every generator writes compact lists: it gives its graph builder each
 // list's exact node and dependency counts, so a list is one allocation of
 // nodes held by value, and the nodes' deps are windows of one exactly
-// sized array. Symmetric generators hand every rank the same list. The
-// pipeline generators (Pipeline, ThreeD) write peers as offsets from the
-// issuing rank (et.Trace.RelativePeers), so every rank of a stage class
-// shares one list, at most three per trace, and each node name is
-// formatted once for all of them.
+// sized array. Symmetric generators hand every rank the same list. A
+// trace's peers are offsets from the issuing rank, so the pipeline
+// generators (Pipeline, ThreeD) give every rank of a stage class one list,
+// at most three per trace, and format each node name once for all of
+// them.
 package etgen
 
 import (

@@ -37,8 +37,8 @@ type PipelineConfig struct {
 // Pipeline generates the pipeline's trace. Unlike the symmetric
 // generators, ranks run different node lists: a stage's list depends on
 // whether it has a previous and a next stage. Peers are offsets from the
-// issuing rank (et.Trace.RelativePeers), so every rank of one such class
-// shares one list, and the trace holds at most three.
+// issuing rank, so every rank of one such class shares one list, and the
+// trace holds at most three.
 func Pipeline(top *topology.Topology, cfg PipelineConfig) (*et.Trace, error) {
 	n := top.NumNPUs()
 	if cfg.Stages < 2 {

@@ -28,9 +28,8 @@ type ThreeDConfig struct {
 
 // ThreeD generates one 3D-parallel training iteration. A stage's node
 // list depends on whether it has a previous and a next stage, and peers
-// are offsets from the issuing rank (et.Trace.RelativePeers), so every
-// rank of one such class shares one list, and the trace holds at most
-// three.
+// are offsets from the issuing rank, so every rank of one such class
+// shares one list, and the trace holds at most three.
 func ThreeD(top *topology.Topology, cfg ThreeDConfig) (*et.Trace, error) {
 	n := top.NumNPUs()
 	model := cfg.Model

@@ -24,9 +24,10 @@ func allocTestBackend(t testing.TB) (*timeline.Engine, *Backend) {
 // Steady-state point-to-point traffic must not allocate, with or without
 // transit charging: routes are derived arithmetically, transit paths are
 // appended into one reused buffer, a routed send's legs are delivered by
-// one pooled event, and the rendezvous counts unclaimed messages and
-// recycles its queues of waiting receives. The receive actor is built once,
-// as a simulator's pooled completion events are.
+// one pooled event, and the rendezvous recycles its channel records, each
+// counting a channel's unclaimed messages and queueing its waiting
+// receives. The receive actor is built once, as a simulator's pooled
+// completion events are.
 func TestSimSendRecvAllocFree(t *testing.T) {
 	for _, transit := range []bool{false, true} {
 		eng, b := allocTestBackend(t)

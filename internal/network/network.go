@@ -28,8 +28,9 @@
 // The backend is allocation-free per message in steady state: routes are
 // computed arithmetically (no coordinate slices), transit paths are
 // appended into one reused buffer, a routed send is one pooled event that
-// delivers each of its legs, and the rendezvous counts unclaimed messages
-// and recycles its queues of waiting receives.
+// delivers each of its legs, and the rendezvous keeps one pooled record per
+// busy channel, which counts its unclaimed messages and queues its waiting
+// receives.
 package network
 
 import (
@@ -66,17 +67,16 @@ type Backend struct {
 	// makes no dimension-model call.
 	bw []units.Bandwidth
 
-	// Rendezvous state for SimSend/SimRecv matching, per (src, dst, tag):
-	// the count of delivered messages no receive has claimed, and the FIFO
-	// of posted receives no message has matched.
-	arrived map[matchKey]int
-	waiting map[matchKey]*recvQueue
+	// chans is the rendezvous for SimSend/SimRecv matching: the record of
+	// every (src, dst, tag) channel that holds an unclaimed message or a
+	// waiting receive. A channel that holds neither is dropped.
+	chans map[matchKey]*channel
 
-	// Free lists for the per-message hot-path objects (legRuns keep their
-	// leg slices across reuse, so routed sends need no separate slice pool).
-	recvQueues []*recvQueue
-	legRuns    []*legRun
-	flowDones  []*flowDone
+	// Free lists for the per-message hot-path objects (channels and legRuns
+	// keep their slices across reuse, so neither needs a slice pool).
+	channels  []*channel
+	legRuns   []*legRun
+	flowDones []*flowDone
 
 	// path is chargeLinks's reused buffer of the positions it charges.
 	path []int
@@ -102,12 +102,15 @@ type matchKey struct {
 	src, dst, tag int
 }
 
-// recvQueue is a FIFO of posted-but-unmatched receives for one match key.
-// Popping advances head instead of reslicing so the backing array survives
-// intact and returns to the pool when the queue drains.
-type recvQueue struct {
-	items []timeline.Actor
-	head  int
+// channel is one (src, dst, tag) rendezvous: the count of delivered
+// messages no receive has claimed, and the FIFO of posted receives no
+// message has matched. At most one of the two is non-empty. Popping
+// advances head instead of reslicing, so the backing array survives intact
+// and returns to the pool with the record.
+type channel struct {
+	unclaimed int
+	waiting   []timeline.Actor
+	head      int
 }
 
 // Stats holds the backend's traffic counters.
@@ -123,13 +126,12 @@ type Stats struct {
 func NewBackend(eng *timeline.Engine, top *topology.Topology) *Backend {
 	n, d := top.NumNPUs(), top.NumDims()
 	b := &Backend{
-		eng:     eng,
-		top:     top,
-		bw:      make([]units.Bandwidth, d),
-		npus:    n,
-		dims:    d,
-		arrived: make(map[matchKey]int),
-		waiting: make(map[matchKey]*recvQueue),
+		eng:   eng,
+		top:   top,
+		bw:    make([]units.Bandwidth, d),
+		npus:  n,
+		dims:  d,
+		chans: make(map[matchKey]*channel),
 	}
 	for i, dim := range top.Dims {
 		b.bw[i] = dim.EffectiveBandwidth()
@@ -459,54 +461,60 @@ func (b *Backend) SimRecv(src, dst, tag int, recv timeline.Actor) {
 		panic("network: SimRecv requires an actor")
 	}
 	k := matchKey{src: src, dst: dst, tag: tag}
-	if n := b.arrived[k]; n > 0 {
-		if n == 1 {
-			delete(b.arrived, k)
-		} else {
-			b.arrived[k] = n - 1
+	c := b.chans[k]
+	if c == nil {
+		c = b.openChannel(k)
+	} else if c.unclaimed > 0 {
+		c.unclaimed--
+		if c.unclaimed == 0 {
+			b.closeChannel(k, c)
 		}
 		b.eng.ScheduleActor(0, recv)
 		return
 	}
-	q := b.waiting[k]
-	if q == nil {
-		q = b.getRecvQueue()
-		b.waiting[k] = q
-	}
-	q.items = append(q.items, recv)
+	c.waiting = append(c.waiting, recv)
 }
 
 // deliver hands a delivered message to its channel's oldest waiting
 // receive, or counts it as unclaimed.
 func (b *Backend) deliver(k matchKey) {
-	q := b.waiting[k]
-	if q == nil {
-		b.arrived[k]++
+	c := b.chans[k]
+	if c == nil {
+		c = b.openChannel(k)
+	}
+	if c.head == len(c.waiting) {
+		c.unclaimed++
 		return
 	}
-	recv := q.items[q.head]
-	q.items[q.head] = nil // release for the GC while pooled
-	q.head++
-	if q.head == len(q.items) {
-		delete(b.waiting, k)
-		b.putRecvQueue(q)
+	recv := c.waiting[c.head]
+	c.waiting[c.head] = nil // release for the GC while pooled
+	c.head++
+	if c.head == len(c.waiting) {
+		b.closeChannel(k, c)
 	}
 	recv.Act()
 }
 
-func (b *Backend) getRecvQueue() *recvQueue {
-	if n := len(b.recvQueues); n > 0 {
-		q := b.recvQueues[n-1]
-		b.recvQueues = b.recvQueues[:n-1]
-		return q
+// openChannel files an empty channel record, recycled when one is pooled,
+// under k.
+func (b *Backend) openChannel(k matchKey) *channel {
+	var c *channel
+	if n := len(b.channels); n > 0 {
+		c = b.channels[n-1]
+		b.channels = b.channels[:n-1]
+	} else {
+		c = &channel{}
 	}
-	return &recvQueue{}
+	b.chans[k] = c
+	return c
 }
 
-func (b *Backend) putRecvQueue(q *recvQueue) {
-	q.items = q.items[:0]
-	q.head = 0
-	b.recvQueues = append(b.recvQueues, q)
+// closeChannel drops k's record, which holds neither an unclaimed message
+// nor a waiting receive, and pools it.
+func (b *Backend) closeChannel(k matchKey, c *channel) {
+	delete(b.chans, k)
+	c.waiting, c.head = c.waiting[:0], 0
+	b.channels = append(b.channels, c)
 }
 
 // EstimateP2P returns the unloaded (no-queueing) latency of a point-to-point

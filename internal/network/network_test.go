@@ -1,6 +1,7 @@
 package network
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/timeline"
@@ -151,6 +152,44 @@ func TestRecvPostedAfterArrival(t *testing.T) {
 	}
 	if !fired {
 		t.Error("late-posted recv did not fire")
+	}
+}
+
+// A channel pairs its messages and receives first in, first out, whichever
+// side comes first, and its record is dropped and pooled as soon as it
+// holds neither an unclaimed message nor a waiting receive.
+func TestChannelPairsInOrder(t *testing.T) {
+	eng := timeline.New()
+	b := NewBackend(eng, ring4())
+	var order []int
+	recv := func(i int) timeline.Actor {
+		return timeline.Callback(func() { order = append(order, i) })
+	}
+	run := func() {
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		b.SimSend(0, 1, 5, units.KB, nil)
+	}
+	run()
+	// Receives 0-2 claim the three messages; 3 and 4 wait for the next two.
+	for i := 0; i < 5; i++ {
+		b.SimRecv(0, 1, 5, recv(i))
+	}
+	run()
+	if want := []int{0, 1, 2}; !slices.Equal(order, want) {
+		t.Fatalf("claimed in order %v, want %v", order, want)
+	}
+	b.SimSend(0, 1, 5, units.KB, nil)
+	b.SimSend(0, 1, 5, units.KB, nil)
+	run()
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(order, want) {
+		t.Errorf("matched in order %v, want %v", order, want)
+	}
+	if len(b.chans) != 0 || len(b.channels) != 1 {
+		t.Errorf("%d open channels and %d pooled records, want 0 and 1", len(b.chans), len(b.channels))
 	}
 }
 
