@@ -71,12 +71,7 @@ func main() {
 		return
 	}
 
-	// One cache for the whole invocation: grids that overlap (e.g. the
-	// Fig. 11 baseline inside its own sweep) simulate shared cells once.
-	o := experiments.Options{
-		Reduced: *reduced,
-		Exec:    sweep.Exec{Workers: *parallel, Cache: sweep.NewCache()},
-	}
+	o := experiments.Options{Reduced: *reduced, Exec: sweep.Exec{Workers: *parallel}}
 	runners := map[string]func(experiments.Options, bool) error{
 		"fig4":         runFig4,
 		"speedup":      runSpeedup,

@@ -629,11 +629,8 @@ func (s *Simulator) releaseRoots(st *npuState) {
 func (s *Simulator) StartTime() units.Time { return s.startAt }
 
 // FinishTime returns the simulated time the last node completed; valid
-// once Done reports true.
+// once every node has.
 func (s *Simulator) FinishTime() units.Time { return s.finished }
-
-// Done reports whether every node of the trace has completed.
-func (s *Simulator) Done() bool { return s.npus != nil && s.remaining == 0 }
 
 // Finalize collects the run statistics after the engine has drained. The
 // Makespan is the span from the trace's release to its last node's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -172,5 +173,32 @@ func TestNodeSize(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(Node{}); got != 112 {
 		t.Errorf("et.Node is %d bytes, want 112", got)
+	}
+}
+
+// Encode allocates nothing per enum value: every MarshalText call hands
+// out its name's bytes, built once, so encoding 4 or 1,024 ranks that
+// share one 100-node compute list takes the same number of allocations.
+func TestEncodeAllocsIndependentOfRanks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts through encoding/json's sync.Pool are random under the race detector")
+	}
+	nodes := make([]Node, 100)
+	for i := range nodes {
+		nodes[i] = Node{ID: i + 1, Kind: KindCompute, FLOPs: 1}
+	}
+	allocs := func(ranks int) float64 {
+		tr := &Trace{NumNPUs: ranks, Graphs: make([]*Graph, ranks)}
+		for r := range tr.Graphs {
+			tr.Graphs[r] = &Graph{NPU: r, Nodes: nodes}
+		}
+		return testing.AllocsPerRun(5, func() {
+			if err := tr.Encode(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(4), allocs(1024); few != many {
+		t.Errorf("Encode allocates %.0f times for 4 ranks and %.0f for 1,024, want equal counts", few, many)
 	}
 }

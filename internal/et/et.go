@@ -65,9 +65,12 @@ const (
 	KindRecv
 )
 
-var nodeKinds = enum[NodeKind]{"node kind", []string{"", "COMP", "MEM", "COMM_COLL", "COMM_SEND", "COMM_RECV"}}
+var nodeKinds = newEnum[NodeKind]("node kind", "", "COMP", "MEM", "COMM_COLL", "COMM_SEND", "COMM_RECV")
 
-func (k NodeKind) String() string                { return nodeKinds.name(k) }
+func (k NodeKind) String() string { return nodeKinds.name(k) }
+
+// MarshalText returns k's JSON name in bytes that every call shares:
+// callers must not modify them.
 func (k NodeKind) MarshalText() ([]byte, error)  { return nodeKinds.marshal(k) }
 func (k *NodeKind) UnmarshalText(b []byte) error { return nodeKinds.unmarshal(k, b) }
 
@@ -84,9 +87,12 @@ const (
 	CollAllToAll
 )
 
-var collectiveTypes = enum[CollectiveType]{"collective type", []string{"", "ALL_REDUCE", "ALL_GATHER", "REDUCE_SCATTER", "ALL_TO_ALL"}}
+var collectiveTypes = newEnum[CollectiveType]("collective type", "", "ALL_REDUCE", "ALL_GATHER", "REDUCE_SCATTER", "ALL_TO_ALL")
 
-func (c CollectiveType) String() string                { return collectiveTypes.name(c) }
+func (c CollectiveType) String() string { return collectiveTypes.name(c) }
+
+// MarshalText returns c's JSON name in bytes that every call shares:
+// callers must not modify them.
 func (c CollectiveType) MarshalText() ([]byte, error)  { return collectiveTypes.marshal(c) }
 func (c *CollectiveType) UnmarshalText(b []byte) error { return collectiveTypes.unmarshal(c, b) }
 
@@ -100,9 +106,12 @@ const (
 	MemStore
 )
 
-var memOps = enum[MemOp]{"memory op", []string{"", "LOAD", "STORE"}}
+var memOps = newEnum[MemOp]("memory op", "", "LOAD", "STORE")
 
-func (o MemOp) String() string                { return memOps.name(o) }
+func (o MemOp) String() string { return memOps.name(o) }
+
+// MarshalText returns o's JSON name in bytes that every call shares:
+// callers must not modify them.
 func (o MemOp) MarshalText() ([]byte, error)  { return memOps.marshal(o) }
 func (o *MemOp) UnmarshalText(b []byte) error { return memOps.unmarshal(o, b) }
 
@@ -116,9 +125,12 @@ const (
 	MemRemote
 )
 
-var memLocations = enum[MemLocation]{"memory location", []string{"", "LOCAL", "REMOTE"}}
+var memLocations = newEnum[MemLocation]("memory location", "", "LOCAL", "REMOTE")
 
-func (l MemLocation) String() string                { return memLocations.name(l) }
+func (l MemLocation) String() string { return memLocations.name(l) }
+
+// MarshalText returns l's JSON name in bytes that every call shares:
+// callers must not modify them.
 func (l MemLocation) MarshalText() ([]byte, error)  { return memLocations.marshal(l) }
 func (l *MemLocation) UnmarshalText(b []byte) error { return memLocations.unmarshal(l, b) }
 
@@ -129,6 +141,15 @@ func (l *MemLocation) UnmarshalText(b []byte) error { return memLocations.unmars
 type enum[T ~uint8] struct {
 	what  string // the type as errors name it
 	names []string
+	text  [][]byte // names' bytes, built once and shared by every MarshalText
+}
+
+func newEnum[T ~uint8](what string, names ...string) enum[T] {
+	text := make([][]byte, len(names))
+	for i, name := range names {
+		text[i] = []byte(name)
+	}
+	return enum[T]{what: what, names: names, text: text}
 }
 
 // name returns v's JSON name, or T(v) for a value outside the table.
@@ -143,7 +164,7 @@ func (e enum[T]) marshal(v T) ([]byte, error) {
 	if int(v) >= len(e.names) {
 		return nil, fmt.Errorf("unknown %s %q", e.what, e.name(v))
 	}
-	return []byte(e.names[v]), nil
+	return e.text[v], nil
 }
 
 func (e enum[T]) unmarshal(v *T, b []byte) error {

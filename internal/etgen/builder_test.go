@@ -71,10 +71,7 @@ func TestGeneratorsSizeListsExactly(t *testing.T) {
 		{"moe network without all-to-all", func() (*et.Trace, error) { return MoETrace(wafer(8), moe(false, 0)) }},
 		{"moe in-switch with all-to-all", func() (*et.Trace, error) { return MoETrace(wafer(8), moe(true, 16*units.MB)) }},
 		{"moe in-switch without all-to-all", func() (*et.Trace, error) { return MoETrace(wafer(8), moe(true, 0)) }},
-		{"fsdp with prefetch", func() (*et.Trace, error) { return FSDP(wafer(8), FSDPConfig{Model: tinyModel(1)}) }},
-		{"fsdp without prefetch", func() (*et.Trace, error) {
-			return FSDP(wafer(8), FSDPConfig{Model: tinyModel(1), NoPrefetch: true})
-		}},
+		{"fsdp", func() (*et.Trace, error) { return FSDP(wafer(8), FSDPConfig{Model: tinyModel(1)}) }},
 		{"threed MP>1 with DP", func() (*et.Trace, error) {
 			return ThreeD(twoDim, ThreeDConfig{Model: tinyModel(4), Stages: 4, MicroBatches: 3})
 		}},

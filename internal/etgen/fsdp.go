@@ -15,8 +15,6 @@ import (
 // the next layer's gather with the current layer's compute.
 type FSDPConfig struct {
 	Model TransformerConfig
-	// NoPrefetch disables the next-layer gather overlap (ablation knob).
-	NoPrefetch bool
 }
 
 // FSDP generates one fully-sharded training iteration across the whole
@@ -39,23 +37,14 @@ func FSDP(top *topology.Topology, cfg FSDPConfig) (*et.Trace, error) {
 	// and reduce-scatter, then the optimizer's load, step and store. Every
 	// node but the first waits on one earlier node; every compute after the
 	// first, every reduce-scatter after the first and the load also wait
-	// on a second one, and without prefetch so does every gather after the
-	// first.
-	nodes, deps := 5*model.Layers+3, 8*model.Layers+1
-	if cfg.NoPrefetch {
-		deps += 2*model.Layers - 1
-	}
-	b := newGraphBuilder(nodes, deps)
+	// on a second one.
+	b := newGraphBuilder(5*model.Layers+3, 8*model.Layers+1)
 	full := (*et.GroupRef)(nil)
 
 	// Forward: gather each layer, compute; prefetch next layer's gather.
 	prevGather, prevComp := 0, 0
 	for l := 0; l < model.Layers; l++ {
-		wait := 0 // the gather waits for the previous compute only without prefetch
-		if cfg.NoPrefetch {
-			wait = prevComp
-		}
-		ag := b.collective(fmt.Sprintf("fwd%d.ag", l), et.CollAllGather, layerBytes, full, false, prevGather, wait)
+		ag := b.collective(fmt.Sprintf("fwd%d.ag", l), et.CollAllGather, layerBytes, full, false, prevGather)
 		comp := b.compute(fmt.Sprintf("fwd%d", l), fwdFlops, layerBytes+actBytes, ag, prevComp)
 		prevGather, prevComp = ag, comp
 	}
@@ -65,11 +54,7 @@ func FSDP(top *topology.Topology, cfg FSDPConfig) (*et.Trace, error) {
 	prevBwd := prevComp
 	prevRS := 0
 	for l := model.Layers - 1; l >= 0; l-- {
-		wait := 0
-		if cfg.NoPrefetch {
-			wait = prevBwd
-		}
-		ag := b.collective(fmt.Sprintf("bwd%d.ag", l), et.CollAllGather, layerBytes, full, false, prevGather, wait)
+		ag := b.collective(fmt.Sprintf("bwd%d.ag", l), et.CollAllGather, layerBytes, full, false, prevGather)
 		comp := b.compute(fmt.Sprintf("bwd%d", l), bwdFlops, layerBytes+actBytes, ag, prevBwd)
 		rs := b.collective(fmt.Sprintf("bwd%d.rs", l), et.CollReduceScatter, layerBytes, full, false, comp, prevRS)
 		prevGather, prevBwd, prevRS = ag, comp, rs

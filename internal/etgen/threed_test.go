@@ -185,21 +185,6 @@ func TestFSDPTraceRuns(t *testing.T) {
 	}
 }
 
-func TestFSDPPrefetchHelps(t *testing.T) {
-	top := wafer(8)
-	run := func(noPrefetch bool) units.Time {
-		tr, err := FSDP(top, FSDPConfig{Model: tinyModel(1), NoPrefetch: noPrefetch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return simRun(t, top, tr, memory.System{}).Makespan
-	}
-	with, without := run(false), run(true)
-	if with >= without {
-		t.Errorf("prefetch (%v) should beat no-prefetch (%v)", with, without)
-	}
-}
-
 func TestFSDPValidation(t *testing.T) {
 	top := wafer(8)
 	bad := tinyModel(1)

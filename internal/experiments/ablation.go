@@ -71,12 +71,6 @@ func Ablation(o Options) (*AblationResult, error) {
 				SimEvents: fired,
 			}, nil
 		},
-		Fingerprint: func(pt sweep.Point) string {
-			// The row embeds the system name, so the name is part of the key.
-			sys := systems[pt.Index("system")]
-			return "ablation|sys=" + sys.Name + "|" + engineFingerprint(sys.Top, collective.AllReduce, size,
-				chunkGrid[pt.Index("chunks")], policies[pt.Index("policy")])
-		},
 	}
 	res, err := sweep.Run(spec, o.Exec)
 	if err != nil {

@@ -84,10 +84,6 @@ func Fabrics(o Options) (*FabricsResult, error) {
 			return runCell(systems[pt.Index("system")], wls[pt.Index("workload")],
 				collective.Baseline, o)
 		},
-		Fingerprint: func(pt sweep.Point) string {
-			return cellFingerprint(systems[pt.Index("system")], wls[pt.Index("workload")],
-				collective.Baseline, o)
-		},
 	}
 	res, err := sweep.Run(spec, o.Exec)
 	if err != nil {

@@ -188,61 +188,20 @@ type fig11Cell struct {
 	stats *core.RunStats
 }
 
-// fig11Fingerprint identifies a MoE-1T run: the in-switch flag plus the
-// full pool configuration (the GPU topology, compute model and workload
-// are fixed across the study).
-func fig11Fingerprint(inSwitch bool, pool memory.PoolConfig) string {
-	return fmt.Sprintf("moe1t|inswitch=%t|%s", inSwitch, poolFingerprint(pool))
-}
-
 // Fig11 runs the three-bar comparison and the design-space sweep. With
 // Reduced set only the sweep's corner points run (for tests); the full
-// grid is 8 x 5 points. The HierMem baseline bar and the sweep's
-// (256, 100) corner are the same configuration; the shared result cache
-// simulates it once.
+// grid is 8 x 5 points. The full and the reduced grid both start at (256,
+// 100), the HierMem baseline's configuration, so the baseline bar is the
+// sweep's first cell and is not simulated twice.
 func Fig11(o Options) (*Fig11Result, error) {
-	exec := o.Exec
-	if exec.Cache == nil {
-		// The bar grid and the sweep grid overlap; share results.
-		exec.Cache = sweep.NewCache()
-	}
-	out := &Fig11Result{}
-
-	// Grid 1: the two reference bars.
-	barSystems := []string{string(SysZeroInfinity), string(SysHierMemBaseline)}
-	barSpec := sweep.Spec[fig11Cell]{
-		Name: "fig11-bars",
-		Axes: []sweep.Axis{{Name: "system", Values: barSystems}},
-		Cell: func(pt sweep.Point) (fig11Cell, error) {
-			inSwitch := pt.Index("system") == 1
-			pool := fig11ZeroPool()
-			if inSwitch {
-				pool = fig11Pool(256, 100)
-			}
-			stats, err := runFig11System(inSwitch, pool)
-			if err != nil {
-				return fig11Cell{}, err
-			}
-			return fig11Cell{pool: pool, stats: stats}, nil
-		},
-		Fingerprint: func(pt sweep.Point) string {
-			if pt.Index("system") == 0 {
-				return fig11Fingerprint(false, fig11ZeroPool())
-			}
-			return fig11Fingerprint(true, fig11Pool(256, 100))
-		},
-	}
-	bars, err := sweep.Run(barSpec, exec)
+	zeroPool := fig11ZeroPool()
+	zero, err := runFig11System(false, zeroPool)
 	if err != nil {
 		return nil, err
 	}
-	zero, base := bars.Rows[0].Value, bars.Rows[1].Value
-	out.Bars = append(out.Bars,
-		statsToBar(SysZeroInfinity, zero.stats, zero.pool),
-		statsToBar(SysHierMemBaseline, base.stats, base.pool))
 
-	// Grid 2: the design-space sweep (Section V-B): in-node fabric
-	// 256..2048 step 256, remote group 100..500 step 100.
+	// The design-space sweep (Section V-B): in-node fabric 256..2048 step
+	// 256, remote group 100..500 step 100.
 	inNodeGrid := []float64{256, 512, 768, 1024, 1280, 1536, 1792, 2048}
 	remoteGrid := []float64{100, 200, 300, 400, 500}
 	if o.Reduced {
@@ -260,15 +219,16 @@ func Fig11(o Options) (*Fig11Result, error) {
 			}
 			return fig11Cell{pool: pool, stats: stats}, nil
 		},
-		Fingerprint: func(pt sweep.Point) string {
-			pool := fig11Pool(inNodeGrid[pt.Index("in_node_gbps")], remoteGrid[pt.Index("remote_gbps")])
-			return fig11Fingerprint(true, pool)
-		},
 	}
-	grid, err := sweep.Run(sweepSpec, exec)
+	grid, err := sweep.Run(sweepSpec, o.Exec)
 	if err != nil {
 		return nil, err
 	}
+	base := grid.Rows[0].Value
+	out := &Fig11Result{Bars: []Fig11Bar{
+		statsToBar(SysZeroInfinity, zero, zeroPool),
+		statsToBar(SysHierMemBaseline, base.stats, base.pool),
+	}}
 	// Best performance with least resource provision: strictly faster
 	// wins; equal performance prefers the earlier (cheaper) grid point.
 	var best fig11Cell
@@ -286,7 +246,7 @@ func Fig11(o Options) (*Fig11Result, error) {
 	out.Bars = append(out.Bars, statsToBar(SysHierMemOpt, best.stats, best.pool))
 
 	out.SpeedupOptVsBaseline = float64(base.stats.Makespan) / float64(best.stats.Makespan)
-	diff := zero.stats.Makespan - base.stats.Makespan
+	diff := zero.Makespan - base.stats.Makespan
 	if diff < 0 {
 		diff = -diff
 	}

@@ -105,16 +105,6 @@ func Fig4(o Options) (*Fig4Result, error) {
 			errPct := 100 * (ana.Seconds() - ref.Seconds()) / ref.Seconds()
 			return Fig4Row{NPUs: k, Size: s, Reference: ref, Analytical: ana, ErrorPct: errPct}, nil
 		},
-		Fingerprint: func(pt sweep.Point) string {
-			top, err := nvlinkRing(ks[pt.Index("npus")])
-			if err != nil {
-				return ""
-			}
-			// The reference model is a pure function of (k, size), so the
-			// engine fingerprint identifies the whole row; the prefix keeps
-			// fig4 rows from sharing with bare engine results.
-			return "fig4|" + engineFingerprint(top, collective.AllReduce, sizes[pt.Index("size")], 64, collective.Baseline)
-		},
 	}
 	res, err := sweep.Run(spec, o.Exec)
 	if err != nil {

@@ -88,9 +88,12 @@ type Options struct {
 	// and therefore all ratios) for test runs, and limits Fig. 11's
 	// design-space sweep to its corner points.
 	Reduced bool
-	// Exec controls sweep execution: worker count (default GOMAXPROCS),
-	// an optional cross-experiment result cache, and progress callbacks.
-	// Results are deterministic for any worker count.
+	// Exec controls sweep execution: worker count (default GOMAXPROCS)
+	// and progress callbacks. Results are deterministic for any worker
+	// count. Exec.Cache is not consulted: the experiments' cells never
+	// repeat a configuration, and the two results that do recur (Fig. 11's
+	// baseline bar, the search's promoted candidates) are shared inside
+	// their experiment.
 	Exec sweep.Exec
 }
 
@@ -126,16 +129,6 @@ func buildWorkloadTrace(top *topology.Topology, wl Workload, o Options) (*et.Tra
 	default:
 		return nil, fmt.Errorf("experiments: unknown workload %q", wl)
 	}
-}
-
-// cellFingerprint identifies a full-simulator case-study run: topology,
-// workload (with its reduction divisor), scheduler, chunking, and the
-// fixed compute/memory models. The system name is part of the key
-// because the deduplicated Cell embeds it: two identically-configured
-// systems under different names must not share a mislabeled result.
-func cellFingerprint(sys System, wl Workload, policy collective.Policy, o Options) string {
-	return fmt.Sprintf("sim|sys=%s|wl=%s|div=%d|policy=%s|chunks=%d|npu=a100|mem=local-1us-2039|topo=%s",
-		sys.Name, wl, o.layersDivisor(), policy, o.chunks(), topoFingerprint(sys.Top))
 }
 
 // runCell executes one (system, workload, policy) simulation.
@@ -180,10 +173,6 @@ func caseStudySpec(name string, systems []System, policies []collective.Policy, 
 		Axes: []sweep.Axis{systemAxis(systems), workloadAxis(), policyAxis(policies)},
 		Cell: func(pt sweep.Point) (Cell, error) {
 			return runCell(systems[pt.Index("system")], wls[pt.Index("workload")],
-				policies[pt.Index("policy")], o)
-		},
-		Fingerprint: func(pt sweep.Point) string {
-			return cellFingerprint(systems[pt.Index("system")], wls[pt.Index("workload")],
 				policies[pt.Index("policy")], o)
 		},
 	}

@@ -163,9 +163,9 @@ func runInterferenceCell(sys System, wl Workload, n int, o Options) (Interferenc
 		}
 		return cfg
 	}
-	// The isolated baseline is re-derived per cell to keep cells hermetic
-	// (the sweep cache can then share whole cells by fingerprint); the
-	// n=1 cell IS its own baseline, so it simulates once.
+	// Every cell simulates its own isolated baseline, so cells stay
+	// independent of one another and of the worker count; the n=1 cell IS
+	// its own baseline, so it simulates once.
 	iso, err := cluster.Run(mkConfig(1))
 	if err != nil {
 		return InterferenceCell{}, fmt.Errorf("%s/%s isolated: %w", sys.Name, wl, err)
@@ -215,17 +215,6 @@ func Interference(o Options) (*InterferenceResult, error) {
 		Cell: func(pt sweep.Point) (InterferenceCell, error) {
 			return runInterferenceCell(systems[pt.Index("system")], wls[pt.Index("workload")],
 				counts[pt.Index("jobs")], o)
-		},
-		Fingerprint: func(pt sweep.Point) string {
-			sys := systems[pt.Index("system")]
-			wl := wls[pt.Index("workload")]
-			mem := "local"
-			if wl == WLMoE {
-				mem = poolFingerprint(interferencePool())
-			}
-			return fmt.Sprintf("interference|sys=%s|wl=%s|div=%d|chunks=%d|jobs=%d|npus=%d|mem=%s|topo=%s",
-				sys.Name, wl, o.layersDivisor(), o.chunks(), counts[pt.Index("jobs")],
-				interferenceJobNPUs, mem, topoFingerprint(sys.Top))
 		},
 	}
 	res, err := sweep.Run(spec, o.Exec)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/memory"
 	"repro/internal/sweep"
 	"repro/internal/units"
@@ -81,11 +79,6 @@ func PoolDesigns(o Options) (*PoolDesignResult, error) {
 				PerGPU:   s,
 				Transfer: cfg.TransferTime(s),
 			}, nil
-		},
-		Fingerprint: func(pt sweep.Point) string {
-			cfg := base
-			cfg.Design = designs[pt.Index("design")]
-			return fmt.Sprintf("pooltransfer|size=%d|%s", sizes[pt.Index("per_gpu")], poolFingerprint(cfg))
 		},
 	}
 	res, err := sweep.Run(spec, o.Exec)

@@ -203,12 +203,6 @@ func Resilience(o Options) (*ResilienceResult, error) {
 			return runResilienceCell(systems[pt.Index("system")], wls[pt.Index("workload")],
 				scens[pt.Index("scenario")], o)
 		},
-		Fingerprint: func(pt sweep.Point) string {
-			sys := systems[pt.Index("system")]
-			return fmt.Sprintf("resilience|sys=%s|wl=%s|sc=%s|div=%d|chunks=%d|straggle=%g|npu=a100|mem=local-1us-2039|topo=%s",
-				sys.Name, wls[pt.Index("workload")], scens[pt.Index("scenario")],
-				o.layersDivisor(), o.chunks(), straggleFactor, topoFingerprint(sys.Top))
-		},
 	}
 	res, err := sweep.Run(spec, o.Exec)
 	if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/collective"
 	"repro/internal/search"
@@ -65,11 +66,15 @@ func fabricSearchProblem(systems []System, o Options) search.Problem {
 			}
 			return cell.Total.Micros(), nil
 		},
+		// A candidate index names one configuration for as long as the
+		// problem lives, so FabricSearch's two passes, which share this
+		// problem, share simulations through one cache keyed by index.
+		// Estimates are left out: the exhaustive pass makes none.
 		Fingerprint: func(i int, f search.Fidelity) string {
-			if f == search.FidelityEstimate {
-				return "search-est|ar-1g|" + topoFingerprint(systems[i].Top)
+			if f != search.FidelitySimulate {
+				return ""
 			}
-			return "search-sim|" + cellFingerprint(systems[i], WLGPT3, collective.Baseline, o)
+			return strconv.Itoa(i)
 		},
 	}
 }
@@ -93,16 +98,19 @@ type FabricSearchResult struct {
 
 // FabricSearch runs the halving search and the exhaustive baseline over
 // the 24-point fabric space. Results are deterministic for any worker
-// count. The halving pass runs first so a shared Options cache cannot
-// subsidize its wall-clock cost.
+// count. The halving pass runs first, and the exhaustive pass takes the
+// candidates it simulated from their shared cache instead of simulating
+// them again.
 func FabricSearch(o Options) (*FabricSearchResult, error) {
 	systems := FabricSearchSystems()
 	p := fabricSearchProblem(systems, o)
-	halving, err := search.Optimize(p, search.Options{Strategy: "halving", Seed: 1, Exec: o.Exec})
+	exec := o.Exec
+	exec.Cache = sweep.NewCache()
+	halving, err := search.Optimize(p, search.Options{Strategy: "halving", Seed: 1, Exec: exec})
 	if err != nil {
 		return nil, err
 	}
-	exhaustive, err := search.Optimize(p, search.Options{Strategy: "exhaustive", Seed: 1, Exec: o.Exec})
+	exhaustive, err := search.Optimize(p, search.Options{Strategy: "exhaustive", Seed: 1, Exec: exec})
 	if err != nil {
 		return nil, err
 	}

@@ -39,8 +39,7 @@ func TestFabricSearchRecoversOptimum(t *testing.T) {
 	if testing.Short() {
 		t.Skip("search grid simulates GPT-3 on 512-NPU systems")
 	}
-	o := Options{Reduced: true, Exec: sweep.Exec{Cache: sweep.NewCache()}}
-	res, err := FabricSearch(o)
+	res, err := FabricSearch(Options{Reduced: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +71,7 @@ func TestFabricSearchRecoversOptimum(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		o := Options{Reduced: true, Exec: sweep.Exec{Workers: workers, Cache: sweep.NewCache()}}
-		again, err := FabricSearch(o)
+		again, err := FabricSearch(Options{Reduced: true, Exec: sweep.Exec{Workers: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/collective"
-	"repro/internal/memory"
 	"repro/internal/network"
 	"repro/internal/sweep"
 	"repro/internal/timeline"
@@ -14,41 +10,8 @@ import (
 )
 
 // This file holds the shared plumbing that routes every experiment through
-// the sweep engine: canonical configuration fingerprints (so overlapping
-// grids simulate shared cells once), axis builders, and the bare
-// collective-engine runner four experiments previously hand-rolled.
-
-// topoFingerprint canonically describes a topology including per-dimension
-// bandwidth and latency — everything that affects simulated results.
-func topoFingerprint(t *topology.Topology) string {
-	var b strings.Builder
-	for i, d := range t.Dims {
-		if i > 0 {
-			b.WriteByte('_')
-		}
-		// Format carries the full model identity (torus axes, switch
-		// oversubscription), not just the block's short name and size.
-		fmt.Fprintf(&b, "%s@%g/%d", d.Format(), d.Bandwidth.GBpsValue(), int64(d.Latency))
-	}
-	return b.String()
-}
-
-// engineFingerprint identifies a bare collective-engine run: the op, size,
-// chunking, scheduler and full topology. Any two cells with equal strings
-// simulate identically, so TableIV, the ablation grid and Fig. 4 share a
-// cache space without risk of false sharing.
-func engineFingerprint(top *topology.Topology, op collective.Op, size units.ByteSize, chunks int, policy collective.Policy) string {
-	return fmt.Sprintf("engine|op=%s|size=%d|chunks=%d|policy=%s|topo=%s",
-		op, size, chunks, policy, topoFingerprint(top))
-}
-
-// poolFingerprint canonically describes a disaggregated-pool configuration.
-func poolFingerprint(p memory.PoolConfig) string {
-	return fmt.Sprintf("pool|design=%s|nodes=%d|gpus=%d|outsw=%d|groups=%d|chunk=%d|groupbw=%g|gpusidebw=%g|innodebw=%g|lat=%d",
-		p.Design, p.NumNodes, p.GPUsPerNode, p.NumOutSwitches, p.NumRemoteGroups,
-		p.ChunkSize, p.RemoteGroupBW.GBpsValue(), p.GPUSideOutFabricBW.GBpsValue(),
-		p.InNodeFabricBW.GBpsValue(), int64(p.Latency))
-}
+// the sweep engine: axis builders and the bare collective-engine runner
+// that Fig. 4, Table IV, the ablation and the speedup study share.
 
 // runEngine executes one collective on a fresh timeline + network backend,
 // returning the result and the number of discrete events fired.

@@ -10,7 +10,7 @@ import (
 
 // The sweep engine guarantees that parallel execution is byte-identical
 // to serial. These tests hold every reproduced artifact to that bar and
-// verify that overlapping grids share simulations through the cache.
+// check the one result Fig. 11 shares between its bars and its grid.
 
 // marshal renders an experiment result for byte comparison.
 func marshal(t *testing.T, v any) []byte {
@@ -64,72 +64,29 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// Fig. 11's HierMem baseline bar is its design grid's first cell, (256,
+// 100), read from the grid instead of simulated a second time.
 func TestFig11SharesBaselineWithSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates seven MoE-1T iterations")
 	}
-	cache := sweep.NewCache()
-	res, err := Fig11(Options{Reduced: true, Exec: sweep.Exec{Cache: cache}})
+	res, err := Fig11(Options{Reduced: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := cache.Stats()
-	// Reduced grids: 2 bar cells + 6 sweep cells, of which the sweep's
-	// (256, 100) corner is the HierMem baseline bar — 7 simulations, 1 hit.
-	if stats.Entries != 7 {
-		t.Errorf("cache holds %d entries, want 7 (8 cells, 1 shared)", stats.Entries)
-	}
-	if stats.Hits != 1 {
-		t.Errorf("cache hits = %d, want 1 (sweep corner == baseline bar)", stats.Hits)
-	}
-	// The shared cell must still report the baseline's exact makespan.
 	base, err := res.Bar(SysHierMemBaseline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range res.Sweep {
-		if p.InNodeFabricGBps == 256 && p.RemoteGroupGBps == 100 && p.Total != base.Total {
-			t.Errorf("shared corner = %v, want baseline %v", p.Total, base.Total)
-		}
+	if base.InNodeFabricGBps != 256 || base.RemoteGroupGBps != 100 {
+		t.Errorf("baseline bar at (%g, %g), want (256, 100)", base.InNodeFabricGBps, base.RemoteGroupGBps)
 	}
-}
-
-func TestCrossExperimentCacheReuse(t *testing.T) {
-	// TableIV twice through one cache: the second run must simulate
-	// nothing.
-	cache := sweep.NewCache()
-	first, err := TableIV(Options{Exec: sweep.Exec{Cache: cache}})
-	if err != nil {
-		t.Fatal(err)
+	first := res.Sweep[0]
+	if first.InNodeFabricGBps != 256 || first.RemoteGroupGBps != 100 {
+		t.Errorf("grid starts at (%g, %g), want (256, 100)", first.InNodeFabricGBps, first.RemoteGroupGBps)
 	}
-	miss := cache.Stats().Misses
-	if miss != 7 {
-		t.Fatalf("first run: %d misses, want 7", miss)
-	}
-	second, err := TableIV(Options{Exec: sweep.Exec{Cache: cache}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := cache.Stats()
-	if stats.Misses != miss || stats.Hits != 7 {
-		t.Errorf("second run: stats %+v, want 7 hits and no new misses", stats)
-	}
-	if string(marshal(t, first)) != string(marshal(t, second)) {
-		t.Error("cached rerun differs from original")
-	}
-}
-
-func TestEngineFingerprintDistinguishesConfigs(t *testing.T) {
-	sys := TableII()
-	a := sys[0] // W-1D-350
-	b := sys[1] // W-1D-500: same shape, different bandwidth
-	fa := topoFingerprint(a.Top)
-	fb := topoFingerprint(b.Top)
-	if fa == fb {
-		t.Errorf("bandwidth not captured: %q == %q", fa, fb)
-	}
-	if a.Top.String() != b.Top.String() {
-		t.Skipf("shapes differ (%s vs %s); fingerprint trivially distinct", a.Top, b.Top)
+	if first.Total != base.Total {
+		t.Errorf("grid's (256, 100) cell = %v, want the baseline bar's %v", first.Total, base.Total)
 	}
 }
 

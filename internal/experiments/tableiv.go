@@ -67,11 +67,6 @@ func TableIV(o Options) (*TableIVResult, error) {
 			}
 			return row, nil
 		},
-		Fingerprint: func(pt sweep.Point) string {
-			// The row embeds the system name, so the name is part of the key.
-			sys := systems[pt.Index("system")]
-			return "tableiv|sys=" + sys.Name + "|" + engineFingerprint(sys.Top, collective.AllGather, size, 64, collective.Baseline)
-		},
 	}
 	res, err := sweep.Run(spec, o.Exec)
 	if err != nil {

@@ -329,14 +329,13 @@ func (b *Backend) chargeLinks(src, dim, srcPos, dstPos int, size units.ByteSize,
 
 // SendOnDim transmits size bytes between two NPUs that differ only in
 // dimension dim. sent, which may be nil, fires when src's link frees;
-// delivered fires when the message lands at dst. This is the fast path used
-// by collective algorithms, which by construction communicate one dimension
-// at a time.
+// delivered fires when the message lands at dst. The message-level
+// collective reference (collective.RunMessageLevel) sends through it, one
+// dimension at a time; it panics on endpoints that differ anywhere else.
 func (b *Backend) SendOnDim(src, dst, dim int, size units.ByteSize, sent, delivered timeline.Actor) {
 	if src == dst {
 		panic(fmt.Sprintf("network: self-send on dim %d by NPU %d", dim, src))
 	}
-	d := b.top.Dims[dim]
 	// Walk both ranks' mixed-radix positions: validates that the endpoints
 	// differ only in dim and extracts the dim positions without
 	// materializing coordinate slices.
@@ -349,6 +348,14 @@ func (b *Backend) SendOnDim(src, dst, dim int, size units.ByteSize, sent, delive
 			panic(fmt.Sprintf("network: SendOnDim(%d->%d, dim %d) endpoints differ in dim %d", src, dst, dim, i))
 		}
 	}
+	b.sendOnDim(src, dim, srcPos, dstPos, size, sent, delivered)
+}
+
+// sendOnDim is SendOnDim once the endpoints are known to differ only in
+// dim, src at position srcPos and the destination at dstPos; a routed
+// send's legs, whose positions route already found, start here.
+func (b *Backend) sendOnDim(src, dim, srcPos, dstPos int, size units.ByteSize, sent, delivered timeline.Actor) {
+	d := b.top.Dims[dim]
 	factor, tracked := 1.0, false
 	if b.fc != nil {
 		factor, tracked = b.fc.FlowStarted(dim)
@@ -399,18 +406,21 @@ func (b *Backend) route(src, dst int, legs []hopLeg) []hopLeg {
 	w := b.top.WalkPositions(src, dst)
 	for dim, sp, tp, ok := w.Next(); ok; dim, sp, tp, ok = w.Next() {
 		if sp != tp {
-			next := cur + (tp-sp)*stride
-			legs = append(legs, hopLeg{dim: dim, from: cur, to: next})
-			cur = next
+			legs = append(legs, hopLeg{dim: dim, from: cur, fromPos: sp, toPos: tp})
+			cur += (tp - sp) * stride
 		}
 		stride *= b.top.Dims[dim].Size
 	}
 	return legs
 }
 
+// hopLeg is one leg of a routed send: from NPU from, at position fromPos
+// in dimension dim, to the NPU at position toPos that differs from it in
+// dim alone.
 type hopLeg struct {
-	dim      int
-	from, to int
+	dim            int
+	from           int
+	fromPos, toPos int
 }
 
 // legRun is a pooled in-flight routed send: it owns its leg slice for the
@@ -436,7 +446,7 @@ func (b *Backend) getLegRun() *legRun {
 // send issues the current leg, with r as its delivery event.
 func (r *legRun) send(sent timeline.Actor) {
 	leg := r.legs[r.idx]
-	r.b.SendOnDim(leg.from, leg.to, leg.dim, r.size, sent, r)
+	r.b.sendOnDim(leg.from, leg.dim, leg.fromPos, leg.toPos, r.size, sent, r)
 }
 
 // Act implements timeline.Actor: one leg landed, so issue the next, or

@@ -10,9 +10,10 @@
 //     exported byte is identical whatever the worker count, because each
 //     cell's result is written to its pre-assigned slot.
 //   - Deduplication: cells that declare equal content fingerprints are
-//     simulated once; overlapping grids (a scaling study and an ablation
-//     sharing a corner) share results through an optional cross-sweep
-//     Cache keyed by fingerprint.
+//     simulated once (a user grid that lists a machine twice); a caller
+//     that asks for the same fingerprints again in a later sweep, as a
+//     search's exhaustive pass does after its halving pass, can share
+//     results through an optional Cache keyed by fingerprint.
 //   - Structure: rows carry their axis labels in grid order, ready for a
 //     caller to tabulate or marshal, and a progress callback reports
 //     completion as cells finish.

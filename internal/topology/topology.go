@@ -140,15 +140,6 @@ func (t *Topology) NumNPUs() int {
 // NumDims returns the number of stacked dimensions.
 func (t *Topology) NumDims() int { return len(t.Dims) }
 
-// Shape returns the dimension sizes, Dim 1 first.
-func (t *Topology) Shape() []int {
-	s := make([]int, len(t.Dims))
-	for i, d := range t.Dims {
-		s[i] = d.Size
-	}
-	return s
-}
-
 // String returns the paper's shape notation, e.g. "R(4)_FC(2)_SW(2)" or
 // "T2D(4,4)_SW(8,2)".
 func (t *Topology) String() string {

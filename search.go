@@ -513,11 +513,7 @@ func Optimize(spec SearchSpec, opt SearchOptions) (*SearchResult, error) {
 		MaxSimulations: maxSims,
 		Population:     spec.Population,
 		Eta:            spec.Eta,
-		Exec: sweep.Exec{
-			Workers:  opt.Workers,
-			Cache:    sweep.NewCache(),
-			Progress: opt.Progress,
-		},
+		Exec:           sweep.Exec{Workers: opt.Workers, Progress: opt.Progress},
 	})
 	if err != nil {
 		return nil, err

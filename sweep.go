@@ -17,8 +17,9 @@ import (
 
 // This file is the design-space-exploration facade: declarative sweep
 // grids of machines x workloads, executed in parallel with deterministic
-// output and fingerprint-keyed result sharing. It is the public face of
-// internal/sweep, which also drives every reproduced paper artifact.
+// output, equal cells of a grid simulated once by fingerprint. It is the
+// public face of internal/sweep, which also drives every reproduced paper
+// artifact.
 
 // WorkloadSpec is a declarative, JSON-serializable workload description —
 // the sweep-grid counterpart of the Workload constructors.
@@ -127,8 +128,8 @@ func (s WorkloadSpec) label() string {
 
 // workloadTable validates every workload spec up front (so grid errors
 // name the workload, not a mid-run cell) and returns the display names
-// and canonical JSON fingerprints sweeps and searches key their caches
-// on.
+// and the canonical JSON fingerprints by which sweeps and searches
+// simulate equal cells of one grid once.
 func workloadTable(specs []WorkloadSpec) (names, fps []string, err error) {
 	names = make([]string, len(specs))
 	fps = make([]string, len(specs))
@@ -321,11 +322,7 @@ func RunSweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 			return "astrasim|" + machineFPs[pt.Index("machine")] + "|" + workloadFPs[pt.Index("workload")]
 		},
 	}
-	res, err := sweep.Run(inner, sweep.Exec{
-		Workers:  opt.Workers,
-		Cache:    sweep.NewCache(),
-		Progress: opt.Progress,
-	})
+	res, err := sweep.Run(inner, sweep.Exec{Workers: opt.Workers, Progress: opt.Progress})
 	if err != nil {
 		return nil, err
 	}
