@@ -26,8 +26,9 @@ func allocTestBackend(t testing.TB) (*timeline.Engine, *Backend) {
 // appended into one reused buffer, a routed send's legs are delivered by
 // one pooled event, and the rendezvous recycles its channel records, each
 // counting a channel's unclaimed messages and queueing its waiting
-// receives. The receive actor is built once, as a simulator's pooled
-// completion events are.
+// receives, and finds them through a table of busy channels that grows to
+// the most channels busy at once and never shrinks. The receive actor is
+// built once, as a simulator's pooled completion events are.
 func TestSimSendRecvAllocFree(t *testing.T) {
 	for _, transit := range []bool{false, true} {
 		eng, b := allocTestBackend(t)
@@ -36,6 +37,10 @@ func TestSimSendRecvAllocFree(t *testing.T) {
 		// (1,0,0) -> (3,3,10): a two-hop ring leg, a switch leg and a torus
 		// leg of four hops.
 		const far = 3 + 3*4 + 10*16
+		// burst channels are busy at once, past the table's first size, so
+		// the warm-up round grows the table several times.
+		const burst = 200
+		n := b.Topology().NumNPUs()
 		exercise := func() {
 			// Recv-first on the three-leg route, recv-after on a one-hop
 			// ring send, and a message to itself.
@@ -51,8 +56,20 @@ func TestSimSendRecvAllocFree(t *testing.T) {
 			if _, err := eng.Run(); err != nil {
 				t.Fatal(err)
 			}
+			for i := 0; i < burst; i++ {
+				b.SimRecv(i, (7*i+1)%n, i, recv)
+			}
+			for i := 0; i < burst; i++ {
+				b.SimSend(i, (7*i+1)%n, i, units.KB, nil)
+			}
+			if _, err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		exercise() // warm the pools
+		exercise() // warm the pools and grow the table
+		if got := len(b.chans.slots); got < 2*burst {
+			t.Fatalf("transit=%v: %d table slots after the burst, want at least %d", transit, got, 2*burst)
+		}
 		if allocs := testing.AllocsPerRun(50, exercise); allocs > 0 {
 			t.Errorf("transit=%v: SimSend/SimRecv round allocates %.1f objects, want 0", transit, allocs)
 		}

@@ -30,7 +30,10 @@
 // appended into one reused buffer, a routed send is one pooled event that
 // delivers each of its legs, and the rendezvous keeps one pooled record per
 // busy channel, which counts its unclaimed messages and queues its waiting
-// receives.
+// receives. A record is found through an open-addressed table of the busy
+// channels, probed linearly from a hash of (src, dst, tag), so the table is
+// sized by the most channels busy at once, not by the channels a run ever
+// uses.
 package network
 
 import (
@@ -67,10 +70,11 @@ type Backend struct {
 	// makes no dimension-model call.
 	bw []units.Bandwidth
 
-	// chans is the rendezvous for SimSend/SimRecv matching: the record of
+	// chans is the rendezvous for SimSend/SimRecv matching: the table of
 	// every (src, dst, tag) channel that holds an unclaimed message or a
-	// waiting receive. A channel that holds neither is dropped.
-	chans map[matchKey]*channel
+	// waiting receive, with its record. A channel that holds neither is
+	// dropped from the table.
+	chans chanTable
 
 	// Free lists for the per-message hot-path objects (channels and legRuns
 	// keep their slices across reuse, so neither needs a slice pool).
@@ -102,6 +106,15 @@ type matchKey struct {
 	src, dst, tag int
 }
 
+// hash mixes all three fields by multiplication, then folds the product's
+// well-mixed high half into the low bits that index the table.
+func (k matchKey) hash() uint64 {
+	const m = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
+	h := (uint64(k.src)*m ^ uint64(k.dst)) * m
+	h = (h ^ uint64(k.tag)) * m
+	return h ^ h>>32
+}
+
 // channel is one (src, dst, tag) rendezvous: the count of delivered
 // messages no receive has claimed, and the FIFO of posted receives no
 // message has matched. At most one of the two is non-empty. Popping
@@ -111,6 +124,75 @@ type channel struct {
 	unclaimed int
 	waiting   []timeline.Actor
 	head      int
+}
+
+// chanTable maps each busy channel's key to its record: slots is a
+// power-of-two array probed linearly from the key's hash, and a slot with a
+// nil record is empty. It doubles when an insert brings it past half load
+// and never shrinks, so after warm-up inserts allocate nothing; a removal
+// shifts the rest of its probe run back, so no tombstones build up however
+// many channels open and close.
+type chanTable struct {
+	slots []chanSlot
+	live  int
+}
+
+type chanSlot struct {
+	k matchKey
+	c *channel
+}
+
+// minChanSlots is the table's first size.
+const minChanSlots = 16
+
+// find returns the index of k's slot or, if k is not in the table, of the
+// empty slot that ends its probe run.
+func (t *chanTable) find(k matchKey) int {
+	if t.slots == nil {
+		t.slots = make([]chanSlot, minChanSlots)
+	}
+	mask := len(t.slots) - 1
+	i := int(k.hash()) & mask
+	for t.slots[i].c != nil && t.slots[i].k != k {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// insert files c under k in slot i, the empty slot find returned for k.
+func (t *chanTable) insert(i int, k matchKey, c *channel) {
+	t.slots[i] = chanSlot{k: k, c: c}
+	t.live++
+	if 2*t.live > len(t.slots) {
+		old := t.slots
+		t.slots = make([]chanSlot, 2*len(old))
+		mask := len(t.slots) - 1
+		for _, s := range old {
+			if s.c != nil {
+				j := int(s.k.hash()) & mask
+				for t.slots[j].c != nil {
+					j = (j + 1) & mask
+				}
+				t.slots[j] = s
+			}
+		}
+	}
+}
+
+// remove empties slot i, which holds a key. Each later entry of the probe
+// run whose home slot does not lie cyclically in (i, j], j its own slot,
+// would no longer be reached from its home, so it moves back into the gap,
+// which moves on to j.
+func (t *chanTable) remove(i int) {
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j].c != nil; j = (j + 1) & mask {
+		if home := int(t.slots[j].k.hash()) & mask; (j-home)&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = chanSlot{}
+	t.live--
 }
 
 // Stats holds the backend's traffic counters.
@@ -126,12 +208,11 @@ type Stats struct {
 func NewBackend(eng *timeline.Engine, top *topology.Topology) *Backend {
 	n, d := top.NumNPUs(), top.NumDims()
 	b := &Backend{
-		eng:   eng,
-		top:   top,
-		bw:    make([]units.Bandwidth, d),
-		npus:  n,
-		dims:  d,
-		chans: make(map[matchKey]*channel),
+		eng:  eng,
+		top:  top,
+		bw:   make([]units.Bandwidth, d),
+		npus: n,
+		dims: d,
 	}
 	for i, dim := range top.Dims {
 		b.bw[i] = dim.EffectiveBandwidth()
@@ -471,10 +552,8 @@ func (b *Backend) SimRecv(src, dst, tag int, recv timeline.Actor) {
 		panic("network: SimRecv requires an actor")
 	}
 	k := matchKey{src: src, dst: dst, tag: tag}
-	c := b.chans[k]
-	if c == nil {
-		c = b.openChannel(k)
-	} else if c.unclaimed > 0 {
+	c := b.openChannel(k)
+	if c.unclaimed > 0 {
 		c.unclaimed--
 		if c.unclaimed == 0 {
 			b.closeChannel(k, c)
@@ -488,10 +567,7 @@ func (b *Backend) SimRecv(src, dst, tag int, recv timeline.Actor) {
 // deliver hands a delivered message to its channel's oldest waiting
 // receive, or counts it as unclaimed.
 func (b *Backend) deliver(k matchKey) {
-	c := b.chans[k]
-	if c == nil {
-		c = b.openChannel(k)
-	}
+	c := b.openChannel(k)
 	if c.head == len(c.waiting) {
 		c.unclaimed++
 		return
@@ -505,9 +581,13 @@ func (b *Backend) deliver(k matchKey) {
 	recv.Act()
 }
 
-// openChannel files an empty channel record, recycled when one is pooled,
-// under k.
+// openChannel returns k's record or, if k is idle, files an empty one,
+// recycled when one is pooled, under k.
 func (b *Backend) openChannel(k matchKey) *channel {
+	i := b.chans.find(k)
+	if c := b.chans.slots[i].c; c != nil {
+		return c
+	}
 	var c *channel
 	if n := len(b.channels); n > 0 {
 		c = b.channels[n-1]
@@ -515,14 +595,14 @@ func (b *Backend) openChannel(k matchKey) *channel {
 	} else {
 		c = &channel{}
 	}
-	b.chans[k] = c
+	b.chans.insert(i, k, c)
 	return c
 }
 
 // closeChannel drops k's record, which holds neither an unclaimed message
 // nor a waiting receive, and pools it.
 func (b *Backend) closeChannel(k matchKey, c *channel) {
-	delete(b.chans, k)
+	b.chans.remove(b.chans.find(k))
 	c.waiting, c.head = c.waiting[:0], 0
 	b.channels = append(b.channels, c)
 }
