@@ -430,9 +430,16 @@ type Report struct {
 	// topology dimension.
 	TrafficPerDimMB []float64
 	// Collectives is the number of collectives that completed; Events the
-	// number of simulation events executed.
+	// number of simulation events executed, which counts only the
+	// simulated ranks' events.
 	Collectives int
 	Events      uint64
+	// SimulatedRanks is the number of ranks the run simulated. A symmetric
+	// run simulates one rank per block of ranks that run alike and copies
+	// its results to the rest of the block, so it reports fewer than the
+	// machine's NPUs and fires fewer events; every other field is what
+	// simulating every rank gives.
+	SimulatedRanks int
 }
 
 func toDuration(t units.Time) time.Duration {
@@ -505,6 +512,7 @@ func reportFromStats(workload string, stats *core.RunStats) *Report {
 		Idle:             toDuration(mean.Idle),
 		Collectives:      stats.CollectiveCount,
 		Events:           stats.Events,
+		SimulatedRanks:   stats.SimulatedRanks,
 	}
 	for _, b := range stats.TrafficPerDim {
 		rep.TrafficPerDimMB = append(rep.TrafficPerDimMB, float64(b)/1e6)

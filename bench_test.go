@@ -20,6 +20,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/garnet"
 	"repro/internal/network"
+	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/timeline"
 	"repro/internal/topology"
@@ -321,9 +322,9 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndGPT3 measures a full GPT-3 iteration simulation on the
-// Conv-4D system — the representative heavy workload-layer run.
-func BenchmarkEndToEndGPT3(b *testing.B) {
+// benchGPT3 is the Conv-4D system and the reduced-depth GPT-3 iteration
+// that BenchmarkEndToEndGPT3 and BenchmarkEndToEndGPT3Straggler simulate.
+func benchGPT3(b *testing.B) (*Machine, Workload) {
 	m, err := NewMachine(MachineConfig{
 		Topology:       "R(2)_FC(8)_R(8)_SW(4)",
 		BandwidthsGBps: []float64{250, 200, 100, 50},
@@ -333,11 +334,41 @@ func BenchmarkEndToEndGPT3(b *testing.B) {
 		b.Fatal(err)
 	}
 	// A reduced-depth GPT-3 keeps per-iteration benches tractable.
-	w := Transformer(175e9/8, 12, 12288, 2048, 1, 2, 16)
+	return m, Transformer(175e9/8, 12, 12288, 2048, 1, 2, 16)
+}
+
+// BenchmarkEndToEndGPT3 measures a full GPT-3 iteration simulation on the
+// Conv-4D system — the representative heavy workload-layer run. Every
+// rank runs alike, so the run folds onto one simulated rank.
+func BenchmarkEndToEndGPT3(b *testing.B) {
+	m, w := benchGPT3(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Run(w); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEndToEndGPT3Straggler is BenchmarkEndToEndGPT3 with one NPU
+// computing 1.3x slower from the start, the resilience study's
+// perturbation. A straggler acts on one rank, so the run cannot fold: it
+// keeps measured the unfolded collective engine, rendezvous and per-rank
+// state that every run with a straggler or failed NPU, every cluster job
+// that shares the fabric and every imported per-rank trace still takes.
+func BenchmarkEndToEndGPT3Straggler(b *testing.B) {
+	m, w := benchGPT3(b)
+	sc := &scenario.Scenario{Name: "straggler", Events: []scenario.Event{
+		{Kind: scenario.StraggleNPU, NPU: m.NumNPUs() - 1, Factor: 1.3},
+	}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, _, err := m.run(w, false, sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.SimulatedRanks != m.NumNPUs() {
+			b.Fatalf("simulated %d of %d ranks", rep.SimulatedRanks, m.NumNPUs())
 		}
 	}
 }

@@ -39,8 +39,11 @@ func TestClusterSingleJobMatchesIsolated(t *testing.T) {
 	if rep.Makespan != iso.Makespan {
 		t.Errorf("cluster makespan %v != isolated %v", rep.Makespan, iso.Makespan)
 	}
-	if rep.Events != iso.Events {
-		t.Errorf("cluster events %d != isolated %d", rep.Events, iso.Events)
+	// A job that shares nothing with another gets no arbitration hooks,
+	// so it folds exactly as the isolated run does.
+	if rep.Events != iso.Events || rep.SimulatedRanks != iso.SimulatedRanks {
+		t.Errorf("cluster events %d on %d simulated ranks != isolated %d on %d",
+			rep.Events, rep.SimulatedRanks, iso.Events, iso.SimulatedRanks)
 	}
 	if rep.Compute != iso.Compute || rep.ExposedComm != iso.ExposedComm || rep.Idle != iso.Idle {
 		t.Errorf("breakdowns differ: cluster %+v vs isolated %+v", rep, iso)

@@ -314,7 +314,7 @@ func printReport(m *astrasim.Machine, rep *astrasim.Report) {
 	fmt.Printf("  exposed local mem:  %v\n", rep.ExposedLocalMem)
 	fmt.Printf("  idle:               %v\n", rep.Idle)
 	fmt.Printf("traffic per dim (MB, sent+received per NPU): %v\n", fmtFloats(rep.TrafficPerDimMB))
-	fmt.Printf("collectives: %d, events: %d\n", rep.Collectives, rep.Events)
+	fmt.Printf("collectives: %d, events: %d, simulated ranks: %d\n", rep.Collectives, rep.Events, rep.SimulatedRanks)
 }
 
 func fmtFloats(fs []float64) string {

@@ -249,8 +249,11 @@ func TestSingleJobMatchesIsolatedRun(t *testing.T) {
 	if got.Makespan != iso.Makespan {
 		t.Errorf("cluster makespan %v != isolated %v", got.Makespan, iso.Makespan)
 	}
-	if got.Events != iso.Events {
-		t.Errorf("cluster events %d != isolated %d", got.Events, iso.Events)
+	// The job shares nothing, so it gets no arbitration hooks and folds
+	// exactly as the isolated run does.
+	if got.Events != iso.Events || got.SimulatedRanks != iso.SimulatedRanks {
+		t.Errorf("cluster events %d on %d simulated ranks != isolated %d on %d",
+			got.Events, got.SimulatedRanks, iso.Events, iso.SimulatedRanks)
 	}
 	if !reflect.DeepEqual(got.PerNPU, iso.PerNPU) {
 		t.Error("per-NPU breakdowns differ between cluster and isolated run")

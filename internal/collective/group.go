@@ -66,10 +66,15 @@ func NewSpanGroup(top *topology.Topology, spans []Span, base int) (Group, error)
 
 // CheckSpans reports whether spans form a valid group rooted at base: every
 // span names an existing physical dimension, has K >= 2 members and a
-// positive stride, the members reached from base stay inside the
-// dimension without wrapping, and the members number at most the NPUs
-// (spans sharing a dimension multiply). It allocates nothing, so callers
-// can check a span layout against every rank that uses it.
+// positive stride, and the members number at most the NPUs. Spans sharing
+// a dimension must nest: by ascending stride, each stride is a multiple of
+// the previous span's K × stride, so no two members coincide. And the
+// instance Members enumerates must stay inside each dimension: from the
+// base's position with every span's digit zeroed, as Origin zeroes it, the
+// reach Σ (K-1) × stride of the dimension's spans must not leave it. Then
+// the members are distinct ranks that include base and share its Origin.
+// It allocates nothing, so callers can check a span layout against every
+// rank that uses it.
 func CheckSpans(top *topology.Topology, spans []Span, base int) error {
 	if len(spans) == 0 {
 		return fmt.Errorf("collective: group must have at least one span")
@@ -89,7 +94,7 @@ func CheckSpans(top *topology.Topology, spans []Span, base int) error {
 			return fmt.Errorf("collective: span %d needs stride >= 1, got %d", i, s.Stride)
 		}
 		size := top.Dims[s.Phys].Size // bounds K and Stride before the reach can overflow
-		if s.K > size || s.Stride >= size || top.DimPos(base, s.Phys)%s.Stride+(s.K-1)*s.Stride >= size {
+		if s.K > size || s.Stride >= size {
 			return fmt.Errorf("collective: span %d (K=%d, stride=%d) exceeds dim %d size %d",
 				i, s.K, s.Stride, s.Phys, size)
 		}
@@ -97,7 +102,51 @@ func CheckSpans(top *topology.Topology, spans []Span, base int) error {
 			return fmt.Errorf("collective: spans 0..%d have more members than the machine's %d NPUs", i, top.NumNPUs())
 		}
 	}
+	for i, s := range spans {
+		if !firstOfDim(spans, i) {
+			continue // the dimension's first span checked it
+		}
+		pos, reach, last := top.DimPos(base, s.Phys), 0, i
+		for j := i; j < len(spans); j++ {
+			t := spans[j]
+			if t.Phys != s.Phys {
+				continue
+			}
+			for k := i; k < j; k++ {
+				if u := spans[k]; u.Phys == t.Phys && !nested(u, t) {
+					return fmt.Errorf("collective: spans %d and %d overlap on dim %d", k, j, t.Phys)
+				}
+			}
+			pos -= (pos / t.Stride % t.K) * t.Stride
+			reach += (t.K - 1) * t.Stride
+			last = j
+		}
+		if size := top.Dims[s.Phys].Size; pos+reach >= size {
+			t := spans[last]
+			return fmt.Errorf("collective: span %d (K=%d, stride=%d) exceeds dim %d size %d",
+				last, t.K, t.Stride, t.Phys, size)
+		}
+	}
 	return nil
+}
+
+// firstOfDim reports whether spans[i] is the first span on its dimension.
+func firstOfDim(spans []Span, i int) bool {
+	for _, u := range spans[:i] {
+		if u.Phys == spans[i].Phys {
+			return false
+		}
+	}
+	return true
+}
+
+// nested reports whether two spans of one dimension nest: the one with the
+// larger stride steps over whole instances of the other.
+func nested(a, b Span) bool {
+	if a.Stride > b.Stride {
+		a, b = b, a
+	}
+	return a.Stride < b.Stride && b.Stride%(a.K*a.Stride) == 0
 }
 
 // FullMachine returns the group spanning every physical dimension in full.

@@ -214,3 +214,114 @@ func TestMultiSpanSamePhysicalDim(t *testing.T) {
 		}
 	}
 }
+
+// CheckSpans accepts a layout at a base exactly when the spans of each
+// dimension nest and the instance Members enumerates from the base is a
+// real one: ∏K distinct ranks below the NPU count that include the base,
+// agree with it on every dimension no span names, and share its Origin.
+// Every layout of up to three spans over small machines is checked at
+// every base. Nesting is required, not implied: {K 2, stride 2} with
+// {K 2, stride 3} on R(7) forms the real instance [1 3 4 6] from base 1,
+// but not from base 0, whose members [0 2 3 5] have two origins.
+func TestCheckSpansMatchesMembers(t *testing.T) {
+	dims := func(sizes ...int) *topology.Topology {
+		var ds []topology.Dim
+		for _, n := range sizes {
+			ds = append(ds, topology.Dim{Kind: topology.Ring, Size: n, Bandwidth: units.GBps(100)})
+		}
+		return topology.MustNew(ds...)
+	}
+	tops := []*topology.Topology{dims(7), dims(8), dims(12), dims(4, 2), dims(2, 3, 2)}
+	checked, accepted := 0, 0
+	for _, top := range tops {
+		var all []Span
+		for d, dim := range top.Dims {
+			for k := 2; k <= dim.Size+1; k++ {
+				for stride := 1; stride <= dim.Size; stride++ {
+					all = append(all, Span{Phys: d, K: k, Stride: stride})
+				}
+			}
+		}
+		var layouts [][]Span
+		for _, a := range all {
+			layouts = append(layouts, []Span{a})
+			for _, b := range all {
+				if a.K*b.K > 2*top.NumNPUs() {
+					continue
+				}
+				layouts = append(layouts, []Span{a, b})
+				if top.NumNPUs() <= 8 {
+					for _, c := range all {
+						if a.K*b.K*c.K <= 2*top.NumNPUs() {
+							layouts = append(layouts, []Span{a, b, c})
+						}
+					}
+				}
+			}
+		}
+		for _, spans := range layouts {
+			for base := 0; base < top.NumNPUs(); base++ {
+				err := CheckSpans(top, spans, base)
+				real := spansNest(spans) && realInstance(top, spans, base)
+				if (err == nil) != real {
+					t.Fatalf("%v at base %d of %d NPUs: CheckSpans %v, but members %v (real instance: %v)",
+						spans, base, top.NumNPUs(), err, Group{Spans: spans, Base: base}.Members(top), real)
+				}
+				checked++
+				if real {
+					accepted++
+				}
+			}
+		}
+	}
+	if accepted == 0 || accepted == checked {
+		t.Errorf("%d of %d layouts accepted: the property was not exercised", accepted, checked)
+	}
+}
+
+// spansNest reports whether the spans of each dimension, by ascending
+// stride, each step over whole instances of the one before.
+func spansNest(spans []Span) bool {
+	sorted := slices.Clone(spans)
+	slices.SortFunc(sorted, func(a, b Span) int {
+		if a.Phys != b.Phys {
+			return a.Phys - b.Phys
+		}
+		return a.Stride - b.Stride
+	})
+	for i := 1; i < len(sorted); i++ {
+		a, b := sorted[i-1], sorted[i]
+		if a.Phys == b.Phys && (a.Stride == b.Stride || b.Stride%(a.K*a.Stride) != 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// realInstance reports whether the members Group.Members enumerates from
+// base form a real instance (see TestCheckSpansMatchesMembers).
+func realInstance(top *topology.Topology, spans []Span, base int) bool {
+	g := Group{Spans: spans, Base: base}
+	members := g.Members(top)
+	if len(members) != g.Size() || !slices.Contains(members, base) {
+		return false
+	}
+	spanned := make([]bool, top.NumDims())
+	for _, s := range spans {
+		spanned[s.Phys] = true
+	}
+	for i, m := range members {
+		if m >= top.NumNPUs() || (i > 0 && m == members[i-1]) {
+			return false
+		}
+		for d := range spanned {
+			if !spanned[d] && top.DimPos(m, d) != top.DimPos(base, d) {
+				return false
+			}
+		}
+		if (Group{Spans: spans, Base: m}).Origin(top) != g.Origin(top) {
+			return false
+		}
+	}
+	return true
+}

@@ -27,6 +27,47 @@
 // starts iteration k+1 only after its iteration-k sends have left and its
 // receives have matched, and each (src, dst, tag) channel delivers in send
 // order, so FIFO matching pairs the messages of one iteration.
+//
+// # Folding symmetric runs
+//
+// Start finds the largest block F of ranks, a product of the innermost
+// dimension sizes, in which every rank does exactly what the block's first
+// rank does, and simulates only the ranks r ≡ 0 (mod F). Four conditions
+// make the fold exact:
+//
+//  1. Nothing outside the trace tells the ranks of a block apart: no flow
+//     controller or remote arbiter is attached (a cluster arbitrates each
+//     job's flows and remote accesses against other jobs'), and the
+//     scenario has no fail_npu or straggle_npu event, each of which acts
+//     on one rank. Link events act on a whole dimension, so they fold.
+//  2. No plan holds a send or a receive, so no message's peer and traffic
+//     need mapping onto the simulated ranks.
+//  3. Every rank r runs the same plan as rank r - r mod F.
+//  4. No rank has collectives on two different groups in flight at once:
+//     every plan runs all its collectives on whole-machine groups, or
+//     orders all of them in one dependency chain. Two collectives a rank
+//     issues at one instant on overlapping groups claim a shared link in
+//     an order that depends on the rank, so ranks running one plan finish
+//     at different times and no simulated rank could stand for them all.
+//     And where blocks run different plans (F below the NPU count), no
+//     group but the whole machine may leave a block: such a group
+//     completes its instances one after another, each instance's members
+//     in every block it spans, so the blocks' next collectives start, and
+//     finish, interleaved, which a log of whole blocks cannot reproduce.
+//
+// The conditions are checked cheapest first, (4) once per distinct plan in
+// one pass in topological order; F = 1 simulates every rank. A folded run
+// still checks every rank's spans. It gives each communicator instance only
+// its m simulated members, which reserve only their own links, and counts
+// the instance's link-set traffic for m·F ranks. It sizes an in-switch
+// collective's shard by the group, not by the simulated members, counts and
+// logs each finished collective F·m/k times for an instance of k members
+// (the instances the blocks of its members hold), and scales a deadlock
+// report's pending-node count by F. Finalize copies rank r - r mod F's
+// breakdown, and its intervals when the timeline is recorded, to rank r.
+// Every RunStats field is then what simulating every rank gives, except
+// Events, the events actually fired, and SimulatedRanks, which says how far
+// the run folded.
 package core
 
 import (
@@ -175,8 +216,14 @@ type RunStats struct {
 	// TrafficPerDim is the per-NPU mean sent+received bytes per physical
 	// dimension across the whole run.
 	TrafficPerDim []units.ByteSize
-	// Events is the number of discrete events executed.
+	// Events is the number of discrete events executed. A folded run fires
+	// only its simulated ranks' events, so it counts fewer than the same
+	// run unfolded; every other field is the same either way.
 	Events uint64
+	// SimulatedRanks is the number of ranks the run simulated: the NPU
+	// count divided by the block each simulated rank stood for, or the NPU
+	// count when the run did not fold.
+	SimulatedRanks int
 	// Timeline holds each NPU's attributed activity intervals when
 	// Config.RecordTimeline is set (idle spans are omitted).
 	Timeline []Interval
@@ -214,16 +261,22 @@ type Simulator struct {
 	net  *network.Backend
 	coll *collective.Engine
 
-	npus []npuState
+	// npus holds the simulated ranks' state, rank r at npus[r/fold]. fold
+	// is the block of ranks one simulated rank stands for (see the package
+	// doc); 1 simulates every rank. unfolded forces fold 1, so tests can
+	// compare a folded run with its unfolded twin.
+	npus     []npuState
+	fold     int
+	unfolded bool
 
 	// freeOps recycles node completion events.
 	freeOps []*nodeOp
 
 	collLog []collective.Result
 	nColl   int
-	// remaining counts the nodes still to complete over every iteration;
-	// left, allocated only for a trace with several iterations, counts
-	// them per rank.
+	// remaining counts the simulated ranks' nodes still to complete over
+	// every iteration; left, allocated only for a trace with several
+	// iterations, counts them per simulated rank.
 	remaining int
 	left      []int
 	// err is the first collective launch failure; Finalize reports it.
@@ -263,14 +316,18 @@ type instanceKey struct {
 // groupInstance is one communicator instance. Its members issue the
 // instance's collectives in the same per-member sequence, so they launch in
 // sequence order: open holds the collectives some member has reached but
-// not every member, oldest (sequence number base) first. links is the
-// instance's registered link set on the network backend, the machine set
-// for a whole-machine instance. free recycles completed collectives'
-// records.
+// not every member, oldest (sequence number base) first. members are the
+// instance's simulated members, and links is their registered link set on
+// the network backend, the machine set for an unfolded whole-machine
+// instance. size is the group's member count, simulated or not, and reps
+// the number of instances the instance stands for in a folded run (1
+// unfolded). free recycles completed collectives' records.
 type groupInstance struct {
 	group   collective.Group
 	members []int
 	links   *network.LinkSet
+	size    int
+	reps    int
 	open    []*pendingCollective
 	free    []*pendingCollective
 	base    int32
@@ -304,16 +361,17 @@ func (s *Simulator) newPending(inst *groupInstance) *pendingCollective {
 }
 
 // finish completes every member of a launched collective in ascending rank
-// order, counts and logs the result and recycles the record.
+// order, counts and logs the result once per instance the instance stands
+// for, and recycles the record.
 func (p *pendingCollective) finish(res collective.Result) {
 	s, inst := p.s, p.inst
 	for i, rank := range inst.members {
-		member := &s.npus[rank]
+		member := &s.npus[rank/s.fold]
 		s.markFree(member, &member.nComm)
 		s.complete(member, p.nodes[i])
 	}
-	s.nColl++
-	if len(s.collLog) < s.cfg.CollectiveLogLimit {
+	s.nColl += inst.reps
+	for r := 0; r < inst.reps && len(s.collLog) < s.cfg.CollectiveLogLimit; r++ {
 		s.collLog = append(s.collLog, res)
 	}
 	// Recycle only after the loop: completing a member can issue the
@@ -445,11 +503,12 @@ func (s *Simulator) Start(trace *et.Trace, at units.Time) error {
 	return nil
 }
 
-// compile builds the per-rank execution state from the trace's plans: the
+// compile builds the execution state from the trace's plans: the
 // communicator layouts of each distinct plan, one interned layout per
-// distinct communicator shape, and every rank's communicator instances,
-// checking each layout against every rank that uses it. It sets the
-// simulator's state only when the whole trace checks out.
+// distinct communicator shape, the fold, and each simulated rank's
+// communicator instances, checking each layout against every rank that
+// uses it, simulated or not. It sets the simulator's state only when the
+// whole trace checks out.
 func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) error {
 	top := s.cfg.Topology
 	full := collective.FullMachine(top).Spans
@@ -491,18 +550,19 @@ func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) er
 		return id
 	}
 
-	npus := make([]npuState, trace.NumNPUs)
+	byRank := make([]*graphPlan, trace.NumNPUs)
 	layoutsOf := make(map[*et.Plan]*graphPlan)
-	var nodeTotal, slotTotal int
+	var distinct []*graphPlan
+	var nodeTotal int
 	for i, g := range trace.Graphs {
 		p := layoutsOf[plans[i]]
 		if p == nil {
 			p = planLayouts(plans[i], internLayout)
 			layoutsOf[plans[i]] = p
+			distinct = append(distinct, p)
 		}
-		npus[g.NPU].plan = p
+		byRank[g.NPU] = p
 		nodeTotal += len(p.Nodes())
-		slotTotal += len(p.layouts)
 	}
 	iters := max(trace.Iterations, 1)
 	switch {
@@ -511,49 +571,180 @@ func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) er
 	case nodeTotal > math.MaxInt/iters:
 		return fmt.Errorf("core: %d nodes x %d iterations overflows the node count", nodeTotal, iters)
 	}
+	for rank, p := range byRank {
+		for i, id := range p.layouts {
+			if err := collective.CheckSpans(top, layouts[id], rank); err != nil {
+				first := slices.Index(p.slot, int32(i)) // the first node using the layout
+				return fmt.Errorf("core: npu %d node %d: %w", rank, p.Nodes()[first].ID, err)
+			}
+		}
+	}
 
-	// Every rank's in-degrees and layout slots are windows of two shared
-	// arrays, so set-up allocates per plan, not per rank.
-	indeg := make([]int32, nodeTotal)
+	fold := s.foldBlock(byRank, distinct, layouts)
+	npus := make([]npuState, len(byRank)/fold)
+	var simTotal, slotTotal int
+	for i := range npus {
+		p := byRank[i*fold]
+		npus[i].plan = p
+		simTotal += len(p.Nodes())
+		slotTotal += len(p.layouts)
+	}
+	// Every simulated rank's in-degrees and layout slots are windows of two
+	// shared arrays, so set-up allocates per plan, not per rank.
+	indeg := make([]int32, simTotal)
 	slots := make([]rankSlot, slotTotal)
 	instances := make(map[instanceKey]*groupInstance)
-	for rank := range npus {
-		st := &npus[rank]
+	for i := range npus {
+		st := &npus[i]
 		p := st.plan
-		st.rank = rank
+		st.rank = i * fold
 		st.lastTouch = at
 		st.recording = s.cfg.RecordTimeline
 		n := len(p.Nodes())
 		st.indeg, indeg = indeg[:n:n], indeg[n:]
 		copy(st.indeg, p.InDegrees())
 		st.slots, slots = slots[:len(p.layouts):len(p.layouts)], slots[len(p.layouts):]
-		for i, id := range p.layouts {
-			spans := layouts[id]
-			if err := collective.CheckSpans(top, spans, rank); err != nil {
-				first := slices.Index(p.slot, int32(i)) // the first node using the layout
-				return fmt.Errorf("core: npu %d node %d: %w", rank, p.Nodes()[first].ID, err)
-			}
-			g := collective.Group{Spans: spans, Base: rank}
+		for li, id := range p.layouts {
+			g := collective.Group{Spans: layouts[id], Base: st.rank}
 			key := instanceKey{origin: g.Origin(top), layout: id}
 			inst := instances[key]
 			if inst == nil {
 				g.Base = key.origin
-				inst = &groupInstance{group: g, members: g.Members(top)}
-				inst.links = s.net.NewLinkSet(inst.members)
+				inst = s.newInstance(g, fold)
 				instances[key] = inst
 			}
-			st.slots[i].inst = inst
+			st.slots[li].inst = inst
 		}
 	}
 	if iters > 1 {
 		s.left = make([]int, len(npus))
-		for rank := range npus {
-			s.left[rank] = len(npus[rank].indeg) * iters
+		for i := range npus {
+			s.left[i] = len(npus[i].indeg) * iters
 		}
 	}
 	s.npus = npus
-	s.remaining = nodeTotal * iters
+	s.fold = fold
+	s.remaining = simTotal * iters
 	return nil
+}
+
+// newInstance registers the communicator instance g, whose Base is its
+// origin, on the network backend. In a run folded by blocks of fold ranks
+// the instance holds only its simulated members, the m members that the
+// spans outside the block reach from the origin. It stands for the fold·m/k
+// instances of k members that the blocks of its members hold, and its link
+// set counts each member's traffic for fold ranks. Unfolded, every span is
+// outside the block of one rank, so the instance holds all its members.
+func (s *Simulator) newInstance(g collective.Group, fold int) *groupInstance {
+	top := s.cfg.Topology
+	outer := collective.Group{Base: g.Base}
+	for _, sp := range g.Spans {
+		if top.DimStride(sp.Phys) >= fold {
+			outer.Spans = append(outer.Spans, sp)
+		}
+	}
+	members := outer.Members(top)
+	size := g.Size()
+	return &groupInstance{
+		group:   g,
+		members: members,
+		links:   s.net.NewWeightedLinkSet(members, fold),
+		size:    size,
+		reps:    fold * len(members) / size,
+	}
+}
+
+// foldBlock returns the block F of ranks one simulated rank can stand for
+// exactly: the largest product of the innermost dimension sizes for which
+// the package doc's four conditions hold, checked cheapest first, or 1 if
+// the run cannot fold.
+func (s *Simulator) foldBlock(byRank, distinct []*graphPlan, layouts [][]collective.Span) int {
+	// (1) Nothing outside the trace treats ranks of a block differently.
+	if s.unfolded || s.cfg.FlowController != nil || s.cfg.RemoteArbiter != nil {
+		return 1
+	}
+	if sc := s.cfg.Scenario; sc != nil {
+		for _, ev := range sc.Events {
+			if ev.Kind == scenario.FailNPU || ev.Kind == scenario.StraggleNPU {
+				return 1
+			}
+		}
+	}
+	// (2) No point-to-point traffic.
+	for _, p := range distinct {
+		if p.HasP2P() {
+			return 1
+		}
+	}
+	// (3) Every change of plan, in rank order, starts a block.
+	top := s.cfg.Topology
+	dims, fold := top.NumDims(), top.NumNPUs()
+	for r := 1; r < len(byRank) && fold > 1; r++ {
+		for byRank[r] != byRank[r-1] && r%fold != 0 {
+			dims--
+			fold = top.DimStride(dims)
+		}
+	}
+	if fold == 1 {
+		return 1
+	}
+	// (4) No rank runs two collectives at once on different groups, and
+	// where blocks run different plans, no group but the whole machine
+	// leaves a block.
+	whole := make([]bool, len(layouts))
+	for id, spans := range layouts {
+		whole[id] = collective.Group{Spans: spans}.Size() == top.NumNPUs()
+	}
+	crosses := func(sp collective.Span) bool { return top.DimStride(sp.Phys) >= fold }
+	for _, p := range distinct {
+		if !p.tieFree(whole) {
+			return 1
+		}
+		if len(distinct) == 1 {
+			continue
+		}
+		for _, id := range p.layouts {
+			if !whole[id] && slices.ContainsFunc(layouts[id], crosses) {
+				return 1
+			}
+		}
+	}
+	return fold
+}
+
+// tieFree reports whether the plan runs all its collectives on
+// whole-machine groups (whole, by layout id) or orders all of them in one
+// dependency chain, so that a rank never has collectives on two different
+// groups in flight at once. It visits the plan once in topological order,
+// carrying to each node the length of the chain of collectives that
+// precedes it: a collective extends the chain only if the chain's last
+// collective precedes it.
+func (p *graphPlan) tieFree(whole []bool) bool {
+	if !slices.ContainsFunc(p.slot, func(li int32) bool { return li >= 0 && !whole[p.layouts[li]] }) {
+		return true
+	}
+	indeg := slices.Clone(p.InDegrees())
+	chain := make([]int32, len(indeg))
+	ready := slices.Clone(p.Roots())
+	var length int32
+	for len(ready) > 0 {
+		pos := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		if p.slot[pos] >= 0 {
+			if chain[pos] != length {
+				return false
+			}
+			length++
+			chain[pos] = length
+		}
+		for _, c := range p.Dependents(pos) {
+			chain[c] = max(chain[c], chain[pos])
+			if indeg[c]--; indeg[c] == 0 {
+				ready = append(ready, c)
+			}
+		}
+	}
+	return true
 }
 
 // appendSpanKey appends a span's three coordinates to a layout key.
@@ -645,32 +836,39 @@ func (s *Simulator) Finalize() (*RunStats, error) {
 	}
 	if s.remaining > 0 {
 		return nil, fmt.Errorf("core: simulation deadlocked with %d nodes pending (unmatched P2P or incomplete collective rendezvous); first stuck: %s",
-			s.remaining, s.describeStuck())
+			s.remaining*s.fold, s.describeStuck())
 	}
 
-	makespan := s.finished - s.startAt
+	n := s.cfg.Topology.NumNPUs()
 	stats := &RunStats{
-		Makespan:        makespan,
-		PerNPU:          make([]Breakdown, len(s.npus)),
+		Makespan:        s.finished - s.startAt,
+		PerNPU:          make([]Breakdown, n),
 		Collectives:     s.collLog,
 		CollectiveCount: s.nColl,
 		Events:          s.eng.Fired(),
+		SimulatedRanks:  len(s.npus),
 	}
 	for i := range s.npus {
 		st := &s.npus[i]
 		st.touch(s.finished)
 		st.breakdown.Idle += s.finished - st.lastTouch
 		st.lastTouch = s.finished
-		stats.PerNPU[i] = st.breakdown
+	}
+	// Every rank of a block ran what its simulated rank ran.
+	for rank := range stats.PerNPU {
+		st := &s.npus[rank/s.fold]
+		stats.PerNPU[rank] = st.breakdown
 		if s.cfg.RecordTimeline {
-			stats.Timeline = append(stats.Timeline, st.timeline...)
+			for _, iv := range st.timeline {
+				iv.NPU = rank
+				stats.Timeline = append(stats.Timeline, iv)
+			}
 		}
 	}
 	traffic := s.net.Stats().Traffic
 	stats.TrafficPerDim = make([]units.ByteSize, len(traffic))
-	n := units.ByteSize(len(s.npus))
 	for d, sum := range traffic {
-		stats.TrafficPerDim[d] = sum / n
+		stats.TrafficPerDim[d] = sum / units.ByteSize(n)
 	}
 	return stats, nil
 }
@@ -869,7 +1067,6 @@ func (s *Simulator) issueCollective(st *npuState, pos int32) {
 }
 
 func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
-	members := p.inst.members
 	if n.InSwitch && s.cfg.Memory.HasPool && s.cfg.Memory.Pool.SupportsInSwitchCollectives() {
 		// Fused in-switch collective through the memory fabric: all
 		// members complete together after the pipelined fabric time. The
@@ -877,7 +1074,7 @@ func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
 		// All-Gather whose members each end with CommBytes contributes
 		// CommBytes/|group| per GPU (and symmetrically for the
 		// reduce-on-store direction).
-		shard := units.ByteSize(n.CommBytes) / units.ByteSize(len(members))
+		shard := units.ByteSize(n.CommBytes) / units.ByteSize(p.inst.size)
 		if shard < 1 {
 			shard = 1
 		}
@@ -938,8 +1135,9 @@ func (s *Simulator) complete(st *npuState, pos int32) {
 		s.finished = s.eng.Now()
 	}
 	if s.left != nil {
-		s.left[st.rank]--
-		if left := s.left[st.rank]; left > 0 && left%len(st.indeg) == 0 {
+		i := st.rank / s.fold
+		s.left[i]--
+		if left := s.left[i]; left > 0 && left%len(st.indeg) == 0 {
 			copy(st.indeg, st.plan.InDegrees())
 			s.releaseRoots(st)
 			return

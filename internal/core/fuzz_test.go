@@ -52,7 +52,38 @@ func fuzzTraceSeeds() []string {
 		// rank the same list; then the same ring with one size mismatch.
 		ringSeed(4096),
 		ringSeed(8192),
+		// ET: every rank runs one chain, a whole-machine All-Reduce, then
+		// a pairwise All-Gather and a remote load, so the shared trace
+		// folds onto one rank; the same with the two collectives issued at
+		// once, which does not fold; and two lists, one for ranks 0-1 and
+		// one for ranks 2-3, with whole-machine collectives only, which
+		// fold onto ranks 0 and 2 on R(2)_SW(2).
+		blockSeed(4, 4, `{"id":1,"kind":"COMP","flops":1e9},`+
+			`{"id":2,"kind":"COMM_COLL","deps":[1],"collective":"ALL_REDUCE","comm_bytes":65536},`+
+			`{"id":3,"kind":"COMM_COLL","deps":[2],"collective":"ALL_GATHER","comm_bytes":4096,"group":{"spans":[{"phys":0,"k":2,"stride":1}]}},`+
+			`{"id":4,"kind":"MEM","deps":[3],"mem_op":"LOAD","mem_location":"REMOTE","tensor_bytes":1024}`),
+		blockSeed(4, 4, `{"id":1,"kind":"COMP","flops":1e9},`+
+			`{"id":2,"kind":"COMM_COLL","deps":[1],"collective":"ALL_REDUCE","comm_bytes":65536},`+
+			`{"id":3,"kind":"COMM_COLL","deps":[1],"collective":"ALL_GATHER","comm_bytes":4096,"group":{"spans":[{"phys":0,"k":2,"stride":1}]}}`),
+		blockSeed(4, 2, `{"id":1,"kind":"COMP","flops":1e9},`+
+			`{"id":2,"kind":"COMM_COLL","deps":[1],"collective":"ALL_TO_ALL","comm_bytes":65536},`+
+			`{"id":3,"kind":"COMM_COLL","deps":[1],"collective":"REDUCE_SCATTER","comm_bytes":4096,"in_switch":true}`),
 	}
+}
+
+// blockSeed is an ET document of n NPUs in which each block of block ranks
+// runs the nodes given, with the first node's FLOPs scaled by the block's
+// index plus one.
+func blockSeed(n, block int, nodes string) string {
+	doc := fmt.Sprintf(`{"name":"blocks","num_npus":%d,"graphs":[`, n)
+	for r := 0; r < n; r++ {
+		if r > 0 {
+			doc += ","
+		}
+		list := strings.Replace(nodes, `"flops":1e9`, fmt.Sprintf(`"flops":%de9`, r/block+1), 1)
+		doc += fmt.Sprintf(`{"npu":%d,"nodes":[%s]}`, r, list)
+	}
+	return doc + "]}"
 }
 
 // peerSeed is a FuzzRunTrace seed whose JSON peer sits at one end of int,
@@ -122,16 +153,18 @@ func ringSeed(recv2 int) string {
 // FuzzRunTrace feeds arbitrary bytes through the trace decoders into a
 // whole simulation. The bytes are read as an ET document or, failing that,
 // as a PARAM PyTorch graph through convert; any trace of 2-16 NPUs then
-// runs for one to three iterations on SW(n) with a hierarchical memory
-// pool, transit charging and an event budget. Start, Run and Finalize may
+// runs for one to three iterations on SW(n), or for some inputs with an
+// even n > 2 on R(2)_SW(n/2), with a hierarchical memory pool, transit
+// charging and an event budget. Start, Run and Finalize may
 // return errors but must never panic.
 //
 // Each trace also runs with its equal lists shared (share), as a
 // generated trace's ranks share them. That form must encode to the same
 // bytes, fail Start exactly when the trace does and with the same error,
-// and past Start give the same errors and RunStats.
+// and past Start give the same errors and RunStats. Both run unfolded:
+// only shared lists can fold.
 //
-// Three oracles check the results:
+// Four oracles check the results:
 //   - in a finished run, every NPU's breakdown adds up to the makespan;
 //   - a trace that starts runs its iterations exactly as its unrolled
 //     reference (unroll) does, with the same RunStats, and fails exactly
@@ -139,7 +172,10 @@ func ringSeed(recv2 int) string {
 //     that unrolling cannot overflow;
 //   - the trace's JSON, decoded again and given the same iteration count,
 //     fails to decode with the trace's Start error, or gives the same Start
-//     error, or the same run errors and RunStats.
+//     error, or the same run errors and RunStats;
+//   - the shared trace, folded where it can fold, gives the same errors
+//     and RunStats as unfolded, but for the events fired and the ranks
+//     simulated, unless the unfolded run spent its event budget.
 func FuzzRunTrace(f *testing.F) {
 	for _, s := range fuzzTraceSeeds() {
 		f.Add([]byte(s))
@@ -169,7 +205,15 @@ func FuzzRunTrace(f *testing.F) {
 		if errText(encErr) != errText(sharedErr) || !bytes.Equal(enc.Bytes(), sharedEnc.Bytes()) {
 			t.Fatalf("shared trace encodes differently: %v vs %v\n%s\n%s", encErr, sharedErr, enc.Bytes(), sharedEnc.Bytes())
 		}
-		top, err := topology.New(topology.Dim{Kind: topology.Switch, Size: n, Bandwidth: units.GBps(100), Latency: 500 * units.Nanosecond})
+		dims := []topology.Dim{{Kind: topology.Switch, Size: n, Bandwidth: units.GBps(100), Latency: 500 * units.Nanosecond}}
+		if len(doc)/3%2 == 1 && n%2 == 0 && n > 2 {
+			// Blocks of two ranks that run different plans can fold.
+			dims = []topology.Dim{
+				{Kind: topology.Ring, Size: 2, Bandwidth: units.GBps(200), Latency: 500 * units.Nanosecond},
+				{Kind: topology.Switch, Size: n / 2, Bandwidth: units.GBps(100), Latency: 500 * units.Nanosecond},
+			}
+		}
+		top, err := topology.New(dims...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,23 +237,39 @@ func FuzzRunTrace(f *testing.F) {
 			Chunks:                 4,
 			ModelTransitCongestion: true,
 		}
-		// simulate returns Start's error, or the run's and Finalize's.
-		simulate := func(tr *et.Trace) (startErr, runErr error, stats *RunStats) {
+		// simulate returns Start's error, or the run's and Finalize's, and
+		// whether the run spent its event budget; with unfolded set it
+		// simulates every rank.
+		const budget = 1 << 16
+		spent := false
+		simulate := func(tr *et.Trace, unfolded bool) (startErr, runErr error, stats *RunStats) {
 			eng := timeline.New()
-			eng.SetEventBudget(1 << 16)
+			eng.SetEventBudget(budget)
 			sim, err := NewSimulatorOn(eng, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sim.unfolded = unfolded
 			if err := sim.Start(tr, 0); err != nil {
 				return err, nil, nil
 			}
 			_, runErr = eng.Run()
+			spent = eng.Fired() >= budget
 			stats, err = sim.Finalize()
 			return nil, errors.Join(runErr, err), stats
 		}
-		start, runErr, stats := simulate(trace)
-		sharedStart, sharedRun, sharedStats := simulate(shared)
+		start, runErr, stats := simulate(trace, true)
+		sharedStart, sharedRun, sharedStats := simulate(shared, true)
+		if sharedSpent := spent; !sharedSpent {
+			foldStart, foldRun, foldStats := simulate(shared, false)
+			// The folded run fires fewer events, so it may finish where
+			// the unfolded one ran out of budget.
+			if errText(sharedStart) != errText(foldStart) || errText(sharedRun) != errText(foldRun) ||
+				!reflect.DeepEqual(withoutEvents(sharedStats), withoutEvents(foldStats)) {
+				t.Fatalf("folded run: start %v, run %v; unfolded: start %v, run %v; stats equal but for events: %v",
+					foldStart, foldRun, sharedStart, sharedRun, reflect.DeepEqual(withoutEvents(sharedStats), withoutEvents(foldStats)))
+			}
+		}
 		if errText(start) != errText(sharedStart) {
 			t.Fatalf("Start: %v, but %v for the shared trace", start, sharedStart)
 		}
@@ -224,7 +284,7 @@ func FuzzRunTrace(f *testing.F) {
 				decStart = err
 			} else {
 				decoded.Iterations = trace.Iterations
-				decStart, decRun, decStats = simulate(decoded)
+				decStart, decRun, decStats = simulate(decoded, true)
 			}
 			if errText(start) != errText(decStart) || errText(runErr) != errText(decRun) || !reflect.DeepEqual(stats, decStats) {
 				t.Fatalf("start %v, run %v; from its JSON: start %v, run %v; stats equal: %v",
@@ -242,7 +302,7 @@ func FuzzRunTrace(f *testing.F) {
 			}
 		}
 		if trace.Iterations > 1 && smallIDsAndTags(trace) {
-			unStart, unRun, unStats := simulate(unroll(trace, trace.Iterations))
+			unStart, unRun, unStats := simulate(unroll(trace, trace.Iterations), true)
 			if unStart != nil || (runErr == nil) != (unRun == nil) || !reflect.DeepEqual(stats, unStats) {
 				t.Fatalf("%d native iterations: %v; unrolled: start %v, run %v; stats equal: %v",
 					trace.Iterations, runErr, unStart, unRun, reflect.DeepEqual(stats, unStats))

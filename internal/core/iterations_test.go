@@ -70,16 +70,24 @@ func unroll(tr *et.Trace, n int) *et.Trace {
 }
 
 // checkMatchesUnrolled runs tr natively for n iterations and unrolled n
-// times, and requires identical run statistics.
+// times, both with every rank simulated, and requires identical run
+// statistics, events included. The unrolled trace's lists are per rank, so
+// it never folds; the native run must also match it folded, but for the
+// events fired and the ranks simulated.
 func checkMatchesUnrolled(t *testing.T, name string, cfg Config, tr *et.Trace, n int) *RunStats {
 	t.Helper()
-	want := run(t, cfg, unroll(tr, n))
+	want := runMode(t, cfg, unroll(tr, n), true)
 	tr.Iterations = n
-	got := run(t, cfg, tr)
+	got := runMode(t, cfg, tr, true)
+	folded := run(t, cfg, tr)
 	tr.Iterations = 0
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("%s x%d: native iterations differ from the unrolled trace: makespan %v vs %v, events %d vs %d",
 			name, n, got.Makespan, want.Makespan, got.Events, want.Events)
+	}
+	if !reflect.DeepEqual(withoutEvents(folded), withoutEvents(want)) {
+		t.Errorf("%s x%d: folded native iterations differ from the unrolled trace: makespan %v vs %v",
+			name, n, folded.Makespan, want.Makespan)
 	}
 	return got
 }
@@ -178,7 +186,7 @@ func TestIterationsIssueRootsInIDOrder(t *testing.T) {
 	want := checkMatchesUnrolled(t, "racing sends", cfg, racingSends(false), 3)
 	reversed := racingSends(true)
 	reversed.Iterations = 3
-	if got := run(t, cfg, reversed); !reflect.DeepEqual(got, want) {
+	if got := runMode(t, cfg, reversed, true); !reflect.DeepEqual(got, want) {
 		t.Errorf("reversed list: makespan %v, events %d; want %v, %d", got.Makespan, got.Events, want.Makespan, want.Events)
 	}
 }

@@ -302,8 +302,8 @@ func (p *Plan) recvs() []int32 { return p.idx[p.nroots+p.nsends:] }
 // with when rank issues it.
 func (p *Plan) Peer(n *Node, rank int) int { return rank + n.Peer }
 
-// hasP2P reports whether the list holds a send or a receive.
-func (p *Plan) hasP2P() bool { return len(p.idx) > int(p.nroots) }
+// HasP2P reports whether the list holds a send or a receive.
+func (p *Plan) HasP2P() bool { return len(p.idx) > int(p.nroots) }
 
 // checkPeers returns an error for the first send or receive, in list
 // order, whose resolved peer is not a rank below npus when rank issues it.
@@ -695,7 +695,7 @@ func matchGroup(a *Plan, sends []int32, b *Plan, recvs []int32) p2pFault {
 // without sends. A faulty group carries its lowest faulty tag, so the
 // lowest faulty (src, dst, tag) channel is the one reported.
 func (t *Trace) matchP2P(plans []*Plan) error {
-	if !slices.ContainsFunc(plans, (*Plan).hasP2P) {
+	if !slices.ContainsFunc(plans, (*Plan).HasP2P) {
 		return nil
 	}
 	byNPU := make([]*Plan, t.NumNPUs)

@@ -532,3 +532,29 @@ func TestMachineSetReclaimsLinks(t *testing.T) {
 		t.Fatalf("dim %d traffic total %d, reference %d", dim, got, want)
 	}
 }
+
+// A weighted link set reserves only its members' links, at the times an
+// unweighted set over the same members gets, but counts each phase's
+// traffic for members × weight ranks.
+func TestWeightedLinkSetCountsTrafficForItsWeight(t *testing.T) {
+	top := topology.MustNew(topology.Dim{Kind: topology.Ring, Size: 8, Bandwidth: units.GBps(100)})
+	plain, weighted := NewBackend(timeline.New(), top), NewBackend(timeline.New(), top)
+	members := []int{0, 4}
+	a, b := plain.NewLinkSet(members), weighted.NewWeightedLinkSet(members, 4)
+	for i := 0; i < 3; i++ {
+		s1, e1 := plain.ReservePhase(a, 0, units.MB)
+		s2, e2 := weighted.ReservePhase(b, 0, units.MB)
+		if s1 != s2 || e1 != e2 {
+			t.Fatalf("phase %d: weighted set reserved [%v, %v], unweighted [%v, %v]", i, s2, e2, s1, e1)
+		}
+	}
+	if got, want := weighted.Stats().Traffic[0], 3*8*units.MB; got != want {
+		t.Errorf("weighted traffic %v, want %v", got, want)
+	}
+	if got, want := plain.Stats().Traffic[0], 3*2*units.MB; got != want {
+		t.Errorf("unweighted traffic %v, want %v", got, want)
+	}
+	if got := weighted.PhaseAvailability(b, 0); got != plain.PhaseAvailability(a, 0) {
+		t.Errorf("weighted set available at %v, unweighted at %v", got, plain.PhaseAvailability(a, 0))
+	}
+}

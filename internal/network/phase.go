@@ -21,6 +21,9 @@ import (
 type LinkSet struct {
 	id int32 // index into the backend's sets; 0 is the machine set
 	n  int   // member count
+	// ranks is how many ranks a phase's traffic counts for: n, or n times
+	// the weight each member stands for (see NewWeightedLinkSet).
+	ranks int
 	// members is nil for the machine set until something walks it.
 	members []int
 	floor   []units.Time
@@ -45,6 +48,7 @@ func (b *Backend) addSet(members []int, n int) *LinkSet {
 	s := &LinkSet{
 		id:      int32(len(b.sets)),
 		n:       n,
+		ranks:   n,
 		members: members,
 		floor:   make([]units.Time, b.dims),
 		owns:    make([]bool, b.dims),
@@ -63,11 +67,19 @@ func (b *Backend) Machine() *LinkSet { return b.sets[0] }
 // afterwards, nor repeat a rank). Members naming every NPU return the
 // machine set. Sets live as long as the backend; register one per
 // instance, not per collective.
-func (b *Backend) NewLinkSet(members []int) *LinkSet {
+func (b *Backend) NewLinkSet(members []int) *LinkSet { return b.NewWeightedLinkSet(members, 1) }
+
+// NewWeightedLinkSet is NewLinkSet for members that each stand for weight
+// ranks, as a folded simulation's simulated ranks stand for their blocks:
+// the set's phases reserve only the members' links but count their
+// traffic for len(members) × weight ranks.
+func (b *Backend) NewWeightedLinkSet(members []int, weight int) *LinkSet {
 	if len(members) == b.npus {
 		return b.Machine()
 	}
-	return b.addSet(members, len(members))
+	s := b.addSet(members, len(members))
+	s.ranks *= weight
+	return s
 }
 
 // linkTime is link i's free time on dimension dim: its own entry or its
@@ -111,7 +123,8 @@ func (b *Backend) PhaseAvailability(s *LinkSet, dim int) units.Time {
 // of perNPUTraffic bytes (the member's sent+received byte count for the
 // phase — both directions serialize on the shared per-dimension link). It
 // returns the phase's start and serialization-end times, and counts
-// perNPUTraffic per member in the dimension's traffic total.
+// perNPUTraffic per member, times the set's weight, in the dimension's
+// traffic total.
 //
 // With a flow controller attached, the phase is one flow on the dimension:
 // its serialization is stretched by the cross-job contention factor at
@@ -142,7 +155,7 @@ func (b *Backend) ReservePhase(s *LinkSet, dim int, perNPUTraffic units.ByteSize
 		b.eng.ScheduleActorAt(end, b.getFlowDone(dim))
 	}
 	s.floor[dim] = end
-	b.stats.Traffic[dim] += units.ByteSize(s.n) * perNPUTraffic
+	b.stats.Traffic[dim] += units.ByteSize(s.ranks) * perNPUTraffic
 	return start, end
 }
 
