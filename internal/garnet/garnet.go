@@ -3,7 +3,7 @@
 // used (Section IV-C). It exists to reproduce the paper's speedup study:
 // the analytical backend answers the same questions three orders of
 // magnitude faster, because this simulator pays for every flit on every
-// link on every cycle.
+// busy link on every cycle.
 //
 // Model: a k-ary n-cube (torus) with one bidirectional link pair per
 // dimension per node. Messages are wormhole-routed flit trains on
@@ -15,6 +15,7 @@ package garnet
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/units"
 )
@@ -93,9 +94,14 @@ type link struct {
 type Simulator struct {
 	cfg    Config
 	nnodes int
-	// links[node][dim][dir01]
+	// links[(node*dims+dim)*2+dir01], dir01 0 for -1 and 1 for +1.
 	links []link
-	dims  int
+	// next[li] is the node link li leads to.
+	next []int32
+	// busy has bit li set while link li holds a flit; Step visits only
+	// these links, in ascending link index.
+	busy []uint64
+	dims int
 	// arrivals[cycle % (latency+1)] holds flits landing that cycle.
 	arrivals [][]arrival
 	cycle    uint64
@@ -120,11 +126,23 @@ func New(cfg Config) (*Simulator, error) {
 	for _, k := range cfg.Shape {
 		n *= k
 	}
+	nlinks := n * len(cfg.Shape) * 2
 	s := &Simulator{
 		cfg:    cfg,
 		nnodes: n,
 		dims:   len(cfg.Shape),
-		links:  make([]link, n*len(cfg.Shape)*2),
+		links:  make([]link, nlinks),
+		next:   make([]int32, nlinks),
+		busy:   make([]uint64, (nlinks+63)/64),
+	}
+	for node := 0; node < n; node++ {
+		st := 1
+		for dim, k := range cfg.Shape {
+			pos := (node / st) % k
+			s.next[s.linkIdx(node, dim, -1)] = int32(node + ((pos+k-1)%k-pos)*st)
+			s.next[s.linkIdx(node, dim, 1)] = int32(node + ((pos+1)%k-pos)*st)
+			st *= k
+		}
 	}
 	s.arrivals = make([][]arrival, cfg.LinkLatency+1)
 	return s, nil
@@ -159,19 +177,24 @@ func (s *Simulator) linkIdx(node, dim, dir int) int {
 
 // neighbor returns the next node around dim in direction dir.
 func (s *Simulator) neighbor(node, dim, dir int) int {
-	k := s.cfg.Shape[dim]
-	st := s.stride(dim)
-	pos := (node / st) % k
-	next := (pos + dir + k) % k
-	return node + (next-pos)*st
+	return int(s.next[s.linkIdx(node, dim, dir)])
 }
 
 // Send injects a message travelling within one dimension; done fires when
 // the tail flit reaches the destination. Messages crossing zero hops
-// complete after one cycle.
+// complete after one cycle; a zero-byte message still sends one flit.
 func (s *Simulator) Send(src, dst, dim int, size units.ByteSize, done func()) error {
 	if dim < 0 || dim >= s.dims {
 		return fmt.Errorf("garnet: dim %d out of range", dim)
+	}
+	if src < 0 || src >= s.nnodes {
+		return fmt.Errorf("garnet: src %d out of range [0, %d)", src, s.nnodes)
+	}
+	if dst < 0 || dst >= s.nnodes {
+		return fmt.Errorf("garnet: dst %d out of range [0, %d)", dst, s.nnodes)
+	}
+	if size < 0 {
+		return fmt.Errorf("garnet: negative size %d", int64(size))
 	}
 	k := s.cfg.Shape[dim]
 	st := s.stride(dim)
@@ -215,6 +238,7 @@ func (s *Simulator) enqueue(li int, m *message, flits, hopsAfter int) {
 		l.queue, l.head = l.queue[:n], 0
 	}
 	l.queue = append(l.queue, flow{msg: m, flits: flits, hopsAfter: hopsAfter})
+	s.busy[li>>6] |= 1 << (li & 63)
 }
 
 // Step advances one cycle: every busy link moves one flit, and flits that
@@ -223,28 +247,29 @@ func (s *Simulator) Step() {
 	s.cycle++
 	slot := s.cycle % uint64(len(s.arrivals))
 
-	// Move one flit per busy link; it lands after LinkLatency cycles.
+	// Move one flit per busy link, in ascending link index (node, then
+	// dim, then -1 before +1); it lands after LinkLatency cycles. Nothing
+	// joins a queue until routing below, so each word is read once.
 	landSlot := (s.cycle + uint64(s.cfg.LinkLatency)) % uint64(len(s.arrivals))
-	for node := 0; node < s.nnodes; node++ {
-		for dim := 0; dim < s.dims; dim++ {
-			for _, dir := range [2]int{-1, 1} {
-				l := &s.links[s.linkIdx(node, dim, dir)]
-				if l.head == len(l.queue) {
-					continue
-				}
-				head := &l.queue[l.head]
-				head.flits--
-				next := s.neighbor(node, dim, dir)
-				s.arrivals[landSlot] = append(s.arrivals[landSlot],
-					arrival{msg: head.msg, node: next, flits: 1, hopsLeft: head.hopsAfter})
-				if head.flits == 0 {
-					if l.head++; l.head == len(l.queue) {
-						l.queue, l.head = l.queue[:0], 0
-					}
+	landing := s.arrivals[landSlot]
+	for w, word := range s.busy {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			li := w<<6 | b
+			l := &s.links[li]
+			head := &l.queue[l.head]
+			head.flits--
+			landing = append(landing,
+				arrival{msg: head.msg, node: int(s.next[li]), flits: 1, hopsLeft: head.hopsAfter})
+			if head.flits == 0 {
+				if l.head++; l.head == len(l.queue) {
+					l.queue, l.head = l.queue[:0], 0
+					s.busy[w] &^= 1 << b
 				}
 			}
 		}
 	}
+	s.arrivals[landSlot] = landing
 
 	// Route flits that land this cycle, then keep the drained slot's
 	// backing array for a later cycle. Routing never appends to this slot:

@@ -206,3 +206,69 @@ func TestAllReduceRejectsBadSize(t *testing.T) {
 		t.Error("zero size accepted")
 	}
 }
+
+// Send refuses a node outside the torus, which used to index past the link
+// table, and a negative size, which used to become a train of negative
+// length that never drained.
+func TestSendRejectsBadArguments(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		src, dst, dim int
+		size          units.ByteSize
+	}{
+		{"src past the last node", 100, 1, 0, 16},
+		{"dst past the last node", 0, 101, 0, 16},
+		{"both past the last node", 100, 101, 0, 16},
+		{"src one past the last node", 4, 1, 0, 16},
+		{"negative src", -1, 1, 0, 16},
+		{"negative dst", 0, -3, 0, 16},
+		{"negative size", 0, 1, 0, -100},
+		{"size of minus one flit", 0, 1, 0, -16},
+		{"size of minus one byte", 0, 1, 0, -1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, _ := New(Config{Shape: []int{4}})
+			if err := s.Send(c.src, c.dst, c.dim, c.size, nil); err == nil {
+				t.Fatalf("Send(%d, %d, %d, %d) accepted", c.src, c.dst, c.dim, int64(c.size))
+			}
+			if err := s.Drain(100); err != nil {
+				t.Errorf("a refused send left work behind: %v", err)
+			}
+		})
+	}
+	s, _ := New(Config{Shape: []int{4}})
+	if err := s.Send(3, 0, 0, 0, nil); err != nil {
+		t.Errorf("zero-byte send from the last node refused: %v", err)
+	}
+}
+
+// Exact All-Reduce cycle counts and times, recorded from the all-links
+// Step: the shape tests above only bound the cycles within 2x.
+func TestAllReduceCyclesPinned(t *testing.T) {
+	for _, c := range []struct {
+		shape  []int
+		lat    int
+		size   units.ByteSize
+		cycles uint64
+		time   units.Time
+	}{
+		{[]int{4, 4, 4}, 1, units.MB, 123072, 123072 * units.Nanosecond},
+		{[]int{5, 3}, 1, 300000, 35012, 35012 * units.Nanosecond},
+		{[]int{6, 4}, 3, 64 * units.KiB, 7904, 7904 * units.Nanosecond},
+		{[]int{7}, 2, 100001, 10740, 10740 * units.Nanosecond},
+		{[]int{3, 5, 2}, 3, 12345, 1540, 1540 * units.Nanosecond},
+	} {
+		s, err := New(Config{Shape: c.shape, LinkLatency: c.lat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		elapsed, cycles, err := s.AllReduce(c.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cycles != c.cycles || elapsed != c.time {
+			t.Errorf("%v latency %d, %d B: %d cycles, %v; want %d cycles, %v",
+				c.shape, c.lat, int64(c.size), cycles, elapsed, c.cycles, c.time)
+		}
+	}
+}
