@@ -522,11 +522,15 @@ func reportFromStats(workload string, stats *core.RunStats) *Report {
 
 // EstimateCollective returns the closed-form runtime prediction for a
 // whole-machine collective without event simulation — the first-order
-// design-space-exploration path.
+// design-space-exploration path. Like a simulated collective, it refuses a
+// size that is not positive.
 func (m *Machine) EstimateCollective(op string, sizeBytes int64) (time.Duration, error) {
 	_, o, err := collectiveOp(op)
 	if err != nil {
 		return 0, err
+	}
+	if sizeBytes <= 0 {
+		return 0, fmt.Errorf("collective: non-positive size %d", sizeBytes)
 	}
 	chunks := m.core.Chunks
 	if chunks == 0 {

@@ -112,6 +112,11 @@ func TestEstimateMatchesRun(t *testing.T) {
 	if _, err := m.EstimateCollective("nope", 1); err == nil {
 		t.Error("unknown op accepted by estimator")
 	}
+	for _, size := range []int64{0, -1 << 30} {
+		if _, err := m.EstimateCollective("all_reduce", size); err == nil {
+			t.Errorf("size %d accepted by estimator", size)
+		}
+	}
 }
 
 // TestEstimateMatchesRunAllBlocks drives every registered building block

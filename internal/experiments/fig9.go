@@ -90,10 +90,9 @@ type Options struct {
 	Reduced bool
 	// Exec controls sweep execution: worker count (default GOMAXPROCS)
 	// and progress callbacks. Results are deterministic for any worker
-	// count. Exec.Cache is not consulted: the experiments' cells never
-	// repeat a configuration, and the two results that do recur (Fig. 11's
-	// baseline bar, the search's promoted candidates) are shared inside
-	// their experiment.
+	// count. The experiments' cells never repeat a configuration, and the
+	// two results that do recur (Fig. 11's baseline bar, the search's
+	// promoted candidates) are shared inside their experiment.
 	Exec sweep.Exec
 }
 

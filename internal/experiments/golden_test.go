@@ -42,6 +42,7 @@ func goldenCases() []goldenCase {
 		{"fabrics_reduced", false, func() (any, error) { return Fabrics(Options{Reduced: true}) }},
 		{"interference_reduced", false, func() (any, error) { return Interference(Options{Reduced: true}) }},
 		{"resilience_reduced", false, func() (any, error) { return Resilience(Options{Reduced: true}) }},
+		{"search_reduced", true, func() (any, error) { return FabricSearch(Options{Reduced: true}) }},
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/collective"
 	"repro/internal/search"
@@ -66,16 +65,6 @@ func fabricSearchProblem(systems []System, o Options) search.Problem {
 			}
 			return cell.Total.Micros(), nil
 		},
-		// A candidate index names one configuration for as long as the
-		// problem lives, so FabricSearch's two passes, which share this
-		// problem, share simulations through one cache keyed by index.
-		// Estimates are left out: the exhaustive pass makes none.
-		Fingerprint: func(i int, f search.Fidelity) string {
-			if f != search.FidelitySimulate {
-				return ""
-			}
-			return strconv.Itoa(i)
-		},
 	}
 }
 
@@ -98,19 +87,23 @@ type FabricSearchResult struct {
 
 // FabricSearch runs the halving search and the exhaustive baseline over
 // the 24-point fabric space. Results are deterministic for any worker
-// count. The halving pass runs first, and the exhaustive pass takes the
-// candidates it simulated from their shared cache instead of simulating
-// them again.
+// count. The exhaustive pass runs first, and the halving pass reads the
+// scores of the candidates it promotes from it by candidate index, as
+// Fig. 11 reads its baseline bar from its grid, instead of simulating them
+// again.
 func FabricSearch(o Options) (*FabricSearchResult, error) {
 	systems := FabricSearchSystems()
 	p := fabricSearchProblem(systems, o)
-	exec := o.Exec
-	exec.Cache = sweep.NewCache()
-	halving, err := search.Optimize(p, search.Options{Strategy: "halving", Seed: 1, Exec: exec})
+	exhaustive, err := search.Optimize(p, search.Options{Strategy: "exhaustive", Seed: 1, Exec: o.Exec})
 	if err != nil {
 		return nil, err
 	}
-	exhaustive, err := search.Optimize(p, search.Options{Strategy: "exhaustive", Seed: 1, Exec: exec})
+	scores := make([]float64, len(systems))
+	for _, e := range exhaustive.History[0].Evals {
+		scores[e.Candidate] = e.Score
+	}
+	p.Simulate = func(i int) (float64, error) { return scores[i], nil }
+	halving, err := search.Optimize(p, search.Options{Strategy: "halving", Seed: 1, Exec: o.Exec})
 	if err != nil {
 		return nil, err
 	}

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/collective"
 	"repro/internal/garnet"
-	"repro/internal/sweep"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -27,14 +27,14 @@ type SpeedupResult struct {
 	CycleWall           time.Duration // cycle-level wall-clock
 	CycleSimTime        units.Time    // simulated collective time (cycle)
 	CycleCycles         uint64
-	AnalyticalWall      time.Duration
+	AnalyticalWall      time.Duration // median of analyticalRepeats runs
 	AnalyticalSimTime   units.Time
 	SpeedupSmall        float64 // CycleWall / AnalyticalWall
 	SimTimeAgreementPct float64 // |cycle - analytical| / cycle, percent
 
 	// 16x16x16 torus, analytical only.
 	LargeShape          []int
-	AnalyticalWallLarge time.Duration
+	AnalyticalWallLarge time.Duration // median of analyticalRepeats runs
 	AnalyticalSimLarge  units.Time
 }
 
@@ -57,84 +57,67 @@ func torusTopo(shape []int) (*topology.Topology, error) {
 	return topology.New(dims...)
 }
 
-func analyticalTorusAllReduce(shape []int, size units.ByteSize) (units.Time, time.Duration, error) {
+// analyticalRepeats is how many times Speedup times each analytical run;
+// it reports their median. One run takes tens of microseconds, so a single
+// reading swings with the host: on a 2-core VM the first 4x4x4 run in a
+// process took 64-79 us, and the median of five 13-35 us.
+const analyticalRepeats = 5
+
+// analyticalTorusAllReduce simulates the All-Reduce on the torus's
+// analytical twin repeats times. It returns the simulated time and the
+// median wall time of the runs.
+func analyticalTorusAllReduce(shape []int, size units.ByteSize, repeats int) (units.Time, time.Duration, error) {
 	top, err := torusTopo(shape)
 	if err != nil {
 		return 0, 0, err
 	}
-	start := time.Now()
-	// A single chunk mirrors the cycle driver's bulk-synchronous step
-	// barriers, so the two backends simulate the same schedule and their
-	// simulated times are directly comparable.
-	res, _, err := runEngine(top, collective.AllReduce, size, 1, collective.Baseline)
-	if err != nil {
-		return 0, 0, err
+	var sim units.Time
+	walls := make([]time.Duration, repeats)
+	for i := range walls {
+		start := time.Now()
+		// A single chunk mirrors the cycle driver's bulk-synchronous step
+		// barriers, so the two backends simulate the same schedule and
+		// their simulated times are directly comparable.
+		res, _, err := runEngine(top, collective.AllReduce, size, 1, collective.Baseline)
+		if err != nil {
+			return 0, 0, err
+		}
+		walls[i] = time.Since(start)
+		sim = res.Duration()
 	}
-	return res.Duration(), time.Since(start), nil
-}
-
-// speedupRun is one backend measurement: simulated time plus the
-// wall-clock it took to produce it.
-type speedupRun struct {
-	Wall   time.Duration
-	Sim    units.Time
-	Cycles uint64
+	slices.Sort(walls)
+	return sim, walls[repeats/2], nil
 }
 
 // Speedup runs the comparison. size is typically 1 MB (the paper's
-// setting); tests may shrink it to bound runtime. The cells measure their
-// own wall-clock, so they carry no fingerprints: a wall-clock study must
-// never be served from cache.
+// setting); tests may shrink it to bound runtime. The three runs are timed
+// one after another on the calling goroutine, whatever o.Exec says, so
+// they never contend for cores with each other: a cycle-level run beside
+// an analytical one would distort the headline speedup.
 func Speedup(size units.ByteSize, o Options) (*SpeedupResult, error) {
 	out := &SpeedupResult{
 		Size:       size,
 		SmallShape: []int{4, 4, 4},
 		LargeShape: []int{16, 16, 16},
 	}
-	runs := []string{"cycle-4x4x4", "analytical-4x4x4", "analytical-16x16x16"}
-	spec := sweep.Spec[speedupRun]{
-		Name: "speedup",
-		Axes: []sweep.Axis{{Name: "run", Values: runs}},
-		Cell: func(pt sweep.Point) (speedupRun, error) {
-			switch pt.Value("run") {
-			case "cycle-4x4x4":
-				start := time.Now()
-				g, err := garnet.New(garnet.Config{Shape: out.SmallShape, FlitBytes: 16, LinkLatency: 1, ClockGHz: 1})
-				if err != nil {
-					return speedupRun{}, err
-				}
-				simTime, cycles, err := g.AllReduce(size)
-				if err != nil {
-					return speedupRun{}, fmt.Errorf("cycle backend: %w", err)
-				}
-				return speedupRun{Wall: time.Since(start), Sim: simTime, Cycles: cycles}, nil
-			case "analytical-4x4x4":
-				sim, wall, err := analyticalTorusAllReduce(out.SmallShape, size)
-				return speedupRun{Wall: wall, Sim: sim}, err
-			default:
-				sim, wall, err := analyticalTorusAllReduce(out.LargeShape, size)
-				return speedupRun{Wall: wall, Sim: sim}, err
-			}
-		},
-	}
-	// Wall-clock cells must not contend for cores with each other: pin
-	// the study to one worker regardless of the caller's Exec, or the
-	// cycle-level run would deschedule the analytical timing and distort
-	// the headline speedup.
-	exec := o.Exec
-	exec.Workers = 1
-	res, err := sweep.Run(spec, exec)
+	start := time.Now()
+	g, err := garnet.New(garnet.Config{Shape: out.SmallShape, FlitBytes: 16, LinkLatency: 1, ClockGHz: 1})
 	if err != nil {
 		return nil, err
 	}
-	rows := res.Values()
-	cycle, small, large := rows[0], rows[1], rows[2]
-
-	out.CycleWall = cycle.Wall
-	out.CycleSimTime = cycle.Sim
-	out.CycleCycles = cycle.Cycles
-	out.AnalyticalSimTime = small.Sim
-	out.AnalyticalWall = small.Wall
+	out.CycleSimTime, out.CycleCycles, err = g.AllReduce(size)
+	if err != nil {
+		return nil, fmt.Errorf("cycle backend: %w", err)
+	}
+	out.CycleWall = time.Since(start)
+	out.AnalyticalSimTime, out.AnalyticalWall, err = analyticalTorusAllReduce(out.SmallShape, size, analyticalRepeats)
+	if err != nil {
+		return nil, err
+	}
+	out.AnalyticalSimLarge, out.AnalyticalWallLarge, err = analyticalTorusAllReduce(out.LargeShape, size, analyticalRepeats)
+	if err != nil {
+		return nil, err
+	}
 	if out.AnalyticalWall > 0 {
 		out.SpeedupSmall = float64(out.CycleWall) / float64(out.AnalyticalWall)
 	}
@@ -145,7 +128,5 @@ func Speedup(size units.ByteSize, o Options) (*SpeedupResult, error) {
 		}
 		out.SimTimeAgreementPct = 100 * float64(diff) / float64(out.CycleSimTime)
 	}
-	out.AnalyticalSimLarge = large.Sim
-	out.AnalyticalWallLarge = large.Wall
 	return out, nil
 }

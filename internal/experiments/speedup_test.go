@@ -39,7 +39,7 @@ func TestGarnetMatchesAnalyticalTorus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		analytical, _, err := analyticalTorusAllReduce(shape, size)
+		analytical, _, err := analyticalTorusAllReduce(shape, size, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

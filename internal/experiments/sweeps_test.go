@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/sweep"
-	"repro/internal/units"
 )
 
 // The sweep engine guarantees that parallel execution is byte-identical
@@ -87,21 +86,5 @@ func TestFig11SharesBaselineWithSweep(t *testing.T) {
 	}
 	if first.Total != base.Total {
 		t.Errorf("grid's (256, 100) cell = %v, want the baseline bar's %v", first.Total, base.Total)
-	}
-}
-
-func TestSpeedupNeverCached(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cycle-level simulation is slow by design")
-	}
-	cache := sweep.NewCache()
-	for i := 0; i < 2; i++ {
-		if _, err := Speedup(64*units.KiB, Options{Exec: sweep.Exec{Cache: cache}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats := cache.Stats()
-	if stats.Entries != 0 || stats.Hits != 0 || stats.Misses != 0 {
-		t.Errorf("wall-clock study touched the cache: %+v", stats)
 	}
 }

@@ -73,8 +73,8 @@ type Problem struct {
 	// safe for concurrent calls.
 	Simulate func(i int) (float64, error)
 	// Fingerprint, when non-nil, canonically describes candidate i's
-	// configuration at a fidelity. Equal fingerprints evaluate once and
-	// share results through Exec.Cache. Empty string opts out.
+	// configuration at a fidelity. Equal fingerprints within one batch
+	// evaluate once. Empty string opts out.
 	Fingerprint func(i int, f Fidelity) string
 }
 
@@ -95,8 +95,8 @@ type Options struct {
 	Population int
 	// Eta is the halving ratio (default 4, minimum 2).
 	Eta int
-	// Exec controls batch execution: worker count, cross-batch result
-	// cache, and progress callbacks (called per batch).
+	// Exec controls batch execution: worker count and progress callbacks
+	// (called per batch).
 	Exec sweep.Exec
 }
 
@@ -137,7 +137,7 @@ type Result struct {
 	Candidates int    `json:"candidates"`
 	Feasible   int    `json:"feasible"`
 	// Estimates and Simulations count candidate evaluations the strategy
-	// requested at each fidelity (cache hits included).
+	// requested at each fidelity (duplicate fingerprints included).
 	Estimates   int `json:"estimates"`
 	Simulations int `json:"simulations"`
 	// Best is the winning candidate: the lowest full-fidelity score, ties
@@ -152,8 +152,8 @@ type Result struct {
 }
 
 // evaluator runs same-fidelity candidate batches for strategies on the
-// sweep engine: worker pool, fingerprint deduplication, shared cache, and
-// deterministic batch-order results.
+// sweep engine: worker pool, fingerprint deduplication, and deterministic
+// batch-order results.
 type evaluator struct {
 	p           Problem
 	exec        sweep.Exec
@@ -268,15 +268,22 @@ func Strategies() []string {
 	return names
 }
 
-// ceilDiv returns ceil(a/b) for positive a, b.
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
+// CeilDiv returns ceil(a/b) for a >= 0 and b > 0. It cannot overflow,
+// however large b is.
+func CeilDiv(a, b int) int {
+	q := a / b
+	if a%b != 0 {
+		q++
+	}
+	return q
+}
 
 // simulationBudget resolves the full-fidelity budget: the explicit
 // MaxSimulations, else ceil(n/eta), clamped to [1, n].
 func simulationBudget(o Options, n, eta int) int {
 	b := o.MaxSimulations
 	if b <= 0 {
-		b = ceilDiv(n, eta)
+		b = CeilDiv(n, eta)
 	}
 	if b > n {
 		b = n
@@ -400,16 +407,18 @@ func randomSample(feasible []int, o Options) (sample []int, budget int) {
 		}
 		budget = o.MaxSimulations
 		if budget <= 0 {
-			budget = ceilDiv(pop, o.Eta)
+			budget = CeilDiv(pop, o.Eta)
 		}
 		if budget > pop {
 			budget = pop
 		}
 	} else {
+		// pop = min(Eta*budget, n), without forming a product that
+		// overflows.
 		budget = simulationBudget(o, n, o.Eta)
-		pop = o.Eta * budget
-		if pop > n {
-			pop = n
+		pop = n
+		if budget <= n/o.Eta {
+			pop = o.Eta * budget
 		}
 	}
 	// Sample without replacement, then restore ascending order so the

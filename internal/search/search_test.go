@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -244,28 +245,40 @@ func TestPruningAndFeasibility(t *testing.T) {
 	}
 }
 
-func TestCacheSharesAcrossRuns(t *testing.T) {
-	cache := sweep.NewCache()
-	var sims atomic.Int64
-	p := testProblem(&sims, nil)
-	// Halving then exhaustive with a shared cache: the halving survivors'
-	// simulations are reused by the exhaustive pass.
-	if _, err := Optimize(p, Options{Strategy: "halving", Exec: sweep.Exec{Cache: cache}}); err != nil {
-		t.Fatal(err)
+// An eta so large that Eta*budget, or n+Eta-1, wraps is still a valid
+// ratio: it promotes ceil(n/Eta) = 1 candidate and samples the whole space.
+func TestHugeEtaDoesNotOverflow(t *testing.T) {
+	const eta = math.MaxInt
+	cases := []struct {
+		name       string
+		o          Options
+		ests, sims int
+	}{
+		{"random with a budget", Options{Strategy: "random", MaxSimulations: 2, Eta: eta}, 16, 2},
+		{"random with a population", Options{Strategy: "random", Population: 3, Eta: eta}, 3, 1},
+		{"random by default", Options{Strategy: "random", Eta: eta}, 16, 1},
+		{"halving", Options{Strategy: "halving", Eta: eta}, 16, 1},
 	}
-	afterHalving := sims.Load()
-	if afterHalving != 4 {
-		t.Fatalf("halving ran %d simulations, want 4", afterHalving)
+	for _, c := range cases {
+		res, err := Optimize(testProblem(nil, nil), c.o)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if res.Estimates != c.ests || res.Simulations != c.sims {
+			t.Errorf("%s: %d estimates / %d simulations, want %d / %d", c.name, res.Estimates, res.Simulations, c.ests, c.sims)
+		}
 	}
-	res, err := Optimize(p, Options{Strategy: "exhaustive", Exec: sweep.Exec{Cache: cache}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Simulations != 16 {
-		t.Errorf("exhaustive requested %d simulations, want 16", res.Simulations)
-	}
-	if ran := sims.Load() - afterHalving; ran != 12 {
-		t.Errorf("exhaustive executed %d new simulations, want 12 (4 cached)", ran)
+}
+
+func TestCeilDiv(t *testing.T) {
+	for _, c := range []struct{ a, b, want int }{
+		{0, 1, 0}, {1, 1, 1}, {7, 1, 7}, {6, 4, 2}, {8, 4, 2}, {9, 4, 3},
+		{3, math.MaxInt, 1}, {math.MaxInt, math.MaxInt, 1}, {math.MaxInt, 2, math.MaxInt/2 + 1},
+	} {
+		if got := CeilDiv(c.a, c.b); got != c.want {
+			t.Errorf("CeilDiv(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
 	}
 }
 
@@ -360,4 +373,52 @@ func mustMarshal(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// FuzzOptimizeOptions drives every strategy with arbitrary options over a
+// cheap synthetic space of 1 to 32 candidates, some of them pruned. Any
+// input yields a result or an error, never a panic, and a result never
+// simulates more candidates than are feasible.
+func FuzzOptimizeOptions(f *testing.F) {
+	f.Add("random", int64(1), 2, 0, math.MaxInt, uint8(15), uint32(0))
+	f.Add("random", int64(1), 0, 3, math.MaxInt, uint8(15), uint32(0))
+	f.Add("halving", int64(7), 0, 0, 0, uint8(31), uint32(0x5555))
+	f.Add("exhaustive", int64(0), -1, -1, 2, uint8(0), uint32(1))
+	f.Add("SHA", int64(-3), math.MaxInt, math.MaxInt, 3, uint8(8), uint32(0xffffffff))
+	f.Fuzz(func(t *testing.T, strategy string, seed int64, maxSims, population, eta int, space uint8, pruned uint32) {
+		p := testProblem(nil, nil)
+		p.Candidates = 1 + int(space%32)
+		p.Feasible = func(i int) error {
+			if pruned>>i&1 != 0 {
+				return errors.New("pruned")
+			}
+			return nil
+		}
+		feasible := 0
+		for i := 0; i < p.Candidates; i++ {
+			if p.Feasible(i) == nil {
+				feasible++
+			}
+		}
+		res, err := Optimize(p, Options{
+			Strategy:       strategy,
+			Seed:           seed,
+			MaxSimulations: maxSims,
+			Population:     population,
+			Eta:            eta,
+			Exec:           sweep.Exec{Workers: 1},
+		})
+		if err != nil {
+			return
+		}
+		if res.Feasible != feasible {
+			t.Fatalf("feasible = %d, want %d", res.Feasible, feasible)
+		}
+		if res.Simulations < 1 || res.Simulations > feasible || res.Estimates > feasible {
+			t.Fatalf("%d simulations and %d estimates over %d feasible candidates", res.Simulations, res.Estimates, feasible)
+		}
+		if pruned>>res.Best.Candidate&1 != 0 {
+			t.Fatalf("best candidate %d was pruned", res.Best.Candidate)
+		}
+	})
 }

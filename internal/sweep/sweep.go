@@ -9,11 +9,9 @@
 //   - Determinism: rows come back in row-major axis order and every
 //     exported byte is identical whatever the worker count, because each
 //     cell's result is written to its pre-assigned slot.
-//   - Deduplication: cells that declare equal content fingerprints are
-//     simulated once (a user grid that lists a machine twice); a caller
-//     that asks for the same fingerprints again in a later sweep, as a
-//     search's exhaustive pass does after its halving pass, can share
-//     results through an optional Cache keyed by fingerprint.
+//   - Deduplication: cells of one grid that declare equal content
+//     fingerprints are simulated once (a user grid that lists a machine
+//     twice).
 //   - Structure: rows carry their axis labels in grid order, ready for a
 //     caller to tabulate or marshal, and a progress callback reports
 //     completion as cells finish.
@@ -85,11 +83,9 @@ type Spec[T any] struct {
 	// builds a fresh simulator.
 	Cell func(pt Point) (T, error)
 	// Fingerprint, when non-nil, returns a canonical description of the
-	// cell's full configuration. Cells with equal fingerprints are
-	// assumed identical: within a grid they are simulated once, and
-	// across grids they share results through Exec.Cache. An empty
-	// string opts the cell out (never shared, never cached) — used for
-	// wall-clock measurements that must actually run.
+	// cell's full configuration. Cells of the grid with equal
+	// fingerprints are assumed identical and simulated once. An empty
+	// string opts the cell out (never shared).
 	Fingerprint func(pt Point) string
 }
 
@@ -97,8 +93,9 @@ type Spec[T any] struct {
 type Exec struct {
 	// Workers is the worker-pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// Cache, when non-nil, shares results between sweeps whose cells
-	// have equal fingerprints.
+	// Cache is ignored: cells are shared only within a grid.
+	//
+	// Deprecated: Run no longer shares results across sweeps.
 	Cache *Cache
 	// Progress, when non-nil, is called after each cell completes with
 	// the number of finished cells and the grid total. Calls are
@@ -115,8 +112,6 @@ type Stats struct {
 	Executed int
 	// Shared counts cells served by an identical cell in the same grid.
 	Shared int
-	// CacheHits counts cells served from the cross-sweep cache.
-	CacheHits int
 	// Wall is the sweep's wall-clock duration.
 	Wall time.Duration
 }
@@ -169,12 +164,6 @@ func (e *CellError) Error() string {
 
 func (e *CellError) Unwrap() error { return e.Err }
 
-// group is one unit of work: all grid cells sharing a fingerprint.
-type group struct {
-	fp      string
-	indices []int // grid indices in ascending order
-}
-
 // Run executes the sweep. Results are independent of the worker count:
 // parallel output is byte-identical to serial. On failure Run returns the
 // error of the first failing cell in grid order (also deterministic:
@@ -199,10 +188,12 @@ func Run[T any](spec Spec[T], exec Exec) (*Results[T], error) {
 		total *= len(ax.Values)
 	}
 
-	// Enumerate the grid row-major and coalesce cells by fingerprint.
+	// Enumerate the grid row-major and coalesce cells by fingerprint: a
+	// group is one unit of work, the grid indices of the cells sharing a
+	// fingerprint in ascending order.
 	points := make([]Point, total)
 	counter := make([]int, len(spec.Axes))
-	var groups []group
+	var groups [][]int
 	byFP := make(map[string]int)
 	for i := 0; i < total; i++ {
 		idx := make([]int, len(counter))
@@ -212,13 +203,13 @@ func Run[T any](spec Spec[T], exec Exec) (*Results[T], error) {
 		if spec.Fingerprint != nil {
 			fp = spec.Fingerprint(points[i])
 		}
-		if fp == "" {
-			groups = append(groups, group{indices: []int{i}})
-		} else if gi, ok := byFP[fp]; ok {
-			groups[gi].indices = append(groups[gi].indices, i)
+		if gi, ok := byFP[fp]; ok {
+			groups[gi] = append(groups[gi], i)
 		} else {
-			byFP[fp] = len(groups)
-			groups = append(groups, group{fp: fp, indices: []int{i}})
+			if fp != "" { // an empty fingerprint opts out of sharing
+				byFP[fp] = len(groups)
+			}
+			groups = append(groups, []int{i})
 		}
 		for d := len(counter) - 1; d >= 0; d-- {
 			counter[d]++
@@ -238,47 +229,27 @@ func Run[T any](spec Spec[T], exec Exec) (*Results[T], error) {
 	}
 
 	var (
-		values   = make([]T, total)
-		errs     = make([]error, len(groups))
-		failed   atomic.Bool
-		executed atomic.Int64
-		hits     atomic.Int64
-		done     int
-		doneMu   sync.Mutex
+		values = make([]T, total)
+		errs   = make([]error, len(groups))
+		failed atomic.Bool
+		done   int
+		doneMu sync.Mutex
 	)
 	runGroup := func(gi int) {
 		g := groups[gi]
-		pt := points[g.indices[0]]
-		var val T
-		fromCache := false
-		if g.fp != "" && exec.Cache != nil {
-			if v, ok := exec.Cache.lookup(g.fp); ok {
-				if tv, ok := v.(T); ok {
-					val, fromCache = tv, true
-				}
-			}
+		pt := points[g[0]]
+		val, err := spec.Cell(pt)
+		if err != nil {
+			errs[gi] = &CellError{Sweep: spec.Name, Point: pt.Values(), Err: err}
+			failed.Store(true)
+			return
 		}
-		if !fromCache {
-			var err error
-			val, err = spec.Cell(pt)
-			if err != nil {
-				errs[gi] = &CellError{Sweep: spec.Name, Point: pt.Values(), Err: err}
-				failed.Store(true)
-				return
-			}
-			executed.Add(1)
-			if g.fp != "" && exec.Cache != nil {
-				exec.Cache.store(g.fp, val)
-			}
-		} else {
-			hits.Add(int64(len(g.indices)))
-		}
-		for _, i := range g.indices {
+		for _, i := range g {
 			values[i] = val
 		}
 		if exec.Progress != nil {
 			doneMu.Lock()
-			done += len(g.indices)
+			done += len(g)
 			exec.Progress(done, total)
 			doneMu.Unlock()
 		}
@@ -327,13 +298,12 @@ func Run[T any](spec Spec[T], exec Exec) (*Results[T], error) {
 		Axes: spec.Axes,
 		Rows: make([]Row[T], total),
 		Stats: Stats{
-			Cells:     total,
-			Executed:  int(executed.Load()),
-			CacheHits: int(hits.Load()),
-			Wall:      time.Since(start),
+			Cells:    total,
+			Executed: len(groups),
+			Shared:   total - len(groups),
+			Wall:     time.Since(start),
 		},
 	}
-	res.Stats.Shared = total - res.Stats.Executed - res.Stats.CacheHits
 	for i := range points {
 		res.Rows[i] = Row[T]{Point: points[i].Values(), Value: values[i]}
 	}

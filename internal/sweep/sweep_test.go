@@ -101,8 +101,8 @@ func TestInGridDeduplication(t *testing.T) {
 		if ran.Load() != 3 {
 			t.Errorf("workers=%d: %d executions, want 3 (12 cells, 3 fingerprints)", workers, ran.Load())
 		}
-		if res.Stats.Executed != 3 || res.Stats.Shared != 9 || res.Stats.CacheHits != 0 {
-			t.Errorf("workers=%d: stats = %+v, want Executed=3 Shared=9 CacheHits=0", workers, res.Stats)
+		if res.Stats.Executed != 3 || res.Stats.Shared != 9 {
+			t.Errorf("workers=%d: stats = %+v, want Executed=3 Shared=9", workers, res.Stats)
 		}
 		for i, row := range res.Rows {
 			if row.Value != i/4 {
@@ -112,57 +112,16 @@ func TestInGridDeduplication(t *testing.T) {
 	}
 }
 
-func TestCrossSweepCache(t *testing.T) {
-	cache := NewCache()
-	var ran atomic.Int64
-	first, err := Run(gridSpec(false, &ran), Exec{Workers: 4, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Stats.Executed != 12 || first.Stats.CacheHits != 0 {
-		t.Fatalf("first run stats = %+v, want 12 executed, 0 hits", first.Stats)
-	}
-	if ran.Load() != 12 {
-		t.Fatalf("first run executed %d cells, want 12", ran.Load())
-	}
-
-	// An overlapping grid: same fingerprint space, but only a0/a1 rows.
-	overlap := gridSpec(false, &ran)
-	overlap.Axes[0].Values = []string{"a0", "a1"}
-	second, err := Run(overlap, Exec{Workers: 4, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 12 {
-		t.Errorf("overlapping grid re-simulated cells: %d total executions, want 12", ran.Load())
-	}
-	if second.Stats.Executed != 0 || second.Stats.CacheHits != 8 {
-		t.Errorf("second run stats = %+v, want Executed=0 CacheHits=8", second.Stats)
-	}
-	for i, row := range second.Rows {
-		want := (i/4)*100 + i%4
-		if row.Value != want {
-			t.Errorf("cached row %d = %d, want %d", i, row.Value, want)
-		}
-	}
-	cs := cache.Stats()
-	if cs.Entries != 12 || cs.Hits != 8 || cs.Misses != 12 {
-		t.Errorf("cache stats = %+v, want Entries=12 Hits=8 Misses=12", cs)
-	}
-}
-
 func TestEmptyFingerprintNeverShares(t *testing.T) {
-	cache := NewCache()
 	var ran atomic.Int64
 	spec := gridSpec(false, &ran)
 	spec.Fingerprint = func(Point) string { return "" }
-	for i := 0; i < 2; i++ {
-		if _, err := Run(spec, Exec{Workers: 2, Cache: cache}); err != nil {
-			t.Fatal(err)
-		}
+	res, err := Run(spec, Exec{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ran.Load() != 24 {
-		t.Errorf("%d executions, want 24 (no caching without fingerprints)", ran.Load())
+	if ran.Load() != 12 || res.Stats.Executed != 12 || res.Stats.Shared != 0 {
+		t.Errorf("%d executions, stats %+v, want 12 executed and none shared (empty fingerprints opt out)", ran.Load(), res.Stats)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 func TestScheduleStepAllocFree(t *testing.T) {
 	e := New()
 	fn := func() {}
-	// Warm the arenas and the zero-delay FIFO past their final sizes.
+	// Warm the arenas past their final sizes.
 	for i := 0; i < 64; i++ {
 		e.Schedule(units.Time(i%7)*units.Nanosecond, fn)
 	}
@@ -23,8 +23,8 @@ func TestScheduleStepAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		e.Schedule(3*units.Nanosecond, fn) // bucket lane
-		e.Schedule(0, fn)                  // zero-delay lane
+		e.Schedule(3*units.Nanosecond, fn)
+		e.Schedule(0, fn)
 		e.Step()
 		e.Step()
 	})

@@ -69,8 +69,8 @@ func BenchmarkEventQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkEventQueueZeroDelay measures the same-instant scheduling path
-// (delay 0), which dominates callback-chained model code.
+// BenchmarkEventQueueZeroDelay measures a chain of zero-delay events, each
+// queued as a run of its own at the current instant.
 func BenchmarkEventQueueZeroDelay(b *testing.B) {
 	e := New()
 	fired := 0

@@ -73,7 +73,7 @@ type orderQueue interface {
 
 // budgeted drives an Engine under a tiny event budget and resumes after
 // every budget error, so runs are cut at arbitrary points — inside a run,
-// between a run and the zero-delay FIFO — and must carry on in order.
+// between two runs due at one instant — and must carry on in order.
 type budgeted struct{ *Engine }
 
 func (b budgeted) Run() (units.Time, error) {

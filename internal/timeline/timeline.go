@@ -22,9 +22,9 @@
 // is O(1). A pop that finds no run due empties the lowest non-empty bucket
 // into lower ones around that bucket's earliest instant, so a run moves
 // down a few buckets (under four on average on a 128-job cluster) before it
-// fires. Zero-delay events bypass the buckets entirely through a
-// same-instant FIFO. Every event body is an Actor, a plain Callback
-// included, so a slot holds one interface and firing dispatches one way.
+// fires. A zero-delay event is a run of its own, filed behind every run
+// already due. Every event body is an Actor, a plain Callback included, so
+// a slot holds one interface and firing dispatches one way.
 // Nothing is boxed and steady-state scheduling never allocates; model
 // layers that schedule millions of events can avoid closure allocations too
 // by implementing Actor and using ScheduleActor.
@@ -61,7 +61,7 @@ func (f Callback) Act() { f() }
 // event is a value-typed arena slot.
 type event struct {
 	actor Actor
-	next  int32 // next event of the same run; -1 ends it (and every zq entry)
+	next  int32 // next event of the same run; -1 ends it
 }
 
 // run is a queue entry: the events due at one instant, chained through
@@ -106,8 +106,8 @@ type Engine struct {
 	now units.Time
 
 	// slots is the event arena; free holds recycled slot indices. Events
-	// are addressed by index so runs and the FIFO chain 4-byte handles, not
-	// event values, and steady-state scheduling never allocates.
+	// are addressed by index so runs chain 4-byte handles, not event
+	// values, and steady-state scheduling never allocates.
 	slots []event
 	free  []int32
 
@@ -125,28 +125,22 @@ type Engine struct {
 	last     units.Time
 
 	// cur is the next event of the run being drained (-1 when none): a
-	// popped run's events are due now and were scheduled before the clock
-	// got here, so they precede every later run and every zq entry.
+	// popped run's events are due now and precede every run still queued.
 	cur int32
 
-	// zq is the zero-delay fast path: a FIFO of slots due exactly at the
-	// current instant. Every entry was scheduled while the clock already
-	// stood at its timestamp, so entries are in schedule order and all
-	// queued runs due now precede all of them (they were scheduled earlier).
-	zq     []int32
-	zqHead int
-
-	pending int // events queued in runs and zq
+	pending int // events queued in runs
 	fired   uint64
 	budget  uint64 // max events per Run/RunUntil; 0 = unlimited
 
 	// tails maps hash(at) to the latest run created for instant at. An
 	// entry with at > now always names a run still queued (popping a run
-	// moves the clock to its instant), so appending to it is safe;
-	// appending only to the latest run keeps one instant's runs in schedule
-	// order; and a collision merely opens a new run. buckets and tails are
-	// the last fields because they hold no pointers: the collector never
-	// scans them, and the hot scalars above share cache lines.
+	// moves the clock to its instant), so appending to it is safe; one
+	// for now may name a run already drained, so zero-delay events never
+	// use the table. Appending only to the latest run keeps one instant's
+	// runs in schedule order, and a collision merely opens a new run.
+	// buckets and tails are the last fields because they hold no
+	// pointers: the collector never scans them, and the hot scalars above
+	// share cache lines.
 	buckets [64]bucket
 	tails   [1 << tailBits]runTail
 }
@@ -197,10 +191,10 @@ func (e *Engine) enqueue(delay units.Time, actor Actor) {
 	idx := e.allocSlot(actor)
 	e.pending++
 	if delay == 0 {
-		// Same-instant events never enter the buckets: they fire after
-		// everything already due now, in schedule order, which is exactly a
-		// FIFO.
-		e.zq = append(e.zq, idx)
+		// A run of its own, filed behind every run already due now: it
+		// fires after them and after earlier zero-delay events, in
+		// schedule order.
+		e.push(at, idx)
 		return
 	}
 	t := &e.tails[tailIndex(at)]
@@ -253,8 +247,8 @@ func (e *Engine) ScheduleActorAt(at units.Time, a Actor) {
 	e.enqueue(at-e.now, a)
 }
 
-// push queues a new run at instant at (> now) whose first event is slot
-// head.
+// push queues a new run at instant at (>= now) whose first event is slot
+// head, behind every queued run of that instant.
 func (e *Engine) push(at units.Time, head int32) {
 	i := e.freeRun
 	if i >= 0 {
@@ -315,8 +309,8 @@ func (e *Engine) popDue() int32 {
 
 // peekAt returns the earliest pending timestamp. Valid only when Pending>0.
 func (e *Engine) peekAt() units.Time {
-	if e.cur >= 0 || e.zqHead < len(e.zq) {
-		return e.now // the current run and zq are always due now
+	if e.cur >= 0 {
+		return e.now // the current run is always due now
 	}
 	return e.buckets[bits.TrailingZeros64(e.nonEmpty)].min
 }
@@ -330,16 +324,7 @@ func (e *Engine) Step() bool {
 	switch {
 	case idx >= 0:
 	case e.nonEmpty&1 != 0:
-		// Runs due at the current instant were scheduled before the clock
-		// reached it, so they precede every same-instant FIFO entry.
 		idx = e.popDue()
-	case e.zqHead < len(e.zq):
-		idx = e.zq[e.zqHead]
-		e.zqHead++
-		if e.zqHead == len(e.zq) {
-			e.zq = e.zq[:0]
-			e.zqHead = 0
-		}
 	case e.nonEmpty != 0:
 		k := bits.TrailingZeros64(e.nonEmpty)
 		at := e.buckets[k].min // the earliest queued instant
@@ -358,8 +343,7 @@ func (e *Engine) Step() bool {
 	}
 	// Copy the body out and recycle the slot before firing: the callback
 	// may schedule (growing the arena and invalidating slot pointers), and
-	// freeing first lets it reuse this very slot. A zq entry's next is -1,
-	// so advancing cur is right on every path.
+	// freeing first lets it reuse this very slot.
 	s := &e.slots[idx]
 	actor := s.actor
 	e.cur = s.next

@@ -124,8 +124,8 @@ func TestEventBudget(t *testing.T) {
 }
 
 // A budget of n is inclusive: a program of exactly n events completes,
-// and a livelock errors with exactly n fired — through the heap and
-// through the zero-delay FIFO, under Run and RunUntil.
+// and a livelock errors with exactly n fired — with a positive delay and
+// with zero delay, under Run and RunUntil.
 func TestEventBudgetIsInclusive(t *testing.T) {
 	const n = 10
 	for _, until := range []bool{false, true} {
@@ -318,8 +318,8 @@ func TestZeroDelayInterleavesWithHeapFIFO(t *testing.T) {
 	}
 }
 
-// Heavy churn through the free list and both queue lanes must preserve the
-// global (time, schedule-order) firing order.
+// Heavy churn through the free list and the queue must preserve the global
+// (time, schedule-order) firing order.
 func TestChurnOrdering(t *testing.T) {
 	e := New()
 	rng := rand.New(rand.NewSource(7))

@@ -504,7 +504,7 @@ func Optimize(spec SearchSpec, opt SearchOptions) (*SearchResult, error) {
 			}
 		}
 		if feasibleMachines > 0 {
-			maxSims = (feasibleMachines + eta - 1) / eta * nA
+			maxSims = search.CeilDiv(feasibleMachines, eta) * nA
 		}
 	}
 	res, err := search.Optimize(problem, search.Options{

@@ -310,6 +310,43 @@ func TestOptimizeProgressMonotonic(t *testing.T) {
 	}
 }
 
+// An eta near the largest int is a valid promotion ratio: it promotes
+// ceil(feasible/eta) = 1 machine. It used to wrap the random strategy's
+// sample size and budget (a makeslice panic) and the whole-machine rounding
+// of a multi-workload search, which then promoted one of a machine's two
+// candidates.
+func TestOptimizeHugeEta(t *testing.T) {
+	base := `"topologies": ["R(4)", "SW(8)", "FC(4)"], "bandwidths": [[100]], "eta": 9223372036854775807,
+	  "workloads": [{"kind": "all_reduce", "size_bytes": 1048576}`
+	cases := []struct {
+		name, doc  string
+		ests, sims int
+	}{
+		{"random budget", `{"strategy": "random", "max_simulations": 2, ` + base + `]}`, 3, 2},
+		{"random population", `{"strategy": "random", "population": 3, ` + base + `]}`, 3, 1},
+		{"two workloads", `{"strategy": "halving", ` + base + `, {"kind": "all_to_all", "size_bytes": 1048576}]}`, 6, 2},
+	}
+	for _, c := range cases {
+		spec, err := LoadSearchSpec(strings.NewReader(c.doc))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		res, err := Optimize(spec, SearchOptions{})
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if res.Estimates != c.ests || res.Simulations != c.sims {
+			t.Errorf("%s: %d estimates / %d simulations, want %d / %d", c.name, res.Estimates, res.Simulations, c.ests, c.sims)
+		}
+		if sims := res.History[1].Evals; c.name == "two workloads" && len(sims) == 2 {
+			if sims[0].Machine != sims[1].Machine {
+				t.Errorf("two workloads: promoted %s and %s, want both workloads of one machine", sims[0].Machine, sims[1].Machine)
+			}
+		}
+	}
+}
+
 func TestLoadSearchSpec(t *testing.T) {
 	doc := `{
 	  "name": "fabric-hunt",
@@ -392,6 +429,8 @@ func TestOptimizeSpecErrors(t *testing.T) {
 				`astrasim: search search: workload 0: astrasim: unknown workload kind "nope"`},
 			specDefect{"every candidate pruned, unnamed", func(s *SearchSpec) { s.Name, s.MaxAggregateGBps = "", 1 },
 				`search search: no feasible candidates (8 pruned)`},
+			specDefect{"negative proxy size", func(s *SearchSpec) { s.ProxySizeBytes = -1 << 30 },
+				`sweep test-search/estimate: cell [R(8) @ 100 GB/s / all_reduce(67108864)]: collective: non-positive size -1073741824`},
 		)},
 		{"cluster", testClusterSearchSpec, append(shared("cluster-test", 4),
 			specDefect{"no jobs", func(s *SearchSpec) { s.Cluster.Jobs = nil },
@@ -404,6 +443,8 @@ func TestOptimizeSpecErrors(t *testing.T) {
 				`astrasim: cluster job 0: astrasim: unknown workload kind "nope"`},
 			specDefect{"every candidate pruned, unnamed", func(s *SearchSpec) { s.Name, s.MaxAggregateGBps = "", 1 },
 				`search cluster-search: no feasible candidates (4 pruned)`},
+			specDefect{"negative proxy size", func(s *SearchSpec) { s.ProxySizeBytes = -1 << 30 },
+				`sweep cluster-test/estimate: cell [slow / strided]: collective: non-positive size -1073741824`},
 		)},
 	}
 	for _, m := range modes {
