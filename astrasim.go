@@ -523,7 +523,8 @@ func reportFromStats(workload string, stats *core.RunStats) *Report {
 // EstimateCollective returns the closed-form runtime prediction for a
 // whole-machine collective without event simulation — the first-order
 // design-space-exploration path. Like a simulated collective, it refuses a
-// size that is not positive.
+// size that is not positive, and an estimate that overflows simulated
+// time, where a run would report a timeline overflow.
 func (m *Machine) EstimateCollective(op string, sizeBytes int64) (time.Duration, error) {
 	_, o, err := collectiveOp(op)
 	if err != nil {
@@ -538,5 +539,8 @@ func (m *Machine) EstimateCollective(op string, sizeBytes int64) (time.Duration,
 	}
 	t := collective.Estimate(m.top, o, units.ByteSize(sizeBytes),
 		collective.FullMachine(m.top), m.core.Policy, chunks)
+	if t == units.MaxTime {
+		return 0, fmt.Errorf("collective: estimate of %s over %d B overflows simulated time", op, sizeBytes)
+	}
 	return toDuration(t), nil
 }

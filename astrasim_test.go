@@ -3,6 +3,7 @@ package astrasim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -115,6 +116,29 @@ func TestEstimateMatchesRun(t *testing.T) {
 	for _, size := range []int64{0, -1 << 30} {
 		if _, err := m.EstimateCollective("all_reduce", size); err == nil {
 			t.Errorf("size %d accepted by estimator", size)
+		}
+	}
+}
+
+// TestEstimateCollectiveOverflow pins the closed-form estimate where its
+// traffic or time would overflow. On R(4) at 100 GB/s an All-Reduce of
+// 2^40 B moves 3·2^40 B a rank, 32.985351833 s; at 2^60 B the time passes
+// the largest simulated time, and at the largest int64 size the phase
+// traffic itself overflows. Both are errors, as a run of them is, where
+// the estimate had wrapped to -2562h2m52s and to 3 µs (latency alone).
+func TestEstimateCollectiveOverflow(t *testing.T) {
+	for _, sched := range []string{"baseline", "themis"} {
+		m := testMachine(t, MachineConfig{Topology: "R(4)", BandwidthsGBps: []float64{100}, Scheduler: sched})
+		if est, err := m.EstimateCollective("all_reduce", 1<<40); err != nil || est != 32985351833*time.Nanosecond {
+			t.Errorf("%s: all_reduce of 2^40 B: %v, %v; want 32.985351833s", sched, est, err)
+		}
+		for _, op := range []string{"all_reduce", "all_gather", "reduce_scatter", "all_to_all"} {
+			for _, size := range []int64{1 << 60, math.MaxInt64} {
+				est, err := m.EstimateCollective(op, size)
+				if want := fmt.Sprintf("collective: estimate of %s over %d B overflows simulated time", op, size); err == nil || err.Error() != want {
+					t.Errorf("%s: %s of %d B: %v, %v; want error %q", sched, op, size, est, err, want)
+				}
+			}
 		}
 	}
 }

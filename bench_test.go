@@ -373,6 +373,50 @@ func BenchmarkEndToEndGPT3Straggler(b *testing.B) {
 	}
 }
 
+// BenchmarkStartGPT3 measures Start alone, the set-up before a run's first
+// event, on GPT-3 traces that fold onto one simulated rank: 48 layers on
+// Conv-4096's R(2)_FC(8)_R(8)_SW(32), the gpt3_conv4096 bench workload,
+// and all 96 layers on R(2)_FC(8)_R(8)_SW(2048), 262,144 NPUs. Each
+// iteration builds a fresh simulator with the timer stopped, since a
+// simulator is single-use and its network backend sizes per-link arrays
+// for every NPU; the trace is generated once.
+func BenchmarkStartGPT3(b *testing.B) {
+	cases := []struct {
+		name, topology string
+		layers         int
+	}{
+		{"npus=4096", "R(2)_FC(8)_R(8)_SW(32)", 48},
+		{"npus=262144", "R(2)_FC(8)_R(8)_SW(2048)", 96},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			m, err := NewMachine(MachineConfig{Topology: c.topology, BandwidthsGBps: []float64{1000, 200, 100, 50}, Chunks: 32})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := etgen.GPT3()
+			cfg.Layers = c.layers
+			tr, err := etgen.Transformer(m.top, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sim, err := core.NewSimulator(m.core)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := sim.Start(tr, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchPipeline is the 256-NPU pipeline (16 stages, 64 microbatches,
 // 94,464 nodes) that BenchmarkTraceSetup ingests and BenchmarkPipelineRun
 // simulates.

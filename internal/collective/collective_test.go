@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/network"
@@ -228,6 +229,38 @@ func TestEstimateMatchesEngine(t *testing.T) {
 		ratio := float64(res.Duration()) / float64(est)
 		if ratio < 0.9 || ratio > 1.1 {
 			t.Errorf("%v: engine %v vs estimate %v (ratio %.3f)", op, res.Duration(), est, ratio)
+		}
+	}
+}
+
+// TestEstimateSaturates doubles the size up to the largest int64 on a
+// four-dimension machine: under either policy, every op's estimate never
+// falls as the size grows, and once its traffic or time overflows it reads
+// units.MaxTime instead of wrapping.
+func TestEstimateSaturates(t *testing.T) {
+	top := topology.MustNew(
+		ringDim(2, 1000, units.Nanosecond),
+		topology.Dim{Kind: topology.FullyConnected, Size: 8, Bandwidth: units.GBps(200), Latency: units.Nanosecond},
+		ringDim(8, 100, units.Nanosecond),
+		topology.Dim{Kind: topology.Switch, Size: 4, Bandwidth: units.GBps(50), Latency: units.Nanosecond},
+	)
+	for _, policy := range []Policy{Baseline, Themis} {
+		for _, op := range []Op{ReduceScatter, AllGather, AllReduce, AllToAll} {
+			var prev units.Time
+			for shift := 10; shift <= 63; shift++ {
+				size := units.ByteSize(math.MaxInt64)
+				if shift < 63 {
+					size = 1 << shift
+				}
+				est := Estimate(top, op, size, FullMachine(top), policy, 64)
+				if est < prev {
+					t.Fatalf("%v %v: %v at %d B, after %v at half the size", policy, op, est, int64(size), prev)
+				}
+				prev = est
+			}
+			if prev != units.MaxTime {
+				t.Errorf("%v %v: %v at the largest size, want units.MaxTime", policy, op, prev)
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"math"
+
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -26,6 +28,11 @@ import (
 // phase latency, effective bandwidth), so the estimator prices every
 // registered block — including derated oversubscribed switches — with the
 // same arithmetic the engine executes.
+//
+// Traffic and time saturate instead of wrapping: a phase whose traffic
+// overflows an int64 byte count counts math.MaxInt64 bytes, sums stop at
+// the largest value, and an estimate past the largest simulated time
+// reads units.MaxTime.
 func Estimate(top *topology.Topology, op Op, size units.ByteSize, g Group, policy Policy, chunks int) units.Time {
 	if chunks <= 0 {
 		chunks = 64
@@ -36,9 +43,9 @@ func Estimate(top *topology.Topology, op Op, size units.ByteSize, g Group, polic
 	var latency units.Time
 	for _, s := range g.Spans {
 		dim := top.Dims[s.Phys]
-		latency += dim.PhaseLatency(s.K)
+		latency = satAdd(latency, dim.PhaseLatency(s.K))
 		if op == AllReduce {
-			latency += dim.PhaseLatency(s.K) // RS and AG each traverse the span
+			latency = satAdd(latency, dim.PhaseLatency(s.K)) // RS and AG each traverse the span
 		}
 	}
 
@@ -49,10 +56,6 @@ func Estimate(top *topology.Topology, op Op, size units.ByteSize, g Group, polic
 		var aggBW units.Bandwidth
 		for _, s := range g.Spans {
 			aggBW += top.Dims[s.Phys].EffectiveBandwidth()
-		}
-		var total units.Time
-		for _, b := range busyPerSpan {
-			total += b
 		}
 		// Total traffic time re-expressed against aggregate bandwidth:
 		// traffic bytes are order-invariant, so baseline per-span traffic
@@ -65,11 +68,14 @@ func Estimate(top *topology.Topology, op Op, size units.ByteSize, g Group, polic
 		if aggBW > 0 {
 			totalSec = totalBytes / float64(aggBW)
 		}
-		t := units.FromSeconds(totalSec)
+		t := units.MaxTime
+		if totalSec*float64(units.Second) < float64(units.MaxTime) {
+			t = units.FromSeconds(totalSec)
+		}
 		if floor := minMandatoryBusy(top, op, shard, g); floor > t {
 			t = floor
 		}
-		return t + latency
+		return satAdd(t, latency)
 	}
 
 	// Baseline: bottleneck + ramp.
@@ -81,10 +87,28 @@ func Estimate(top *topology.Topology, op Op, size units.ByteSize, g Group, polic
 	}
 	for _, b := range busyPerSpan {
 		if b != bottleneck {
-			ramp += b / units.Time(chunks)
+			ramp = satAdd(ramp, b/units.Time(chunks))
 		}
 	}
-	return bottleneck + ramp + latency
+	return satAdd(satAdd(bottleneck, ramp), latency)
+}
+
+// satAdd returns a + b for non-negative a and b, or the type's largest
+// value where the sum would overflow.
+func satAdd[T ~int64](a, b T) T {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
+
+// phaseTraffic is dim.PhaseTraffic, or math.MaxInt64 bytes where the
+// traffic 2·d·(k−1) of a phase over k members would overflow.
+func phaseTraffic(dim topology.Dim, op topology.PhaseKind, d units.ByteSize, k int) units.ByteSize {
+	if k > 1 && d > math.MaxInt64/units.ByteSize(2*(k-1)) {
+		return math.MaxInt64
+	}
+	return dim.PhaseTraffic(op, d, k)
 }
 
 // spanBusyTimes returns each span's serialization time under the baseline
@@ -109,29 +133,29 @@ func spanTraffic(top *topology.Topology, op Op, size units.ByteSize, g Group) []
 	case ReduceScatter:
 		d := size
 		for i, s := range g.Spans {
-			out[i] = dim(i).PhaseTraffic(topology.PhaseReduceScatter, d, s.K)
+			out[i] = phaseTraffic(dim(i), topology.PhaseReduceScatter, d, s.K)
 			d /= units.ByteSize(s.K)
 		}
 	case AllGather:
 		d := InitialShard(AllGather, size, n)
 		for i := len(g.Spans) - 1; i >= 0; i-- {
-			out[i] = dim(i).PhaseTraffic(topology.PhaseAllGather, d, g.Spans[i].K)
+			out[i] = phaseTraffic(dim(i), topology.PhaseAllGather, d, g.Spans[i].K)
 			d *= units.ByteSize(g.Spans[i].K)
 		}
 	case AllReduce:
 		d := size
 		after := make([]units.ByteSize, len(g.Spans))
 		for i, s := range g.Spans {
-			out[i] += dim(i).PhaseTraffic(topology.PhaseReduceScatter, d, s.K)
+			out[i] = phaseTraffic(dim(i), topology.PhaseReduceScatter, d, s.K)
 			d /= units.ByteSize(s.K)
 			after[i] = d
 		}
 		for i := len(g.Spans) - 1; i >= 0; i-- {
-			out[i] += dim(i).PhaseTraffic(topology.PhaseAllGather, after[i], g.Spans[i].K)
+			out[i] = satAdd(out[i], phaseTraffic(dim(i), topology.PhaseAllGather, after[i], g.Spans[i].K))
 		}
 	case AllToAll:
 		for i, s := range g.Spans {
-			out[i] = dim(i).PhaseTraffic(topology.PhaseAllToAll, size, s.K)
+			out[i] = phaseTraffic(dim(i), topology.PhaseAllToAll, size, s.K)
 		}
 	}
 	return out
@@ -145,7 +169,7 @@ func TrafficPerDim(top *topology.Topology, op Op, size units.ByteSize, g Group) 
 	perSpan := spanTraffic(top, op, size, g)
 	out := make([]units.ByteSize, top.NumDims())
 	for i, s := range g.Spans {
-		out[s.Phys] += perSpan[i]
+		out[s.Phys] = satAdd(out[s.Phys], perSpan[i])
 	}
 	return out
 }
@@ -170,17 +194,17 @@ func minMandatoryBusy(top *topology.Topology, op Op, shard units.ByteSize, g Gro
 		var traffic units.ByteSize
 		switch op {
 		case ReduceScatter:
-			traffic = dim.PhaseTraffic(topology.PhaseReduceScatter, rsMin, k)
+			traffic = phaseTraffic(dim, topology.PhaseReduceScatter, rsMin, k)
 		case AllToAll:
 			// All-to-all phases keep D constant; no ordering freedom.
-			traffic = dim.PhaseTraffic(topology.PhaseAllToAll, shard, k)
+			traffic = phaseTraffic(dim, topology.PhaseAllToAll, shard, k)
 		case AllGather:
 			// Smallest all-gather input: run this span first, before growth.
-			traffic = dim.PhaseTraffic(topology.PhaseAllGather, shard, k)
+			traffic = phaseTraffic(dim, topology.PhaseAllGather, shard, k)
 		case AllReduce:
 			// RS at its minimum plus AG at the post-RS minimum (shard/N).
-			traffic = dim.PhaseTraffic(topology.PhaseReduceScatter, rsMin, k) +
-				dim.PhaseTraffic(topology.PhaseAllGather, rsMin/units.ByteSize(k), k)
+			traffic = satAdd(phaseTraffic(dim, topology.PhaseReduceScatter, rsMin, k),
+				phaseTraffic(dim, topology.PhaseAllGather, rsMin/units.ByteSize(k), k))
 		}
 		if t := dim.TransferTime(traffic); t > worst {
 			worst = t

@@ -73,8 +73,8 @@ func NewSpanGroup(top *topology.Topology, spans []Span, base int) (Group, error)
 // base's position with every span's digit zeroed, as Origin zeroes it, the
 // reach Σ (K-1) × stride of the dimension's spans must not leave it. Then
 // the members are distinct ranks that include base and share its Origin.
-// It allocates nothing, so callers can check a span layout against every
-// rank that uses it.
+// It allocates nothing. The base enters only through its position on each
+// spanned dimension, so CheckLayout decides a layout for every rank at once.
 func CheckSpans(top *topology.Topology, spans []Span, base int) error {
 	if len(spans) == 0 {
 		return fmt.Errorf("collective: group must have at least one span")
@@ -82,6 +82,26 @@ func CheckSpans(top *topology.Topology, spans []Span, base int) error {
 	if base < 0 || base >= top.NumNPUs() {
 		return fmt.Errorf("collective: base rank %d out of range", base)
 	}
+	return checkSpans(top, spans, base)
+}
+
+// CheckLayout reports whether spans form a valid group rooted at every
+// rank: it returns nil exactly when CheckSpans does at every base, and
+// otherwise the error CheckSpans returns at some base. Every position of a
+// dimension is some rank's, so it runs the base-independent checks once
+// and the reach check at every position of each spanned dimension: its
+// cost grows with the dimension sizes, not the NPU count.
+func CheckLayout(top *topology.Topology, spans []Span) error {
+	if len(spans) == 0 {
+		return fmt.Errorf("collective: group must have at least one span")
+	}
+	return checkSpans(top, spans, -1)
+}
+
+// checkSpans runs CheckSpans' checks after its base check, the reach check
+// at base's position on each dimension, or at every position for a
+// negative base.
+func checkSpans(top *topology.Topology, spans []Span, base int) error {
 	members := 1
 	for i, s := range spans {
 		if s.Phys < 0 || s.Phys >= top.NumDims() {
@@ -106,7 +126,7 @@ func CheckSpans(top *topology.Topology, spans []Span, base int) error {
 		if !firstOfDim(spans, i) {
 			continue // the dimension's first span checked it
 		}
-		pos, reach, last := top.DimPos(base, s.Phys), 0, i
+		reach, last := 0, i
 		for j := i; j < len(spans); j++ {
 			t := spans[j]
 			if t.Phys != s.Phys {
@@ -117,17 +137,36 @@ func CheckSpans(top *topology.Topology, spans []Span, base int) error {
 					return fmt.Errorf("collective: spans %d and %d overlap on dim %d", k, j, t.Phys)
 				}
 			}
-			pos -= (pos / t.Stride % t.K) * t.Stride
 			reach += (t.K - 1) * t.Stride
 			last = j
 		}
-		if size := top.Dims[s.Phys].Size; pos+reach >= size {
-			t := spans[last]
-			return fmt.Errorf("collective: span %d (K=%d, stride=%d) exceeds dim %d size %d",
-				last, t.K, t.Stride, t.Phys, size)
+		size := top.Dims[s.Phys].Size
+		lo, hi := 0, size
+		if base >= 0 {
+			lo = top.DimPos(base, s.Phys)
+			hi = lo + 1
+		}
+		for pos := lo; pos < hi; pos++ {
+			if zeroDigits(spans, i, pos)+reach >= size {
+				t := spans[last]
+				return fmt.Errorf("collective: span %d (K=%d, stride=%d) exceeds dim %d size %d",
+					last, t.K, t.Stride, t.Phys, size)
+			}
 		}
 	}
 	return nil
+}
+
+// zeroDigits returns the position pos on spans[i]'s dimension with the
+// digit of each of the dimension's spans from i on zeroed, as Origin
+// zeroes it: the position of the instance's first member.
+func zeroDigits(spans []Span, i, pos int) int {
+	for _, t := range spans[i:] {
+		if t.Phys == spans[i].Phys {
+			pos -= (pos / t.Stride % t.K) * t.Stride
+		}
+	}
+	return pos
 }
 
 // firstOfDim reports whether spans[i] is the first span on its dimension.

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -220,9 +221,10 @@ func TestMultiSpanSamePhysicalDim(t *testing.T) {
 // real one: ∏K distinct ranks below the NPU count that include the base,
 // agree with it on every dimension no span names, and share its Origin.
 // Every layout of up to three spans over small machines is checked at
-// every base. Nesting is required, not implied: {K 2, stride 2} with
-// {K 2, stride 3} on R(7) forms the real instance [1 3 4 6] from base 1,
-// but not from base 0, whose members [0 2 3 5] have two origins.
+// every base, and CheckLayout's verdict on it against those checks.
+// Nesting is required, not implied: {K 2, stride 2} with {K 2, stride 3}
+// on R(7) forms the real instance [1 3 4 6] from base 1, but not from
+// base 0, whose members [0 2 3 5] have two origins.
 func TestCheckSpansMatchesMembers(t *testing.T) {
 	dims := func(sizes ...int) *topology.Topology {
 		var ds []topology.Dim
@@ -271,6 +273,9 @@ func TestCheckSpansMatchesMembers(t *testing.T) {
 				if real {
 					accepted++
 				}
+			}
+			if diff := agreesWithEveryBase(top, spans); diff != "" {
+				t.Fatalf("%v on %d NPUs: %s", spans, top.NumNPUs(), diff)
 			}
 		}
 	}
@@ -324,4 +329,121 @@ func realInstance(top *topology.Topology, spans []Span, base int) bool {
 		}
 	}
 	return true
+}
+
+// checkEveryBase returns CheckSpans' error at the lowest base it rejects,
+// or nil if it accepts every base: the per-rank reference CheckLayout
+// must agree with.
+func checkEveryBase(top *topology.Topology, spans []Span) error {
+	for base := 0; base < top.NumNPUs(); base++ {
+		if err := CheckSpans(top, spans, base); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// agreesWithEveryBase reports how CheckLayout's verdict on spans differs
+// from checking every base, or "" if it does not: both must accept, or
+// CheckLayout must return the error CheckSpans returns at some base.
+func agreesWithEveryBase(top *topology.Topology, spans []Span) string {
+	err, ref := CheckLayout(top, spans), checkEveryBase(top, spans)
+	switch {
+	case (err == nil) != (ref == nil):
+		return fmt.Sprintf("CheckLayout %v, every base %v", err, ref)
+	case err == nil:
+		return ""
+	}
+	for base := 0; base < top.NumNPUs(); base++ {
+		if e := CheckSpans(top, spans, base); e != nil && e.Error() == err.Error() {
+			return ""
+		}
+	}
+	return fmt.Sprintf("CheckLayout %q is CheckSpans' error at no base", err)
+}
+
+// CheckLayout's verdict on one defect of each kind, on R(8)_R(6)_R(4): it
+// accepts a layout exactly when CheckSpans accepts it at every base. A
+// stride-3 pair on R(8) reaches past the edge only from positions 6 and
+// 7, and a stride-5 pair only from positions 3 and 4, so both pass at
+// some ranks and fail the layout.
+func TestCheckLayout(t *testing.T) {
+	top := topology.MustNew(
+		topology.Dim{Kind: topology.Ring, Size: 8, Bandwidth: units.GBps(100)},
+		topology.Dim{Kind: topology.Ring, Size: 6, Bandwidth: units.GBps(100)},
+		topology.Dim{Kind: topology.Ring, Size: 4, Bandwidth: units.GBps(100)},
+	)
+	cases := []struct {
+		name  string
+		spans []Span
+		want  string // "" accepts
+	}{
+		{"no spans", nil, "collective: group must have at least one span"},
+		{"phys out of range", []Span{{Phys: 3, K: 2, Stride: 1}}, "collective: span 0 physical dim 3 out of range"},
+		{"negative phys", []Span{{Phys: 0, K: 2, Stride: 1}, {Phys: -1, K: 2, Stride: 1}}, "collective: span 1 physical dim -1 out of range"},
+		{"K below 2", []Span{{Phys: 1, K: 1, Stride: 1}}, "collective: span 0 needs K >= 2, got 1"},
+		{"zero stride", []Span{{Phys: 1, K: 2, Stride: 0}}, "collective: span 0 needs stride >= 1, got 0"},
+		{"stride at size", []Span{{Phys: 2, K: 2, Stride: 4}}, "collective: span 0 (K=2, stride=4) exceeds dim 2 size 4"},
+		{"K past size", []Span{{Phys: 2, K: 5, Stride: 1}}, "collective: span 0 (K=5, stride=1) exceeds dim 2 size 4"},
+		{"more members than NPUs", []Span{{Phys: 0, K: 8, Stride: 1}, {Phys: 1, K: 6, Stride: 1}, {Phys: 2, K: 4, Stride: 1}, {Phys: 2, K: 2, Stride: 1}},
+			"collective: spans 0..3 have more members than the machine's 192 NPUs"},
+		{"overlapping", []Span{{Phys: 0, K: 2, Stride: 1}, {Phys: 0, K: 2, Stride: 3}}, "collective: spans 0 and 1 overlap on dim 0"},
+		{"same stride", []Span{{Phys: 1, K: 2, Stride: 1}, {Phys: 1, K: 3, Stride: 1}}, "collective: spans 0 and 1 overlap on dim 1"},
+		{"nested", []Span{{Phys: 0, K: 4, Stride: 2}, {Phys: 0, K: 2, Stride: 1}}, ""},
+		{"reach from high positions", []Span{{Phys: 0, K: 2, Stride: 3}}, "collective: span 0 (K=2, stride=3) exceeds dim 0 size 8"},
+		{"reach from middle positions", []Span{{Phys: 0, K: 2, Stride: 5}}, "collective: span 0 (K=2, stride=5) exceeds dim 0 size 8"},
+		{"reach of nested spans", []Span{{Phys: 1, K: 2, Stride: 1}, {Phys: 1, K: 2, Stride: 4}}, "collective: span 1 (K=2, stride=4) exceeds dim 1 size 6"},
+		{"reach after a fitting dim", []Span{{Phys: 2, K: 2, Stride: 2}, {Phys: 0, K: 2, Stride: 3}}, "collective: span 1 (K=2, stride=3) exceeds dim 0 size 8"},
+		{"strided fit", []Span{{Phys: 0, K: 4, Stride: 2}, {Phys: 1, K: 3, Stride: 2}}, ""},
+		{"full machine", FullMachine(top).Spans, ""},
+	}
+	for _, c := range cases {
+		err := CheckLayout(top, c.spans)
+		if got := fmt.Sprint(err); (err == nil) != (c.want == "") || err != nil && got != c.want {
+			t.Errorf("%s: CheckLayout %v, want %q", c.name, err, c.want)
+		}
+		if diff := agreesWithEveryBase(top, c.spans); diff != "" {
+			t.Errorf("%s: %s", c.name, diff)
+		}
+	}
+}
+
+// FuzzLayoutCheck holds CheckLayout to CheckSpans at every base over
+// random machines of one to three ring dimensions of 2-12 NPUs and one to
+// four spans, each with a dimension from -1 to one past the last, K from
+// 0 to one past its dimension's size and a stride from 0 to the size:
+// out-of-range dimensions, K below 2, strides of 0 or at the size,
+// overlapping and nested spans on one dimension and reaches past the edge
+// from some positions.
+func FuzzLayoutCheck(f *testing.F) {
+	f.Add([]byte{0, 6, 0, 1, 2, 3})                // R(8), {K 2, stride 3}
+	f.Add([]byte{1, 6, 4, 1, 2, 2, 1, 2, 2, 4})    // R(8)_R(6), nested spans past the edge of dim 1
+	f.Add([]byte{2, 2, 2, 2, 1, 1, 2, 1, 1, 2, 1}) // R(4)_R(4)_R(4), two overlapping spans on dim 0
+	f.Add([]byte{0, 10, 0, 1, 0, 5})               // R(12), K 0
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func(n int) int {
+			if len(data) == 0 || n <= 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % n
+		}
+		dims := make([]topology.Dim, 1+next(3))
+		for i := range dims {
+			dims[i] = topology.Dim{Kind: topology.Ring, Size: 2 + next(11), Bandwidth: units.GBps(100)}
+		}
+		top := topology.MustNew(dims...)
+		spans := make([]Span, 1+next(4))
+		for i := range spans {
+			phys, size := next(len(dims)+2)-1, 8
+			if phys >= 0 && phys < len(dims) {
+				size = dims[phys].Size
+			}
+			spans[i] = Span{Phys: phys, K: next(size + 2), Stride: next(size + 1)}
+		}
+		if diff := agreesWithEveryBase(top, spans); diff != "" {
+			t.Fatalf("%v on %v: %s", spans, top, diff)
+		}
+	})
 }

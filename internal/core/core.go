@@ -15,9 +15,18 @@
 // Execution runs on integer indices. Start takes one validated et.Plan per
 // distinct node list from et.Trace.Plans, so this package never reads Deps
 // or resolves a node ID, and interns each communicator span layout once. A
-// communicator instance is an (origin rank, layout) pair resolved per rank
-// at Start, so issuing a node touches only slices: no map, no string key
-// and no allocation per NPU issue.
+// communicator instance is an (origin rank, layout) pair resolved per
+// simulated rank at Start, so issuing a node touches only slices: no map,
+// no string key and no allocation per NPU issue.
+//
+// What Start costs beyond the simulated ranks is per distinct list and
+// layout, plus a few words per rank. It checks each layout once for every
+// rank (collective.CheckLayout, whose cost grows with the dimension
+// sizes), and walks the ranks in order only when a layout fails somewhere,
+// to name the first rank where a layout it uses fails and the first node
+// using that layout. Plans and Start look up a rank's plan only where it
+// differs from the previous rank's. Folded GPT-3 starts in about 0.1 ms
+// on 4,096 NPUs and 7 ms on 262,144 (BenchmarkStartGPT3, 2-core VM).
 //
 // A trace with Iterations > 1 is the paper's training loop: each NPU
 // re-executes its one plan. When an NPU's last node of an iteration
@@ -57,17 +66,17 @@
 //
 // The conditions are checked cheapest first, (4) once per distinct plan in
 // one pass in topological order; F = 1 simulates every rank. A folded run
-// still checks every rank's spans. It gives each communicator instance only
-// its m simulated members, which reserve only their own links, and counts
-// the instance's link-set traffic for m·F ranks. It sizes an in-switch
-// collective's shard by the group, not by the simulated members, counts and
-// logs each finished collective F·m/k times for an instance of k members
-// (the instances the blocks of its members hold), and scales a deadlock
-// report's pending-node count by F. Finalize copies rank r - r mod F's
-// breakdown, and its intervals when the timeline is recorded, to rank r.
-// Every RunStats field is then what simulating every rank gives, except
-// Events, the events actually fired, and SimulatedRanks, which says how far
-// the run folded.
+// still checks its layouts for every rank. It gives each communicator
+// instance only its m simulated members, which reserve only their own
+// links, and counts the instance's link-set traffic for m·F ranks. It
+// sizes an in-switch collective's shard by the group, not by the simulated
+// members, counts and logs each finished collective F·m/k times for an
+// instance of k members (the instances the blocks of its members hold),
+// and scales a deadlock report's pending-node count by F. Finalize copies
+// rank r - r mod F's breakdown, and its intervals when the timeline is
+// recorded, to rank r. Every RunStats field is then what simulating every
+// rank gives, except Events, the events actually fired, and
+// SimulatedRanks, which says how far the run folded.
 package core
 
 import (
@@ -507,8 +516,8 @@ func (s *Simulator) Start(trace *et.Trace, at units.Time) error {
 // communicator layouts of each distinct plan, one interned layout per
 // distinct communicator shape, the fold, and each simulated rank's
 // communicator instances, checking each layout against every rank that
-// uses it, simulated or not. It sets the simulator's state only when the
-// whole trace checks out.
+// uses it, simulated or not (checkLayouts). It sets the simulator's state
+// only when the whole trace checks out.
 func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) error {
 	top := s.cfg.Topology
 	full := collective.FullMachine(top).Spans
@@ -554,12 +563,14 @@ func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) er
 	layoutsOf := make(map[*et.Plan]*graphPlan)
 	var distinct []*graphPlan
 	var nodeTotal int
+	var p *graphPlan
 	for i, g := range trace.Graphs {
-		p := layoutsOf[plans[i]]
-		if p == nil {
-			p = planLayouts(plans[i], internLayout)
-			layoutsOf[plans[i]] = p
-			distinct = append(distinct, p)
+		if i == 0 || plans[i] != plans[i-1] { // consecutive ranks mostly share a plan
+			if p = layoutsOf[plans[i]]; p == nil {
+				p = planLayouts(plans[i], internLayout)
+				layoutsOf[plans[i]] = p
+				distinct = append(distinct, p)
+			}
 		}
 		byRank[g.NPU] = p
 		nodeTotal += len(p.Nodes())
@@ -571,13 +582,8 @@ func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) er
 	case nodeTotal > math.MaxInt/iters:
 		return fmt.Errorf("core: %d nodes x %d iterations overflows the node count", nodeTotal, iters)
 	}
-	for rank, p := range byRank {
-		for i, id := range p.layouts {
-			if err := collective.CheckSpans(top, layouts[id], rank); err != nil {
-				first := slices.Index(p.slot, int32(i)) // the first node using the layout
-				return fmt.Errorf("core: npu %d node %d: %w", rank, p.Nodes()[first].ID, err)
-			}
-		}
+	if err := checkLayouts(top, byRank, layouts); err != nil {
+		return err
 	}
 
 	fold := s.foldBlock(byRank, distinct, layouts)
@@ -625,6 +631,27 @@ func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) er
 	s.npus = npus
 	s.fold = fold
 	s.remaining = simTotal * iters
+	return nil
+}
+
+// checkLayouts checks every rank's layouts, and names the first rank, in
+// rank order, that fails one and the first node using that layout. A
+// layout that holds at every rank holds at the ranks that use it, so the
+// ranks are walked only when some layout fails somewhere.
+func checkLayouts(top *topology.Topology, byRank []*graphPlan, layouts [][]collective.Span) error {
+	if !slices.ContainsFunc(layouts, func(spans []collective.Span) bool {
+		return collective.CheckLayout(top, spans) != nil
+	}) {
+		return nil
+	}
+	for rank, p := range byRank {
+		for i, id := range p.layouts {
+			if err := collective.CheckSpans(top, layouts[id], rank); err != nil {
+				first := slices.Index(p.slot, int32(i)) // the first node using the layout
+				return fmt.Errorf("core: npu %d node %d: %w", rank, p.Nodes()[first].ID, err)
+			}
+		}
+	}
 	return nil
 }
 

@@ -431,6 +431,67 @@ func TestSpanLeavingItsDimensionFailsStart(t *testing.T) {
 	}
 }
 
+// Start decides each layout once for every rank, and walks the ranks only
+// when a layout fails somewhere, so a layout that fails only at ranks that
+// do not use it passes, and a failure names the lowest failing rank and,
+// there, the first node of the plan's first failing layout. On
+// R(2)_R(8), where rank r sits at position r/2 of dimension 1, {K 2,
+// stride s} on dimension 1 fails at positions 6-7 for stride 3, 2-5 for
+// stride 6 and 3-4 for stride 5.
+func TestLayoutFailingAtSomeRanks(t *testing.T) {
+	top := topology.MustNew(
+		topology.Dim{Kind: topology.Ring, Size: 2, Bandwidth: units.GBps(100)},
+		topology.Dim{Kind: topology.Ring, Size: 8, Bandwidth: units.GBps(100)},
+	)
+	ar := func(id int, deps []int, spans ...et.SpanRef) et.Node {
+		n := et.Node{ID: id, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: mb8, Deps: deps}
+		if len(spans) > 0 {
+			n.Group = &et.GroupRef{Spans: spans}
+		}
+		return n
+	}
+	stride := func(s int) et.SpanRef { return et.SpanRef{Phys: 1, K: 2, Stride: s} }
+	// Ranks 0-11 (positions 0-5) pair up on stride 3; ranks 12-15, where
+	// stride 3 leaves the dimension, do not use it.
+	pairs := []et.Node{ar(1, nil), ar(2, []int{1}, stride(3))}
+	whole := []et.Node{ar(1, nil)}
+	unused := perRank(16, func(r int) []et.Node {
+		if r < 12 {
+			return pairs
+		}
+		return whole
+	})
+	// Ranks 0-7 use only stride 3, which holds at their positions 0-3;
+	// ranks 8-15 use stride 4, then 6, then 5, and rank 8, at position 4,
+	// is the first to fail one: stride 6, first used by node 20.
+	early := []et.Node{ar(1, nil, stride(3))}
+	late := []et.Node{ar(10, nil, stride(4)), ar(20, []int{10}, stride(6)), ar(30, []int{20}, stride(5)), ar(40, []int{30}, stride(6))}
+	failing := perRank(16, func(r int) []et.Node {
+		if r < 8 {
+			return early
+		}
+		return late
+	})
+	const want = "core: npu 8 node 20: collective: span 0 (K=2, stride=6) exceeds dim 1 size 8"
+	for _, unfolded := range []bool{false, true} {
+		sim, err := NewSimulator(testConfig(t, top))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.unfolded = unfolded
+		if _, err := sim.Run(unused); err != nil {
+			t.Errorf("unfolded %v: layout unused where it fails: %v", unfolded, err)
+		}
+		if sim, err = NewSimulator(testConfig(t, top)); err != nil {
+			t.Fatal(err)
+		}
+		sim.unfolded = unfolded
+		if err := sim.Start(failing, 0); err == nil || err.Error() != want {
+			t.Errorf("unfolded %v: Start error %v, want %q", unfolded, err, want)
+		}
+	}
+}
+
 // A folded run that deadlocks reports what the unfolded run reports, its
 // pending-node count scaled to every rank: here ranks 0-1 wait in a
 // whole-machine All-Reduce that ranks 2-3 never issue.

@@ -585,7 +585,8 @@ func (t *Trace) Validate() error {
 // size, and vice versa) — mismatched P2P nodes would deadlock the
 // simulation. It returns each graph's plan, indexed like Graphs. Graphs
 // that share one node list share one plan, so per-list work runs once per
-// distinct list rather than once per rank.
+// distinct list rather than once per rank, and a graph that shares the
+// previous graph's list takes its plan without a lookup.
 func (t *Trace) Plans() ([]*Plan, error) {
 	if t.NumNPUs <= 0 {
 		return nil, fmt.Errorf("et: trace needs a positive NPU count")
@@ -596,6 +597,7 @@ func (t *Trace) Plans() ([]*Plan, error) {
 	seen := make([]bool, t.NumNPUs)
 	plans := make([]*Plan, len(t.Graphs))
 	shared := make(map[listKey]*Plan)
+	var prev listKey
 	for i, g := range t.Graphs {
 		if g == nil {
 			return nil, fmt.Errorf("et: trace has a nil graph")
@@ -611,6 +613,10 @@ func (t *Trace) Plans() ([]*Plan, error) {
 		if key.n > 0 {
 			key.first = &g.Nodes[0]
 		}
+		if i > 0 && key == prev { // consecutive ranks mostly share a list
+			plans[i] = plans[i-1]
+			continue
+		}
 		p := shared[key]
 		if p == nil {
 			var err error
@@ -619,7 +625,7 @@ func (t *Trace) Plans() ([]*Plan, error) {
 			}
 			shared[key] = p
 		}
-		plans[i] = p
+		plans[i], prev = p, key
 	}
 	if err := t.matchP2P(plans); err != nil {
 		return nil, err

@@ -243,6 +243,32 @@ func TestNodeCount(t *testing.T) {
 // Validation runs once per distinct node list, so a defect in a list that
 // every rank shares must still be reported, and so must a defect in a list
 // that only starts like a shared one.
+// Plans reuses the previous graph's plan when a graph shares its list, but
+// only after checking the graph itself: a nil graph, an out-of-range NPU
+// or a duplicate NPU between two graphs that share a list is reported, the
+// last two also when the defective graph shares the list.
+func TestPlansCheckGraphsBetweenSharedLists(t *testing.T) {
+	list := []Node{{ID: 1, Kind: KindCompute, FLOPs: 1}}
+	other := []Node{{ID: 1, Kind: KindCompute, FLOPs: 2}}
+	cases := []struct {
+		name   string
+		middle *Graph
+		want   string
+	}{
+		{"nil", nil, "et: trace has a nil graph"},
+		{"out of range, shared list", &Graph{NPU: 3, Nodes: list}, "et: graph for out-of-range npu 3"},
+		{"out of range, other list", &Graph{NPU: -1, Nodes: other}, "et: graph for out-of-range npu -1"},
+		{"duplicate, shared list", &Graph{NPU: 0, Nodes: list}, "et: duplicate graph for npu 0"},
+		{"duplicate, other list", &Graph{NPU: 0, Nodes: other}, "et: duplicate graph for npu 0"},
+	}
+	for _, c := range cases {
+		tr := &Trace{NumNPUs: 3, Graphs: []*Graph{{NPU: 0, Nodes: list}, c.middle, {NPU: 2, Nodes: list}}}
+		if _, err := tr.Plans(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Plans error %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestSharedListDefectsStillRejected(t *testing.T) {
 	shared := func(nodes []Node) *Trace {
 		tr := &Trace{NumNPUs: 4}

@@ -42,16 +42,17 @@ type SpeedupResult struct {
 // 16 bytes/flit at 1 GHz.
 const garnetLinkGBps = 16.0
 
-// torusTopo builds the analytical twin of a garnet torus: each ring
-// dimension's shared capacity is twice the per-direction link rate.
-func torusTopo(shape []int) (*topology.Topology, error) {
+// torusTopo builds the analytical twin of a garnet torus clocked at 1 GHz
+// whose links take hop cycles: each ring dimension's shared capacity is
+// twice the per-direction link rate, and its hop latency is hop ns.
+func torusTopo(shape []int, hop int) (*topology.Topology, error) {
 	dims := make([]topology.Dim, len(shape))
 	for i, k := range shape {
 		dims[i] = topology.Dim{
 			Kind:      topology.Ring,
 			Size:      k,
 			Bandwidth: units.GBps(2 * garnetLinkGBps),
-			Latency:   units.Nanosecond, // 1 cycle at 1 GHz
+			Latency:   units.Time(hop) * units.Nanosecond,
 		}
 	}
 	return topology.New(dims...)
@@ -63,11 +64,11 @@ func torusTopo(shape []int) (*topology.Topology, error) {
 // process took 64-79 us, and the median of five 13-35 us.
 const analyticalRepeats = 5
 
-// analyticalTorusAllReduce simulates the All-Reduce on the torus's
-// analytical twin repeats times. It returns the simulated time and the
-// median wall time of the runs.
-func analyticalTorusAllReduce(shape []int, size units.ByteSize, repeats int) (units.Time, time.Duration, error) {
-	top, err := torusTopo(shape)
+// analyticalTorusAllReduce simulates the All-Reduce on the analytical twin
+// of the torus whose links take hop cycles, repeats times. It returns the
+// simulated time and the median wall time of the runs.
+func analyticalTorusAllReduce(shape []int, hop int, size units.ByteSize, repeats int) (units.Time, time.Duration, error) {
+	top, err := torusTopo(shape, hop)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -110,11 +111,11 @@ func Speedup(size units.ByteSize, o Options) (*SpeedupResult, error) {
 		return nil, fmt.Errorf("cycle backend: %w", err)
 	}
 	out.CycleWall = time.Since(start)
-	out.AnalyticalSimTime, out.AnalyticalWall, err = analyticalTorusAllReduce(out.SmallShape, size, analyticalRepeats)
+	out.AnalyticalSimTime, out.AnalyticalWall, err = analyticalTorusAllReduce(out.SmallShape, 1, size, analyticalRepeats)
 	if err != nil {
 		return nil, err
 	}
-	out.AnalyticalSimLarge, out.AnalyticalWallLarge, err = analyticalTorusAllReduce(out.LargeShape, size, analyticalRepeats)
+	out.AnalyticalSimLarge, out.AnalyticalWallLarge, err = analyticalTorusAllReduce(out.LargeShape, 1, size, analyticalRepeats)
 	if err != nil {
 		return nil, err
 	}

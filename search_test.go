@@ -431,6 +431,8 @@ func TestOptimizeSpecErrors(t *testing.T) {
 				`search search: no feasible candidates (8 pruned)`},
 			specDefect{"negative proxy size", func(s *SearchSpec) { s.ProxySizeBytes = -1 << 30 },
 				`sweep test-search/estimate: cell [R(8) @ 100 GB/s / all_reduce(67108864)]: collective: non-positive size -1073741824`},
+			specDefect{"overflowing proxy size", func(s *SearchSpec) { s.ProxySizeBytes = 1 << 60 },
+				`sweep test-search/estimate: cell [R(8) @ 100 GB/s / all_reduce(67108864)]: collective: estimate of all_reduce over 1152921504606846976 B overflows simulated time`},
 		)},
 		{"cluster", testClusterSearchSpec, append(shared("cluster-test", 4),
 			specDefect{"no jobs", func(s *SearchSpec) { s.Cluster.Jobs = nil },
@@ -445,6 +447,8 @@ func TestOptimizeSpecErrors(t *testing.T) {
 				`search cluster-search: no feasible candidates (4 pruned)`},
 			specDefect{"negative proxy size", func(s *SearchSpec) { s.ProxySizeBytes = -1 << 30 },
 				`sweep cluster-test/estimate: cell [slow / strided]: collective: non-positive size -1073741824`},
+			specDefect{"overflowing proxy size", func(s *SearchSpec) { s.ProxySizeBytes = 1 << 60 },
+				`sweep cluster-test/estimate: cell [slow / strided]: collective: estimate of all_reduce over 1152921504606846976 B overflows simulated time`},
 		)},
 	}
 	for _, m := range modes {
