@@ -8,6 +8,8 @@
 //	paper -exp fig9b     scalability study (Fig. 9b)
 //	paper -exp fig11     disaggregated memory study (Table V / Fig. 11)
 //	paper -exp taxonomy  topology notation round-trips (Fig. 3 / Table I)
+//	paper -exp ablation  chunk pipelining depth x scheduler ablation
+//	paper -exp pools     Fig. 5 pool architectures under one bulk transfer
 //	paper -exp fabrics   pluggable-fabric comparison (Torus vs Ring-stack
 //	                     vs oversubscribed Switch, GPT-3 + 1 GB All-Reduce)
 //	paper -exp search    multi-fidelity design-space search: recover the
@@ -49,8 +51,33 @@ import (
 	"repro/internal/units"
 )
 
+// experimentTable lists every experiment in the order -exp all runs them;
+// the -exp flag's help text and lookup read it too.
+var experimentTable = []struct {
+	name string
+	run  func(experiments.Options, bool) error
+}{
+	{"fig4", runFig4},
+	{"speedup", runSpeedup},
+	{"tableiv", runTableIV},
+	{"fig9a", runFig9a},
+	{"fig9b", runFig9b},
+	{"fig11", runFig11},
+	{"taxonomy", runTaxonomy},
+	{"ablation", runAblation},
+	{"pools", runPoolDesigns},
+	{"fabrics", runFabrics},
+	{"search", runSearch},
+	{"interference", runInterference},
+	{"resilience", runResilience},
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (fig4|speedup|tableiv|fig9a|fig9b|fig11|taxonomy|ablation|pools|fabrics|search|interference|resilience|all)")
+	names := make([]string, 0, len(experimentTable)+1)
+	for _, e := range experimentTable {
+		names = append(names, e.name)
+	}
+	exp := flag.String("exp", "all", "experiment to run ("+strings.Join(append(names, "all"), "|")+")")
 	reduced := flag.Bool("reduced", false, "shrink workloads for a quick pass")
 	parallel := flag.Int("parallel", 0, "sweep worker count; 0 = all cores (results identical for any value)")
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of tables")
@@ -72,37 +99,17 @@ func main() {
 	}
 
 	o := experiments.Options{Reduced: *reduced, Exec: sweep.Exec{Workers: *parallel}}
-	runners := map[string]func(experiments.Options, bool) error{
-		"fig4":         runFig4,
-		"speedup":      runSpeedup,
-		"tableiv":      runTableIV,
-		"fig9a":        runFig9a,
-		"fig9b":        runFig9b,
-		"fig11":        runFig11,
-		"taxonomy":     runTaxonomy,
-		"ablation":     runAblation,
-		"pools":        runPoolDesigns,
-		"fabrics":      runFabrics,
-		"search":       runSearch,
-		"interference": runInterference,
-		"resilience":   runResilience,
-	}
-	order := []string{"fig4", "speedup", "tableiv", "fig9a", "fig9b", "fig11", "taxonomy", "ablation", "pools", "fabrics", "search", "interference", "resilience"}
-
-	if *exp == "all" {
-		for _, name := range order {
-			if err := runners[name](o, *jsonOut); err != nil {
+	ran := false
+	for _, e := range experimentTable {
+		if *exp == "all" || *exp == e.name {
+			if err := e.run(o, *jsonOut); err != nil {
 				fatal(err)
 			}
+			ran = true
 		}
-		return
 	}
-	r, ok := runners[*exp]
-	if !ok {
+	if !ran {
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
-	}
-	if err := r(o, *jsonOut); err != nil {
-		fatal(err)
 	}
 }
 

@@ -240,20 +240,11 @@ func zeroed(s []float64, n int) []float64 {
 // backend's machine set, and a subset group gets a fresh set, which suits
 // one-off collectives but registers a new set per call.
 func (e *Engine) Start(op Op, size units.ByteSize, g Group, links *network.LinkSet, done func(Result)) error {
-	if size <= 0 {
-		return fmt.Errorf("collective: non-positive size %d", size)
-	}
-	if len(g.Spans) == 0 {
-		return fmt.Errorf("collective: group has no spans")
+	startSize, err := startShard(op, size, g)
+	if err != nil {
+		return err
 	}
 	n := g.Size()
-	if n < 2 {
-		return fmt.Errorf("collective: group of size %d; need at least 2 members", n)
-	}
-	startSize := InitialShard(op, size, n)
-	if startSize <= 0 {
-		return fmt.Errorf("collective: %v of %v over %d members leaves an empty shard", op, size, n)
-	}
 	// The machine set serves a whole-machine group without listing its
 	// ranks; only the Themis ledger needs member ranks.
 	if links == nil {
@@ -371,6 +362,26 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, links *network.LinkS
 	return nil
 }
 
+// startShard returns the per-NPU size op of total size starts from on g,
+// or the error Start refuses the collective with.
+func startShard(op Op, size units.ByteSize, g Group) (units.ByteSize, error) {
+	if size <= 0 {
+		return 0, fmt.Errorf("collective: non-positive size %d", size)
+	}
+	if len(g.Spans) == 0 {
+		return 0, fmt.Errorf("collective: group has no spans")
+	}
+	n := g.Size()
+	if n < 2 {
+		return 0, fmt.Errorf("collective: group of size %d; need at least 2 members", n)
+	}
+	shard := InitialShard(op, size, n)
+	if shard <= 0 {
+		return 0, fmt.Errorf("collective: %v of %v over %d members leaves an empty shard", op, size, n)
+	}
+	return shard, nil
+}
+
 // chunkSize splits size into chunks as evenly as possible.
 func (e *Engine) chunkSize(size units.ByteSize, chunks, idx int) units.ByteSize {
 	base := size / units.ByteSize(chunks)
@@ -381,17 +392,29 @@ func (e *Engine) chunkSize(size units.ByteSize, chunks, idx int) units.ByteSize 
 	return base
 }
 
-// basePlan returns the fixed multi-rail phase order of op over n spans,
-// shared by every chunk that follows it: Reduce-Scatter ascending (Dim 1
-// first), All-Gather descending. All-to-all keeps D constant through every
-// phase, so per-dim traffic is ordering-invariant and the fixed ascending
-// order applies under every scheduler (per-chunk order shuffling would only
-// roughen the pipeline). Each plan is built once per engine.
+// basePlan returns fixedPlan(op, n), built once per engine and shared by
+// every chunk that follows it.
 func (e *Engine) basePlan(op Op, n int) []phase {
 	plans := e.basePlans[op]
 	if n < len(plans) && plans[n] != nil {
 		return plans[n]
 	}
+	p := fixedPlan(op, n)
+	if n >= len(plans) {
+		plans = append(plans, make([][]phase, n+1-len(plans))...)
+		e.basePlans[op] = plans
+	}
+	plans[n] = p
+	return p
+}
+
+// fixedPlan returns the fixed multi-rail phase order of op over n spans:
+// Reduce-Scatter ascending (Dim 1 first), All-Gather descending. All-to-all
+// keeps D constant through every phase, so per-dim traffic is
+// ordering-invariant and the fixed ascending order applies under every
+// scheduler (per-chunk order shuffling would only roughen the pipeline).
+// MessageSchedule walks the same order.
+func fixedPlan(op Op, n int) []phase {
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i
@@ -406,13 +429,8 @@ func (e *Engine) basePlan(op Op, n int) []phase {
 		p = phasesFor(p, all, ReduceScatter, false)
 		p = phasesFor(p, all, AllGather, true)
 	default:
-		panic("collective: unknown op in basePlan")
+		panic("collective: unknown op in fixedPlan")
 	}
-	if n >= len(plans) {
-		plans = append(plans, make([][]phase, n+1-len(plans))...)
-		e.basePlans[op] = plans
-	}
-	plans[n] = p
 	return p
 }
 

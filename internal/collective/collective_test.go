@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -98,49 +99,43 @@ func TestRingAllGatherSingleChunk(t *testing.T) {
 }
 
 // TestChunkModelMatchesMessageLevel cross-validates the aggregate
-// chunk-phase model against the per-message Table I algorithms for all
-// three building blocks and all four ops on a single dimension.
+// chunk-phase model against the per-message Table I algorithms on a single
+// dimension: Reduce-Scatter, All-Gather and All-Reduce at every k from 2
+// to 8 on Ring, FullyConnected and Mesh and at k = 2, 4 and 8 on Switch,
+// and All-to-All at k = 4 on Ring, FullyConnected and Switch. SW(5), SW(6)
+// and SW(7) are left out: there the chunk model charges Halving-Doubling's
+// 2·ceil(log2 k) link latencies while the schedule falls back to one
+// direct step.
 func TestChunkModelMatchesMessageLevel(t *testing.T) {
-	kinds := []topology.DimModel{topology.Ring, topology.FullyConnected, topology.Switch}
-	ops := []Op{ReduceScatter, AllGather, AllReduce, AllToAll}
-	for _, kind := range kinds {
-		for _, op := range ops {
-			top := topology.MustNew(topology.Dim{Kind: kind, Size: 4, Bandwidth: units.GBps(100), Latency: 500 * units.Nanosecond})
-
-			// Message level.
-			engM := timeline.New()
-			netM := network.NewBackend(engM, top)
-			var msgTime units.Time
-			if err := RunMessageLevel(netM, op, 8*units.MB, 0, 0, func(at units.Time) { msgTime = at }); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := engM.Run(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Chunk-phase model, single chunk.
-			engC := timeline.New()
-			netC := network.NewBackend(engC, top)
-			ce := NewEngine(netC, WithChunks(1))
-			var res Result
-			if err := ce.Start(op, 8*units.MB, FullMachine(top), nil, func(r Result) { res = r }); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := engC.Run(); err != nil {
-				t.Fatal(err)
-			}
-
-			// The models must agree within 1% (rounding of uneven chunk
-			// splits aside, they compute the same arithmetic).
-			diff := res.Duration() - msgTime
-			if diff < 0 {
-				diff = -diff
-			}
-			if msgTime == 0 {
-				t.Fatalf("%v/%v: message-level time is zero", kind, op)
-			}
-			if float64(diff)/float64(msgTime) > 0.01 {
-				t.Errorf("%v %v: chunk model %v vs message level %v", kind, op, res.Duration(), msgTime)
+	every := []int{2, 3, 4, 5, 6, 7, 8}
+	primitive := []Op{ReduceScatter, AllGather, AllReduce}
+	cases := []struct {
+		kind topology.DimModel
+		ks   []int
+		ops  []Op
+	}{
+		{topology.Ring, every, primitive},
+		{topology.FullyConnected, every, primitive},
+		{topology.Mesh, every, primitive},
+		{topology.Switch, []int{2, 4, 8}, primitive},
+		{topology.Ring, []int{4}, []Op{AllToAll}},
+		{topology.FullyConnected, []int{4}, []Op{AllToAll}},
+		{topology.Switch, []int{4}, []Op{AllToAll}},
+	}
+	for _, c := range cases {
+		for _, k := range c.ks {
+			d := topology.Dim{Kind: c.kind, Size: k, Bandwidth: units.GBps(100), Latency: 500 * units.Nanosecond}
+			top := topology.MustNew(d)
+			for _, op := range c.ops {
+				t.Run(fmt.Sprintf("%s/%v", d.Format(), op), func(t *testing.T) {
+					msg := runMessageLevelOnce(t, top, op, 8*units.MB)
+					chunk := runEngineOnce(t, top, op, 8*units.MB, 1, Baseline)
+					// The models must agree within 1% (rounding of uneven
+					// chunk splits aside, they compute the same arithmetic).
+					if diff := math.Abs(float64(chunk - msg)); diff/float64(msg) > 0.01 {
+						t.Errorf("chunk model %v vs message level %v", chunk, msg)
+					}
+				})
 			}
 		}
 	}

@@ -226,42 +226,9 @@ func TestMultiSpanSamePhysicalDim(t *testing.T) {
 // on R(7) forms the real instance [1 3 4 6] from base 1, but not from
 // base 0, whose members [0 2 3 5] have two origins.
 func TestCheckSpansMatchesMembers(t *testing.T) {
-	dims := func(sizes ...int) *topology.Topology {
-		var ds []topology.Dim
-		for _, n := range sizes {
-			ds = append(ds, topology.Dim{Kind: topology.Ring, Size: n, Bandwidth: units.GBps(100)})
-		}
-		return topology.MustNew(ds...)
-	}
-	tops := []*topology.Topology{dims(7), dims(8), dims(12), dims(4, 2), dims(2, 3, 2)}
 	checked, accepted := 0, 0
-	for _, top := range tops {
-		var all []Span
-		for d, dim := range top.Dims {
-			for k := 2; k <= dim.Size+1; k++ {
-				for stride := 1; stride <= dim.Size; stride++ {
-					all = append(all, Span{Phys: d, K: k, Stride: stride})
-				}
-			}
-		}
-		var layouts [][]Span
-		for _, a := range all {
-			layouts = append(layouts, []Span{a})
-			for _, b := range all {
-				if a.K*b.K > 2*top.NumNPUs() {
-					continue
-				}
-				layouts = append(layouts, []Span{a, b})
-				if top.NumNPUs() <= 8 {
-					for _, c := range all {
-						if a.K*b.K*c.K <= 2*top.NumNPUs() {
-							layouts = append(layouts, []Span{a, b, c})
-						}
-					}
-				}
-			}
-		}
-		for _, spans := range layouts {
+	for _, top := range layoutMachines() {
+		for _, spans := range spanLayouts(top) {
 			for base := 0; base < top.NumNPUs(); base++ {
 				err := CheckSpans(top, spans, base)
 				real := spansNest(spans) && realInstance(top, spans, base)
@@ -282,6 +249,52 @@ func TestCheckSpansMatchesMembers(t *testing.T) {
 	if accepted == 0 || accepted == checked {
 		t.Errorf("%d of %d layouts accepted: the property was not exercised", accepted, checked)
 	}
+}
+
+// layoutMachines returns the ring machines TestCheckSpansMatchesMembers
+// enumerates layouts on.
+func layoutMachines() []*topology.Topology {
+	dims := func(sizes ...int) *topology.Topology {
+		var ds []topology.Dim
+		for _, n := range sizes {
+			ds = append(ds, topology.Dim{Kind: topology.Ring, Size: n, Bandwidth: units.GBps(100)})
+		}
+		return topology.MustNew(ds...)
+	}
+	return []*topology.Topology{dims(7), dims(8), dims(12), dims(4, 2), dims(2, 3, 2)}
+}
+
+// spanLayouts enumerates layouts of one and two spans on top, and of three
+// on machines of at most 8 NPUs: every span has K from 2 to one past its
+// dimension's size and a stride from 1 to the size, and a layout's K
+// product is at most twice the NPU count. Most are invalid at some base.
+func spanLayouts(top *topology.Topology) [][]Span {
+	var all []Span
+	for d, dim := range top.Dims {
+		for k := 2; k <= dim.Size+1; k++ {
+			for stride := 1; stride <= dim.Size; stride++ {
+				all = append(all, Span{Phys: d, K: k, Stride: stride})
+			}
+		}
+	}
+	var layouts [][]Span
+	for _, a := range all {
+		layouts = append(layouts, []Span{a})
+		for _, b := range all {
+			if a.K*b.K > 2*top.NumNPUs() {
+				continue
+			}
+			layouts = append(layouts, []Span{a, b})
+			if top.NumNPUs() <= 8 {
+				for _, c := range all {
+					if a.K*b.K*c.K <= 2*top.NumNPUs() {
+						layouts = append(layouts, []Span{a, b, c})
+					}
+				}
+			}
+		}
+	}
+	return layouts
 }
 
 // spansNest reports whether the spans of each dimension, by ascending

@@ -135,19 +135,8 @@ func TestMessageLevelMatchesChunkModelNewBlocks(t *testing.T) {
 		top := topology.MustNew(d)
 		for _, op := range []Op{ReduceScatter, AllGather, AllReduce} {
 			t.Run(fmt.Sprintf("%s/%v", d.Format(), op), func(t *testing.T) {
-				engM := timeline.New()
-				netM := network.NewBackend(engM, top)
-				var msgTime units.Time
-				if err := RunMessageLevel(netM, op, 8*units.MB, 0, 0, func(at units.Time) { msgTime = at }); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := engM.Run(); err != nil {
-					t.Fatal(err)
-				}
+				msgTime := runMessageLevelOnce(t, top, op, 8*units.MB)
 				chunk := runEngineOnce(t, top, op, 8*units.MB, 1, Baseline)
-				if msgTime == 0 {
-					t.Fatal("message-level time is zero")
-				}
 				diff := chunk - msgTime
 				if diff < 0 {
 					diff = -diff

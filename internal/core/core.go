@@ -238,26 +238,26 @@ type RunStats struct {
 	Timeline []Interval
 }
 
-// MeanBreakdown averages the per-NPU breakdowns.
+// MeanBreakdown averages the per-NPU breakdowns, each field rounded down.
+// Summing quotients and remainders by the NPU count n apart keeps it exact
+// where a field's total passes the int64 range; the remainders stay below
+// n², which fits at the topology's 2^24-NPU cap.
 func (s RunStats) MeanBreakdown() Breakdown {
-	var m Breakdown
-	if len(s.PerNPU) == 0 {
-		return m
-	}
-	for _, b := range s.PerNPU {
-		m.Compute += b.Compute
-		m.ExposedComm += b.ExposedComm
-		m.ExposedRemoteMem += b.ExposedRemoteMem
-		m.ExposedLocalMem += b.ExposedLocalMem
-		m.Idle += b.Idle
-	}
 	n := units.Time(len(s.PerNPU))
-	m.Compute /= n
-	m.ExposedComm /= n
-	m.ExposedRemoteMem /= n
-	m.ExposedLocalMem /= n
-	m.Idle /= n
-	return m
+	if n == 0 {
+		return Breakdown{}
+	}
+	var q, r [5]units.Time
+	for _, b := range s.PerNPU {
+		for i, v := range [5]units.Time{b.Compute, b.ExposedComm, b.ExposedRemoteMem, b.ExposedLocalMem, b.Idle} {
+			q[i] += v / n
+			r[i] += v % n
+		}
+	}
+	for i := range q {
+		q[i] += r[i] / n
+	}
+	return Breakdown{Compute: q[0], ExposedComm: q[1], ExposedRemoteMem: q[2], ExposedLocalMem: q[3], Idle: q[4]}
 }
 
 // Simulator executes traces over a configured machine. A Simulator is

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/big"
 	"strings"
 	"testing"
 
@@ -292,6 +294,51 @@ func TestBreakdownSumsToMakespan(t *testing.T) {
 	m := stats.MeanBreakdown()
 	if m.Total() != stats.Makespan {
 		t.Errorf("mean breakdown total %v != makespan %v", m.Total(), stats.Makespan)
+	}
+}
+
+// MeanBreakdown is each field's exact mean rounded down, also where the
+// field's total over the NPUs passes the int64 range: three NPUs at
+// MaxInt64/2 of compute used to average to about -1.5e6 s.
+func TestMeanBreakdown(t *testing.T) {
+	const half = units.Time(math.MaxInt64 / 2)
+	cases := []struct {
+		name   string
+		perNPU []Breakdown
+	}{
+		{"no NPUs", nil},
+		{"overflowing total", []Breakdown{{Compute: half}, {Compute: half}, {Compute: half}}},
+		{"overflowing totals of unequal fields", []Breakdown{
+			{Compute: math.MaxInt64, Idle: 5},
+			{Compute: math.MaxInt64 - 1, ExposedComm: half, Idle: 7},
+			{Compute: 5, ExposedComm: half + 2, Idle: 1},
+		}},
+		{"remainders", []Breakdown{
+			{Compute: 7, ExposedComm: 2, ExposedRemoteMem: 11, ExposedLocalMem: 1, Idle: 0},
+			{Compute: 8, ExposedComm: 2, ExposedRemoteMem: 13, ExposedLocalMem: 0, Idle: 2},
+			{Compute: 10, ExposedComm: 1, ExposedRemoteMem: 14, ExposedLocalMem: 0, Idle: 2},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fields := func(b Breakdown) [5]units.Time {
+				return [5]units.Time{b.Compute, b.ExposedComm, b.ExposedRemoteMem, b.ExposedLocalMem, b.Idle}
+			}
+			var want [5]units.Time
+			for i := range want {
+				if len(c.perNPU) == 0 {
+					break
+				}
+				sum := new(big.Int)
+				for _, b := range c.perNPU {
+					sum.Add(sum, big.NewInt(int64(fields(b)[i])))
+				}
+				want[i] = units.Time(sum.Quo(sum, big.NewInt(int64(len(c.perNPU)))).Int64())
+			}
+			if got := fields(RunStats{PerNPU: c.perNPU}.MeanBreakdown()); got != want {
+				t.Errorf("MeanBreakdown %v, want %v", got, want)
+			}
+		})
 	}
 }
 

@@ -58,6 +58,16 @@ func torusTopo(shape []int, hop int) (*topology.Topology, error) {
 	return topology.New(dims...)
 }
 
+// torusSchedule returns op's message-level schedule over the whole
+// analytical twin of the torus (torusTopo), for garnet to play.
+func torusSchedule(shape []int, hop int, op collective.Op, size units.ByteSize) ([]topology.Step, error) {
+	top, err := torusTopo(shape, hop)
+	if err != nil {
+		return nil, err
+	}
+	return collective.MessageSchedule(top, op, size, collective.FullMachine(top))
+}
+
 // analyticalRepeats is how many times Speedup times each analytical run;
 // it reports their median. One run takes tens of microseconds, so a single
 // reading swings with the host: on a 2-core VM the first 4x4x4 run in a
@@ -65,15 +75,15 @@ func torusTopo(shape []int, hop int) (*topology.Topology, error) {
 const analyticalRepeats = 5
 
 // analyticalTorusAllReduce simulates the All-Reduce on the analytical twin
-// of the torus whose links take hop cycles, repeats times. It returns the
+// of the torus with 1-cycle links, analyticalRepeats times. It returns the
 // simulated time and the median wall time of the runs.
-func analyticalTorusAllReduce(shape []int, hop int, size units.ByteSize, repeats int) (units.Time, time.Duration, error) {
-	top, err := torusTopo(shape, hop)
+func analyticalTorusAllReduce(shape []int, size units.ByteSize) (units.Time, time.Duration, error) {
+	top, err := torusTopo(shape, 1)
 	if err != nil {
 		return 0, 0, err
 	}
 	var sim units.Time
-	walls := make([]time.Duration, repeats)
+	walls := make([]time.Duration, analyticalRepeats)
 	for i := range walls {
 		start := time.Now()
 		// A single chunk mirrors the cycle driver's bulk-synchronous step
@@ -87,7 +97,7 @@ func analyticalTorusAllReduce(shape []int, hop int, size units.ByteSize, repeats
 		sim = res.Duration()
 	}
 	slices.Sort(walls)
-	return sim, walls[repeats/2], nil
+	return sim, walls[analyticalRepeats/2], nil
 }
 
 // Speedup runs the comparison. size is typically 1 MB (the paper's
@@ -101,21 +111,25 @@ func Speedup(size units.ByteSize, o Options) (*SpeedupResult, error) {
 		SmallShape: []int{4, 4, 4},
 		LargeShape: []int{16, 16, 16},
 	}
+	steps, err := torusSchedule(out.SmallShape, 1, collective.AllReduce, size)
+	if err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	g, err := garnet.New(garnet.Config{Shape: out.SmallShape, FlitBytes: 16, LinkLatency: 1, ClockGHz: 1})
 	if err != nil {
 		return nil, err
 	}
-	out.CycleSimTime, out.CycleCycles, err = g.AllReduce(size)
+	out.CycleSimTime, out.CycleCycles, err = g.Play(steps)
 	if err != nil {
 		return nil, fmt.Errorf("cycle backend: %w", err)
 	}
 	out.CycleWall = time.Since(start)
-	out.AnalyticalSimTime, out.AnalyticalWall, err = analyticalTorusAllReduce(out.SmallShape, 1, size, analyticalRepeats)
+	out.AnalyticalSimTime, out.AnalyticalWall, err = analyticalTorusAllReduce(out.SmallShape, size)
 	if err != nil {
 		return nil, err
 	}
-	out.AnalyticalSimLarge, out.AnalyticalWallLarge, err = analyticalTorusAllReduce(out.LargeShape, 1, size, analyticalRepeats)
+	out.AnalyticalSimLarge, out.AnalyticalWallLarge, err = analyticalTorusAllReduce(out.LargeShape, size)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,11 @@
 // magnitude faster, because this simulator pays for every flit on every
 // busy link on every cycle.
 //
+// It runs no collective algorithm of its own: Play runs the message-level
+// schedule collective.MessageSchedule builds from the topology's phase
+// schedules, the same steps collective.RunMessageLevel plays on the
+// analytical network, so the two backends can be held to each other.
+//
 // Model: a k-ary n-cube (torus) with one bidirectional link pair per
 // dimension per node. Messages are wormhole-routed flit trains on
 // shortest ring paths, dimension by dimension; each link moves one flit
@@ -17,6 +22,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -175,11 +181,6 @@ func (s *Simulator) linkIdx(node, dim, dir int) int {
 	return (node*s.dims+dim)*2 + d01
 }
 
-// neighbor returns the next node around dim in direction dir.
-func (s *Simulator) neighbor(node, dim, dir int) int {
-	return int(s.next[s.linkIdx(node, dim, dir)])
-}
-
 // Send injects a message travelling within one dimension; done fires when
 // the tail flit reaches the destination. Messages crossing zero hops
 // complete after one cycle; a zero-byte message still sends one flit.
@@ -315,4 +316,26 @@ func (s *Simulator) Drain(maxCycles uint64) error {
 		s.Step()
 	}
 	return nil
+}
+
+// Play runs a message-level schedule (collective.MessageSchedule) at full
+// cycle fidelity, step by step: it sends every transfer of a step on the
+// step's dimension, drains the network, and moves on, the bulk-synchronous
+// structure of the collectives' algorithms. It returns the simulated
+// completion time and the number of cycles it ran. A transfer Send
+// refuses, or a step still in flight after 2^36 cycles, is an error.
+func (s *Simulator) Play(steps []topology.Step) (units.Time, uint64, error) {
+	const maxStepCycles = 1 << 36
+	start := s.cycle
+	for _, st := range steps {
+		for _, x := range st.Xfers {
+			if err := s.Send(x.Src, x.Dst, st.Dim, x.Bytes, nil); err != nil {
+				return 0, 0, err
+			}
+		}
+		if err := s.Drain(maxStepCycles); err != nil {
+			return 0, 0, err
+		}
+	}
+	return s.Time(), s.cycle - start, nil
 }

@@ -3,8 +3,34 @@ package garnet
 import (
 	"testing"
 
+	"repro/internal/collective"
+	"repro/internal/topology"
 	"repro/internal/units"
 )
+
+// allReduceSteps returns the All-Reduce schedule of a torus of the given
+// shape: collective.MessageSchedule over its analytical twin, one ring
+// per dimension. The schedule depends on the blocks and sizes only.
+func allReduceSteps(shape []int, size units.ByteSize) ([]topology.Step, error) {
+	dims := make([]topology.Dim, len(shape))
+	for i, k := range shape {
+		dims[i] = topology.Dim{Kind: topology.Ring, Size: k}
+	}
+	top, err := topology.New(dims...)
+	if err != nil {
+		return nil, err
+	}
+	return collective.MessageSchedule(top, collective.AllReduce, size, collective.FullMachine(top))
+}
+
+// allReduce plays the All-Reduce schedule of s's torus on s.
+func allReduce(s *Simulator, size units.ByteSize) (units.Time, uint64, error) {
+	steps, err := allReduceSteps(s.cfg.Shape, size)
+	if err != nil {
+		return 0, 0, err
+	}
+	return s.Play(steps)
+}
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
@@ -107,7 +133,7 @@ func TestLinkContentionSerializes(t *testing.T) {
 
 func TestAllReduceRing4(t *testing.T) {
 	s, _ := New(Config{Shape: []int{4}, FlitBytes: 16, LinkLatency: 1})
-	elapsed, cycles, err := s.AllReduce(64 * units.KiB)
+	elapsed, cycles, err := allReduce(s, 64*units.KiB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +153,7 @@ func TestAllReduceRing4(t *testing.T) {
 func TestAllReduce3DTorusMatchesAnalyticalShape(t *testing.T) {
 	// The speedup experiment's small configuration: 4x4x4 torus.
 	s, _ := New(Config{Shape: []int{4, 4, 4}, FlitBytes: 16, LinkLatency: 1})
-	elapsed, cycles, err := s.AllReduce(units.MB)
+	elapsed, cycles, err := allReduce(s, units.MB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,14 +203,18 @@ func TestDrainFinishingOnBudgetCycle(t *testing.T) {
 	}
 }
 
-// A warm simulator allocates only each message's record: the arrival slots
-// and link queues keep their arrays from cycle to cycle. An All-Reduce runs
-// dozens of cycles per message, so one object per message also bounds what
-// a cycle may allocate: nothing.
+// A warm simulator playing a prebuilt schedule allocates only each
+// message's record: the arrival slots and link queues keep their arrays
+// from cycle to cycle. An All-Reduce runs dozens of cycles per message, so
+// one object per message also bounds what a cycle may allocate: nothing.
 func TestAllReduceAllocsPerMessage(t *testing.T) {
 	s, _ := New(Config{Shape: []int{4, 4}, FlitBytes: 16, LinkLatency: 1})
+	steps, err := allReduceSteps(s.cfg.Shape, 64*units.KiB)
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func() {
-		if _, _, err := s.AllReduce(64 * units.KiB); err != nil {
+		if _, _, err := s.Play(steps); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,10 +230,16 @@ func TestAllReduceAllocsPerMessage(t *testing.T) {
 	}
 }
 
+// An All-Reduce of no bytes has no schedule, and Play refuses a transfer
+// of negative size, as Send does.
 func TestAllReduceRejectsBadSize(t *testing.T) {
 	s, _ := New(Config{Shape: []int{4}})
-	if _, _, err := s.AllReduce(0); err == nil {
+	if _, _, err := allReduce(s, 0); err == nil {
 		t.Error("zero size accepted")
+	}
+	bad := []topology.Step{{Dim: 0, Xfers: []topology.Xfer{{Src: 0, Dst: 1, Bytes: 16}, {Src: 1, Dst: 2, Bytes: -16}}}}
+	if _, _, err := s.Play(bad); err == nil {
+		t.Error("negative transfer size accepted")
 	}
 }
 
@@ -262,7 +298,7 @@ func TestAllReduceCyclesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		elapsed, cycles, err := s.AllReduce(c.size)
+		elapsed, cycles, err := allReduce(s, c.size)
 		if err != nil {
 			t.Fatal(err)
 		}

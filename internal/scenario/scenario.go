@@ -101,39 +101,47 @@ type Scenario struct {
 
 // Validate checks every event against a machine shape (npus ranks, dims
 // topology dimensions). It reports the first structural problem; a valid
-// scenario can be applied without panicking.
+// scenario can be applied without panicking. No event of any kind may
+// carry a negative time, recovery, dimension, NPU or factor. With
+// math.MaxInt for both bounds it checks what holds on every machine.
 func (s *Scenario) Validate(npus, dims int) error {
 	for i, ev := range s.Events {
 		where := func(format string, args ...any) error {
 			return fmt.Errorf("scenario %q event %d (%s): %s", s.Name, i, ev.Kind, fmt.Sprintf(format, args...))
 		}
-		if ev.At < 0 {
+		switch {
+		case ev.At < 0:
 			return where("negative time %v", ev.At)
-		}
-		if ev.Recovery < 0 {
+		case ev.Recovery < 0:
 			return where("negative recovery %v", ev.Recovery)
+		case ev.Dim < 0:
+			return where("negative dimension %d", ev.Dim)
+		case ev.NPU < 0:
+			return where("negative NPU %d", ev.NPU)
+		case ev.Factor < 0:
+			return where("negative factor %g", ev.Factor)
 		}
 		switch ev.Kind {
 		case DegradeLink:
-			if ev.Dim < 0 || ev.Dim >= dims {
+			if ev.Dim >= dims {
 				return where("dimension %d out of range [0,%d)", ev.Dim, dims)
 			}
 			if ev.Factor <= 0 {
 				return where("non-positive bandwidth factor %v", ev.Factor)
 			}
 		case RestoreLink, FailLink:
-			if ev.Dim < 0 || ev.Dim >= dims {
+			if ev.Dim >= dims {
 				return where("dimension %d out of range [0,%d)", ev.Dim, dims)
 			}
 		case FailNPU:
-			if ev.NPU < 0 || ev.NPU >= npus {
+			if ev.NPU >= npus {
 				return where("NPU %d out of range [0,%d)", ev.NPU, npus)
 			}
 			if ev.Recovery <= 0 {
 				return where("fail_npu requires a positive recovery duration")
 			}
 		case StraggleNPU:
-			if ev.NPU < 0 || ev.NPU >= npus {
+			if ev.NPU >= npus {
 				return where("NPU %d out of range [0,%d)", ev.NPU, npus)
 			}
 			if ev.Factor <= 0 {

@@ -50,6 +50,11 @@ func TestValidate(t *testing.T) {
 		{Kind: StraggleNPU, NPU: -2, Factor: 2},
 		{Kind: StraggleNPU, NPU: 1},
 		{Kind: Kind(42)},
+		// Fields a kind does not use must not be negative either.
+		{Kind: StraggleNPU, NPU: 0, Factor: 2, Dim: -1},
+		{Kind: FailNPU, NPU: 1, Recovery: units.Microsecond, Factor: -1},
+		{Kind: RestoreLink, Dim: 1, NPU: -1},
+		{Kind: FailLink, Dim: 1, Factor: -0.5},
 	}
 	for i, ev := range bad {
 		s := Scenario{Name: "bad", Events: []Event{ev}}

@@ -53,11 +53,21 @@ func (p PhaseKind) String() string {
 	}
 }
 
-// Xfer is one point-to-point transfer of a message-level schedule. Src and
-// Dst are member indices (0..k-1) within the communicator group, not ranks.
+// Xfer is one point-to-point transfer of a message-level schedule. In a
+// block's PhaseSchedule, Src and Dst are member indices (0..k-1) within the
+// communicator group; in a Step they are ranks.
 type Xfer struct {
 	Src, Dst int
 	Bytes    units.ByteSize
+}
+
+// Step is one bulk-synchronous step of a collective's message-level
+// schedule (collective.MessageSchedule): transfers between ranks that
+// differ only in dimension Dim, the next step starting once all have
+// landed. The analytical network and garnet both play steps.
+type Step struct {
+	Dim   int
+	Xfers []Xfer
 }
 
 // DimModel is the behavior of one building block. Position arguments are
@@ -100,7 +110,10 @@ type DimModel interface {
 	// collective: one slice per bulk-synchronous step, each holding that
 	// step's transfers. d is the per-NPU input size (the full input for
 	// Reduce-Scatter, the shard for All-Gather). Only PhaseReduceScatter
-	// and PhaseAllGather are scheduled; All-to-All is block-agnostic.
+	// and PhaseAllGather are scheduled; All-to-All is block-agnostic
+	// (DirectSchedule). collective.MessageSchedule expands these phases
+	// onto a machine's ranks, and both the analytical network and garnet,
+	// the cycle-level backend, play the result.
 	PhaseSchedule(op PhaseKind, k int, d units.ByteSize) [][]Xfer
 }
 
@@ -192,9 +205,9 @@ func ringPer(op PhaseKind, d units.ByteSize, k int) units.ByteSize {
 	return d
 }
 
-// directSchedule is the direct algorithm: one step in which every ordered
-// pair exchanges per bytes.
-func directSchedule(k int, per units.ByteSize) [][]Xfer {
+// DirectSchedule is the direct algorithm: one step in which every ordered
+// pair of k members exchanges per bytes.
+func DirectSchedule(k int, per units.ByteSize) [][]Xfer {
 	step := make([]Xfer, 0, k*(k-1))
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
@@ -283,7 +296,7 @@ func (fcModel) PhaseLatency(k int, link units.Time) units.Time {
 }
 
 func (fcModel) PhaseSchedule(op PhaseKind, k int, d units.ByteSize) [][]Xfer {
-	return directSchedule(k, ringPer(op, d, k))
+	return DirectSchedule(k, ringPer(op, d, k))
 }
 
 // -------------------------------------------------------------- Switch ----
@@ -355,7 +368,7 @@ func (switchModel) PhaseSchedule(op PhaseKind, k int, d units.ByteSize) [][]Xfer
 	if k&(k-1) != 0 {
 		// Non-power-of-two groups fall back to direct exchange, matching
 		// collective-library behaviour for irregular sizes.
-		return directSchedule(k, ringPer(op, d, k))
+		return DirectSchedule(k, ringPer(op, d, k))
 	}
 	steps := CeilLog2(k)
 	out := make([][]Xfer, 0, steps)

@@ -218,22 +218,6 @@ func (w *PosWalker) Next() (dim, pa, pb int, ok bool) {
 	return dim, pa, pb, true
 }
 
-// DimGroup returns the ranks of all NPUs that share every coordinate with
-// rank except along dim (0-based) — i.e. the communicator group for a
-// collective phase on that dimension. The result is ordered by position in
-// the dimension and always includes rank itself.
-func (t *Topology) DimGroup(rank, dim int) []int {
-	stride := t.DimStride(dim)
-	size := t.Dims[dim].Size
-	pos := (rank / stride) % size
-	base := rank - pos*stride
-	group := make([]int, size)
-	for i := 0; i < size; i++ {
-		group[i] = base + i*stride
-	}
-	return group
-}
-
 // Hops returns the total link traversals between two NPUs under
 // dimension-ordered routing: per-dimension hop counts are summed.
 func (t *Topology) Hops(src, dst int) int {

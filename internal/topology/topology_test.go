@@ -138,101 +138,6 @@ func TestCoordRankProperty(t *testing.T) {
 	}
 }
 
-// TestDimGroupMembershipProperty: for random topologies over all registered
-// blocks, every rank's dim-group contains the rank, has exactly the
-// dimension's size members, and all members share every other coordinate.
-func TestDimGroupMembershipProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nd := rng.Intn(3) + 1
-		dims := make([]Dim, nd)
-		for i := range dims {
-			dims[i] = randomDim(rng)
-		}
-		top := MustNew(dims...)
-		rank := rng.Intn(top.NumNPUs())
-		dim := rng.Intn(top.NumDims())
-		group := top.DimGroup(rank, dim)
-		if len(group) != top.Dims[dim].Size {
-			return false
-		}
-		self := false
-		rc := top.Coord(rank)
-		for i, m := range group {
-			if m == rank {
-				self = true
-			}
-			mc := top.Coord(m)
-			if mc[dim] != i { // ordered by position in the dimension
-				return false
-			}
-			for d := range mc {
-				if d != dim && mc[d] != rc[d] {
-					return false
-				}
-			}
-		}
-		return self
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDimGroup(t *testing.T) {
-	top := MustNew(
-		Dim{Kind: Ring, Size: 4},
-		Dim{Kind: Switch, Size: 2},
-	)
-	// Rank 5 has coords (1, 1). Its dim-0 group is ranks 4..7; its dim-1
-	// group is {1, 5}.
-	g0 := top.DimGroup(5, 0)
-	want0 := []int{4, 5, 6, 7}
-	for i := range want0 {
-		if g0[i] != want0[i] {
-			t.Fatalf("DimGroup(5,0) = %v, want %v", g0, want0)
-		}
-	}
-	g1 := top.DimGroup(5, 1)
-	want1 := []int{1, 5}
-	for i := range want1 {
-		if g1[i] != want1[i] {
-			t.Fatalf("DimGroup(5,1) = %v, want %v", g1, want1)
-		}
-	}
-}
-
-func TestDimGroupPartitionProperty(t *testing.T) {
-	// For every dim, the dim-groups partition the NPU set.
-	top := MustNew(
-		Dim{Kind: Ring, Size: 2},
-		Dim{Kind: FullyConnected, Size: 8},
-		Dim{Kind: Switch, Size: 4},
-	)
-	for dim := 0; dim < top.NumDims(); dim++ {
-		seen := make(map[int]int)
-		for rank := 0; rank < top.NumNPUs(); rank++ {
-			group := top.DimGroup(rank, dim)
-			found := false
-			for _, m := range group {
-				seen[m]++
-				if m == rank {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("dim %d: rank %d not in its own group %v", dim, rank, group)
-			}
-		}
-		// Each rank appears exactly Size times (once per member's call).
-		for rank, n := range seen {
-			if n != top.Dims[dim].Size {
-				t.Fatalf("dim %d: rank %d appeared %d times, want %d", dim, rank, n, top.Dims[dim].Size)
-			}
-		}
-	}
-}
-
 func TestHopsAcrossDims(t *testing.T) {
 	top := MustNew(
 		Dim{Kind: Ring, Size: 4},

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 
@@ -48,40 +49,14 @@ type ScenarioSpec struct {
 }
 
 // scenarioEvents converts spec events into the internal representation,
-// rejecting structurally invalid entries (unknown kinds, negative times or
-// factors). Machine-relative bounds — dimension and NPU ranges — are
-// checked against the concrete machine at run time.
+// parsing each kind and converting its microseconds to simulated time.
+// scenario.Scenario.Validate checks the events.
 func scenarioEvents(specs []ScenarioEventSpec) ([]scenario.Event, error) {
 	var events []scenario.Event
 	for i, es := range specs {
 		kind, err := scenario.ParseKind(es.Kind)
 		if err != nil {
 			return nil, fmt.Errorf("astrasim: scenario event %d: %w", i, err)
-		}
-		if es.AtUs < 0 {
-			return nil, fmt.Errorf("astrasim: scenario event %d (%s): negative time %gus", i, es.Kind, es.AtUs)
-		}
-		if es.RecoveryUs < 0 {
-			return nil, fmt.Errorf("astrasim: scenario event %d (%s): negative recovery %gus", i, es.Kind, es.RecoveryUs)
-		}
-		if es.Factor < 0 {
-			return nil, fmt.Errorf("astrasim: scenario event %d (%s): negative factor %g", i, es.Kind, es.Factor)
-		}
-		if es.Dim < 0 {
-			return nil, fmt.Errorf("astrasim: scenario event %d (%s): negative dimension %d", i, es.Kind, es.Dim)
-		}
-		if es.NPU < 0 {
-			return nil, fmt.Errorf("astrasim: scenario event %d (%s): negative NPU %d", i, es.Kind, es.NPU)
-		}
-		switch kind {
-		case scenario.DegradeLink, scenario.StraggleNPU:
-			if es.Factor == 0 {
-				return nil, fmt.Errorf("astrasim: scenario event %d (%s): factor is required and must be positive", i, es.Kind)
-			}
-		case scenario.FailNPU:
-			if es.RecoveryUs == 0 {
-				return nil, fmt.Errorf("astrasim: scenario event %d (fail_npu): recovery_us is required and must be positive", i)
-			}
 		}
 		events = append(events, scenario.Event{
 			At:       units.FromMicros(es.AtUs),
@@ -95,8 +70,9 @@ func scenarioEvents(specs []ScenarioEventSpec) ([]scenario.Event, error) {
 	return events, nil
 }
 
-// buildScenario assembles the internal scenario from a spec; a spec with no
-// events yields a named, empty scenario (which perturbs nothing).
+// buildScenario assembles the internal scenario from a spec and checks
+// every event on any machine, short of dimension and NPU bounds; a spec
+// with no events yields a named, empty scenario (which perturbs nothing).
 func (s ScenarioSpec) buildScenario() (*scenario.Scenario, error) {
 	events, err := scenarioEvents(s.Events)
 	if err != nil {
@@ -106,7 +82,11 @@ func (s ScenarioSpec) buildScenario() (*scenario.Scenario, error) {
 	if name == "" {
 		name = "scenario"
 	}
-	return &scenario.Scenario{Name: name, Events: events}, nil
+	sc := &scenario.Scenario{Name: name, Events: events}
+	if err := sc.Validate(math.MaxInt, math.MaxInt); err != nil {
+		return nil, fmt.Errorf("astrasim: %w", err)
+	}
+	return sc, nil
 }
 
 // LoadScenarioSpec reads a ScenarioSpec JSON document, rejecting unknown
