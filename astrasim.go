@@ -533,12 +533,8 @@ func (m *Machine) EstimateCollective(op string, sizeBytes int64) (time.Duration,
 	if sizeBytes <= 0 {
 		return 0, fmt.Errorf("collective: non-positive size %d", sizeBytes)
 	}
-	chunks := m.core.Chunks
-	if chunks == 0 {
-		chunks = 64
-	}
 	t := collective.Estimate(m.top, o, units.ByteSize(sizeBytes),
-		collective.FullMachine(m.top), m.core.Policy, chunks)
+		collective.FullMachine(m.top), m.core.Policy, m.core.Chunks)
 	if t == units.MaxTime {
 		return 0, fmt.Errorf("collective: estimate of %s over %d B overflows simulated time", op, sizeBytes)
 	}

@@ -124,8 +124,12 @@ type Option func(*Engine)
 // WithPolicy selects the chunk scheduler (default Baseline).
 func WithPolicy(p Policy) Option { return func(e *Engine) { e.policy = p } }
 
+// defaultChunks is the collective pipelining depth where none is given.
+const defaultChunks = 64
+
 // WithChunks sets the number of chunks collectives are split into
-// (default 64). More chunks deepen the cross-dimension pipeline.
+// (default 64; a count of 0 or less keeps it). More chunks deepen the
+// cross-dimension pipeline.
 func WithChunks(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
@@ -136,7 +140,7 @@ func WithChunks(n int) Option {
 
 // NewEngine builds a collective engine over the given backend.
 func NewEngine(net *network.Backend, opts ...Option) *Engine {
-	e := &Engine{net: net, top: net.Topology(), policy: Baseline, chunks: 64}
+	e := &Engine{net: net, top: net.Topology(), policy: Baseline, chunks: defaultChunks}
 	for _, o := range opts {
 		o(e)
 	}

@@ -35,7 +35,7 @@ import (
 // reads units.MaxTime.
 func Estimate(top *topology.Topology, op Op, size units.ByteSize, g Group, policy Policy, chunks int) units.Time {
 	if chunks <= 0 {
-		chunks = 64
+		chunks = defaultChunks
 	}
 	n := g.Size()
 	shard := InitialShard(op, size, n)

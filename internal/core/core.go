@@ -291,9 +291,10 @@ type Simulator struct {
 	// err is the first collective launch failure; Finalize reports it.
 	err error
 
-	// straggle holds per-NPU compute-time multipliers set by scenario
-	// events; the zero value means no stragglers.
-	straggle compute.ScaleTable
+	// straggle maps each straggling NPU to the compute-time multiplier a
+	// scenario event set; it is nil while no NPU straggles, and a factor
+	// of 1 deletes the NPU's entry.
+	straggle map[int]float64
 
 	// startAt is the simulated time the trace was released (job arrival);
 	// finished is when its last node completed.
@@ -437,9 +438,6 @@ func NewSimulatorOn(eng *timeline.Engine, cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Chunks == 0 {
-		cfg.Chunks = 64
-	}
 	if cfg.CollectiveLogLimit == 0 {
 		cfg.CollectiveLogLimit = 1024
 	}
@@ -512,12 +510,12 @@ func (s *Simulator) Start(trace *et.Trace, at units.Time) error {
 	return nil
 }
 
-// compile builds the execution state from the trace's plans: the
-// communicator layouts of each distinct plan, one interned layout per
-// distinct communicator shape, the fold, and each simulated rank's
-// communicator instances, checking each layout against every rank that
-// uses it, simulated or not (checkLayouts). It sets the simulator's state
-// only when the whole trace checks out.
+// compile builds the execution state from the trace's plans, indexed by
+// rank: the communicator layouts of each distinct plan, one interned
+// layout per distinct communicator shape, the fold, and each simulated
+// rank's communicator instances, checking each layout against every rank
+// that uses it, simulated or not (checkLayouts). It sets the simulator's
+// state only when the whole trace checks out.
 func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) error {
 	top := s.cfg.Topology
 	full := collective.FullMachine(top).Spans
@@ -559,22 +557,18 @@ func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) er
 		return id
 	}
 
-	byRank := make([]*graphPlan, trace.NumNPUs)
 	layoutsOf := make(map[*et.Plan]*graphPlan)
 	var distinct []*graphPlan
-	var nodeTotal int
-	var p *graphPlan
-	for i, g := range trace.Graphs {
-		if i == 0 || plans[i] != plans[i-1] { // consecutive ranks mostly share a plan
-			if p = layoutsOf[plans[i]]; p == nil {
-				p = planLayouts(plans[i], internLayout)
-				layoutsOf[plans[i]] = p
+	for i, ep := range plans {
+		if i == 0 || ep != plans[i-1] { // consecutive ranks mostly share a plan
+			if layoutsOf[ep] == nil {
+				p := planLayouts(ep, internLayout)
+				layoutsOf[ep] = p
 				distinct = append(distinct, p)
 			}
 		}
-		byRank[g.NPU] = p
-		nodeTotal += len(p.Nodes())
 	}
+	nodeTotal := trace.NodeCount()
 	iters := max(trace.Iterations, 1)
 	switch {
 	case trace.Iterations < 0:
@@ -582,15 +576,18 @@ func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) er
 	case nodeTotal > math.MaxInt/iters:
 		return fmt.Errorf("core: %d nodes x %d iterations overflows the node count", nodeTotal, iters)
 	}
-	if err := checkLayouts(top, byRank, layouts); err != nil {
+	if err := checkLayouts(top, plans, layoutsOf, layouts); err != nil {
 		return err
 	}
 
-	fold := s.foldBlock(byRank, distinct, layouts)
-	npus := make([]npuState, len(byRank)/fold)
+	fold := s.foldBlock(plans, distinct, layouts)
+	npus := make([]npuState, len(plans)/fold)
 	var simTotal, slotTotal int
+	var p *graphPlan
 	for i := range npus {
-		p := byRank[i*fold]
+		if ep := plans[i*fold]; p == nil || ep != p.Plan {
+			p = layoutsOf[ep]
+		}
 		npus[i].plan = p
 		simTotal += len(p.Nodes())
 		slotTotal += len(p.layouts)
@@ -635,16 +632,18 @@ func (s *Simulator) compile(trace *et.Trace, plans []*et.Plan, at units.Time) er
 }
 
 // checkLayouts checks every rank's layouts, and names the first rank, in
-// rank order, that fails one and the first node using that layout. A
-// layout that holds at every rank holds at the ranks that use it, so the
-// ranks are walked only when some layout fails somewhere.
-func checkLayouts(top *topology.Topology, byRank []*graphPlan, layouts [][]collective.Span) error {
+// rank order, that fails one and the first node using that layout. plans
+// holds each rank's plan and layoutsOf each plan's layouts. A layout that
+// holds at every rank holds at the ranks that use it, so the ranks are
+// walked only when some layout fails somewhere.
+func checkLayouts(top *topology.Topology, plans []*et.Plan, layoutsOf map[*et.Plan]*graphPlan, layouts [][]collective.Span) error {
 	if !slices.ContainsFunc(layouts, func(spans []collective.Span) bool {
 		return collective.CheckLayout(top, spans) != nil
 	}) {
 		return nil
 	}
-	for rank, p := range byRank {
+	for rank, ep := range plans {
+		p := layoutsOf[ep]
 		for i, id := range p.layouts {
 			if err := collective.CheckSpans(top, layouts[id], rank); err != nil {
 				first := slices.Index(p.slot, int32(i)) // the first node using the layout
@@ -685,7 +684,7 @@ func (s *Simulator) newInstance(g collective.Group, fold int) *groupInstance {
 // exactly: the largest product of the innermost dimension sizes for which
 // the package doc's four conditions hold, checked cheapest first, or 1 if
 // the run cannot fold.
-func (s *Simulator) foldBlock(byRank, distinct []*graphPlan, layouts [][]collective.Span) int {
+func (s *Simulator) foldBlock(plans []*et.Plan, distinct []*graphPlan, layouts [][]collective.Span) int {
 	// (1) Nothing outside the trace treats ranks of a block differently.
 	if s.unfolded || s.cfg.FlowController != nil || s.cfg.RemoteArbiter != nil {
 		return 1
@@ -706,8 +705,8 @@ func (s *Simulator) foldBlock(byRank, distinct []*graphPlan, layouts [][]collect
 	// (3) Every change of plan, in rank order, starts a block.
 	top := s.cfg.Topology
 	dims, fold := top.NumDims(), top.NumNPUs()
-	for r := 1; r < len(byRank) && fold > 1; r++ {
-		for byRank[r] != byRank[r-1] && r%fold != 0 {
+	for r := 1; r < len(plans) && fold > 1; r++ {
+		for plans[r] != plans[r-1] && r%fold != 0 {
 			dims--
 			fold = top.DimStride(dims)
 		}
@@ -821,7 +820,14 @@ func (s *Simulator) applyScenarioEvent(ev scenario.Event) {
 	case scenario.FailNPU:
 		s.net.StallNPULinks(ev.NPU, s.eng.Now()+ev.Recovery)
 	case scenario.StraggleNPU:
-		s.straggle.Set(s.cfg.Topology.NumNPUs(), ev.NPU, ev.Factor)
+		if ev.Factor == 1 {
+			delete(s.straggle, ev.NPU)
+			break
+		}
+		if s.straggle == nil {
+			s.straggle = make(map[int]float64)
+		}
+		s.straggle[ev.NPU] = ev.Factor
 	}
 }
 
@@ -971,8 +977,8 @@ func (s *Simulator) issue(st *npuState, pos int32) {
 	switch n.Kind {
 	case et.KindCompute:
 		dur := s.cfg.Compute.OpTime(n.FLOPs, units.ByteSize(n.MemBytes))
-		if s.straggle.Active() {
-			dur = s.straggle.Scale(st.rank, dur)
+		if f, ok := s.straggle[st.rank]; ok {
+			dur = units.Time(float64(dur) * f)
 		}
 		s.runTimed(st, pos, dur, &st.nCompute, false)
 	case et.KindMemory:

@@ -190,3 +190,45 @@ func TestSharedListsMatchPerRankLists(t *testing.T) {
 		}
 	}
 }
+
+// TestReversedGraphOrderRunsAlike: plans are indexed by rank, so a trace
+// whose graphs are listed in reverse rank order plans each rank's own list
+// and runs to the same RunStats as in rank order: a pipeline, whose ranks
+// all run, and a transformer, whose run folds.
+func TestReversedGraphOrderRunsAlike(t *testing.T) {
+	top, err := topology.ParseWithBandwidth("R(2)_FC(4)_SW(2)", []float64{250, 200, 50}, 500*units.Nanosecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := etgen.Pipeline(top, etgen.PipelineConfig{
+		Name: "pp", Stages: 4, MicroBatches: 3, FlopsPerStage: 1e12,
+		ActivationBytes: 8 * units.MiB, GradBytes: 64 * units.MiB,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpt, err := etgen.Transformer(top, etgen.TransformerConfig{Name: "t", Params: 4e9, Layers: 2, Hidden: 1024, SeqLen: 256, MicroBatch: 1, BytesPerElem: 2, MP: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*et.Trace{pipe, gpt} {
+		reversed := *tr
+		reversed.Graphs = slices.Clone(tr.Graphs)
+		slices.Reverse(reversed.Graphs)
+		plans, err := reversed.Plans()
+		if err != nil {
+			t.Fatalf("%s: %v", tr.Name, err)
+		}
+		for _, g := range reversed.Graphs {
+			if nodes := plans[g.NPU].Nodes(); len(nodes) != len(g.Nodes) || &nodes[0] != &g.Nodes[0] {
+				t.Errorf("%s: npu %d's plan does not hold its own list", tr.Name, g.NPU)
+			}
+		}
+		cfg := testConfig(t, top)
+		got, want := run(t, cfg, &reversed), run(t, cfg, tr)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reversed graphs differ from rank order: makespan %v vs %v, events %d vs %d",
+				tr.Name, got.Makespan, want.Makespan, got.Events, want.Events)
+		}
+	}
+}

@@ -583,10 +583,11 @@ func (t *Trace) Validate() error {
 // graph per NPU rank, and point-to-point send/recv matching across graphs
 // (every send must have a matching recv at the peer with the same tag and
 // size, and vice versa) — mismatched P2P nodes would deadlock the
-// simulation. It returns each graph's plan, indexed like Graphs. Graphs
-// that share one node list share one plan, so per-list work runs once per
-// distinct list rather than once per rank, and a graph that shares the
-// previous graph's list takes its plan without a lookup.
+// simulation. It returns each rank's plan, indexed by rank, and checks the
+// graphs in list order. Graphs that share one node list share one plan, so
+// per-list work runs once per distinct list rather than once per rank, and
+// a graph that shares the previous graph's list takes its plan without a
+// lookup.
 func (t *Trace) Plans() ([]*Plan, error) {
 	if t.NumNPUs <= 0 {
 		return nil, fmt.Errorf("et: trace needs a positive NPU count")
@@ -594,10 +595,10 @@ func (t *Trace) Plans() ([]*Plan, error) {
 	if len(t.Graphs) != t.NumNPUs {
 		return nil, fmt.Errorf("et: trace has %d graphs for %d NPUs", len(t.Graphs), t.NumNPUs)
 	}
-	seen := make([]bool, t.NumNPUs)
-	plans := make([]*Plan, len(t.Graphs))
+	plans := make([]*Plan, t.NumNPUs)
 	shared := make(map[listKey]*Plan)
 	var prev listKey
+	var p *Plan
 	for i, g := range t.Graphs {
 		if g == nil {
 			return nil, fmt.Errorf("et: trace has a nil graph")
@@ -605,27 +606,24 @@ func (t *Trace) Plans() ([]*Plan, error) {
 		if g.NPU < 0 || g.NPU >= t.NumNPUs {
 			return nil, fmt.Errorf("et: graph for out-of-range npu %d", g.NPU)
 		}
-		if seen[g.NPU] {
+		if plans[g.NPU] != nil {
 			return nil, fmt.Errorf("et: duplicate graph for npu %d", g.NPU)
 		}
-		seen[g.NPU] = true
 		key := listKey{n: len(g.Nodes)}
 		if key.n > 0 {
 			key.first = &g.Nodes[0]
 		}
-		if i > 0 && key == prev { // consecutive ranks mostly share a list
-			plans[i] = plans[i-1]
-			continue
-		}
-		p := shared[key]
-		if p == nil {
-			var err error
-			if p, err = compile(g.NPU, g.Nodes); err != nil {
-				return nil, err
+		if i == 0 || key != prev { // consecutive graphs mostly share a list
+			if p = shared[key]; p == nil {
+				var err error
+				if p, err = compile(g.NPU, g.Nodes); err != nil {
+					return nil, err
+				}
+				shared[key] = p
 			}
-			shared[key] = p
+			prev = key
 		}
-		plans[i], prev = p, key
+		plans[g.NPU] = p
 	}
 	if err := t.matchP2P(plans); err != nil {
 		return nil, err
@@ -704,10 +702,6 @@ func (t *Trace) matchP2P(plans []*Plan) error {
 	if !slices.ContainsFunc(plans, (*Plan).HasP2P) {
 		return nil
 	}
-	byNPU := make([]*Plan, t.NumNPUs)
-	for i, g := range t.Graphs {
-		byNPU[g.NPU] = plans[i]
-	}
 	verdicts := make(map[groupKey]p2pFault)
 	var worst p2pFault // on the lowest faulty pair, src -> dst
 	src, dst := 0, 0
@@ -716,8 +710,8 @@ func (t *Trace) matchP2P(plans []*Plan) error {
 			worst, src, dst = f, s, d
 		}
 	}
-	for i, g := range t.Graphs {
-		p, rank := plans[i], g.NPU
+	for _, g := range t.Graphs {
+		p, rank := plans[g.NPU], g.NPU
 		if err := p.checkPeers(rank, t.NumNPUs); err != nil {
 			return err
 		}
@@ -725,7 +719,7 @@ func (t *Trace) matchP2P(plans []*Plan) error {
 			run := p.peerRun(rest, p.nodes[rest[0]].Peer)
 			rest = rest[len(run):]
 			f, to := p.nodes[run[0]].Peer, p.Peer(&p.nodes[run[0]], rank)
-			key := groupKey{p, byNPU[to], f}
+			key := groupKey{p, plans[to], f}
 			v, ok := verdicts[key]
 			if !ok {
 				v = matchGroup(p, run, key.recv, key.recv.peerRun(key.recv.recvs(), -f))
@@ -737,7 +731,7 @@ func (t *Trace) matchP2P(plans []*Plan) error {
 			run := p.peerRun(rest, p.nodes[rest[0]].Peer)
 			rest = rest[len(run):]
 			f, from := p.nodes[run[0]].Peer, p.Peer(&p.nodes[run[0]], rank)
-			if s := byNPU[from]; len(s.peerRun(s.sends(), -f)) == 0 {
+			if s := plans[from]; len(s.peerRun(s.sends(), -f)) == 0 {
 				report(matchGroup(s, nil, p, run), from, rank)
 			}
 		}

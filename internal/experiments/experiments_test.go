@@ -1,15 +1,40 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/collective"
+	"repro/internal/sweep"
 	"repro/internal/units"
 )
 
 // The tests in this file assert the paper's qualitative claims — who wins,
 // by roughly what factor, where crossovers fall — for every reproduced
 // table and figure. Absolute values are recorded in EXPERIMENTS.md.
+
+// checkMachines pins every named system, in order, to a "name notation @
+// GB/s/..." line: its shape notation and its per-dimension bandwidths. Every
+// dimension must also have the case studies' 500 ns hop latency.
+func checkMachines(t *testing.T, systems []System, want []string) {
+	t.Helper()
+	if len(systems) != len(want) {
+		t.Errorf("%d systems, want %d", len(systems), len(want))
+	}
+	for i, s := range systems {
+		gbps := make([]string, len(s.Top.Dims))
+		for d, dim := range s.Top.Dims {
+			gbps[d] = sweep.FormatFloat(dim.Bandwidth.GBpsValue())
+			if dim.Latency != 500*units.Nanosecond {
+				t.Errorf("%s dim %d hop latency %v, want 500ns", s.Name, d+1, dim.Latency)
+			}
+		}
+		got := s.Name + " " + s.Top.String() + " @ " + strings.Join(gbps, "/")
+		if i < len(want) && got != want[i] {
+			t.Errorf("system %d = %q, want %q", i, got, want[i])
+		}
+	}
+}
 
 func TestTableIISystems(t *testing.T) {
 	systems := TableII()
@@ -33,6 +58,14 @@ func TestTableIISystems(t *testing.T) {
 	if _, err := FindSystem(systems, "nope"); err == nil {
 		t.Error("unknown system accepted")
 	}
+	checkMachines(t, systems, []string{
+		"W-1D-350 SW(512) @ 350",
+		"W-1D-500 SW(512) @ 500",
+		"W-1D-600 SW(512) @ 600",
+		"W-2D-500 SW(32)_SW(16) @ 250/250",
+		"Conv-3D R(16)_FC(8)_SW(4) @ 200/100/50",
+		"Conv-4D R(2)_FC(8)_R(8)_SW(4) @ 250/200/100/50",
+	})
 }
 
 // --- E1: Fig. 4 ---
@@ -344,4 +377,20 @@ func TestScalingSystemShapes(t *testing.T) {
 			t.Errorf("%s Dim 1 BW = %v, want 1000GB/s", s.Name, s.Top.Dims[0].Bandwidth)
 		}
 	}
+	checkMachines(t, ScalingSystems(), []string{
+		"Base-512 R(2)_FC(8)_R(8)_SW(4) @ 1000/200/100/50",
+		"Conv-1024 R(2)_FC(8)_R(8)_SW(8) @ 1000/200/100/50",
+		"Conv-2048 R(2)_FC(8)_R(8)_SW(16) @ 1000/200/100/50",
+		"Conv-4096 R(2)_FC(8)_R(8)_SW(32) @ 1000/200/100/50",
+		"W-1024 R(4)_FC(8)_R(8)_SW(4) @ 1000/200/100/50",
+		"W-2048 R(8)_FC(8)_R(8)_SW(4) @ 1000/200/100/50",
+		"W-4096 R(16)_FC(8)_R(8)_SW(4) @ 1000/200/100/50",
+	})
+}
+
+// The Fig. 11 GPU network: an in-node switch under an out-node fabric.
+func TestFig11Machine(t *testing.T) {
+	checkMachines(t, []System{{Name: "Fig11", Top: fig11Topology()}}, []string{
+		"Fig11 SW(16)_SW(16) @ 460/100",
+	})
 }

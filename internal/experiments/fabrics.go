@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/collective"
 	"repro/internal/sweep"
-	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -24,13 +23,7 @@ import (
 // dilation of its embedded ring, and the tapered switches expose how much
 // of the flat fabric's provisioning a GPT-3 iteration actually needs.
 
-// fabricSpec declares one fabric of the comparison.
-type fabricSpec struct {
-	name string
-	topo string
-	bw   []float64
-}
-
+// fabricSpecs declares the six comparison fabrics.
 func fabricSpecs() []fabricSpec {
 	return []fabricSpec{
 		{"RingStack", "R(16)_R(32)", []float64{250, 250}},
@@ -42,25 +35,8 @@ func fabricSpecs() []fabricSpec {
 	}
 }
 
-// buildFabric constructs one fabric from shape notation through the block
-// table (the same path cmd/astrasim users take).
-func buildFabric(s fabricSpec) System {
-	top, err := topology.ParseWithBandwidth(s.topo, s.bw, hopLatency)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return System{Name: s.name, Top: top}
-}
-
 // FabricSystems returns the six comparison fabrics.
-func FabricSystems() []System {
-	specs := fabricSpecs()
-	out := make([]System, 0, len(specs))
-	for _, s := range specs {
-		out = append(out, buildFabric(s))
-	}
-	return out
-}
+func FabricSystems() []System { return buildFabrics(fabricSpecs()...) }
 
 // FabricsResult holds the comparison cells.
 type FabricsResult struct {

@@ -25,6 +25,14 @@ func TestFabricSystemsShape(t *testing.T) {
 	if t4.Top.AggregateBandwidth() != units.GBps(250+250.0/4) {
 		t.Errorf("SW-Taper4 BW/NPU = %v, want 312.5GB/s", t4.Top.AggregateBandwidth())
 	}
+	checkMachines(t, systems, []string{
+		"RingStack R(16)_R(32) @ 250/250",
+		"Torus-2D T2D(16,32) @ 500",
+		"MeshStack M(16)_M(32) @ 250/250",
+		"SW-Flat SW(16)_SW(32) @ 250/250",
+		"SW-Taper2 SW(16)_SW(32,2) @ 250/250",
+		"SW-Taper4 SW(16)_SW(32,4) @ 250/250",
+	})
 }
 
 func TestFabricEstimatesOrdering(t *testing.T) {

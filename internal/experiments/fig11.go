@@ -95,11 +95,8 @@ const (
 // an out-node InfiniBand-class fabric. Bandwidths are shared-capacity
 // (sent+received) figures.
 func fig11Topology() *topology.Topology {
-	return mustTopo(
-		[]topology.DimModel{topology.Switch, topology.Switch},
-		[]int{fig11GPUsPerNode, fig11Nodes},
-		[]float64{460, 100},
-	)
+	notation := fmt.Sprintf("SW(%d)_SW(%d)", fig11GPUsPerNode, fig11Nodes)
+	return buildFabrics(fabricSpec{"Fig11", notation, []float64{460, 100}})[0].Top
 }
 
 // fig11Compute is Table V's future-GPU: 2048 TFLOPS peak with 4096 GB/s of
@@ -144,27 +141,18 @@ func fig11ZeroPool() memory.PoolConfig {
 // runFig11System simulates one MoE-1T iteration on one system.
 func runFig11System(useInSwitch bool, pool memory.PoolConfig) (*core.RunStats, error) {
 	top := fig11Topology()
-	cfg := etgen.MoE1T(useInSwitch)
-	trace, err := etgen.MoETrace(top, cfg)
+	trace, err := etgen.MoETrace(top, etgen.MoE1T(useInSwitch))
 	if err != nil {
 		return nil, err
 	}
-	sim, err := core.NewSimulator(core.Config{
-		Topology: top,
-		Compute:  fig11Compute(),
-		Memory: memory.System{
-			Local:   memory.LocalModel{Latency: units.Microsecond, Bandwidth: units.GBps(4096)},
-			Pool:    pool,
-			HasPool: true,
-		},
-		Policy:             collective.Baseline,
-		Chunks:             32,
-		CollectiveLogLimit: 1,
-	})
-	if err != nil {
-		return nil, err
+	cfg := caseStudyConfig(top, collective.Baseline)
+	cfg.Compute = fig11Compute()
+	cfg.Memory = memory.System{
+		Local:   memory.LocalModel{Latency: units.Microsecond, Bandwidth: units.GBps(4096)},
+		Pool:    pool,
+		HasPool: true,
 	}
-	return sim.Run(trace)
+	return simulate(cfg, trace)
 }
 
 func statsToBar(sys Fig11System, stats *core.RunStats, pool memory.PoolConfig) Fig11Bar {

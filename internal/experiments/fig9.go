@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/collective"
+	"repro/internal/compute"
 	"repro/internal/core"
 	"repro/internal/et"
 	"repro/internal/etgen"
@@ -103,13 +104,6 @@ func (o Options) layersDivisor() int {
 	return 1
 }
 
-func (o Options) chunks() int {
-	// Themis's per-chunk balancing needs at least ~32 chunks of
-	// granularity on 512-NPU systems; fewer chunks visibly degrade its
-	// packing (verified empirically), so the reduced mode keeps 32.
-	return 32
-}
-
 // buildWorkloadTrace generates the trace for a workload on a topology.
 func buildWorkloadTrace(top *topology.Topology, wl Workload, o Options) (*et.Trace, error) {
 	switch wl {
@@ -125,9 +119,36 @@ func buildWorkloadTrace(top *topology.Topology, wl Workload, o Options) (*et.Tra
 		cfg := etgen.Transformer1T()
 		cfg.Layers /= o.layersDivisor()
 		return etgen.Transformer(top, cfg)
+	case WLMoE:
+		cfg := etgen.MoE1T(false)
+		cfg.Layers = max(cfg.Layers/o.layersDivisor(), 1)
+		return etgen.MoETrace(top, cfg)
 	default:
 		return nil, fmt.Errorf("experiments: unknown workload %q", wl)
 	}
+}
+
+// caseStudyConfig is one job's machine in the case studies: an A100 with
+// local HBM, caseStudyChunks chunks, and a one-entry collective log, since
+// the studies read only makespans and breakdowns.
+func caseStudyConfig(top *topology.Topology, policy collective.Policy) core.Config {
+	return core.Config{
+		Topology:           top,
+		Compute:            compute.A100(),
+		Memory:             memory.System{Local: localHBM},
+		Policy:             policy,
+		Chunks:             caseStudyChunks,
+		CollectiveLogLimit: 1,
+	}
+}
+
+// simulate runs a trace to completion on a fresh simulator.
+func simulate(cfg core.Config, trace *et.Trace) (*core.RunStats, error) {
+	sim, err := core.NewSimulator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sim.Run(trace)
 }
 
 // runCell executes one (system, workload, policy) simulation.
@@ -136,20 +157,7 @@ func runCell(sys System, wl Workload, policy collective.Policy, o Options) (Cell
 	if err != nil {
 		return Cell{}, fmt.Errorf("%s/%s: %w", sys.Name, wl, err)
 	}
-	sim, err := core.NewSimulator(core.Config{
-		Topology: sys.Top,
-		Compute:  npuModel(),
-		Memory: memory.System{
-			Local: memory.LocalModel{Latency: units.Microsecond, Bandwidth: units.GBps(2039)},
-		},
-		Policy:             policy,
-		Chunks:             o.chunks(),
-		CollectiveLogLimit: 1,
-	})
-	if err != nil {
-		return Cell{}, err
-	}
-	stats, err := sim.Run(trace)
+	stats, err := simulate(caseStudyConfig(sys.Top, policy), trace)
 	if err != nil {
 		return Cell{}, fmt.Errorf("%s/%s/%v: %w", sys.Name, wl, policy, err)
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/compute"
 	"repro/internal/et"
-	"repro/internal/etgen"
 	"repro/internal/memory"
 	"repro/internal/sweep"
 	"repro/internal/topology"
@@ -66,16 +66,11 @@ func (r *InterferenceResult) Cell(fabric string, wl Workload, jobs int) (Interfe
 
 // interferenceFabrics returns the three cluster fabrics.
 func interferenceFabrics() []System {
-	specs := []fabricSpec{
+	return buildFabrics([]fabricSpec{
 		{"SW-Flat", "SW(8)_SW(16)", []float64{250, 250}},
 		{"SW-Taper4", "SW(8)_SW(16,4)", []float64{250, 250}},
 		{"Torus-Pods", "T2D(4,4)_SW(8,4)", []float64{500, 250}},
-	}
-	out := make([]System, 0, len(specs))
-	for _, s := range specs {
-		out = append(out, buildFabric(s))
-	}
-	return out
+	}...)
 }
 
 // InterferenceWorkloads lists the study's workloads.
@@ -87,33 +82,6 @@ func InterferenceJobCounts() []int { return []int{1, 2, 4, 8} }
 // interferenceJobNPUs is the per-job allocation: two leaf-switch ports (or
 // one whole torus pod) per job.
 const interferenceJobNPUs = 16
-
-// interferenceTrace builds one job's trace generator.
-func interferenceTrace(wl Workload, o Options) (cluster.TraceFunc, error) {
-	switch wl {
-	case WLGPT3:
-		cfg := etgen.GPT3()
-		cfg.Layers /= o.layersDivisor()
-		return func(top *topology.Topology) (*et.Trace, error) {
-			return etgen.Transformer(top, cfg)
-		}, nil
-	case WLDLRM:
-		return func(top *topology.Topology) (*et.Trace, error) {
-			return etgen.DLRMTrace(top, etgen.DLRM())
-		}, nil
-	case WLMoE:
-		cfg := etgen.MoE1T(false)
-		cfg.Layers /= o.layersDivisor()
-		if cfg.Layers < 1 {
-			cfg.Layers = 1
-		}
-		return func(top *topology.Topology) (*et.Trace, error) {
-			return etgen.MoETrace(top, cfg)
-		}, nil
-	default:
-		return nil, fmt.Errorf("interference: unknown workload %q", wl)
-	}
-}
 
 // interferencePool is the shared disaggregated pool the MoE jobs stream
 // from: 8 remote groups behind 4 out-node switches for the 128-GPU
@@ -131,9 +99,7 @@ func interferencePool() memory.PoolConfig {
 // workload: MoE attaches the shared pool, the network-bound workloads run
 // on local HBM alone.
 func interferenceMemory(wl Workload) memory.System {
-	sys := memory.System{
-		Local: memory.LocalModel{Latency: units.Microsecond, Bandwidth: units.GBps(2039)},
-	}
+	sys := memory.System{Local: localHBM}
 	if wl == WLMoE {
 		sys.HasPool = true
 		sys.Pool = interferencePool()
@@ -144,16 +110,13 @@ func interferenceMemory(wl Workload) memory.System {
 // runInterferenceCell co-simulates n identical jobs and their isolated
 // baseline.
 func runInterferenceCell(sys System, wl Workload, n int, o Options) (InterferenceCell, error) {
-	traceFn, err := interferenceTrace(wl, o)
-	if err != nil {
-		return InterferenceCell{}, err
-	}
+	traceFn := func(top *topology.Topology) (*et.Trace, error) { return buildWorkloadTrace(top, wl, o) }
 	mkConfig := func(jobs int) cluster.Config {
 		cfg := cluster.Config{
 			Fabric:    sys.Top,
-			Compute:   npuModel(),
+			Compute:   compute.A100(),
 			Memory:    interferenceMemory(wl),
-			Chunks:    o.chunks(),
+			Chunks:    caseStudyChunks,
 			Placement: cluster.Packed,
 		}
 		for j := 0; j < jobs; j++ {

@@ -13,6 +13,17 @@ func TestInterferenceFabricShapes(t *testing.T) {
 			t.Errorf("%s has %d NPUs, want 128", s.Name, s.Top.NumNPUs())
 		}
 	}
+	checkMachines(t, interferenceFabrics(), []string{
+		"SW-Flat SW(8)_SW(16) @ 250/250",
+		"SW-Taper4 SW(8)_SW(16,4) @ 250/250",
+		"Torus-Pods T2D(4,4)_SW(8,4) @ 500/250",
+	})
+	// The resilience study runs on the interference study's flat and
+	// torus fabrics.
+	checkMachines(t, resilienceFabrics(), []string{
+		"SW-Flat SW(8)_SW(16) @ 250/250",
+		"Torus-Pods T2D(4,4)_SW(8,4) @ 500/250",
+	})
 }
 
 // TestInterferenceShort is the -short smoke: one contended cell must show

@@ -3,8 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/memory"
+	"repro/internal/collective"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/topology"
@@ -52,15 +51,10 @@ func ResilienceWorkloads() []Workload { return []Workload{WLGPT3, WLDLRM} }
 
 // resilienceFabrics returns the study's two cluster fabrics.
 func resilienceFabrics() []System {
-	specs := []fabricSpec{
+	return buildFabrics([]fabricSpec{
 		{"SW-Flat", "SW(8)_SW(16)", []float64{250, 250}},
 		{"Torus-Pods", "T2D(4,4)_SW(8,4)", []float64{500, 250}},
-	}
-	out := make([]System, 0, len(specs))
-	for _, s := range specs {
-		out = append(out, buildFabric(s))
-	}
-	return out
+	}...)
 }
 
 // straggleFactor is the compute-time multiplier of a straggling NPU —
@@ -138,20 +132,9 @@ func runResilienceCell(sys System, wl Workload, scen string, o Options) (Resilie
 		if err != nil {
 			return 0, err
 		}
-		sim, err := core.NewSimulator(core.Config{
-			Topology: sys.Top,
-			Compute:  npuModel(),
-			Memory: memory.System{
-				Local: memory.LocalModel{Latency: units.Microsecond, Bandwidth: units.GBps(2039)},
-			},
-			Chunks:             o.chunks(),
-			CollectiveLogLimit: 1,
-			Scenario:           sc,
-		})
-		if err != nil {
-			return 0, err
-		}
-		stats, err := sim.Run(trace)
+		cfg := caseStudyConfig(sys.Top, collective.Baseline)
+		cfg.Scenario = sc
+		stats, err := simulate(cfg, trace)
 		if err != nil {
 			return 0, err
 		}

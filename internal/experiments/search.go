@@ -24,24 +24,18 @@ func fabricSearchScales() []float64 { return []float64{0.5, 1, 2, 4} }
 // FabricSearchSystems returns the 24-system search space: each comparison
 // fabric at each provisioning scale, named e.g. "SW-Flat x2".
 func FabricSearchSystems() []System {
-	specs := fabricSpecs()
-	scales := fabricSearchScales()
-	out := make([]System, 0, len(specs)*len(scales))
-	for _, s := range specs {
-		for _, scale := range scales {
-			bw := make([]float64, len(s.bw))
-			for i, v := range s.bw {
-				bw[i] = v * scale
+	var specs []fabricSpec
+	for _, s := range fabricSpecs() {
+		for _, scale := range fabricSearchScales() {
+			gbps := make([]float64, len(s.gbps))
+			for i, v := range s.gbps {
+				gbps[i] = v * scale
 			}
-			scaled := fabricSpec{
-				name: fmt.Sprintf("%s x%s", s.name, sweep.FormatFloat(scale)),
-				topo: s.topo,
-				bw:   bw,
-			}
-			out = append(out, buildFabric(scaled))
+			name := fmt.Sprintf("%s x%s", s.name, sweep.FormatFloat(scale))
+			specs = append(specs, fabricSpec{name, s.notation, gbps})
 		}
 	}
-	return out
+	return buildFabrics(specs...)
 }
 
 // fabricSearchProblem frames the space as a search problem: the cheap

@@ -29,6 +29,19 @@ func TestFabricSearchSystemsShape(t *testing.T) {
 	if found != 4 {
 		t.Errorf("%d SW-Flat scales, want 4", found)
 	}
+	// Each fabric at each scale, fabric-major: the fabric's notation at
+	// its GB/s times the scale.
+	var want []string
+	for _, f := range FabricSystems() {
+		for _, scale := range []float64{0.5, 1, 2, 4} {
+			gbps := make([]string, len(f.Top.Dims))
+			for d, dim := range f.Top.Dims {
+				gbps[d] = sweep.FormatFloat(dim.Bandwidth.GBpsValue() * scale)
+			}
+			want = append(want, f.Name+" x"+sweep.FormatFloat(scale)+" "+f.Top.String()+" @ "+strings.Join(gbps, "/"))
+		}
+	}
+	checkMachines(t, systems, want)
 }
 
 // TestFabricSearchRecoversOptimum is the subsystem's acceptance claim: on

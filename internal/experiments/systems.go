@@ -14,7 +14,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/compute"
+	"repro/internal/memory"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -24,12 +24,15 @@ import (
 // latency term is second-order.
 const hopLatency = 500 * units.Nanosecond
 
-// npuModel returns the case studies' NPU: 234 TFLOPS as measured on an
-// A100 (Section V preamble).
-func npuModel() compute.Model {
-	m := compute.A100()
-	return m
-}
+// caseStudyChunks is the case studies' collective pipelining depth.
+// Themis's per-chunk balancing needs at least ~32 chunks of granularity on
+// 512-NPU systems; fewer chunks visibly degrade its packing (verified
+// empirically), so the reduced mode keeps 32.
+const caseStudyChunks = 32
+
+// localHBM is the local memory of the case studies' NPU, an A100 (Section V
+// preamble): 2039 GB/s of HBM at 1 µs.
+var localHBM = memory.LocalModel{Latency: units.Microsecond, Bandwidth: units.GBps(2039)}
 
 // System is a named machine configuration from Table II.
 type System struct {
@@ -37,67 +40,60 @@ type System struct {
 	Top  *topology.Topology
 }
 
-// mustTopo builds a topology from block kinds, sizes and bandwidths.
-func mustTopo(kinds []topology.DimModel, sizes []int, gbps []float64) *topology.Topology {
-	if len(kinds) != len(sizes) || len(sizes) != len(gbps) {
-		panic("experiments: mismatched topology spec")
-	}
-	dims := make([]topology.Dim, len(kinds))
-	for i := range kinds {
-		dims[i] = topology.Dim{
-			Kind:      kinds[i],
-			Size:      sizes[i],
-			Bandwidth: units.GBps(gbps[i]),
-			Latency:   hopLatency,
+// fabricSpec declares one named machine in the paper's shape notation
+// (Section IV-B) with its per-dimension bandwidths in GB/s.
+type fabricSpec struct {
+	name     string
+	notation string
+	gbps     []float64
+}
+
+// buildFabrics builds named machines from shape notation through the block
+// table at hopLatency, the path cmd/astrasim users take.
+func buildFabrics(specs ...fabricSpec) []System {
+	out := make([]System, len(specs))
+	for i, s := range specs {
+		top, err := topology.ParseWithBandwidth(s.notation, s.gbps, hopLatency)
+		if err != nil {
+			panic("experiments: " + err.Error())
 		}
+		out[i] = System{Name: s.name, Top: top}
 	}
-	return topology.MustNew(dims...)
+	return out
 }
 
-// TableII returns the six 512-NPU systems of Table II.
-//
-//	W-1D-350 / W-1D-500 / W-1D-600: Switch(512) wafers
-//	W-2D-500:                       Switch(32)_Switch(16) at 250+250
-//	Conv-3D:                        Ring(16)_FC(8)_Switch(4) at 200/100/50
-//	Conv-4D:                        Ring(2)_FC(8)_Ring(8)_Switch(4) at 250/200/100/50
+// TableII returns the six 512-NPU systems of Table II: three Switch(512)
+// wafers, a two-level switched wafer and the conventional 3-D and 4-D
+// machines.
 func TableII() []System {
-	sw := topology.Switch
-	r := topology.Ring
-	fc := topology.FullyConnected
-	return []System{
-		{Name: "W-1D-350", Top: mustTopo([]topology.DimModel{sw}, []int{512}, []float64{350})},
-		{Name: "W-1D-500", Top: mustTopo([]topology.DimModel{sw}, []int{512}, []float64{500})},
-		{Name: "W-1D-600", Top: mustTopo([]topology.DimModel{sw}, []int{512}, []float64{600})},
-		{Name: "W-2D-500", Top: mustTopo([]topology.DimModel{sw, sw}, []int{32, 16}, []float64{250, 250})},
-		{Name: "Conv-3D", Top: mustTopo([]topology.DimModel{r, fc, sw}, []int{16, 8, 4}, []float64{200, 100, 50})},
-		{Name: "Conv-4D", Top: mustTopo([]topology.DimModel{r, fc, r, sw}, []int{2, 8, 8, 4}, []float64{250, 200, 100, 50})},
-	}
+	return buildFabrics([]fabricSpec{
+		{"W-1D-350", "SW(512)", []float64{350}},
+		{"W-1D-500", "SW(512)", []float64{500}},
+		{"W-1D-600", "SW(512)", []float64{600}},
+		{"W-2D-500", "SW(32)_SW(16)", []float64{250, 250}},
+		{"Conv-3D", "R(16)_FC(8)_SW(4)", []float64{200, 100, 50}},
+		{"Conv-4D", "R(2)_FC(8)_R(8)_SW(4)", []float64{250, 200, 100, 50}},
+	}...)
 }
 
-// scalingBase returns the Fig. 9(b)/Table IV baseline: the Conv-4D shape
-// with its Dim 1 (on-chip) bandwidth raised to 1000 GB/s to model a
-// wafer-class first dimension (Section V-A-2).
-func scalingBase(dim1, dim4 int) *topology.Topology {
-	return mustTopo(
-		[]topology.DimModel{topology.Ring, topology.FullyConnected, topology.Ring, topology.Switch},
-		[]int{dim1, 8, 8, dim4},
-		[]float64{1000, 200, 100, 50},
-	)
-}
-
-// ScalingSystems returns the seven systems of Table IV / Fig. 9(b):
-// the 512-NPU base, conventional scale-out (growing the NIC dimension),
-// and wafer scale-up (growing the on-chip dimension).
+// ScalingSystems returns the seven systems of Table IV / Fig. 9(b): the
+// Conv-4D shape with its Dim 1 (on-chip) bandwidth raised to 1000 GB/s to
+// model a wafer-class first dimension (Section V-A-2), as the 512-NPU base,
+// conventional scale-out (growing the NIC dimension) and wafer scale-up
+// (growing the on-chip dimension).
 func ScalingSystems() []System {
-	return []System{
-		{Name: "Base-512", Top: scalingBase(2, 4)},
-		{Name: "Conv-1024", Top: scalingBase(2, 8)},
-		{Name: "Conv-2048", Top: scalingBase(2, 16)},
-		{Name: "Conv-4096", Top: scalingBase(2, 32)},
-		{Name: "W-1024", Top: scalingBase(4, 4)},
-		{Name: "W-2048", Top: scalingBase(8, 4)},
-		{Name: "W-4096", Top: scalingBase(16, 4)},
+	scaled := func(name string, dim1, dim4 int) fabricSpec {
+		return fabricSpec{name, fmt.Sprintf("R(%d)_FC(8)_R(8)_SW(%d)", dim1, dim4), []float64{1000, 200, 100, 50}}
 	}
+	return buildFabrics(
+		scaled("Base-512", 2, 4),
+		scaled("Conv-1024", 2, 8),
+		scaled("Conv-2048", 2, 16),
+		scaled("Conv-4096", 2, 32),
+		scaled("W-1024", 4, 4),
+		scaled("W-2048", 8, 4),
+		scaled("W-4096", 16, 4),
+	)
 }
 
 // FindSystem returns the named system from a list.

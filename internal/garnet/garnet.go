@@ -154,9 +154,6 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// NumNodes returns the torus size.
-func (s *Simulator) NumNodes() int { return s.nnodes }
-
 // Cycles returns the cycles executed so far.
 func (s *Simulator) Cycles() uint64 { return s.cycle }
 

@@ -51,16 +51,6 @@ func (p Point) Index(axis string) int {
 	panic(fmt.Sprintf("sweep: point has no axis %q", axis))
 }
 
-// Value returns the value label of the named axis.
-func (p Point) Value(axis string) string {
-	for i, ax := range p.axes {
-		if ax.Name == axis {
-			return ax.Values[p.idx[i]]
-		}
-	}
-	panic(fmt.Sprintf("sweep: point has no axis %q", axis))
-}
-
 // Values returns the cell's value labels in axis order.
 func (p Point) Values() []string {
 	out := make([]string, len(p.axes))
