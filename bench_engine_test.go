@@ -75,8 +75,8 @@ func BenchmarkEngineHotPath(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := timeline.New()
 				net := network.NewBackend(eng, top)
-				ce := collective.NewEngine(net, collective.WithChunks(chunks))
-				if err := ce.Start(collective.AllReduce, size, collective.FullMachine(top), nil, nil); err != nil {
+				ce := collective.NewEngine(net, collective.Baseline, chunks)
+				if err := ce.Start(collective.AllReduce, size, collective.FullMachine(top), net.Machine(), nil); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := eng.Run(); err != nil {

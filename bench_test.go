@@ -1,10 +1,11 @@
 package astrasim
 
-// One benchmark per reproduced table/figure of the paper (see DESIGN.md's
-// experiment index), plus ablation benches for the design choices the
-// implementation makes. Each benchmark runs the same driver that
-// regenerates the artifact via cmd/paper, so `go test -bench` doubles as a
-// performance regression harness for the simulator itself.
+// One benchmark per reproduced table/figure of the paper (README
+// "Reproducing the paper" lists each artifact), plus ablation benches for
+// the design choices the implementation makes. Each benchmark runs the
+// same driver that regenerates the artifact via cmd/paper, so
+// `go test -bench` doubles as a performance regression harness for the
+// simulator itself.
 
 import (
 	"bytes"
@@ -57,8 +58,8 @@ func BenchmarkSpeedupAnalytical(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := timeline.New()
 		net := network.NewBackend(eng, top)
-		ce := collective.NewEngine(net, collective.WithChunks(1))
-		if err := ce.Start(collective.AllReduce, units.MB, collective.FullMachine(top), nil, nil); err != nil {
+		ce := collective.NewEngine(net, collective.Baseline, 1)
+		if err := ce.Start(collective.AllReduce, units.MB, collective.FullMachine(top), net.Machine(), nil); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := eng.Run(); err != nil {
@@ -79,7 +80,7 @@ func BenchmarkSpeedupGarnet(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := garnet.New(garnet.Config{Shape: []int{4, 4, 4}, FlitBytes: 16, LinkLatency: 1, ClockGHz: 1})
+		g, err := garnet.New(garnet.Config{Shape: []int{4, 4, 4}, FlitBytes: 16, LinkLatency: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,7 +252,7 @@ func BenchmarkSearchVsSweep(b *testing.B) {
 	}
 }
 
-// --- Ablations for DESIGN.md's modeling choices ---
+// --- Ablations for the modeling choices (internal/experiments/ablation.go) ---
 
 // BenchmarkAblationChunks quantifies chunk-pipelining depth: collective
 // runtime and simulation cost as the chunk count grows (1 disables
@@ -269,9 +270,9 @@ func BenchmarkAblationChunks(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := timeline.New()
 				net := network.NewBackend(eng, top)
-				ce := collective.NewEngine(net, collective.WithChunks(chunks))
+				ce := collective.NewEngine(net, collective.Baseline, chunks)
 				var res collective.Result
-				if err := ce.Start(collective.AllGather, 1024*units.MB, collective.FullMachine(top), nil, func(r collective.Result) { res = r }); err != nil {
+				if err := ce.Start(collective.AllGather, 1024*units.MB, collective.FullMachine(top), net.Machine(), func(r collective.Result) { res = r }); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := eng.Run(); err != nil {
@@ -299,9 +300,9 @@ func BenchmarkAblationScheduler(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := timeline.New()
 				net := network.NewBackend(eng, top)
-				ce := collective.NewEngine(net, collective.WithChunks(64), collective.WithPolicy(policy))
+				ce := collective.NewEngine(net, policy, 64)
 				var res collective.Result
-				if err := ce.Start(collective.AllReduce, 1024*units.MB, collective.FullMachine(top), nil, func(r collective.Result) { res = r }); err != nil {
+				if err := ce.Start(collective.AllReduce, 1024*units.MB, collective.FullMachine(top), net.Machine(), func(r collective.Result) { res = r }); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := eng.Run(); err != nil {
@@ -572,8 +573,8 @@ func BenchmarkCollectiveByBlock(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := timeline.New()
 				net := network.NewBackend(eng, top)
-				ce := collective.NewEngine(net, collective.WithChunks(64))
-				if err := ce.Start(collective.AllReduce, size, collective.FullMachine(top), nil, nil); err != nil {
+				ce := collective.NewEngine(net, collective.Baseline, 64)
+				if err := ce.Start(collective.AllReduce, size, collective.FullMachine(top), net.Machine(), nil); err != nil {
 					b.Fatal(err)
 				}
 				end, err := eng.Run()

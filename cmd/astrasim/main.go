@@ -100,6 +100,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/etgen"
 	"repro/internal/prof"
 )
 
@@ -110,7 +111,7 @@ func main() {
 		bw         = flag.String("bw", "", "per-dimension bandwidths in GB/s, comma separated")
 		scheduler  = flag.String("scheduler", "", "collective scheduler: baseline or themis (default: config file or baseline)")
 		tflops     = flag.Float64("tflops", 0, "NPU peak TFLOPS (default: config file or 234)")
-		workload   = flag.String("workload", "all_reduce", "workload: all_reduce|all_gather|reduce_scatter|all_to_all|gpt3|t1t|dlrm|moe|pipeline")
+		workload   = flag.String("workload", "all_reduce", "workload: all_reduce|all_gather|reduce_scatter|all_to_all|gpt3|t1t|dlrm|moe|moe_inswitch|pipeline")
 		size       = flag.Int64("size", 1<<30, "collective size in bytes (collective workloads)")
 		tracePath  = flag.String("trace", "", "run an ASTRA-sim ET JSON file instead of a built-in workload")
 		pytorch    = flag.Bool("pytorch", false, "treat -trace as a PARAM-style PyTorch execution graph")
@@ -285,19 +286,31 @@ func runOptimize(path string, workers int) (*astrasim.SearchResult, error) {
 }
 
 // pickWorkload maps the single-run flags onto a declarative WorkloadSpec —
-// the same path sweep grids use.
+// the same path sweep grids use. Only the collective kinds read -size, and
+// the spec reads a zero size as its 1 GiB default, so a non-positive -size
+// is refused for them here.
 func pickWorkload(name string, size int64, tracePath string, pytorch bool) (astrasim.Workload, error) {
-	spec := astrasim.WorkloadSpec{Kind: name, SizeBytes: size}
-	if tracePath != "" {
+	var spec astrasim.WorkloadSpec
+	switch {
+	case tracePath != "":
 		spec = astrasim.WorkloadSpec{Kind: "trace", Path: tracePath}
 		if pytorch {
 			spec.Kind = "pytorch_trace"
 		}
-	} else if name == "pipeline" {
+	case name == "pipeline":
+		p := etgen.DefaultPipeline()
 		spec = astrasim.WorkloadSpec{
-			Kind: "pipeline", Stages: 4, MicroBatches: 8, FlopsPerStage: 1e12,
-			ActivationBytes: 16 << 20, GradBytes: 64 << 20,
+			Kind: "pipeline", Stages: p.Stages, MicroBatches: p.MicroBatches, FlopsPerStage: p.FlopsPerStage,
+			ActivationBytes: int64(p.ActivationBytes), GradBytes: int64(p.GradBytes),
 		}
+	default:
+		switch name {
+		case "all_reduce", "all_gather", "reduce_scatter", "all_to_all":
+			if size <= 0 {
+				return nil, fmt.Errorf("-size must be a positive byte count, got %d", size)
+			}
+		}
+		spec = astrasim.WorkloadSpec{Kind: name, SizeBytes: size}
 	}
 	return spec.Workload()
 }

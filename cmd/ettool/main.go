@@ -46,7 +46,7 @@ func main() {
 }
 
 // genWorkloads lists every workload gen accepts.
-var genWorkloads = []string{"gpt3", "t1t", "dlrm", "moe", "pipeline", "all_reduce", "all_gather", "reduce_scatter", "all_to_all"}
+var genWorkloads = []string{"gpt3", "t1t", "dlrm", "moe", "moe_inswitch", "pipeline", "all_reduce", "all_gather", "reduce_scatter", "all_to_all"}
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: ettool <gen|validate|info|convert> [flags]
@@ -92,8 +92,7 @@ func runGen(args []string) error {
 }
 
 // generate builds and validates one of genWorkloads on a topology; size is
-// the payload of the collective workloads. The pipeline matches astrasim
-// -workload pipeline.
+// the payload of the collective workloads.
 func generate(workload string, top *topology.Topology, size units.ByteSize) (*et.Trace, error) {
 	var trace *et.Trace
 	var err error
@@ -112,13 +111,10 @@ func generate(workload string, top *topology.Topology, size units.ByteSize) (*et
 		trace, err = etgen.Transformer(top, etgen.Transformer1T())
 	case "dlrm":
 		trace, err = etgen.DLRMTrace(top, etgen.DLRM())
-	case "moe":
-		trace, err = etgen.MoETrace(top, etgen.MoE1T(false))
+	case "moe", "moe_inswitch":
+		trace, err = etgen.MoETrace(top, etgen.MoE1T(workload == "moe_inswitch"))
 	case "pipeline":
-		trace, err = etgen.Pipeline(top, etgen.PipelineConfig{
-			Name: "pipeline", Stages: 4, MicroBatches: 8,
-			FlopsPerStage: 1e12, ActivationBytes: 16 * units.MiB, GradBytes: 64 * units.MiB,
-		})
+		trace, err = etgen.Pipeline(top, etgen.DefaultPipeline())
 	default:
 		return nil, fmt.Errorf("gen: unknown workload %q", workload)
 	}

@@ -1,5 +1,5 @@
 // Command paper regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md for the experiment index):
+// evaluation (README "Reproducing the paper" lists each artifact):
 //
 //	paper -exp fig4      analytical-backend validation (Fig. 4)
 //	paper -exp speedup   analytical vs cycle-level backend (Sec. IV-C)

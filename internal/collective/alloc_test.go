@@ -39,9 +39,8 @@ func collectiveAllocs(t *testing.T, policy Policy, chunks int, subset bool) (all
 	top := allocTop()
 	eng := timeline.New()
 	net := network.NewBackend(eng, top)
-	ce := NewEngine(net, WithChunks(chunks), WithPolicy(policy))
-	group := FullMachine(top)
-	var links *network.LinkSet
+	ce := NewEngine(net, policy, chunks)
+	group, links := FullMachine(top), net.Machine()
 	if subset {
 		var err error
 		if group, err = NewGroup(top, []int{0, 2}, 5); err != nil {

@@ -118,33 +118,19 @@ type Engine struct {
 	freeRuns []*collectiveRun
 }
 
-// Option configures an Engine.
-type Option func(*Engine)
-
-// WithPolicy selects the chunk scheduler (default Baseline).
-func WithPolicy(p Policy) Option { return func(e *Engine) { e.policy = p } }
-
 // defaultChunks is the collective pipelining depth where none is given.
 const defaultChunks = 64
 
-// WithChunks sets the number of chunks collectives are split into
-// (default 64; a count of 0 or less keeps it). More chunks deepen the
-// cross-dimension pipeline.
-func WithChunks(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.chunks = n
-		}
+// NewEngine builds a collective engine over the given backend that runs
+// the policy's chunk scheduler and splits every collective into chunks
+// (64 for a count of 0 or less). More chunks deepen the cross-dimension
+// pipeline.
+func NewEngine(net *network.Backend, policy Policy, chunks int) *Engine {
+	if chunks <= 0 {
+		chunks = defaultChunks
 	}
-}
-
-// NewEngine builds a collective engine over the given backend.
-func NewEngine(net *network.Backend, opts ...Option) *Engine {
-	e := &Engine{net: net, top: net.Topology(), policy: Baseline, chunks: defaultChunks}
-	for _, o := range opts {
-		o(e)
-	}
-	if e.policy == Themis {
+	e := &Engine{net: net, top: net.Topology(), policy: policy, chunks: chunks}
+	if policy == Themis {
 		n, d := e.top.NumNPUs(), e.top.NumDims()
 		e.projected = make([][]float64, n)
 		backing := make([]float64, n*d) // one allocation for all rows
@@ -238,26 +224,17 @@ func zeroed(s []float64, n int) []float64 {
 //   - AllGather(S):      every member starts with S/|group|; ends with S.
 //   - AllToAll(S):       every member exchanges a total of S bytes.
 //
-// links is the group instance's link set on the engine's backend (see
-// network.Backend.NewLinkSet), registered once per instance and reused by
-// every collective on it. With nil links a whole-machine group reserves the
-// backend's machine set, and a subset group gets a fresh set, which suits
-// one-off collectives but registers a new set per call.
+// links is the group instance's link set on the engine's backend: the
+// machine set (network.Backend.Machine) for a whole-machine group, or a set
+// registered once per instance (network.Backend.NewLinkSet) and reused by
+// every collective on it.
 func (e *Engine) Start(op Op, size units.ByteSize, g Group, links *network.LinkSet, done func(Result)) error {
 	startSize, err := startShard(op, size, g)
 	if err != nil {
 		return err
 	}
-	n := g.Size()
-	// The machine set serves a whole-machine group without listing its
-	// ranks; only the Themis ledger needs member ranks.
-	if links == nil {
-		if n == e.top.NumNPUs() {
-			links = e.net.Machine()
-		} else {
-			links = e.net.NewLinkSet(g.Members(e.top))
-		}
-	}
+	// Only the Themis ledger needs member ranks; the machine set serves a
+	// whole-machine group without listing them.
 	var members []int
 	if e.policy == Themis {
 		members = links.Members()

@@ -11,18 +11,18 @@ import (
 	"repro/internal/units"
 )
 
-func newRig(t *testing.T, top *topology.Topology, opts ...Option) (*timeline.Engine, *network.Backend, *Engine) {
+func newRig(t *testing.T, top *topology.Topology, policy Policy, chunks int) (*timeline.Engine, *network.Backend, *Engine) {
 	t.Helper()
 	eng := timeline.New()
 	net := network.NewBackend(eng, top)
-	return eng, net, NewEngine(net, opts...)
+	return eng, net, NewEngine(net, policy, chunks)
 }
 
 func runCollective(t *testing.T, eng *timeline.Engine, ce *Engine, op Op, size units.ByteSize, g Group) Result {
 	t.Helper()
 	var res Result
 	got := false
-	if err := ce.Start(op, size, g, nil, func(r Result) { res = r; got = true }); err != nil {
+	if err := ce.Start(op, size, g, ce.net.NewLinkSet(g.Members(ce.top)), func(r Result) { res = r; got = true }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Run(); err != nil {
@@ -87,7 +87,7 @@ func TestNewGroupValidation(t *testing.T) {
 // traffic = 2*D*(k-1) = 12 MB -> 120 us serialization + 3 steps * 1 us.
 func TestRingAllGatherSingleChunk(t *testing.T) {
 	top := topology.MustNew(ringDim(4, 100, units.Microsecond))
-	eng, _, ce := newRig(t, top, WithChunks(1))
+	eng, _, ce := newRig(t, top, Baseline, 1)
 	res := runCollective(t, eng, ce, AllGather, 8*units.MB, FullMachine(top))
 	want := units.FromMicros(120) + 3*units.Microsecond
 	if res.Duration() != want {
@@ -145,12 +145,12 @@ func TestChunkModelMatchesMessageLevel(t *testing.T) {
 // Reduce-Scatter and All-Gather halves on a single dimension.
 func TestAllReduceEqualsRSPlusAG(t *testing.T) {
 	top := topology.MustNew(ringDim(8, 150, 0))
-	eng1, _, ce1 := newRig(t, top, WithChunks(1))
+	eng1, _, ce1 := newRig(t, top, Baseline, 1)
 	ar := runCollective(t, eng1, ce1, AllReduce, 64*units.MB, FullMachine(top))
 
-	eng2, _, ce2 := newRig(t, top, WithChunks(1))
+	eng2, _, ce2 := newRig(t, top, Baseline, 1)
 	rs := runCollective(t, eng2, ce2, ReduceScatter, 64*units.MB, FullMachine(top))
-	eng3, _, ce3 := newRig(t, top, WithChunks(1))
+	eng3, _, ce3 := newRig(t, top, Baseline, 1)
 	ag := runCollective(t, eng3, ce3, AllGather, 64*units.MB, FullMachine(top))
 
 	if ar.Duration() != rs.Duration()+ag.Duration() {
@@ -164,7 +164,7 @@ func TestAllReduceEqualsRSPlusAG(t *testing.T) {
 func TestPipeliningConvergesToBottleneck(t *testing.T) {
 	// 2_8 topology: dim1 fast, dim2 slow.
 	top := topology.MustNew(ringDim(2, 1000, 0), ringDim(8, 100, 0))
-	eng, _, ce := newRig(t, top, WithChunks(128))
+	eng, _, ce := newRig(t, top, Baseline, 128)
 	size := units.ByteSize(1024 * units.MB)
 	res := runCollective(t, eng, ce, AllGather, size, FullMachine(top))
 
@@ -191,7 +191,7 @@ func TestTrafficMatchesClosedForm(t *testing.T) {
 	)
 	size := units.ByteSize(1024 * units.MB)
 	for _, op := range []Op{ReduceScatter, AllGather, AllReduce, AllToAll} {
-		eng, _, ce := newRig(t, top, WithChunks(64))
+		eng, _, ce := newRig(t, top, Baseline, 64)
 		res := runCollective(t, eng, ce, op, size, FullMachine(top))
 		want := TrafficPerDim(top, op, size, FullMachine(top))
 		for d := range want {
@@ -218,7 +218,7 @@ func TestEstimateMatchesEngine(t *testing.T) {
 	)
 	size := units.ByteSize(1024 * units.MB)
 	for _, op := range []Op{ReduceScatter, AllGather, AllReduce, AllToAll} {
-		eng, _, ce := newRig(t, top, WithChunks(64))
+		eng, _, ce := newRig(t, top, Baseline, 64)
 		res := runCollective(t, eng, ce, op, size, FullMachine(top))
 		est := Estimate(top, op, size, FullMachine(top), Baseline, 64)
 		ratio := float64(res.Duration()) / float64(est)
@@ -264,9 +264,9 @@ func TestEstimateSaturates(t *testing.T) {
 // to balance (Fig. 9a, W-1D columns).
 func TestThemisNoGainOn1D(t *testing.T) {
 	top := topology.MustNew(ringDim(512, 350, 0))
-	engB, _, ceB := newRig(t, top, WithChunks(64), WithPolicy(Baseline))
+	engB, _, ceB := newRig(t, top, Baseline, 64)
 	base := runCollective(t, engB, ceB, AllReduce, units.GB, FullMachine(top))
-	engT, _, ceT := newRig(t, top, WithChunks(64), WithPolicy(Themis))
+	engT, _, ceT := newRig(t, top, Themis, 64)
 	them := runCollective(t, engT, ceT, AllReduce, units.GB, FullMachine(top))
 	if base.Duration() != them.Duration() {
 		t.Errorf("1D Themis %v != baseline %v", them.Duration(), base.Duration())
@@ -283,9 +283,9 @@ func TestThemisBeatsBaselineOnMultiDim(t *testing.T) {
 		ringDim(8, 100, 0),
 		topology.Dim{Kind: topology.Switch, Size: 4, Bandwidth: units.GBps(50)},
 	)
-	engB, _, ceB := newRig(t, top, WithChunks(64), WithPolicy(Baseline))
+	engB, _, ceB := newRig(t, top, Baseline, 64)
 	base := runCollective(t, engB, ceB, AllReduce, units.GB, FullMachine(top))
-	engT, _, ceT := newRig(t, top, WithChunks(64), WithPolicy(Themis))
+	engT, _, ceT := newRig(t, top, Themis, 64)
 	them := runCollective(t, engT, ceT, AllReduce, units.GB, FullMachine(top))
 	gain := float64(base.Duration()) / float64(them.Duration())
 	// Conv-4D's bandwidth profile is the mildest of the paper's multi-dim
@@ -309,7 +309,7 @@ func TestThemisApproachesAggregateBandwidth(t *testing.T) {
 		topology.Dim{Kind: topology.Switch, Size: 4, Bandwidth: units.GBps(50)},
 	)
 	size := units.ByteSize(1024 * units.MB)
-	engT, _, ceT := newRig(t, top, WithChunks(128), WithPolicy(Themis))
+	engT, _, ceT := newRig(t, top, Themis, 128)
 	them := runCollective(t, engT, ceT, AllReduce, size, FullMachine(top))
 
 	traffic := TrafficPerDim(top, AllReduce, size, FullMachine(top))
@@ -331,14 +331,14 @@ func TestSubsetDimGroups(t *testing.T) {
 	// Hybrid parallelism: MP over dim 0, DP over dim 1. Two MP groups run
 	// concurrently and must not contend (disjoint links).
 	top := topology.MustNew(ringDim(4, 100, 0), ringDim(2, 100, 0))
-	eng, _, ce := newRig(t, top, WithChunks(1))
+	eng, net, ce := newRig(t, top, Baseline, 1)
 	g0, _ := NewGroup(top, []int{0}, 0)
 	g1, _ := NewGroup(top, []int{0}, 4)
 	var d0, d1 units.Time
-	if err := ce.Start(AllReduce, 8*units.MB, g0, nil, func(r Result) { d0 = r.Duration() }); err != nil {
+	if err := ce.Start(AllReduce, 8*units.MB, g0, net.NewLinkSet(g0.Members(top)), func(r Result) { d0 = r.Duration() }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ce.Start(AllReduce, 8*units.MB, g1, nil, func(r Result) { d1 = r.Duration() }); err != nil {
+	if err := ce.Start(AllReduce, 8*units.MB, g1, net.NewLinkSet(g1.Members(top)), func(r Result) { d1 = r.Duration() }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Run(); err != nil {
@@ -351,11 +351,11 @@ func TestSubsetDimGroups(t *testing.T) {
 
 func TestStartValidation(t *testing.T) {
 	top := topology.MustNew(ringDim(4, 100, 0))
-	_, _, ce := newRig(t, top)
-	if err := ce.Start(AllReduce, 0, FullMachine(top), nil, nil); err == nil {
+	_, net, ce := newRig(t, top, Baseline, 0)
+	if err := ce.Start(AllReduce, 0, FullMachine(top), net.Machine(), nil); err == nil {
 		t.Error("expected error for zero size")
 	}
-	if err := ce.Start(AllGather, 2, FullMachine(top), nil, nil); err == nil {
+	if err := ce.Start(AllGather, 2, FullMachine(top), net.Machine(), nil); err == nil {
 		t.Error("expected error for shard smaller than one byte")
 	}
 }

@@ -178,7 +178,7 @@ func TestStridedCollectiveRuns(t *testing.T) {
 	top := topology.MustNew(topology.Dim{
 		Kind: topology.Ring, Size: 64, Bandwidth: units.GBps(100),
 	})
-	eng, _, ce := newRig(t, top, WithChunks(4))
+	eng, _, ce := newRig(t, top, Baseline, 4)
 	g, err := NewSpanGroup(top, []Span{{Phys: 0, K: 8, Stride: 8}}, 0)
 	if err != nil {
 		t.Fatal(err)

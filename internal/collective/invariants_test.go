@@ -52,9 +52,9 @@ func TestTotalTrafficOrderInvariant(t *testing.T) {
 			for _, policy := range []Policy{Baseline, Themis} {
 				eng := timeline.New()
 				net := network.NewBackend(eng, top)
-				ce := NewEngine(net, WithChunks(16), WithPolicy(policy))
+				ce := NewEngine(net, policy, 16)
 				var res Result
-				if err := ce.Start(op, size, g, nil, func(r Result) { res = r }); err != nil {
+				if err := ce.Start(op, size, g, net.Machine(), func(r Result) { res = r }); err != nil {
 					return false
 				}
 				if _, err := eng.Run(); err != nil {
@@ -106,9 +106,9 @@ func TestThemisNeverSlowerOnIdleNetwork(t *testing.T) {
 		run := func(p Policy) units.Time {
 			eng := timeline.New()
 			net := network.NewBackend(eng, top)
-			ce := NewEngine(net, WithChunks(64), WithPolicy(p))
+			ce := NewEngine(net, p, 64)
 			var res Result
-			if err := ce.Start(AllReduce, size, FullMachine(top), nil, func(r Result) { res = r }); err != nil {
+			if err := ce.Start(AllReduce, size, FullMachine(top), net.Machine(), func(r Result) { res = r }); err != nil {
 				return 0
 			}
 			if _, err := eng.Run(); err != nil {
@@ -138,9 +138,9 @@ func TestDurationScalesLinearlyWithSize(t *testing.T) {
 	run := func(size units.ByteSize) units.Time {
 		eng := timeline.New()
 		net := network.NewBackend(eng, top)
-		ce := NewEngine(net, WithChunks(16))
+		ce := NewEngine(net, Baseline, 16)
 		var res Result
-		if err := ce.Start(AllReduce, size, FullMachine(top), nil, func(r Result) { res = r }); err != nil {
+		if err := ce.Start(AllReduce, size, FullMachine(top), net.Machine(), func(r Result) { res = r }); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Run(); err != nil {
@@ -164,9 +164,9 @@ func TestProjectedLedgerDrainsToZero(t *testing.T) {
 	)
 	eng := timeline.New()
 	net := network.NewBackend(eng, top)
-	ce := NewEngine(net, WithChunks(8), WithPolicy(Themis))
+	ce := NewEngine(net, Themis, 8)
 	for i := 0; i < 5; i++ {
-		if err := ce.Start(AllReduce, 32*units.MiB, FullMachine(top), nil, nil); err != nil {
+		if err := ce.Start(AllReduce, 32*units.MiB, FullMachine(top), net.Machine(), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func TestManyConcurrentSubgroupCollectives(t *testing.T) {
 	)
 	eng := timeline.New()
 	net := network.NewBackend(eng, top)
-	ce := NewEngine(net, WithChunks(8))
+	ce := NewEngine(net, Baseline, 8)
 	done := 0
 	var first units.Time
 	for base := 0; base < 64; base += 8 {
@@ -200,7 +200,7 @@ func TestManyConcurrentSubgroupCollectives(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ce.Start(AllReduce, 16*units.MiB, g, nil, func(r Result) {
+		if err := ce.Start(AllReduce, 16*units.MiB, g, net.NewLinkSet(g.Members(top)), func(r Result) {
 			done++
 			if first == 0 {
 				first = r.Duration()

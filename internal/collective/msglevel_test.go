@@ -70,7 +70,8 @@ func TestMessageScheduleRefusesWhatStartRefuses(t *testing.T) {
 			}
 			if c.start || !c.spans {
 				eng := timeline.New()
-				err := NewEngine(network.NewBackend(eng, top)).Start(c.op, c.size, c.g, nil, nil)
+				net := network.NewBackend(eng, top)
+				err := NewEngine(net, Baseline, 0).Start(c.op, c.size, c.g, net.NewLinkSet(c.g.Members(top)), nil)
 				if (err != nil) != c.start {
 					t.Errorf("Engine.Start: %v, want refused %v", err, c.start)
 				}

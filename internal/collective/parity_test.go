@@ -34,9 +34,9 @@ func runEngineOnce(t *testing.T, top *topology.Topology, op Op, size units.ByteS
 	t.Helper()
 	eng := timeline.New()
 	net := network.NewBackend(eng, top)
-	ce := NewEngine(net, WithChunks(chunks), WithPolicy(policy))
+	ce := NewEngine(net, policy, chunks)
 	var res Result
-	if err := ce.Start(op, size, FullMachine(top), nil, func(r Result) { res = r }); err != nil {
+	if err := ce.Start(op, size, FullMachine(top), net.Machine(), func(r Result) { res = r }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Run(); err != nil {

@@ -34,9 +34,9 @@ func TestRecycledRunsMatchFreshEngines(t *testing.T) {
 	machine := func(policy Policy, subset bool) (*timeline.Engine, *Engine, Group, *network.LinkSet) {
 		eng := timeline.New()
 		net := network.NewBackend(eng, top)
-		ce := NewEngine(net, WithChunks(64), WithPolicy(policy))
+		ce := NewEngine(net, policy, 64)
 		if !subset {
-			return eng, ce, FullMachine(top), nil
+			return eng, ce, FullMachine(top), net.Machine()
 		}
 		g, err := NewGroup(top, []int{0, 2}, 5)
 		if err != nil {

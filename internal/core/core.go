@@ -20,13 +20,13 @@
 // no string key and no allocation per NPU issue.
 //
 // What Start costs beyond the simulated ranks is per distinct list and
-// layout, plus a few words per rank. It checks each layout once for every
+// layout, plus one plan pointer per rank. It checks each layout once for every
 // rank (collective.CheckLayout, whose cost grows with the dimension
 // sizes), and walks the ranks in order only when a layout fails somewhere,
 // to name the first rank where a layout it uses fails and the first node
 // using that layout. Plans and Start look up a rank's plan only where it
-// differs from the previous rank's. Folded GPT-3 starts in about 0.1 ms
-// on 4,096 NPUs and 7 ms on 262,144 (BenchmarkStartGPT3, 2-core VM).
+// differs from the previous rank's. Folded GPT-3 starts in 76–88 µs on
+// 4,096 NPUs and 3.9–4.2 ms on 262,144 (BenchmarkStartGPT3, 2-core VM).
 //
 // A trace with Iterations > 1 is the paper's training loop: each NPU
 // re-executes its one plan. When an NPU's last node of an iteration
@@ -444,9 +444,7 @@ func NewSimulatorOn(eng *timeline.Engine, cfg Config) (*Simulator, error) {
 	net := network.NewBackend(eng, cfg.Topology)
 	net.SetTransitCharging(cfg.ModelTransitCongestion)
 	net.SetFlowController(cfg.FlowController)
-	coll := collective.NewEngine(net,
-		collective.WithPolicy(cfg.Policy),
-		collective.WithChunks(cfg.Chunks))
+	coll := collective.NewEngine(net, cfg.Policy, cfg.Chunks)
 	return &Simulator{cfg: cfg, eng: eng, net: net, coll: coll}, nil
 }
 

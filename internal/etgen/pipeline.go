@@ -34,6 +34,16 @@ type PipelineConfig struct {
 	GradBytes units.ByteSize
 }
 
+// DefaultPipeline returns the pipeline both CLIs build for -workload
+// pipeline: 4 stages of 1 TFLOP forward compute each, 8 microbatches,
+// 16 MiB activations and a 64 MiB gradient All-Reduce per stage replica.
+func DefaultPipeline() PipelineConfig {
+	return PipelineConfig{
+		Name: "pipeline", Stages: 4, MicroBatches: 8, FlopsPerStage: 1e12,
+		ActivationBytes: 16 * units.MiB, GradBytes: 64 * units.MiB,
+	}
+}
+
 // Pipeline generates the pipeline's trace. Unlike the symmetric
 // generators, ranks run different node lists: a stage's list depends on
 // whether it has a previous and a next stage. Peers are offsets from the

@@ -6,8 +6,8 @@ import (
 	"repro/internal/units"
 )
 
-// Ablations for the simulator's own design choices (DESIGN.md §6): how
-// the chunk-pipelining depth and the scheduler interact on the paper's
+// Ablations for the simulator's own design choices: how the
+// chunk-pipelining depth and the scheduler interact on the paper's
 // systems. These are not paper artifacts; they justify the default
 // configuration (64 chunks) and quantify what each mechanism contributes.
 

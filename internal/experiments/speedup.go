@@ -116,7 +116,7 @@ func Speedup(size units.ByteSize, o Options) (*SpeedupResult, error) {
 		return nil, err
 	}
 	start := time.Now()
-	g, err := garnet.New(garnet.Config{Shape: out.SmallShape, FlitBytes: 16, LinkLatency: 1, ClockGHz: 1})
+	g, err := garnet.New(garnet.Config{Shape: out.SmallShape, FlitBytes: 16, LinkLatency: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,7 @@ func garnetMatchesAnalytical(t *testing.T, op collective.Op, hop int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := garnet.New(garnet.Config{Shape: shape, FlitBytes: 16, LinkLatency: hop, ClockGHz: 1})
+		g, err := garnet.New(garnet.Config{Shape: shape, FlitBytes: 16, LinkLatency: hop})
 		if err != nil {
 			t.Fatal(err)
 		}

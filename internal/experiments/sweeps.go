@@ -18,9 +18,9 @@ import (
 func runEngine(top *topology.Topology, op collective.Op, size units.ByteSize, chunks int, policy collective.Policy) (collective.Result, uint64, error) {
 	eng := timeline.New()
 	net := network.NewBackend(eng, top)
-	ce := collective.NewEngine(net, collective.WithChunks(chunks), collective.WithPolicy(policy))
+	ce := collective.NewEngine(net, policy, chunks)
 	var res collective.Result
-	if err := ce.Start(op, size, collective.FullMachine(top), nil, func(r collective.Result) { res = r }); err != nil {
+	if err := ce.Start(op, size, collective.FullMachine(top), net.Machine(), func(r collective.Result) { res = r }); err != nil {
 		return res, 0, err
 	}
 	if _, err := eng.Run(); err != nil {

@@ -35,8 +35,6 @@ type Config struct {
 	FlitBytes int
 	// LinkLatency is the per-hop pipeline depth in cycles. Default 1.
 	LinkLatency int
-	// ClockGHz converts cycles to time. Default 1.0.
-	ClockGHz float64
 }
 
 func (c *Config) defaults() {
@@ -45,9 +43,6 @@ func (c *Config) defaults() {
 	}
 	if c.LinkLatency == 0 {
 		c.LinkLatency = 1
-	}
-	if c.ClockGHz == 0 {
-		c.ClockGHz = 1.0
 	}
 }
 
@@ -61,7 +56,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("garnet: dim %d size %d; need k >= 2", i+1, k)
 		}
 	}
-	if c.FlitBytes < 0 || c.LinkLatency < 0 || c.ClockGHz < 0 {
+	if c.FlitBytes < 0 || c.LinkLatency < 0 {
 		return fmt.Errorf("garnet: negative parameter")
 	}
 	return nil
@@ -157,9 +152,10 @@ func New(cfg Config) (*Simulator, error) {
 // Cycles returns the cycles executed so far.
 func (s *Simulator) Cycles() uint64 { return s.cycle }
 
-// Time converts the elapsed cycles to simulated time.
+// Time converts the elapsed cycles to simulated time: the clock runs at
+// 1 GHz, so a cycle is 1 ns.
 func (s *Simulator) Time() units.Time {
-	return units.FromNanos(float64(s.cycle) / s.cfg.ClockGHz)
+	return units.FromNanos(float64(s.cycle))
 }
 
 func (s *Simulator) stride(dim int) int {

@@ -303,15 +303,6 @@ func (b *Backend) SetDimBandwidthScale(dim int, scale float64) {
 	b.bwScale[dim] = scale
 }
 
-// DimBandwidthScale returns dimension dim's current bandwidth scale
-// (1 when clean or out of range).
-func (b *Backend) DimBandwidthScale(dim int) float64 {
-	if b.bwScale == nil || dim < 0 || dim >= b.dims {
-		return 1
-	}
-	return b.bwScale[dim]
-}
-
 // StallNPULinks marks every link of one NPU busy until the given instant —
 // the scenario layer's NPU-failure/recovery primitive. Traffic touching the
 // NPU queues behind the stall, and synchronous collective phases gate on it

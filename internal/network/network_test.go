@@ -300,8 +300,8 @@ func TestMultiLegRouteSerializesPerDim(t *testing.T) {
 	)
 	eng := timeline.New()
 	b := NewBackend(eng, top)
-	// (0,0,0) -> (1,1,1): three legs of 10us each.
-	dst := top.Rank([]int{1, 1, 1})
+	// (0,0,0) -> (1,1,1), rank 1 + 4 + 16: three legs of 10us each.
+	const dst = 1 + 4 + 16
 	var at units.Time
 	b.SimRecv(0, dst, 0, timeline.Callback(func() { at = eng.Now() }))
 	b.SimSend(0, dst, 0, units.MB, nil)

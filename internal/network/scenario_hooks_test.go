@@ -8,19 +8,12 @@ import (
 )
 
 // TestDimBandwidthScale checks that degrading a dimension stretches the
-// serialization time of future reservations (latency is untouched), that
-// restoring the scale to 1 returns to clean timing, and that the getter
-// tracks the applied scale.
+// serialization time of future reservations (latency is untouched), and
+// that restoring the scale to 1 returns to clean timing.
 func TestDimBandwidthScale(t *testing.T) {
 	eng := timeline.New()
 	b := NewBackend(eng, ring4())
-	if got := b.DimBandwidthScale(0); got != 1 {
-		t.Fatalf("clean scale = %g, want 1", got)
-	}
 	b.SetDimBandwidthScale(0, 0.5)
-	if got := b.DimBandwidthScale(0); got != 0.5 {
-		t.Fatalf("scale after degrade = %g, want 0.5", got)
-	}
 	var deliveredAt units.Time
 	// 1 MB over 100 GB/s at half bandwidth is 20 us, plus one 500 ns hop.
 	b.SendOnDim(0, 1, 0, units.MB, nil, timeline.Callback(func() { deliveredAt = eng.Now() }))
@@ -35,9 +28,6 @@ func TestDimBandwidthScale(t *testing.T) {
 	// Restoring the dimension brings future reservations back to clean
 	// serialization time.
 	b.SetDimBandwidthScale(0, 1)
-	if got := b.DimBandwidthScale(0); got != 1 {
-		t.Fatalf("scale after restore = %g, want 1", got)
-	}
 	start := eng.Now()
 	b.SendOnDim(0, 1, 0, units.MB, nil, timeline.Callback(func() { deliveredAt = eng.Now() }))
 	if _, err := eng.Run(); err != nil {
@@ -58,12 +48,6 @@ func TestDimBandwidthScaleIgnoresInvalid(t *testing.T) {
 	b.SetDimBandwidthScale(7, 0.5)
 	b.SetDimBandwidthScale(0, 0)
 	b.SetDimBandwidthScale(0, -2)
-	if got := b.DimBandwidthScale(0); got != 1 {
-		t.Errorf("scale after invalid mutations = %g, want 1", got)
-	}
-	if got := b.DimBandwidthScale(-1); got != 1 {
-		t.Errorf("out-of-range getter = %g, want 1", got)
-	}
 	var deliveredAt units.Time
 	b.SendOnDim(0, 1, 0, units.MB, nil, timeline.Callback(func() { deliveredAt = eng.Now() }))
 	if _, err := eng.Run(); err != nil {

@@ -8,8 +8,8 @@
 // A Scenario is a validated, machine-relative event list: dimensions index
 // the topology's dimensions, NPUs index ranks. The core simulator applies
 // each event at its instant through the network backend's incremental
-// mutation hooks (bandwidth scales, link stalls) and the compute model's
-// straggler scale table; routing and collectives degrade gracefully —
+// mutation hooks (bandwidth scales, link stalls) and its own per-rank
+// straggler factors; routing and collectives degrade gracefully —
 // stretched flows and slower phases, never panics.
 package scenario
 

@@ -154,11 +154,11 @@ func (e *CellError) Error() string {
 
 func (e *CellError) Unwrap() error { return e.Err }
 
-// Run executes the sweep. Results are independent of the worker count:
-// parallel output is byte-identical to serial. On failure Run returns the
-// error of the first failing cell in grid order (also deterministic:
-// cells are dispatched in order, so no cell before the reported one can
-// have failed unnoticed).
+// Run executes the sweep on a pool of exec.Workers goroutines. Results are
+// independent of the worker count: every count gives byte-identical
+// output. On failure Run returns the error of the first failing cell in
+// grid order (also deterministic: cells are dispatched in order, so no
+// cell before the reported one can have failed unnoticed).
 func Run[T any](spec Spec[T], exec Exec) (*Results[T], error) {
 	start := time.Now()
 	if spec.Cell == nil {
@@ -221,17 +221,25 @@ func Run[T any](spec Spec[T], exec Exec) (*Results[T], error) {
 	var (
 		values = make([]T, total)
 		errs   = make([]error, len(groups))
-		failed atomic.Bool
-		done   int
-		doneMu sync.Mutex
+		// firstFail is the lowest index of a failed group, len(groups)
+		// while none has failed. It only falls.
+		firstFail atomic.Int64
+		done      int
+		doneMu    sync.Mutex
 	)
+	firstFail.Store(int64(len(groups)))
 	runGroup := func(gi int) {
 		g := groups[gi]
 		pt := points[g[0]]
 		val, err := spec.Cell(pt)
 		if err != nil {
 			errs[gi] = &CellError{Sweep: spec.Name, Point: pt.Values(), Err: err}
-			failed.Store(true)
+			for {
+				f := firstFail.Load()
+				if int64(gi) >= f || firstFail.CompareAndSwap(f, int64(gi)) {
+					break
+				}
+			}
 			return
 		}
 		for _, i := range g {
@@ -245,38 +253,34 @@ func Run[T any](spec Spec[T], exec Exec) (*Results[T], error) {
 		}
 	}
 
-	if workers <= 1 {
+	// Dispatch groups in grid order. Once a group fails, stop feeding and
+	// skip handed-out groups that come after it, so in-flight work drains
+	// quickly and one worker runs no cell past the first failure. A group
+	// before the lowest failure is never skipped, so its error is never
+	// lost.
+	ch := make(chan int)
+	go func() {
 		for gi := range groups {
-			runGroup(gi)
-			if failed.Load() {
+			if int64(gi) > firstFail.Load() {
 				break
 			}
+			ch <- gi
 		}
-	} else {
-		// Dispatch groups in grid order; once a cell fails, stop feeding
-		// so in-flight work drains quickly.
-		ch := make(chan int)
+		close(ch)
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func() {
-			for gi := range groups {
-				if failed.Load() {
-					break
-				}
-				ch <- gi
-			}
-			close(ch)
-		}()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for gi := range ch {
+			defer wg.Done()
+			for gi := range ch {
+				if int64(gi) < firstFail.Load() {
 					runGroup(gi)
 				}
-			}()
-		}
-		wg.Wait()
+			}
+		}()
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

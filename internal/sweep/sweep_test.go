@@ -127,34 +127,67 @@ func TestEmptyFingerprintNeverShares(t *testing.T) {
 
 func TestErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
-	spec := gridSpec(true, nil)
-	spec.Cell = func(pt Point) (int, error) {
-		// Two failing cells; the first in grid order is (a1, b0).
+	var ran atomic.Int64
+	// Two failing cells; the first in grid order is (a1, b0), the fifth.
+	two := gridSpec(true, nil)
+	two.Cell = func(pt Point) (int, error) {
+		ran.Add(1)
 		if pt.Index("a") >= 1 && pt.Index("b") == 0 {
 			return 0, boom
 		}
 		return 0, nil
 	}
-	for _, workers := range []int{1, 2, 8} {
-		_, err := Run(spec, Exec{Workers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: no error", workers)
-		}
-		if !errors.Is(err, boom) {
-			t.Errorf("workers=%d: error %v does not wrap cause", workers, err)
-		}
-		var cerr *CellError
-		if !errors.As(err, &cerr) {
-			t.Fatalf("workers=%d: error %T is not a CellError", workers, err)
-		}
-		if cerr.Sweep != "test" {
-			t.Errorf("workers=%d: error sweep = %q", workers, cerr.Sweep)
-		}
-		if got := fmt.Sprintf("%v", cerr.Point); got != "[a1 b0]" {
-			t.Errorf("workers=%d: reported cell %v, want [a1 b0] (first failure in grid order)", workers, got)
-		}
-		if !strings.Contains(err.Error(), "a1") {
-			t.Errorf("workers=%d: error %q does not name the cell", workers, err)
+	// Every cell from the third on fails, so workers race to fail on later
+	// cells while an earlier failing one is still in hand; repeated runs
+	// give the race its chances.
+	values := make([]string, 64)
+	for i := range values {
+		values[i] = fmt.Sprint(i)
+	}
+	many := Spec[int]{
+		Name: "test",
+		Axes: []Axis{{Name: "i", Values: values}},
+		Cell: func(pt Point) (int, error) {
+			ran.Add(1)
+			if pt.Index("i") >= 2 {
+				return 0, boom
+			}
+			return 0, nil
+		},
+	}
+	for _, c := range []struct {
+		spec   Spec[int]
+		reps   int
+		want   string // the first failing cell in grid order
+		serial int64  // cells one worker runs: none past the first failure
+	}{{two, 1, "[a1 b0]", 5}, {many, 200, "[2]", 3}} {
+		for _, workers := range []int{1, 2, 8, 32} {
+			for rep := 0; rep < c.reps; rep++ {
+				ran.Store(0)
+				_, err := Run(c.spec, Exec{Workers: workers})
+				if err == nil {
+					t.Fatalf("workers=%d: no error", workers)
+				}
+				if workers == 1 && ran.Load() != c.serial {
+					t.Errorf("workers=1: ran %d cells, want %d", ran.Load(), c.serial)
+				}
+				if !errors.Is(err, boom) {
+					t.Errorf("workers=%d: error %v does not wrap cause", workers, err)
+				}
+				var cerr *CellError
+				if !errors.As(err, &cerr) {
+					t.Fatalf("workers=%d: error %T is not a CellError", workers, err)
+				}
+				if cerr.Sweep != "test" {
+					t.Errorf("workers=%d: error sweep = %q", workers, cerr.Sweep)
+				}
+				if got := fmt.Sprintf("%v", cerr.Point); got != c.want {
+					t.Fatalf("workers=%d rep %d: reported cell %v, want %s (first failure in grid order)", workers, rep, got, c.want)
+				}
+				if !strings.Contains(err.Error(), cerr.Point[0]) {
+					t.Errorf("workers=%d: error %q does not name the cell", workers, err)
+				}
+			}
 		}
 	}
 }

@@ -12,8 +12,7 @@ import (
 
 // refQueue is the obviously correct queue the engine is checked against:
 // one slice of pending events kept sorted by (time, schedule order) and
-// popped from the front, with the engine's RunUntil semantics. It makes no
-// attempt to be fast.
+// popped from the front. It makes no attempt to be fast.
 type refQueue struct {
 	now units.Time
 	q   []refEvent
@@ -37,26 +36,19 @@ func (r *refQueue) Schedule(delay units.Time, fn Callback) {
 	r.q[i] = refEvent{at: at, fn: fn}
 }
 
-func (r *refQueue) step() {
+func (r *refQueue) Step() bool {
+	if len(r.q) == 0 {
+		return false
+	}
 	ev := r.q[0]
 	r.q = r.q[1:]
 	r.now = ev.at
 	ev.fn()
+	return true
 }
 
 func (r *refQueue) Run() (units.Time, error) {
-	for len(r.q) > 0 {
-		r.step()
-	}
-	return r.now, nil
-}
-
-func (r *refQueue) RunUntil(deadline units.Time) (units.Time, error) {
-	for len(r.q) > 0 && r.q[0].at <= deadline {
-		r.step()
-	}
-	if r.now < deadline && len(r.q) > 0 {
-		r.now = deadline
+	for r.Step() {
 	}
 	return r.now, nil
 }
@@ -67,8 +59,8 @@ type orderQueue interface {
 	Now() units.Time
 	Pending() int
 	Schedule(delay units.Time, fn Callback)
+	Step() bool
 	Run() (units.Time, error)
-	RunUntil(deadline units.Time) (units.Time, error)
 }
 
 // budgeted drives an Engine under a tiny event budget and resumes after
@@ -84,14 +76,6 @@ func (b budgeted) Run() (units.Time, error) {
 	}
 }
 
-func (b budgeted) RunUntil(deadline units.Time) (units.Time, error) {
-	for {
-		if at, err := b.Engine.RunUntil(deadline); err == nil {
-			return at, nil
-		}
-	}
-}
-
 // orderProgram is a random nested scheduling program. Every decision comes
 // from one PRNG consumed in firing order, so two queues print the same log
 // exactly when they fire the same events at the same times in the same
@@ -102,9 +86,10 @@ type orderProgram struct {
 	fanout int // each firing schedules 0..fanout more
 	// delay picks the delay of event id, scheduled when the clock reads now.
 	delay func(rng *rand.Rand, now units.Time, id int) units.Time
-	// step, when positive, drives the queue with RunUntil(now+step) and
-	// schedules from outside between the calls, instead of one Run.
-	step units.Time
+	// batch, when positive, drives the queue in batches of that many Step
+	// calls and schedules from outside between the batches, instead of
+	// one Run. A batch may end inside a run of one instant's events.
+	batch int
 }
 
 func (p orderProgram) run(q orderQueue, seed int64) (string, error) {
@@ -131,13 +116,15 @@ func (p orderProgram) run(q orderQueue, seed int64) (string, error) {
 	for i := 0; i < p.roots; i++ {
 		schedule()
 	}
-	if p.step <= 0 {
+	if p.batch <= 0 {
 		_, err := q.Run()
 		return log.String(), err
 	}
 	for q.Pending() > 0 {
-		if _, err := q.RunUntil(q.Now() + p.step); err != nil {
-			return log.String(), err
+		for i := 0; i < p.batch && q.Pending() > 0; i++ {
+			if !q.Step() {
+				return log.String(), fmt.Errorf("step refused a pending event at t=%d", q.Now())
+			}
 		}
 		fmt.Fprintf(&log, "| %d ", q.Now())
 		for n := rng.Intn(3); n > 0; n-- {
@@ -229,10 +216,10 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 		{"alternating-colliding", orderProgram{roots: 20, events: 4000, fanout: 3, delay: alternating(colliding)}},
 		{"more-instants-than-table", orderProgram{roots: 3 << (tailBits - 1), events: 3 << tailBits, fanout: 2, delay: spreadDelay}},
 		{"zero-delay-in-runs", orderProgram{roots: 30, events: 4000, fanout: 3, delay: zeroHeavyDelay}},
-		{"run-until", orderProgram{roots: 30, events: 4000, fanout: 2, delay: tiesDelay, step: 2}},
-		{"run-until-spread", orderProgram{roots: 1 << tailBits, events: 2 << tailBits, fanout: 1, delay: spreadDelay, step: 997}},
+		{"stepped", orderProgram{roots: 30, events: 4000, fanout: 2, delay: tiesDelay, batch: 3}},
+		{"stepped-spread", orderProgram{roots: 1 << tailBits, events: 2 << tailBits, fanout: 1, delay: spreadDelay, batch: 97}},
 		{"high-bits", orderProgram{roots: 40, events: 4000, fanout: 3, delay: highBitsDelay}},
-		{"run-until-high-bits", orderProgram{roots: 40, events: 4000, fanout: 2, delay: highBitsDelay, step: 1<<36 + 1}},
+		{"stepped-high-bits", orderProgram{roots: 40, events: 4000, fanout: 2, delay: highBitsDelay, batch: 5}},
 	}
 	for _, c := range cases {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -296,22 +283,17 @@ func TestSameInstantEventsShareOneRun(t *testing.T) {
 }
 
 // FuzzEngineOrder is TestEngineMatchesReferenceOrder with the program's
-// shape drawn from the fuzz input: the delay family, fanout, roots,
-// RunUntil step, event budget and seed. The engine must fire exactly the
+// shape drawn from the fuzz input: the delay family, fanout, roots, Step
+// batch size, event budget and seed. The engine must fire exactly the
 // reference queue's sequence.
 func FuzzEngineOrder(f *testing.F) {
-	// unit scales the step to the family's delays, so a RunUntil-driven
-	// program needs at most a few thousand calls.
-	families := []struct {
-		delay func(*rand.Rand, units.Time, int) units.Time
-		unit  units.Time
-	}{
-		{tiesDelay, 1},
-		{zeroHeavyDelay, 1},
-		{spreadDelay, 256},
-		{highBitsDelay, 1 << 32},
-		{alternating([]units.Time{8, 16, 24, 32, 40, 48, 56, 64, 72, 80}), 1},
-		{alternating([]units.Time{1 << 20, 1<<20 + 1, 1 << 21, 1<<21 + 1, 1 << 22, 1<<22 + 1}), 1 << 12},
+	families := []func(*rand.Rand, units.Time, int) units.Time{
+		tiesDelay,
+		zeroHeavyDelay,
+		spreadDelay,
+		highBitsDelay,
+		alternating([]units.Time{8, 16, 24, 32, 40, 48, 56, 64, 72, 80}),
+		alternating([]units.Time{1 << 20, 1<<20 + 1, 1 << 21, 1<<21 + 1, 1 << 22, 1<<22 + 1}),
 	}
 	f.Add(uint8(0), uint8(3), uint8(20), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(1), uint8(2), uint8(30), uint8(2), uint8(7), int64(2))
@@ -320,14 +302,13 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add(uint8(3), uint8(2), uint8(40), uint8(16), uint8(0), int64(5))
 	f.Add(uint8(4), uint8(3), uint8(10), uint8(5), uint8(3), int64(6))
 	f.Add(uint8(5), uint8(2), uint8(10), uint8(0), uint8(1), int64(7))
-	f.Fuzz(func(t *testing.T, family, fanout, roots, step, cut uint8, seed int64) {
-		fam := families[int(family)%len(families)]
+	f.Fuzz(func(t *testing.T, family, fanout, roots, batch, cut uint8, seed int64) {
 		p := orderProgram{
 			roots:  1 + int(roots),
 			events: 600,
 			fanout: int(fanout % 4),
-			delay:  fam.delay,
-			step:   units.Time(step) * fam.unit,
+			delay:  families[int(family)%len(families)],
+			batch:  int(batch),
 		}
 		want, err := p.run(&refQueue{}, seed)
 		if err != nil {

@@ -30,8 +30,8 @@
 // by implementing Actor and using ScheduleActor.
 //
 // Simulated time saturates: an event that would fall at or beyond
-// units.MaxTime is queued there, and Run and RunUntil return an error
-// rather than fire it.
+// units.MaxTime is queued there, and Run returns an error rather than fire
+// it.
 package timeline
 
 import (
@@ -130,7 +130,7 @@ type Engine struct {
 
 	pending int // events queued in runs
 	fired   uint64
-	budget  uint64 // max events per Run/RunUntil; 0 = unlimited
+	budget  uint64 // max events per Run; 0 = unlimited
 
 	// tails maps hash(at) to the latest run created for instant at. An
 	// entry with at > now always names a run still queued (popping a run
@@ -159,10 +159,10 @@ func (e *Engine) Pending() int { return e.pending }
 // Fired reports how many events have executed since construction.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// SetEventBudget caps the number of events a single Run or RunUntil may
-// execute: a run that would need more returns an error after exactly n
-// events. Zero means unlimited. This is a guard against accidental
-// livelock in model code.
+// SetEventBudget caps the number of events a single Run may execute: a
+// run that would need more returns an error after exactly n events. Zero
+// means unlimited. This is a guard against accidental livelock in model
+// code.
 func (e *Engine) SetEventBudget(n uint64) { e.budget = n }
 
 // allocSlot takes a slot from the free list (or grows the arena) and fills
@@ -307,14 +307,6 @@ func (e *Engine) popDue() int32 {
 	return r.head
 }
 
-// peekAt returns the earliest pending timestamp. Valid only when Pending>0.
-func (e *Engine) peekAt() units.Time {
-	if e.cur >= 0 {
-		return e.now // the current run is always due now
-	}
-	return e.buckets[bits.TrailingZeros64(e.nonEmpty)].min
-}
-
 // Step executes the single earliest event and returns true. It returns
 // false if the queue is empty, or if the earliest event lies at
 // units.MaxTime, past the end of representable simulated time; that event
@@ -355,57 +347,22 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// budgetEnd returns the fired count at which a Run or RunUntil starting at
-// fired must stop: budget events later, or never when budget is 0.
-func budgetEnd(fired, budget uint64) uint64 {
-	if budget == 0 {
-		return math.MaxUint64
-	}
-	return fired + budget
-}
-
-func budgetError(budget uint64, now units.Time) error {
-	return fmt.Errorf("timeline: event budget %d spent at t=%v with events still due (likely a scheduling livelock)", budget, now)
-}
-
-func overflowError(now units.Time) error {
-	return fmt.Errorf("timeline: simulated time overflow after t=%v: events are due at or past %v, the largest representable instant", now, units.MaxTime)
-}
-
 // Run executes events until the queue drains. It returns the final
 // simulated time, or an error if events were still due once the configured
 // event budget was spent or if an event falls past the end of simulated
 // time.
 func (e *Engine) Run() (units.Time, error) {
-	end := budgetEnd(e.fired, e.budget)
+	end := uint64(math.MaxUint64)
+	if e.budget > 0 {
+		end = e.fired + e.budget
+	}
 	for e.pending > 0 {
 		if e.fired == end {
-			return e.now, budgetError(e.budget, e.now)
+			return e.now, fmt.Errorf("timeline: event budget %d spent at t=%v with events still due (likely a scheduling livelock)", e.budget, e.now)
 		}
 		if !e.Step() {
-			return e.now, overflowError(e.now)
+			return e.now, fmt.Errorf("timeline: simulated time overflow after t=%v: events are due at or past %v, the largest representable instant", e.now, units.MaxTime)
 		}
-	}
-	return e.now, nil
-}
-
-// RunUntil executes events with timestamps <= deadline; events beyond the
-// deadline remain queued. The clock advances to the deadline if it was
-// reached without draining. Like Run, it enforces the configured event
-// budget and returns an error when an event due by the deadline would
-// exceed it or falls past the end of simulated time.
-func (e *Engine) RunUntil(deadline units.Time) (units.Time, error) {
-	end := budgetEnd(e.fired, e.budget)
-	for e.pending > 0 && e.peekAt() <= deadline {
-		if e.fired == end {
-			return e.now, budgetError(e.budget, e.now)
-		}
-		if !e.Step() {
-			return e.now, overflowError(e.now)
-		}
-	}
-	if e.now < deadline && e.pending > 0 {
-		e.now = deadline
 	}
 	return e.now, nil
 }

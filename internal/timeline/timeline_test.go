@@ -125,75 +125,26 @@ func TestEventBudget(t *testing.T) {
 
 // A budget of n is inclusive: a program of exactly n events completes,
 // and a livelock errors with exactly n fired — with a positive delay and
-// with zero delay, under Run and RunUntil.
+// with zero delay.
 func TestEventBudgetIsInclusive(t *testing.T) {
 	const n = 10
-	for _, until := range []bool{false, true} {
-		run := func(e *Engine) error {
-			var err error
-			if until {
-				_, err = e.RunUntil(units.Second)
-			} else {
-				_, err = e.Run()
-			}
-			return err
-		}
+	e := New()
+	e.SetEventBudget(n)
+	for i := 0; i < n; i++ {
+		e.Schedule(units.Time(i%3), func() {})
+	}
+	if _, err := e.Run(); err != nil || e.Fired() != n {
+		t.Errorf("%d events under budget %d: fired %d, err %v", n, n, e.Fired(), err)
+	}
+	for _, d := range []units.Time{0, 1} {
 		e := New()
 		e.SetEventBudget(n)
-		for i := 0; i < n; i++ {
-			e.Schedule(units.Time(i%3), func() {})
+		var loop func()
+		loop = func() { e.Schedule(d, loop) }
+		e.Schedule(d, loop)
+		if _, err := e.Run(); err == nil || e.Fired() != n {
+			t.Errorf("delay=%d: livelock under budget %d: fired %d, err %v", d, n, e.Fired(), err)
 		}
-		if err := run(e); err != nil || e.Fired() != n {
-			t.Errorf("until=%v: %d events under budget %d: fired %d, err %v", until, n, n, e.Fired(), err)
-		}
-		for _, d := range []units.Time{0, 1} {
-			e := New()
-			e.SetEventBudget(n)
-			var loop func()
-			loop = func() { e.Schedule(d, loop) }
-			e.Schedule(d, loop)
-			if err := run(e); err == nil || e.Fired() != n {
-				t.Errorf("until=%v delay=%d: livelock under budget %d: fired %d, err %v", until, d, n, e.Fired(), err)
-			}
-		}
-	}
-
-	// Spending the budget exactly is no error when what is left lies past
-	// the deadline.
-	e := New()
-	e.SetEventBudget(2)
-	for _, d := range []units.Time{1, 2, 10} {
-		e.Schedule(d, func() {})
-	}
-	if _, err := e.RunUntil(5); err != nil || e.Fired() != 2 {
-		t.Errorf("RunUntil(5) with budget 2 and 2 events due: fired %d, err %v", e.Fired(), err)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var fired []units.Time
-	for _, d := range []units.Time{10, 20, 30, 40} {
-		d := d
-		e.Schedule(d*units.Nanosecond, func() { fired = append(fired, e.Now()) })
-	}
-	if _, err := e.RunUntil(25 * units.Nanosecond); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 2 {
-		t.Fatalf("fired %d events before deadline, want 2", len(fired))
-	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", e.Pending())
-	}
-	if e.Now() != 25*units.Nanosecond {
-		t.Errorf("clock = %v, want 25ns", e.Now())
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 4 {
-		t.Errorf("total fired = %d, want 4", len(fired))
 	}
 }
 
@@ -229,17 +180,6 @@ func TestMonotonicClockProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRunUntilEnforcesBudget(t *testing.T) {
-	e := New()
-	e.SetEventBudget(100)
-	var loop func()
-	loop = func() { e.Schedule(units.Nanosecond, loop) }
-	e.Schedule(0, loop)
-	if _, err := e.RunUntil(units.Second); err == nil {
-		t.Error("expected budget-exceeded error from livelock in RunUntil")
 	}
 }
 
@@ -364,38 +304,24 @@ func TestFiredCounter(t *testing.T) {
 }
 
 // An event that would fall at or past units.MaxTime saturates there instead
-// of wrapping the clock negative, and is reported as an error rather than
-// fired: by Run, and by RunUntil once the deadline reaches it.
+// of wrapping the clock negative, and Run reports it as an error rather
+// than fire it.
 func TestTimeOverflowIsAnError(t *testing.T) {
-	for _, until := range []bool{false, true} {
-		e := New()
-		var fired []units.Time
-		var chain func()
-		chain = func() {
-			fired = append(fired, e.Now())
-			e.Schedule(units.MaxTime/2+1, chain)
-		}
-		e.Schedule(0, chain)
-		var err error
-		if until {
-			if _, err := e.RunUntil(units.MaxTime - 1); err != nil {
-				t.Fatalf("RunUntil short of the overflow: %v", err)
-			}
-			if e.Pending() != 1 || e.Now() != units.MaxTime-1 {
-				t.Fatalf("RunUntil short of the overflow: pending %d, now %d", e.Pending(), e.Now())
-			}
-			_, err = e.RunUntil(units.MaxTime)
-		} else {
-			_, err = e.Run()
-		}
-		if err == nil || !strings.Contains(err.Error(), "overflow") {
-			t.Errorf("until=%v: err = %v, want a time-overflow error", until, err)
-		}
-		if want := []units.Time{0, units.MaxTime/2 + 1}; !slices.Equal(fired, want) {
-			t.Errorf("until=%v: fired at %v, want %v", until, fired, want)
-		}
-		if e.Pending() != 1 {
-			t.Errorf("until=%v: pending = %d, want the saturated event still queued", until, e.Pending())
-		}
+	e := New()
+	var fired []units.Time
+	var chain func()
+	chain = func() {
+		fired = append(fired, e.Now())
+		e.Schedule(units.MaxTime/2+1, chain)
+	}
+	e.Schedule(0, chain)
+	if _, err := e.Run(); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Errorf("err = %v, want a time-overflow error", err)
+	}
+	if want := []units.Time{0, units.MaxTime/2 + 1}; !slices.Equal(fired, want) {
+		t.Errorf("fired at %v, want %v", fired, want)
+	}
+	if e.Pending() != 1 {
+		t.Errorf("pending = %d, want the saturated event still queued", e.Pending())
 	}
 }

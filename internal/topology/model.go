@@ -90,11 +90,9 @@ type DimModel interface {
 	// Hops is the number of link traversals between two distinct
 	// positions.
 	Hops(a, b, size int) int
-	// Steps is the number of communication steps the block's collective
-	// uses on a group of the given size.
-	Steps(size int) int
-	// PhaseLatency is the latency component of one collective phase over k
-	// members with the given per-hop link latency.
+	// PhaseLatency is the latency component of one collective phase over
+	// k >= 2 members with the given per-hop link latency: the block's
+	// collective step count times the links each step crosses.
 	PhaseLatency(k int, link units.Time) units.Time
 	// EffectiveBandwidth derates the configured per-NPU bandwidth to what
 	// the block actually delivers to collectives at the given dimension
@@ -239,15 +237,9 @@ func (ringModel) Hops(a, b, size int) int {
 	return bwd
 }
 
-func (ringModel) Steps(size int) int {
-	if size <= 1 {
-		return 0
-	}
-	return size - 1
-}
-
-func (m ringModel) PhaseLatency(k int, link units.Time) units.Time {
-	return units.Time(m.Steps(k)) * link
+// PhaseLatency charges the ring's k−1 steps, one link each.
+func (ringModel) PhaseLatency(k int, link units.Time) units.Time {
+	return units.Time(k-1) * link
 }
 
 func (m ringModel) TransitPositions(path []int, a, b, size int) []int {
@@ -281,17 +273,8 @@ func (m fcModel) Format(size int) string {
 
 func (fcModel) Hops(a, b, size int) int { return 1 }
 
-func (fcModel) Steps(size int) int {
-	if size <= 1 {
-		return 0
-	}
-	return 1
-}
-
+// PhaseLatency charges the direct collective's one step over one link.
 func (fcModel) PhaseLatency(k int, link units.Time) units.Time {
-	if k <= 1 {
-		return 0
-	}
 	return link
 }
 
@@ -331,16 +314,11 @@ func (m switchModel) Validate(size int) error {
 
 func (switchModel) Hops(a, b, size int) int { return 2 } // NPU -> switch -> NPU
 
-func (switchModel) Steps(size int) int {
-	if size <= 1 {
-		return 0
-	}
-	return CeilLog2(size)
-}
-
-func (m switchModel) PhaseLatency(k int, link units.Time) units.Time {
-	// Halving-Doubling crosses the switch — two links — per step.
-	return units.Time(2*m.Steps(k)) * link
+// PhaseLatency charges Halving-Doubling's ⌈log2 k⌉ steps, each crossing
+// the switch: two links. A non-power-of-two k is charged the same, though
+// its PhaseSchedule falls back to one direct step.
+func (switchModel) PhaseLatency(k int, link units.Time) units.Time {
+	return units.Time(2*CeilLog2(k)) * link
 }
 
 func (m switchModel) EffectiveBandwidth(bw units.Bandwidth, size int) units.Bandwidth {
@@ -424,13 +402,6 @@ func (meshModel) Hops(a, b, size int) int {
 	return b - a
 }
 
-func (meshModel) Steps(size int) int {
-	if size <= 1 {
-		return 0
-	}
-	return size - 1
-}
-
 // meshDilation is the worst logical-edge length of the line embedding: 1
 // for k=2 (adjacent pair), 2 otherwise.
 func meshDilation(k int) int {
@@ -440,8 +411,10 @@ func meshDilation(k int) int {
 	return 2
 }
 
-func (m meshModel) PhaseLatency(k int, link units.Time) units.Time {
-	return units.Time(m.Steps(k)*meshDilation(k)) * link
+// PhaseLatency charges the embedded ring's k−1 steps, each crossing up to
+// the dilation's links.
+func (meshModel) PhaseLatency(k int, link units.Time) units.Time {
+	return units.Time((k-1)*meshDilation(k)) * link
 }
 
 func (m meshModel) EffectiveBandwidth(bw units.Bandwidth, size int) units.Bandwidth {
@@ -517,20 +490,14 @@ func (m torus2DModel) Hops(a, b, size int) int {
 	return r.Hops(ax, bx, m.A) + r.Hops(ay, by, m.B)
 }
 
-func (m torus2DModel) axisSteps() int { return (m.A - 1) + (m.B - 1) }
-
-func (m torus2DModel) Steps(size int) int {
-	if size <= 1 {
-		return 0
-	}
-	if size == m.A*m.B {
-		return m.axisSteps()
-	}
-	return size - 1 // irregular subgroup: ring fallback
-}
-
+// PhaseLatency charges the per-axis rings' (A−1)+(B−1) steps, one link
+// each; an irregular subgroup runs the ring fallback's k−1.
 func (m torus2DModel) PhaseLatency(k int, link units.Time) units.Time {
-	return units.Time(m.Steps(k)) * link
+	steps := k - 1
+	if k == m.A*m.B {
+		steps = (m.A - 1) + (m.B - 1)
+	}
+	return units.Time(steps) * link
 }
 
 func (m torus2DModel) TransitPositions(path []int, a, b, size int) []int {

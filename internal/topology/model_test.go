@@ -94,9 +94,6 @@ func TestMeshHopsAndSteps(t *testing.T) {
 	if got := m.Hops(2, 5); got != 3 {
 		t.Errorf("mesh hops(2,5) = %d, want 3", got)
 	}
-	if got := m.Kind.Steps(m.Size); got != 7 {
-		t.Errorf("mesh steps = %d, want 7", got)
-	}
 	// Dilation-2 embedding: k-1 steps of at most 2 hops each.
 	m.Latency = units.Nanosecond
 	if got := m.PhaseLatency(8); got != 14*units.Nanosecond {
@@ -141,8 +138,14 @@ func TestTorusHopsAndSteps(t *testing.T) {
 	if got := d.Hops(0, 1); got != 1 {
 		t.Errorf("torus hops(0,1) = %d, want 1", got)
 	}
-	if got := d.Kind.Steps(d.Size); got != 6 {
-		t.Errorf("torus steps = %d, want (4-1)+(4-1)=6", got)
+	// (4-1)+(4-1) = 6 ring steps of one link each, and the ring fallback's
+	// k-1 on an irregular subgroup.
+	d.Latency = units.Nanosecond
+	if got := d.PhaseLatency(16); got != 6*units.Nanosecond {
+		t.Errorf("torus phase latency = %v, want 6ns", got)
+	}
+	if got := d.PhaseLatency(5); got != 4*units.Nanosecond {
+		t.Errorf("torus phase latency on 5 members = %v, want the ring fallback's 4ns", got)
 	}
 }
 

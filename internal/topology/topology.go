@@ -150,27 +150,6 @@ func (t *Topology) String() string {
 	return strings.Join(parts, "_")
 }
 
-// Coord converts a linear NPU rank to mixed-radix coordinates (Dim 1
-// varies fastest).
-func (t *Topology) Coord(rank int) []int {
-	c := make([]int, len(t.Dims))
-	for i, d := range t.Dims {
-		c[i] = rank % d.Size
-		rank /= d.Size
-	}
-	return c
-}
-
-// Rank converts mixed-radix coordinates back to a linear NPU rank.
-func (t *Topology) Rank(coord []int) int {
-	rank, stride := 0, 1
-	for i, d := range t.Dims {
-		rank += coord[i] * stride
-		stride *= d.Size
-	}
-	return rank
-}
-
 // DimStride returns the rank distance between neighbours along dim (0-based).
 func (t *Topology) DimStride(dim int) int {
 	stride := 1
@@ -180,8 +159,8 @@ func (t *Topology) DimStride(dim int) int {
 	return stride
 }
 
-// DimPos returns rank's position along dim (0-based) — the allocation-free
-// point lookup matching Coord(rank)[dim].
+// DimPos returns rank's position along dim (0-based): its mixed-radix digit
+// for that dimension.
 func (t *Topology) DimPos(rank, dim int) int {
 	for i := 0; i < dim; i++ {
 		rank /= t.Dims[i].Size
@@ -191,9 +170,9 @@ func (t *Topology) DimPos(rank, dim int) int {
 
 // PosWalker iterates two ranks' mixed-radix positions dimension by
 // dimension without allocating coordinate slices. It is the canonical
-// digit-order encoding (Dim 1 least significant, matching Coord/Rank);
-// hot paths that compare or route between ranks walk it instead of
-// re-deriving the radix convention.
+// digit-order encoding (Dim 1 least significant, matching DimPos and
+// DimStride); hot paths that compare or route between ranks walk it
+// instead of re-deriving the radix convention.
 type PosWalker struct {
 	t    *Topology
 	a, b int
@@ -216,17 +195,6 @@ func (w *PosWalker) Next() (dim, pa, pb int, ok bool) {
 	dim, pa, pb = w.dim, w.a%k, w.b%k
 	w.a, w.b, w.dim = w.a/k, w.b/k, w.dim+1
 	return dim, pa, pb, true
-}
-
-// Hops returns the total link traversals between two NPUs under
-// dimension-ordered routing: per-dimension hop counts are summed.
-func (t *Topology) Hops(src, dst int) int {
-	a, b := t.Coord(src), t.Coord(dst)
-	hops := 0
-	for i, d := range t.Dims {
-		hops += d.Hops(a[i], b[i])
-	}
-	return hops
 }
 
 // AggregateBandwidth returns the total effective per-NPU network bandwidth

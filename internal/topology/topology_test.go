@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -51,20 +52,23 @@ func TestDimHops(t *testing.T) {
 	}
 }
 
+// At 1 ns a link, a phase's latency counts its collective's steps times
+// the links each step crosses.
 func TestDimSteps(t *testing.T) {
 	cases := []struct {
-		d    Dim
-		want int
+		d     Dim
+		links int // steps times the links each crosses
 	}{
 		{Dim{Kind: Ring, Size: 8}, 7},
 		{Dim{Kind: FullyConnected, Size: 8}, 1},
-		{Dim{Kind: Switch, Size: 8}, 3},
-		{Dim{Kind: Switch, Size: 5}, 3}, // ceil(log2(5))
+		{Dim{Kind: Switch, Size: 8}, 2 * 3},
+		{Dim{Kind: Switch, Size: 5}, 2 * 3}, // ceil(log2(5)) steps
 		{Dim{Kind: Ring, Size: 2}, 1},
 	}
 	for _, c := range cases {
-		if got := c.d.Kind.Steps(c.d.Size); got != c.want {
-			t.Errorf("%v.Steps(%d) = %d, want %d", c.d.Kind, c.d.Size, got, c.want)
+		c.d.Latency = units.Nanosecond
+		if got, want := c.d.PhaseLatency(c.d.Size), units.Time(c.links)*units.Nanosecond; got != want {
+			t.Errorf("%v: PhaseLatency(%d) = %v, want %v", c.d.Format(), c.d.Size, got, want)
 		}
 	}
 }
@@ -81,23 +85,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Dim{Kind: Ring, Size: 4, Latency: -1}); err == nil {
 		t.Error("expected error for negative latency")
-	}
-}
-
-func TestCoordRankRoundTrip(t *testing.T) {
-	top := MustNew(
-		Dim{Kind: Ring, Size: 2},
-		Dim{Kind: FullyConnected, Size: 8},
-		Dim{Kind: Ring, Size: 8},
-		Dim{Kind: Switch, Size: 4},
-	)
-	if top.NumNPUs() != 512 {
-		t.Fatalf("NumNPUs = %d, want 512", top.NumNPUs())
-	}
-	for rank := 0; rank < top.NumNPUs(); rank++ {
-		if got := top.Rank(top.Coord(rank)); got != rank {
-			t.Fatalf("round trip failed: rank %d -> %v -> %d", rank, top.Coord(rank), got)
-		}
 	}
 }
 
@@ -121,6 +108,48 @@ func randomDim(rng *rand.Rand) Dim {
 	}
 }
 
+// coordsRebuildRanks checks that the digits WalkPositions yields for ranks
+// a and b are DimPos's, and that each rank's digits, weighted by
+// DimStride, sum back to the rank.
+func coordsRebuildRanks(top *Topology, a, b int) error {
+	w := top.WalkPositions(a, b)
+	ra, rb, dims := 0, 0, 0
+	for dim, pa, pb, ok := w.Next(); ok; dim, pa, pb, ok = w.Next() {
+		if dim != dims || pa != top.DimPos(a, dim) || pb != top.DimPos(b, dim) {
+			return fmt.Errorf("%s: ranks %d, %d walk to dim %d positions %d, %d; DimPos gives %d, %d",
+				top, a, b, dim, pa, pb, top.DimPos(a, dim), top.DimPos(b, dim))
+		}
+		ra += pa * top.DimStride(dim)
+		rb += pb * top.DimStride(dim)
+		dims++
+	}
+	if dims != top.NumDims() || ra != a || rb != b {
+		return fmt.Errorf("%s: ranks %d, %d rebuild to %d, %d over %d dims", top, a, b, ra, rb, dims)
+	}
+	return nil
+}
+
+// Every rank of the Table II Conv-4D machine walks to DimPos's digits and
+// rebuilds through DimStride.
+func TestCoordRankRoundTrip(t *testing.T) {
+	top := MustNew(
+		Dim{Kind: Ring, Size: 2},
+		Dim{Kind: FullyConnected, Size: 8},
+		Dim{Kind: Ring, Size: 8},
+		Dim{Kind: Switch, Size: 4},
+	)
+	if top.NumNPUs() != 512 {
+		t.Fatalf("NumNPUs = %d, want 512", top.NumNPUs())
+	}
+	for rank := 0; rank < top.NumNPUs(); rank++ {
+		if err := coordsRebuildRanks(top, rank, top.NumNPUs()-1-rank); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Random ranks of random machines walk to DimPos's digits and rebuild
+// through DimStride.
 func TestCoordRankProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -130,27 +159,14 @@ func TestCoordRankProperty(t *testing.T) {
 			dims[i] = randomDim(rng)
 		}
 		top := MustNew(dims...)
-		rank := rng.Intn(top.NumNPUs())
-		return top.Rank(top.Coord(rank)) == rank
+		err := coordsRebuildRanks(top, rng.Intn(top.NumNPUs()), rng.Intn(top.NumNPUs()))
+		if err != nil {
+			t.Log(err)
+		}
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHopsAcrossDims(t *testing.T) {
-	top := MustNew(
-		Dim{Kind: Ring, Size: 4},
-		Dim{Kind: Switch, Size: 2},
-	)
-	// (0,0) -> (2,1): 2 ring hops + 2 switch hops.
-	src := top.Rank([]int{0, 0})
-	dst := top.Rank([]int{2, 1})
-	if got := top.Hops(src, dst); got != 4 {
-		t.Errorf("Hops = %d, want 4", got)
-	}
-	if got := top.Hops(src, src); got != 0 {
-		t.Errorf("Hops(self) = %d, want 0", got)
 	}
 }
 
