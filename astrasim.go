@@ -112,6 +112,9 @@ type Machine struct {
 
 // NewMachine validates the configuration and builds a machine.
 func NewMachine(cfg MachineConfig) (*Machine, error) {
+	if err := cfg.checkFloats(); err != nil {
+		return nil, err
+	}
 	if cfg.HopLatencyNs == 0 {
 		cfg.HopLatencyNs = 500
 	}
@@ -155,6 +158,55 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		return nil, err
 	}
 	return &Machine{top: top, core: c}, nil
+}
+
+// namedFloat is one float field of a spec, named as the spec names it.
+type namedFloat struct {
+	name string
+	v    float64
+}
+
+// checkFinite returns an error naming the first field whose value is NaN or
+// infinite. Range checks such as v <= 0 let NaN through, and Go leaves the
+// conversion of NaN to an integer time implementation-defined, so a spec is
+// checked before any of its values is used.
+func checkFinite(fields []namedFloat) error {
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s is %v, want a finite number", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// checkFloats refuses a NaN or infinite number in any float field of the
+// configuration, its memory and its pool.
+func (cfg MachineConfig) checkFloats() error {
+	var fields []namedFloat
+	for i, v := range cfg.BandwidthsGBps {
+		fields = append(fields, namedFloat{fmt.Sprintf("BandwidthsGBps[%d]", i), v})
+	}
+	fields = append(fields,
+		namedFloat{"HopLatencyNs", cfg.HopLatencyNs},
+		namedFloat{"PeakTFLOPS", cfg.PeakTFLOPS},
+		namedFloat{"HBMGBps", cfg.HBMGBps},
+		namedFloat{"Efficiency", cfg.Efficiency})
+	if mc := cfg.Memory; mc != nil {
+		fields = append(fields,
+			namedFloat{"Memory.LocalLatencyNs", mc.LocalLatencyNs},
+			namedFloat{"Memory.LocalGBps", mc.LocalGBps})
+		if p := mc.Pool; p != nil {
+			fields = append(fields,
+				namedFloat{"Memory.Pool.RemoteGroupGBps", p.RemoteGroupGBps},
+				namedFloat{"Memory.Pool.GPUSideGBps", p.GPUSideGBps},
+				namedFloat{"Memory.Pool.InNodeGBps", p.InNodeGBps},
+				namedFloat{"Memory.Pool.LatencyUs", p.LatencyUs})
+		}
+	}
+	if err := checkFinite(fields); err != nil {
+		return fmt.Errorf("astrasim: %w", err)
+	}
+	return nil
 }
 
 func buildMemory(cfg MachineConfig) (memory.System, error) {

@@ -56,6 +56,48 @@ func TestNewMachineErrors(t *testing.T) {
 	}
 }
 
+// A NaN or infinite number in any float field of a machine is an error
+// naming the field. Range checks such as v <= 0 let NaN through, and the
+// machine would run to nonsense: a 1 MiB All-Reduce on R(4) in 1.5 us at
+// a NaN bandwidth, a zero makespan at a NaN hop latency.
+func TestNewMachineRefusesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	// pool is a valid pool for R(4) with one field edited.
+	pool := func(edit func(*PoolConfig)) *MemoryConfig {
+		p := PoolConfig{Nodes: 2, GPUsPerNode: 2, OutSwitches: 1, RemoteGroups: 1,
+			RemoteGroupGBps: 100, GPUSideGBps: 100, InNodeGBps: 100, LatencyUs: 1}
+		edit(&p)
+		return &MemoryConfig{Pool: &p}
+	}
+	testMachine(t, MachineConfig{Topology: "R(4)", BandwidthsGBps: []float64{100}, Memory: pool(func(*PoolConfig) {})})
+	cases := []struct {
+		edit  func(*MachineConfig)
+		field string
+		value string
+	}{
+		{func(c *MachineConfig) { c.BandwidthsGBps = []float64{nan} }, "BandwidthsGBps[0]", "NaN"},
+		{func(c *MachineConfig) { c.Topology, c.BandwidthsGBps = "R(4)_SW(2)", []float64{100, -inf} }, "BandwidthsGBps[1]", "-Inf"},
+		{func(c *MachineConfig) { c.HopLatencyNs = nan }, "HopLatencyNs", "NaN"},
+		{func(c *MachineConfig) { c.PeakTFLOPS = nan }, "PeakTFLOPS", "NaN"},
+		{func(c *MachineConfig) { c.HBMGBps = inf }, "HBMGBps", "+Inf"},
+		{func(c *MachineConfig) { c.Efficiency = nan }, "Efficiency", "NaN"},
+		{func(c *MachineConfig) { c.Memory = &MemoryConfig{LocalLatencyNs: inf} }, "Memory.LocalLatencyNs", "+Inf"},
+		{func(c *MachineConfig) { c.Memory = &MemoryConfig{LocalGBps: nan} }, "Memory.LocalGBps", "NaN"},
+		{func(c *MachineConfig) { c.Memory = pool(func(p *PoolConfig) { p.RemoteGroupGBps = nan }) }, "Memory.Pool.RemoteGroupGBps", "NaN"},
+		{func(c *MachineConfig) { c.Memory = pool(func(p *PoolConfig) { p.GPUSideGBps = nan }) }, "Memory.Pool.GPUSideGBps", "NaN"},
+		{func(c *MachineConfig) { c.Memory = pool(func(p *PoolConfig) { p.InNodeGBps = -inf }) }, "Memory.Pool.InNodeGBps", "-Inf"},
+		{func(c *MachineConfig) { c.Memory = pool(func(p *PoolConfig) { p.LatencyUs = nan }) }, "Memory.Pool.LatencyUs", "NaN"},
+	}
+	for _, c := range cases {
+		cfg := MachineConfig{Topology: "R(4)", BandwidthsGBps: []float64{100}}
+		c.edit(&cfg)
+		want := "astrasim: " + c.field + " is " + c.value + ", want a finite number"
+		if _, err := NewMachine(cfg); err == nil || err.Error() != want {
+			t.Errorf("%s = %s: error %v, want %q", c.field, c.value, err, want)
+		}
+	}
+}
+
 func TestRunAllReduce(t *testing.T) {
 	m := smallRing(t)
 	rep, err := m.Run(AllReduce(64 << 20))

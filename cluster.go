@@ -135,6 +135,9 @@ func expandClusterJobs(specs []ClusterJobSpec) ([]clusterJob, error) {
 		if js.Count < 0 {
 			return nil, fmt.Errorf("astrasim: cluster job %d: negative count", i)
 		}
+		if err := checkFinite([]namedFloat{{"arrival_us", js.ArrivalUs}}); err != nil {
+			return nil, fmt.Errorf("astrasim: cluster job %d: %w", i, err)
+		}
 		w, err := js.Workload.Workload()
 		if err != nil {
 			return nil, fmt.Errorf("astrasim: cluster job %d: %w", i, err)

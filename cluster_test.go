@@ -2,6 +2,7 @@ package astrasim
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -148,6 +149,12 @@ func TestRunClusterErrors(t *testing.T) {
 	bad.Jobs = nil
 	if _, err := RunCluster(bad, ClusterOptions{}); err == nil {
 		t.Error("jobless cluster accepted")
+	}
+	bad = taperedClusterSpec(1, WorkloadSpec{Kind: "dlrm"})
+	bad.Jobs[0].ArrivalUs = math.NaN()
+	const want = "astrasim: cluster job 0: arrival_us is NaN, want a finite number"
+	if _, err := RunCluster(bad, ClusterOptions{}); err == nil || err.Error() != want {
+		t.Errorf("NaN arrival: error %v, want %q", err, want)
 	}
 }
 

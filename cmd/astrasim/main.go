@@ -13,7 +13,7 @@
 //
 // With -sweep it instead runs a declarative machine x workload grid on
 // the parallel sweep engine (results are byte-identical for any
-// -parallel value; duplicate cells simulate once):
+// -parallel value):
 //
 //	astrasim -sweep grid.json -parallel 8 -json
 //

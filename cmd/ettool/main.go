@@ -71,6 +71,12 @@ func runGen(args []string) error {
 	if *topoSpec == "" {
 		return fmt.Errorf("gen: -topology required")
 	}
+	switch *workload {
+	case "all_reduce", "all_gather", "reduce_scatter", "all_to_all":
+		if *size <= 0 {
+			return fmt.Errorf("gen: -size must be a positive byte count, got %d", *size)
+		}
+	}
 	top, err := topology.Parse(*topoSpec)
 	if err != nil {
 		return err

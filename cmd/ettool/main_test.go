@@ -140,3 +140,27 @@ func TestGenPipelineJSONRunsAsGenerated(t *testing.T) {
 		}
 	}
 }
+
+// gen refuses a non-positive -size for the collective workloads, naming
+// the flag and the value, before it generates or writes anything; other
+// workloads ignore -size.
+func TestGenRefusesNonPositiveSize(t *testing.T) {
+	dir := t.TempDir()
+	for _, w := range []string{"all_reduce", "all_gather", "reduce_scatter", "all_to_all"} {
+		for _, size := range []string{"0", "-5"} {
+			path := filepath.Join(dir, w+size+".json")
+			err := runGen([]string{"-workload", w, "-topology", "R(4)", "-size", size, "-o", path})
+			want := "gen: -size must be a positive byte count, got " + size
+			if err == nil || err.Error() != want {
+				t.Errorf("%s -size %s: got %v, want %q", w, size, err, want)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("%s -size %s: output file written (stat: %v)", w, size, err)
+			}
+		}
+	}
+	path := filepath.Join(dir, "pipeline.json")
+	if err := runGen([]string{"-workload", "pipeline", "-topology", "FC(4)_SW(2)_R(4)", "-size", "0", "-o", path}); err != nil {
+		t.Errorf("pipeline -size 0: %v", err)
+	}
+}

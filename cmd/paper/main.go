@@ -25,11 +25,9 @@
 //	paper -exp all       everything above
 //
 // Every experiment grid runs on the parallel sweep engine; -parallel
-// bounds the workers (results are byte-identical for any count), -json
-// emits machine-readable documents, and -sweep runs a user-defined
-// machine x workload grid instead of a paper artifact:
-//
-//	paper -sweep grid.json -parallel 8 -json
+// bounds the workers (results are byte-identical for any count), and -json
+// emits machine-readable documents. A user-defined machine x workload grid
+// runs with astrasim -sweep.
 //
 // Pass -reduced to shrink the workload layer counts 8x (ratios preserved);
 // the full grids take a few minutes.
@@ -42,7 +40,6 @@ import (
 	"os"
 	"strings"
 
-	"repro"
 	"repro/internal/collective"
 	"repro/internal/experiments"
 	"repro/internal/prof"
@@ -81,7 +78,6 @@ func main() {
 	reduced := flag.Bool("reduced", false, "shrink workloads for a quick pass")
 	parallel := flag.Int("parallel", 0, "sweep worker count; 0 = all cores (results identical for any value)")
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of tables")
-	sweepPath := flag.String("sweep", "", "run a user-defined machine x workload sweep grid (JSON spec; topology blocks: "+strings.Join(astrasim.RegisteredBlocks(), ", ")+") instead of a paper experiment")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap allocation profile to this file at exit")
 	flag.Parse()
@@ -90,13 +86,6 @@ func main() {
 		fatal(err)
 	}
 	defer prof.Stop()
-
-	if *sweepPath != "" {
-		if err := runUserSweep(*sweepPath, *parallel, *jsonOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	o := experiments.Options{Reduced: *reduced, Exec: sweep.Exec{Workers: *parallel}}
 	ran := false
@@ -111,20 +100,6 @@ func main() {
 	if !ran {
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
 	}
-}
-
-func runUserSweep(path string, workers int, jsonOut bool) error {
-	res, err := astrasim.RunSweepFile(path, astrasim.SweepOptions{
-		Workers:  workers,
-		Progress: astrasim.ProgressLine(os.Stderr),
-	})
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return res.WriteJSON(os.Stdout)
-	}
-	return res.WriteTable(os.Stdout)
 }
 
 func fatal(err error) {

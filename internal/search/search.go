@@ -3,8 +3,7 @@
 // run at two fidelities — a cheap closed-form estimate and a full
 // event-engine simulation. Strategies decide which candidates to evaluate
 // at which fidelity; every batch executes on the sweep engine's worker
-// pool, so results are byte-identical for any worker count, and duplicate
-// candidates within a batch, by fingerprint, simulate once.
+// pool, so results are byte-identical for any worker count.
 //
 // Three strategies are built in, named (case-insensitively) by
 // Options.Strategy:
@@ -72,10 +71,6 @@ type Problem struct {
 	// Simulate is the full-fidelity objective of candidate i. It must be
 	// safe for concurrent calls.
 	Simulate func(i int) (float64, error)
-	// Fingerprint, when non-nil, canonically describes candidate i's
-	// configuration at a fidelity. Equal fingerprints within one batch
-	// evaluate once. Empty string opts out.
-	Fingerprint func(i int, f Fidelity) string
 }
 
 // Options controls a search run.
@@ -137,7 +132,7 @@ type Result struct {
 	Candidates int    `json:"candidates"`
 	Feasible   int    `json:"feasible"`
 	// Estimates and Simulations count candidate evaluations the strategy
-	// requested at each fidelity (duplicate fingerprints included).
+	// requested at each fidelity.
 	Estimates   int `json:"estimates"`
 	Simulations int `json:"simulations"`
 	// Best is the winning candidate: the lowest full-fidelity score, ties
@@ -152,8 +147,7 @@ type Result struct {
 }
 
 // evaluator runs same-fidelity candidate batches for strategies on the
-// sweep engine: worker pool, fingerprint deduplication, and deterministic
-// batch-order results.
+// sweep engine: worker pool and deterministic batch-order results.
 type evaluator struct {
 	p           Problem
 	exec        sweep.Exec
@@ -166,7 +160,7 @@ type evaluator struct {
 }
 
 // batch evaluates the candidates at one fidelity, returning evals in the
-// ids' order. Duplicate fingerprints within the batch evaluate once.
+// ids' order.
 func (e *evaluator) batch(ids []int, f Fidelity) ([]Eval, error) {
 	if len(ids) == 0 {
 		return nil, nil
@@ -188,11 +182,6 @@ func (e *evaluator) batch(ids []int, f Fidelity) ([]Eval, error) {
 		Cell: func(pt sweep.Point) (float64, error) {
 			return fn(ids[pt.Index("candidate")])
 		},
-	}
-	if e.p.Fingerprint != nil {
-		spec.Fingerprint = func(pt sweep.Point) string {
-			return e.p.Fingerprint(ids[pt.Index("candidate")], f)
-		}
 	}
 	exec := e.exec
 	if progress := exec.Progress; progress != nil {

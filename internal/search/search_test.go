@@ -40,9 +40,6 @@ func testProblem(sims, ests *atomic.Int64) Problem {
 			}
 			return truth(i), nil
 		},
-		Fingerprint: func(i int, f Fidelity) string {
-			return fmt.Sprintf("synthetic|%s|%d", f, i)
-		},
 	}
 }
 

@@ -3,7 +3,7 @@ package sweep
 // Cache is an empty stub kept so that callers built against the
 // cross-sweep result cache still compile; Run ignores it.
 //
-// Deprecated: cells are shared only within a grid, by fingerprint.
+// Deprecated: Run shares no results between cells.
 type Cache struct{}
 
 // NewCache returns an empty stub.

@@ -3,18 +3,18 @@
 // simulator configurations, executed by a worker pool and assembled into
 // deterministically ordered rows.
 //
-// Three properties make the engine a first-class primitive rather than a
+// Two properties make the engine a first-class primitive rather than a
 // parallel for-loop:
 //
 //   - Determinism: rows come back in row-major axis order and every
 //     exported byte is identical whatever the worker count, because each
 //     cell's result is written to its pre-assigned slot.
-//   - Deduplication: cells of one grid that declare equal content
-//     fingerprints are simulated once (a user grid that lists a machine
-//     twice).
 //   - Structure: rows carry their axis labels in grid order, ready for a
 //     caller to tabulate or marshal, and a progress callback reports
 //     completion as cells finish.
+//
+// Every cell runs exactly once: a grid that lists a configuration twice
+// simulates it twice.
 package sweep
 
 import (
@@ -72,20 +72,15 @@ type Spec[T any] struct {
 	// calls; every reproduced experiment satisfies this because each run
 	// builds a fresh simulator.
 	Cell func(pt Point) (T, error)
-	// Fingerprint, when non-nil, returns a canonical description of the
-	// cell's full configuration. Cells of the grid with equal
-	// fingerprints are assumed identical and simulated once. An empty
-	// string opts the cell out (never shared).
-	Fingerprint func(pt Point) string
 }
 
 // Exec controls how a sweep executes.
 type Exec struct {
 	// Workers is the worker-pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// Cache is ignored: cells are shared only within a grid.
+	// Cache is ignored.
 	//
-	// Deprecated: Run no longer shares results across sweeps.
+	// Deprecated: Run shares no results, within a sweep or across sweeps.
 	Cache *Cache
 	// Progress, when non-nil, is called after each cell completes with
 	// the number of finished cells and the grid total. Calls are
@@ -94,14 +89,11 @@ type Exec struct {
 	Progress func(done, total int)
 }
 
-// Stats summarizes how a sweep's cells were obtained.
+// Stats summarizes a sweep run.
 type Stats struct {
-	// Cells is the grid size (product of axis lengths).
+	// Cells is the grid size (product of axis lengths), which is also the
+	// number of Cell calls of a sweep that succeeds.
 	Cells int
-	// Executed counts cells whose simulation actually ran.
-	Executed int
-	// Shared counts cells served by an identical cell in the same grid.
-	Shared int
 	// Wall is the sweep's wall-clock duration.
 	Wall time.Duration
 }
@@ -154,11 +146,12 @@ func (e *CellError) Error() string {
 
 func (e *CellError) Unwrap() error { return e.Err }
 
-// Run executes the sweep on a pool of exec.Workers goroutines. Results are
-// independent of the worker count: every count gives byte-identical
-// output. On failure Run returns the error of the first failing cell in
-// grid order (also deterministic: cells are dispatched in order, so no
-// cell before the reported one can have failed unnoticed).
+// Run executes every cell of the sweep once, on a pool of exec.Workers
+// goroutines. Results are independent of the worker count: every count
+// gives byte-identical output. On failure Run returns the error of the
+// first failing cell in grid order (also deterministic: cells are
+// dispatched in order, so no cell before the reported one can have failed
+// unnoticed).
 func Run[T any](spec Spec[T], exec Exec) (*Results[T], error) {
 	start := time.Now()
 	if spec.Cell == nil {
@@ -178,29 +171,13 @@ func Run[T any](spec Spec[T], exec Exec) (*Results[T], error) {
 		total *= len(ax.Values)
 	}
 
-	// Enumerate the grid row-major and coalesce cells by fingerprint: a
-	// group is one unit of work, the grid indices of the cells sharing a
-	// fingerprint in ascending order.
+	// Enumerate the grid row-major: last axis fastest.
 	points := make([]Point, total)
 	counter := make([]int, len(spec.Axes))
-	var groups [][]int
-	byFP := make(map[string]int)
-	for i := 0; i < total; i++ {
+	for i := range points {
 		idx := make([]int, len(counter))
 		copy(idx, counter)
 		points[i] = Point{axes: spec.Axes, idx: idx}
-		var fp string
-		if spec.Fingerprint != nil {
-			fp = spec.Fingerprint(points[i])
-		}
-		if gi, ok := byFP[fp]; ok {
-			groups[gi] = append(groups[gi], i)
-		} else {
-			if fp != "" { // an empty fingerprint opts out of sharing
-				byFP[fp] = len(groups)
-			}
-			groups = append(groups, []int{i})
-		}
 		for d := len(counter) - 1; d >= 0; d-- {
 			counter[d]++
 			if counter[d] < len(spec.Axes[d].Values) {
@@ -214,89 +191,71 @@ func Run[T any](spec Spec[T], exec Exec) (*Results[T], error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(groups) {
-		workers = len(groups)
+	if workers > total {
+		workers = total
 	}
 
 	var (
 		values = make([]T, total)
-		errs   = make([]error, len(groups))
-		// firstFail is the lowest index of a failed group, len(groups)
-		// while none has failed. It only falls.
+		errs   = make([]error, total)
+		// firstFail is the lowest index of a failed cell, total while none
+		// has failed. It only falls.
 		firstFail atomic.Int64
 		done      int
 		doneMu    sync.Mutex
 	)
-	firstFail.Store(int64(len(groups)))
-	runGroup := func(gi int) {
-		g := groups[gi]
-		pt := points[g[0]]
-		val, err := spec.Cell(pt)
+	firstFail.Store(int64(total))
+	runCell := func(i int) {
+		val, err := spec.Cell(points[i])
 		if err != nil {
-			errs[gi] = &CellError{Sweep: spec.Name, Point: pt.Values(), Err: err}
+			errs[i] = &CellError{Sweep: spec.Name, Point: points[i].Values(), Err: err}
 			for {
 				f := firstFail.Load()
-				if int64(gi) >= f || firstFail.CompareAndSwap(f, int64(gi)) {
+				if int64(i) >= f || firstFail.CompareAndSwap(f, int64(i)) {
 					break
 				}
 			}
 			return
 		}
-		for _, i := range g {
-			values[i] = val
-		}
+		values[i] = val
 		if exec.Progress != nil {
 			doneMu.Lock()
-			done += len(g)
+			done++
 			exec.Progress(done, total)
 			doneMu.Unlock()
 		}
 	}
 
-	// Dispatch groups in grid order. Once a group fails, stop feeding and
-	// skip handed-out groups that come after it, so in-flight work drains
-	// quickly and one worker runs no cell past the first failure. A group
+	// Workers take cells in grid order from one counter and stop at the
+	// first cell past the grid or past a failure, so in-flight work drains
+	// quickly and one worker runs no cell past the first failure. A cell
 	// before the lowest failure is never skipped, so its error is never
 	// lost.
-	ch := make(chan int)
-	go func() {
-		for gi := range groups {
-			if int64(gi) > firstFail.Load() {
-				break
-			}
-			ch <- gi
-		}
-		close(ch)
-	}()
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for gi := range ch {
-				if int64(gi) < firstFail.Load() {
-					runGroup(gi)
+			for {
+				i := next.Add(1) - 1
+				if i >= firstFail.Load() {
+					return
 				}
+				runCell(int(i))
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if f := firstFail.Load(); f < int64(total) {
+		return nil, errs[f]
 	}
 
 	res := &Results[T]{
-		Name: spec.Name,
-		Axes: spec.Axes,
-		Rows: make([]Row[T], total),
-		Stats: Stats{
-			Cells:    total,
-			Executed: len(groups),
-			Shared:   total - len(groups),
-			Wall:     time.Since(start),
-		},
+		Name:  spec.Name,
+		Axes:  spec.Axes,
+		Rows:  make([]Row[T], total),
+		Stats: Stats{Cells: total, Wall: time.Since(start)},
 	}
 	for i := range points {
 		res.Rows[i] = Row[T]{Point: points[i].Values(), Value: values[i]}

@@ -31,9 +31,6 @@ func gridSpec(stagger bool, ran *atomic.Int64) Spec[int] {
 			}
 			return pt.Index("a")*100 + pt.Index("b"), nil
 		},
-		Fingerprint: func(pt Point) string {
-			return fmt.Sprintf("test|%d|%d", pt.Index("a"), pt.Index("b"))
-		},
 	}
 }
 
@@ -78,50 +75,6 @@ func TestParallelByteIdenticalToSerial(t *testing.T) {
 		if !bytes.Equal(want, got) {
 			t.Errorf("workers=%d: rows differ from serial", workers)
 		}
-	}
-}
-
-func TestInGridDeduplication(t *testing.T) {
-	var ran atomic.Int64
-	spec := gridSpec(false, &ran)
-	// Fingerprint ignores axis b: each a-row is one work unit.
-	spec.Cell = func(pt Point) (int, error) {
-		ran.Add(1)
-		return pt.Index("a"), nil
-	}
-	spec.Fingerprint = func(pt Point) string {
-		return fmt.Sprintf("dedup|%d", pt.Index("a"))
-	}
-	for _, workers := range []int{1, 4} {
-		ran.Store(0)
-		res, err := Run(spec, Exec{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ran.Load() != 3 {
-			t.Errorf("workers=%d: %d executions, want 3 (12 cells, 3 fingerprints)", workers, ran.Load())
-		}
-		if res.Stats.Executed != 3 || res.Stats.Shared != 9 {
-			t.Errorf("workers=%d: stats = %+v, want Executed=3 Shared=9", workers, res.Stats)
-		}
-		for i, row := range res.Rows {
-			if row.Value != i/4 {
-				t.Errorf("row %d = %d, want %d", i, row.Value, i/4)
-			}
-		}
-	}
-}
-
-func TestEmptyFingerprintNeverShares(t *testing.T) {
-	var ran atomic.Int64
-	spec := gridSpec(false, &ran)
-	spec.Fingerprint = func(Point) string { return "" }
-	res, err := Run(spec, Exec{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 12 || res.Stats.Executed != 12 || res.Stats.Shared != 0 {
-		t.Errorf("%d executions, stats %+v, want 12 executed and none shared (empty fingerprints opt out)", ran.Load(), res.Stats)
 	}
 }
 
@@ -192,30 +145,43 @@ func TestErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestProgressReachesTotal runs a grid whose rows each repeat one
+// configuration: every cell still runs once, and progress counts each to
+// (12, 12).
 func TestProgressReachesTotal(t *testing.T) {
-	var calls int
-	var last int
-	_, err := Run(gridSpec(false, nil), Exec{
-		Workers: 3,
-		Progress: func(done, total int) {
-			calls++
-			if total != 12 {
-				t.Errorf("total = %d, want 12", total)
-			}
-			if done < last {
-				t.Errorf("done went backwards: %d after %d", done, last)
-			}
-			last = done
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var ran atomic.Int64
+	spec := gridSpec(false, nil)
+	spec.Cell = func(pt Point) (int, error) {
+		ran.Add(1)
+		return pt.Index("a"), nil
 	}
-	if last != 12 {
-		t.Errorf("final done = %d, want 12", last)
-	}
-	if calls == 0 {
-		t.Error("progress never called")
+	for _, workers := range []int{1, 2, 8, 64} {
+		ran.Store(0)
+		var calls, last, lastTotal int
+		res, err := Run(spec, Exec{
+			Workers: workers,
+			Progress: func(done, total int) {
+				calls++
+				if done < last {
+					t.Errorf("workers=%d: done went backwards: %d after %d", workers, done, last)
+				}
+				last, lastTotal = done, total
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ran.Load() != 12 || calls != 12 {
+			t.Errorf("workers=%d: %d Cell calls and %d progress calls, want 12 of each (one per cell)", workers, ran.Load(), calls)
+		}
+		if last != 12 || lastTotal != 12 {
+			t.Errorf("workers=%d: progress ended at (%d, %d), want (12, 12)", workers, last, lastTotal)
+		}
+		for i, row := range res.Rows {
+			if row.Value != i/4 {
+				t.Errorf("workers=%d: row %d = %d, want %d", workers, i, row.Value, i/4)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package astrasim
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -183,13 +182,13 @@ type searchCandidates struct {
 	names   []string
 	mach    []*Machine // nil when infeasible
 	reasons []string   // non-empty when infeasible
-	fps     []string   // canonical config JSON
 }
 
 // buildSearchMachines enumerates explicit then generated machine
 // candidates, building each up front; construction failures become
 // pruning reasons rather than errors so heterogeneous topology x
-// bandwidth grids work naturally.
+// bandwidth grids work naturally. A NaN or infinite number is a broken
+// spec, not an infeasible design, and fails the search.
 func buildSearchMachines(spec SearchSpec) (*searchCandidates, error) {
 	type cand struct {
 		name string
@@ -219,14 +218,15 @@ func buildSearchMachines(spec SearchSpec) (*searchCandidates, error) {
 		names:   make([]string, len(cands)),
 		mach:    make([]*Machine, len(cands)),
 		reasons: make([]string, len(cands)),
-		fps:     make([]string, len(cands)),
 	}
 	for i, c := range cands {
-		cfgJSON, err := json.Marshal(c.cfg)
-		if err != nil {
-			return nil, err
+		out.names[i] = c.name
+		if out.names[i] == "" {
+			out.names[i] = c.cfg.Topology
 		}
-		out.fps[i] = string(cfgJSON)
+		if err := c.cfg.checkFloats(); err != nil {
+			return nil, fmt.Errorf("astrasim: search machine %d (%s): %w", i, out.names[i], err)
+		}
 		// The cost cap depends only on the configured bandwidths; apply it
 		// before paying for machine construction.
 		if spec.MaxAggregateGBps > 0 {
@@ -235,29 +235,19 @@ func buildSearchMachines(spec SearchSpec) (*searchCandidates, error) {
 				provisioned += v
 			}
 			if provisioned > spec.MaxAggregateGBps {
-				out.names[i] = c.name
-				if out.names[i] == "" {
-					out.names[i] = c.cfg.Topology
-				}
 				out.reasons[i] = fmt.Sprintf("configured bandwidth %g GB/s exceeds budget %g GB/s",
 					provisioned, spec.MaxAggregateGBps)
 				continue
 			}
 		}
 		m, err := NewMachine(c.cfg)
-		name := c.name
 		if err != nil {
-			if name == "" {
-				name = c.cfg.Topology
-			}
-			out.names[i] = name
 			out.reasons[i] = err.Error()
 			continue
 		}
-		if name == "" {
-			name = m.TopologySpec()
+		if c.name == "" {
+			out.names[i] = m.TopologySpec()
 		}
-		out.names[i] = name
 		out.mach[i] = m
 	}
 	return out, nil
@@ -280,7 +270,6 @@ type searchAxis struct {
 // axisValue is one value of the second axis.
 type axisValue struct {
 	label string // candidate label suffix
-	fp    string // canonical description of the value's simulation input
 	// eval and pruned carry the value's Workload and Placement columns for
 	// evaluated and pruned candidates.
 	eval   SearchEval
@@ -312,7 +301,7 @@ func buildSearchAxis(spec SearchSpec) (*searchAxis, error) {
 			return rep.Makespan, rep.ExposedComm, nil
 		},
 	}
-	names, fps, err := workloadTable(spec.Workloads)
+	names, err := workloadNames(spec.Workloads)
 	if err != nil {
 		name := spec.Name
 		if name == "" {
@@ -320,9 +309,9 @@ func buildSearchAxis(spec SearchSpec) (*searchAxis, error) {
 		}
 		return nil, fmt.Errorf("astrasim: search %s: %w", name, err)
 	}
-	for i, n := range names {
+	for _, n := range names {
 		ax.values = append(ax.values, axisValue{
-			label: n, fp: fps[i], eval: SearchEval{Workload: n}, pruned: SearchPruned{Workload: n},
+			label: n, eval: SearchEval{Workload: n}, pruned: SearchPruned{Workload: n},
 		})
 	}
 	return ax, nil
@@ -348,10 +337,6 @@ func buildPlacementAxis(name string, cs *ClusterSearchSpec) (*searchAxis, error)
 		placed[i] = pl
 	}
 	jobs, err := expandClusterJobs(cs.Jobs)
-	if err != nil {
-		return nil, err
-	}
-	jobsJSON, err := json.Marshal(cs.Jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -389,7 +374,6 @@ func buildPlacementAxis(name string, cs *ClusterSearchSpec) (*searchAxis, error)
 	for _, p := range placements {
 		ax.values = append(ax.values, axisValue{
 			label:  p,
-			fp:     fmt.Sprintf("cluster|%s|%d|%s", p, cs.Seed, jobsJSON),
 			eval:   SearchEval{Workload: workload, Placement: p},
 			pruned: SearchPruned{Placement: p},
 		})
@@ -468,14 +452,6 @@ func Optimize(spec SearchSpec, opt SearchOptions) (*SearchResult, error) {
 				return float64(comm), err
 			}
 			return float64(makespan), err
-		},
-		Fingerprint: func(i int, f search.Fidelity) string {
-			if f == search.FidelityEstimate {
-				// The estimate is machine-level: every axis value paired
-				// with the same machine shares one closed-form evaluation.
-				return fmt.Sprintf("astrasim-search-est|%s|%d|%s", proxyOp, proxySize, machines.fps[i/nA])
-			}
-			return fmt.Sprintf("astrasim-search-sim|%s|%s|%s", objName, machines.fps[i/nA], axis.values[i%nA].fp)
 		},
 	}
 

@@ -3,6 +3,7 @@ package astrasim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -433,6 +434,14 @@ func TestOptimizeSpecErrors(t *testing.T) {
 				`sweep test-search/estimate: cell [R(8) @ 100 GB/s / all_reduce(67108864)]: collective: non-positive size -1073741824`},
 			specDefect{"overflowing proxy size", func(s *SearchSpec) { s.ProxySizeBytes = 1 << 60 },
 				`sweep test-search/estimate: cell [R(8) @ 100 GB/s / all_reduce(67108864)]: collective: estimate of all_reduce over 1152921504606846976 B overflows simulated time`},
+			specDefect{"NaN bandwidth", func(s *SearchSpec) { s.Bandwidths = [][]float64{{100}, {math.NaN()}} },
+				`astrasim: search machine 1 (R(8) @ NaN GB/s): astrasim: BandwidthsGBps[0] is NaN, want a finite number`},
+			specDefect{"infinite hop latency", func(s *SearchSpec) { s.Base.HopLatencyNs = math.Inf(1) },
+				`astrasim: search machine 0 (R(8) @ 100 GB/s): astrasim: HopLatencyNs is +Inf, want a finite number`},
+			specDefect{"NaN workload params", func(s *SearchSpec) { s.Workloads = []WorkloadSpec{{Kind: "transformer", Params: math.NaN()}} },
+				`astrasim: search test-search: workload 0: astrasim: workload kind "transformer": params is NaN, want a finite number`},
+			specDefect{"negative collective size", func(s *SearchSpec) { s.Workloads[0].SizeBytes = -5 },
+				`astrasim: search test-search: workload 0: astrasim: workload kind "all_reduce" has a negative size_bytes -5`},
 		)},
 		{"cluster", testClusterSearchSpec, append(shared("cluster-test", 4),
 			specDefect{"no jobs", func(s *SearchSpec) { s.Cluster.Jobs = nil },
@@ -449,6 +458,13 @@ func TestOptimizeSpecErrors(t *testing.T) {
 				`sweep cluster-test/estimate: cell [slow / strided]: collective: non-positive size -1073741824`},
 			specDefect{"overflowing proxy size", func(s *SearchSpec) { s.ProxySizeBytes = 1 << 60 },
 				`sweep cluster-test/estimate: cell [slow / strided]: collective: estimate of all_reduce over 1152921504606846976 B overflows simulated time`},
+			specDefect{"infinite pool bandwidth", func(s *SearchSpec) {
+				s.Machines[1].Config.Memory = &MemoryConfig{Pool: &PoolConfig{GPUSideGBps: math.Inf(-1)}}
+			}, `astrasim: search machine 1 (fast): astrasim: Memory.Pool.GPUSideGBps is -Inf, want a finite number`},
+			specDefect{"NaN arrival", func(s *SearchSpec) { s.Cluster.Jobs[0].ArrivalUs = math.NaN() },
+				`astrasim: cluster job 0: arrival_us is NaN, want a finite number`},
+			specDefect{"negative collective size", func(s *SearchSpec) { s.Cluster.Jobs[0].Workload.SizeBytes = -5 },
+				`astrasim: cluster job 0: astrasim: workload kind "all_to_all" has a negative size_bytes -5`},
 		)},
 	}
 	for _, m := range modes {

@@ -17,9 +17,8 @@ import (
 
 // This file is the design-space-exploration facade: declarative sweep
 // grids of machines x workloads, executed in parallel with deterministic
-// output, equal cells of a grid simulated once by fingerprint. It is the
-// public face of internal/sweep, which also drives every reproduced paper
-// artifact.
+// output. It is the public face of internal/sweep, which also drives every
+// reproduced paper artifact.
 
 // WorkloadSpec is a declarative, JSON-serializable workload description —
 // the sweep-grid counterpart of the Workload constructors.
@@ -28,7 +27,8 @@ type WorkloadSpec struct {
 	// | all_to_all | gpt3 | t1t | dlrm | moe | moe_inswitch | transformer
 	// | fsdp | threed | pipeline | trace | pytorch_trace.
 	Kind string `json:"kind"`
-	// SizeBytes is the collective payload (collective kinds; default 1 GB).
+	// SizeBytes is the collective payload (collective kinds; 0 means the
+	// 1 GiB default, and a negative size is an error).
 	SizeBytes int64 `json:"size_bytes,omitempty"`
 	// Path locates the trace file (trace kinds).
 	Path string `json:"path,omitempty"`
@@ -61,6 +61,9 @@ func (s WorkloadSpec) Workload() (Workload, error) {
 	if s.Iterations < 0 {
 		return nil, fmt.Errorf("astrasim: workload kind %q has a negative iteration count %d", s.Kind, s.Iterations)
 	}
+	if err := checkFinite([]namedFloat{{"params", s.Params}, {"flops_per_stage", s.FlopsPerStage}}); err != nil {
+		return nil, fmt.Errorf("astrasim: workload kind %q: %w", s.Kind, err)
+	}
 	size := s.SizeBytes
 	if size == 0 {
 		size = 1 << 30
@@ -68,6 +71,9 @@ func (s WorkloadSpec) Workload() (Workload, error) {
 	var w Workload
 	switch s.Kind {
 	case "all_reduce", "all_gather", "reduce_scatter", "all_to_all":
+		if size < 0 {
+			return nil, fmt.Errorf("astrasim: workload kind %q has a negative size_bytes %d", s.Kind, size)
+		}
 		w = Collective(s.Kind, size)
 	case "gpt3":
 		w = GPT3()
@@ -117,34 +123,19 @@ func (s WorkloadSpec) Workload() (Workload, error) {
 	return w, nil
 }
 
-// label names the workload in sweep rows.
-func (s WorkloadSpec) label() string {
-	w, err := s.Workload()
-	if err != nil {
-		return s.Kind
-	}
-	return w.Name()
-}
-
-// workloadTable validates every workload spec up front (so grid errors
-// name the workload, not a mid-run cell) and returns the display names
-// and the canonical JSON fingerprints by which sweeps and searches
-// simulate equal cells of one grid once.
-func workloadTable(specs []WorkloadSpec) (names, fps []string, err error) {
-	names = make([]string, len(specs))
-	fps = make([]string, len(specs))
+// workloadNames validates every workload spec up front, so grid errors
+// name the workload, not a mid-run cell, and returns the names that label
+// them in sweep and search rows.
+func workloadNames(specs []WorkloadSpec) ([]string, error) {
+	names := make([]string, len(specs))
 	for i, ws := range specs {
-		if _, err := ws.Workload(); err != nil {
-			return nil, nil, fmt.Errorf("workload %d: %w", i, err)
-		}
-		names[i] = ws.label()
-		wsJSON, err := json.Marshal(ws)
+		w, err := ws.Workload()
 		if err != nil {
-			return nil, nil, err
+			return nil, fmt.Errorf("workload %d: %w", i, err)
 		}
-		fps[i] = string(wsJSON)
+		names[i] = w.Name()
 	}
-	return names, fps, nil
+	return names, nil
 }
 
 // SweepMachine is one named machine of a sweep grid.
@@ -253,18 +244,15 @@ type SweepRow struct {
 type SweepResult struct {
 	Name string     `json:"name,omitempty"`
 	Rows []SweepRow `json:"rows"`
-	// Cells is the grid size; Executed counts simulations actually run —
-	// cells with identical machine + workload content share one run.
-	Cells    int `json:"cells"`
-	Executed int `json:"executed"`
+	// Cells is the grid size, and the number of simulations run.
+	Cells int `json:"cells"`
 	// Wall is the sweep's wall-clock duration.
 	Wall time.Duration `json:"wall_ns"`
 }
 
-// RunSweep simulates every machine x workload cell of the grid across a
-// worker pool. Output order and content are independent of the worker
-// count; duplicate cells (same machine config and workload description)
-// are simulated once.
+// RunSweep simulates every machine x workload cell of the grid once, across
+// a worker pool. Output order and content are independent of the worker
+// count.
 func RunSweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 	if len(spec.Machines) == 0 {
 		return nil, fmt.Errorf("astrasim: sweep %q has no machines", spec.Name)
@@ -277,7 +265,6 @@ func RunSweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 	// name the machine rather than a mid-sweep cell.
 	machines := make([]*Machine, len(spec.Machines))
 	machineNames := make([]string, len(spec.Machines))
-	machineFPs := make([]string, len(spec.Machines))
 	for i, sm := range spec.Machines {
 		m, err := NewMachine(sm.Config)
 		if err != nil {
@@ -288,17 +275,12 @@ func RunSweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 		if machineNames[i] == "" {
 			machineNames[i] = m.TopologySpec()
 		}
-		cfgJSON, err := json.Marshal(sm.Config)
-		if err != nil {
-			return nil, err
-		}
-		machineFPs[i] = string(cfgJSON)
 	}
 	name := spec.Name
 	if name == "" {
 		name = "sweep"
 	}
-	workloadNames, workloadFPs, err := workloadTable(spec.Workloads)
+	labels, err := workloadNames(spec.Workloads)
 	if err != nil {
 		return nil, fmt.Errorf("astrasim: sweep %s: %w", name, err)
 	}
@@ -306,7 +288,7 @@ func RunSweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 		Name: name,
 		Axes: []sweep.Axis{
 			{Name: "machine", Values: machineNames},
-			{Name: "workload", Values: workloadNames},
+			{Name: "workload", Values: labels},
 		},
 		Cell: func(pt sweep.Point) (*Report, error) {
 			m := machines[pt.Index("machine")]
@@ -318,20 +300,12 @@ func RunSweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 			}
 			return m.Run(w)
 		},
-		Fingerprint: func(pt sweep.Point) string {
-			return "astrasim|" + machineFPs[pt.Index("machine")] + "|" + workloadFPs[pt.Index("workload")]
-		},
 	}
 	res, err := sweep.Run(inner, sweep.Exec{Workers: opt.Workers, Progress: opt.Progress})
 	if err != nil {
 		return nil, err
 	}
-	out := &SweepResult{
-		Name:     spec.Name,
-		Cells:    res.Stats.Cells,
-		Executed: res.Stats.Executed,
-		Wall:     res.Stats.Wall,
-	}
+	out := &SweepResult{Name: spec.Name, Cells: res.Stats.Cells, Wall: res.Stats.Wall}
 	for _, row := range res.Rows {
 		out.Rows = append(out.Rows, SweepRow{
 			Machine:  row.Point[0],
@@ -369,8 +343,7 @@ func (r *SweepResult) WriteTable(w io.Writer) error {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "\n%d cells, %d simulated (%d shared), wall %v\n",
-		r.Cells, r.Executed, r.Cells-r.Executed, r.Wall.Round(time.Millisecond))
+	_, err := fmt.Fprintf(w, "\n%d cells, wall %v\n", r.Cells, r.Wall.Round(time.Millisecond))
 	return err
 }
 

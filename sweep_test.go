@@ -3,7 +3,9 @@ package astrasim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -31,9 +33,6 @@ func TestRunSweepGrid(t *testing.T) {
 	if res.Cells != 4 || len(res.Rows) != 4 {
 		t.Fatalf("got %d cells / %d rows, want 4 / 4", res.Cells, len(res.Rows))
 	}
-	if res.Executed != 4 {
-		t.Errorf("executed %d, want 4 (all cells distinct)", res.Executed)
-	}
 	// Machine-major order.
 	wantOrder := []string{"ring", "ring", "switch", "switch"}
 	for i, row := range res.Rows {
@@ -58,40 +57,43 @@ func TestRunSweepGrid(t *testing.T) {
 	}
 }
 
-func TestRunSweepDeterministicAndDeduplicated(t *testing.T) {
+// A grid that lists a machine twice runs both copies: their rows are
+// equal, and the rows are byte-identical at any worker count.
+func TestRunSweepDuplicateMachineDeterministic(t *testing.T) {
 	spec := testSweepSpec()
-	// Duplicate the first machine under another name: same content, so it
-	// must be simulated once and share results.
 	spec.Machines = append(spec.Machines, SweepMachine{Name: "ring-again", Config: spec.Machines[0].Config})
 
-	serial, err := RunSweep(spec, SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Cells != 6 || serial.Executed != 4 {
-		t.Errorf("cells=%d executed=%d, want 6 cells with 4 simulated", serial.Cells, serial.Executed)
-	}
-	for i := 0; i < 2; i++ {
-		if serial.Rows[i].Report.Makespan != serial.Rows[4+i].Report.Makespan {
-			t.Errorf("duplicate machine row %d differs from original", i)
-		}
-	}
-
-	var want bytes.Buffer
-	if err := serial.WriteCSV(&want); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		par, err := RunSweep(spec, SweepOptions{Workers: workers})
+	rowsJSON := func(workers int) []byte {
+		res, err := RunSweep(spec, SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got bytes.Buffer
-		if err := par.WriteCSV(&got); err != nil {
+		if res.Cells != 6 || len(res.Rows) != 6 {
+			t.Fatalf("workers=%d: got %d cells / %d rows, want 6 / 6", workers, res.Cells, len(res.Rows))
+		}
+		for i := 0; i < 2; i++ {
+			orig, err := json.Marshal(res.Rows[i].Report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := json.Marshal(res.Rows[4+i].Report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(orig, again) {
+				t.Errorf("workers=%d: duplicate machine row %d differs from the original:\n%s\n%s", workers, i, again, orig)
+			}
+		}
+		doc, err := json.Marshal(res.Rows)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Errorf("workers=%d: CSV differs from serial", workers)
+		return doc
+	}
+	serial := rowsJSON(1)
+	for _, workers := range []int{2, 8} {
+		if par := rowsJSON(workers); !bytes.Equal(serial, par) {
+			t.Errorf("workers=%d: JSON rows differ from workers=1", workers)
 		}
 	}
 }
@@ -117,6 +119,60 @@ func TestRunSweepProgressAndErrors(t *testing.T) {
 	}
 	if _, err := RunSweep(SweepSpec{}, SweepOptions{}); err == nil {
 		t.Error("empty spec accepted")
+	}
+}
+
+// A non-finite number or a negative collective size in a sweep spec fails
+// the sweep before any cell runs, with an error naming the field.
+func TestRunSweepRefusesBadNumbers(t *testing.T) {
+	cases := []struct {
+		edit func(*SweepSpec)
+		want string
+	}{
+		{func(s *SweepSpec) { s.Machines[1].Config.BandwidthsGBps = []float64{math.NaN()} },
+			`astrasim: sweep machine 1 (switch): astrasim: BandwidthsGBps[0] is NaN, want a finite number`},
+		{func(s *SweepSpec) { s.Machines[0].Config.HopLatencyNs = math.Inf(1) },
+			`astrasim: sweep machine 0 (ring): astrasim: HopLatencyNs is +Inf, want a finite number`},
+		{func(s *SweepSpec) { s.Workloads[1].SizeBytes = -5 },
+			`astrasim: sweep test: workload 1: astrasim: workload kind "all_gather" has a negative size_bytes -5`},
+		{func(s *SweepSpec) {
+			s.Workloads[1] = WorkloadSpec{Kind: "pipeline", Stages: 4, MicroBatches: 8, FlopsPerStage: math.NaN()}
+		}, `astrasim: sweep test: workload 1: astrasim: workload kind "pipeline": flops_per_stage is NaN, want a finite number`},
+	}
+	for _, c := range cases {
+		spec := testSweepSpec()
+		c.edit(&spec)
+		done := 0
+		_, err := RunSweep(spec, SweepOptions{Progress: func(d, _ int) { done = d }})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("error %v, want %q", err, c.want)
+		}
+		if done != 0 {
+			t.Errorf("%q: %d cells ran before the error", c.want, done)
+		}
+	}
+	// The same spec in JSON: a negative size_bytes is refused up front,
+	// and a zero one is the 1 GiB default.
+	doc := `{"machines": [{"config": {"Topology": "R(4)", "BandwidthsGBps": [300]}}],
+	         "workloads": [{"kind": "all_reduce", "size_bytes": %d}]}`
+	spec, err := LoadSweepSpec(strings.NewReader(fmt.Sprintf(doc, -5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `astrasim: sweep sweep: workload 0: astrasim: workload kind "all_reduce" has a negative size_bytes -5`
+	if _, err := RunSweep(spec, SweepOptions{}); err == nil || err.Error() != want {
+		t.Errorf("size_bytes -5: error %v, want %q", err, want)
+	}
+	spec, err = LoadSweepSpec(strings.NewReader(fmt.Sprintf(doc, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSweep(spec, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0].Workload; got != "all_reduce(1073741824)" {
+		t.Errorf("size_bytes 0 runs %s, want all_reduce(1073741824)", got)
 	}
 }
 
